@@ -14,10 +14,10 @@ from .dataio import (
 )
 from .errors import AffectSeqError
 from .evalmetrics import EvalReport, ensemble_average, evaluate_run, mse, pearson
-from .fusion import EmotionPrediction, FusionConfig, fusion_head_forward
+from .fusion import FusionConfig
 from .model import ModelConfig, init_model_params, predict_batch, training_loss
 from .numerics import AdamState, LossValue, ParamStore, adam_step, grad_check
-from .seqmodel import EncoderConfig, encode_sequence
+from .seqmodel import EncoderConfig
 from .smoothing import IIRCoefficients, SmootherSpec, butter_design, filtfilt, smooth_track
 from .training import predict_tracks, train_run
 
@@ -25,12 +25,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "AffectSeqError", "AnnotationTrack", "DatasetManifest",
-    "EmotionPrediction", "EncoderConfig", "EvalReport", "FeatureTrack",
-    "FusionConfig", "IIRCoefficients", "LossValue", "ModelConfig",
-    "ParamStore", "SmootherSpec", "SynthSpec", "adam_step", "butter_design",
-    "encode_sequence", "ensemble_average", "evaluate_run", "filtfilt",
-    "fusion_head_forward", "grad_check", "init_model_params", "load_manifest",
-    "mse", "pearson", "predict_batch", "predict_tracks", "smooth_track",
-    "split_dataset", "synth_generate", "train_run", "training_loss",
-    "window_sequences",
+    "EncoderConfig", "EvalReport", "FeatureTrack", "FusionConfig",
+    "IIRCoefficients", "LossValue", "ModelConfig", "ParamStore",
+    "SmootherSpec", "SynthSpec", "adam_step", "butter_design",
+    "ensemble_average", "evaluate_run", "filtfilt", "grad_check",
+    "init_model_params", "load_manifest", "mse", "pearson", "predict_batch",
+    "predict_tracks", "smooth_track", "split_dataset", "synth_generate",
+    "train_run", "training_loss", "window_sequences",
 ]

@@ -260,18 +260,6 @@ def sum_all(x) -> Var:
     return Var(out, (x,), backward)
 
 
-def mean_all(x) -> Var:
-    vx = _val(x)
-    out = np.asarray(vx.mean())
-    if not isinstance(x, Var):
-        return Var(out)
-
-    def backward(g):
-        _accum(x, np.broadcast_to(g / vx.size, vx.shape).copy())
-
-    return Var(out, (x,), backward)
-
-
 def sum_squares(x) -> Var:
     """Scalar sum of squared entries (for weight penalties)."""
     vx = _val(x)

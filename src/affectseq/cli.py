@@ -20,7 +20,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .config import parse_config, write_resolved
+from .config import parse_config, parse_values, smoother_spec, write_resolved
 from .dataio import (
     SynthSpec,
     load_dataset,
@@ -96,9 +96,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="take smoother settings from a config file")
     p.add_argument("--smoother", choices=("butterworth", "moving_average", "none"))
-    p.add_argument("--order", type=int)
-    p.add_argument("--cutoff", type=float)
-    p.add_argument("--weights", help="comma-separated moving-average weights")
+    p.add_argument("--order", help="Butterworth order (config key butter_order)")
+    p.add_argument("--cutoff", help="Butterworth cutoff (config key butter_cutoff)")
+    p.add_argument("--weights", help="comma-separated moving-average weights (ma_weights)")
     p.add_argument("--causal", action="store_true",
                    help="single forward pass instead of zero-phase")
     p.add_argument("--parallel", type=int, default=1, metavar="N")
@@ -113,7 +113,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--aggregation", choices=("macro_per_movie", "pooled"),
                    default="macro_per_movie")
-    p.add_argument("--parallel", type=int, default=1, metavar="N")
     return parser
 
 
@@ -125,18 +124,21 @@ def _cmd_synth(args) -> int:
         if not chunk:
             continue
         name, _, dim = chunk.partition(":")
-        if not dim:
-            raise DataError(f"modality {chunk!r} must be name:dim")
-        modalities.append((name.strip(), int(dim)))
+        try:
+            modalities.append((name.strip(), int(dim)))
+        except ValueError:
+            raise DataError(f"--modalities: {chunk!r} must be name:dim, dim an integer") from None
     overrides = []
     for chunk in args.noise_override.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         name, _, level = chunk.partition(":")
-        if not level:
-            raise DataError(f"noise override {chunk!r} must be name:level")
-        overrides.append((name.strip(), float(level)))
+        try:
+            overrides.append((name.strip(), float(level)))
+        except ValueError:
+            raise DataError(
+                f"--noise-override: {chunk!r} must be name:level, level a number") from None
     spec = SynthSpec(
         num_movies=args.movies,
         length=args.length,
@@ -206,29 +208,20 @@ def _cmd_predict(args) -> int:
     return EXIT_OK
 
 
+# smooth flags and the config keys they set
+_SMOOTH_FLAGS = {"smoother": "smoother", "order": "butter_order",
+                 "cutoff": "butter_cutoff", "weights": "ma_weights"}
+
+
 def _smoother_from_args(args) -> SmootherSpec:
+    """Flags override the config's smoother keys, or the defaults without
+    one; either way they are parsed and bounded like config keys."""
+    given = {key: getattr(args, flag) for flag, key in _SMOOTH_FLAGS.items()
+             if getattr(args, flag) is not None}
+    values = parse_values(given, {key: f"--{flag}" for flag, key in _SMOOTH_FLAGS.items()})
     if args.config:
-        cfg = parse_config(args.config)
-        spec = cfg.smoother_spec()
-        kind = args.smoother or spec.kind
-    else:
-        kind = args.smoother or "butterworth"
-        spec = None
-    if kind == "butterworth":
-        order = args.order if args.order is not None else (
-            spec.order if spec is not None and spec.kind == "butterworth" else 2)
-        cutoff = args.cutoff if args.cutoff is not None else (
-            spec.cutoff if spec is not None and spec.kind == "butterworth" else 0.05)
-        return SmootherSpec.butterworth(order, cutoff)
-    if kind == "moving_average":
-        if args.weights:
-            weights = tuple(float(w) for w in args.weights.split(",") if w.strip())
-        elif spec is not None and spec.kind == "moving_average":
-            weights = spec.weights
-        else:
-            weights = (1.0, 1.0, 1.0, 1.0, 1.0)
-        return SmootherSpec.moving_average(weights)
-    return SmootherSpec.none()
+        return parse_config(args.config, given).smoother_spec()
+    return smoother_spec(values)
 
 
 def _per_movie(fn, movies, parallel: int) -> list:
@@ -265,8 +258,7 @@ def _cmd_evaluate(args) -> int:
     anno_paths = sorted(anno_dir.glob("*.csv"))
     if not anno_paths:
         raise DataError(f"no annotation files in {anno_dir}")
-    tracks = _per_movie(load_predictions, anno_paths, args.parallel)
-    annos = {track.movie_id: track.values for track in tracks}
+    annos = {track.movie_id: track.values for track in map(load_predictions, anno_paths)}
     preds = load_prediction_dir(pred_dir)
     report = evaluate_run(preds, annos, args.aggregation)
     out_dir = Path(args.out)

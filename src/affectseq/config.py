@@ -14,12 +14,17 @@ split settings:
 A profile owns the keys it presets; overriding them in the same file is
 an error. Values outside the usual grids (for example a sequence length
 other than 10/30/60) are accepted with a warning record.
+
+Every key except ``manifest`` is a :class:`RunConfig` field declared with
+:func:`_key`, which holds its default and its parser; the known-key set,
+parsing, validation and the resolved echo all read that one table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable, Mapping
 
 from .dataio import DatasetManifest, _parse_kv_lines, load_manifest
 from .errors import ConfigError
@@ -37,45 +42,68 @@ _PROFILE_PRESETS = {
 }
 _PAPERED_SEQUENCE_LENGTHS = (10, 30, 60)
 
-_KNOWN_KEYS = {
-    "manifest", "out", "profile", "seed", "epochs", "batch_size", "learning_rate",
-    "adam_beta1", "adam_beta2", "adam_epsilon", "cell", "hidden_units",
-    "sequence_length", "dropout_rate", "enable_dropout", "enable_batchnorm",
-    "train_fraction", "num_experts", "l2_lambda", "cg2_position", "bn_momentum",
-    "bn_epsilon", "use_batch_stats_at_inference", "smoother", "butter_order",
-    "butter_cutoff", "ma_weights", "early_stop_patience",
-}
+
+# Parsers take the raw string and raise ConfigError with a message that
+# the caller prefixes with the key (or CLI flag) at fault.
+
+def _choice(*options: str) -> Callable[[str], str]:
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ConfigError(f"must be one of {', '.join(options)}, got {raw!r}")
+        return raw
+    return parse
 
 
-def _parse_bool(key: str, raw: str) -> bool:
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise ConfigError(f"key {key}: expected true or false, got {raw!r}")
+def _bool(raw: str) -> bool:
+    if raw in ("true", "false"):
+        return raw == "true"
+    raise ConfigError(f"expected true or false, got {raw!r}")
 
 
-def _parse_int(key: str, raw: str, lo: int | None = None, hi: int | None = None) -> int:
+def _number(kind: type, lo=None, hi=None, lo_open=False, hi_open=False) -> Callable[[str], float]:
+    """An int or float parser with inclusive, exclusive or absent bounds."""
+    left = "(-inf" if lo is None else f"{'(' if lo_open else '['}{lo:g}"
+    right = "inf)" if hi is None else f"{hi:g}{')' if hi_open else ']'}"
+
+    def parse(raw: str):
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise ConfigError(
+                f"expected {'an integer' if kind is int else 'a number'}, got {raw!r}") from None
+        above = lo is None or (value > lo if lo_open else value >= lo)
+        below = hi is None or (value < hi if hi_open else value <= hi)
+        if not (above and below):
+            raise ConfigError(f"{value} outside valid range {left}, {right}")
+        return value
+    return parse
+
+
+def _list(item: Callable[[str], float]) -> Callable[[str], tuple]:
+    """Comma-separated items; blank items are skipped."""
+    def parse(raw: str) -> tuple:
+        return tuple(item(tok.strip()) for tok in raw.split(",") if tok.strip())
+    return parse
+
+
+def _units(raw: str) -> tuple[int, ...]:
+    units = _list(_number(int, lo=1))(raw)
+    if not 1 <= len(units) <= 2:
+        raise ConfigError(f"encoders support 1 or 2 layers, got {len(units)}")
+    return units
+
+
+def _key(default, parse: Callable[[str], object], echo: bool = True):
+    """A config key: its RunConfig field default, its parser, and whether
+    the resolved echo writes it."""
+    return field(default=default, metadata={"parse": parse, "echo": echo})
+
+
+def _parse(label: str, parse: Callable[[str], object], raw: str):
     try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"key {key}: expected an integer, got {raw!r}") from None
-    if (lo is not None and value < lo) or (hi is not None and value > hi):
-        raise ConfigError(f"key {key}: {value} outside valid range [{lo}, {hi}]")
-    return value
-
-
-def _parse_float(key: str, raw: str, lo: float | None = None, hi: float | None = None,
-                 lo_open: bool = False) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"key {key}: expected a number, got {raw!r}") from None
-    if lo is not None and (value <= lo if lo_open else value < lo):
-        raise ConfigError(f"key {key}: {value} below valid minimum {lo}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"key {key}: {value} above valid maximum {hi}")
-    return value
+        return parse(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{label}: {exc}") from None
 
 
 @dataclass
@@ -84,34 +112,34 @@ class RunConfig:
 
     manifest_path: Path
     manifest: DatasetManifest
-    out: str | None = None
-    profile: str = "custom"
-    seed: int = 1
-    epochs: int = 30
-    batch_size: int = 512
-    learning_rate: float = 0.001
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    cell: str = "gru"
-    hidden_units: tuple[int, ...] = (128,)
+    out: str | None = _key(None, str, echo=False)
+    profile: str = _key("custom", _choice(*PROFILES), echo=False)
+    seed: int = _key(1, _number(int))
+    epochs: int = _key(30, _number(int, lo=1))
+    batch_size: int = _key(512, _number(int, lo=1))
+    learning_rate: float = _key(0.001, _number(float, lo=0))
+    adam_beta1: float = _key(0.9, _number(float, lo=0, hi=1))
+    adam_beta2: float = _key(0.999, _number(float, lo=0, hi=1))
+    adam_epsilon: float = _key(1e-8, _number(float, lo=0, lo_open=True))
+    cell: str = _key("gru", _choice("gru", "lstm"))
+    hidden_units: tuple[int, ...] = _key((128,), _units)
+    sequence_length: int = _key(60, _number(int, lo=1))
+    dropout_rate: float = _key(0.5, _number(float, lo=0, hi=1, hi_open=True))
+    enable_dropout: bool = _key(False, _bool)
+    enable_batchnorm: bool = _key(False, _bool)
+    train_fraction: float = _key(1.0, _number(float, lo=0, hi=1, lo_open=True))
+    num_experts: int = _key(2, _number(int, lo=1))
+    l2_lambda: float = _key(1e-5, _number(float, lo=0))
+    cg2_position: str = _key("moe_output", _choice("moe_input", "moe_output"))
+    bn_momentum: float = _key(0.9, _number(float, lo=0, hi=1, lo_open=True))
+    bn_epsilon: float = _key(1e-5, _number(float, lo=0, lo_open=True))
+    use_batch_stats_at_inference: bool = _key(True, _bool)
+    smoother: str = _key("butterworth", _choice("butterworth", "moving_average", "none"))
+    butter_order: int = _key(2, _number(int, lo=1, hi=4))
+    butter_cutoff: float = _key(0.05, _number(float, lo=0, hi=1, lo_open=True, hi_open=True))
+    ma_weights: tuple[float, ...] = _key((1.0,) * 5, _list(_number(float, lo=0, lo_open=True)))
+    early_stop_patience: int = _key(0, _number(int, lo=0))
     hidden_overrides: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    sequence_length: int = 60
-    dropout_rate: float = 0.5
-    enable_dropout: bool = False
-    enable_batchnorm: bool = False
-    train_fraction: float = 1.0
-    num_experts: int = 2
-    l2_lambda: float = 1e-5
-    cg2_position: str = "moe_output"
-    bn_momentum: float = 0.9
-    bn_epsilon: float = 1e-5
-    use_batch_stats_at_inference: bool = True
-    smoother: str = "butterworth"
-    butter_order: int = 2
-    butter_cutoff: float = 0.05
-    ma_weights: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0, 1.0)
-    early_stop_patience: int = 0
     warnings: tuple[str, ...] = ()
 
     def model_config(self) -> ModelConfig:
@@ -141,11 +169,7 @@ class RunConfig:
         return ModelConfig(encoders=tuple(encoders), fusion=fusion)
 
     def smoother_spec(self) -> SmootherSpec:
-        if self.smoother == "butterworth":
-            return SmootherSpec.butterworth(self.butter_order, self.butter_cutoff)
-        if self.smoother == "moving_average":
-            return SmootherSpec.moving_average(self.ma_weights)
-        return SmootherSpec.none()
+        return smoother_spec(vars(self))
 
     def resolved_lines(self) -> list[str]:
         """A reloadable snapshot: parse_config on the echo reproduces this
@@ -154,37 +178,12 @@ class RunConfig:
         path is deliberately absent: the echo lives inside it, and
         identical configs must produce byte-identical echoes.
         """
-        items = {
-            "manifest": str(self.manifest_path),
-            "profile": "custom",
-            "seed": self.seed,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_epsilon": self.adam_epsilon,
-            "cell": self.cell,
-            "hidden_units": ",".join(str(u) for u in self.hidden_units),
-            "sequence_length": self.sequence_length,
-            "dropout_rate": self.dropout_rate,
-            "enable_dropout": str(self.enable_dropout).lower(),
-            "enable_batchnorm": str(self.enable_batchnorm).lower(),
-            "train_fraction": self.train_fraction,
-            "num_experts": self.num_experts,
-            "l2_lambda": self.l2_lambda,
-            "cg2_position": self.cg2_position,
-            "bn_momentum": self.bn_momentum,
-            "bn_epsilon": self.bn_epsilon,
-            "use_batch_stats_at_inference": str(self.use_batch_stats_at_inference).lower(),
-            "smoother": self.smoother,
-            "butter_order": self.butter_order,
-            "butter_cutoff": self.butter_cutoff,
-            "ma_weights": ",".join(repr(w) for w in self.ma_weights),
-            "early_stop_patience": self.early_stop_patience,
-        }
-        for name, units in sorted(self.hidden_overrides.items()):
-            items[f"hidden_units.{name}"] = ",".join(str(u) for u in units)
+        items = {"manifest": str(self.manifest_path), "profile": "custom"}
+        for f in _TABLE.values():
+            if f.metadata["echo"]:
+                items[f.name] = _echo(getattr(self, f.name))
+        for name, units in self.hidden_overrides.items():
+            items[f"hidden_units.{name}"] = _echo(units)
         lines = []
         if self.profile != "custom":
             lines.append(f"# resolved from profile: {self.profile}")
@@ -193,11 +192,39 @@ class RunConfig:
         return lines
 
 
-def _parse_units(key: str, raw: str) -> tuple[int, ...]:
-    units = tuple(_parse_int(key, tok.strip(), lo=1) for tok in raw.split(",") if tok.strip())
-    if not 1 <= len(units) <= 2:
-        raise ConfigError(f"key {key}: encoders support 1 or 2 layers, got {len(units)}")
-    return units
+_TABLE = {f.name: f for f in fields(RunConfig) if "parse" in f.metadata}
+_KNOWN_KEYS = {"manifest", *_TABLE}
+
+
+def _echo(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def parse_values(raw: Mapping[str, str], labels: Mapping[str, str] | None = None) -> dict:
+    """Every table key's value: its default, or its parsed entry in ``raw``.
+
+    Errors name ``labels[key]`` when given (a CLI flag, say), else the key.
+    """
+    labels = labels or {}
+    values = {}
+    for name, f in _TABLE.items():
+        values[name] = (_parse(labels.get(name, f"key {name}"), f.metadata["parse"], raw[name])
+                        if name in raw else f.default)
+    return values
+
+
+def smoother_spec(values: Mapping[str, object]) -> SmootherSpec:
+    """The smoother that the ``smoother``, ``butter_*`` and ``ma_weights``
+    values select."""
+    if values["smoother"] == "butterworth":
+        return SmootherSpec.butterworth(values["butter_order"], values["butter_cutoff"])
+    if values["smoother"] == "moving_average":
+        return SmootherSpec.moving_average(values["ma_weights"])
+    return SmootherSpec.none()
 
 
 def parse_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
@@ -221,110 +248,36 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
     if "manifest" not in kv:
         raise ConfigError(f"{path}: missing required key 'manifest'")
 
-    manifest_path = Path(kv["manifest"])
+    manifest_path = Path(kv.pop("manifest"))
     if not manifest_path.is_absolute():
         manifest_path = path.parent / manifest_path
     manifest = load_manifest(manifest_path)
 
-    profile = kv.get("profile", "custom")
-    if profile not in PROFILES:
-        raise ConfigError(f"key profile: must be one of {', '.join(PROFILES)}")
-    preset = _PROFILE_PRESETS.get(profile, {})
+    values = parse_values(kv)
+    preset = _PROFILE_PRESETS.get(values["profile"], {})
     for owned in preset:
         if owned in kv:
-            raise ConfigError(f"profile {profile} fixes {owned}; remove the explicit key")
+            raise ConfigError(f"profile {values['profile']} fixes {owned}; remove the explicit key")
+    if "train_fraction" not in kv:
+        values["train_fraction"] = manifest.train_fraction
+    values.update(preset)
+    cfg = RunConfig(manifest_path=manifest_path, manifest=manifest, **values)
 
-    warnings: list[str] = []
-    cfg = RunConfig(
-        manifest_path=manifest_path,
-        manifest=manifest,
-        out=kv.get("out"),
-        profile=profile,
-        seed=_parse_int("seed", kv["seed"]) if "seed" in kv else 1,
-        epochs=_parse_int("epochs", kv["epochs"], lo=1) if "epochs" in kv else 30,
-        batch_size=_parse_int("batch_size", kv["batch_size"], lo=1) if "batch_size" in kv else 512,
-        learning_rate=_parse_float("learning_rate", kv["learning_rate"], lo=0.0)
-        if "learning_rate" in kv else 0.001,
-        adam_beta1=_parse_float("adam_beta1", kv["adam_beta1"], lo=0.0, hi=1.0)
-        if "adam_beta1" in kv else 0.9,
-        adam_beta2=_parse_float("adam_beta2", kv["adam_beta2"], lo=0.0, hi=1.0)
-        if "adam_beta2" in kv else 0.999,
-        adam_epsilon=_parse_float("adam_epsilon", kv["adam_epsilon"], lo=0.0, lo_open=True)
-        if "adam_epsilon" in kv else 1e-8,
-        cell=kv.get("cell", "gru"),
-        hidden_units=_parse_units("hidden_units", kv["hidden_units"])
-        if "hidden_units" in kv else (128,),
-        sequence_length=_parse_int("sequence_length", kv["sequence_length"], lo=1)
-        if "sequence_length" in kv else 60,
-        dropout_rate=_parse_float("dropout_rate", kv["dropout_rate"], lo=0.0)
-        if "dropout_rate" in kv else 0.5,
-        enable_dropout=preset.get(
-            "enable_dropout",
-            _parse_bool("enable_dropout", kv["enable_dropout"]) if "enable_dropout" in kv else False,
-        ),
-        enable_batchnorm=preset.get(
-            "enable_batchnorm",
-            _parse_bool("enable_batchnorm", kv["enable_batchnorm"]) if "enable_batchnorm" in kv else False,
-        ),
-        train_fraction=preset.get(
-            "train_fraction",
-            _parse_float("train_fraction", kv["train_fraction"], lo=0.0, hi=1.0, lo_open=True)
-            if "train_fraction" in kv else manifest.train_fraction,
-        ),
-        num_experts=_parse_int("num_experts", kv["num_experts"], lo=1)
-        if "num_experts" in kv else 2,
-        l2_lambda=_parse_float("l2_lambda", kv["l2_lambda"], lo=0.0)
-        if "l2_lambda" in kv else 1e-5,
-        cg2_position=kv.get("cg2_position", "moe_output"),
-        bn_momentum=_parse_float("bn_momentum", kv["bn_momentum"], lo=0.0, hi=1.0, lo_open=True)
-        if "bn_momentum" in kv else 0.9,
-        bn_epsilon=_parse_float("bn_epsilon", kv["bn_epsilon"], lo=0.0, lo_open=True)
-        if "bn_epsilon" in kv else 1e-5,
-        use_batch_stats_at_inference=_parse_bool(
-            "use_batch_stats_at_inference", kv["use_batch_stats_at_inference"])
-        if "use_batch_stats_at_inference" in kv else True,
-        smoother=kv.get("smoother", "butterworth"),
-        butter_order=_parse_int("butter_order", kv["butter_order"], lo=1, hi=4)
-        if "butter_order" in kv else 2,
-        butter_cutoff=_parse_float("butter_cutoff", kv["butter_cutoff"])
-        if "butter_cutoff" in kv else 0.05,
-        ma_weights=tuple(
-            _parse_float("ma_weights", tok.strip(), lo=0.0, lo_open=True)
-            for tok in kv["ma_weights"].split(",") if tok.strip()
-        ) if "ma_weights" in kv else (1.0, 1.0, 1.0, 1.0, 1.0),
-        early_stop_patience=_parse_int("early_stop_patience", kv["early_stop_patience"], lo=0)
-        if "early_stop_patience" in kv else 0,
-    )
-
-    if cfg.cell not in ("gru", "lstm"):
-        raise ConfigError(f"key cell: must be gru or lstm, got {cfg.cell!r}")
-    if cfg.smoother not in ("butterworth", "moving_average", "none"):
-        raise ConfigError(f"key smoother: must be butterworth, moving_average, or none")
-    if not 0.0 < cfg.butter_cutoff < 1.0:
-        raise ConfigError(f"key butter_cutoff: {cfg.butter_cutoff} outside valid range (0, 1)")
-    if not 0.0 <= cfg.dropout_rate < 1.0:
-        raise ConfigError(f"key dropout_rate: {cfg.dropout_rate} outside valid range [0, 1)")
-    if cfg.cg2_position not in ("moe_input", "moe_output"):
-        raise ConfigError("key cg2_position: must be moe_input or moe_output")
-
-    hidden_overrides = {}
     known_modalities = {name for name, _ in manifest.modalities}
     for name, raw in hidden_overrides_raw.items():
         if name not in known_modalities:
             raise ConfigError(f"hidden_units.{name}: modality not in manifest")
-        hidden_overrides[name] = _parse_units(f"hidden_units.{name}", raw)
-    cfg.hidden_overrides = hidden_overrides
+        cfg.hidden_overrides[name] = _parse(f"key hidden_units.{name}", _units, raw)
 
-    if profile == "run4":
+    if cfg.profile == "run4":
         cfg.seed = cfg.seed + 1
         cfg.epochs = cfg.epochs + max(1, cfg.epochs // 4)
 
     if cfg.sequence_length not in _PAPERED_SEQUENCE_LENGTHS:
-        warnings.append(
+        cfg.warnings = (
             f"sequence_length {cfg.sequence_length} is outside the usual grid "
-            f"{_PAPERED_SEQUENCE_LENGTHS}; accepted"
+            f"{_PAPERED_SEQUENCE_LENGTHS}; accepted",
         )
-    cfg.warnings = tuple(warnings)
     return cfg
 
 

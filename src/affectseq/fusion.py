@@ -14,14 +14,14 @@ wires these pieces to the encoders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DimensionError
-from .numerics import ParamStore, glorot_uniform, sigmoid, softmax
-from .seqmodel import BatchNormState, batch_norm_apply, batch_norm_graph, dropout_apply
+from .numerics import ParamStore, glorot_uniform
+from .seqmodel import BatchNormState, batch_norm_graph
 
 OUTPUT_DIMS = ("valence", "arousal")
 
@@ -62,12 +62,6 @@ class FusionConfig:
         return sum(d for _, d in self.modality_dims)
 
 
-@dataclass
-class EmotionPrediction:
-    valence: float
-    arousal: float
-
-
 def init_fusion_params(store: ParamStore, config: FusionConfig,
                        rng: np.random.Generator, prefix: str = "fusion") -> None:
     f = config.concat_dim
@@ -101,88 +95,19 @@ def bn_state_view(store: ParamStore, config: FusionConfig, prefix: str = "fusion
     )
 
 
-def context_gate(x, w, b) -> np.ndarray:
-    """y = sigmoid(W x + b) * x, elementwise; never grows magnitudes."""
-    x, w, b = (np.asarray(v, dtype=np.float64) for v in (x, w, b))
-    if w.shape != (x.shape[0], x.shape[0]) or b.shape != x.shape:
-        raise DimensionError(f"context gate shapes w={w.shape}, b={b.shape} do not fit x={x.shape}")
-    return sigmoid(w @ x + b) * x
-
-
-def moe_forward(v, dim_params: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]):
-    """Mixture output per dimension.
-
-    ``dim_params`` lists (expert_W, expert_b, gate_W, gate_b) per output
-    dimension; each expert is a logistic regression and the gates come
-    from a softmax over gate logits. Output entries lie in (0, 1).
-    """
-    v = np.asarray(v, dtype=np.float64)
-    out = np.empty(len(dim_params))
-    for d, (ew, eb, gw, gb) in enumerate(dim_params):
-        experts = sigmoid(ew @ v + eb)
-        gates = softmax(gw @ v + gb)
-        out[d] = gates @ experts
-    return out
-
-
-def moe_param_view(store: ParamStore, prefix: str = "fusion"):
-    return [
-        (
-            store.value(f"{prefix}.moe.{dim}.expert_W"),
-            store.value(f"{prefix}.moe.{dim}.expert_b"),
-            store.value(f"{prefix}.moe.{dim}.gate_W"),
-            store.value(f"{prefix}.moe.{dim}.gate_b"),
-        )
-        for dim in OUTPUT_DIMS
-    ]
-
-
 def map_to_range(p: np.ndarray, output_range: tuple[float, float]) -> np.ndarray:
     lo, hi = output_range
     return lo + (hi - lo) * np.asarray(p, dtype=np.float64)
 
 
-def fusion_head_forward(states: Sequence[np.ndarray], store: ParamStore,
-                        config: FusionConfig, mode: str = "eval",
-                        rng: np.random.Generator | None = None,
-                        prefix: str = "fusion"):
-    """Single-sample head pass; returns (EmotionPrediction, gated probabilities).
-
-    Training runs the batched graph in :mod:`affectseq.model`; this path
-    exists for inference and closed-form checks. With batch normalization
-    enabled, a single sample degenerates under batch statistics, so use
-    batched prediction when that mode matters.
-    """
-    if len(states) != len(config.modality_dims):
-        raise ConfigError(
-            f"got {len(states)} modality states, config has {len(config.modality_dims)}"
-        )
-    for h, (name, dim) in zip(states, config.modality_dims):
-        if np.asarray(h).shape != (dim,):
-            raise ConfigError(f"modality {name} state has shape {np.asarray(h).shape}, expected ({dim},)")
-    x = np.concatenate([np.asarray(h, dtype=np.float64) for h in states])
-    if config.enable_batchnorm:
-        x = batch_norm_apply(x[None, :], bn_state_view(store, config, prefix), mode)[0]
-    if config.enable_dropout:
-        x = dropout_apply(x, config.dropout_rate, mode, rng)
-    v = context_gate(x, store.value(f"{prefix}.cg1.W"), store.value(f"{prefix}.cg1.b"))
-    cg2_w = store.value(f"{prefix}.cg2.W")
-    cg2_b = store.value(f"{prefix}.cg2.b")
-    if config.cg2_position == "moe_input":
-        v = context_gate(v, cg2_w, cg2_b)
-        p = moe_forward(v, moe_param_view(store, prefix))
-    else:
-        p = moe_forward(v, moe_param_view(store, prefix))
-        p = context_gate(p, cg2_w, cg2_b)
-    pred = map_to_range(p, config.output_range)
-    return EmotionPrediction(valence=float(pred[0]), arousal=float(pred[1])), p
-
-
 def context_gate_graph(x, w: ad.Var, b: ad.Var) -> ad.Var:
+    """y = sigmoid(x W^T + b) * x, elementwise; never grows magnitudes."""
     return ad.mul(ad.sigmoid(ad.linear(x, w, b)), x)
 
 
 def moe_graph(v, leaves: Mapping[str, ad.Var], prefix: str = "fusion") -> ad.Var:
+    """Mixture output [B, 2]: per output dimension, logistic-regression
+    experts weighted by a softmax over gate logits. Entries lie in (0, 1)."""
     columns = []
     for dim in OUTPUT_DIMS:
         logits = ad.linear(v, leaves[f"{prefix}.moe.{dim}.expert_W"],

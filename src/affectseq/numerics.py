@@ -1,11 +1,10 @@
-"""Differentiable-computation core: parameter storage, dense/activation
-primitives, the joint-prediction loss, the Adam optimizer, and a
-finite-difference gradient checker.
+"""Training support around the autodiff graph: parameter storage and
+checkpoints, weight initialization, the loss record, the Adam optimizer,
+and a finite-difference gradient checker.
 
-All math is double precision. Model code builds gradients with the
-reverse-mode engine in :mod:`affectseq.autodiff`; the primitives here are
-the plain-numpy forms used directly by tests, pure single-sample paths,
-and the checker.
+All math is double precision. Model code builds its forward pass and
+gradients with the reverse-mode engine in :mod:`affectseq.autodiff`;
+nothing here computes a layer.
 """
 
 from __future__ import annotations
@@ -20,69 +19,11 @@ from .errors import (
     ConfigError,
     ContractViolation,
     DataError,
-    DimensionError,
     DomainError,
     NumericError,
 )
 
 CHECKPOINT_HEADER = "affectseq-params v1"
-
-
-def sigmoid(x: np.ndarray | float) -> np.ndarray:
-    """Numerically stable logistic function."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """y = W x + b for a single input vector."""
-    x, w, b = (np.asarray(v, dtype=np.float64) for v in (x, w, b))
-    if w.ndim != 2 or x.ndim != 1 or b.ndim != 1:
-        raise DimensionError("dense_forward expects vector x, matrix w, vector b")
-    if w.shape[1] != x.shape[0] or w.shape[0] != b.shape[0]:
-        raise DimensionError(f"dense_forward: w {w.shape} does not map x {x.shape} to b {b.shape}")
-    return w @ x + b
-
-
-def dense_backward(x: np.ndarray, w: np.ndarray, grad_out: np.ndarray):
-    """Gradients of a dense layer: returns (dL/dx, dL/dW, dL/db)."""
-    x, w, grad_out = (np.asarray(v, dtype=np.float64) for v in (x, w, grad_out))
-    if grad_out.shape != (w.shape[0],):
-        raise DimensionError(f"dense_backward: grad {grad_out.shape} does not match w {w.shape}")
-    return w.T @ grad_out, np.outer(grad_out, x), grad_out.copy()
-
-
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Stable softmax of a vector (max-subtracted before exponentiation)."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.size < 1:
-        raise DimensionError("softmax expects a non-empty vector")
-    if not np.all(np.isfinite(z)):
-        raise NumericError("softmax input must be finite")
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
-def sigmoid_xent_loss(logits: np.ndarray, targets01: np.ndarray):
-    """Multi-label sigmoid cross-entropy on logits.
-
-    Returns (loss, dloss/dlogits). Computed in the log-sum form
-    ``max(z, 0) - z*t + log(1 + exp(-|z|))`` so large logits never
-    overflow; the gradient is ``sigmoid(z) - t``.
-    """
-    z = np.asarray(logits, dtype=np.float64)
-    t = np.asarray(targets01, dtype=np.float64)
-    if z.shape != t.shape:
-        raise DimensionError(f"logits {z.shape} and targets {t.shape} differ")
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise DomainError("targets must lie in [0, 1]")
-    loss = float(np.sum(np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))))
-    return loss, sigmoid(z) - t
 
 
 def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
@@ -141,14 +82,6 @@ class ParamStore:
     def zero_grads(self) -> None:
         for g in self._grads.values():
             g.fill(0.0)
-
-    def num_entries(self) -> int:
-        return sum(v.size for v in self._values.values())
-
-    def assert_finite(self) -> None:
-        for name, v in self._values.items():
-            if not np.all(np.isfinite(v)):
-                raise NumericError(f"parameter {name} became non-finite")
 
     def copy(self) -> "ParamStore":
         dup = ParamStore()

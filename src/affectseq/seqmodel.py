@@ -27,8 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DataError, DimensionError, DomainError
-from .numerics import ParamStore, glorot_uniform, sigmoid
-from .rng import generator
+from .numerics import ParamStore, glorot_uniform
 
 GRU_GATES = ("z", "r", "h")
 LSTM_GATES = ("i", "f", "g", "o")
@@ -71,12 +70,6 @@ class EncoderConfig:
 
 
 @dataclass
-class HiddenState:
-    h: np.ndarray
-    c: np.ndarray | None = None
-
-
-@dataclass
 class BatchNormState:
     """Learned scale/shift plus running statistics (views into a store)."""
 
@@ -110,133 +103,8 @@ def init_encoder_params(store: ParamStore, prefix: str, config: EncoderConfig,
             store.add(f"{base}.b_{gate}", bias)
 
 
-def cell_param_view(store: ParamStore, layer_prefix: str, cell_kind: str) -> dict[str, np.ndarray]:
-    gates = GRU_GATES if cell_kind == "gru" else LSTM_GATES
-    view = {}
-    for gate in gates:
-        for kind in ("W", "U", "b"):
-            key = f"{kind}_{gate}"
-            view[key] = store.value(f"{layer_prefix}.{key}")
-    return view
-
-
-def _check_cell_shapes(x: np.ndarray, h_prev: np.ndarray, cell: Mapping[str, np.ndarray],
-                       gates: tuple[str, ...]) -> None:
-    d, h = x.shape[0], h_prev.shape[0]
-    for gate in gates:
-        if cell[f"W_{gate}"].shape != (h, d):
-            raise DimensionError(f"W_{gate} has shape {cell[f'W_{gate}'].shape}, expected {(h, d)}")
-        if cell[f"U_{gate}"].shape != (h, h):
-            raise DimensionError(f"U_{gate} has shape {cell[f'U_{gate}'].shape}, expected {(h, h)}")
-        if cell[f"b_{gate}"].shape != (h,):
-            raise DimensionError(f"b_{gate} has shape {cell[f'b_{gate}'].shape}, expected {(h,)}")
-
-
-def gru_cell_step(x, h_prev, cell: Mapping[str, np.ndarray]) -> np.ndarray:
-    """One GRU step for a single timestep vector."""
-    x = np.asarray(x, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    _check_cell_shapes(x, h_prev, cell, GRU_GATES)
-    z = sigmoid(cell["W_z"] @ x + cell["U_z"] @ h_prev + cell["b_z"])
-    r = sigmoid(cell["W_r"] @ x + cell["U_r"] @ h_prev + cell["b_r"])
-    hc = np.tanh(cell["W_h"] @ x + cell["U_h"] @ (r * h_prev) + cell["b_h"])
-    return (1.0 - z) * h_prev + z * hc
-
-
-def lstm_cell_step(x, state: tuple[np.ndarray, np.ndarray],
-                   cell: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM step; returns (h, c)."""
-    x = np.asarray(x, dtype=np.float64)
-    h_prev = np.asarray(state[0], dtype=np.float64)
-    c_prev = np.asarray(state[1], dtype=np.float64)
-    if c_prev.shape != h_prev.shape:
-        raise DimensionError("h and c must share a shape")
-    _check_cell_shapes(x, h_prev, cell, LSTM_GATES)
-    i = sigmoid(cell["W_i"] @ x + cell["U_i"] @ h_prev + cell["b_i"])
-    f = sigmoid(cell["W_f"] @ x + cell["U_f"] @ h_prev + cell["b_f"])
-    o = sigmoid(cell["W_o"] @ x + cell["U_o"] @ h_prev + cell["b_o"])
-    g = np.tanh(cell["W_g"] @ x + cell["U_g"] @ h_prev + cell["b_g"])
-    c = f * c_prev + i * g
-    return o * np.tanh(c), c
-
-
-def dropout_apply(x, rate: float, mode: str, rng: np.random.Generator | None = None):
-    """Inverted dropout: survivors are scaled by 1/(1-rate) at train time."""
-    if not 0.0 <= rate < 1.0:
-        raise DomainError(f"dropout rate must lie in [0, 1), got {rate}")
-    x = np.asarray(x, dtype=np.float64)
-    if mode == "eval" or rate == 0.0:
-        return x
-    if mode != "train":
-        raise ConfigError(f"unknown mode: {mode!r}")
-    if rng is None:
-        raise ConfigError("train-mode dropout needs a generator")
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * mask
-
-
-def encode_sequence(seq, config: EncoderConfig, store: ParamStore, prefix: str,
-                    mode: str = "eval", rng_seed: int = 0) -> np.ndarray:
-    """Unroll one T x D sequence and return the top layer's final h."""
-    seq = np.asarray(seq, dtype=np.float64)
-    expected = (config.sequence_length, config.input_dim)
-    if seq.shape != expected:
-        raise DimensionError(f"sequence has shape {seq.shape}, expected {expected}")
-    rng = generator(rng_seed, "encoder-dropout") if mode == "train" else None
-    inputs = [seq[t] for t in range(config.sequence_length)]
-    h = np.zeros(config.hidden_units[0])
-    for layer in range(config.num_layers):
-        cell = cell_param_view(store, f"{prefix}.l{layer}", config.cell_kind)
-        h = np.zeros(config.hidden_units[layer])
-        c = np.zeros_like(h)
-        outputs = []
-        for x in inputs:
-            x = dropout_apply(x, config.dropout_rate, mode, rng)
-            if config.cell_kind == "gru":
-                h = gru_cell_step(x, h, cell)
-            else:
-                h, c = lstm_cell_step(x, (h, c), cell)
-            outputs.append(h)
-        inputs = outputs
-    return h
-
-
-def batch_norm_apply(x, state: BatchNormState, mode: str) -> np.ndarray:
-    """Normalize a [B, F] batch.
-
-    Train mode normalizes by the batch mean/var (biased) and folds the
-    batch statistics into the running ones with
-    ``running = momentum * running + (1 - momentum) * batch``. Eval mode
-    normalizes by the current batch's statistics when
-    ``use_batch_stats_at_inference`` is set (the default), else by the
-    running statistics.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != state.gamma.shape[0]:
-        raise DimensionError(f"batch of shape {x.shape} does not match {state.gamma.shape[0]} features")
-    if mode == "train":
-        if x.shape[0] < 2:
-            raise DataError("batch normalization needs B >= 2 in train mode")
-        mean = x.mean(axis=0)
-        var = x.var(axis=0)
-        m = state.momentum
-        state.running_mean[:] = m * state.running_mean + (1.0 - m) * mean
-        state.running_var[:] = m * state.running_var + (1.0 - m) * var
-    elif mode == "eval":
-        if state.use_batch_stats_at_inference:
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
-        else:
-            mean = state.running_mean
-            var = state.running_var
-    else:
-        raise ConfigError(f"unknown mode: {mode!r}")
-    xhat = (x - mean) / np.sqrt(var + state.epsilon)
-    return state.gamma * xhat + state.beta
-
-
-# Batched, differentiable paths used by training. Inputs may be plain
-# arrays (constants) or Vars; parameters come in as Vars.
+# Batched, differentiable paths used by training and prediction. Inputs
+# may be plain arrays (constants) or Vars; parameters come in as Vars.
 
 def gru_step_graph(x, h_prev, cell: Mapping[str, ad.Var]) -> ad.Var:
     z = ad.sigmoid(ad.add(ad.linear(x, cell["W_z"], cell["b_z"]), ad.linear(h_prev, cell["U_z"])))
@@ -300,7 +168,15 @@ def encode_batch_graph(seqs: np.ndarray, config: EncoderConfig,
 
 
 def batch_norm_graph(x, state: BatchNormState, gamma: ad.Var, beta: ad.Var, mode: str):
-    """Differentiable batch norm; running stats update as a side effect."""
+    """Differentiable batch norm over a [B, F] batch.
+
+    Train mode normalizes by the batch mean/var (biased) and folds the
+    batch statistics into the running ones with
+    ``running = momentum * running + (1 - momentum) * batch`` as a side
+    effect. Eval mode normalizes by the current batch's statistics when
+    ``use_batch_stats_at_inference`` is set (the default), else by the
+    running statistics.
+    """
     values = x.value if isinstance(x, ad.Var) else np.asarray(x, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != state.gamma.shape[0]:
         raise DimensionError(

@@ -1,0 +1,86 @@
+"""Plain-numpy references for the batched model graph, one sample at a time.
+
+Each function restates an equation from the docstrings of
+``affectseq.seqmodel`` and ``affectseq.fusion`` with column-vector
+products (``W @ x``), independently of the autodiff ops, so tests can
+check ``encode_batch_graph``, ``batch_norm_graph`` and
+``fusion_head_graph`` row by row against it.
+"""
+
+import numpy as np
+
+
+def sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
+
+
+def softmax(z):
+    e = np.exp(z - np.max(z))
+    return e / e.sum()
+
+
+def cell_params(store, layer_prefix):
+    """One layer's ``W_*``, ``U_*`` and ``b_*`` arrays, keyed without the prefix."""
+    start = layer_prefix + "."
+    return {n[len(start):]: store.value(n) for n in store.names() if n.startswith(start)}
+
+
+def gru_step(x, h, p):
+    z = sigmoid(p["W_z"] @ x + p["U_z"] @ h + p["b_z"])
+    r = sigmoid(p["W_r"] @ x + p["U_r"] @ h + p["b_r"])
+    hc = np.tanh(p["W_h"] @ x + p["U_h"] @ (r * h) + p["b_h"])
+    return (1.0 - z) * h + z * hc
+
+
+def lstm_step(x, h, c, p):
+    i = sigmoid(p["W_i"] @ x + p["U_i"] @ h + p["b_i"])
+    f = sigmoid(p["W_f"] @ x + p["U_f"] @ h + p["b_f"])
+    o = sigmoid(p["W_o"] @ x + p["U_o"] @ h + p["b_o"])
+    g = np.tanh(p["W_g"] @ x + p["U_g"] @ h + p["b_g"])
+    c = f * c + i * g
+    return o * np.tanh(c), c
+
+
+def encode(seq, config, store, prefix):
+    """Eval-mode unroll of one T x D sequence; returns the top layer's final h."""
+    inputs = list(seq)
+    for layer, width in enumerate(config.hidden_units):
+        p = cell_params(store, f"{prefix}.l{layer}")
+        h, c = np.zeros(width), np.zeros(width)
+        outputs = []
+        for x in inputs:
+            if config.cell_kind == "gru":
+                h = gru_step(x, h, p)
+            else:
+                h, c = lstm_step(x, h, c, p)
+            outputs.append(h)
+        inputs = outputs
+    return h
+
+
+def batch_norm_train(x, gamma, beta, eps):
+    """Train-mode batch norm of a [B, F] batch by its biased statistics."""
+    return gamma * (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + eps) + beta
+
+
+def context_gate(x, w, b):
+    return sigmoid(w @ x + b) * x
+
+
+def moe(v, store, prefix="fusion"):
+    out = []
+    for dim in ("valence", "arousal"):
+        ew, eb, gw, gb = (store.value(f"{prefix}.moe.{dim}.{k}")
+                          for k in ("expert_W", "expert_b", "gate_W", "gate_b"))
+        out.append(softmax(gw @ v + gb) @ sigmoid(ew @ v + eb))
+    return np.array(out)
+
+
+def fusion_head(x, store, config, prefix="fusion"):
+    """Eval-mode head on one concatenated state (no batch norm or dropout);
+    returns the gated probabilities [2]."""
+    v = context_gate(x, store.value(f"{prefix}.cg1.W"), store.value(f"{prefix}.cg1.b"))
+    w2, b2 = store.value(f"{prefix}.cg2.W"), store.value(f"{prefix}.cg2.b")
+    if config.cg2_position == "moe_input":
+        return moe(context_gate(v, w2, b2), store, prefix)
+    return context_gate(moe(v, store, prefix), w2, b2)

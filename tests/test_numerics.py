@@ -1,10 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affectseq import autodiff as ad
 from affectseq.errors import (
     ContractViolation,
     DataError,
@@ -17,31 +16,37 @@ from affectseq.numerics import (
     LossValue,
     ParamStore,
     adam_step,
-    dense_backward,
-    dense_forward,
     grad_check,
-    sigmoid,
-    sigmoid_xent_loss,
-    softmax,
 )
+
+
+def dense(x, w, b):
+    """``ad.linear`` on one input row."""
+    w, b = np.asarray(w, dtype=float), np.asarray(b, dtype=float)
+    return ad.linear(np.atleast_2d(x), w, b).value[0]
+
+
+def softmax(z):
+    """``ad.softmax_rows`` on one row of logits."""
+    return ad.softmax_rows(np.atleast_2d(np.asarray(z, dtype=float))).value[0]
 
 
 class TestDense:
     def test_identity(self):
-        y = dense_forward([1.0, 2.0], np.eye(2), [0.0, 0.0])
+        y = dense([1.0, 2.0], np.eye(2), [0.0, 0.0])
         np.testing.assert_array_equal(y, [1.0, 2.0])
 
     def test_zero_weights_return_bias(self):
-        y = dense_forward([5.0, -3.0, 2.0], np.zeros((2, 3)), [3.0, -1.0])
+        y = dense([5.0, -3.0, 2.0], np.zeros((2, 3)), [3.0, -1.0])
         np.testing.assert_array_equal(y, [3.0, -1.0])
 
     def test_hand_multiply(self):
-        y = dense_forward([1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [0.0, 0.0])
+        y = dense([1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [0.0, 0.0])
         np.testing.assert_allclose(y, [3.0, -1.0], atol=0)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            dense_forward([1.0, 2.0, 3.0], np.eye(2), [0.0, 0.0])
+            dense([1.0, 2.0, 3.0], np.eye(2), [0.0, 0.0])
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -51,9 +56,11 @@ class TestDense:
         g = rng.normal(size=3)
 
         def loss(xv, wv, bv):
-            return float(g @ dense_forward(xv, wv, bv))
+            return float(g @ dense(xv, wv, bv))
 
-        dx, dw, db = dense_backward(x, w, g)
+        xs, ws, bs = ad.Var(x[None, :]), ad.Var(w), ad.Var(b)
+        ad.backward(ad.sum_all(ad.mul(ad.linear(xs, ws, bs), g)))
+        dx, dw, db = xs.grad[0], ws.grad, bs.grad
         eps = 1e-6
         for i in range(4):
             pert = x.copy()
@@ -105,43 +112,6 @@ class TestSoftmax:
     def test_shift_invariance_tolerance(self, logits, shift):
         z = np.array(logits)
         np.testing.assert_allclose(softmax(z + shift), softmax(z), atol=1e-12)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(NumericError):
-            softmax([np.nan, 0.0])
-
-
-class TestSigmoidXent:
-    def test_symmetric_half_targets(self):
-        loss, grad = sigmoid_xent_loss([0.0, 0.0], [0.5, 0.5])
-        np.testing.assert_allclose(loss, 2.0 * math.log(2.0), atol=1e-15)
-        np.testing.assert_array_equal(grad, [0.0, 0.0])
-
-    def test_saturated_correct_prediction(self):
-        loss, _ = sigmoid_xent_loss([50.0, -50.0], [1.0, 0.0])
-        assert 0.0 <= loss < 1e-12
-
-    def test_against_direct_formula(self):
-        z = np.array([1.0, -2.0])
-        t = np.array([0.7, 0.1])
-        loss, grad = sigmoid_xent_loss(z, t)
-        s = 1.0 / (1.0 + np.exp(-z))
-        direct = -np.sum(t * np.log(s) + (1.0 - t) * np.log(1.0 - s))
-        np.testing.assert_allclose(loss, direct, rtol=1e-12)
-        np.testing.assert_allclose(grad, s - t, atol=1e-15)
-
-    @given(st.floats(-40, 40), st.floats(-40, 40),
-           st.floats(0, 1), st.floats(0, 1))
-    @settings(max_examples=100, deadline=None)
-    def test_gradient_identity(self, z0, z1, t0, t1):
-        z = np.array([z0, z1])
-        t = np.array([t0, t1])
-        _, grad = sigmoid_xent_loss(z, t)
-        np.testing.assert_allclose(grad, sigmoid(z) - t, atol=1e-12)
-
-    def test_target_domain(self):
-        with pytest.raises(DomainError):
-            sigmoid_xent_loss([0.0, 0.0], [1.2, 0.0])
 
 
 class TestParamStore:
