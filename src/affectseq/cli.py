@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .config import parse_config, parse_values, smoother_spec, write_resolved
@@ -25,7 +24,6 @@ from .dataio import (
     SynthSpec,
     load_dataset,
     load_prediction_dir,
-    load_predictions,
     save_prediction_dir,
     split_dataset,
     synth_generate,
@@ -101,7 +99,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--weights", help="comma-separated moving-average weights (ma_weights)")
     p.add_argument("--causal", action="store_true",
                    help="single forward pass instead of zero-phase")
-    p.add_argument("--parallel", type=int, default=1, metavar="N")
 
     p = sub.add_parser("ensemble", help="average prediction runs")
     p.add_argument("--runs", nargs="+", required=True, metavar="DIR")
@@ -224,21 +221,12 @@ def _smoother_from_args(args) -> SmootherSpec:
     return smoother_spec(values)
 
 
-def _per_movie(fn, movies, parallel: int) -> list:
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(fn, movies))
-    return [fn(m) for m in movies]
-
-
 def _cmd_smooth(args) -> int:
     spec = _smoother_from_args(args)
     preds = load_prediction_dir(args.predictions)
-    movies = sorted(preds)
-    tracks = _per_movie(lambda m: smooth_track(preds[m], spec, causal=args.causal),
-                        movies, args.parallel)
-    save_prediction_dir(dict(zip(movies, tracks)), args.out)
-    print(f"smoothed {len(movies)} movies with {spec.kind} into {args.out}")
+    smoothed = {m: smooth_track(track, spec, causal=args.causal) for m, track in preds.items()}
+    save_prediction_dir(smoothed, args.out)
+    print(f"smoothed {len(smoothed)} movies with {spec.kind} into {args.out}")
     return EXIT_OK
 
 
@@ -251,15 +239,8 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    pred_dir = Path(args.predictions)
-    anno_dir = Path(args.annotations)
-    if not anno_dir.is_dir():
-        raise DataError(f"missing annotations path: {anno_dir}")
-    anno_paths = sorted(anno_dir.glob("*.csv"))
-    if not anno_paths:
-        raise DataError(f"no annotation files in {anno_dir}")
-    annos = {track.movie_id: track.values for track in map(load_predictions, anno_paths)}
-    preds = load_prediction_dir(pred_dir)
+    annos = load_prediction_dir(args.annotations)
+    preds = load_prediction_dir(args.predictions)
     report = evaluate_run(preds, annos, args.aggregation)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -131,7 +131,7 @@ class RunConfig:
     num_experts: int = _key(2, _number(int, lo=1))
     l2_lambda: float = _key(1e-5, _number(float, lo=0))
     cg2_position: str = _key("moe_output", _choice("moe_input", "moe_output"))
-    bn_momentum: float = _key(0.9, _number(float, lo=0, hi=1, lo_open=True))
+    bn_momentum: float = _key(0.9, _number(float, lo=0, hi=1, lo_open=True, hi_open=True))
     bn_epsilon: float = _key(1e-5, _number(float, lo=0, lo_open=True))
     use_batch_stats_at_inference: bool = _key(True, _bool)
     smoother: str = _key("butterworth", _choice("butterworth", "moving_average", "none"))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -177,22 +177,15 @@ load_predictions = load_annotations
 save_predictions = save_annotations
 
 
-def load_prediction_dir(directory, movies: Iterable[str] | None = None) -> dict[str, np.ndarray]:
-    """All ``<movie>.csv`` prediction tracks in a directory."""
+def load_prediction_dir(directory) -> dict[str, np.ndarray]:
+    """All ``<movie>.csv`` tracks in a prediction or annotation directory."""
     directory = Path(directory)
     if not directory.is_dir():
-        raise DataError(f"missing prediction directory: {directory}")
-    if movies is None:
-        paths = sorted(directory.glob("*.csv"))
-        if not paths:
-            raise DataError(f"no prediction files in {directory}")
-    else:
-        paths = [directory / f"{m}.csv" for m in sorted(movies)]
-    out = {}
-    for path in paths:
-        track = load_predictions(path)
-        out[track.movie_id] = track.values
-    return out
+        raise DataError(f"missing track directory: {directory}")
+    paths = sorted(directory.glob("*.csv"))
+    if not paths:
+        raise DataError(f"no track files in {directory}")
+    return {track.movie_id: track.values for track in map(load_predictions, paths)}
 
 
 def save_prediction_dir(preds: Mapping[str, np.ndarray], directory) -> None:
@@ -273,6 +266,12 @@ def load_manifest(path) -> DatasetManifest:
         if required not in kv:
             raise ConfigError(f"{path}: missing required key {required!r}")
 
+    def number(kind: type, key: str, raw: str):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"{path}: bad value {raw!r} in {key}") from None
+
     def pairs(key: str) -> tuple[tuple[str, int], ...]:
         items = []
         for chunk in kv[key].split(","):
@@ -282,7 +281,7 @@ def load_manifest(path) -> DatasetManifest:
             if ":" not in chunk:
                 raise ConfigError(f"{path}: entry {chunk!r} in {key} must be name:count")
             name, _, count = chunk.partition(":")
-            items.append((name.strip(), int(count)))
+            items.append((name.strip(), number(int, key, count)))
         if not items:
             raise ConfigError(f"{path}: key {key} is empty")
         return tuple(items)
@@ -292,7 +291,7 @@ def load_manifest(path) -> DatasetManifest:
         parts = [p.strip() for p in kv["annotation_range"].split(",")]
         if len(parts) != 2:
             raise ConfigError(f"{path}: annotation_range must be 'lo, hi'")
-        annotation_range = (float(parts[0]), float(parts[1]))
+        annotation_range = tuple(number(float, "annotation_range", p) for p in parts)
     validation = tuple(
         p.strip() for p in kv.get("validation_movies", "").split(",") if p.strip()
     )
@@ -302,7 +301,7 @@ def load_manifest(path) -> DatasetManifest:
         movies=pairs("movies"),
         annotation_range=annotation_range,
         validation_movies=validation,
-        train_fraction=float(kv.get("train_fraction", "1.0")),
+        train_fraction=number(float, "train_fraction", kv.get("train_fraction", "1.0")),
     )
 
 
@@ -349,91 +348,76 @@ def load_dataset(manifest: DatasetManifest, with_annotations: bool = True):
     return features, annotations
 
 
+@dataclass(frozen=True)
 class WindowSet:
     """Sliding T-second windows over movie-aligned modality tracks.
 
     One window per annotated second t, covering seconds [t-T+1, t]; the
     seconds before 0 repeat the t=0 feature row. Windows never mix rows
-    from two movies. Samples are ordered by (movie id, t).
+    from two movies. Windows are ordered by (movie id, t).
+
+    ``rows[mod]`` is every movie's left-padded track concatenated in that
+    order; window i covers rows ``starts[i] .. starts[i] + window - 1``.
+    ``targets`` is [N, 2], or None for inference windows.
     """
 
-    def __init__(self, movies: list[tuple[str, dict[str, np.ndarray], np.ndarray | None]],
-                 window: int):
-        if window < 1:
-            raise ConfigError("window length must be >= 1")
-        self.window = window
-        self._padded: list[dict[str, np.ndarray]] = []
-        self._targets: list[np.ndarray | None] = []
-        self._movie_ids: list[str] = []
-        self.index: list[tuple[int, int]] = []
-        for movie_id, tracks, targets in movies:
-            lengths = {arr.shape[0] for arr in tracks.values()}
-            if len(lengths) != 1:
-                raise DataError(f"{movie_id}: modalities disagree on length")
-            length = lengths.pop()
-            if length == 0:
-                raise DataError(f"{movie_id}: empty movie")
-            if targets is not None and targets.shape[0] != length:
-                raise DataError(f"{movie_id}: targets do not match track length")
-            padded = {
-                mod: np.concatenate([np.repeat(arr[:1], window - 1, axis=0), arr])
-                for mod, arr in tracks.items()
-            }
-            slot = len(self._padded)
-            self._padded.append(padded)
-            self._targets.append(targets)
-            self._movie_ids.append(movie_id)
-            self.index.extend((slot, t) for t in range(length))
+    window: int
+    rows: dict[str, np.ndarray]
+    starts: np.ndarray
+    targets: np.ndarray | None
 
     def __len__(self) -> int:
-        return len(self.index)
-
-    @property
-    def modalities(self) -> list[str]:
-        return sorted(self._padded[0]) if self._padded else []
-
-    def sample(self, i: int):
-        slot, t = self.index[i]
-        windows = {mod: arr[t: t + self.window] for mod, arr in self._padded[slot].items()}
-        target = None if self._targets[slot] is None else self._targets[slot][t]
-        return self._movie_ids[slot], t, windows, target
+        return len(self.starts)
 
     def gather(self, indices) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
         """Materialize a batch: per-modality [B, T, D] arrays plus targets."""
         indices = np.asarray(indices, dtype=np.int64)
-        windows = {
-            mod: np.stack([
-                self._padded[self.index[i][0]][mod][self.index[i][1]: self.index[i][1] + self.window]
-                for i in indices
-            ])
-            for mod in self.modalities
-        }
-        targets = None
-        if all(t is not None for t in self._targets):
-            targets = np.stack([
-                self._targets[self.index[i][0]][self.index[i][1]] for i in indices
-            ])
-        return windows, targets
+        rows = self.starts[indices, None] + np.arange(self.window)
+        windows = {mod: arr[rows] for mod, arr in self.rows.items()}
+        return windows, None if self.targets is None else self.targets[indices]
 
 
 def window_sequences(features: Mapping[str, Mapping[str, np.ndarray]],
                      annotations: Mapping[str, np.ndarray] | None,
-                     window: int, purpose: str = "train") -> WindowSet:
-    """Build the sample set for training (with targets) or inference."""
-    if purpose not in ("train", "infer"):
-        raise ConfigError(f"unknown windowing purpose: {purpose!r}")
-    if purpose == "train" and annotations is None:
-        raise ConfigError("training windows need annotations")
-    movies = []
-    for movie in sorted(features):
-        targets = None
-        if purpose == "train":
+                     window: int) -> WindowSet:
+    """Build the windows of every movie; with annotations each window
+    carries its final second's target, without them none does."""
+    if window < 1:
+        raise ConfigError("window length must be >= 1")
+    if not features:
+        raise DataError("no movies to window")
+    movies = sorted(features)
+    modalities = sorted(features[movies[0]])
+    parts: dict[str, list[np.ndarray]] = {mod: [] for mod in modalities}
+    starts, targets = [], []
+    offset = 0
+    for movie in movies:
+        tracks = features[movie]
+        if sorted(tracks) != modalities:
+            raise DataError(f"{movie}: modalities {sorted(tracks)} differ from {modalities}")
+        lengths = {len(arr) for arr in tracks.values()}
+        if len(lengths) != 1:
+            raise DataError(f"{movie}: modalities disagree on length")
+        length = lengths.pop()
+        if length == 0:
+            raise DataError(f"{movie}: empty movie")
+        if annotations is not None:
             if movie not in annotations:
                 raise DataError(f"{movie}: no annotations")
-            targets = np.asarray(annotations[movie], dtype=np.float64)
-        tracks = {mod: np.asarray(arr, dtype=np.float64) for mod, arr in features[movie].items()}
-        movies.append((movie, tracks, targets))
-    return WindowSet(movies, window)
+            if len(annotations[movie]) != length:
+                raise DataError(f"{movie}: targets do not match track length")
+            targets.append(annotations[movie])
+        for mod in modalities:
+            arr = tracks[mod]
+            parts[mod] += [np.repeat(arr[:1], window - 1, axis=0), arr]
+        starts.append(offset + np.arange(length))
+        offset += window - 1 + length
+    return WindowSet(
+        window=window,
+        rows={mod: np.concatenate(p, dtype=np.float64) for mod, p in parts.items()},
+        starts=np.concatenate(starts, dtype=np.int64),
+        targets=None if annotations is None else np.concatenate(targets, dtype=np.float64),
+    )
 
 
 def split_dataset(manifest: DatasetManifest, seed: int,

@@ -123,8 +123,7 @@ def weight_penalty_graph(leaves: dict[str, ad.Var]) -> ad.Var:
 
 def training_loss(windows: dict[str, np.ndarray], targets: np.ndarray,
                   store: ParamStore, config: ModelConfig, mode: str = "train",
-                  mask_rng: np.random.Generator | None = None,
-                  accumulate_grads: bool = True) -> LossValue:
+                  mask_rng: np.random.Generator | None = None) -> LossValue:
     """Batch loss; backpropagates into the store's gradient buffers.
 
     ``targets`` is [B, 2] in annotation units and must lie inside the
@@ -155,9 +154,8 @@ def training_loss(windows: dict[str, np.ndarray], targets: np.ndarray,
         l2_penalty=float(penalty.value),
         lambda_l2=config.fusion.l2_lambda,
     )
-    if accumulate_grads:
-        ad.backward(total)
-        for name, leaf in leaves.items():
-            if leaf.grad is not None:
-                store.grad(name)[...] += leaf.grad
+    ad.backward(total)
+    for name, leaf in leaves.items():
+        if leaf.grad is not None:
+            store.grad(name)[...] += leaf.grad
     return result

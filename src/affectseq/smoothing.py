@@ -248,10 +248,3 @@ def _smooth_column(x: np.ndarray, spec: SmootherSpec, causal: bool) -> np.ndarra
         # first sample avoids the zero-state startup ramp.
         return lfilter(coeffs.b, coeffs.a, x, steady_state(coeffs.b, coeffs.a) * x[0])
     return filtfilt(coeffs, x)
-
-
-def coefficients_csv(coeffs: IIRCoefficients) -> str:
-    """Two CSV rows, ``b,...`` and ``a,...``, for inspection."""
-    b_line = "b," + ",".join(repr(float(v)) for v in coeffs.b)
-    a_line = "a," + ",".join(repr(float(v)) for v in coeffs.a)
-    return b_line + "\n" + a_line + "\n"

@@ -64,7 +64,7 @@ def predict_tracks(store: ParamStore, model_config: ModelConfig,
     window = model_config.sequence_length
 
     def one_movie(movie: str) -> np.ndarray:
-        windows = window_sequences({movie: features[movie]}, None, window, "infer")
+        windows = window_sequences({movie: features[movie]}, None, window)
         chunks = []
         for idx in batch_indices(len(windows), batch_size):
             batch, _ = windows.gather(idx)
@@ -110,7 +110,7 @@ def train_run(cfg: RunConfig) -> TrainResult:
     adam = AdamState.for_params(store, lr=cfg.learning_rate, beta1=cfg.adam_beta1,
                                 beta2=cfg.adam_beta2, epsilon=cfg.adam_epsilon)
     windows = window_sequences({m: features[m] for m in train_ids}, annotations,
-                               cfg.sequence_length, "train")
+                               cfg.sequence_length)
 
     needs_masks = cfg.enable_dropout and cfg.dropout_rate > 0.0
     logs: list[EpochLog] = []

@@ -264,24 +264,31 @@ def test_09_windowing_suite():
                     "y": {"mod": rng.normal(size=(length, 3)) + 100.0},
                 }
                 annos = {m: np.zeros((length, 2)) for m in feats}
-                ws = window_sequences(feats, annos, window, "train")
+                ws = window_sequences(feats, annos, window)
                 assert len(ws) == 2 * length
 
-                movie, t, windows, _ = ws.sample(0)
-                assert (movie, t) == ("x", 0)
+                def padded_window(movie, t):
+                    track = feats[movie]["mod"]
+                    padded = np.concatenate([np.repeat(track[:1], window - 1, axis=0), track])
+                    return padded[t: t + window]
+
+                # Windows are ordered by (movie id, t): x's come first, and
+                # x's padded window at t=0 is its row 0 repeated.
+                windows, _ = ws.gather([0])
                 np.testing.assert_array_equal(
-                    windows["mod"], np.repeat(feats["x"]["mod"][:1], window, axis=0))
+                    windows["mod"][0], np.repeat(feats["x"]["mod"][:1], window, axis=0))
 
                 last = length - 1
-                movie, t, windows, _ = ws.sample(last)
+                windows, _ = ws.gather([last])
                 start = max(0, last - window + 1)
-                np.testing.assert_array_equal(windows["mod"][window - (last - start + 1):],
+                np.testing.assert_array_equal(windows["mod"][0, window - (last - start + 1):],
                                               feats["x"]["mod"][start:length])
 
                 # No cross-movie leakage: y-windows sit near +100, x near 0.
                 for i in (length, 2 * length - 1):
-                    movie, _, windows, _ = ws.sample(i)
-                    assert movie == "y"
+                    windows, _ = ws.gather([i])
+                    np.testing.assert_array_equal(windows["mod"][0],
+                                                  padded_window("y", i - length))
                     assert windows["mod"].min() > 50.0
 
                 batches = [len(ws) // 512 + (1 if len(ws) % 512 else 0)]

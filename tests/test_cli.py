@@ -83,6 +83,24 @@ class TestExitCodes:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("movies", "m000:abc"),
+        ("modalities", "audio:x"),
+        ("train_fraction", "abc"),
+        ("annotation_range", "0, b"),
+    ])
+    def test_malformed_manifest_value_is_exit_2(self, workspace, tmp_path, capsys, key, value):
+        lines = (workspace / "data" / "manifest.txt").read_text().splitlines()
+        lines = [line for line in lines if not line.startswith(f"{key} =")]
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("\n".join([*lines, f"{key} = {value}"]) + "\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"manifest = {manifest}\nprofile = run1\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and key in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow to inf is the point
     def test_exploding_run_is_numeric_failure(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "explode.cfg"

@@ -160,9 +160,11 @@ class TestValidation:
             parse_config(path)
 
     def test_out_of_range_value_names_range(self, tmp_path, dataset):
-        path = write_config(tmp_path, dataset, "dropout_rate = 1.5\n")
-        with pytest.raises(ConfigError, match=r"\[0, 1\)"):
-            parse_config(path)
+        for line, match in (("dropout_rate = 1.5", r"dropout_rate: .*\[0, 1\)"),
+                            ("bn_momentum = 1", r"bn_momentum: .*\(0, 1\)")):
+            path = write_config(tmp_path, dataset, line + "\n")
+            with pytest.raises(ConfigError, match=match):
+                parse_config(path)
 
     def test_sequence_length_off_grid_warns_but_parses(self, tmp_path, dataset):
         cfg = parse_config(write_config(tmp_path, dataset, "sequence_length = 7\n"))

@@ -90,43 +90,49 @@ class TestWindowing:
             for j, d in enumerate(dims)
         }
 
+    @staticmethod
+    def _padded_window(track, t, window):
+        """The window ending at second t, cut from the left-padded track."""
+        padded = np.concatenate([np.repeat(track[:1], window - 1, axis=0), track])
+        return padded[t: t + window]
+
     @pytest.mark.parametrize("length", [1, 59, 60, 61, 200])
     @pytest.mark.parametrize("window", [10, 30, 60])
     def test_window_count_equals_length(self, length, window):
         feats = {"m000": self._features(length)}
         annos = {"m000": np.zeros((length, 2))}
-        ws = window_sequences(feats, annos, window, "train")
+        ws = window_sequences(feats, annos, window)
         assert len(ws) == length
 
     def test_t1_windows_are_single_rows(self):
         feats = {"m000": self._features(5)}
-        ws = window_sequences(feats, None, 1, "infer")
+        ws = window_sequences(feats, None, 1)
         for i in range(5):
-            _, t, windows, _ = ws.sample(i)
-            np.testing.assert_array_equal(windows["mod0"],
+            t = i  # one movie: window i ends at second i
+            windows, targets = ws.gather([i])
+            assert targets is None
+            np.testing.assert_array_equal(windows["mod0"][0],
                                           feats["m000"]["mod0"][t: t + 1])
 
     def test_left_pad_repeats_first_row(self):
         feats = {"m000": self._features(30)}
-        ws = window_sequences(feats, None, 10, "infer")
-        _, t, windows, _ = ws.sample(0)
-        assert t == 0
+        ws = window_sequences(feats, None, 10)
+        windows, _ = ws.gather([0])  # t = 0
         expected = np.repeat(feats["m000"]["mod0"][:1], 10, axis=0)
-        np.testing.assert_array_equal(windows["mod0"], expected)
+        np.testing.assert_array_equal(windows["mod0"][0], expected)
         # Partially padded window at t=3: seven copies of row 0, then rows 1..3.
-        _, t, windows, _ = ws.sample(3)
-        np.testing.assert_array_equal(windows["mod0"][:7],
+        windows, _ = ws.gather([3])
+        np.testing.assert_array_equal(windows["mod0"][0, :7],
                                       np.repeat(feats["m000"]["mod0"][:1], 7, axis=0))
-        np.testing.assert_array_equal(windows["mod0"][7:],
+        np.testing.assert_array_equal(windows["mod0"][0, 7:],
                                       feats["m000"]["mod0"][1:4])
 
     def test_index_arithmetic_at_l100_t60(self):
         feats = {"m000": self._features(100)}
-        ws = window_sequences(feats, None, 60, "infer")
+        ws = window_sequences(feats, None, 60)
         assert len(ws) == 100
-        _, t, windows, _ = ws.sample(99)
-        assert t == 99
-        np.testing.assert_array_equal(windows["mod0"], feats["m000"]["mod0"][40:100])
+        windows, _ = ws.gather([99])  # t = 99
+        np.testing.assert_array_equal(windows["mod0"][0], feats["m000"]["mod0"][40:100])
 
     def test_no_cross_movie_leakage(self):
         # Two movies with disjoint constant values: every window row must
@@ -135,9 +141,10 @@ class TestWindowing:
             "a": {"mod0": np.full((50, 2), 1.0)},
             "b": {"mod0": np.full((50, 2), 2.0)},
         }
-        ws = window_sequences(feats, None, 30, "infer")
+        ws = window_sequences(feats, None, 30)
         for i in range(len(ws)):
-            movie, _, windows, _ = ws.sample(i)
+            movie = "a" if i < 50 else "b"  # windows are ordered by (movie id, t)
+            windows, _ = ws.gather([i])
             expected = 1.0 if movie == "a" else 2.0
             assert np.all(windows["mod0"] == expected)
 
@@ -145,26 +152,35 @@ class TestWindowing:
         length = 20
         feats = {"m000": self._features(length)}
         annos = {"m000": np.arange(length * 2, dtype=float).reshape(length, 2)}
-        ws = window_sequences(feats, annos, 5, "train")
+        ws = window_sequences(feats, annos, 5)
         for i in (0, 7, 19):
-            _, t, _, target = ws.sample(i)
-            np.testing.assert_array_equal(target, annos["m000"][t])
+            t = i  # one movie: window i ends at second i
+            _, target = ws.gather([i])
+            np.testing.assert_array_equal(target[0], annos["m000"][t])
 
     def test_gather_matches_samples(self):
         feats = {"m000": self._features(40), "m001": self._features(25, seed=1)}
         annos = {"m000": np.zeros((40, 2)), "m001": np.ones((25, 2))}
-        ws = window_sequences(feats, annos, 10, "train")
+        ws = window_sequences(feats, annos, 10)
         idx = np.array([0, 5, 41, 64])
         batch, targets = ws.gather(idx)
         for row, i in enumerate(idx):
-            _, _, windows, target = ws.sample(i)
-            for mod in windows:
-                np.testing.assert_array_equal(batch[mod][row], windows[mod])
-            np.testing.assert_array_equal(targets[row], target)
+            movie, t = ("m000", i) if i < 40 else ("m001", i - 40)  # (movie id, t) order
+            for mod in feats[movie]:
+                np.testing.assert_array_equal(
+                    batch[mod][row], self._padded_window(feats[movie][mod], t, 10))
+            np.testing.assert_array_equal(targets[row], annos[movie][t])
 
     def test_empty_movie_rejected(self):
         with pytest.raises(DataError, match="empty"):
-            window_sequences({"m000": {"mod0": np.zeros((0, 2))}}, None, 5, "infer")
+            window_sequences({"m000": {"mod0": np.zeros((0, 2))}}, None, 5)
+
+    def test_modality_names_must_agree(self):
+        # Rows of all movies share one array per modality, so a movie with
+        # other modality names must be refused, not misaligned.
+        feats = {"m000": {"mod0": np.zeros((5, 2))}, "m001": {"mod1": np.zeros((5, 2))}}
+        with pytest.raises(DataError, match="m001"):
+            window_sequences(feats, None, 3)
 
     @pytest.mark.parametrize("n,batch,expected", [(600, 512, 2), (512, 512, 1),
                                                   (513, 512, 2), (100, 512, 1)])

@@ -252,8 +252,7 @@ class TestTrainingLoss:
         losses, probes = [], []
         for bias in np.linspace(-4.0, 2.0, 121):
             store.value("fusion.cg2.b")[...] = bias
-            value = training_loss(windows, targets, store, config,
-                                  accumulate_grads=False)
+            value = training_loss(windows, targets, store, config)
             probes.append(float(oracles.sigmoid(bias) * 0.5))
             losses.append(value.total)
         best = int(np.argmin(losses))
@@ -266,7 +265,7 @@ class TestTrainingLoss:
         config, store = tiny_model(l2_lambda=0.0)
         windows = self._windows(config, 4)
         targets = np.full((4, 2), 0.25)
-        value = training_loss(windows, targets, store, config, accumulate_grads=False)
+        value = training_loss(windows, targets, store, config)
         assert value.lambda_l2 == 0.0
         assert value.total == value.loss
 
@@ -274,7 +273,7 @@ class TestTrainingLoss:
         config, store = tiny_model(seed=3)
         windows = self._windows(config, 5, seed=4)
         targets = generator(5, "t").uniform(-0.8, 0.8, size=(5, 2))
-        value = training_loss(windows, targets, store, config, accumulate_grads=False)
+        value = training_loss(windows, targets, store, config)
 
         # Per-sample oracle through the plain-numpy single-sample path.
         total = 0.0

@@ -8,7 +8,6 @@ from affectseq.smoothing import (
     ShortTrackWarning,
     SmootherSpec,
     butter_design,
-    coefficients_csv,
     filtfilt,
     freq_response,
     lfilter,
@@ -78,12 +77,6 @@ class TestButterDesign:
         with pytest.raises(DomainError):  # pole outside the unit circle
             IIRCoefficients(b=np.array([3.0, 0.0]), a=np.array([1.0, 2.0]),
                             order=1, cutoff=0.5)
-
-    def test_csv_export(self):
-        text = coefficients_csv(butter_design(1, 0.5))
-        lines = text.splitlines()
-        assert lines[0].startswith("b,") and lines[1].startswith("a,")
-        assert [float(v) for v in lines[0].split(",")[1:]] == [0.5, 0.5]
 
 
 class TestFiltFilt:
