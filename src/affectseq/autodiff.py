@@ -2,9 +2,12 @@
 
 A ``Var`` wraps a float64 ndarray. Operations build a DAG; ``backward``
 walks it once in reverse topological order and accumulates gradients into
-``Var.grad``. Plain ndarrays or scalars passed to any op are treated as
-constants and get no gradient path, which keeps feature windows and
-dropout masks out of the bookkeeping.
+``Var.grad``. Plain ndarrays or scalars passed to any op are constants
+and get no gradient path, which keeps feature windows and dropout masks
+out of the bookkeeping. An op whose inputs are all constants returns a
+plain float64 ndarray, not a ``Var``: the same model code run over
+parameter arrays instead of leaf ``Var``s computes the same values and
+builds no graph. ``value`` reads the array behind either kind of result.
 
 Graphs are built per forward pass and thrown away; call ``backward`` at
 most once per graph. Elementwise ops follow numpy broadcasting; matrix
@@ -18,9 +21,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError
-
-ArrayLike = "np.ndarray | float | Var"
-
 
 class Var:
     __slots__ = ("value", "grad", "_parents", "_backward")
@@ -39,7 +39,8 @@ class Var:
         return f"Var(shape={self.value.shape})"
 
 
-def _val(x) -> np.ndarray:
+def value(x) -> np.ndarray:
+    """The float64 array behind ``x``: a Var's value, or ``x`` as an array."""
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
@@ -60,217 +61,138 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _elementwise(a, b, out_value, da: Callable, db: Callable) -> Var:
-    parents, backs = [], []
-    if isinstance(a, Var):
-        parents.append(a)
-        backs.append((a, da))
-    if isinstance(b, Var):
-        parents.append(b)
-        backs.append((b, db))
+def _node(out, *inputs):
+    """An op's result from its value and its (input, grad_fn) pairs.
+
+    Only ``Var`` inputs are kept; ``grad_fn`` maps the output's gradient
+    to that input's. With no ``Var`` input the result is ``out`` itself as
+    a plain array: constants in, constant out, and no node is built.
+    """
+    edges = tuple((x, fn) for x, fn in inputs if isinstance(x, Var))
+    if not edges:
+        return np.asarray(out, dtype=np.float64)
 
     def backward(g):
-        for var, fn in backs:
-            _accum(var, _unbroadcast(fn(g), var.value.shape))
+        for x, fn in edges:
+            _accum(x, fn(g))
 
-    return Var(out_value, tuple(parents), backward)
-
-
-def add(a, b) -> Var:
-    va, vb = _val(a), _val(b)
-    return _elementwise(a, b, va + vb, lambda g: g, lambda g: g)
+    return Var(out, tuple(x for x, _ in edges), backward)
 
 
-def sub(a, b) -> Var:
-    va, vb = _val(a), _val(b)
-    return _elementwise(a, b, va - vb, lambda g: g, lambda g: -g)
+def _elementwise(a, b, out, da: Callable, db: Callable):
+    return _node(out, (a, lambda g: _unbroadcast(da(g), a.value.shape)),
+                 (b, lambda g: _unbroadcast(db(g), b.value.shape)))
 
 
-def mul(a, b) -> Var:
-    va, vb = _val(a), _val(b)
+def add(a, b):
+    return _elementwise(a, b, value(a) + value(b), lambda g: g, lambda g: g)
+
+
+def sub(a, b):
+    return _elementwise(a, b, value(a) - value(b), lambda g: g, lambda g: -g)
+
+
+def mul(a, b):
+    va, vb = value(a), value(b)
     return _elementwise(a, b, va * vb, lambda g: g * vb, lambda g: g * va)
 
 
-def scale_shift(x, a: float = 1.0, b: float = 0.0) -> Var:
+def scale_shift(x, a: float = 1.0, b: float = 0.0):
     """a * x + b with python-scalar a, b."""
-    vx = _val(x)
-    if not isinstance(x, Var):
-        return Var(a * vx + b)
-
-    def backward(g):
-        _accum(x, a * g)
-
-    return Var(a * vx + b, (x,), backward)
+    return _node(a * value(x) + b, (x, lambda g: a * g))
 
 
-def linear(x, w, b=None) -> Var:
+def linear(x, w, b=None):
     """x @ w.T (+ b): x is [B, D], w is [H, D], b is [H]."""
-    vx, vw = _val(x), _val(w)
+    vx, vw = value(x), value(w)
     if vx.ndim != 2 or vw.ndim != 2 or vx.shape[1] != vw.shape[1]:
         raise DimensionError(f"linear: x {vx.shape} incompatible with w {vw.shape}")
     out = vx @ vw.T
     if b is not None:
-        vb = _val(b)
+        vb = value(b)
         if vb.shape != (vw.shape[0],):
             raise DimensionError(f"linear: bias {vb.shape} incompatible with w {vw.shape}")
         out = out + vb
-
-    def backward(g):
-        if isinstance(x, Var):
-            _accum(x, g @ vw)
-        if isinstance(w, Var):
-            _accum(w, g.T @ vx)
-        if b is not None and isinstance(b, Var):
-            _accum(b, g.sum(axis=0))
-
-    parents = tuple(v for v in (x, w, b) if isinstance(v, Var))
-    return Var(out, parents, backward)
+    return _node(out, (x, lambda g: g @ vw), (w, lambda g: g.T @ vx),
+                 (b, lambda g: g.sum(axis=0)))
 
 
-def sigmoid(x) -> Var:
-    vx = _val(x)
+def sigmoid(x):
+    vx = value(x)
     out = np.empty_like(vx)
     pos = vx >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-vx[pos]))
     ex = np.exp(vx[~pos])
     out[~pos] = ex / (1.0 + ex)
-    if not isinstance(x, Var):
-        return Var(out)
-
-    def backward(g):
-        _accum(x, g * out * (1.0 - out))
-
-    return Var(out, (x,), backward)
+    return _node(out, (x, lambda g: g * out * (1.0 - out)))
 
 
-def tanh(x) -> Var:
-    vx = _val(x)
-    out = np.tanh(vx)
-    if not isinstance(x, Var):
-        return Var(out)
-
-    def backward(g):
-        _accum(x, g * (1.0 - out * out))
-
-    return Var(out, (x,), backward)
+def tanh(x):
+    out = np.tanh(value(x))
+    return _node(out, (x, lambda g: g * (1.0 - out * out)))
 
 
-def safe_log(x, floor: float = 1e-12) -> Var:
+def safe_log(x, floor: float = 1e-12):
     """log(max(x, floor)); gradient is zero where the floor is active."""
-    vx = _val(x)
+    vx = value(x)
     clipped = np.maximum(vx, floor)
-    out = np.log(clipped)
-    if not isinstance(x, Var):
-        return Var(out)
-
-    def backward(g):
-        _accum(x, np.where(vx > floor, g / clipped, 0.0))
-
-    return Var(out, (x,), backward)
+    return _node(np.log(clipped), (x, lambda g: np.where(vx > floor, g / clipped, 0.0)))
 
 
-def rsqrt_shift(x, eps: float) -> Var:
+def rsqrt_shift(x, eps: float):
     """1 / sqrt(x + eps)."""
-    vx = _val(x)
+    vx = value(x)
     out = 1.0 / np.sqrt(vx + eps)
-    if not isinstance(x, Var):
-        return Var(out)
-
-    def backward(g):
-        _accum(x, -0.5 * g * out / (vx + eps))
-
-    return Var(out, (x,), backward)
+    return _node(out, (x, lambda g: -0.5 * g * out / (vx + eps)))
 
 
-def mean_axis0(x) -> Var:
+def mean_axis0(x):
     """Column means of a [B, F] matrix, kept as [1, F]."""
-    vx = _val(x)
+    vx = value(x)
     if vx.ndim != 2:
         raise DimensionError(f"mean_axis0 expects a matrix, got shape {vx.shape}")
-    out = vx.mean(axis=0, keepdims=True)
-    if not isinstance(x, Var):
-        return Var(out)
-
-    def backward(g):
-        _accum(x, np.broadcast_to(g / vx.shape[0], vx.shape).copy())
-
-    return Var(out, (x,), backward)
+    return _node(vx.mean(axis=0, keepdims=True),
+                 (x, lambda g: np.broadcast_to(g / vx.shape[0], vx.shape).copy()))
 
 
-def sum_axis1(x) -> Var:
+def sum_axis1(x):
     """Row sums of a [B, F] matrix, kept as [B, 1]."""
-    vx = _val(x)
+    vx = value(x)
     if vx.ndim != 2:
         raise DimensionError(f"sum_axis1 expects a matrix, got shape {vx.shape}")
-    out = vx.sum(axis=1, keepdims=True)
-    if not isinstance(x, Var):
-        return Var(out)
-
-    def backward(g):
-        _accum(x, np.broadcast_to(g, vx.shape).copy())
-
-    return Var(out, (x,), backward)
+    return _node(vx.sum(axis=1, keepdims=True),
+                 (x, lambda g: np.broadcast_to(g, vx.shape).copy()))
 
 
-def softmax_rows(x) -> Var:
+def softmax_rows(x):
     """Row-wise softmax of a [B, K] matrix, max-subtracted for stability."""
-    vx = _val(x)
-    shifted = vx - vx.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
+    vx = value(x)
+    e = np.exp(vx - vx.max(axis=1, keepdims=True))
     out = e / e.sum(axis=1, keepdims=True)
-    if not isinstance(x, Var):
-        return Var(out)
-
-    def backward(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        _accum(x, out * (g - dot))
-
-    return Var(out, (x,), backward)
+    return _node(out, (x, lambda g: out * (g - (g * out).sum(axis=1, keepdims=True))))
 
 
-def concat_cols(parts: Sequence) -> Var:
+def concat_cols(parts: Sequence):
     """Concatenate [B, F_i] blocks along columns."""
-    values = [_val(p) for p in parts]
+    values = [value(p) for p in parts]
     rows = {v.shape[0] for v in values}
     if any(v.ndim != 2 for v in values) or len(rows) != 1:
         raise DimensionError("concat_cols expects matrices with a common row count")
-    out = np.concatenate(values, axis=1)
-    widths = [v.shape[1] for v in values]
-
-    def backward(g):
-        offset = 0
-        for part, width in zip(parts, widths):
-            if isinstance(part, Var):
-                _accum(part, g[:, offset:offset + width])
-            offset += width
-
-    parents = tuple(p for p in parts if isinstance(p, Var))
-    return Var(out, parents, backward)
+    bounds = np.cumsum([0] + [v.shape[1] for v in values])
+    return _node(np.concatenate(values, axis=1),
+                 *((p, lambda g, lo=lo, hi=hi: g[:, lo:hi])
+                   for p, lo, hi in zip(parts, bounds[:-1], bounds[1:])))
 
 
-def sum_all(x) -> Var:
-    vx = _val(x)
-    out = np.asarray(vx.sum())
-    if not isinstance(x, Var):
-        return Var(out)
-
-    def backward(g):
-        _accum(x, np.broadcast_to(g, vx.shape).copy())
-
-    return Var(out, (x,), backward)
+def sum_all(x):
+    vx = value(x)
+    return _node(np.asarray(vx.sum()), (x, lambda g: np.broadcast_to(g, vx.shape).copy()))
 
 
-def sum_squares(x) -> Var:
+def sum_squares(x):
     """Scalar sum of squared entries (for weight penalties)."""
-    vx = _val(x)
-    out = np.asarray((vx * vx).sum())
-    if not isinstance(x, Var):
-        return Var(out)
-
-    def backward(g):
-        _accum(x, 2.0 * g * vx)
-
-    return Var(out, (x,), backward)
+    vx = value(x)
+    return _node(np.asarray((vx * vx).sum()), (x, lambda g: 2.0 * g * vx))
 
 
 def _topo_order(root: Var) -> list[Var]:
@@ -294,9 +216,11 @@ def _topo_order(root: Var) -> list[Var]:
 def backward(root: Var) -> None:
     """Accumulate d(root)/d(leaf) into every reachable Var's ``grad``.
 
-    ``root`` must be scalar. Call once per graph; a second call would add
-    the same gradients again.
+    ``root`` must be a scalar ``Var``. Call once per graph; a second call
+    would add the same gradients again.
     """
+    if not isinstance(root, Var):
+        raise DimensionError("backward root has no graph: it was built only from constants")
     if root.value.size != 1:
         raise DimensionError(f"backward needs a scalar root, got shape {root.value.shape}")
     root.grad = np.ones_like(root.value)

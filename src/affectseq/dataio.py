@@ -210,19 +210,19 @@ class DatasetManifest:
     def __post_init__(self):
         names = [m for m, _ in self.movies]
         if len(set(names)) != len(names):
-            raise ConfigError("duplicate movie ids in manifest")
+            raise ConfigError("duplicate movie ids in movies")
         if not self.modalities:
-            raise ConfigError("manifest needs at least one modality")
+            raise ConfigError("modalities needs at least one entry")
         if any(d < 1 for _, d in self.modalities):
-            raise ConfigError("modality dims must be >= 1")
+            raise ConfigError("dims in modalities must be >= 1")
         if any(length < 1 for _, length in self.movies):
-            raise ConfigError("movie lengths must be >= 1")
+            raise ConfigError("lengths in movies must be >= 1")
         lo, hi = self.annotation_range
         if not lo < hi:
-            raise ConfigError("annotation range must satisfy lo < hi")
+            raise ConfigError("annotation_range must satisfy lo < hi")
         unknown = set(self.validation_movies) - set(names)
         if unknown:
-            raise ConfigError(f"validation movies not in manifest: {sorted(unknown)}")
+            raise ConfigError(f"validation_movies not in movies: {sorted(unknown)}")
         if not 0.0 < self.train_fraction <= 1.0:
             raise ConfigError("train_fraction must lie in (0, 1]")
 
@@ -295,14 +295,17 @@ def load_manifest(path) -> DatasetManifest:
     validation = tuple(
         p.strip() for p in kv.get("validation_movies", "").split(",") if p.strip()
     )
-    return DatasetManifest(
-        root=path.parent,
+    parsed = dict(
         modalities=pairs("modalities"),
         movies=pairs("movies"),
         annotation_range=annotation_range,
         validation_movies=validation,
         train_fraction=number(float, "train_fraction", kv.get("train_fraction", "1.0")),
     )
+    try:
+        return DatasetManifest(root=path.parent, **parsed)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def save_manifest(manifest: DatasetManifest, path=None) -> Path:

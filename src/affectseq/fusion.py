@@ -83,12 +83,14 @@ def init_fusion_params(store: ParamStore, config: FusionConfig,
     store.add(f"{prefix}.cg2.b", np.zeros(cg2_dim))
 
 
-def bn_state_view(store: ParamStore, config: FusionConfig, prefix: str = "fusion") -> BatchNormState:
+def bn_state_view(leaves: Mapping[str, ad.Var], config: FusionConfig,
+                  prefix: str = "fusion") -> BatchNormState:
+    """Batch-norm state over the leaves' arrays, which are the store's own."""
     return BatchNormState(
-        gamma=store.value(f"{prefix}.bn.gamma"),
-        beta=store.value(f"{prefix}.bn.beta"),
-        running_mean=store.value(f"{prefix}.bn.running_mean"),
-        running_var=store.value(f"{prefix}.bn.running_var"),
+        gamma=ad.value(leaves[f"{prefix}.bn.gamma"]),
+        beta=ad.value(leaves[f"{prefix}.bn.beta"]),
+        running_mean=ad.value(leaves[f"{prefix}.bn.running_mean"]),
+        running_var=ad.value(leaves[f"{prefix}.bn.running_var"]),
         momentum=config.bn_momentum,
         epsilon=config.bn_epsilon,
         use_batch_stats_at_inference=config.use_batch_stats_at_inference,
@@ -118,22 +120,25 @@ def moe_graph(v, leaves: Mapping[str, ad.Var], prefix: str = "fusion") -> ad.Var
     return ad.concat_cols(columns)
 
 
-def fusion_head_graph(x, store: ParamStore, leaves: Mapping[str, ad.Var],
-                      config: FusionConfig, mode: str = "eval",
-                      mask_rng: np.random.Generator | None = None,
+def fusion_head_graph(x, leaves: Mapping[str, ad.Var], config: FusionConfig,
+                      mode: str = "eval", mask_rng: np.random.Generator | None = None,
                       prefix: str = "fusion") -> ad.Var:
-    """Batched head over a [B, F] input; returns gated probabilities [B, 2]."""
-    values = x.value if isinstance(x, ad.Var) else np.asarray(x, dtype=np.float64)
+    """Batched head over a [B, F] input; returns gated probabilities [B, 2].
+
+    Train mode updates the batch-norm running statistics in place through
+    the leaves, which share the store's arrays.
+    """
+    values = ad.value(x)
     if values.ndim != 2 or values.shape[1] != config.concat_dim:
         raise DimensionError(f"fusion input {values.shape} does not match F={config.concat_dim}")
     if config.enable_batchnorm:
-        x = batch_norm_graph(x, bn_state_view(store, config, prefix),
+        x = batch_norm_graph(x, bn_state_view(leaves, config, prefix),
                              leaves[f"{prefix}.bn.gamma"], leaves[f"{prefix}.bn.beta"], mode)
     if config.enable_dropout and mode == "train":
         if mask_rng is None:
             raise ConfigError("train-mode dropout needs a generator")
         mask = (mask_rng.random(values.shape) >= config.dropout_rate) / (1.0 - config.dropout_rate)
-        x = ad.mul(x, mask) if isinstance(x, ad.Var) else x * mask
+        x = ad.mul(x, mask)
     v = context_gate_graph(x, leaves[f"{prefix}.cg1.W"], leaves[f"{prefix}.cg1.b"])
     cg2_w = leaves[f"{prefix}.cg2.W"]
     cg2_b = leaves[f"{prefix}.cg2.b"]

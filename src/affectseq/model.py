@@ -86,25 +86,28 @@ def _check_windows(config: ModelConfig, windows: dict[str, np.ndarray]) -> int:
     return sizes.pop()
 
 
-def forward_graph(store: ParamStore, config: ModelConfig, windows: dict[str, np.ndarray],
-                  mode: str = "eval", mask_rng: np.random.Generator | None = None):
-    """Build the full differentiable graph; returns (p_prime [B, 2], leaves)."""
+def forward_graph(leaves: dict[str, ad.Var], config: ModelConfig,
+                  windows: dict[str, np.ndarray], mode: str = "eval",
+                  mask_rng: np.random.Generator | None = None):
+    """Gated probabilities p_prime [B, 2] over the given parameter leaves.
+
+    Leaf Vars (``wrap_leaves``) give a graph to backpropagate; the store's
+    plain arrays give the same values as an ndarray and build no graph.
+    """
     _check_windows(config, windows)
-    leaves = wrap_leaves(store)
     states = [
         encode_batch_graph(windows[name], enc, leaves, f"enc.{name}", mode, mask_rng)
         for name, enc in config.encoders
     ]
     x = ad.concat_cols(states)
-    p_prime = fusion_head_graph(x, store, leaves, config.fusion, mode, mask_rng)
-    return p_prime, leaves
+    return fusion_head_graph(x, leaves, config.fusion, mode, mask_rng)
 
 
 def predict_batch(store: ParamStore, config: ModelConfig,
                   windows: dict[str, np.ndarray]) -> np.ndarray:
     """Eval-mode predictions in annotation units, shape [B, 2]."""
-    p_prime, _ = forward_graph(store, config, windows, mode="eval")
-    return map_to_range(p_prime.value, config.fusion.output_range)
+    p_prime = forward_graph(dict(store.items()), config, windows, mode="eval")
+    return map_to_range(p_prime, config.fusion.output_range)
 
 
 def weight_penalty_graph(leaves: dict[str, ad.Var]) -> ad.Var:
@@ -140,7 +143,8 @@ def training_loss(windows: dict[str, np.ndarray], targets: np.ndarray,
         raise DataError(f"targets fall outside the annotation range ({lo}, {hi})")
     t01 = (targets - lo) / (hi - lo)
 
-    p_prime, leaves = forward_graph(store, config, windows, mode, mask_rng)
+    leaves = wrap_leaves(store)
+    p_prime = forward_graph(leaves, config, windows, mode, mask_rng)
     like = ad.add(
         ad.mul(t01, ad.safe_log(p_prime)),
         ad.mul(1.0 - t01, ad.safe_log(ad.scale_shift(p_prime, -1.0, 1.0))),

@@ -60,12 +60,6 @@ class ParamStore:
         self._grads[name] = np.zeros_like(arr)
         return arr
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._values
-
-    def __len__(self) -> int:
-        return len(self._values)
-
     def names(self) -> list[str]:
         return sorted(self._values)
 

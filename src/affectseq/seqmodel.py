@@ -104,7 +104,8 @@ def init_encoder_params(store: ParamStore, prefix: str, config: EncoderConfig,
 
 
 # Batched, differentiable paths used by training and prediction. Inputs
-# may be plain arrays (constants) or Vars; parameters come in as Vars.
+# are constants; parameters come in as leaf Vars for training or as plain
+# arrays for prediction, which then builds no graph.
 
 def gru_step_graph(x, h_prev, cell: Mapping[str, ad.Var]) -> ad.Var:
     z = ad.sigmoid(ad.add(ad.linear(x, cell["W_z"], cell["b_z"]), ad.linear(h_prev, cell["U_z"])))
@@ -128,7 +129,7 @@ def encode_batch_graph(seqs: np.ndarray, config: EncoderConfig,
                        leaves: Mapping[str, ad.Var], prefix: str,
                        mode: str = "eval",
                        mask_rng: np.random.Generator | None = None):
-    """Differentiable unroll of a [B, T, D] batch; returns the final h Var."""
+    """Differentiable unroll of a [B, T, D] batch; returns the final h [B, H]."""
     seqs = np.asarray(seqs, dtype=np.float64)
     batch, steps, dim = seqs.shape
     if steps != config.sequence_length or dim != config.input_dim:
@@ -141,8 +142,7 @@ def encode_batch_graph(seqs: np.ndarray, config: EncoderConfig,
         raise ConfigError("train-mode dropout needs a generator")
 
     gates = GRU_GATES if config.cell_kind == "gru" else LSTM_GATES
-    inputs: list = [seqs[:, t, :] for t in range(steps)]
-    h: ad.Var | np.ndarray = np.zeros((batch, config.hidden_units[0]))
+    inputs = [seqs[:, t, :] for t in range(steps)]
     for layer in range(config.num_layers):
         cell = {}
         for gate in gates:
@@ -151,13 +151,13 @@ def encode_batch_graph(seqs: np.ndarray, config: EncoderConfig,
                 cell[key] = leaves[f"{prefix}.l{layer}.{key}"]
         width = config.hidden_units[layer]
         h = np.zeros((batch, width))
-        c: ad.Var | np.ndarray = np.zeros((batch, width))
+        c = np.zeros((batch, width))
         outputs = []
         for x in inputs:
             if train and config.dropout_rate > 0.0:
                 mask = (mask_rng.random((batch, config.layer_input_dim(layer)))
                         >= config.dropout_rate) / (1.0 - config.dropout_rate)
-                x = x * mask if isinstance(x, np.ndarray) else ad.mul(x, mask)
+                x = ad.mul(x, mask)
             if config.cell_kind == "gru":
                 h = gru_step_graph(x, h, cell)
             else:
@@ -177,7 +177,7 @@ def batch_norm_graph(x, state: BatchNormState, gamma: ad.Var, beta: ad.Var, mode
     ``use_batch_stats_at_inference`` is set (the default), else by the
     running statistics.
     """
-    values = x.value if isinstance(x, ad.Var) else np.asarray(x, dtype=np.float64)
+    values = ad.value(x)
     if values.ndim != 2 or values.shape[1] != state.gamma.shape[0]:
         raise DimensionError(
             f"batch of shape {values.shape} does not match {state.gamma.shape[0]} features"
@@ -189,8 +189,8 @@ def batch_norm_graph(x, state: BatchNormState, gamma: ad.Var, beta: ad.Var, mode
         centered = ad.sub(x, mu)
         var = ad.mean_axis0(ad.mul(centered, centered))
         m = state.momentum
-        state.running_mean[:] = m * state.running_mean + (1.0 - m) * mu.value[0]
-        state.running_var[:] = m * state.running_var + (1.0 - m) * var.value[0]
+        state.running_mean[:] = m * state.running_mean + (1.0 - m) * ad.value(mu)[0]
+        state.running_var[:] = m * state.running_var + (1.0 - m) * ad.value(var)[0]
         inv = ad.rsqrt_shift(var, state.epsilon)
         xhat = ad.mul(centered, inv)
     elif mode == "eval":

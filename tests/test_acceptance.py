@@ -320,7 +320,7 @@ def test_10_batchnorm_inference_modes():
 
         def predict(cfg, x):
             leaves = {n: ad.Var(store.value(n)) for n in store.names()}
-            p = fusion_head_graph(x, store, leaves, cfg, mode="eval")
+            p = fusion_head_graph(x, leaves, cfg, mode="eval")
             return map_to_range(p.value, cfg.output_range)
 
         rng = generator(19, "test-stream")

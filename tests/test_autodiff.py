@@ -164,6 +164,11 @@ class TestReductions:
         with pytest.raises(DimensionError):
             ad.backward(ad.Var(np.ones(3)))
 
+    def test_backward_rejects_constant_root(self):
+        root = ad.sum_all(ad.mul(np.ones((2, 2)), 3.0))
+        with pytest.raises(DimensionError, match="no graph"):
+            ad.backward(root)
+
 
 class TestGraphStructure:
     def test_shared_subexpression_accumulates(self):
@@ -180,3 +185,41 @@ class TestGraphStructure:
             node = ad.scale_shift(node, 1.0, 0.0)
         ad.backward(ad.sum_all(node))
         np.testing.assert_allclose(x.grad, [[1.0]])
+
+
+# Every public op, with the shapes of its array inputs.
+OPS = {
+    "add": (ad.add, [(3, 4), (4,)]),
+    "sub": (ad.sub, [(3, 4), (3, 1)]),
+    "mul": (ad.mul, [(3, 4), (3, 4)]),
+    "scale_shift": (lambda x: ad.scale_shift(x, -2.5, 0.3), [(3, 4)]),
+    "linear": (ad.linear, [(5, 3), (4, 3), (4,)]),
+    "sigmoid": (ad.sigmoid, [(3, 4)]),
+    "tanh": (ad.tanh, [(3, 4)]),
+    "safe_log": (ad.safe_log, [(3, 4)]),
+    "rsqrt_shift": (lambda x: ad.rsqrt_shift(x, 1e-3), [(3, 4)]),
+    "mean_axis0": (ad.mean_axis0, [(6, 3)]),
+    "sum_axis1": (ad.sum_axis1, [(6, 3)]),
+    "softmax_rows": (ad.softmax_rows, [(4, 5)]),
+    "concat_cols": (lambda a, b: ad.concat_cols([a, b]), [(3, 2), (3, 4)]),
+    "sum_all": (ad.sum_all, [(3, 4)]),
+    "sum_squares": (ad.sum_squares, [(3, 4)]),
+}
+
+
+class TestConstants:
+    def test_table_names_every_public_op(self):
+        public = {name for name, fn in vars(ad).items()
+                  if callable(fn) and not name.startswith("_") and fn.__module__ == ad.__name__}
+        assert public - {"Var", "value", "backward"} == set(OPS)
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_constant_inputs_give_the_graph_value_as_an_array(self, name):
+        op, shapes = OPS[name]
+        rng = np.random.default_rng(4)
+        inputs = [rng.uniform(0.1, 2.0, size=shape) for shape in shapes]
+        const = op(*inputs)
+        graph = op(*[ad.Var(x) for x in inputs])
+        assert type(const) is np.ndarray and const.dtype == np.float64
+        assert isinstance(graph, ad.Var)
+        np.testing.assert_array_equal(const, graph.value)

@@ -88,6 +88,9 @@ class TestExitCodes:
         ("modalities", "audio:x"),
         ("train_fraction", "abc"),
         ("annotation_range", "0, b"),
+        ("movies", "m000:120, m000:120"),
+        ("modalities", "audio:0"),
+        ("annotation_range", "1, -1"),
     ])
     def test_malformed_manifest_value_is_exit_2(self, workspace, tmp_path, capsys, key, value):
         lines = (workspace / "data" / "manifest.txt").read_text().splitlines()

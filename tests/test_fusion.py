@@ -16,9 +16,11 @@ from affectseq.fusion import (
 )
 from affectseq.model import (
     ModelConfig,
+    forward_graph,
     init_model_params,
     predict_batch,
     training_loss,
+    wrap_leaves,
 )
 from affectseq.numerics import ParamStore, grad_check
 from affectseq.rng import generator
@@ -45,7 +47,7 @@ def leaves_of(store):
 
 
 def context_gate(x, w, b):
-    return context_gate_graph(x, w, b).value
+    return ad.value(context_gate_graph(x, w, b))
 
 
 def moe(v, dim_params):
@@ -54,7 +56,7 @@ def moe(v, dim_params):
     for dim, params in zip(("valence", "arousal"), dim_params):
         for key, value in zip(("expert_W", "expert_b", "gate_W", "gate_b"), params):
             leaves[f"fusion.moe.{dim}.{key}"] = ad.Var(value)
-    return moe_graph(v, leaves).value
+    return ad.value(moe_graph(v, leaves))
 
 
 class TestContextGate:
@@ -100,7 +102,7 @@ class TestMoe:
         p = moe(v, params)
         for d in range(2):
             ew, eb, _, _ = params[d]
-            np.testing.assert_array_equal(p[:, d], ad.sigmoid(ad.linear(v, ew, eb)).value[:, 0])
+            np.testing.assert_array_equal(p[:, d], ad.value(ad.sigmoid(ad.linear(v, ew, eb)))[:, 0])
 
     def test_zero_gating_means_uniform_mixture(self):
         rng = np.random.default_rng(2)
@@ -149,7 +151,7 @@ class TestFusionHead:
         config = head_config(num_experts=1)
         store = zeroed_head_store(config)
         x = np.array([[0.4, -0.6, 1.0, 0.2, 0.0, -0.3]])
-        p = fusion_head_graph(x, store, leaves_of(store), config).value
+        p = fusion_head_graph(x, leaves_of(store), config).value
         np.testing.assert_allclose(p, [[0.25, 0.25]], atol=1e-15)
         np.testing.assert_allclose(map_to_range(p, config.output_range), [[-0.5, -0.5]],
                                    atol=1e-15)
@@ -163,7 +165,7 @@ class TestFusionHead:
         store = ParamStore()
         init_fusion_params(store, config, generator(5, "init"))
         x = generator(6, "states").normal(scale=3.0, size=(50, 6))
-        p = fusion_head_graph(x, store, leaves_of(store), config).value
+        p = fusion_head_graph(x, leaves_of(store), config).value
         pred = map_to_range(p, config.output_range)
         assert np.all((pred > -1.0) & (pred < 1.0))
         assert np.all((p > 0.0) & (p < 1.0))
@@ -174,7 +176,7 @@ class TestFusionHead:
         init_fusion_params(store, config, generator(7, "init"))
         batch = generator(8, "x").normal(size=(5, 6))
         for size in (1, 5):
-            graph_p = fusion_head_graph(batch[:size], store, leaves_of(store), config).value
+            graph_p = fusion_head_graph(batch[:size], leaves_of(store), config).value
             for i in range(size):
                 p = oracles.fusion_head(batch[i], store, config)
                 np.testing.assert_allclose(graph_p[i], p, atol=1e-14)
@@ -186,7 +188,7 @@ class TestFusionHead:
         assert store.value("fusion.cg2.W").shape == (6, 6)
         batch = generator(12, "x").normal(size=(4, 6))
         leaves = {n: ad.Var(store.value(n)) for n in store.names()}
-        p = fusion_head_graph(batch, store, leaves, config).value
+        p = fusion_head_graph(batch, leaves, config).value
         assert np.all((p > 0.0) & (p < 1.0))
 
     def test_head_gradcheck(self):
@@ -198,7 +200,7 @@ class TestFusionHead:
 
         def loss(s):
             leaves = {n: ad.Var(s.value(n)) for n in s.names()}
-            p = fusion_head_graph(batch, s, leaves, config)
+            p = fusion_head_graph(batch, leaves, config)
             out = ad.sum_all(ad.mul(p, probe))
             ad.backward(out)
             for n, leaf in leaves.items():
@@ -366,3 +368,78 @@ class TestTrainingLoss:
         with pytest.raises(ConfigError, match="sequence length"):
             ModelConfig(encoders=encoders,
                         fusion=FusionConfig(modality_dims=(("a", 3), ("b", 3))))
+
+
+def cell_model(cell, units, seed=0, t=4, d=3, **fusion_kw):
+    encoders = tuple(
+        (name, EncoderConfig(input_dim=d, hidden_units=units, cell_kind=cell, sequence_length=t))
+        for name in ("a", "b")
+    )
+    fusion = FusionConfig(modality_dims=(("a", units[-1]), ("b", units[-1])), **fusion_kw)
+    config = ModelConfig(encoders=encoders, fusion=fusion)
+    store = init_model_params(config, seed)
+    if fusion.enable_batchnorm:
+        rng = generator(seed, "bn-stats")
+        store.value("fusion.bn.running_mean")[...] = rng.normal(size=2 * units[-1])
+        store.value("fusion.bn.running_var")[...] = rng.uniform(0.5, 2.0, size=2 * units[-1])
+    windows = {name: generator(seed, f"w-{name}").normal(size=(5, t, d))
+               for name, _ in encoders}
+    return config, store, windows
+
+
+HEADS = {
+    "plain": {},
+    "bn-batch-stats": {"enable_batchnorm": True},
+    "bn-running-stats": {"enable_batchnorm": True, "use_batch_stats_at_inference": False},
+}
+
+
+class TestConstantForward:
+    @pytest.mark.parametrize("cg2", ["moe_input", "moe_output"])
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    @pytest.mark.parametrize("units", [(3,), (4, 3)], ids=["1layer", "2layer"])
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    def test_store_arrays_give_the_graph_values(self, cell, units, head, cg2):
+        config, store, windows = cell_model(cell, units, seed=31, cg2_position=cg2,
+                                            **HEADS[head])
+        const = forward_graph(dict(store.items()), config, windows)
+        graph = forward_graph(wrap_leaves(store), config, windows)
+        assert type(const) is np.ndarray
+        assert isinstance(graph, ad.Var)
+        np.testing.assert_array_equal(const, graph.value)
+
+    def test_predict_batch_builds_no_graph(self, monkeypatch):
+        config, store, windows = cell_model("lstm", (4, 3), seed=32, enable_batchnorm=True,
+                                            enable_dropout=True)
+        built = []
+        init = ad.Var.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ad.Var, "__init__", counted)
+        preds = predict_batch(store, config, windows)
+        assert preds.shape == (5, 2) and not built
+        training_loss(windows, np.zeros((5, 2)), store, config, "train", generator(0, "d"))
+        assert built
+
+    def test_train_mode_moves_running_stats_by_the_batch_moments(self):
+        config, store, windows = cell_model("gru", (3,), seed=33, enable_batchnorm=True,
+                                            bn_momentum=0.7)
+        mean0 = store.value("fusion.bn.running_mean").copy()
+        var0 = store.value("fusion.bn.running_var").copy()
+        x = np.array([
+            np.concatenate([oracles.encode(windows[name][i], enc, store, f"enc.{name}")
+                            for name, enc in config.encoders])
+            for i in range(5)
+        ])
+        predict_batch(store, config, windows)
+        training_loss(windows, np.zeros((5, 2)), store, config, mode="eval")
+        np.testing.assert_array_equal(store.value("fusion.bn.running_mean"), mean0)
+        np.testing.assert_array_equal(store.value("fusion.bn.running_var"), var0)
+        training_loss(windows, np.zeros((5, 2)), store, config, mode="train")
+        np.testing.assert_allclose(store.value("fusion.bn.running_mean"),
+                                   0.7 * mean0 + 0.3 * x.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(store.value("fusion.bn.running_var"),
+                                   0.7 * var0 + 0.3 * x.var(axis=0), atol=1e-12)

@@ -23,12 +23,12 @@ from affectseq.numerics import (
 def dense(x, w, b):
     """``ad.linear`` on one input row."""
     w, b = np.asarray(w, dtype=float), np.asarray(b, dtype=float)
-    return ad.linear(np.atleast_2d(x), w, b).value[0]
+    return ad.value(ad.linear(np.atleast_2d(x), w, b))[0]
 
 
 def softmax(z):
     """``ad.softmax_rows`` on one row of logits."""
-    return ad.softmax_rows(np.atleast_2d(np.asarray(z, dtype=float))).value[0]
+    return ad.value(ad.softmax_rows(np.atleast_2d(np.asarray(z, dtype=float))))[0]
 
 
 class TestDense:

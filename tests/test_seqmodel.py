@@ -41,12 +41,12 @@ def leaves_of(store):
 
 def gru_step(x, h_prev, cell):
     """One step of the graph op on [B, D] / [B, H] rows."""
-    return gru_step_graph(x, h_prev, cell).value
+    return ad.value(gru_step_graph(x, h_prev, cell))
 
 
 def lstm_step(x, h_prev, c_prev, cell):
     h, c = lstm_step_graph(x, h_prev, c_prev, cell)
-    return h.value, c.value
+    return ad.value(h), ad.value(c)
 
 
 class TestGruCell:
@@ -282,7 +282,7 @@ class TestEncoderGradients:
 
 
 def batch_norm(x, state, mode):
-    return batch_norm_graph(x, state, state.gamma, state.beta, mode).value
+    return ad.value(batch_norm_graph(x, state, state.gamma, state.beta, mode))
 
 
 class TestBatchNorm:
