@@ -28,7 +28,7 @@ from .dataio import (
     split_dataset,
     synth_generate,
 )
-from .errors import AffectSeqError, DataError, NumericError
+from .errors import AffectSeqError, ConfigError, DataError, NumericError
 from .evalmetrics import ensemble_average, evaluate_run, render_csv, render_text
 from .model import init_model_params
 from .numerics import ParamStore
@@ -113,6 +113,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# manifest keys that synth flags set, and those flags
+_SYNTH_FLAGS = {"modalities": "--modalities", "validation_movies": "--validation"}
+
+
 def _cmd_synth(args) -> int:
     validation = tuple(v.strip() for v in args.validation.split(",") if v.strip())
     modalities = []
@@ -145,7 +149,12 @@ def _cmd_synth(args) -> int:
         lag=args.lag,
         validation_movies=validation,
     )
-    manifest = synth_generate(spec, args.out, args.seed)
+    try:
+        manifest = synth_generate(spec, args.out, args.seed)
+    except ConfigError as exc:
+        if exc.key not in _SYNTH_FLAGS:
+            raise
+        raise ConfigError(f"{_SYNTH_FLAGS[exc.key]}: {exc}") from None
     print(f"wrote {len(manifest.movies)} movies to {args.out}")
     return EXIT_OK
 

@@ -143,30 +143,29 @@ class RunConfig:
     warnings: tuple[str, ...] = ()
 
     def model_config(self) -> ModelConfig:
-        encoders = []
-        for name, dim in self.manifest.modalities:
-            units = self.hidden_overrides.get(name, self.hidden_units)
-            encoders.append((name, EncoderConfig(
+        dropout = self.dropout_rate if self.enable_dropout else 0.0
+        encoders = tuple(
+            (name, EncoderConfig(
                 input_dim=dim,
-                hidden_units=units,
+                hidden_units=self.hidden_overrides.get(name, self.hidden_units),
                 cell_kind=self.cell,
-                sequence_length=self.sequence_length,
-                dropout_rate=self.dropout_rate if self.enable_dropout else 0.0,
-            )))
+                dropout_rate=dropout,
+            ))
+            for name, dim in self.manifest.modalities
+        )
         fusion = FusionConfig(
-            modality_dims=tuple((name, cfg.output_dim) for name, cfg in encoders),
             num_experts=self.num_experts,
             l2_lambda=self.l2_lambda,
-            enable_dropout=self.enable_dropout,
             enable_batchnorm=self.enable_batchnorm,
-            dropout_rate=self.dropout_rate,
+            dropout_rate=dropout,
             output_range=self.manifest.annotation_range,
             cg2_position=self.cg2_position,
             bn_momentum=self.bn_momentum,
             bn_epsilon=self.bn_epsilon,
             use_batch_stats_at_inference=self.use_batch_stats_at_inference,
         )
-        return ModelConfig(encoders=tuple(encoders), fusion=fusion)
+        return ModelConfig(encoders=encoders, fusion=fusion,
+                           sequence_length=self.sequence_length)
 
     def smoother_spec(self) -> SmootherSpec:
         return smoother_spec(vars(self))

@@ -210,21 +210,22 @@ class DatasetManifest:
     def __post_init__(self):
         names = [m for m, _ in self.movies]
         if len(set(names)) != len(names):
-            raise ConfigError("duplicate movie ids in movies")
+            raise ConfigError("duplicate movie ids in movies", key="movies")
         if not self.modalities:
-            raise ConfigError("modalities needs at least one entry")
+            raise ConfigError("modalities needs at least one entry", key="modalities")
         if any(d < 1 for _, d in self.modalities):
-            raise ConfigError("dims in modalities must be >= 1")
+            raise ConfigError("dims in modalities must be >= 1", key="modalities")
         if any(length < 1 for _, length in self.movies):
-            raise ConfigError("lengths in movies must be >= 1")
+            raise ConfigError("lengths in movies must be >= 1", key="movies")
         lo, hi = self.annotation_range
         if not lo < hi:
-            raise ConfigError("annotation_range must satisfy lo < hi")
+            raise ConfigError("annotation_range must satisfy lo < hi", key="annotation_range")
         unknown = set(self.validation_movies) - set(names)
         if unknown:
-            raise ConfigError(f"validation_movies not in movies: {sorted(unknown)}")
+            raise ConfigError(f"validation_movies not in movies: {sorted(unknown)}",
+                              key="validation_movies")
         if not 0.0 < self.train_fraction <= 1.0:
-            raise ConfigError("train_fraction must lie in (0, 1]")
+            raise ConfigError("train_fraction must lie in (0, 1]", key="train_fraction")
 
     @property
     def movie_ids(self) -> tuple[str, ...]:
@@ -477,8 +478,6 @@ class SynthSpec:
     def __post_init__(self):
         if self.num_movies < 1 or self.length < 1:
             raise ConfigError("synth needs num_movies >= 1 and length >= 1")
-        if any(d < 1 for _, d in self.modalities):
-            raise ConfigError("modality dims must be >= 1")
         if self.noise < 0 or self.lag < 0:
             raise ConfigError("noise and lag must be >= 0")
         names = {name for name, _ in self.modalities}
@@ -525,6 +524,14 @@ def synth_generate(spec: SynthSpec, out_dir, seed: int) -> DatasetManifest:
     """
     out_dir = Path(out_dir)
     movie_ids = [f"m{i:03d}" for i in range(spec.num_movies)]
+    manifest = DatasetManifest(
+        root=out_dir,
+        modalities=spec.modalities,
+        movies=tuple((m, spec.length) for m in movie_ids),
+        annotation_range=spec.annotation_range,
+        validation_movies=spec.validation_movies,
+        train_fraction=spec.train_fraction,
+    )
     lifts = {
         name: generator(seed, f"lift-{name}").normal(0.0, 0.5, size=(dim, 4))
         for name, dim in spec.modalities
@@ -543,13 +550,5 @@ def synth_generate(spec: SynthSpec, out_dir, seed: int) -> DatasetManifest:
             save_features(FeatureTrack(movie_id=movie, modality=name, values=values),
                           out_dir / FEATURES_DIR / name / f"{movie}.csv",
                           hex_floats=False)
-    manifest = DatasetManifest(
-        root=out_dir,
-        modalities=spec.modalities,
-        movies=tuple((m, spec.length) for m in movie_ids),
-        annotation_range=spec.annotation_range,
-        validation_movies=spec.validation_movies,
-        train_fraction=spec.train_fraction,
-    )
     save_manifest(manifest)
     return manifest

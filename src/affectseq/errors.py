@@ -26,7 +26,12 @@ class CoverageError(DataError):
 
 
 class ConfigError(AffectSeqError):
-    """Invalid or contradictory configuration."""
+    """Invalid or contradictory configuration; ``key`` names the setting at
+    fault when the raiser knows it, so a front end can name its own flag."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class ContractViolation(AffectSeqError):

@@ -29,41 +29,25 @@ from .seqmodel import EncoderConfig, encode_batch_graph, init_encoder_params
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Ordered per-modality encoders plus the fusion head."""
+    """Ordered per-modality encoders plus the fusion head, over windows of
+    ``sequence_length`` seconds."""
 
     encoders: tuple[tuple[str, EncoderConfig], ...]
     fusion: FusionConfig
+    sequence_length: int = 60
 
     def __post_init__(self):
         names = [name for name, _ in self.encoders]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate modality names")
-        lengths = {cfg.sequence_length for _, cfg in self.encoders}
-        if len(lengths) != 1:
-            raise ConfigError(f"encoders disagree on sequence length: {sorted(lengths)}")
-        expected = tuple((name, cfg.output_dim) for name, cfg in self.encoders)
-        if expected != self.fusion.modality_dims:
-            raise ConfigError(
-                f"fusion modality dims {self.fusion.modality_dims} do not match "
-                f"encoder outputs {expected}"
-            )
-
-    @property
-    def sequence_length(self) -> int:
-        return self.encoders[0][1].sequence_length
-
-    def encoder(self, name: str) -> EncoderConfig:
-        for mod, cfg in self.encoders:
-            if mod == name:
-                return cfg
-        raise ConfigError(f"unknown modality: {name}")
 
 
 def init_model_params(config: ModelConfig, seed: int) -> ParamStore:
     store = ParamStore()
     for name, enc in config.encoders:
         init_encoder_params(store, f"enc.{name}", enc, generator(seed, f"init-enc-{name}"))
-    init_fusion_params(store, config.fusion, generator(seed, "init-fusion"))
+    width = sum(enc.output_dim for _, enc in config.encoders)
+    init_fusion_params(store, config.fusion, width, generator(seed, "init-fusion"))
     return store
 
 
@@ -74,12 +58,15 @@ def wrap_leaves(store: ParamStore) -> dict[str, ad.Var]:
 
 def _check_windows(config: ModelConfig, windows: dict[str, np.ndarray]) -> int:
     sizes = set()
-    for name, enc in config.encoders:
+    for name, _ in config.encoders:
         if name not in windows:
             raise ConfigError(f"missing windows for modality {name}")
         w = windows[name]
         if w.ndim != 3:
             raise DimensionError(f"windows for {name} must be [B, T, D], got {w.shape}")
+        if w.shape[1] != config.sequence_length:
+            raise DimensionError(f"windows for {name} span T={w.shape[1]}, "
+                                 f"the model expects T={config.sequence_length}")
         sizes.add(w.shape[0])
     if len(sizes) != 1:
         raise DimensionError(f"modalities disagree on batch size: {sorted(sizes)}")

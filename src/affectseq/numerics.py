@@ -128,7 +128,12 @@ class ParamStore:
                 flat = np.array([float.fromhex(v) for v in raw], dtype=np.float64)
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad float literal ({exc})") from exc
-            store.add(name, flat.reshape(shape))
+            if not np.all(np.isfinite(flat)):
+                raise DataError(f"{path}:{lineno}: parameter {name} has non-finite values")
+            try:
+                store.add(name, flat.reshape(shape))
+            except ConfigError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
         return store
 
 

@@ -1,5 +1,6 @@
-"""Sequence-to-one recurrent encoders: GRU and LSTM cells, dropout, and
-batch normalization.
+"""Sequence-to-one recurrent encoders: GRU and LSTM cells with input
+dropout. Batch normalization belongs to the fusion head
+(:mod:`affectseq.fusion`).
 
 Cell conventions are pinned so results are reproducible:
 
@@ -15,7 +16,9 @@ LSTM   i, f, o = sigmoid(W_* x + U_* h + b_*)
 No peepholes; the LSTM forget-gate bias starts at 1. Initial hidden and
 cell states are zero vectors. Dropout sits on each layer's input only,
 never on the recurrent connection, and uses the inverted convention so
-evaluation is the identity.
+evaluation is the identity; a rate of 0 turns it off. The window length
+T is a model setting (:class:`affectseq.model.ModelConfig`), not an
+encoder one: an encoder unrolls whatever T its batch has.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DataError, DimensionError, DomainError
+from .errors import ConfigError, DimensionError, DomainError
 from .numerics import ParamStore, glorot_uniform
 
 GRU_GATES = ("z", "r", "h")
@@ -40,7 +43,6 @@ class EncoderConfig:
     input_dim: int
     hidden_units: tuple[int, ...] = (128,)
     cell_kind: str = "gru"
-    sequence_length: int = 60
     dropout_rate: float = 0.0
 
     def __post_init__(self):
@@ -52,8 +54,6 @@ class EncoderConfig:
             raise ConfigError("encoders support 1 or 2 layers")
         if any(h < 1 for h in self.hidden_units):
             raise ConfigError("hidden_units must be >= 1")
-        if self.sequence_length < 1:
-            raise ConfigError("sequence_length must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise DomainError("dropout_rate must lie in [0, 1)")
 
@@ -67,25 +67,6 @@ class EncoderConfig:
 
     def layer_input_dim(self, layer: int) -> int:
         return self.input_dim if layer == 0 else self.hidden_units[layer - 1]
-
-
-@dataclass
-class BatchNormState:
-    """Learned scale/shift plus running statistics (views into a store)."""
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    momentum: float = 0.9
-    epsilon: float = 1e-5
-    use_batch_stats_at_inference: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.momentum < 1.0:
-            raise ConfigError("batch-norm momentum must lie in (0, 1)")
-        if self.epsilon <= 0:
-            raise ConfigError("batch-norm epsilon must be positive")
 
 
 def init_encoder_params(store: ParamStore, prefix: str, config: EncoderConfig,
@@ -132,11 +113,9 @@ def encode_batch_graph(seqs: np.ndarray, config: EncoderConfig,
     """Differentiable unroll of a [B, T, D] batch; returns the final h [B, H]."""
     seqs = np.asarray(seqs, dtype=np.float64)
     batch, steps, dim = seqs.shape
-    if steps != config.sequence_length or dim != config.input_dim:
-        raise DimensionError(
-            f"batch windows {seqs.shape[1:]} do not match encoder "
-            f"({config.sequence_length}, {config.input_dim})"
-        )
+    if dim != config.input_dim:
+        raise DimensionError(f"batch windows of width {dim} do not match encoder "
+                             f"input_dim {config.input_dim}")
     train = mode == "train"
     if train and config.dropout_rate > 0.0 and mask_rng is None:
         raise ConfigError("train-mode dropout needs a generator")
@@ -165,44 +144,3 @@ def encode_batch_graph(seqs: np.ndarray, config: EncoderConfig,
             outputs.append(h)
         inputs = outputs
     return h
-
-
-def batch_norm_graph(x, state: BatchNormState, gamma: ad.Var, beta: ad.Var, mode: str):
-    """Differentiable batch norm over a [B, F] batch.
-
-    Train mode normalizes by the batch mean/var (biased) and folds the
-    batch statistics into the running ones with
-    ``running = momentum * running + (1 - momentum) * batch`` as a side
-    effect. Eval mode normalizes by the current batch's statistics when
-    ``use_batch_stats_at_inference`` is set (the default), else by the
-    running statistics.
-    """
-    values = ad.value(x)
-    if values.ndim != 2 or values.shape[1] != state.gamma.shape[0]:
-        raise DimensionError(
-            f"batch of shape {values.shape} does not match {state.gamma.shape[0]} features"
-        )
-    if mode == "train":
-        if values.shape[0] < 2:
-            raise DataError("batch normalization needs B >= 2 in train mode")
-        mu = ad.mean_axis0(x)
-        centered = ad.sub(x, mu)
-        var = ad.mean_axis0(ad.mul(centered, centered))
-        m = state.momentum
-        state.running_mean[:] = m * state.running_mean + (1.0 - m) * ad.value(mu)[0]
-        state.running_var[:] = m * state.running_var + (1.0 - m) * ad.value(var)[0]
-        inv = ad.rsqrt_shift(var, state.epsilon)
-        xhat = ad.mul(centered, inv)
-    elif mode == "eval":
-        if state.use_batch_stats_at_inference:
-            mu = ad.mean_axis0(x)
-            centered = ad.sub(x, mu)
-            var = ad.mean_axis0(ad.mul(centered, centered))
-            inv = ad.rsqrt_shift(var, state.epsilon)
-            xhat = ad.mul(centered, inv)
-        else:
-            inv = 1.0 / np.sqrt(state.running_var + state.epsilon)
-            xhat = ad.mul(ad.sub(x, state.running_mean.reshape(1, -1)), inv.reshape(1, -1))
-    else:
-        raise ConfigError(f"unknown mode: {mode!r}")
-    return ad.add(ad.mul(xhat, gamma), beta)

@@ -110,9 +110,10 @@ def train_run(cfg: RunConfig) -> TrainResult:
     adam = AdamState.for_params(store, lr=cfg.learning_rate, beta1=cfg.adam_beta1,
                                 beta2=cfg.adam_beta2, epsilon=cfg.adam_epsilon)
     windows = window_sequences({m: features[m] for m in train_ids}, annotations,
-                               cfg.sequence_length)
+                               model_config.sequence_length)
 
-    needs_masks = cfg.enable_dropout and cfg.dropout_rate > 0.0
+    needs_masks = model_config.fusion.dropout_rate > 0.0 or any(
+        enc.dropout_rate > 0.0 for _, enc in model_config.encoders)
     logs: list[EpochLog] = []
     best_score = np.inf
     best_params: ParamStore | None = None

@@ -67,20 +67,20 @@ def context_gate(x, w, b):
     return sigmoid(w @ x + b) * x
 
 
-def moe(v, store, prefix="fusion"):
+def moe(v, store):
     out = []
     for dim in ("valence", "arousal"):
-        ew, eb, gw, gb = (store.value(f"{prefix}.moe.{dim}.{k}")
+        ew, eb, gw, gb = (store.value(f"fusion.moe.{dim}.{k}")
                           for k in ("expert_W", "expert_b", "gate_W", "gate_b"))
         out.append(softmax(gw @ v + gb) @ sigmoid(ew @ v + eb))
     return np.array(out)
 
 
-def fusion_head(x, store, config, prefix="fusion"):
+def fusion_head(x, store, config):
     """Eval-mode head on one concatenated state (no batch norm or dropout);
     returns the gated probabilities [2]."""
-    v = context_gate(x, store.value(f"{prefix}.cg1.W"), store.value(f"{prefix}.cg1.b"))
-    w2, b2 = store.value(f"{prefix}.cg2.W"), store.value(f"{prefix}.cg2.b")
+    v = context_gate(x, store.value("fusion.cg1.W"), store.value("fusion.cg1.b"))
+    w2, b2 = store.value("fusion.cg2.W"), store.value("fusion.cg2.b")
     if config.cg2_position == "moe_input":
-        return moe(context_gate(v, w2, b2), store, prefix)
-    return context_gate(moe(v, store, prefix), w2, b2)
+        return moe(context_gate(v, w2, b2), store)
+    return context_gate(moe(v, store), w2, b2)

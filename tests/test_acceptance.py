@@ -45,13 +45,11 @@ def criterion(number, name):
 def test_01_gradient_fidelity():
     with criterion(1, "gradient-fidelity"):
         encoders = (
-            ("a", EncoderConfig(input_dim=4, hidden_units=(3,), sequence_length=5)),
-            ("b", EncoderConfig(input_dim=4, hidden_units=(3,), sequence_length=5)),
+            ("a", EncoderConfig(input_dim=4, hidden_units=(3,))),
+            ("b", EncoderConfig(input_dim=4, hidden_units=(3,))),
         )
-        config = ModelConfig(
-            encoders=encoders,
-            fusion=FusionConfig(modality_dims=(("a", 3), ("b", 3)), num_experts=2),
-        )
+        config = ModelConfig(encoders=encoders, fusion=FusionConfig(num_experts=2),
+                             sequence_length=5)
         store = init_model_params(config, seed=101)
         rng = generator(102, "windows")
         windows = {name: rng.normal(size=(3, 5, 4)) for name, _ in encoders}
@@ -304,10 +302,9 @@ def test_10_batchnorm_inference_modes():
         # limit the EMA tracks); the two inference modes must then agree
         # in expectation on in-distribution batches of B >= 256 and split
         # apart on a heteroskedastic shift.
-        config = FusionConfig(modality_dims=(("a", 3), ("b", 3)), num_experts=2,
-                              enable_batchnorm=True)
+        config = FusionConfig(num_experts=2, enable_batchnorm=True)
         store = ParamStore()
-        init_fusion_params(store, config, generator(17, "init"))
+        init_fusion_params(store, config, 6, generator(17, "init"))
         mu = np.array([0.5, -0.2, 1.5, 0.0, -1.0, 0.3])
         sig = np.array([1.0, 0.5, 2.0, 1.0, 0.7, 1.5])
         store.value("fusion.bn.running_mean")[:] = mu

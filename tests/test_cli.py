@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from affectseq.cli import main
+from affectseq.config import parse_config
 from affectseq.dataio import load_prediction_dir
+from affectseq.model import init_model_params
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +74,10 @@ class TestExitCodes:
         (["smooth", "--smoother", "moving_average", "--weights", "a,b"], "--weights"),
         (["smooth", "--order", "9"], "--order"),
         (["smooth", "--cutoff", "1.5"], "--cutoff"),
+        (["synth", "--validation", "zzz"], "--validation"),
+        (["synth", "--modalities", "audio:0"], "--modalities"),
     ], ids=["synth-modalities", "synth-noise-override", "smooth-weights", "smooth-order",
-            "smooth-cutoff"])
+            "smooth-cutoff", "synth-validation", "synth-modality-dim"])
     def test_malformed_flag_is_exit_2(self, workspace, tmp_path, capsys, argv, flag):
         # smooth reads real prediction files, so only the flag can be at fault
         where = (["--out", str(tmp_path / "o")] if argv[0] == "synth" else
@@ -103,6 +107,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(manifest) in err and key in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fault, lineno", [("non-finite", 2), ("duplicate", 3)])
+    def test_malformed_checkpoint_is_exit_2(self, workspace, tmp_path, capsys, fault, lineno):
+        ckpt = tmp_path / "model.ckpt"
+        init_model_params(parse_config(workspace / "run.cfg").model_config(), 0).save(ckpt)
+        lines = ckpt.read_text().splitlines()
+        if fault == "non-finite":
+            name, dims, _, *values = lines[1].split(" ")
+            lines[1] = " ".join([name, dims, "inf", *values])
+        else:
+            lines.insert(2, lines[1])
+        ckpt.write_text("\n".join(lines) + "\n")
+        rc = main(["predict", "--config", str(workspace / "run.cfg"),
+                   "--checkpoint", str(ckpt), "--out", str(tmp_path / "p")])
+        assert rc == 2
+        assert f"{ckpt}:{lineno}:" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow to inf is the point
     def test_exploding_run_is_numeric_failure(self, workspace, tmp_path, capsys):

@@ -180,8 +180,9 @@ class TestValidation:
         cfg = parse_config(write_config(
             tmp_path, dataset, "hidden_units = 16\nhidden_units.audio = 8,4\n"))
         model = cfg.model_config()
-        assert model.encoder("audio").hidden_units == (8, 4)
-        assert model.encoder("image").hidden_units == (16,)
+        encoders = dict(model.encoders)
+        assert encoders["audio"].hidden_units == (8, 4)
+        assert encoders["image"].hidden_units == (16,)
 
     def test_unknown_modality_override_rejected(self, tmp_path, dataset):
         path = write_config(tmp_path, dataset, "hidden_units.faces = 8\n")

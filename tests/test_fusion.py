@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 import oracles
 from affectseq import autodiff as ad
-from affectseq.errors import DataError, DimensionError
+from affectseq.errors import ConfigError, DataError, DimensionError
 from affectseq.fusion import (
     FusionConfig,
+    batch_norm_graph,
     context_gate_graph,
     fusion_head_graph,
     init_fusion_params,
@@ -27,14 +28,10 @@ from affectseq.rng import generator
 from affectseq.seqmodel import EncoderConfig
 
 
-def head_config(dims=(("a", 3), ("b", 3)), **kw):
-    return FusionConfig(modality_dims=dims, **kw)
-
-
 def zeroed_head_store(config, experts_value=0.0):
     """All weights/biases zero so every sigmoid sits at 1/2."""
     store = ParamStore()
-    init_fusion_params(store, config, generator(0, "init"))
+    init_fusion_params(store, config, 6, generator(0, "init"))
     for name in store.names():
         if name.endswith("running_var") or name.endswith("gamma"):
             continue
@@ -57,6 +54,114 @@ def moe(v, dim_params):
         for key, value in zip(("expert_W", "expert_b", "gate_W", "gate_b"), params):
             leaves[f"fusion.moe.{dim}.{key}"] = ad.Var(value)
     return ad.value(moe_graph(v, leaves))
+
+
+def bn_leaves(f=3):
+    """Identity scale/shift and unit running statistics under ``fusion.bn.``."""
+    return {"fusion.bn.gamma": np.ones(f), "fusion.bn.beta": np.zeros(f),
+            "fusion.bn.running_mean": np.zeros(f), "fusion.bn.running_var": np.ones(f)}
+
+
+def batch_norm(x, leaves, mode, **kw):
+    config = FusionConfig(enable_batchnorm=True, **kw)
+    return ad.value(batch_norm_graph(x, leaves, config, mode))
+
+
+class TestBatchNorm:
+    def test_identity_on_standardized_batch(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(64, 3))
+        x = (x - x.mean(axis=0)) / x.std(axis=0)
+        out = batch_norm(x, bn_leaves(), "train", bn_epsilon=1e-5)
+        assert np.max(np.abs(out - x)) < 1e-4
+
+    def test_constant_column_collapses_to_beta(self):
+        leaves = bn_leaves()
+        leaves["fusion.bn.beta"] = np.full(3, 0.3)
+        out = batch_norm(np.full((8, 3), 7.7), leaves, "train")
+        np.testing.assert_allclose(out, 0.3, atol=1e-12)
+
+    def test_running_stats_match_hand_ema(self):
+        leaves = bn_leaves()
+        rng = np.random.default_rng(1)
+        b1 = rng.normal(size=(16, 3))
+        b2 = rng.normal(size=(16, 3))
+        batch_norm(b1, leaves, "train", bn_momentum=0.9)
+        batch_norm(b2, leaves, "train", bn_momentum=0.9)
+        mean = 0.9 * (0.9 * 0.0 + 0.1 * b1.mean(axis=0)) + 0.1 * b2.mean(axis=0)
+        var = 0.9 * (0.9 * 1.0 + 0.1 * b1.var(axis=0)) + 0.1 * b2.var(axis=0)
+        np.testing.assert_allclose(leaves["fusion.bn.running_mean"], mean, atol=1e-12)
+        np.testing.assert_allclose(leaves["fusion.bn.running_var"], var, atol=1e-12)
+
+    def test_train_output_moments(self):
+        # Output variance is gamma^2 * v/(v+eps): the 1e-6 bound needs the
+        # input variance to dominate epsilon, hence the scale-10 draws.
+        rng = np.random.default_rng(2)
+        leaves = bn_leaves()
+        leaves["fusion.bn.gamma"] = np.array([2.0, 0.5, 1.0])
+        leaves["fusion.bn.beta"] = np.array([1.0, -1.0, 0.0])
+        for batch in (16, 64, 256):
+            out = batch_norm(rng.normal(2.0, 10.0, size=(batch, 3)), leaves, "train")
+            np.testing.assert_allclose(out.mean(axis=0), leaves["fusion.bn.beta"], atol=1e-9)
+            np.testing.assert_allclose(out.var(axis=0), leaves["fusion.bn.gamma"] ** 2,
+                                       atol=1e-6)
+
+    def test_degenerate_train_batch_rejected(self):
+        with pytest.raises(DataError):
+            batch_norm(np.ones((1, 3)), bn_leaves(), "train")
+
+    def test_eval_uses_batch_stats_by_default(self):
+        x = np.array([[1.0, 10.0, -3.0], [3.0, 12.0, -1.0]])
+        out = batch_norm(x, bn_leaves(), "eval")
+        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-12)
+
+    def test_eval_with_running_stats(self):
+        leaves = bn_leaves()
+        leaves["fusion.bn.running_mean"] = np.array([1.0, 2.0, 3.0])
+        leaves["fusion.bn.running_var"] = np.array([4.0, 4.0, 4.0])
+        x = np.array([[1.0, 2.0, 3.0]])
+        out = batch_norm(x, leaves, "eval", use_batch_stats_at_inference=False)
+        np.testing.assert_allclose(out, 0.0, atol=1e-9)
+
+    def test_graph_matches_apply_and_gradchecks(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(8, 3))
+        store = ParamStore()
+        store.add("fusion.bn.gamma", rng.normal(1.0, 0.1, size=3))
+        store.add("fusion.bn.beta", rng.normal(size=3))
+        probe = rng.normal(size=(8, 3))
+        config = FusionConfig(enable_batchnorm=True)
+
+        def fresh_leaves(s):
+            leaves = bn_leaves()
+            for key in ("gamma", "beta"):
+                leaves[f"fusion.bn.{key}"] = ad.Var(s.value(f"fusion.bn.{key}"))
+            return leaves
+
+        for batch in (2, 8):
+            out = batch_norm_graph(x[:batch], fresh_leaves(store), config, "train")
+            direct = oracles.batch_norm_train(x[:batch], store.value("fusion.bn.gamma"),
+                                              store.value("fusion.bn.beta"), 1e-5)
+            np.testing.assert_allclose(out.value, direct, atol=1e-12)
+
+        def loss(s):
+            leaves = fresh_leaves(s)
+            y = batch_norm_graph(x, leaves, config, "train")
+            total = ad.sum_all(ad.mul(y, probe))
+            ad.backward(total)
+            for key in ("gamma", "beta"):
+                s.grad(f"fusion.bn.{key}")[...] += leaves[f"fusion.bn.{key}"].grad
+            return float(total.value)
+
+        assert grad_check(loss, store) < 1e-4
+
+
+class TestFusionConfig:
+    @pytest.mark.parametrize("setting", [{"bn_momentum": 1.0}, {"bn_epsilon": 0.0}],
+                             ids=["bn_momentum", "bn_epsilon"])
+    def test_bad_batch_norm_setting_rejected_when_built(self, setting):
+        with pytest.raises(ConfigError, match=next(iter(setting))):
+            FusionConfig(**setting)
 
 
 class TestContextGate:
@@ -135,9 +240,9 @@ class TestMoe:
             assert np.all((p > 0.0) & (p < 1.0))
 
     def test_gates_sum_to_one_inside_graph(self):
-        config = head_config(num_experts=3)
+        config = FusionConfig(num_experts=3)
         store = ParamStore()
-        init_fusion_params(store, config, generator(9, "init"))
+        init_fusion_params(store, config, 6, generator(9, "init"))
         v = generator(4, "v").normal(size=(7, 6))
         leaves = {n: ad.Var(store.value(n)) for n in store.names()}
         p = moe_graph(v, leaves).value
@@ -148,7 +253,7 @@ class TestFusionHead:
     def test_closed_form_composition(self):
         # Zero weights: CG1 halves, single zero expert gives p = 1/2,
         # CG2 halves again, and the default (-1, 1) range maps 1/4 to -1/2.
-        config = head_config(num_experts=1)
+        config = FusionConfig(num_experts=1)
         store = zeroed_head_store(config)
         x = np.array([[0.4, -0.6, 1.0, 0.2, 0.0, -0.3]])
         p = fusion_head_graph(x, leaves_of(store), config).value
@@ -161,9 +266,9 @@ class TestFusionHead:
                                    [0.0, 0.0], atol=0)
 
     def test_predictions_strictly_inside_range(self):
-        config = head_config()
+        config = FusionConfig()
         store = ParamStore()
-        init_fusion_params(store, config, generator(5, "init"))
+        init_fusion_params(store, config, 6, generator(5, "init"))
         x = generator(6, "states").normal(scale=3.0, size=(50, 6))
         p = fusion_head_graph(x, leaves_of(store), config).value
         pred = map_to_range(p, config.output_range)
@@ -171,9 +276,9 @@ class TestFusionHead:
         assert np.all((p > 0.0) & (p < 1.0))
 
     def test_graph_matches_pure_path(self):
-        config = head_config(num_experts=3)
+        config = FusionConfig(num_experts=3)
         store = ParamStore()
-        init_fusion_params(store, config, generator(7, "init"))
+        init_fusion_params(store, config, 6, generator(7, "init"))
         batch = generator(8, "x").normal(size=(5, 6))
         for size in (1, 5):
             graph_p = fusion_head_graph(batch[:size], leaves_of(store), config).value
@@ -182,9 +287,9 @@ class TestFusionHead:
                 np.testing.assert_allclose(graph_p[i], p, atol=1e-14)
 
     def test_cg2_on_moe_input(self):
-        config = head_config(cg2_position="moe_input")
+        config = FusionConfig(cg2_position="moe_input")
         store = ParamStore()
-        init_fusion_params(store, config, generator(11, "init"))
+        init_fusion_params(store, config, 6, generator(11, "init"))
         assert store.value("fusion.cg2.W").shape == (6, 6)
         batch = generator(12, "x").normal(size=(4, 6))
         leaves = {n: ad.Var(store.value(n)) for n in store.names()}
@@ -192,9 +297,9 @@ class TestFusionHead:
         assert np.all((p > 0.0) & (p < 1.0))
 
     def test_head_gradcheck(self):
-        config = head_config(num_experts=2)
+        config = FusionConfig(num_experts=2)
         store = ParamStore()
-        init_fusion_params(store, config, generator(13, "init"))
+        init_fusion_params(store, config, 6, generator(13, "init"))
         batch = generator(14, "x").normal(size=(3, 6))
         probe = generator(15, "probe").normal(size=(3, 2))
 
@@ -213,12 +318,11 @@ class TestFusionHead:
 
 def tiny_model(seed=0, t=4, d=3, h=3, experts=2, **fusion_kw):
     encoders = (
-        ("a", EncoderConfig(input_dim=d, hidden_units=(h,), sequence_length=t)),
-        ("b", EncoderConfig(input_dim=d, hidden_units=(h,), sequence_length=t)),
+        ("a", EncoderConfig(input_dim=d, hidden_units=(h,))),
+        ("b", EncoderConfig(input_dim=d, hidden_units=(h,))),
     )
-    fusion = FusionConfig(modality_dims=(("a", h), ("b", h)), num_experts=experts,
-                          **fusion_kw)
-    config = ModelConfig(encoders=encoders, fusion=fusion)
+    fusion = FusionConfig(num_experts=experts, **fusion_kw)
+    config = ModelConfig(encoders=encoders, fusion=fusion, sequence_length=t)
     return config, init_model_params(config, seed)
 
 
@@ -226,7 +330,7 @@ class TestTrainingLoss:
     def _windows(self, config, batch, seed=0):
         rng = generator(seed, "w")
         return {
-            name: rng.normal(size=(batch, enc.sequence_length, enc.input_dim))
+            name: rng.normal(size=(batch, config.sequence_length, enc.input_dim))
             for name, enc in config.encoders
         }
 
@@ -334,14 +438,11 @@ class TestTrainingLoss:
 
     def test_end_to_end_gradcheck_lstm_with_batchnorm(self):
         encoders = (
-            ("a", EncoderConfig(input_dim=3, hidden_units=(3,), cell_kind="lstm",
-                                sequence_length=4)),
-            ("b", EncoderConfig(input_dim=3, hidden_units=(3,), cell_kind="lstm",
-                                sequence_length=4)),
+            ("a", EncoderConfig(input_dim=3, hidden_units=(3,), cell_kind="lstm")),
+            ("b", EncoderConfig(input_dim=3, hidden_units=(3,), cell_kind="lstm")),
         )
-        fusion = FusionConfig(modality_dims=(("a", 3), ("b", 3)),
-                              enable_batchnorm=True)
-        config = ModelConfig(encoders=encoders, fusion=fusion)
+        config = ModelConfig(encoders=encoders, fusion=FusionConfig(enable_batchnorm=True),
+                             sequence_length=4)
         store = init_model_params(config, 19)
         rng = generator(20, "w")
         windows = {name: rng.normal(size=(3, 4, 3)) for name, _ in encoders}
@@ -359,24 +460,22 @@ class TestTrainingLoss:
         assert preds.shape == (6, 2)
         assert np.all((preds > -1.0) & (preds < 1.0))
 
-    def test_mismatched_sequence_lengths_rejected(self):
-        from affectseq.errors import ConfigError
-        encoders = (
-            ("a", EncoderConfig(input_dim=3, hidden_units=(3,), sequence_length=4)),
-            ("b", EncoderConfig(input_dim=3, hidden_units=(3,), sequence_length=6)),
-        )
-        with pytest.raises(ConfigError, match="sequence length"):
-            ModelConfig(encoders=encoders,
-                        fusion=FusionConfig(modality_dims=(("a", 3), ("b", 3))))
+    def test_wrong_length_rejected(self):
+        config, store = tiny_model(t=5)
+        windows = {name: np.zeros((2, 4, 3)) for name, _ in config.encoders}
+        with pytest.raises(DimensionError, match="T=4"):
+            predict_batch(store, config, windows)
+        with pytest.raises(DimensionError, match="T=4"):
+            training_loss(windows, np.zeros((2, 2)), store, config)
 
 
 def cell_model(cell, units, seed=0, t=4, d=3, **fusion_kw):
     encoders = tuple(
-        (name, EncoderConfig(input_dim=d, hidden_units=units, cell_kind=cell, sequence_length=t))
+        (name, EncoderConfig(input_dim=d, hidden_units=units, cell_kind=cell))
         for name in ("a", "b")
     )
-    fusion = FusionConfig(modality_dims=(("a", units[-1]), ("b", units[-1])), **fusion_kw)
-    config = ModelConfig(encoders=encoders, fusion=fusion)
+    fusion = FusionConfig(**fusion_kw)
+    config = ModelConfig(encoders=encoders, fusion=fusion, sequence_length=t)
     store = init_model_params(config, seed)
     if fusion.enable_batchnorm:
         rng = generator(seed, "bn-stats")
@@ -410,7 +509,7 @@ class TestConstantForward:
 
     def test_predict_batch_builds_no_graph(self, monkeypatch):
         config, store, windows = cell_model("lstm", (4, 3), seed=32, enable_batchnorm=True,
-                                            enable_dropout=True)
+                                            dropout_rate=0.5)
         built = []
         init = ad.Var.__init__
 

@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 
 import oracles
 from affectseq import autodiff as ad
-from affectseq.errors import ConfigError, DataError, DimensionError, DomainError
+from affectseq.errors import ConfigError, DimensionError, DomainError
 from affectseq.numerics import ParamStore, grad_check
 from affectseq.rng import generator
 from affectseq.seqmodel import (
-    BatchNormState,
     EncoderConfig,
-    batch_norm_graph,
     encode_batch_graph,
     gru_step_graph,
     init_encoder_params,
@@ -100,8 +98,7 @@ class TestLstmCell:
         np.testing.assert_allclose(h, 0.5 * np.tanh(0.5 * v), atol=1e-15)
 
     def test_forget_bias_initialized_to_one(self):
-        config = EncoderConfig(input_dim=2, hidden_units=(3,), cell_kind="lstm",
-                               sequence_length=4)
+        config = EncoderConfig(input_dim=2, hidden_units=(3,), cell_kind="lstm")
         store = make_encoder(config)
         np.testing.assert_array_equal(store.value("enc.m.l0.b_f"), np.ones(3))
         np.testing.assert_array_equal(store.value("enc.m.l0.b_i"), np.zeros(3))
@@ -111,7 +108,7 @@ class TestDropout:
     """Inverted dropout on each layer's input inside ``encode_batch_graph``."""
 
     def _config(self, rate, **kw):
-        base = dict(input_dim=3, hidden_units=(4, 3), sequence_length=5, dropout_rate=rate)
+        base = dict(input_dim=3, hidden_units=(4, 3), dropout_rate=rate)
         base.update(kw)
         return EncoderConfig(**base)
 
@@ -143,7 +140,7 @@ class TestDropout:
         # batch: the gradient reads the masks back out of the graph. The
         # per-entry bound is a max over 1000 entries, so the trial count
         # leaves the [0.9, 1.1] window several sigma of headroom.
-        config = EncoderConfig(input_dim=1000, hidden_units=(1,), sequence_length=1,
+        config = EncoderConfig(input_dim=1000, hidden_units=(1,),
                                dropout_rate=0.5)
         store = make_encoder(config)
         for name in store.names():
@@ -165,12 +162,12 @@ class TestEncodeSequence:
     """``encode_batch_graph`` over [B, T, D] windows."""
 
     def _config(self, **kw):
-        base = dict(input_dim=3, hidden_units=(4,), cell_kind="gru", sequence_length=5)
+        base = dict(input_dim=3, hidden_units=(4,), cell_kind="gru")
         base.update(kw)
         return EncoderConfig(**base)
 
     def test_t1_equals_single_step(self):
-        config = self._config(sequence_length=1)
+        config = self._config()
         store = make_encoder(config, seed=2)
         x = np.array([[[0.3, -0.2, 0.8]], [[1.0, 0.5, -0.1]]])
         h = encode_batch_graph(x, config, leaves_of(store), "enc.m").value
@@ -197,7 +194,7 @@ class TestEncodeSequence:
         np.testing.assert_array_equal(run(), run())
 
     def test_unroll_matches_manual_steps(self):
-        config = self._config(sequence_length=3)
+        config = self._config()
         store = make_encoder(config, seed=4)
         seqs = generator(2, "seq").normal(size=(3, 3, 3))
         p = oracles.cell_params(store, "enc.m.l0")
@@ -210,7 +207,7 @@ class TestEncodeSequence:
                 np.testing.assert_allclose(out[i], h, atol=1e-15)
 
     def test_two_layer_lstm_matches_manual(self):
-        config = self._config(cell_kind="lstm", hidden_units=(4, 2), sequence_length=4)
+        config = self._config(cell_kind="lstm", hidden_units=(4, 2))
         store = make_encoder(config, seed=5)
         seqs = generator(3, "seq").normal(size=(3, 4, 3))
         p0 = oracles.cell_params(store, "enc.m.l0")
@@ -225,15 +222,9 @@ class TestEncodeSequence:
                     h1, cc1 = oracles.lstm_step(h0, h1, cc1, p1)
                 np.testing.assert_allclose(out[i], h1, atol=1e-15)
 
-    def test_wrong_length_rejected(self):
-        config = self._config()
-        store = make_encoder(config)
-        with pytest.raises(DimensionError):
-            encode_batch_graph(np.zeros((1, 4, 3)), config, leaves_of(store), "enc.m")
-
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
     def test_batched_graph_matches_pure_path(self, kind):
-        config = self._config(cell_kind=kind, hidden_units=(4, 3), sequence_length=6)
+        config = self._config(cell_kind=kind, hidden_units=(4, 3))
         store = make_encoder(config, seed=6)
         seqs = generator(4, "seqs").normal(size=(5, 6, 3))
         batched = encode_batch_graph(seqs, config, leaves_of(store), "enc.m").value
@@ -262,8 +253,7 @@ class TestEncodeSequence:
 class TestEncoderGradients:
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
     def test_two_layer_gradcheck(self, kind):
-        config = EncoderConfig(input_dim=4, hidden_units=(3, 3), cell_kind=kind,
-                               sequence_length=5)
+        config = EncoderConfig(input_dim=4, hidden_units=(3, 3), cell_kind=kind)
         store = make_encoder(config, seed=7)
         seqs = generator(5, "seqs").normal(size=(2, 5, 4))
         probe = generator(6, "probe").normal(size=(2, 3))
@@ -279,103 +269,6 @@ class TestEncoderGradients:
             return float(out.value)
 
         assert grad_check(loss, store, eps=1e-5) < 1e-4
-
-
-def batch_norm(x, state, mode):
-    return ad.value(batch_norm_graph(x, state, state.gamma, state.beta, mode))
-
-
-class TestBatchNorm:
-    def _state(self, f=3, **kw):
-        return BatchNormState(
-            gamma=np.ones(f), beta=np.zeros(f),
-            running_mean=np.zeros(f), running_var=np.ones(f), **kw,
-        )
-
-    def test_identity_on_standardized_batch(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(64, 3))
-        x = (x - x.mean(axis=0)) / x.std(axis=0)
-        state = self._state(epsilon=1e-5)
-        out = batch_norm(x, state, "train")
-        assert np.max(np.abs(out - x)) < 1e-4
-
-    def test_constant_column_collapses_to_beta(self):
-        state = self._state()
-        state.beta = np.full(3, 0.3)
-        out = batch_norm(np.full((8, 3), 7.7), state, "train")
-        np.testing.assert_allclose(out, 0.3, atol=1e-12)
-
-    def test_running_stats_match_hand_ema(self):
-        state = self._state(momentum=0.9)
-        rng = np.random.default_rng(1)
-        b1 = rng.normal(size=(16, 3))
-        b2 = rng.normal(size=(16, 3))
-        batch_norm(b1, state, "train")
-        batch_norm(b2, state, "train")
-        mean = 0.9 * (0.9 * 0.0 + 0.1 * b1.mean(axis=0)) + 0.1 * b2.mean(axis=0)
-        var = 0.9 * (0.9 * 1.0 + 0.1 * b1.var(axis=0)) + 0.1 * b2.var(axis=0)
-        np.testing.assert_allclose(state.running_mean, mean, atol=1e-12)
-        np.testing.assert_allclose(state.running_var, var, atol=1e-12)
-
-    def test_train_output_moments(self):
-        # Output variance is gamma^2 * v/(v+eps): the 1e-6 bound needs the
-        # input variance to dominate epsilon, hence the scale-10 draws.
-        rng = np.random.default_rng(2)
-        state = self._state()
-        state.gamma = np.array([2.0, 0.5, 1.0])
-        state.beta = np.array([1.0, -1.0, 0.0])
-        for batch in (16, 64, 256):
-            out = batch_norm(rng.normal(2.0, 10.0, size=(batch, 3)), state, "train")
-            np.testing.assert_allclose(out.mean(axis=0), state.beta, atol=1e-9)
-            np.testing.assert_allclose(out.var(axis=0), state.gamma ** 2, atol=1e-6)
-
-    def test_degenerate_train_batch_rejected(self):
-        with pytest.raises(DataError):
-            batch_norm(np.ones((1, 3)), self._state(), "train")
-
-    def test_eval_uses_batch_stats_by_default(self):
-        state = self._state()
-        x = np.array([[1.0, 10.0, -3.0], [3.0, 12.0, -1.0]])
-        out = batch_norm(x, state, "eval")
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-12)
-
-    def test_eval_with_running_stats(self):
-        state = self._state(use_batch_stats_at_inference=False)
-        state.running_mean = np.array([1.0, 2.0, 3.0])
-        state.running_var = np.array([4.0, 4.0, 4.0])
-        x = np.array([[1.0, 2.0, 3.0]])
-        out = batch_norm(x, state, "eval")
-        np.testing.assert_allclose(out, 0.0, atol=1e-9)
-
-    def test_graph_matches_apply_and_gradchecks(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(8, 3))
-        store = ParamStore()
-        store.add("g", rng.normal(1.0, 0.1, size=3))
-        store.add("b", rng.normal(size=3))
-        probe = rng.normal(size=(8, 3))
-
-        def fresh_state(s):
-            return BatchNormState(gamma=s.value("g"), beta=s.value("b"),
-                                  running_mean=np.zeros(3), running_var=np.ones(3))
-
-        for batch in (2, 8):
-            out = batch_norm_graph(x[:batch], fresh_state(store), ad.Var(store.value("g")),
-                                   ad.Var(store.value("b")), "train")
-            direct = oracles.batch_norm_train(x[:batch], store.value("g"), store.value("b"), 1e-5)
-            np.testing.assert_allclose(out.value, direct, atol=1e-12)
-
-        def loss(s):
-            g, b = ad.Var(s.value("g")), ad.Var(s.value("b"))
-            y = batch_norm_graph(x, fresh_state(s), g, b, "train")
-            total = ad.sum_all(ad.mul(y, probe))
-            ad.backward(total)
-            s.grad("g")[...] += g.grad
-            s.grad("b")[...] += b.grad
-            return float(total.value)
-
-        assert grad_check(loss, store) < 1e-4
 
 
 class TestEncoderConfig:

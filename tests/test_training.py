@@ -68,6 +68,21 @@ class TestRegularizedTraining:
         for name in a.store.names():
             np.testing.assert_array_equal(a.store.value(name), b.store.value(name))
 
+    def test_zero_rate_turns_dropout_off_under_any_profile(self, tmp_path, dataset):
+        # run3 presets enable_dropout = true; a zero rate still means no
+        # dropout, so the run trains exactly like batch norm alone.
+        artifacts = []
+        for run, extra in enumerate(("profile = run3\ndropout_rate = 0\n",
+                                     "enable_batchnorm = true\nenable_dropout = false\n")):
+            result = train_run(make_config(tmp_path, dataset, extra))
+            out = tmp_path / f"run{run}"
+            out.mkdir()
+            result.store.save(out / "model.ckpt")
+            write_training_log(result.logs, out / "training_log.csv")
+            artifacts.append([(out / name).read_bytes()
+                              for name in ("model.ckpt", "training_log.csv")])
+        assert artifacts[0] == artifacts[1]
+
     def test_run2_trains_on_fraction(self, tmp_path, dataset):
         cfg = make_config(tmp_path, dataset, "profile = run2\n")
         result = train_run(cfg)
