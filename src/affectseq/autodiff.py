@@ -12,6 +12,15 @@ builds no graph. ``value`` reads the array behind either kind of result.
 Graphs are built per forward pass and thrown away; call ``backward`` at
 most once per graph. Elementwise ops follow numpy broadcasting; matrix
 ops are restricted to the 2-D forms the models here need.
+
+Besides the generic ops below, :mod:`affectseq.seqmodel` builds two
+custom nodes through ``_node``: ``gru_sequence`` and ``lstm_sequence``
+each run a whole recurrent layer over T steps as one node with a
+hand-written backward (backpropagation through time). Built from the
+generic ops, a layer would take about ten nodes per step, each holding
+its own temporaries and visited one at a time by ``backward``; the fused
+node keeps only the gate activations and states its backward needs, and
+computes each weight gradient as one matrix product over all steps.
 """
 
 from __future__ import annotations
@@ -45,9 +54,12 @@ def value(x) -> np.ndarray:
 
 
 def _accum(var: Var, g: np.ndarray) -> None:
+    # A copy, because later gradients are added to it in place and g may
+    # be a view of an array its grad_fn keeps (a sequence node's memo).
     if var.grad is None:
-        var.grad = np.zeros_like(var.value)
-    var.grad += g
+        var.grad = np.array(g, dtype=np.float64)
+    else:
+        var.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -118,18 +130,13 @@ def linear(x, w, b=None):
 
 
 def sigmoid(x):
-    vx = value(x)
-    out = np.empty_like(vx)
-    pos = vx >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-vx[pos]))
-    ex = np.exp(vx[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """0.5 * (1 + tanh(x / 2)): no overflow and no branches. It differs from
+    1 / (1 + exp(-x)) by at most one float64 epsilon, which in the far
+    negative tail, where values fall below 1e-9, is a large relative error."""
+    out = np.tanh(0.5 * value(x))
+    out += 1.0
+    out *= 0.5
     return _node(out, (x, lambda g: g * out * (1.0 - out)))
-
-
-def tanh(x):
-    out = np.tanh(value(x))
-    return _node(out, (x, lambda g: g * (1.0 - out * out)))
 
 
 def safe_log(x, floor: float = 1e-12):
@@ -182,6 +189,21 @@ def concat_cols(parts: Sequence):
     return _node(np.concatenate(values, axis=1),
                  *((p, lambda g, lo=lo, hi=hi: g[:, lo:hi])
                    for p, lo, hi in zip(parts, bounds[:-1], bounds[1:])))
+
+
+def last_step(x):
+    """The last step x[:, -1] of a [B, T, F] sequence, as a [B, F] copy that
+    does not keep the sequence alive."""
+    vx = value(x)
+    if vx.ndim != 3:
+        raise DimensionError(f"last_step expects a [B, T, F] sequence, got shape {vx.shape}")
+
+    def grad(g):
+        full = np.zeros(vx.shape)
+        full[:, -1] = g
+        return full
+
+    return _node(vx[:, -1].copy(), (x, grad))
 
 
 def sum_all(x):

@@ -113,8 +113,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# manifest keys that synth flags set, and those flags
-_SYNTH_FLAGS = {"modalities": "--modalities", "validation_movies": "--validation"}
+# SynthSpec and manifest keys that synth flags set, and those flags
+_SYNTH_FLAGS = {"num_movies": "--movies", "length": "--length", "noise": "--noise",
+                "lag": "--lag", "noise_overrides": "--noise-override",
+                "modalities": "--modalities", "validation_movies": "--validation"}
 
 
 def _cmd_synth(args) -> int:
@@ -140,16 +142,16 @@ def _cmd_synth(args) -> int:
         except ValueError:
             raise DataError(
                 f"--noise-override: {chunk!r} must be name:level, level a number") from None
-    spec = SynthSpec(
-        num_movies=args.movies,
-        length=args.length,
-        modalities=tuple(modalities),
-        noise=args.noise,
-        noise_overrides=tuple(overrides),
-        lag=args.lag,
-        validation_movies=validation,
-    )
     try:
+        spec = SynthSpec(
+            num_movies=args.movies,
+            length=args.length,
+            modalities=tuple(modalities),
+            noise=args.noise,
+            noise_overrides=tuple(overrides),
+            lag=args.lag,
+            validation_movies=validation,
+        )
         manifest = synth_generate(spec, args.out, args.seed)
     except ConfigError as exc:
         if exc.key not in _SYNTH_FLAGS:

@@ -449,12 +449,18 @@ def split_dataset(manifest: DatasetManifest, seed: int,
 
 
 def batch_indices(n: int, batch_size: int, order: np.ndarray | None = None) -> Iterator[np.ndarray]:
-    """Chunk 0..n-1 (or a given order) into ceil(n/batch_size) batches."""
+    """Chunk 0..n-1 (or a given order) into consecutive batches of
+    ``batch_size``. A one-window remainder (n = 1 mod batch_size) joins the
+    batch before it, so no batch holds a single window unless n == 1 or
+    batch_size == 1: train-mode batch norm needs two."""
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
     idx = np.arange(n) if order is None else np.asarray(order)
-    for start in range(0, n, batch_size):
-        yield idx[start: start + batch_size]
+    starts = list(range(0, n, batch_size))
+    if n % batch_size == 1 and len(starts) > 1:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        yield idx[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -476,16 +482,19 @@ class SynthSpec:
     train_fraction: float = 1.0
 
     def __post_init__(self):
-        if self.num_movies < 1 or self.length < 1:
-            raise ConfigError("synth needs num_movies >= 1 and length >= 1")
-        if self.noise < 0 or self.lag < 0:
-            raise ConfigError("noise and lag must be >= 0")
+        for key in ("num_movies", "length"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1", key=key)
+        for key in ("noise", "lag"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0", key=key)
         names = {name for name, _ in self.modalities}
         for name, level in self.noise_overrides:
             if name not in names:
-                raise ConfigError(f"noise override for unknown modality {name!r}")
+                raise ConfigError(f"noise override for unknown modality {name!r}",
+                                  key="noise_overrides")
             if level < 0:
-                raise ConfigError("noise levels must be >= 0")
+                raise ConfigError("noise levels must be >= 0", key="noise_overrides")
 
     def noise_for(self, modality: str) -> float:
         for name, level in self.noise_overrides:

@@ -19,6 +19,19 @@ never on the recurrent connection, and uses the inverted convention so
 evaluation is the identity; a rate of 0 turns it off. The window length
 T is a model setting (:class:`affectseq.model.ModelConfig`), not an
 encoder one: an encoder unrolls whatever T its batch has.
+
+Each layer is one fused op, ``gru_sequence`` or ``lstm_sequence``, and
+one autodiff node for the whole window, after Appleyard et al.
+(arXiv:1604.01946). The per-gate U and b are stacked per call, so each
+step does a single h @ U.T for all gates; the input projections x_t @ W.T
+are hoisted out of the recurrence into GEMMs over blocks of steps. The
+backward pass is hand-written backpropagation through time: one reverse
+loop over the steps for the pre-activation gradients, then every weight
+gradient is one GEMM over all B*T rows. The parameters keep their
+per-gate names (``<prefix>.l<layer>.W_z`` ... ``b_o``), so
+``affectseq-params v1`` checkpoints load unchanged. With constant inputs
+and parameters (prediction) the ops keep no per-step state for a
+backward pass.
 """
 
 from __future__ import annotations
@@ -84,33 +97,201 @@ def init_encoder_params(store: ParamStore, prefix: str, config: EncoderConfig,
             store.add(f"{base}.b_{gate}", bias)
 
 
-# Batched, differentiable paths used by training and prediction. Inputs
+# Batched, differentiable paths used by training and prediction. Windows
 # are constants; parameters come in as leaf Vars for training or as plain
-# arrays for prediction, which then builds no graph.
+# arrays for prediction, which then builds no graph and keeps no per-step
+# state. Inside the fused ops time runs along the first axis ([T, B, .]);
+# pre-activation gradients are kept in window order ([B, T, .]), the row
+# order of the [B, T, D] input, for the GEMMs after the time loop.
 
-def gru_step_graph(x, h_prev, cell: Mapping[str, ad.Var]) -> ad.Var:
-    z = ad.sigmoid(ad.add(ad.linear(x, cell["W_z"], cell["b_z"]), ad.linear(h_prev, cell["U_z"])))
-    r = ad.sigmoid(ad.add(ad.linear(x, cell["W_r"], cell["b_r"]), ad.linear(h_prev, cell["U_r"])))
-    gated = ad.mul(r, h_prev)
-    hc = ad.tanh(ad.add(ad.linear(x, cell["W_h"], cell["b_h"]), ad.linear(gated, cell["U_h"])))
-    keep = ad.scale_shift(z, -1.0, 1.0)
-    return ad.add(ad.mul(keep, h_prev), ad.mul(z, hc))
+# Input rows projected per block of steps (see _input_steps).
+_BLOCK_BYTES = 1 << 20
 
 
-def lstm_step_graph(x, h_prev, c_prev, cell: Mapping[str, ad.Var]) -> tuple[ad.Var, ad.Var]:
-    i = ad.sigmoid(ad.add(ad.linear(x, cell["W_i"], cell["b_i"]), ad.linear(h_prev, cell["U_i"])))
-    f = ad.sigmoid(ad.add(ad.linear(x, cell["W_f"], cell["b_f"]), ad.linear(h_prev, cell["U_f"])))
-    o = ad.sigmoid(ad.add(ad.linear(x, cell["W_o"], cell["b_o"]), ad.linear(h_prev, cell["U_o"])))
-    g = ad.tanh(ad.add(ad.linear(x, cell["W_g"], cell["b_g"]), ad.linear(h_prev, cell["U_g"])))
-    c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    return ad.mul(o, ad.tanh(c)), c
+def _stack(cell: Mapping, kind: str, gates: tuple[str, ...]) -> np.ndarray:
+    """The ``kind`` ("W", "U" or "b") parameters of ``gates``, stacked in that order."""
+    return np.concatenate([ad.value(cell[f"{kind}_{gate}"]) for gate in gates])
+
+
+def _input_steps(x, cell: Mapping, gates: tuple[str, ...]):
+    """x_t @ W.T + b of every step t of a [B, T, D] input, as [B, G*H]
+    arrays in time order.
+
+    Steps are projected a block at a time, one [B*c, D] GEMM per gate, with
+    c steps of input (all T when D is small) fitting in ``_BLOCK_BYTES``.
+    At the wide feature widths (D ~ 2000) a stacked copy of W and the
+    whole [B*T, G*H] projection would otherwise be the largest arrays the
+    prediction path allocates.
+    """
+    vx = ad.value(x)
+    ws = [ad.value(cell[f"W_{gate}"]) for gate in gates]
+    if vx.ndim != 3 or vx.shape[2] != ws[0].shape[1]:
+        raise DimensionError(f"sequence input {vx.shape} incompatible with "
+                             f"gate weights {ws[0].shape}")
+    batch, steps, dim = vx.shape
+    b = _stack(cell, "b", gates)
+    width = ws[0].shape[0]
+    block = max(1, _BLOCK_BYTES // (8 * batch * dim))
+
+    def blocks():
+        for t0 in range(0, steps, block):
+            rows = vx[:, t0:t0 + block].reshape(-1, dim)
+            proj = np.empty((rows.shape[0], b.size))
+            for k, w in enumerate(ws):
+                proj[:, k * width:(k + 1) * width] = rows @ w.T
+            del rows
+            proj += b
+            yield from proj.reshape(batch, -1, b.size).transpose(1, 0, 2)
+
+    return blocks()
+
+
+def _rows(seq: np.ndarray) -> np.ndarray:
+    """A [T, B, F] array as [B*T, F] rows in window order."""
+    return seq.transpose(1, 0, 2).reshape(-1, seq.shape[2])
+
+
+def _input_grads(d_pre: np.ndarray, x, cell: Mapping,
+                 gates: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """Gradients of the stacked W and b, and of ``x`` when it is a Var, from
+    the [B, T, G*H] pre-activation gradients: one GEMM each over B*T rows."""
+    rows = d_pre.reshape(-1, d_pre.shape[2])
+    vx = ad.value(x)
+    grads = {"W": rows.T @ vx.reshape(rows.shape[0], -1), "b": rows.sum(axis=0)}
+    if isinstance(x, ad.Var):
+        grads["x"] = (rows @ _stack(cell, "W", gates)).reshape(vx.shape)
+    return grads
+
+
+def _sequence_node(out: np.ndarray, x, cell: Mapping, gates: tuple[str, ...], bptt):
+    """The op's result: one node over ``x`` and every gate parameter.
+
+    ``bptt(g)`` returns the stacked gradients ``"W"``, ``"U"``, ``"b"`` (and
+    ``"x"`` when ``x`` is a Var). The first grad_fn that ``backward`` calls
+    runs it; each grad_fn then reads its gate's rows of the result.
+    """
+    width = ad.value(cell[f"U_{gates[0]}"]).shape[1]
+    memo: dict[str, np.ndarray] = {}
+
+    def grad_fn(kind: str, k: int | None = None):
+        def fn(g):
+            if not memo:
+                memo.update(bptt(g))
+            grad = memo[kind]
+            return grad if k is None else grad[k * width:(k + 1) * width]
+        return fn
+
+    return ad._node(out, (x, grad_fn("x")),
+                    *((cell[f"{kind}_{gate}"], grad_fn(kind, k))
+                      for k, gate in enumerate(gates) for kind in ("W", "U", "b")))
+
+
+def _tracks_grad(x, cell: Mapping) -> bool:
+    return any(isinstance(v, ad.Var) for v in (x, *cell.values()))
+
+
+def gru_sequence(x, cell: Mapping):
+    """GRU states [B, T, H] over a [B, T, D] input from a zero initial
+    state, as one node; ``cell`` maps ``W_z`` ... ``b_h`` to the layer's
+    parameters."""
+    u = _stack(cell, "U", GRU_GATES)
+    inputs = _input_steps(x, cell, GRU_GATES)
+    batch, steps = ad.value(x).shape[:2]
+    width = u.shape[1]
+    u_zr, u_h = u[:2 * width], u[2 * width:]
+    keep = _tracks_grad(x, cell)
+    hs = np.zeros((steps + 1, batch, width))
+    acts = np.empty((steps, batch, 3 * width)) if keep else None  # z, r, hc
+    for t, xw in enumerate(inputs):
+        h = hs[t]
+        zr = ad.sigmoid(xw[:, :2 * width] + h @ u_zr.T)
+        z, r = zr[:, :width], zr[:, width:]
+        hc = np.tanh(xw[:, 2 * width:] + (r * h) @ u_h.T)
+        hs[t + 1] = (1.0 - z) * h + z * hc
+        if keep:
+            acts[t, :, :2 * width] = zr
+            acts[t, :, 2 * width:] = hc
+
+    def bptt(g):
+        d_pre = np.empty((batch, steps, 3 * width))
+        dh = np.zeros((batch, width))
+        for t in reversed(range(steps)):
+            h = hs[t]
+            z, r, hc = (acts[t, :, k * width:(k + 1) * width] for k in range(3))
+            dh = dh + g[:, t]
+            d = d_pre[:, t]
+            d[:, 2 * width:] = dh * z * (1.0 - hc * hc)
+            d_rh = d[:, 2 * width:] @ u_h
+            d[:, :width] = dh * (hc - h) * z * (1.0 - z)
+            d[:, width:2 * width] = d_rh * h * r * (1.0 - r)
+            dh = dh * (1.0 - z) + d_rh * r + d[:, :2 * width] @ u_zr
+        grads = _input_grads(d_pre, x, cell, GRU_GATES)
+        rows = d_pre.reshape(-1, 3 * width)
+        prev = _rows(hs[:-1])
+        gated = _rows(acts[:, :, width:2 * width] * hs[:-1])
+        grads["U"] = np.concatenate([rows[:, :2 * width].T @ prev,
+                                     rows[:, 2 * width:].T @ gated])
+        return grads
+
+    return _sequence_node(hs[1:].transpose(1, 0, 2), x, cell, GRU_GATES, bptt)
+
+
+# The LSTM stacks its sigmoid gates first so one sigmoid covers them.
+_LSTM_STACK = ("i", "f", "o", "g")
+
+
+def lstm_sequence(x, cell: Mapping):
+    """LSTM states h [B, T, H] over a [B, T, D] input from zero initial
+    states, as one node; ``cell`` maps ``W_i`` ... ``b_o`` to the layer's
+    parameters."""
+    u = _stack(cell, "U", _LSTM_STACK)
+    inputs = _input_steps(x, cell, _LSTM_STACK)
+    batch, steps = ad.value(x).shape[:2]
+    width = u.shape[1]
+    keep = _tracks_grad(x, cell)
+    hs = np.zeros((steps + 1, batch, width))
+    cs = np.zeros((steps + 1, batch, width)) if keep else None
+    acts = np.empty((steps, batch, 4 * width)) if keep else None  # i, f, o, g
+    c = np.zeros((batch, width))
+    for t, xw in enumerate(inputs):
+        pre = xw + hs[t] @ u.T
+        ifo = ad.sigmoid(pre[:, :3 * width])
+        g = np.tanh(pre[:, 3 * width:])
+        c = ifo[:, width:2 * width] * c + ifo[:, :width] * g
+        hs[t + 1] = ifo[:, 2 * width:] * np.tanh(c)
+        if keep:
+            acts[t, :, :3 * width] = ifo
+            acts[t, :, 3 * width:] = g
+            cs[t + 1] = c
+
+    def bptt(grad):
+        d_pre = np.empty((batch, steps, 4 * width))
+        dh = np.zeros((batch, width))
+        dc = np.zeros((batch, width))
+        for t in reversed(range(steps)):
+            i, f, o, g = (acts[t, :, k * width:(k + 1) * width] for k in range(4))
+            tc = np.tanh(cs[t + 1])
+            dh = dh + grad[:, t]
+            dc = dc + dh * o * (1.0 - tc * tc)
+            d = d_pre[:, t]
+            d[:, :width] = dc * g * i * (1.0 - i)
+            d[:, width:2 * width] = dc * cs[t] * f * (1.0 - f)
+            d[:, 2 * width:3 * width] = dh * tc * o * (1.0 - o)
+            d[:, 3 * width:] = dc * i * (1.0 - g * g)
+            dc = dc * f
+            dh = d @ u
+        grads = _input_grads(d_pre, x, cell, _LSTM_STACK)
+        grads["U"] = d_pre.reshape(-1, 4 * width).T @ _rows(hs[:-1])
+        return grads
+
+    return _sequence_node(hs[1:].transpose(1, 0, 2), x, cell, _LSTM_STACK, bptt)
 
 
 def encode_batch_graph(seqs: np.ndarray, config: EncoderConfig,
                        leaves: Mapping[str, ad.Var], prefix: str,
                        mode: str = "eval",
                        mask_rng: np.random.Generator | None = None):
-    """Differentiable unroll of a [B, T, D] batch; returns the final h [B, H]."""
+    """Differentiable encoder over a [B, T, D] batch; returns the final h [B, H]."""
     seqs = np.asarray(seqs, dtype=np.float64)
     batch, steps, dim = seqs.shape
     if dim != config.input_dim:
@@ -121,26 +302,15 @@ def encode_batch_graph(seqs: np.ndarray, config: EncoderConfig,
         raise ConfigError("train-mode dropout needs a generator")
 
     gates = GRU_GATES if config.cell_kind == "gru" else LSTM_GATES
-    inputs = [seqs[:, t, :] for t in range(steps)]
+    sequence = gru_sequence if config.cell_kind == "gru" else lstm_sequence
+    states = seqs
     for layer in range(config.num_layers):
-        cell = {}
-        for gate in gates:
-            for kind in ("W", "U", "b"):
-                key = f"{kind}_{gate}"
-                cell[key] = leaves[f"{prefix}.l{layer}.{key}"]
-        width = config.hidden_units[layer]
-        h = np.zeros((batch, width))
-        c = np.zeros((batch, width))
-        outputs = []
-        for x in inputs:
-            if train and config.dropout_rate > 0.0:
-                mask = (mask_rng.random((batch, config.layer_input_dim(layer)))
-                        >= config.dropout_rate) / (1.0 - config.dropout_rate)
-                x = ad.mul(x, mask)
-            if config.cell_kind == "gru":
-                h = gru_step_graph(x, h, cell)
-            else:
-                h, c = lstm_step_graph(x, h, c, cell)
-            outputs.append(h)
-        inputs = outputs
-    return h
+        if train and config.dropout_rate > 0.0:
+            # One [T, B, D] draw gives the values of T successive [B, D] draws.
+            draw = mask_rng.random((steps, batch, config.layer_input_dim(layer)))
+            mask = (draw >= config.dropout_rate) / (1.0 - config.dropout_rate)
+            states = ad.mul(states, mask.transpose(1, 0, 2))
+        cell = {f"{kind}_{gate}": leaves[f"{prefix}.l{layer}.{kind}_{gate}"]
+                for gate in gates for kind in ("W", "U", "b")}
+        states = sequence(states, cell)
+    return ad.last_step(states)

@@ -41,12 +41,19 @@ def lstm_step(x, h, c, p):
     return o * np.tanh(c), c
 
 
-def encode(seq, config, store, prefix):
-    """Eval-mode unroll of one T x D sequence; returns the top layer's final h."""
+def encode(seq, config, store, prefix, masks=None):
+    """Unroll of one T x D sequence; returns the top layer's final h.
+
+    ``masks`` (train mode) holds one T x D_layer array per layer that
+    multiplies that layer's inputs step by step; without it this is eval
+    mode.
+    """
     inputs = list(seq)
     for layer, width in enumerate(config.hidden_units):
         p = cell_params(store, f"{prefix}.l{layer}")
         h, c = np.zeros(width), np.zeros(width)
+        if masks is not None:
+            inputs = [x * m for x, m in zip(inputs, masks[layer])]
         outputs = []
         for x in inputs:
             if config.cell_kind == "gru":

@@ -76,8 +76,12 @@ class TestExitCodes:
         (["smooth", "--cutoff", "1.5"], "--cutoff"),
         (["synth", "--validation", "zzz"], "--validation"),
         (["synth", "--modalities", "audio:0"], "--modalities"),
+        (["synth", "--movies", "0"], "--movies"),
+        (["synth", "--length", "0"], "--length"),
+        (["synth", "--noise-override", "audio:-1"], "--noise-override"),
     ], ids=["synth-modalities", "synth-noise-override", "smooth-weights", "smooth-order",
-            "smooth-cutoff", "synth-validation", "synth-modality-dim"])
+            "smooth-cutoff", "synth-validation", "synth-modality-dim", "synth-movies",
+            "synth-length", "synth-negative-noise-override"])
     def test_malformed_flag_is_exit_2(self, workspace, tmp_path, capsys, argv, flag):
         # smooth reads real prediction files, so only the flag can be at fault
         where = (["--out", str(tmp_path / "o")] if argv[0] == "synth" else

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affectseq.dataio import (
     DatasetManifest,
@@ -182,14 +184,25 @@ class TestWindowing:
         with pytest.raises(DataError, match="m001"):
             window_sequences(feats, None, 3)
 
-    @pytest.mark.parametrize("n,batch,expected", [(600, 512, 2), (512, 512, 1),
-                                                  (513, 512, 2), (100, 512, 1)])
-    def test_batch_partition_counts(self, n, batch, expected):
+    @pytest.mark.parametrize("n,batch,sizes", [(600, 512, [512, 88]), (512, 512, [512]),
+                                               (513, 512, [513]), (100, 512, [100]),
+                                               (17, 8, [8, 9]), (1, 8, [1]), (3, 1, [1, 1, 1])])
+    def test_batch_partition_sizes(self, n, batch, sizes):
+        # A one-window remainder joins the batch before it.
         chunks = list(batch_indices(n, batch))
-        assert len(chunks) == expected == int(np.ceil(n / batch))
-        assert sum(len(c) for c in chunks) == n
-        if expected > 1:
-            assert all(len(c) == batch for c in chunks[:-1])
+        assert [len(c) for c in chunks] == sizes
+        np.testing.assert_array_equal(np.concatenate(chunks), np.arange(n))
+
+    @given(st.integers(0, 2000), st.integers(1, 600), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_batches_partition_order_without_singletons(self, n, batch, seed):
+        order = np.random.default_rng(seed).permutation(n)
+        chunks = list(batch_indices(n, batch, order))
+        np.testing.assert_array_equal(np.concatenate([np.arange(0)] + chunks), order)
+        sizes = [len(c) for c in chunks]
+        assert all(size == batch for size in sizes[:-1])
+        if n > 1 and batch > 1:
+            assert min(sizes) >= 2 and sizes[-1] <= batch + 1
 
 
 class TestManifestAndSplit:

@@ -11,9 +11,9 @@ from affectseq.rng import generator
 from affectseq.seqmodel import (
     EncoderConfig,
     encode_batch_graph,
-    gru_step_graph,
+    gru_sequence,
     init_encoder_params,
-    lstm_step_graph,
+    lstm_sequence,
 )
 
 
@@ -27,6 +27,10 @@ def zero_cell(h, d, kind="gru", forget_bias=0.0):
     return cell
 
 
+def random_cell(h, d, kind, rng):
+    return {k: rng.normal(size=v.shape) for k, v in zero_cell(h, d, kind).items()}
+
+
 def make_encoder(config, seed=0, prefix="enc.m"):
     store = ParamStore()
     init_encoder_params(store, prefix, config, generator(seed, "init"))
@@ -37,35 +41,54 @@ def leaves_of(store):
     return {n: ad.Var(store.value(n)) for n in store.names()}
 
 
-def gru_step(x, h_prev, cell):
-    """One step of the graph op on [B, D] / [B, H] rows."""
-    return ad.value(gru_step_graph(x, h_prev, cell))
-
-
-def lstm_step(x, h_prev, c_prev, cell):
-    h, c = lstm_step_graph(x, h_prev, c_prev, cell)
-    return ad.value(h), ad.value(c)
+SEQUENCE_OPS = {"gru": gru_sequence, "lstm": lstm_sequence}
 
 
 class TestGruCell:
+    """The GRU cell equations through ``gru_sequence``. A state other than
+    zero needs a step to write it, so the cases about the previous state
+    run two steps."""
+
+    def test_one_step_matches_oracle(self):
+        rng = np.random.default_rng(0)
+        cell = random_cell(4, 3, "gru", rng)
+        x = rng.normal(size=(5, 1, 3))
+        hs = gru_sequence(x, cell)
+        assert hs.shape == (5, 1, 4)
+        for i in range(5):
+            np.testing.assert_allclose(hs[i, 0], oracles.gru_step(x[i, 0], np.zeros(4), cell),
+                                       atol=1e-15)
+
     def test_zero_weights_halve_state(self):
-        v = np.array([[0.3, -0.8, 0.5], [1.0, 0.0, -2.0]])
-        h = gru_step(np.zeros((2, 2)), v, zero_cell(3, 2))
-        np.testing.assert_allclose(h, 0.5 * v, atol=1e-15)
+        # Step 1 writes a state through W_h alone. With every other weight
+        # and bias zero, z = 1/2 and a zero input gives hc = 0, so step 2
+        # halves the state.
+        cell = zero_cell(3, 2)
+        cell["W_h"] = np.array([[0.3, -0.8], [1.0, 0.5], [-2.0, 0.1]])
+        x = np.array([[[1.0, 0.5], [0.0, 0.0]], [[-0.4, 2.0], [0.0, 0.0]]])
+        hs = gru_sequence(x, cell)
+        assert np.all(hs[:, 0] != 0.0)
+        np.testing.assert_allclose(hs[:, 0], [oracles.gru_step(v, np.zeros(3), cell)
+                                              for v in x[:, 0]], atol=1e-15)
+        np.testing.assert_allclose(hs[:, 1], 0.5 * hs[:, 0], atol=1e-15)
 
     def test_zero_everything(self):
-        h = gru_step(np.zeros((1, 2)), np.zeros((1, 3)), zero_cell(3, 2))
-        np.testing.assert_array_equal(h, np.zeros((1, 3)))
+        hs = gru_sequence(np.zeros((1, 1, 2)), zero_cell(3, 2))
+        np.testing.assert_array_equal(hs, np.zeros((1, 1, 3)))
 
     def test_saturated_update_gate_forgets_state(self):
+        # z = sigmoid(50) takes the candidate wholesale: step 1 writes
+        # tanh(W_h x), step 2's zero input has candidate 0 and wipes it.
         cell = zero_cell(3, 2)
         cell["b_z"] = np.full(3, 50.0)
-        h = gru_step(np.ones((1, 2)), np.array([[0.9, -0.7, 0.2]]), cell)
-        np.testing.assert_allclose(h, np.zeros((1, 3)), atol=1e-20)
+        cell["W_h"] = np.array([[0.9, 0.0], [-0.7, 0.0], [0.2, 0.0]])
+        hs = gru_sequence(np.array([[[1.0, 1.0], [0.0, 0.0]]]), cell)
+        assert np.all(np.abs(hs[0, 0]) > 0.1)
+        np.testing.assert_allclose(hs[:, 1], np.zeros((1, 3)), atol=1e-20)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            gru_step(np.zeros((1, 4)), np.zeros((1, 3)), zero_cell(3, 2))
+            gru_sequence(np.zeros((1, 1, 4)), zero_cell(3, 2))
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -75,33 +98,87 @@ class TestGruCell:
         # stay moderate because float64 tanh rounds to exactly 1.0 once the
         # pre-activation passes ~19.
         rng = np.random.default_rng(seed)
-        cell = {k: rng.normal(scale=1.0, size=v.shape)
-                for k, v in zero_cell(4, 3).items()}
-        h = np.zeros((2, 4))
-        for _ in range(20):
-            h = gru_step(rng.normal(scale=2.0, size=(2, 3)), h, cell)
-            assert np.all(np.abs(h) < 1.0)
+        cell = random_cell(4, 3, "gru", rng)
+        hs = gru_sequence(rng.normal(scale=2.0, size=(2, 20, 3)), cell)
+        assert np.all(np.abs(hs) < 1.0)
 
 
 class TestLstmCell:
+    """The LSTM cell equations through ``lstm_sequence``; the cell state is
+    read through the next step's output."""
+
+    def test_one_step_matches_oracle(self):
+        rng = np.random.default_rng(1)
+        cell = random_cell(4, 3, "lstm", rng)
+        x = rng.normal(size=(5, 1, 3))
+        hs = lstm_sequence(x, cell)
+        assert hs.shape == (5, 1, 4)
+        for i in range(5):
+            h, _ = oracles.lstm_step(x[i, 0], np.zeros(4), np.zeros(4), cell)
+            np.testing.assert_allclose(hs[i, 0], h, atol=1e-15)
+
     def test_zero_params_zero_state(self):
-        h, c = lstm_step(np.zeros((1, 2)), np.zeros((1, 3)), np.zeros((1, 3)),
-                         zero_cell(3, 2, "lstm", forget_bias=0.0))
-        np.testing.assert_array_equal(h, np.zeros((1, 3)))
-        np.testing.assert_array_equal(c, np.zeros((1, 3)))
+        hs = lstm_sequence(np.zeros((1, 2, 2)), zero_cell(3, 2, "lstm", forget_bias=0.0))
+        np.testing.assert_array_equal(hs, np.zeros((1, 2, 3)))
 
     def test_zero_params_half_cell(self):
-        v = np.array([[0.6, -1.2, 0.1], [2.0, 0.0, -0.4]])
-        h, c = lstm_step(np.zeros((2, 2)), np.zeros((2, 3)), v,
-                         zero_cell(3, 2, "lstm", forget_bias=0.0))
-        np.testing.assert_allclose(c, 0.5 * v, atol=1e-15)
-        np.testing.assert_allclose(h, 0.5 * np.tanh(0.5 * v), atol=1e-15)
+        # Step 1 writes a cell state c through W_g alone; with every other
+        # weight and bias zero, i = f = o = 1/2 and a zero input gives g = 0,
+        # so step 2 halves the cell state: h = tanh(c / 2) / 2.
+        cell = zero_cell(3, 2, "lstm", forget_bias=0.0)
+        cell["W_g"] = np.array([[0.6, -1.0], [2.0, 0.1], [0.3, -0.4]])
+        x = np.array([[[1.0, 0.5], [0.0, 0.0]], [[-0.3, 1.5], [0.0, 0.0]]])
+        hs = lstm_sequence(x, cell)
+        for i in range(2):
+            h, c = oracles.lstm_step(x[i, 0], np.zeros(3), np.zeros(3), cell)
+            assert np.all(c != 0.0)
+            np.testing.assert_allclose(hs[i, 0], h, atol=1e-15)
+            np.testing.assert_allclose(hs[i, 1], 0.5 * np.tanh(0.5 * c), atol=1e-15)
 
     def test_forget_bias_initialized_to_one(self):
         config = EncoderConfig(input_dim=2, hidden_units=(3,), cell_kind="lstm")
         store = make_encoder(config)
         np.testing.assert_array_equal(store.value("enc.m.l0.b_f"), np.ones(3))
         np.testing.assert_array_equal(store.value("enc.m.l0.b_i"), np.zeros(3))
+
+
+class TestSequenceOps:
+    """``gru_sequence`` / ``lstm_sequence`` as autodiff nodes."""
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    @pytest.mark.parametrize("batch, steps", [(1, 4), (3, 1), (2, 5)])
+    def test_gradcheck(self, kind, batch, steps):
+        # The input is a leaf too and every step's state is probed, so the
+        # input gradient and each step's own output gradient are checked.
+        rng = np.random.default_rng(2)
+        store = ParamStore()
+        store.add("x", rng.normal(size=(batch, steps, 3)))
+        for name, value in random_cell(4, 3, kind, rng).items():
+            store.add(name, 0.5 * value)
+        probe = rng.normal(size=(batch, steps, 4))
+
+        def loss(s):
+            leaves = leaves_of(s)
+            x = leaves.pop("x")
+            out = ad.sum_all(ad.mul(SEQUENCE_OPS[kind](x, leaves), probe))
+            ad.backward(out)
+            for n, leaf in {**leaves, "x": x}.items():
+                s.grad(n)[...] += leaf.grad
+            return float(out.value)
+
+        assert grad_check(loss, store, eps=1e-5) < 1e-4
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    def test_one_node_per_call(self, kind):
+        rng = np.random.default_rng(3)
+        cell = random_cell(4, 3, kind, rng)
+        x = rng.normal(size=(2, 6, 3))
+        graph = SEQUENCE_OPS[kind](x, {k: ad.Var(v) for k, v in cell.items()})
+        assert isinstance(graph, ad.Var) and len(graph._parents) == len(cell)
+        assert all(p._parents == () for p in graph._parents)
+        const = SEQUENCE_OPS[kind](x, cell)
+        assert type(const) is np.ndarray
+        np.testing.assert_array_equal(const, graph.value)
 
 
 class TestDropout:
@@ -172,7 +249,9 @@ class TestEncodeSequence:
         x = np.array([[[0.3, -0.2, 0.8]], [[1.0, 0.5, -0.1]]])
         h = encode_batch_graph(x, config, leaves_of(store), "enc.m").value
         cell = oracles.cell_params(store, "enc.m.l0")
-        np.testing.assert_array_equal(h, gru_step(x[:, 0], np.zeros((2, 4)), cell))
+        for i in range(2):
+            np.testing.assert_allclose(h[i], oracles.gru_step(x[i, 0], np.zeros(4), cell),
+                                       atol=1e-15)
 
     def test_eval_deterministic_with_dropout_rate(self):
         config = self._config(dropout_rate=0.5)
@@ -250,17 +329,44 @@ class TestEncodeSequence:
         assert not np.array_equal(run(1), eval_out)
 
 
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    def test_train_dropout_matches_oracle_with_per_step_masks(self, kind):
+        config = self._config(cell_kind=kind, hidden_units=(4, 3), dropout_rate=0.5)
+        store = make_encoder(config, seed=10)
+        seqs = generator(11, "seqs").normal(size=(5, 6, 3))
+        out = encode_batch_graph(seqs, config, leaves_of(store), "enc.m", mode="train",
+                                 mask_rng=generator(12, "d")).value
+        # The masks in the order a per-step unroll draws them: layer by
+        # layer, one [B, D] draw per step.
+        rng = generator(12, "d")
+        masks = [np.stack([(rng.random((5, d)) >= 0.5) / 0.5 for _ in range(6)], axis=1)
+                 for d in (3, 4)]
+        for i in range(5):
+            np.testing.assert_allclose(
+                out[i], oracles.encode(seqs[i], config, store, "enc.m", [m[i] for m in masks]),
+                atol=1e-14)
+
+
 class TestEncoderGradients:
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
-    def test_two_layer_gradcheck(self, kind):
-        config = EncoderConfig(input_dim=4, hidden_units=(3, 3), cell_kind=kind)
+    @pytest.mark.parametrize("batch, steps, hidden, rate", [
+        (2, 5, (3, 3), 0.0), (1, 5, (3, 3), 0.0), (2, 1, (3, 3), 0.0), (2, 4, (3,), 0.0),
+        (2, 5, (3, 3), 0.4),
+    ], ids=["two-layer", "b1", "t1", "one-layer", "train-dropout"])
+    def test_gradcheck(self, kind, batch, steps, hidden, rate):
+        # Train-mode dropout draws its masks from a fresh generator with a
+        # fixed seed on every call, so the loss is deterministic.
+        config = EncoderConfig(input_dim=4, hidden_units=hidden, cell_kind=kind,
+                               dropout_rate=rate)
         store = make_encoder(config, seed=7)
-        seqs = generator(5, "seqs").normal(size=(2, 5, 4))
-        probe = generator(6, "probe").normal(size=(2, 3))
+        seqs = generator(5, "seqs").normal(size=(batch, steps, 4))
+        probe = generator(6, "probe").normal(size=(batch, hidden[-1]))
+        mode = "train" if rate > 0.0 else "eval"
 
         def loss(s):
             leaves = {n: ad.Var(s.value(n)) for n in s.names()}
-            h = encode_batch_graph(seqs, config, leaves, "enc.m")
+            h = encode_batch_graph(seqs, config, leaves, "enc.m", mode=mode,
+                                   mask_rng=generator(8, "dropout"))
             out = ad.sum_all(ad.mul(h, probe))
             ad.backward(out)
             for n, leaf in leaves.items():

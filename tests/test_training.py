@@ -91,6 +91,21 @@ class TestRegularizedTraining:
         assert result.validation_movies == ("m002",)
 
 
+class TestBatchComposition:
+    @pytest.mark.parametrize("length, batch_size", [(17, 8), (513, 64)])
+    def test_one_window_remainder_trains_under_batch_norm(self, tmp_path, length, batch_size):
+        # One movie gives one window per second, so length = 1 (mod
+        # batch_size) would leave a one-window batch, which train-mode batch
+        # norm refuses.
+        data = tmp_path / "data"
+        synth_generate(SynthSpec(num_movies=1, length=length, modalities=(("audio", 3),)),
+                       data, seed=1)
+        cfg = make_config(tmp_path, data, f"profile = run3\nbatch_size = {batch_size}\n",
+                          epochs=1)
+        result = train_run(cfg)
+        assert np.isfinite(result.logs[0].train_loss)
+
+
 class TestEarlyStopping:
     def test_requires_validation_split(self, tmp_path, tmp_path_factory):
         root = tmp_path_factory.mktemp("noval")
