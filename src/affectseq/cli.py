@@ -24,6 +24,7 @@ from .dataio import (
     SynthSpec,
     load_dataset,
     load_prediction_dir,
+    parse_pairs,
     save_prediction_dir,
     split_dataset,
     synth_generate,
@@ -120,37 +121,15 @@ _SYNTH_FLAGS = {"num_movies": "--movies", "length": "--length", "noise": "--nois
 
 
 def _cmd_synth(args) -> int:
-    validation = tuple(v.strip() for v in args.validation.split(",") if v.strip())
-    modalities = []
-    for chunk in args.modalities.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        name, _, dim = chunk.partition(":")
-        try:
-            modalities.append((name.strip(), int(dim)))
-        except ValueError:
-            raise DataError(f"--modalities: {chunk!r} must be name:dim, dim an integer") from None
-    overrides = []
-    for chunk in args.noise_override.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        name, _, level = chunk.partition(":")
-        try:
-            overrides.append((name.strip(), float(level)))
-        except ValueError:
-            raise DataError(
-                f"--noise-override: {chunk!r} must be name:level, level a number") from None
     try:
         spec = SynthSpec(
             num_movies=args.movies,
             length=args.length,
-            modalities=tuple(modalities),
+            modalities=parse_pairs(args.modalities, int, "modalities"),
             noise=args.noise,
-            noise_overrides=tuple(overrides),
+            noise_overrides=parse_pairs(args.noise_override, float, "noise_overrides"),
             lag=args.lag,
-            validation_movies=validation,
+            validation_movies=tuple(v.strip() for v in args.validation.split(",") if v.strip()),
         )
         manifest = synth_generate(spec, args.out, args.seed)
     except ConfigError as exc:

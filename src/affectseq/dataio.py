@@ -7,8 +7,13 @@ On-disk layout, rooted at the directory holding ``manifest.txt``:
     annotations/<movie_id>.csv            header: movie_id,t,valence,arousal
 
 Seconds are strictly consecutive integers from 0; gaps are errors, never
-interpolated. Ingest accepts decimal or hexadecimal float literals;
-round-trip dumps write hexadecimal so values survive bitwise.
+interpolated. Every track CSV goes through one reader (``load_features``
+and ``load_predictions`` are its public faces) and one writer,
+``write_track``. Ingest accepts decimal float literals, or hexadecimal
+ones with their ``0x`` prefix; the writer emits each value as its
+shortest round-trip decimal (``repr``), which reads back bit for bit.
+``parse_pairs`` reads the ``name:value`` lists of manifests and
+``synth`` flags.
 """
 
 from __future__ import annotations
@@ -26,89 +31,46 @@ from .rng import generator
 FEATURES_DIR = "features"
 ANNOTATIONS_DIR = "annotations"
 MANIFEST_NAME = "manifest.txt"
+AFFECT_COLUMNS = ("valence", "arousal")
 
 
 def _parse_float(token: str, where: str) -> float:
     try:
         return float(token)
     except ValueError:
+        pass
+    if "0x" in token.lower():  # float.fromhex alone would read "1e" as 30.0
         try:
             return float.fromhex(token)
         except ValueError:
-            raise DataError(f"{where}: bad float literal {token!r}") from None
+            pass
+    raise DataError(f"{where}: bad float literal {token!r}")
 
 
-def _format_float(value: float, hex_floats: bool) -> str:
-    return float(value).hex() if hex_floats else repr(float(value))
-
-
-@dataclass(frozen=True)
-class FeatureTrack:
-    """One movie, one modality: a 1 Hz sequence of D-dim feature vectors."""
-
-    movie_id: str
-    modality: str
-    values: np.ndarray  # [L, D]
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
-            raise DataError(f"feature track {self.movie_id}/{self.modality} must be [L>=1, D>=1]")
-        if not np.all(np.isfinite(values)):
-            raise DataError(f"feature track {self.movie_id}/{self.modality} has non-finite values")
-
-    @property
-    def length(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class AnnotationTrack:
-    """Per-second (valence, arousal) ground truth for one movie."""
-
-    movie_id: str
-    values: np.ndarray  # [L, 2]
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 2 or values.shape[1] != 2 or values.shape[0] < 1:
-            raise DataError(f"annotation track {self.movie_id} must be [L>=1, 2]")
-        if not np.all(np.isfinite(values)):
-            raise DataError(f"annotation track {self.movie_id} has non-finite values")
-
-    @property
-    def length(self) -> int:
-        return self.values.shape[0]
-
-
-def _read_track_rows(path: Path, expected_header: list[str] | None,
-                     value_count: int | None) -> tuple[list[str], list[list[float]], str]:
+def _read_track(path: Path, columns: tuple[str, ...] | None) -> tuple[str, np.ndarray]:
+    """(movie id, [L, C] values) of one track CSV; ``columns`` None means
+    ``f0..f{C-1}`` with C taken from the header."""
     if not path.exists():
         raise DataError(f"missing file: {path}")
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
         raise DataError(f"{path}: empty file")
     header = lines[0].split(",")
-    if expected_header is not None and header[: len(expected_header)] != expected_header:
-        raise DataError(f"{path}: header {lines[0]!r} does not start with {','.join(expected_header)!r}")
-    if value_count is None:
-        value_count = len(header) - 2
-    if len(header) != value_count + 2:
-        raise DataError(f"{path}: header declares {len(header) - 2} value columns, expected {value_count}")
+    if columns is None:
+        columns = tuple(f"f{i}" for i in range(len(header) - 2))
+    expected = ["movie_id", "t", *columns]
+    if header != expected:
+        raise DataError(f"{path}: header {lines[0]!r} is not {','.join(expected)!r}")
+    if not columns:
+        raise DataError(f"{path}: no value columns")
     movie_id = None
     rows: list[list[float]] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         fields = line.split(",")
-        if len(fields) != value_count + 2:
-            raise DataError(f"{path}:{lineno}: expected {value_count + 2} fields, got {len(fields)}")
+        if len(fields) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
         if movie_id is None:
             movie_id = fields[0]
         elif fields[0] != movie_id:
@@ -126,55 +88,38 @@ def _read_track_rows(path: Path, expected_header: list[str] | None,
         rows.append(values)
     if not rows:
         raise DataError(f"{path}: no data rows (empty movie)")
-    return header, rows, movie_id
+    return movie_id, np.array(rows)
 
 
-def load_features(path, modality: str | None = None) -> FeatureTrack:
-    """Read one feature CSV; the dimensionality comes from the header."""
-    path = Path(path)
-    header, rows, movie_id = _read_track_rows(path, ["movie_id", "t"], None)
-    dim = len(header) - 2
-    if header[2:] != [f"f{i}" for i in range(dim)]:
-        raise DataError(f"{path}: feature columns must be named f0..f{dim - 1}")
-    if modality is None:
-        modality = path.parent.name
-    return FeatureTrack(movie_id=movie_id, modality=modality, values=np.array(rows))
+def load_features(path) -> tuple[str, np.ndarray]:
+    """(movie id, [L, D] values) of one feature CSV; D comes from the header."""
+    return _read_track(Path(path), None)
 
 
-def save_features(track: FeatureTrack, path, hex_floats: bool = True) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    header = "movie_id,t," + ",".join(f"f{i}" for i in range(track.dim))
-    lines = [header]
-    for t in range(track.length):
-        vals = ",".join(_format_float(v, hex_floats) for v in track.values[t])
-        lines.append(f"{track.movie_id},{t},{vals}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def load_predictions(path) -> tuple[str, np.ndarray]:
+    """(movie id, [L, 2] values) of one annotation or prediction CSV."""
+    return _read_track(Path(path), AFFECT_COLUMNS)
 
 
-def load_annotations(path, value_range: tuple[float, float] | None = None) -> AnnotationTrack:
-    path = Path(path)
-    _, rows, movie_id = _read_track_rows(path, ["movie_id", "t", "valence", "arousal"], 2)
-    values = np.array(rows)
-    if value_range is not None:
-        lo, hi = value_range
-        if np.any(values < lo) or np.any(values > hi):
-            raise DataError(f"{path}: annotation outside declared range [{lo}, {hi}]")
-    return AnnotationTrack(movie_id=movie_id, values=values)
-
-
-def save_annotations(track: AnnotationTrack, path, hex_floats: bool = False) -> None:
+def write_track(path, movie_id: str, values, columns: tuple[str, ...] | None = None) -> None:
+    """Write one track CSV, each value as its shortest round-trip decimal;
+    ``columns`` None names the value columns ``f0..f{C-1}``."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
+        raise DataError(f"track {movie_id} must be [L>=1, C>=1], got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"track {movie_id} has non-finite values")
+    if columns is None:
+        columns = tuple(f"f{i}" for i in range(values.shape[1]))
+    if len(columns) != values.shape[1]:
+        raise DataError(f"track {movie_id} has {values.shape[1]} value columns, "
+                        f"expected {len(columns)}")
+    lines = ["movie_id,t," + ",".join(columns)]
+    for t, row in enumerate(values):
+        lines.append(f"{movie_id},{t}," + ",".join(map(repr, row.tolist())))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["movie_id,t,valence,arousal"]
-    for t in range(track.length):
-        v, a = track.values[t]
-        lines.append(f"{track.movie_id},{t},{_format_float(v, hex_floats)},{_format_float(a, hex_floats)}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-load_predictions = load_annotations
-save_predictions = save_annotations
 
 
 def load_prediction_dir(directory) -> dict[str, np.ndarray]:
@@ -185,15 +130,14 @@ def load_prediction_dir(directory) -> dict[str, np.ndarray]:
     paths = sorted(directory.glob("*.csv"))
     if not paths:
         raise DataError(f"no track files in {directory}")
-    return {track.movie_id: track.values for track in map(load_predictions, paths)}
+    return dict(map(load_predictions, paths))
 
 
 def save_prediction_dir(preds: Mapping[str, np.ndarray], directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for movie in sorted(preds):
-        save_predictions(AnnotationTrack(movie_id=movie, values=preds[movie]),
-                         directory / f"{movie}.csv")
+        write_track(directory / f"{movie}.csv", movie, preds[movie], AFFECT_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -211,8 +155,9 @@ class DatasetManifest:
         names = [m for m, _ in self.movies]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate movie ids in movies", key="movies")
-        if not self.modalities:
-            raise ConfigError("modalities needs at least one entry", key="modalities")
+        for key in ("modalities", "movies"):
+            if not getattr(self, key):
+                raise ConfigError(f"{key} needs at least one entry", key=key)
         if any(d < 1 for _, d in self.modalities):
             raise ConfigError("dims in modalities must be >= 1", key="modalities")
         if any(length < 1 for _, length in self.movies):
@@ -256,57 +201,53 @@ def _parse_kv_lines(path: Path) -> dict[str, str]:
     return out
 
 
+def _number(kind: type, raw: str, key: str):
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"bad value {raw!r} in {key}", key=key) from None
+
+
+def parse_pairs(text: str, kind: type, key: str) -> tuple[tuple[str, int | float], ...]:
+    """The ``name:value`` entries of a comma list, each value read by
+    ``kind``; blank entries are skipped. Errors carry ``key``."""
+    items = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        name, sep, raw = chunk.partition(":")
+        if not sep:
+            raise ConfigError(f"entry {chunk!r} in {key} must be name:value", key=key)
+        items.append((name.strip(), _number(kind, raw, key)))
+    return tuple(items)
+
+
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     kv = _parse_kv_lines(path)
     allowed = {"modalities", "movies", "annotation_range", "validation_movies", "train_fraction"}
-    unknown = set(kv) - allowed
-    if unknown:
-        raise ConfigError(f"{path}: unknown manifest keys: {sorted(unknown)}")
-    for required in ("modalities", "movies"):
-        if required not in kv:
-            raise ConfigError(f"{path}: missing required key {required!r}")
-
-    def number(kind: type, key: str, raw: str):
-        try:
-            return kind(raw)
-        except ValueError:
-            raise ConfigError(f"{path}: bad value {raw!r} in {key}") from None
-
-    def pairs(key: str) -> tuple[tuple[str, int], ...]:
-        items = []
-        for chunk in kv[key].split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if ":" not in chunk:
-                raise ConfigError(f"{path}: entry {chunk!r} in {key} must be name:count")
-            name, _, count = chunk.partition(":")
-            items.append((name.strip(), number(int, key, count)))
-        if not items:
-            raise ConfigError(f"{path}: key {key} is empty")
-        return tuple(items)
-
-    annotation_range = (-1.0, 1.0)
-    if "annotation_range" in kv:
-        parts = [p.strip() for p in kv["annotation_range"].split(",")]
-        if len(parts) != 2:
-            raise ConfigError(f"{path}: annotation_range must be 'lo, hi'")
-        annotation_range = tuple(number(float, "annotation_range", p) for p in parts)
-    validation = tuple(
-        p.strip() for p in kv.get("validation_movies", "").split(",") if p.strip()
-    )
-    parsed = dict(
-        modalities=pairs("modalities"),
-        movies=pairs("movies"),
-        annotation_range=annotation_range,
-        validation_movies=validation,
-        train_fraction=number(float, "train_fraction", kv.get("train_fraction", "1.0")),
-    )
     try:
-        return DatasetManifest(root=path.parent, **parsed)
+        unknown = set(kv) - allowed
+        if unknown:
+            raise ConfigError(f"unknown manifest keys: {sorted(unknown)}")
+        for required in ("modalities", "movies"):
+            if required not in kv:
+                raise ConfigError(f"missing required key {required!r}", key=required)
+        bounds = kv.get("annotation_range", "-1.0, 1.0").split(",")
+        if len(bounds) != 2:
+            raise ConfigError("annotation_range must be 'lo, hi'", key="annotation_range")
+        return DatasetManifest(
+            root=path.parent,
+            modalities=parse_pairs(kv["modalities"], int, "modalities"),
+            movies=parse_pairs(kv["movies"], int, "movies"),
+            annotation_range=tuple(_number(float, b.strip(), "annotation_range") for b in bounds),
+            validation_movies=tuple(
+                p.strip() for p in kv.get("validation_movies", "").split(",") if p.strip()),
+            train_fraction=_number(float, kv.get("train_fraction", "1.0"), "train_fraction"),
+        )
     except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{path}: {exc}", key=exc.key) from None
 
 
 def save_manifest(manifest: DatasetManifest, path=None) -> Path:
@@ -331,24 +272,28 @@ def load_dataset(manifest: DatasetManifest, with_annotations: bool = True):
     """
     features: dict[str, dict[str, np.ndarray]] = {}
     annotations: dict[str, np.ndarray] = {}
+    lo, hi = manifest.annotation_range
     for movie, length in manifest.movies:
         per_mod: dict[str, np.ndarray] = {}
         for modality, dim in manifest.modalities:
-            track = load_features(manifest.feature_path(modality, movie), modality)
-            if track.movie_id != movie:
-                raise DataError(f"{manifest.feature_path(modality, movie)}: movie id "
-                                f"{track.movie_id!r} does not match file location")
-            if track.dim != dim:
-                raise DataError(f"{movie}/{modality}: dim {track.dim} != manifest {dim}")
-            if track.length != length:
-                raise DataError(f"{movie}/{modality}: length {track.length} != manifest {length}")
-            per_mod[modality] = track.values
+            path = manifest.feature_path(modality, movie)
+            movie_id, values = load_features(path)
+            if movie_id != movie:
+                raise DataError(f"{path}: movie id {movie_id!r} does not match file location")
+            if values.shape[1] != dim:
+                raise DataError(f"{movie}/{modality}: dim {values.shape[1]} != manifest {dim}")
+            if len(values) != length:
+                raise DataError(f"{movie}/{modality}: length {len(values)} != manifest {length}")
+            per_mod[modality] = values
         features[movie] = per_mod
         if with_annotations:
-            anno = load_annotations(manifest.annotation_path(movie), manifest.annotation_range)
-            if anno.length != length:
-                raise DataError(f"{movie}: annotation length {anno.length} != manifest {length}")
-            annotations[movie] = anno.values
+            path = manifest.annotation_path(movie)
+            _, values = load_predictions(path)
+            if np.any(values < lo) or np.any(values > hi):
+                raise DataError(f"{path}: annotation outside declared range [{lo}, {hi}]")
+            if len(values) != length:
+                raise DataError(f"{movie}: annotation length {len(values)} != manifest {length}")
+            annotations[movie] = values
     return features, annotations
 
 
@@ -503,10 +448,10 @@ class SynthSpec:
         return self.noise
 
 
-def _latent_trajectory(length: int, value_range: tuple[float, float],
+def _latent_trajectory(length: int, annotation_range: tuple[float, float],
                        rng: np.random.Generator) -> np.ndarray:
     """Smooth 2-D trajectory: a few low-frequency sinusoids, clipped to range."""
-    lo, hi = value_range
+    lo, hi = annotation_range
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     t = np.arange(length)
@@ -548,16 +493,13 @@ def synth_generate(spec: SynthSpec, out_dir, seed: int) -> DatasetManifest:
     for movie in movie_ids:
         latent = _latent_trajectory(spec.length, spec.annotation_range,
                                     generator(seed, f"latent-{movie}"))
-        save_annotations(AnnotationTrack(movie_id=movie, values=latent),
-                         out_dir / ANNOTATIONS_DIR / f"{movie}.csv")
+        write_track(out_dir / ANNOTATIONS_DIR / f"{movie}.csv", movie, latent, AFFECT_COLUMNS)
         lag_idx = np.maximum(np.arange(spec.length) - spec.lag, 0)
         base = np.concatenate([latent, latent[lag_idx]], axis=1)
         for name, dim in spec.modalities:
             noise = generator(seed, f"noise-{name}-{movie}").normal(
                 0.0, 1.0, size=(spec.length, dim))
             values = base @ lifts[name].T + spec.noise_for(name) * noise
-            save_features(FeatureTrack(movie_id=movie, modality=name, values=values),
-                          out_dir / FEATURES_DIR / name / f"{movie}.csv",
-                          hex_floats=False)
+            write_track(out_dir / FEATURES_DIR / name / f"{movie}.csv", movie, values)
     save_manifest(manifest)
     return manifest

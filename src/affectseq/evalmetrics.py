@@ -107,41 +107,20 @@ def evaluate_run(preds: Mapping[str, np.ndarray], annos: Mapping[str, np.ndarray
     _check_coverage(preds, annos)
     movies = sorted(annos)
     per_movie = {m: _movie_metrics(preds[m], annos[m]) for m in movies}
-
     if aggregation == "pooled":
         pred_all = np.concatenate([preds[m][: annos[m].shape[0]] for m in movies])
         anno_all = np.concatenate([annos[m] for m in movies])
-        pooled = _movie_metrics(pred_all, anno_all)
-        return EvalReport(
-            valence_mse=pooled["valence_mse"],
-            valence_pcc=pooled["valence_pcc"],
-            arousal_mse=pooled["arousal_mse"],
-            arousal_pcc=pooled["arousal_pcc"],
-            aggregation=aggregation,
-            per_movie=per_movie,
-            valence_pcc_undefined=sum(1 for m in movies if per_movie[m]["valence_pcc"] is UNDEFINED),
-            arousal_pcc_undefined=sum(1 for m in movies if per_movie[m]["arousal_pcc"] is UNDEFINED),
-        )
-
-    def macro(key: str) -> tuple[float | None, int]:
-        defined = [per_movie[m][key] for m in movies if per_movie[m][key] is not UNDEFINED]
-        skipped = len(movies) - len(defined)
-        if not defined:
-            return UNDEFINED, skipped
-        return float(np.mean(defined)), skipped
-
-    valence_pcc, v_skip = macro("valence_pcc")
-    arousal_pcc, a_skip = macro("arousal_pcc")
-    return EvalReport(
-        valence_mse=float(np.mean([per_movie[m]["valence_mse"] for m in movies])),
-        valence_pcc=valence_pcc,
-        arousal_mse=float(np.mean([per_movie[m]["arousal_mse"] for m in movies])),
-        arousal_pcc=arousal_pcc,
-        aggregation=aggregation,
-        per_movie=per_movie,
-        valence_pcc_undefined=v_skip,
-        arousal_pcc_undefined=a_skip,
-    )
+        headline = _movie_metrics(pred_all, anno_all)
+    else:
+        headline = {}
+        for key in per_movie[movies[0]]:
+            defined = [per_movie[m][key] for m in movies if per_movie[m][key] is not UNDEFINED]
+            headline[key] = float(np.mean(defined)) if defined else UNDEFINED
+    undefined = {key: sum(per_movie[m][key] is UNDEFINED for m in movies)
+                 for key in ("valence_pcc", "arousal_pcc")}
+    return EvalReport(**headline, aggregation=aggregation, per_movie=per_movie,
+                      valence_pcc_undefined=undefined["valence_pcc"],
+                      arousal_pcc_undefined=undefined["arousal_pcc"])
 
 
 def ensemble_average(runs: Sequence[Mapping[str, np.ndarray]]) -> dict[str, np.ndarray]:

@@ -105,27 +105,23 @@ def batch_norm_graph(x, leaves: Mapping[str, ad.Var], config: FusionConfig, mode
     running_mean = ad.value(leaves["fusion.bn.running_mean"])
     running_var = ad.value(leaves["fusion.bn.running_var"])
     eps = config.bn_epsilon
-    if mode == "train":
-        if ad.value(x).shape[0] < 2:
-            raise DataError("batch normalization needs B >= 2 in train mode")
+    if mode not in ("train", "eval"):
+        raise ConfigError(f"unknown mode: {mode!r}")
+    train = mode == "train"
+    if train and ad.value(x).shape[0] < 2:
+        raise DataError("batch normalization needs B >= 2 in train mode")
+    if train or config.use_batch_stats_at_inference:
         mu = ad.mean_axis0(x)
         centered = ad.sub(x, mu)
         var = ad.mean_axis0(ad.mul(centered, centered))
-        m = config.bn_momentum
-        running_mean[:] = m * running_mean + (1.0 - m) * ad.value(mu)[0]
-        running_var[:] = m * running_var + (1.0 - m) * ad.value(var)[0]
         xhat = ad.mul(centered, ad.rsqrt_shift(var, eps))
-    elif mode == "eval":
-        if config.use_batch_stats_at_inference:
-            mu = ad.mean_axis0(x)
-            centered = ad.sub(x, mu)
-            var = ad.mean_axis0(ad.mul(centered, centered))
-            xhat = ad.mul(centered, ad.rsqrt_shift(var, eps))
-        else:
-            inv = 1.0 / np.sqrt(running_var + eps)
-            xhat = ad.mul(ad.sub(x, running_mean.reshape(1, -1)), inv.reshape(1, -1))
+        if train:
+            m = config.bn_momentum
+            running_mean[:] = m * running_mean + (1.0 - m) * ad.value(mu)[0]
+            running_var[:] = m * running_var + (1.0 - m) * ad.value(var)[0]
     else:
-        raise ConfigError(f"unknown mode: {mode!r}")
+        inv = 1.0 / np.sqrt(running_var + eps)
+        xhat = ad.mul(ad.sub(x, running_mean.reshape(1, -1)), inv.reshape(1, -1))
     return ad.add(ad.mul(xhat, leaves["fusion.bn.gamma"]), leaves["fusion.bn.beta"])
 
 

@@ -75,13 +75,6 @@ def butter_design(order: int, cutoff: float) -> IIRCoefficients:
     return IIRCoefficients(b=b, a=a, order=order, cutoff=cutoff)
 
 
-def freq_response(coeffs: IIRCoefficients, omega: np.ndarray) -> np.ndarray:
-    """Complex response H(e^{i*omega}) on a radian frequency grid."""
-    omega = np.asarray(omega, dtype=np.float64)
-    zinv = np.exp(-1j * np.outer(omega, np.arange(coeffs.order + 1)))
-    return (zinv @ coeffs.b) / (zinv @ coeffs.a)
-
-
 def lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray,
             zi: np.ndarray | None = None) -> np.ndarray:
     """Direct-form (transposed) difference equation.

@@ -4,7 +4,8 @@ Each function restates an equation from the docstrings of
 ``affectseq.seqmodel`` and ``affectseq.fusion`` with column-vector
 products (``W @ x``), independently of the autodiff ops, so tests can
 check ``encode_batch_graph``, ``batch_norm_graph`` and
-``fusion_head_graph`` row by row against it.
+``fusion_head_graph`` row by row against it. ``freq_response``
+evaluates a designed filter's transfer function for the smoothing tests.
 """
 
 import numpy as np
@@ -91,3 +92,11 @@ def fusion_head(x, store, config):
     if config.cg2_position == "moe_input":
         return moe(context_gate(v, w2, b2), store)
     return context_gate(moe(v, store), w2, b2)
+
+
+def freq_response(coeffs, omega):
+    """Complex response H(e^{i*omega}) of ``IIRCoefficients`` on a radian
+    frequency grid."""
+    omega = np.asarray(omega, dtype=np.float64)
+    zinv = np.exp(-1j * np.outer(omega, np.arange(coeffs.order + 1)))
+    return (zinv @ coeffs.b) / (zinv @ coeffs.a)

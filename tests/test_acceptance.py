@@ -28,8 +28,9 @@ from affectseq.model import ModelConfig, init_model_params, training_loss
 from affectseq.numerics import ParamStore, grad_check
 from affectseq.rng import generator
 from affectseq.seqmodel import EncoderConfig
-from affectseq.smoothing import butter_design, filtfilt, freq_response
+from affectseq.smoothing import butter_design, filtfilt
 from affectseq.training import predict_tracks, train_run
+from oracles import freq_response
 
 
 @contextlib.contextmanager

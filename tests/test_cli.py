@@ -1,7 +1,13 @@
 """End-to-end command-line tests over a small synthetic dataset."""
 
+import contextlib
+import io
+import shutil
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affectseq.cli import main
 from affectseq.config import parse_config
@@ -143,6 +149,100 @@ class TestExitCodes:
         rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "numeric" in capsys.readouterr().err
+
+
+TRACK_FAULTS = ("header", "empty", "short_row", "token", "nan", "gap", "movie_id")
+# not numbers, though float.fromhex reads the first three as 2748, 30 and 255
+BAD_TOKENS = ("abc", "1e", "ff", "", "1.2.3", "0x", "n/a")
+
+
+def mangle_track(path, fault, row, col, token):
+    """Break one track CSV in place; returns the line number at fault, or
+    None when the fault is in the file as a whole."""
+    if fault == "empty":
+        path.write_text("")
+        return None
+    lines = path.read_text().splitlines()
+    if fault == "header":
+        lines[0] = lines[0].replace(",t,", ",sec,")
+        lineno = None
+    else:
+        fields = lines[row].split(",")
+        if fault == "short_row":
+            fields.pop()
+        elif fault in ("token", "nan"):
+            fields[2 + col] = token if fault == "token" else "nan"
+        elif fault == "gap":
+            fields[1] = str(int(fields[1]) + 1)
+        else:
+            fields[0] += "x"
+        lines[row] = ",".join(fields)
+        # the first data row sets the file's movie id, so a changed id there shows at the next
+        lineno = max(row, 2) + 1 if fault == "movie_id" else row + 1
+    path.write_text("\n".join(lines) + "\n")
+    return lineno
+
+
+def run_cli(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def assert_names_fault(rc, err, path, lineno):
+    assert rc == 2, err
+    assert str(path) in err, err
+    if lineno is not None:
+        assert f"{path}:{lineno}:" in err, err
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(workspace, tmp_path_factory):
+    """Parent of one fresh directory per example; holds the untrained
+    checkpoint of the workspace's configuration."""
+    root = tmp_path_factory.mktemp("fuzz")
+    init_model_params(parse_config(workspace / "run.cfg").model_config(), 0).save(
+        root / "model.ckpt")
+    return root
+
+
+class TestMalformedTracks:
+    """Every malformed feature or prediction CSV exits 2 naming the file,
+    and the line for a row fault, before anything is written."""
+
+    @given(fault=st.sampled_from(TRACK_FAULTS), row=st.integers(1, 49), col=st.integers(0, 2),
+           token=st.sampled_from(BAD_TOKENS))
+    @settings(max_examples=100, deadline=None)
+    def test_feature_csv_in_predict(self, workspace, fuzz_root, fault, row, col, token):
+        case = fuzz_root / f"predict-{len(list(fuzz_root.iterdir()))}"
+        shutil.copytree(workspace / "data", case / "data")
+        path = case / "data" / "features" / "audio" / "m001.csv"
+        lineno = mangle_track(path, fault, row, col, token)
+        cfg = case / "run.cfg"
+        cfg.write_text((workspace / "run.cfg").read_text().replace(
+            str(workspace / "data"), str(case / "data")))
+        rc, err = run_cli(["predict", "--config", str(cfg), "--checkpoint",
+                           str(fuzz_root / "model.ckpt"), "--out", str(case / "out")])
+        assert_names_fault(rc, err, path, lineno)
+        assert not (case / "out").exists()
+
+    @given(fault=st.sampled_from(TRACK_FAULTS), row=st.integers(1, 49), col=st.integers(0, 1),
+           token=st.sampled_from(BAD_TOKENS))
+    @settings(max_examples=100, deadline=None)
+    def test_prediction_csv_in_smooth_and_evaluate(self, workspace, fuzz_root, fault, row, col,
+                                                   token):
+        case = fuzz_root / f"tracks-{len(list(fuzz_root.iterdir()))}"
+        shutil.copytree(workspace / "data" / "annotations", case / "preds")
+        path = case / "preds" / "m001.csv"
+        lineno = mangle_track(path, fault, row, col, token)
+        for argv in (["smooth", "--predictions", str(case / "preds"), "--config",
+                      str(workspace / "run.cfg")],
+                     ["evaluate", "--predictions", str(case / "preds"), "--annotations",
+                      str(workspace / "data" / "annotations")]):
+            rc, err = run_cli([*argv, "--out", str(case / "out")])
+            assert_names_fault(rc, err, path, lineno)
+            assert not (case / "out").exists()
 
 
 class TestPipeline:

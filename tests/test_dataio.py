@@ -4,19 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affectseq.dataio import (
+    AFFECT_COLUMNS,
     DatasetManifest,
-    FeatureTrack,
     SynthSpec,
     batch_indices,
-    load_annotations,
     load_dataset,
     load_features,
     load_manifest,
-    save_features,
+    load_predictions,
+    parse_pairs,
     save_manifest,
     split_dataset,
     synth_generate,
     window_sequences,
+    write_track,
 )
 from affectseq.errors import ConfigError, DataError
 
@@ -35,9 +36,9 @@ def write_feature_csv(path, movie="m000", dim=2, rows=3, mangle=None):
 class TestLoadFeatures:
     def test_well_formed(self, tmp_path):
         path = write_feature_csv(tmp_path / "m000.csv", rows=2)
-        track = load_features(path, "audio")
-        assert track.length == 2 and track.dim == 2
-        assert track.movie_id == "m000" and track.modality == "audio"
+        movie_id, values = load_features(path)
+        assert values.shape == (2, 2)
+        assert movie_id == "m000"
 
     def test_ragged_row_names_line(self, tmp_path):
         def mangle(lines):
@@ -68,20 +69,62 @@ class TestLoadFeatures:
 
     def test_roundtrip_bitwise(self, tmp_path):
         rng = np.random.default_rng(0)
-        track = FeatureTrack("m007", "image", rng.normal(size=(11, 5)) * 1e-7)
-        save_features(track, tmp_path / "m007.csv")  # hex floats
-        loaded = load_features(tmp_path / "m007.csv", "image")
-        np.testing.assert_array_equal(loaded.values, track.values)
-        save_features(loaded, tmp_path / "again.csv")
+        values = rng.normal(size=(11, 5)) * 1e-7
+        write_track(tmp_path / "m007.csv", "m007", values)  # shortest round-trip decimals
+        movie_id, loaded = load_features(tmp_path / "m007.csv")
+        assert movie_id == "m007"
+        np.testing.assert_array_equal(loaded, values)
+        write_track(tmp_path / "again.csv", movie_id, loaded)
         assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "m007.csv").read_bytes()
 
+    def test_hex_literals_read_bitwise(self, tmp_path):
+        rng = np.random.default_rng(1)
+        values = rng.normal(size=(4, 3)) * 1e-7
+        lines = ["movie_id,t,f0,f1,f2"] + [
+            f"m001,{t}," + ",".join(v.hex() for v in row.tolist()) for t, row in enumerate(values)]
+        (tmp_path / "hex.csv").write_text("\n".join(lines) + "\n")
+        _, loaded = load_features(tmp_path / "hex.csv")
+        np.testing.assert_array_equal(loaded, values)
+
+    def test_header_must_name_columns(self, tmp_path):
+        path = write_feature_csv(tmp_path / "m000.csv")
+        path.write_text(path.read_text().replace("f1", "g1", 1))
+        with pytest.raises(DataError, match="f0,f1"):
+            load_features(path)
+        with pytest.raises(DataError, match="valence,arousal"):
+            load_predictions(path)
+
+    def test_writer_refuses_bad_tracks(self, tmp_path):
+        for values in (np.zeros((0, 2)), np.zeros(3), np.array([[0.0, np.inf]])):
+            with pytest.raises(DataError, match="m000"):
+                write_track(tmp_path / "m000.csv", "m000", values, AFFECT_COLUMNS)
+        with pytest.raises(DataError, match="columns"):
+            write_track(tmp_path / "m000.csv", "m000", np.zeros((2, 3)), AFFECT_COLUMNS)
+        assert not (tmp_path / "m000.csv").exists()
+
     def test_annotation_range_enforced(self, tmp_path):
-        path = tmp_path / "m000.csv"
-        path.write_text("movie_id,t,valence,arousal\nm000,0,0.5,1.4\n")
-        with pytest.raises(DataError, match="range"):
-            load_annotations(path, (-1.0, 1.0))
-        track = load_annotations(path)  # no declared range: accepted
-        assert track.length == 1
+        manifest = synth_generate(SynthSpec(num_movies=2, length=5), tmp_path, seed=1)
+        path = manifest.annotation_path("m001")
+        path.write_text("movie_id,t,valence,arousal\n" + "".join(
+            f"m001,{t},0.5,{1.4 if t == 3 else 0.0}\n" for t in range(5)))
+        with pytest.raises(DataError, match="range") as err:
+            load_dataset(manifest)
+        assert str(path) in str(err.value)
+        movie_id, values = load_predictions(path)  # the reader itself declares no range
+        assert movie_id == "m001" and values.shape == (5, 2)
+
+
+class TestParsePairs:
+    def test_values_and_blank_entries(self):
+        assert parse_pairs(" audio:8, ,image: 5,", int, "modalities") == (("audio", 8),
+                                                                          ("image", 5))
+        assert parse_pairs("", float, "noise_overrides") == ()
+
+    @pytest.mark.parametrize("text", ["audio", "audio:x", "audio:1.5"])
+    def test_bad_entry_names_key(self, text):
+        with pytest.raises(ConfigError, match="modalities") as err:
+            parse_pairs(text, int, "modalities")
+        assert err.value.key == "modalities"
 
 
 class TestWindowing:

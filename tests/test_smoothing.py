@@ -9,12 +9,12 @@ from affectseq.smoothing import (
     SmootherSpec,
     butter_design,
     filtfilt,
-    freq_response,
     lfilter,
     smooth_track,
     steady_state,
     weighted_moving_average,
 )
+from oracles import freq_response
 
 ORDERS = (1, 2, 3, 4)
 CUTOFFS = (0.05, 0.1, 0.25)
