@@ -7,13 +7,17 @@ On-disk layout, rooted at the directory holding ``manifest.txt``:
     annotations/<movie_id>.csv            header: movie_id,t,valence,arousal
 
 Seconds are strictly consecutive integers from 0; gaps are errors, never
-interpolated. Every track CSV goes through one reader (``load_features``
-and ``load_predictions`` are its public faces) and one writer,
-``write_track``. Ingest accepts decimal float literals, or hexadecimal
-ones with their ``0x`` prefix; the writer emits each value as its
-shortest round-trip decimal (``repr``), which reads back bit for bit.
-``parse_pairs`` reads the ``name:value`` lists of manifests and
-``synth`` flags.
+interpolated, and a track's movie id must match its file name. Every
+track CSV goes through one reader (``load_features`` and
+``load_predictions`` are its public faces) and one writer,
+``write_track``. Ingest accepts finite decimal float literals (``float()``
+syntax without ``_``), or hexadecimal ones with their ``0x`` prefix; the
+writer emits each value as its shortest round-trip decimal (``repr``),
+which reads back bit for bit. A track as the writer lays it out (rows
+``<id>,<t>,...`` with t written 0..L-1, finite decimals) is parsed in one
+``np.loadtxt`` pass; any other text is read line by line, which gives the
+same values and the ``<path>:<line>`` errors. ``parse_pairs`` reads the
+``name:value`` lists of manifests and ``synth`` flags.
 """
 
 from __future__ import annotations
@@ -35,15 +39,16 @@ AFFECT_COLUMNS = ("valence", "arousal")
 
 
 def _parse_float(token: str, where: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        pass
-    if "0x" in token.lower():  # float.fromhex alone would read "1e" as 30.0
+    if "_" not in token:  # float() reads digit groups: "1_0" would be 10.0
         try:
-            return float.fromhex(token)
+            return float(token)
         except ValueError:
             pass
+        if "0x" in token.lower():  # float.fromhex alone would read "1e" as 30.0
+            try:
+                return float.fromhex(token)
+            except ValueError:
+                pass
     raise DataError(f"{where}: bad float literal {token!r}")
 
 
@@ -52,7 +57,8 @@ def _read_track(path: Path, columns: tuple[str, ...] | None) -> tuple[str, np.nd
     ``f0..f{C-1}`` with C taken from the header."""
     if not path.exists():
         raise DataError(f"missing file: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
     if not lines:
         raise DataError(f"{path}: empty file")
     header = lines[0].split(",")
@@ -63,14 +69,44 @@ def _read_track(path: Path, columns: tuple[str, ...] | None) -> tuple[str, np.nd
         raise DataError(f"{path}: header {lines[0]!r} is not {','.join(expected)!r}")
     if not columns:
         raise DataError(f"{path}: no value columns")
+    body = lines[1:]
+    # loadtxt strips "\x1f" around a token, float() does not
+    if body and "\x1f" not in text:
+        track = _load_canonical(body, len(columns))
+        if track is not None:
+            return track
+    return _parse_rows(path, body, len(columns))
+
+
+def _load_canonical(lines: list[str], width: int) -> tuple[str, np.ndarray] | None:
+    """(movie id, [L, width] values) of data lines as ``write_track`` writes
+    them, parsed in one ``np.loadtxt`` pass; None for any other text."""
+    movie_id = lines[0].partition(",")[0]
+    heads = [f"{movie_id},{t}," for t in range(len(lines))]
+    # loadtxt skips empty lines and warns when none is left, so the first must carry values
+    if len(lines[0]) == len(heads[0]) or not all(map(str.startswith, lines, heads)):
+        return None
+    try:
+        values = np.loadtxt((line[len(head):] for line, head in zip(lines, heads)),
+                            delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(lines), width) or not np.isfinite(values).all():
+        return None
+    return movie_id, values
+
+
+def _parse_rows(path: Path, lines: list[str], width: int) -> tuple[str, np.ndarray]:
+    """(movie id, [L, width] values) of the data lines of ``path``, read line
+    by line; the authority on ``<path>:<line>`` errors and on hex tokens."""
     movie_id = None
     rows: list[list[float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         fields = line.split(",")
-        if len(fields) != len(header):
-            raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
+        if len(fields) != width + 2:
+            raise DataError(f"{path}:{lineno}: expected {width + 2} fields, got {len(fields)}")
         if movie_id is None:
             movie_id = fields[0]
         elif fields[0] != movie_id:
@@ -89,6 +125,11 @@ def _read_track(path: Path, columns: tuple[str, ...] | None) -> tuple[str, np.nd
     if not rows:
         raise DataError(f"{path}: no data rows (empty movie)")
     return movie_id, np.array(rows)
+
+
+def _check_movie_id(path: Path, movie_id: str, expected: str) -> None:
+    if movie_id != expected:
+        raise DataError(f"{path}: movie id {movie_id!r} does not match file location")
 
 
 def load_features(path) -> tuple[str, np.ndarray]:
@@ -130,7 +171,12 @@ def load_prediction_dir(directory) -> dict[str, np.ndarray]:
     paths = sorted(directory.glob("*.csv"))
     if not paths:
         raise DataError(f"no track files in {directory}")
-    return dict(map(load_predictions, paths))
+    tracks = {}
+    for path in paths:
+        movie_id, values = load_predictions(path)
+        _check_movie_id(path, movie_id, path.stem)
+        tracks[movie_id] = values
+    return tracks
 
 
 def save_prediction_dir(preds: Mapping[str, np.ndarray], directory) -> None:
@@ -278,8 +324,7 @@ def load_dataset(manifest: DatasetManifest, with_annotations: bool = True):
         for modality, dim in manifest.modalities:
             path = manifest.feature_path(modality, movie)
             movie_id, values = load_features(path)
-            if movie_id != movie:
-                raise DataError(f"{path}: movie id {movie_id!r} does not match file location")
+            _check_movie_id(path, movie_id, movie)
             if values.shape[1] != dim:
                 raise DataError(f"{movie}/{modality}: dim {values.shape[1]} != manifest {dim}")
             if len(values) != length:
@@ -288,7 +333,8 @@ def load_dataset(manifest: DatasetManifest, with_annotations: bool = True):
         features[movie] = per_mod
         if with_annotations:
             path = manifest.annotation_path(movie)
-            _, values = load_predictions(path)
+            movie_id, values = load_predictions(path)
+            _check_movie_id(path, movie_id, movie)
             if np.any(values < lo) or np.any(values > hi):
                 raise DataError(f"{path}: annotation outside declared range [{lo}, {hi}]")
             if len(values) != length:

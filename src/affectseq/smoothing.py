@@ -15,7 +15,9 @@ backward, and strips the padding. Each pass starts from the steady-state
 delay line for its first sample (the usual trick to suppress startup
 transients); residual boundary effects decay at the pole radius within
 the pad. Tracks are always filtered per movie, never across movie
-boundaries.
+boundaries. ``lfilter`` runs the recurrence over Python floats: the same
+IEEE operations in the same order as over numpy scalars, so the same bits,
+at about a third of the cost.
 """
 
 from __future__ import annotations
@@ -81,23 +83,22 @@ def lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray,
 
     ``zi`` is the initial delay-line state (length = order); default zero.
     """
-    b = np.asarray(b, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    n = b.size - 1
+    b = np.asarray(b, dtype=np.float64).tolist()
+    a = np.asarray(a, dtype=np.float64).tolist()
+    n = len(b) - 1
     z = np.zeros(n) if zi is None else np.array(zi, dtype=np.float64)
     if z.shape != (n,):
         raise DimensionError(f"initial state must have length {n}")
-    y = np.zeros_like(x)
-    for i in range(x.size):
-        xi = x[i]
+    z = z.tolist()
+    y = []
+    for xi in np.asarray(x, dtype=np.float64).tolist():
         yi = z[0] + b[0] * xi if n else b[0] * xi
         for j in range(n - 1):
             z[j] = z[j + 1] + b[j + 1] * xi - a[j + 1] * yi
         if n:
             z[n - 1] = b[n] * xi - a[n] * yi
-        y[i] = yi
-    return y
+        y.append(yi)
+    return np.array(y, dtype=np.float64)
 
 
 def steady_state(b: np.ndarray, a: np.ndarray) -> np.ndarray:

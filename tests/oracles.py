@@ -5,7 +5,8 @@ Each function restates an equation from the docstrings of
 products (``W @ x``), independently of the autodiff ops, so tests can
 check ``encode_batch_graph``, ``batch_norm_graph`` and
 ``fusion_head_graph`` row by row against it. ``freq_response``
-evaluates a designed filter's transfer function for the smoothing tests.
+evaluates a designed filter's transfer function and ``lfilter`` runs the
+difference equation over numpy scalars, for the smoothing tests.
 """
 
 import numpy as np
@@ -100,3 +101,19 @@ def freq_response(coeffs, omega):
     omega = np.asarray(omega, dtype=np.float64)
     zinv = np.exp(-1j * np.outer(omega, np.arange(coeffs.order + 1)))
     return (zinv @ coeffs.b) / (zinv @ coeffs.a)
+
+
+def lfilter(b, a, x, zi):
+    """Transposed direct-form difference equation, one numpy scalar at a time."""
+    n = b.size - 1
+    z = np.array(zi, dtype=np.float64)
+    y = np.zeros_like(x)
+    for i in range(x.size):
+        xi = x[i]
+        yi = z[0] + b[0] * xi if n else b[0] * xi
+        for j in range(n - 1):
+            z[j] = z[j + 1] + b[j + 1] * xi - a[j + 1] * yi
+        if n:
+            z[n - 1] = b[n] * xi - a[n] * yi
+        y[i] = yi
+    return y

@@ -2,16 +2,20 @@
 
 The benchmark wraps ``seqmodel.encode_batch_graph`` and computes the
 encoder's work from its first two arguments and from ``EncoderConfig``,
-and counts graph nodes by patching ``autodiff.Var.__init__``. A refactor
-that renames any of these turns the benchmark's layers "missing"; these
-tests make it fail here first.
+and counts graph nodes by patching ``autodiff.Var.__init__``. It counts
+the bytes parsed by ``dataio.load_features`` and ``load_predictions``
+from their ``path`` argument and the samples smoothed by
+``smoothing.filtfilt`` from its ``x``, replacing each function where a
+module namespace holds it. A refactor that renames any of these turns the
+benchmark's layers "missing", or stops them counting; these tests make it
+fail here first.
 """
 
 import inspect
 
 import numpy as np
 
-from affectseq import autodiff
+from affectseq import autodiff, dataio, smoothing
 from affectseq.seqmodel import EncoderConfig, encode_batch_graph
 
 
@@ -46,3 +50,23 @@ def test_graph_nodes_are_autodiff_vars(monkeypatch):
     h = encode_batch_graph(np.zeros((2, 5, 3)), config, leaves, "enc.m")
     assert type(h) is autodiff.Var
     assert h in built
+
+
+def test_track_reader_and_filter_call_shapes():
+    for reader in (dataio.load_features, dataio.load_predictions):
+        assert list(inspect.signature(reader).parameters)[0] == "path"
+    assert list(inspect.signature(smoothing.filtfilt).parameters)[:2] == ["coeffs", "x"]
+
+
+def test_prediction_dir_reads_through_module_global(monkeypatch, tmp_path):
+    dataio.save_prediction_dir({m: np.zeros((3, 2)) for m in ("m000", "m001")}, tmp_path)
+    read = []
+    load = dataio.load_predictions
+
+    def counted(path):
+        read.append(path)
+        return load(path)
+
+    monkeypatch.setattr(dataio, "load_predictions", counted)
+    assert sorted(dataio.load_prediction_dir(tmp_path)) == ["m000", "m001"]
+    assert read == [tmp_path / "m000.csv", tmp_path / "m001.csv"]

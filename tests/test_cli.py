@@ -118,6 +118,17 @@ class TestExitCodes:
         assert str(manifest) in err and key in err
         assert not (tmp_path / "o").exists()
 
+    def test_track_under_wrong_name_is_exit_2(self, workspace, tmp_path, capsys):
+        annotations = tmp_path / "annotations"
+        shutil.copytree(workspace / "data" / "annotations", annotations)
+        moved = annotations / "m001.csv"
+        moved.write_text((annotations / "m000.csv").read_text())
+        rc = main(["evaluate", "--predictions", str(workspace / "data" / "annotations"),
+                   "--annotations", str(annotations), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{moved}: movie id 'm000'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("fault, lineno", [("non-finite", 2), ("duplicate", 3)])
     def test_malformed_checkpoint_is_exit_2(self, workspace, tmp_path, capsys, fault, lineno):
         ckpt = tmp_path / "model.ckpt"
@@ -152,8 +163,9 @@ class TestExitCodes:
 
 
 TRACK_FAULTS = ("header", "empty", "short_row", "token", "nan", "gap", "movie_id")
-# not numbers, though float.fromhex reads the first three as 2748, 30 and 255
-BAD_TOKENS = ("abc", "1e", "ff", "", "1.2.3", "0x", "n/a")
+# not numbers, though float.fromhex reads the first three as 2748, 30 and 255, and
+# float() reads "1_0" as 10.0
+BAD_TOKENS = ("abc", "1e", "ff", "", "1.2.3", "0x", "n/a", "1_0")
 
 
 def mangle_track(path, fault, row, col, token):

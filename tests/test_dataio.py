@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from affectseq import dataio
 from affectseq.dataio import (
     AFFECT_COLUMNS,
     DatasetManifest,
@@ -112,6 +113,92 @@ class TestLoadFeatures:
         assert str(path) in str(err.value)
         movie_id, values = load_predictions(path)  # the reader itself declares no range
         assert movie_id == "m001" and values.shape == (5, 2)
+
+    def test_annotation_id_must_match_file(self, tmp_path):
+        manifest = synth_generate(SynthSpec(num_movies=2, length=5), tmp_path, seed=1)
+        path = manifest.annotation_path("m001")
+        path.write_text(manifest.annotation_path("m000").read_text())
+        with pytest.raises(DataError, match="movie id 'm000'") as err:
+            load_dataset(manifest)
+        assert str(path) in str(err.value)
+
+
+# Tokens the one-pass reader and the per-line parse must treat alike: read
+# alike (+1, padded, Arabic-Indic digit, hex), or refuse alike
+ODD_TOKENS = ("1_0", " 1.0", "1.0 ", "+1", "nan", "inf", "1e400", "0x1p-3", "\u0661", "1#2",
+              "", "\x1f1", "1\x1f", "1\x00")
+LINE_EDITS = ("padded_t", "blank_line", "extra_column", "short_row", "id_underscore")
+
+
+@st.composite
+def track_texts(draw):
+    """(value width, text, edited) of a track CSV as ``write_track`` writes
+    it, then maybe with one value replaced by an odd token and up to two
+    lines edited."""
+    width, length = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=width * length, max_size=width * length))
+    movie = draw(st.sampled_from(("m000", "m_1", "")))
+    rows = [[movie, str(t), *map(repr, values[t * width:(t + 1) * width])]
+            for t in range(length)]
+    token = draw(st.none() | st.sampled_from(ODD_TOKENS))
+    if token is not None:
+        rows[draw(st.integers(0, length - 1))][2 + draw(st.integers(0, width - 1))] = token
+    edits = draw(st.lists(st.tuples(st.sampled_from(LINE_EDITS), st.integers(0, length - 1)),
+                          max_size=2))
+    blanks = []
+    for edit, row in edits:
+        fields = rows[row]
+        if edit == "padded_t":
+            fields[1] = "0" + fields[1]
+        elif edit == "blank_line":
+            blanks.append(row)
+        elif edit == "extra_column":
+            fields.append("0.5")
+        elif edit == "short_row":
+            del fields[-1]
+        else:
+            fields[0] += "_"
+    lines = [",".join(fields) for fields in rows]
+    for row in sorted(blanks, reverse=True):
+        lines.insert(row, "")
+    header = "movie_id,t," + ",".join(f"f{i}" for i in range(width))
+    return width, "\n".join([header, *lines]) + "\n", token is not None or bool(edits)
+
+
+def read_outcome(read):
+    """What a reader made of a track: its id and value bits, or its error."""
+    try:
+        movie_id, values = read()
+    except DataError as exc:
+        return str(exc)
+    return movie_id, values.shape, values.view(np.int64).tolist()
+
+
+class TestReaderPaths:
+    """The one-pass ``np.loadtxt`` read of a canonical track and the
+    per-line parse behind it agree on every text."""
+
+    @given(case=track_texts())
+    @example(case=(1, "movie_id,t,f0\nm000,0,\n", True))  # loadtxt skips empty lines, then warns
+    @example(case=(1, "movie_id,t,f0\nm000,0,1\x1f\n", True))  # loadtxt strips \x1f, float() not
+    @settings(max_examples=400, deadline=None)
+    def test_reader_matches_line_parse(self, tmp_path_factory, case):
+        width, text, edited = case
+        path = tmp_path_factory.getbasetemp() / "track.csv"
+        path.write_text(text, encoding="utf-8")
+        body = text.splitlines()[1:]
+        outcome = read_outcome(lambda: load_features(path))
+        assert outcome == read_outcome(lambda: dataio._parse_rows(path, body, width))
+        if not edited:
+            assert dataio._load_canonical(body, width) is not None
+
+    def test_underscore_token_names_line(self, tmp_path):
+        path = write_feature_csv(tmp_path / "m000.csv", mangle=lambda lines: [
+            *lines[:2], lines[2].replace("0.100", "1_0"), *lines[3:]])
+        with pytest.raises(DataError) as err:
+            load_features(path)
+        assert str(err.value) == f"{path}:3: bad float literal '1_0'"
 
 
 class TestParsePairs:

@@ -14,6 +14,7 @@ from affectseq.smoothing import (
     steady_state,
     weighted_moving_average,
 )
+import oracles
 from oracles import freq_response
 
 ORDERS = (1, 2, 3, 4)
@@ -152,6 +153,23 @@ class TestFiltFilt:
         y1 = 0.5 + 0.2 * y0
         y2 = 0.2 * y1
         np.testing.assert_allclose(lfilter(b, a, x), [y0, y1, y2], atol=1e-15)
+
+    @pytest.mark.parametrize("order", range(7))
+    def test_lfilter_bits_match_scalar_loop(self, order):
+        rng = np.random.default_rng(order)
+        for length in (1, 2, 500, *rng.integers(1, 501, size=5)):
+            if order:
+                c = butter_design(order, rng.uniform(0.02, 0.9))
+                b, a = c.b, c.a
+            else:
+                b, a = rng.normal(size=1), np.ones(1)
+            x = rng.normal(size=length) * 10.0 ** rng.integers(-3, 4)
+            zi = rng.normal(size=order)
+            expected = oracles.lfilter(b, a, x, zi)
+            assert lfilter(b, a, x, zi).view(np.int64).tolist() == \
+                expected.view(np.int64).tolist()
+            assert lfilter(b, a, x).view(np.int64).tolist() == \
+                oracles.lfilter(b, a, x, np.zeros(order)).view(np.int64).tolist()
 
     def test_matches_scipy_lfilter(self):
         rng = np.random.default_rng(46)
