@@ -33,7 +33,7 @@ from .errors import AffectSeqError, ConfigError, DataError, NumericError
 from .evalmetrics import ensemble_average, evaluate_run, render_csv, render_text
 from .model import init_model_params
 from .numerics import ParamStore
-from .smoothing import SmootherSpec, smooth_track
+from .smoothing import SMOOTHERS, SmootherSpec, smooth_track
 from .training import (
     CHECKPOINT_NAME,
     TRAINING_LOG_NAME,
@@ -94,7 +94,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--predictions", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="take smoother settings from a config file")
-    p.add_argument("--smoother", choices=("butterworth", "moving_average", "none"))
+    p.add_argument("--smoother", choices=SMOOTHERS)
     p.add_argument("--order", help="Butterworth order (config key butter_order)")
     p.add_argument("--cutoff", help="Butterworth cutoff (config key butter_cutoff)")
     p.add_argument("--weights", help="comma-separated moving-average weights (ma_weights)")
@@ -207,7 +207,7 @@ def _smoother_from_args(args) -> SmootherSpec:
              if getattr(args, flag) is not None}
     values = parse_values(given, {key: f"--{flag}" for flag, key in _SMOOTH_FLAGS.items()})
     if args.config:
-        return parse_config(args.config, given).smoother_spec()
+        return smoother_spec(vars(parse_config(args.config, given)))
     return smoother_spec(values)
 
 

@@ -17,11 +17,14 @@ other than 10/30/60) are accepted with a warning record.
 
 Every key except ``manifest`` is a :class:`RunConfig` field declared with
 :func:`_key`, which holds its default and its parser; the known-key set,
-parsing, validation and the resolved echo all read that one table.
+parsing, validation and the resolved echo all read that one table, which
+is also the one place smoother settings are checked (with the defaults of
+``SmootherSpec``). Batch norm needs ``batch_size >= 2``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping
@@ -31,7 +34,7 @@ from .errors import ConfigError
 from .fusion import FusionConfig
 from .model import ModelConfig
 from .seqmodel import EncoderConfig
-from .smoothing import SmootherSpec
+from .smoothing import SMOOTHERS, SmootherSpec
 
 PROFILES = ("custom", "run1", "run2", "run3", "run4")
 _PROFILE_PRESETS = {
@@ -71,6 +74,8 @@ def _number(kind: type, lo=None, hi=None, lo_open=False, hi_open=False) -> Calla
         except ValueError:
             raise ConfigError(
                 f"expected {'an integer' if kind is int else 'a number'}, got {raw!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"expected a finite number, got {raw!r}")
         above = lo is None or (value > lo if lo_open else value >= lo)
         below = hi is None or (value < hi if hi_open else value <= hi)
         if not (above and below):
@@ -91,6 +96,13 @@ def _units(raw: str) -> tuple[int, ...]:
     if not 1 <= len(units) <= 2:
         raise ConfigError(f"encoders support 1 or 2 layers, got {len(units)}")
     return units
+
+
+def _weights(raw: str) -> tuple[float, ...]:
+    weights = _list(_number(float, lo=0, lo_open=True))(raw)
+    if len(weights) % 2 == 0:
+        raise ConfigError(f"needs an odd number of weights, got {len(weights)}")
+    return weights
 
 
 def _key(default, parse: Callable[[str], object], echo: bool = True):
@@ -134,10 +146,11 @@ class RunConfig:
     bn_momentum: float = _key(0.9, _number(float, lo=0, hi=1, lo_open=True, hi_open=True))
     bn_epsilon: float = _key(1e-5, _number(float, lo=0, lo_open=True))
     use_batch_stats_at_inference: bool = _key(True, _bool)
-    smoother: str = _key("butterworth", _choice("butterworth", "moving_average", "none"))
-    butter_order: int = _key(2, _number(int, lo=1, hi=4))
-    butter_cutoff: float = _key(0.05, _number(float, lo=0, hi=1, lo_open=True, hi_open=True))
-    ma_weights: tuple[float, ...] = _key((1.0,) * 5, _list(_number(float, lo=0, lo_open=True)))
+    smoother: str = _key(SmootherSpec.kind, _choice(*SMOOTHERS))
+    butter_order: int = _key(SmootherSpec.order, _number(int, lo=1, hi=4))
+    butter_cutoff: float = _key(SmootherSpec.cutoff,
+                                _number(float, lo=0, hi=1, lo_open=True, hi_open=True))
+    ma_weights: tuple[float, ...] = _key(SmootherSpec.weights, _weights)
     early_stop_patience: int = _key(0, _number(int, lo=0))
     hidden_overrides: dict[str, tuple[int, ...]] = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
@@ -166,9 +179,6 @@ class RunConfig:
         )
         return ModelConfig(encoders=encoders, fusion=fusion,
                            sequence_length=self.sequence_length)
-
-    def smoother_spec(self) -> SmootherSpec:
-        return smoother_spec(vars(self))
 
     def resolved_lines(self) -> list[str]:
         """A reloadable snapshot: parse_config on the echo reproduces this
@@ -219,11 +229,8 @@ def parse_values(raw: Mapping[str, str], labels: Mapping[str, str] | None = None
 def smoother_spec(values: Mapping[str, object]) -> SmootherSpec:
     """The smoother that the ``smoother``, ``butter_*`` and ``ma_weights``
     values select."""
-    if values["smoother"] == "butterworth":
-        return SmootherSpec.butterworth(values["butter_order"], values["butter_cutoff"])
-    if values["smoother"] == "moving_average":
-        return SmootherSpec.moving_average(values["ma_weights"])
-    return SmootherSpec.none()
+    return SmootherSpec(kind=values["smoother"], order=values["butter_order"],
+                        cutoff=values["butter_cutoff"], weights=values["ma_weights"])
 
 
 def parse_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
@@ -271,6 +278,9 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
     if cfg.profile == "run4":
         cfg.seed = cfg.seed + 1
         cfg.epochs = cfg.epochs + max(1, cfg.epochs // 4)
+    if cfg.enable_batchnorm and cfg.batch_size < 2:
+        raise ConfigError(f"key batch_size: batch normalization (enable_batchnorm, or "
+                          f"profiles run2-run4) needs batch_size >= 2, got {cfg.batch_size}")
 
     if cfg.sequence_length not in _PAPERED_SEQUENCE_LENGTHS:
         cfg.warnings = (

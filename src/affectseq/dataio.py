@@ -198,20 +198,20 @@ class DatasetManifest:
     train_fraction: float = 1.0
 
     def __post_init__(self):
-        names = [m for m, _ in self.movies]
-        if len(set(names)) != len(names):
-            raise ConfigError("duplicate movie ids in movies", key="movies")
         for key in ("modalities", "movies"):
-            if not getattr(self, key):
+            names = [name for name, _ in getattr(self, key)]
+            if not names:
                 raise ConfigError(f"{key} needs at least one entry", key=key)
+            if len(set(names)) != len(names):
+                raise ConfigError(f"duplicate names in {key}", key=key)
         if any(d < 1 for _, d in self.modalities):
             raise ConfigError("dims in modalities must be >= 1", key="modalities")
         if any(length < 1 for _, length in self.movies):
             raise ConfigError("lengths in movies must be >= 1", key="movies")
         lo, hi = self.annotation_range
-        if not lo < hi:
-            raise ConfigError("annotation_range must satisfy lo < hi", key="annotation_range")
-        unknown = set(self.validation_movies) - set(names)
+        if not (lo < hi and math.isfinite(hi - lo)):  # a finite width has finite bounds
+            raise ConfigError("annotation_range needs finite lo < hi", key="annotation_range")
+        unknown = set(self.validation_movies) - set(self.movie_ids)
         if unknown:
             raise ConfigError(f"validation_movies not in movies: {sorted(unknown)}",
                               key="validation_movies")
@@ -477,15 +477,15 @@ class SynthSpec:
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1", key=key)
         for key in ("noise", "lag"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be >= 0", key=key)
+            if not 0 <= getattr(self, key) < math.inf:  # NaN fails too
+                raise ConfigError(f"{key} must be finite and >= 0", key=key)
         names = {name for name, _ in self.modalities}
         for name, level in self.noise_overrides:
             if name not in names:
                 raise ConfigError(f"noise override for unknown modality {name!r}",
                                   key="noise_overrides")
-            if level < 0:
-                raise ConfigError("noise levels must be >= 0", key="noise_overrides")
+            if not 0 <= level < math.inf:
+                raise ConfigError("noise levels must be finite and >= 0", key="noise_overrides")
 
     def noise_for(self, modality: str) -> float:
         for name, level in self.noise_overrides:

@@ -18,6 +18,10 @@ the pad. Tracks are always filtered per movie, never across movie
 boundaries. ``lfilter`` runs the recurrence over Python floats: the same
 IEEE operations in the same order as over numpy scalars, so the same bits,
 at about a third of the cost.
+
+``smooth_track`` runs a :class:`SmootherSpec` (a kind in :data:`SMOOTHERS`)
+over each column of a track. A design that rounds to a degenerate filter
+(at very low cutoffs) is refused, naming its order and cutoff.
 """
 
 from __future__ import annotations
@@ -29,6 +33,9 @@ from math import comb
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError
+
+
+SMOOTHERS = ("butterworth", "moving_average", "none")
 
 
 class ShortTrackWarning(UserWarning):
@@ -53,12 +60,13 @@ class IIRCoefficients:
             raise DimensionError(f"coefficient arrays must have length order+1={self.order + 1}")
         if abs(a[0] - 1.0) > 1e-12:
             raise DomainError("denominator must be normalized to a[0] = 1")
-        dc = b.sum() / a.sum()
-        if abs(dc - 1.0) > 1e-9:
-            raise DomainError(f"DC gain must be 1, got {dc}")
-        poles = np.roots(a) if self.order >= 1 else np.array([])
-        if poles.size and np.max(np.abs(poles)) >= 1.0:
-            raise DomainError("unstable filter: poles on or outside the unit circle")
+        where = f"filter of order {self.order}, cutoff {self.cutoff:g}"
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dc = b.sum() / a.sum()
+        if not abs(dc - 1.0) <= 1e-9:  # a 0/0 gain is NaN and fails too
+            raise DomainError(f"{where}: DC gain must be 1, got {dc}")
+        if np.any(np.abs(np.roots(a)) >= 1.0):
+            raise DomainError(f"{where} is unstable: poles on or outside the unit circle")
 
 
 def butter_design(order: int, cutoff: float) -> IIRCoefficients:
@@ -184,61 +192,36 @@ def weighted_moving_average(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SmootherSpec:
-    """Which smoother to run: butterworth, moving_average, or none."""
+    """Which smoother to run. Every kind carries every field and reads only
+    its own: butterworth ``order`` and ``cutoff``, moving_average ``weights``.
+    The config key table holds these defaults and bounds the values."""
 
     kind: str = "butterworth"
-    order: int | None = 2
-    cutoff: float | None = 0.05
-    weights: tuple[float, ...] | None = None
+    order: int = 2
+    cutoff: float = 0.05
+    weights: tuple[float, ...] = (1.0,) * 5
 
     def __post_init__(self):
-        if self.kind == "butterworth":
-            if self.order is None or self.cutoff is None or self.weights is not None:
-                raise ConfigError("butterworth smoother takes (order, cutoff) only")
-        elif self.kind == "moving_average":
-            if self.weights is None or self.order is not None or self.cutoff is not None:
-                raise ConfigError("moving_average smoother takes weights only")
-            if any(v <= 0 for v in self.weights):
-                raise ConfigError("moving-average weights must be positive")
-        elif self.kind == "none":
-            if self.order is not None or self.cutoff is not None or self.weights is not None:
-                raise ConfigError("smoother 'none' takes no parameters")
-        else:
+        if self.kind not in SMOOTHERS:
             raise ConfigError(f"unknown smoother kind: {self.kind!r}")
-
-    @classmethod
-    def butterworth(cls, order: int = 2, cutoff: float = 0.05) -> "SmootherSpec":
-        return cls(kind="butterworth", order=order, cutoff=cutoff)
-
-    @classmethod
-    def moving_average(cls, weights) -> "SmootherSpec":
-        return cls(kind="moving_average", order=None, cutoff=None,
-                   weights=tuple(float(v) for v in weights))
-
-    @classmethod
-    def none(cls) -> "SmootherSpec":
-        return cls(kind="none", order=None, cutoff=None, weights=None)
 
 
 def smooth_track(values: np.ndarray, spec: SmootherSpec, causal: bool = False) -> np.ndarray:
     """Smooth an [L] or [L, 2] track; columns are filtered independently."""
     values = np.asarray(values, dtype=np.float64)
+    if values.ndim not in (1, 2):
+        raise DimensionError("tracks must be 1-D or 2-D")
     if spec.kind == "none":
         return values.copy()
-    if values.ndim == 1:
-        return _smooth_column(values, spec, causal)
-    if values.ndim != 2:
-        raise DimensionError("tracks must be 1-D or 2-D")
-    return np.column_stack([_smooth_column(values[:, j], spec, causal)
-                            for j in range(values.shape[1])])
-
-
-def _smooth_column(x: np.ndarray, spec: SmootherSpec, causal: bool) -> np.ndarray:
     if spec.kind == "moving_average":
-        return weighted_moving_average(x, np.asarray(spec.weights, dtype=np.float64))
-    coeffs = butter_design(spec.order, spec.cutoff)
-    if causal:
-        # Single pass stays causal; starting at the steady state for the
-        # first sample avoids the zero-state startup ramp.
-        return lfilter(coeffs.b, coeffs.a, x, steady_state(coeffs.b, coeffs.a) * x[0])
-    return filtfilt(coeffs, x)
+        column = lambda x: weighted_moving_average(x, spec.weights)
+    else:
+        coeffs = butter_design(spec.order, spec.cutoff)
+        if causal:
+            # Single pass stays causal; starting at the steady state for the
+            # first sample avoids the zero-state startup ramp.
+            zi = steady_state(coeffs.b, coeffs.a)
+            column = lambda x: lfilter(coeffs.b, coeffs.a, x, zi * x[0])
+        else:
+            column = lambda x: filtfilt(coeffs, x)
+    return column(values) if values.ndim == 1 else np.column_stack([column(x) for x in values.T])

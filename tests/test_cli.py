@@ -85,9 +85,19 @@ class TestExitCodes:
         (["synth", "--movies", "0"], "--movies"),
         (["synth", "--length", "0"], "--length"),
         (["synth", "--noise-override", "audio:-1"], "--noise-override"),
+        (["smooth", "--smoother", "moving_average", "--weights", "1,1"], "--weights"),
+        (["smooth", "--weights", ","], "--weights"),
+        (["synth", "--noise", "nan"], "--noise"),
+        (["synth", "--noise", "inf"], "--noise"),
+        (["synth", "--noise-override", "audio:nan"], "--noise-override"),
+        (["synth", "--modalities", "audio:3,audio:2"], "--modalities"),
+        (["synth", "--modalities", "audio:3,audio:3"], "--modalities"),
     ], ids=["synth-modalities", "synth-noise-override", "smooth-weights", "smooth-order",
             "smooth-cutoff", "synth-validation", "synth-modality-dim", "synth-movies",
-            "synth-length", "synth-negative-noise-override"])
+            "synth-length", "synth-negative-noise-override", "smooth-even-weights",
+            "smooth-no-weights", "synth-nan-noise", "synth-inf-noise",
+            "synth-nan-noise-override", "synth-repeated-modality",
+            "synth-repeated-modality-same-dim"])
     def test_malformed_flag_is_exit_2(self, workspace, tmp_path, capsys, argv, flag):
         # smooth reads real prediction files, so only the flag can be at fault
         where = (["--out", str(tmp_path / "o")] if argv[0] == "synth" else
@@ -105,6 +115,11 @@ class TestExitCodes:
         ("movies", "m000:120, m000:120"),
         ("modalities", "audio:0"),
         ("annotation_range", "1, -1"),
+        ("annotation_range", "-inf, inf"),
+        ("annotation_range", "0, nan"),
+        ("annotation_range", "-1e308, 1e308"),
+        ("modalities", "audio:3, audio:3"),
+        ("modalities", "audio:3, image:2, audio:2"),
     ])
     def test_malformed_manifest_value_is_exit_2(self, workspace, tmp_path, capsys, key, value):
         lines = (workspace / "data" / "manifest.txt").read_text().splitlines()
@@ -116,6 +131,42 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert str(manifest) in err and key in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("body, key", [
+        ("learning_rate = inf", "learning_rate"),
+        ("l2_lambda = inf", "l2_lambda"),
+        ("adam_epsilon = nan", "adam_epsilon"),
+        ("ma_weights = 1,1", "ma_weights"),
+        ("ma_weights = ,", "ma_weights"),
+        ("batch_size = 1\nenable_batchnorm = true", "batch_size"),
+        ("batch_size = 1\nprofile = run3", "batch_size"),
+    ], ids=["inf-learning-rate", "inf-l2", "nan-epsilon", "even-weights", "no-weights",
+            "batchnorm-batch-1", "run3-batch-1"])
+    def test_malformed_config_value_is_exit_2(self, workspace, tmp_path, capsys, body, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"manifest = {workspace / 'data' / 'manifest.txt'}\n{body}\n")
+        for argv in (["train", "--config", str(cfg)],
+                     ["smooth", "--config", str(cfg),
+                      "--predictions", str(workspace / "data" / "annotations")]):
+            assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+            assert f"key {key}: " in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_degenerate_butterworth_is_exit_2(self, workspace, tmp_path, capsys, source):
+        # the order-2 design at this cutoff rounds to b = 0, a = [1, -2, 1]
+        if source == "flag":
+            settings = ["--cutoff", "1e-9"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"manifest = {workspace / 'data' / 'manifest.txt'}\n"
+                           "butter_cutoff = 1e-9\n")
+            settings = ["--config", str(cfg)]
+        rc = main(["smooth", *settings, "--predictions", str(workspace / "data" / "annotations"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "order 2, cutoff 1e-09" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_track_under_wrong_name_is_exit_2(self, workspace, tmp_path, capsys):
@@ -219,42 +270,59 @@ def fuzz_root(workspace, tmp_path_factory):
     return root
 
 
+def check_feature_csv_in_predict(workspace, fuzz_root, fault, row, col, token):
+    case = fuzz_root / f"predict-{len(list(fuzz_root.iterdir()))}"
+    shutil.copytree(workspace / "data", case / "data")
+    path = case / "data" / "features" / "audio" / "m001.csv"
+    lineno = mangle_track(path, fault, row, col, token)
+    cfg = case / "run.cfg"
+    cfg.write_text((workspace / "run.cfg").read_text().replace(
+        str(workspace / "data"), str(case / "data")))
+    rc, err = run_cli(["predict", "--config", str(cfg), "--checkpoint",
+                       str(fuzz_root / "model.ckpt"), "--out", str(case / "out")])
+    assert_names_fault(rc, err, path, lineno)
+    assert not (case / "out").exists()
+
+
+def check_prediction_csv_in_smooth_and_evaluate(workspace, fuzz_root, fault, row, col, token):
+    case = fuzz_root / f"tracks-{len(list(fuzz_root.iterdir()))}"
+    shutil.copytree(workspace / "data" / "annotations", case / "preds")
+    path = case / "preds" / "m001.csv"
+    lineno = mangle_track(path, fault, row, col, token)
+    for argv in (["smooth", "--predictions", str(case / "preds"), "--config",
+                  str(workspace / "run.cfg")],
+                 ["evaluate", "--predictions", str(case / "preds"), "--annotations",
+                  str(workspace / "data" / "annotations")]):
+        rc, err = run_cli([*argv, "--out", str(case / "out")])
+        assert_names_fault(rc, err, path, lineno)
+        assert not (case / "out").exists()
+
+
 class TestMalformedTracks:
     """Every malformed feature or prediction CSV exits 2 naming the file,
-    and the line for a row fault, before anything is written."""
+    and the line for a row fault, before anything is written. The fuzz
+    draws faults at random; every bad token also has a pinned case."""
 
     @given(fault=st.sampled_from(TRACK_FAULTS), row=st.integers(1, 49), col=st.integers(0, 2),
            token=st.sampled_from(BAD_TOKENS))
     @settings(max_examples=100, deadline=None)
     def test_feature_csv_in_predict(self, workspace, fuzz_root, fault, row, col, token):
-        case = fuzz_root / f"predict-{len(list(fuzz_root.iterdir()))}"
-        shutil.copytree(workspace / "data", case / "data")
-        path = case / "data" / "features" / "audio" / "m001.csv"
-        lineno = mangle_track(path, fault, row, col, token)
-        cfg = case / "run.cfg"
-        cfg.write_text((workspace / "run.cfg").read_text().replace(
-            str(workspace / "data"), str(case / "data")))
-        rc, err = run_cli(["predict", "--config", str(cfg), "--checkpoint",
-                           str(fuzz_root / "model.ckpt"), "--out", str(case / "out")])
-        assert_names_fault(rc, err, path, lineno)
-        assert not (case / "out").exists()
+        check_feature_csv_in_predict(workspace, fuzz_root, fault, row, col, token)
 
     @given(fault=st.sampled_from(TRACK_FAULTS), row=st.integers(1, 49), col=st.integers(0, 1),
            token=st.sampled_from(BAD_TOKENS))
     @settings(max_examples=100, deadline=None)
     def test_prediction_csv_in_smooth_and_evaluate(self, workspace, fuzz_root, fault, row, col,
                                                    token):
-        case = fuzz_root / f"tracks-{len(list(fuzz_root.iterdir()))}"
-        shutil.copytree(workspace / "data" / "annotations", case / "preds")
-        path = case / "preds" / "m001.csv"
-        lineno = mangle_track(path, fault, row, col, token)
-        for argv in (["smooth", "--predictions", str(case / "preds"), "--config",
-                      str(workspace / "run.cfg")],
-                     ["evaluate", "--predictions", str(case / "preds"), "--annotations",
-                      str(workspace / "data" / "annotations")]):
-            rc, err = run_cli([*argv, "--out", str(case / "out")])
-            assert_names_fault(rc, err, path, lineno)
-            assert not (case / "out").exists()
+        check_prediction_csv_in_smooth_and_evaluate(workspace, fuzz_root, fault, row, col, token)
+
+    @pytest.mark.parametrize("token", BAD_TOKENS, ids=repr)
+    def test_each_token_in_feature_csv(self, workspace, fuzz_root, token):
+        check_feature_csv_in_predict(workspace, fuzz_root, "token", 7, 1, token)
+
+    @pytest.mark.parametrize("token", BAD_TOKENS, ids=repr)
+    def test_each_token_in_prediction_csv(self, workspace, fuzz_root, token):
+        check_prediction_csv_in_smooth_and_evaluate(workspace, fuzz_root, "token", 7, 1, token)
 
 
 class TestPipeline:

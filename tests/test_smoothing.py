@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import signal as scipy_signal
 
 from affectseq.errors import ConfigError, DomainError
 from affectseq.smoothing import (
+    SMOOTHERS,
     IIRCoefficients,
     ShortTrackWarning,
     SmootherSpec,
@@ -78,6 +81,15 @@ class TestButterDesign:
         with pytest.raises(DomainError):  # pole outside the unit circle
             IIRCoefficients(b=np.array([3.0, 0.0]), a=np.array([1.0, 2.0]),
                             order=1, cutoff=0.5)
+        with pytest.raises(DomainError, match="DC gain"):  # 0/0, without a warning
+            IIRCoefficients(b=np.zeros(3), a=np.array([1.0, -2.0, 1.0]), order=2, cutoff=0.5)
+
+    @pytest.mark.parametrize("order, cutoff", [(1, 1e-300), (2, 1e-9), (3, 1e-6), (4, 1e-5)])
+    def test_degenerate_design_names_order_and_cutoff(self, order, cutoff):
+        # (2, 1e-9) rounds to a = [1, -2, 1], b = 0: a 0/0 DC gain, and a
+        # singular steady-state system if it got past the check
+        with pytest.raises(DomainError, match=f"order {order}, cutoff {cutoff:g}"):
+            butter_design(order, cutoff)
 
 
 class TestFiltFilt:
@@ -231,7 +243,7 @@ class TestSmoothTrack:
     def test_columns_filtered_independently(self):
         rng = np.random.default_rng(49)
         track = rng.normal(size=(100, 2))
-        spec = SmootherSpec.butterworth(2, 0.1)
+        spec = SmootherSpec(kind="butterworth", order=2, cutoff=0.1)
         out = smooth_track(track, spec)
         c = butter_design(2, 0.1)
         np.testing.assert_array_equal(out[:, 0], filtfilt(c, track[:, 0]))
@@ -241,24 +253,28 @@ class TestSmoothTrack:
         rng = np.random.default_rng(50)
         track = rng.normal(size=60)
         c = butter_design(2, 0.1)
-        out = smooth_track(track, SmootherSpec.butterworth(2, 0.1), causal=True)
+        out = smooth_track(track, SmootherSpec(order=2, cutoff=0.1), causal=True)
         expected = lfilter(c.b, c.a, track, steady_state(c.b, c.a) * track[0])
         np.testing.assert_array_equal(out, expected)
 
     def test_none_is_identity(self):
         track = np.arange(12.0).reshape(6, 2)
-        np.testing.assert_array_equal(smooth_track(track, SmootherSpec.none()), track)
+        np.testing.assert_array_equal(smooth_track(track, SmootherSpec(kind="none")), track)
 
     def test_moving_average_kind(self):
         track = np.array([1.0, 2.0, 3.0])
-        out = smooth_track(track, SmootherSpec.moving_average([1.0, 1.0, 1.0]))
+        out = smooth_track(track, SmootherSpec(kind="moving_average", weights=(1.0, 1.0, 1.0)))
         np.testing.assert_allclose(out, [1.5, 2.0, 2.5])
 
+    def test_each_kind_reads_only_its_fields(self):
+        track = np.random.default_rng(51).normal(size=(40, 2))
+        fields = {"order": 1, "cutoff": 0.3, "weights": (1.0, 2.0, 1.0)}
+        own = {"butterworth": ("order", "cutoff"), "moving_average": ("weights",), "none": ()}
+        for kind in SMOOTHERS:
+            spec = SmootherSpec(kind=kind)
+            foreign = replace(spec, **{k: v for k, v in fields.items() if k not in own[kind]})
+            np.testing.assert_array_equal(smooth_track(track, foreign), smooth_track(track, spec))
+
     def test_spec_exactly_one_kind(self):
-        with pytest.raises(ConfigError):
-            SmootherSpec(kind="butterworth", order=None, cutoff=0.1, weights=None)
-        with pytest.raises(ConfigError):
-            SmootherSpec(kind="none", order=2, cutoff=None, weights=None)
-        with pytest.raises(ConfigError):
-            SmootherSpec(kind="moving_average", order=None, cutoff=None,
-                         weights=(1.0, -2.0))
+        with pytest.raises(ConfigError, match="unknown smoother kind"):
+            SmootherSpec(kind="median")
