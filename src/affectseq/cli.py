@@ -178,7 +178,7 @@ def _cmd_predict(args) -> int:
         )
     for name in store.names():
         if store.value(name).shape != expected.value(name).shape:
-            raise DataError(f"checkpoint parameter {name} has shape "
+            raise DataError(f"checkpoint {args.checkpoint}: parameter {name} has shape "
                             f"{store.value(name).shape}, expected {expected.value(name).shape}")
     features, _ = load_dataset(cfg.manifest, with_annotations=False)
     if args.split != "all":
@@ -214,6 +214,13 @@ def _smoother_from_args(args) -> SmootherSpec:
 def _cmd_smooth(args) -> int:
     spec = _smoother_from_args(args)
     preds = load_prediction_dir(args.predictions)
+    if spec.kind == "moving_average":
+        setting = "--weights" if args.weights is not None or not args.config else "ma_weights"
+        for movie, track in preds.items():
+            if len(track) < len(spec.weights):
+                raise DataError(f"{Path(args.predictions) / f'{movie}.csv'}: track of length "
+                                f"{len(track)} is shorter than the {len(spec.weights)} "
+                                f"moving-average weights set by {setting}")
     smoothed = {m: smooth_track(track, spec, causal=args.causal) for m, track in preds.items()}
     save_prediction_dir(smoothed, args.out)
     print(f"smoothed {len(smoothed)} movies with {spec.kind} into {args.out}")

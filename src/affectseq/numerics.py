@@ -2,6 +2,11 @@
 checkpoints, weight initialization, the loss record, the Adam optimizer,
 and a finite-difference gradient checker.
 
+A checkpoint (``affectseq-params v2``) is a text index of parameter names
+and shapes followed by one raw little-endian float64 payload, so loading
+takes one ``np.frombuffer``; hex-text ``affectseq-params v1`` checkpoints
+still load bit for bit.
+
 All math is double precision. Model code builds its forward pass and
 gradients with the reverse-mode engine in :mod:`affectseq.autodiff`;
 nothing here computes a layer.
@@ -9,6 +14,7 @@ nothing here computes a layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
@@ -23,7 +29,8 @@ from .errors import (
     NumericError,
 )
 
-CHECKPOINT_HEADER = "affectseq-params v1"
+CHECKPOINT_HEADER = "affectseq-params v2"
+_V1_HEADER = "affectseq-params v1"
 
 
 def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
@@ -51,8 +58,11 @@ class ParamStore:
     def add(self, name: str, value) -> np.ndarray:
         if name in self._values:
             raise ConfigError(f"duplicate parameter name: {name}")
-        if " " in name or not name:
-            raise ConfigError(f"parameter names must be non-empty and space-free: {name!r}")
+        # str.split() also splits on every line break str.splitlines() knows,
+        # and a lone surrogate does not survive the round trip through UTF-8
+        if name.split() != [name] or name.encode("utf-8", "replace").decode() != name:
+            raise ConfigError(f"parameter names must be non-empty UTF-8 text without "
+                              f"whitespace or line breaks: {name!r}")
         arr = np.array(value, dtype=np.float64, order="C")
         if not np.all(np.isfinite(arr)):
             raise NumericError(f"parameter {name} initialized with non-finite values")
@@ -91,50 +101,120 @@ class ParamStore:
             np.copyto(self._values[name], v)
 
     def save(self, path) -> None:
-        """Versioned text checkpoint; hex floats round-trip exactly."""
-        lines = [CHECKPOINT_HEADER]
-        for name in self.names():
-            arr = self._values[name]
-            dims = ",".join(str(d) for d in arr.shape) or "-"
-            values = " ".join(float(v).hex() for v in arr.ravel())
-            lines.append(f"{name} {dims} {values}".rstrip())
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        """Write an ``affectseq-params v2`` checkpoint: the header line, one
+        ``<name> <dims>`` index line per parameter in name order, a blank
+        line, then every value as raw little-endian float64, in index order
+        and C order. The bytes depend only on names, shapes and values."""
+        names = self.names()
+        index = [CHECKPOINT_HEADER]
+        for name in names:
+            dims = ",".join(str(d) for d in self._values[name].shape) or "-"
+            index.append(f"{name} {dims}")
+        with open(path, "wb") as out:
+            out.write(("\n".join(index) + "\n\n").encode("utf-8"))
+            for name in names:
+                out.write(self._values[name].astype("<f8", copy=False).tobytes())
 
     @classmethod
     def load(cls, path) -> "ParamStore":
-        text = Path(path).read_text(encoding="utf-8")
-        lines = text.splitlines()
-        if not lines or lines[0] != CHECKPOINT_HEADER:
-            raise DataError(f"{path}: missing checkpoint header {CHECKPOINT_HEADER!r}")
+        """Read a checkpoint in either format, dispatching on its first line.
+
+        ``v2`` decodes only the index and takes each record as a slice of one
+        ``np.frombuffer`` over the payload; ``v1`` (text records
+        ``<name> <dims> <hex values>``) keeps its per-record parse. Every
+        fault is a :class:`DataError` naming the file, and the line of the
+        record at fault.
+        """
+        try:
+            data = Path(path).read_bytes()
+        except OSError:
+            raise DataError(f"missing file: {path}") from None
+        if data.startswith(CHECKPOINT_HEADER.encode() + b"\n"):
+            return cls._load_v2(path, data)
+        lines = _decode(path, data).splitlines()
+        if not lines or lines[0] != _V1_HEADER:
+            raise DataError(f"{path}: missing checkpoint header {CHECKPOINT_HEADER!r} "
+                            f"(or {_V1_HEADER!r})")
         store = cls()
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             fields = line.split(" ")
             if len(fields) < 2:
-                raise DataError(f"{path}:{lineno}: malformed parameter record")
-            name, dims = fields[0], fields[1]
-            try:
-                shape = () if dims == "-" else tuple(int(d) for d in dims.split(","))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad shape {dims!r}") from None
-            expected = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            raw = fields[2:]
-            if len(raw) != expected:
-                raise DataError(
-                    f"{path}:{lineno}: parameter {name} has {len(raw)} values, expected {expected}"
-                )
+                raise DataError(f"{where}: malformed parameter record")
+            name, dims, raw = fields[0], fields[1], fields[2:]
+            shape, count = _shape(where, dims)
+            if len(raw) != count:
+                raise DataError(f"{where}: parameter {name} has {len(raw)} values, expected {count}")
             try:
                 flat = np.array([float.fromhex(v) for v in raw], dtype=np.float64)
             except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad float literal ({exc})") from exc
-            if not np.all(np.isfinite(flat)):
-                raise DataError(f"{path}:{lineno}: parameter {name} has non-finite values")
-            try:
-                store.add(name, flat.reshape(shape))
-            except ConfigError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+                raise DataError(f"{where}: bad float literal ({exc})") from exc
+            _add_record(store, where, name, shape, flat)
         return store
+
+    @classmethod
+    def _load_v2(cls, path, data: bytes) -> "ParamStore":
+        end = data.find(b"\n\n")
+        if end < 0:
+            raise DataError(f"{path}: no blank line ends the checkpoint index")
+        payload = memoryview(data)[end + 2:]
+        records = []
+        total = 0
+        for lineno, line in enumerate(_decode(path, data[:end]).split("\n")[1:], start=2):
+            where = f"{path}:{lineno}"
+            fields = line.split(" ")
+            if len(fields) != 2:
+                raise DataError(f"{where}: malformed index line {line!r}")
+            shape, count = _shape(where, fields[1])
+            records.append((where, fields[0], shape, total, total + count))
+            total += count
+        if len(payload) != 8 * total:
+            # a short payload is blamed on the first record it cannot hold
+            where = next((where for where, *_, stop in records if 8 * stop > len(payload)),
+                         str(path))
+            raise DataError(f"{where}: payload has {len(payload)} bytes, expected {8 * total}")
+        flat = np.frombuffer(payload, dtype="<f8")
+        store = cls()
+        for where, name, shape, start, stop in records:
+            _add_record(store, where, name, shape, flat[start:stop])
+        return store
+
+
+def _decode(path, data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{lineno}: not UTF-8 text") from None
+
+
+def _shape(where: str, dims: str) -> tuple[tuple[int, ...], int]:
+    """Shape and value count of a dims token: ``-`` (0-d) or comma-joined
+    plain ASCII digits. The count is a Python int, so it cannot wrap."""
+    if dims == "-":
+        return (), 1
+    parts = dims.split(",")
+    try:
+        if not all(p.isascii() and p.isdigit() for p in parts):
+            raise ValueError(dims)
+        shape = tuple(int(p) for p in parts)  # int() refuses past its digit limit
+    except ValueError:
+        raise DataError(f"{where}: bad shape {dims!r}") from None
+    return shape, math.prod(shape)
+
+
+def _add_record(store: ParamStore, where: str, name: str, shape, flat: np.ndarray) -> None:
+    """The record check both formats end in: finite values, then ``add``."""
+    if not np.all(np.isfinite(flat)):
+        raise DataError(f"{where}: parameter {name} has non-finite values")
+    try:
+        store.add(name, flat.reshape(shape))
+    except ValueError as exc:  # reshape: past numpy's dimension or size limit, even when empty
+        raise DataError(f"{where}: bad shape {shape} ({exc})") from None
+    except ConfigError as exc:
+        raise DataError(f"{where}: {exc}") from None
 
 
 @dataclass

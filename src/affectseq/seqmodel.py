@@ -29,7 +29,7 @@ backward pass is hand-written backpropagation through time: one reverse
 loop over the steps for the pre-activation gradients, then every weight
 gradient is one GEMM over all B*T rows. The parameters keep their
 per-gate names (``<prefix>.l<layer>.W_z`` ... ``b_o``), so
-``affectseq-params v1`` checkpoints load unchanged. With constant inputs
+checkpoints written before the fused ops load unchanged. With constant inputs
 and parameters (prediction) the ops keep no per-step state for a
 backward pass.
 """

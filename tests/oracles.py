@@ -7,6 +7,8 @@ check ``encode_batch_graph``, ``batch_norm_graph`` and
 ``fusion_head_graph`` row by row against it. ``freq_response``
 evaluates a designed filter's transfer function and ``lfilter`` runs the
 difference equation over numpy scalars, for the smoothing tests.
+``write_v1_checkpoint`` writes a ``ParamStore`` in the retired hex-text
+checkpoint format, which ``ParamStore.load`` still reads.
 """
 
 import numpy as np
@@ -117,3 +119,14 @@ def lfilter(b, a, x, zi):
             z[n - 1] = b[n] * xi - a[n] * yi
         y[i] = yi
     return y
+
+
+def write_v1_checkpoint(store, path):
+    """``affectseq-params v1``: one line per parameter in name order,
+    ``<name> <dims> <hex values>``, with ``-`` as the dims of a 0-d value."""
+    lines = ["affectseq-params v1"]
+    for name, arr in store.items():
+        dims = ",".join(str(d) for d in arr.shape) or "-"
+        values = " ".join(float(v).hex() for v in arr.ravel())
+        lines.append(f"{name} {dims} {values}".rstrip())
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")

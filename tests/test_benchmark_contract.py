@@ -6,9 +6,10 @@ and counts graph nodes by patching ``autodiff.Var.__init__``. It counts
 the bytes parsed by ``dataio.load_features`` and ``load_predictions``
 from their ``path`` argument and the samples smoothed by
 ``smoothing.filtfilt`` from its ``x``, replacing each function where a
-module namespace holds it. A refactor that renames any of these turns the
-benchmark's layers "missing", or stops them counting; these tests make it
-fail here first.
+module namespace holds it. Its set-up writes checkpoints with
+``ParamStore.save(path)`` and it times ``ParamStore.load`` by that name.
+A refactor that renames any of these turns the benchmark's layers
+"missing", or stops them counting; these tests make it fail here first.
 """
 
 import inspect
@@ -16,12 +17,19 @@ import inspect
 import numpy as np
 
 from affectseq import autodiff, dataio, smoothing
+from affectseq.numerics import ParamStore
 from affectseq.seqmodel import EncoderConfig, encode_batch_graph
 
 
 def test_encoder_call_shape():
     params = list(inspect.signature(encode_batch_graph).parameters)
     assert params[:2] == ["seqs", "config"]
+
+
+def test_checkpoint_call_shapes():
+    assert list(inspect.signature(ParamStore.save).parameters) == ["self", "path"]
+    assert list(inspect.signature(ParamStore.load).parameters) == ["path"]
+    assert inspect.ismethod(ParamStore.load)  # a classmethod, bound to the class
 
 
 def test_encoder_config_fields():

@@ -2,13 +2,17 @@
 
 import contextlib
 import io
+import itertools
+import math
 import shutil
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from affectseq.cli import main
 from affectseq.config import parse_config
 from affectseq.dataio import load_prediction_dir
@@ -180,22 +184,73 @@ class TestExitCodes:
         assert f"{moved}: movie id 'm000'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("fault, lineno", [("non-finite", 2), ("duplicate", 3)])
-    def test_malformed_checkpoint_is_exit_2(self, workspace, tmp_path, capsys, fault, lineno):
+    @pytest.mark.parametrize("version, fault, lineno", [
+        ("v1", "non-finite", 2), ("v1", "duplicate", 3),
+        ("v2", "non-finite", 2), ("v2", "duplicate", 3)])
+    def test_malformed_checkpoint_is_exit_2(self, workspace, tmp_path, capsys, version, fault,
+                                            lineno):
         ckpt = tmp_path / "model.ckpt"
-        init_model_params(parse_config(workspace / "run.cfg").model_config(), 0).save(ckpt)
-        lines = ckpt.read_text().splitlines()
-        if fault == "non-finite":
-            name, dims, _, *values = lines[1].split(" ")
-            lines[1] = " ".join([name, dims, "inf", *values])
+        store = init_model_params(parse_config(workspace / "run.cfg").model_config(), 0)
+        if version == "v1":
+            oracles.write_v1_checkpoint(store, ckpt)
+            lines = ckpt.read_text().splitlines()
+            if fault == "non-finite":
+                name, dims, _, *values = lines[1].split(" ")
+                lines[1] = " ".join([name, dims, "inf", *values])
+            else:
+                lines.insert(2, lines[1])
+            ckpt.write_text("\n".join(lines) + "\n")
         else:
-            lines.insert(2, lines[1])
-        ckpt.write_text("\n".join(lines) + "\n")
+            store.save(ckpt)
+            index, payload = split_checkpoint(ckpt.read_bytes())
+            if fault == "non-finite":
+                payload = struct.pack("<d", np.inf) + payload[8:]
+            else:
+                index.insert(2, index[1])
+                payload = payload[:8 * store.value(store.names()[0]).size] + payload
+            ckpt.write_bytes(b"\n".join(index) + b"\n\n" + payload)
         rc = main(["predict", "--config", str(workspace / "run.cfg"),
                    "--checkpoint", str(ckpt), "--out", str(tmp_path / "p")])
         assert rc == 2
         assert f"{ckpt}:{lineno}:" in capsys.readouterr().err
         assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_checkpoint_is_exit_2(self, workspace, tmp_path, capsys, kind):
+        ckpt = tmp_path / "model.ckpt"
+        if kind == "directory":
+            ckpt.mkdir()
+        elif kind == "not-utf8":
+            ckpt.write_bytes(b"affectseq-params v1\n\xe9\n")
+        rc = main(["predict", "--config", str(workspace / "run.cfg"),
+                   "--checkpoint", str(ckpt), "--out", str(tmp_path / "p")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert (f"{ckpt}:2: not UTF-8 text" if kind == "not-utf8"
+                else f"missing file: {ckpt}") in err
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("source, setting", [("flag", "--weights"), ("config", "ma_weights")])
+    def test_moving_average_longer_than_track_is_exit_2(self, workspace, tmp_path, capsys,
+                                                        source, setting):
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        track = preds / "m000.csv"
+        lines = (workspace / "data" / "annotations" / "m000.csv").read_text().splitlines()
+        track.write_text("\n".join(lines[:6]) + "\n")  # 5 seconds
+        if source == "flag":
+            settings = ["--smoother", "moving_average", "--weights", "1,1,1,1,1,1,1"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"manifest = {workspace / 'data' / 'manifest.txt'}\n"
+                           "smoother = moving_average\nma_weights = 1,1,1,1,1,1,1\n")
+            settings = ["--config", str(cfg)]
+        rc = main(["smooth", *settings, "--predictions", str(preds),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{track}: track of length 5" in err and setting in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow to inf is the point
     def test_exploding_run_is_numeric_failure(self, workspace, tmp_path, capsys):
@@ -323,6 +378,101 @@ class TestMalformedTracks:
     @pytest.mark.parametrize("token", BAD_TOKENS, ids=repr)
     def test_each_token_in_prediction_csv(self, workspace, fuzz_root, token):
         check_prediction_csv_in_smooth_and_evaluate(workspace, fuzz_root, "token", 7, 1, token)
+
+
+def split_checkpoint(data):
+    """(header and index lines, payload) of a v2 checkpoint's bytes."""
+    end = data.find(b"\n\n")
+    return data[:end].split(b"\n"), data[end + 2:]
+
+
+CHECKPOINT_FAULTS = ("truncate", "append", "drop_blank", "dims", "dup_line", "del_line",
+                     "nonfinite", "header")
+# quiet and signalling NaNs of both signs, and both infinities
+NONFINITE_BITS = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                  0x7FF0000000000000, 0xFFF0000000000000)
+
+
+def mangle_checkpoint(path, fault, pick, text, blob, bits):
+    """Apply one fault to a v2 checkpoint in place; returns the line number
+    at fault when the fault pins one, else None."""
+    (header, *index), payload = split_checkpoint(path.read_bytes())
+    ends = list(itertools.accumulate(
+        math.prod(int(d) for d in line.split(b" ")[1].split(b",")) for line in index))
+    lineno = None
+    row = pick % len(index)
+    if fault == "truncate":
+        cut = pick % len(payload)
+        payload = payload[:cut]
+        lineno = 2 + next(k for k, end in enumerate(ends) if 8 * end > cut)
+    elif fault == "append":
+        payload += blob
+    elif fault == "nonfinite":
+        at = pick % ends[-1]
+        payload = payload[:8 * at] + struct.pack("<Q", bits) + payload[8 * at + 8:]
+        lineno = 2 + next(k for k, end in enumerate(ends) if end > at)
+    elif fault == "dims":
+        index[row] = index[row].split(b" ")[0] + b" " + text.encode()
+    elif fault == "dup_line":
+        index.insert(row, index[row])
+    elif fault == "del_line":
+        del index[row]
+    elif fault == "header":
+        at = pick % len(header)
+        header = header[:at] + bytes([header[at] ^ (blob[0] | 1)]) + header[at + 1:]
+    blank = b"\n" if fault == "drop_blank" else b"\n\n"
+    path.write_bytes(b"\n".join([header, *index]) + blank + payload)
+    return lineno
+
+
+def check_checkpoint_in_predict(workspace, fuzz_root, fault, pick, text, blob, bits):
+    """``predict`` over a mangled checkpoint exits 0 or 2, never 1 or 3; on
+    2 it names the checkpoint (and the line, when the fault pins one) and
+    writes nothing. Returns the exit code."""
+    case = fuzz_root / f"ckpt-{len(list(fuzz_root.iterdir()))}"
+    case.mkdir()
+    ckpt = case / "model.ckpt"
+    shutil.copyfile(fuzz_root / "model.ckpt", ckpt)
+    lineno = mangle_checkpoint(ckpt, fault, pick, text, blob, bits)
+    rc, err = run_cli(["predict", "--config", str(workspace / "run.cfg"),
+                       "--checkpoint", str(ckpt), "--out", str(case / "out")])
+    assert rc in (0, 2), err
+    if rc == 2:
+        assert_names_fault(rc, err, ckpt, lineno)
+        assert not (case / "out").exists()
+    return rc
+
+
+class TestMalformedCheckpoints:
+    """Every malformed v2 checkpoint exits 2 naming the file before
+    anything is written. The fuzz draws faults at random; every fault kind
+    also has a pinned case."""
+
+    @given(fault=st.sampled_from(CHECKPOINT_FAULTS), pick=st.integers(0, 2 ** 20),
+           text=st.text(max_size=12) | st.integers(2 ** 31, 10 ** 40).map(str)
+           | st.sampled_from(["3037000500,3037000500", "9" * 5000, ",".join("1" * 65)]),
+           blob=st.binary(min_size=1, max_size=16), bits=st.sampled_from(NONFINITE_BITS))
+    @settings(max_examples=100, deadline=None)
+    def test_fuzzed_checkpoint_in_predict(self, workspace, fuzz_root, fault, pick, text, blob,
+                                          bits):
+        check_checkpoint_in_predict(workspace, fuzz_root, fault, pick, text, blob, bits)
+
+    @pytest.mark.parametrize("fault, text, bits", [
+        ("truncate", "", NONFINITE_BITS[0]),
+        ("append", "", NONFINITE_BITS[0]),
+        ("drop_blank", "", NONFINITE_BITS[0]),
+        ("dims", "4,x", NONFINITE_BITS[0]),
+        ("dims", "2,2", NONFINITE_BITS[0]),  # right count, wrong shape
+        ("dims", "3037000500,3037000500", NONFINITE_BITS[0]),
+        ("dims", "1000000000000000000000000000000", NONFINITE_BITS[0]),
+        ("dup_line", "", NONFINITE_BITS[0]),
+        ("del_line", "", NONFINITE_BITS[0]),
+        *(("nonfinite", "", bits) for bits in NONFINITE_BITS),
+        ("header", "", NONFINITE_BITS[0]),
+    ], ids=lambda v: hex(v) if isinstance(v, int) else v)
+    def test_each_fault_in_predict(self, workspace, fuzz_root, fault, text, bits):
+        assert check_checkpoint_in_predict(workspace, fuzz_root, fault, 37, text, b"\x00",
+                                           bits) == 2
 
 
 class TestPipeline:

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from affectseq import autodiff as ad
 from affectseq.errors import (
+    ConfigError,
     ContractViolation,
     DataError,
     DimensionError,
@@ -18,6 +22,9 @@ from affectseq.numerics import (
     adam_step,
     grad_check,
 )
+from affectseq.fusion import FusionConfig
+from affectseq.model import ModelConfig, init_model_params
+from affectseq.seqmodel import EncoderConfig
 
 
 def dense(x, w, b):
@@ -174,9 +181,189 @@ class TestParamStore:
         store.add("a", [2.0])
         path = tmp_path / "model.ckpt"
         store.save(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "affectseq-params v1"
-        assert lines[1].startswith("a ") and lines[2].startswith("z ")
+        lines = path.read_bytes().split(b"\n")
+        assert lines[0] == b"affectseq-params v2"
+        assert lines[1] == b"a 1" and lines[2] == b"z 1"
+
+
+def v2_bytes(index, values):
+    """A v2 checkpoint from its index lines and its flat payload values."""
+    return (("\n".join(["affectseq-params v2", *index]) + "\n\n").encode()
+            + np.asarray(values, dtype="<f8").tobytes())
+
+
+names = st.text(st.characters(codec="utf-8"), min_size=1, max_size=8).filter(
+    lambda name: name.split() == [name])
+values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.0 ** -1060, 2.0 ** -1022, 1e308, -1e308])
+
+
+@st.composite
+def stores(draw):
+    store = ParamStore()
+    for name in sorted(draw(st.sets(names, max_size=5))):
+        shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+        size = math.prod(shape)
+        store.add(name, np.array(draw(st.lists(values, min_size=size, max_size=size)),
+                                 dtype=np.float64).reshape(shape))
+    return store
+
+
+class TestCheckpointFormat:
+    """``affectseq-params v2``: header, ``<name> <dims>`` index lines in name
+    order, a blank line, then raw little-endian float64 values; ``v1`` hex
+    text still loads. Every fault names the file and the record's line."""
+
+    def test_v2_bytes_exact(self, tmp_path):
+        store = ParamStore()
+        store.add("z", 2.5)
+        store.add("a.w", [[1.0, -0.0, 3.0], [4.0, 5e-324, -1e308]])
+        store.add("e", np.zeros((2, 0)))
+        path = tmp_path / "model.ckpt"
+        store.save(path)
+        assert path.read_bytes() == v2_bytes(["a.w 2,3", "e 2,0", "z -"],
+                                             [1.0, -0.0, 3.0, 4.0, 5e-324, -1e308, 2.5])
+
+    def test_empty_store_round_trips(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        ParamStore().save(path)
+        assert path.read_bytes() == b"affectseq-params v2\n\n"
+        assert ParamStore.load(path).names() == []
+
+    @given(store=stores())
+    @settings(max_examples=60, deadline=None)
+    def test_both_formats_round_trip_bit_for_bit(self, tmp_path_factory, store):
+        root = tmp_path_factory.mktemp("ckpt")
+        store.save(root / "v2.ckpt")
+        oracles.write_v1_checkpoint(store, root / "v1.ckpt")
+        for path in (root / "v2.ckpt", root / "v1.ckpt"):
+            loaded = ParamStore.load(path)
+            assert loaded.names() == store.names()
+            for name in store.names():
+                assert loaded.value(name).shape == store.value(name).shape
+                np.testing.assert_array_equal(loaded.value(name).view(np.int64),
+                                              store.value(name).view(np.int64))
+
+    def test_v1_of_a_model_loads_as_its_v2(self, tmp_path):
+        encoders = (("audio", EncoderConfig(input_dim=5, hidden_units=(6, 4), cell_kind="lstm")),
+                    ("image", EncoderConfig(input_dim=3, hidden_units=(4,))))
+        config = ModelConfig(encoders=encoders, fusion=FusionConfig(enable_batchnorm=True))
+        store = init_model_params(config, seed=3)
+        store.save(tmp_path / "v2.ckpt")
+        oracles.write_v1_checkpoint(store, tmp_path / "v1.ckpt")
+        v1, v2 = (ParamStore.load(tmp_path / f"{v}.ckpt") for v in ("v1", "v2"))
+        assert v1.names() == v2.names() == store.names()
+        for name in store.names():
+            assert v1.value(name).tobytes() == v2.value(name).tobytes() \
+                == store.value(name).tobytes()
+
+    @pytest.mark.parametrize("name", ["", "a b", "a\tb", "a\nb", "a\rb", "a\x1cb", "a\x85b",
+                                      "a\u2028b", "a\u2029b", "\xa0", "w ", "w\ud800"])
+    def test_names_that_cannot_round_trip_refused(self, name):
+        with pytest.raises(ConfigError):
+            ParamStore().add(name, [1.0])
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_file_names_path(self, tmp_path, kind):
+        path = tmp_path / "model.ckpt"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"affectseq-params v1\nw 1 0x1p+0\n\xff\xfe\n")
+        with pytest.raises(DataError) as info:
+            ParamStore.load(path)
+        expected = f"{path}:3: not UTF-8 text" if kind == "not-utf8" else f"missing file: {path}"
+        assert str(info.value) == expected
+
+    @pytest.mark.parametrize("dims", ["1000000000000000000000000000000",
+                                      "3037000500,3037000500"])
+    def test_v1_huge_shape_is_a_count_error(self, tmp_path, dims):
+        path = tmp_path / "bad.ckpt"
+        path.write_text(f"affectseq-params v1\nw {dims} 0x1p+0\n")
+        with pytest.raises(DataError) as info:
+            ParamStore.load(path)
+        count = math.prod(int(d) for d in dims.split(","))
+        assert str(info.value) == f"{path}:2: parameter w has 1 values, expected {count}"
+
+    @pytest.mark.parametrize("dims", ["+1", " 1", "1 ", "\u0661", "1,", ",1", "", "-1", "1e0",
+                                      "1_0", "0x1", "9" * 5000, ",".join("1" * 65)],
+                             ids=lambda dims: repr(dims) if len(dims) < 12 else f"{len(dims)}-chars")
+    def test_strict_shape_tokens(self, tmp_path, dims):
+        for version, record in (("v1", f"w {dims} 0x1p+0"), ("v2", f"w {dims}")):
+            path = tmp_path / f"{version}.ckpt"
+            if version == "v1":
+                path.write_text(f"affectseq-params v1\n{record}\n")
+            else:
+                path.write_bytes(v2_bytes([record], [1.0]))
+            with pytest.raises(DataError) as info:
+                ParamStore.load(path)
+            assert str(info.value).startswith(f"{path}:2: "), (version, str(info.value))
+
+    def test_empty_shape_over_numpy_size_limit(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(v2_bytes(["w 0,99999999999,99999999999"], []))
+        with pytest.raises(DataError) as info:
+            ParamStore.load(path)
+        assert str(info.value).startswith(f"{path}:2: bad shape (0, 99999999999, 99999999999)")
+
+    def test_many_unit_dims_load(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(v2_bytes(["w " + ",".join("1" * 32)], [7.0]))
+        assert ParamStore.load(path).value("w").shape == (1,) * 32
+
+    @pytest.mark.parametrize("cut, line", [(0, 2), (8, 2), (15, 2), (16, 3), (23, 3)])
+    def test_short_payload_names_bytes_and_record(self, tmp_path, cut, line):
+        path = tmp_path / "model.ckpt"
+        data = v2_bytes(["a 2", "b 1"], [1.0, 2.0, 3.0])
+        path.write_bytes(data[:len(data) - 24 + cut])
+        with pytest.raises(DataError) as info:
+            ParamStore.load(path)
+        assert str(info.value) == f"{path}:{line}: payload has {cut} bytes, expected 24"
+
+    @pytest.mark.parametrize("extra", [b"\x00", b"\n", bytes(8)])
+    def test_long_payload_names_bytes(self, tmp_path, extra):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(v2_bytes(["a 2"], [1.0, 2.0]) + extra)
+        with pytest.raises(DataError) as info:
+            ParamStore.load(path)
+        assert str(info.value) == f"{path}: payload has {16 + len(extra)} bytes, expected 16"
+
+    @pytest.mark.parametrize("index, payload, line, text", [
+        (["a 1", "b 2"], [1.0, np.nan, 3.0], 3, "parameter b has non-finite values"),
+        (["a 1", "b 2"], [-np.inf, 2.0, 3.0], 2, "parameter a has non-finite values"),
+        (["a 1", "a 1"], [1.0, 2.0], 3, "duplicate parameter name: a"),
+        (["a 1 x"], [1.0], 2, "malformed index line 'a 1 x'"),
+        (["a"], [1.0], 2, "malformed index line 'a'"),
+        (["a\t1"], [1.0], 2, "malformed index line 'a\\t1'"),
+        (["a\x1cb 1"], [1.0], 2, "parameter names must be non-empty"),
+        (["a 1", "b 99999999999999999999"], [1.0, 2.0], 3,
+         "payload has 16 bytes, expected 800000000000000000000"),
+        (["a 1", "b 3037000500,3037000500"], [1.0, 2.0], 3,
+         "payload has 16 bytes, expected 73786976296002000008"),
+    ])
+    def test_v2_record_faults_name_line(self, tmp_path, index, payload, line, text):
+        path = tmp_path / "model.ckpt"
+        data = v2_bytes(index, payload)
+        path.write_bytes(data)
+        with pytest.raises(DataError) as info:
+            ParamStore.load(path)
+        assert str(info.value).startswith(f"{path}:{line}: {text}")
+
+    @pytest.mark.parametrize("data", [
+        b"affectseq-params v2\na 1" + np.float64(1.0).tobytes(),   # no blank line
+        b"affectseq-params v2\n",
+        b"affectseq-params v2",
+        b"affectseq-params v3\n\n",
+        b"",
+        b"\xff\xfe",
+        b"affectseq-params v2\na\xff 1\n\n" + bytes(8),     # index not UTF-8
+    ])
+    def test_v2_file_faults_name_path(self, tmp_path, data):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(data)
+        with pytest.raises(DataError) as info:
+            ParamStore.load(path)
+        assert str(info.value).startswith(f"{path}")
 
 
 class TestLossValue:
