@@ -18,7 +18,7 @@ from .errors import AffectSeqError
 from .evalmetrics import EvalReport, ensemble_average, evaluate_run, mse, pearson
 from .fusion import FusionConfig
 from .model import ModelConfig, init_model_params, predict_batch, training_loss
-from .numerics import AdamState, LossValue, ParamStore, adam_step, grad_check
+from .numerics import AdamState, LossValue, ParamStore, adam_step
 from .seqmodel import EncoderConfig
 from .smoothing import IIRCoefficients, SmootherSpec, butter_design, filtfilt, smooth_track
 from .training import predict_tracks, train_run
@@ -30,7 +30,7 @@ __all__ = [
     "EvalReport", "FusionConfig", "IIRCoefficients", "LossValue",
     "ModelConfig", "ParamStore", "SmootherSpec", "SynthSpec", "adam_step",
     "butter_design", "ensemble_average", "evaluate_run", "filtfilt",
-    "grad_check", "init_model_params", "load_features", "load_manifest",
+    "init_model_params", "load_features", "load_manifest",
     "load_predictions", "mse", "parse_pairs", "pearson", "predict_batch",
     "predict_tracks", "smooth_track", "split_dataset", "synth_generate",
     "train_run", "training_loss", "window_sequences", "write_track",

@@ -30,7 +30,7 @@ from .dataio import (
     synth_generate,
 )
 from .errors import AffectSeqError, ConfigError, DataError, NumericError
-from .evalmetrics import ensemble_average, evaluate_run, render_csv, render_text
+from .evalmetrics import AGGREGATION_MODES, ensemble_average, evaluate_run, render_csv, render_text
 from .model import init_model_params
 from .numerics import ParamStore
 from .smoothing import SMOOTHERS, SmootherSpec, smooth_track
@@ -88,7 +88,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--split", choices=("all", "train", "validation"), default="all")
     p.add_argument("--seed", type=int, help="seed (overrides the config)")
-    p.add_argument("--parallel", type=int, default=1, metavar="N")
 
     p = sub.add_parser("smooth", help="low-pass filter prediction tracks")
     p.add_argument("--predictions", required=True)
@@ -109,8 +108,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--predictions", required=True)
     p.add_argument("--annotations", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--aggregation", choices=("macro_per_movie", "pooled"),
-                   default="macro_per_movie")
+    p.add_argument("--aggregation", choices=AGGREGATION_MODES, default="macro_per_movie")
     return parser
 
 
@@ -188,8 +186,7 @@ def _cmd_predict(args) -> int:
         if not wanted:
             raise DataError(f"the {args.split} split is empty")
         features = {m: features[m] for m in wanted}
-    preds = predict_tracks(store, model_config, features,
-                           batch_size=cfg.batch_size, parallel=args.parallel)
+    preds = predict_tracks(store, model_config, features, batch_size=cfg.batch_size)
     save_prediction_dir(preds, args.out)
     print(f"wrote predictions for {len(preds)} movies to {args.out}")
     return EXIT_OK
@@ -221,7 +218,12 @@ def _cmd_smooth(args) -> int:
                 raise DataError(f"{Path(args.predictions) / f'{movie}.csv'}: track of length "
                                 f"{len(track)} is shorter than the {len(spec.weights)} "
                                 f"moving-average weights set by {setting}")
-    smoothed = {m: smooth_track(track, spec, causal=args.causal) for m, track in preds.items()}
+    try:
+        smoothed = {m: smooth_track(t, spec, causal=args.causal) for m, t in preds.items()}
+    except ConfigError as exc:
+        if exc.key != "causal":
+            raise
+        raise ConfigError(f"--causal: {exc}") from None
     save_prediction_dir(smoothed, args.out)
     print(f"smoothed {len(smoothed)} movies with {spec.kind} into {args.out}")
     return EXIT_OK

@@ -5,21 +5,22 @@ Config files use ``key = value`` lines with ``#`` comments. Unknown keys
 are rejected. The ``profile`` key expands to preset regularization and
 split settings:
 
-    run1    no dropout, no batch normalization
-    run2    dropout + batch normalization, train_fraction 0.7
-    run3    dropout + batch normalization
+    run1    dropout_rate 0, no batch normalization
+    run2    dropout_rate 0.5 + batch normalization, train_fraction 0.7
+    run3    dropout_rate 0.5 + batch normalization
     run4    run3 with a shifted seed (+1) and longer schedule (+epochs//4)
     custom  nothing preset (the default)
 
-A profile owns the keys it presets; overriding them in the same file is
-an error. Values outside the usual grids (for example a sequence length
+A profile owns the keys it presets; setting one in the same file is an
+error naming the profile. A ``dropout_rate`` of 0 (the default) means no
+dropout. Values outside the usual grids (for example a sequence length
 other than 10/30/60) are accepted with a warning record.
 
 Every key except ``manifest`` is a :class:`RunConfig` field declared with
-:func:`_key`, which holds its default and its parser; the known-key set,
-parsing, validation and the resolved echo all read that one table, which
-is also the one place smoother settings are checked (with the defaults of
-``SmootherSpec``). Batch norm needs ``batch_size >= 2``.
+:func:`_key`, which holds its default (the one of the record that owns the
+setting) and its parser; the known-key set, parsing, validation and the
+resolved echo all read that one table, which is also the one place
+smoother settings are checked. Batch norm needs ``batch_size >= 2``.
 """
 
 from __future__ import annotations
@@ -31,18 +32,20 @@ from typing import Callable, Mapping
 
 from .dataio import DatasetManifest, _parse_kv_lines, load_manifest
 from .errors import ConfigError
-from .fusion import FusionConfig
+from .fusion import CG2_POSITIONS, FusionConfig
 from .model import ModelConfig
-from .seqmodel import EncoderConfig
+from .numerics import AdamState
+from .seqmodel import CELL_KINDS, EncoderConfig
 from .smoothing import SMOOTHERS, SmootherSpec
 
-PROFILES = ("custom", "run1", "run2", "run3", "run4")
 _PROFILE_PRESETS = {
-    "run1": {"enable_dropout": False, "enable_batchnorm": False},
-    "run2": {"enable_dropout": True, "enable_batchnorm": True, "train_fraction": 0.7},
-    "run3": {"enable_dropout": True, "enable_batchnorm": True},
-    "run4": {"enable_dropout": True, "enable_batchnorm": True},
+    "custom": {},
+    "run1": {"dropout_rate": 0.0, "enable_batchnorm": False},
+    "run2": {"dropout_rate": 0.5, "enable_batchnorm": True, "train_fraction": 0.7},
+    "run3": {"dropout_rate": 0.5, "enable_batchnorm": True},
+    "run4": {"dropout_rate": 0.5, "enable_batchnorm": True},
 }
+PROFILES = tuple(_PROFILE_PRESETS)
 _PAPERED_SEQUENCE_LENGTHS = (10, 30, 60)
 
 
@@ -129,23 +132,25 @@ class RunConfig:
     seed: int = _key(1, _number(int))
     epochs: int = _key(30, _number(int, lo=1))
     batch_size: int = _key(512, _number(int, lo=1))
-    learning_rate: float = _key(0.001, _number(float, lo=0))
-    adam_beta1: float = _key(0.9, _number(float, lo=0, hi=1))
-    adam_beta2: float = _key(0.999, _number(float, lo=0, hi=1))
-    adam_epsilon: float = _key(1e-8, _number(float, lo=0, lo_open=True))
-    cell: str = _key("gru", _choice("gru", "lstm"))
-    hidden_units: tuple[int, ...] = _key((128,), _units)
-    sequence_length: int = _key(60, _number(int, lo=1))
-    dropout_rate: float = _key(0.5, _number(float, lo=0, hi=1, hi_open=True))
-    enable_dropout: bool = _key(False, _bool)
-    enable_batchnorm: bool = _key(False, _bool)
-    train_fraction: float = _key(1.0, _number(float, lo=0, hi=1, lo_open=True))
-    num_experts: int = _key(2, _number(int, lo=1))
-    l2_lambda: float = _key(1e-5, _number(float, lo=0))
-    cg2_position: str = _key("moe_output", _choice("moe_input", "moe_output"))
-    bn_momentum: float = _key(0.9, _number(float, lo=0, hi=1, lo_open=True, hi_open=True))
-    bn_epsilon: float = _key(1e-5, _number(float, lo=0, lo_open=True))
-    use_batch_stats_at_inference: bool = _key(True, _bool)
+    learning_rate: float = _key(AdamState.lr, _number(float, lo=0))
+    adam_beta1: float = _key(AdamState.beta1, _number(float, lo=0, hi=1))
+    adam_beta2: float = _key(AdamState.beta2, _number(float, lo=0, hi=1))
+    adam_epsilon: float = _key(AdamState.epsilon, _number(float, lo=0, lo_open=True))
+    cell: str = _key(EncoderConfig.cell_kind, _choice(*CELL_KINDS))
+    hidden_units: tuple[int, ...] = _key(EncoderConfig.hidden_units, _units)
+    sequence_length: int = _key(ModelConfig.sequence_length, _number(int, lo=1))
+    dropout_rate: float = _key(EncoderConfig.dropout_rate,
+                               _number(float, lo=0, hi=1, hi_open=True))
+    enable_batchnorm: bool = _key(FusionConfig.enable_batchnorm, _bool)
+    train_fraction: float = _key(DatasetManifest.train_fraction,
+                                 _number(float, lo=0, hi=1, lo_open=True))
+    num_experts: int = _key(FusionConfig.num_experts, _number(int, lo=1))
+    l2_lambda: float = _key(FusionConfig.l2_lambda, _number(float, lo=0))
+    cg2_position: str = _key(FusionConfig.cg2_position, _choice(*CG2_POSITIONS))
+    bn_momentum: float = _key(FusionConfig.bn_momentum,
+                              _number(float, lo=0, hi=1, lo_open=True, hi_open=True))
+    bn_epsilon: float = _key(FusionConfig.bn_epsilon, _number(float, lo=0, lo_open=True))
+    use_batch_stats_at_inference: bool = _key(FusionConfig.use_batch_stats_at_inference, _bool)
     smoother: str = _key(SmootherSpec.kind, _choice(*SMOOTHERS))
     butter_order: int = _key(SmootherSpec.order, _number(int, lo=1, hi=4))
     butter_cutoff: float = _key(SmootherSpec.cutoff,
@@ -156,13 +161,12 @@ class RunConfig:
     warnings: tuple[str, ...] = ()
 
     def model_config(self) -> ModelConfig:
-        dropout = self.dropout_rate if self.enable_dropout else 0.0
         encoders = tuple(
             (name, EncoderConfig(
                 input_dim=dim,
                 hidden_units=self.hidden_overrides.get(name, self.hidden_units),
                 cell_kind=self.cell,
-                dropout_rate=dropout,
+                dropout_rate=self.dropout_rate,
             ))
             for name, dim in self.manifest.modalities
         )
@@ -170,7 +174,7 @@ class RunConfig:
             num_experts=self.num_experts,
             l2_lambda=self.l2_lambda,
             enable_batchnorm=self.enable_batchnorm,
-            dropout_rate=dropout,
+            dropout_rate=self.dropout_rate,
             output_range=self.manifest.annotation_range,
             cg2_position=self.cg2_position,
             bn_momentum=self.bn_momentum,
@@ -237,12 +241,14 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
     """Load, validate, and fully resolve a run config file.
 
     ``overrides`` (from CLI flags) behave as if the file contained those
-    keys, replacing any it did contain.
+    keys, replacing any it did contain. A fault in a key from the file
+    names the file and the key.
     """
     path = Path(path)
     kv = _parse_kv_lines(path)
-    if overrides:
-        kv.update({k: str(v) for k, v in overrides.items()})
+    overrides = {k: str(v) for k, v in (overrides or {}).items()}
+    labels = {k: f"{path}: key {k}" for k in kv if k not in overrides}
+    kv.update(overrides)
 
     hidden_overrides_raw: dict[str, str] = {}
     for key in list(kv):
@@ -259,11 +265,11 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
         manifest_path = path.parent / manifest_path
     manifest = load_manifest(manifest_path)
 
-    values = parse_values(kv)
-    preset = _PROFILE_PRESETS.get(values["profile"], {})
+    values = parse_values(kv, labels)
+    preset = _PROFILE_PRESETS[values["profile"]]
     for owned in preset:
         if owned in kv:
-            raise ConfigError(f"profile {values['profile']} fixes {owned}; remove the explicit key")
+            raise ConfigError(f"{path}: profile {values['profile']} fixes {owned}; remove the key")
     if "train_fraction" not in kv:
         values["train_fraction"] = manifest.train_fraction
     values.update(preset)
@@ -272,14 +278,14 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
     known_modalities = {name for name, _ in manifest.modalities}
     for name, raw in hidden_overrides_raw.items():
         if name not in known_modalities:
-            raise ConfigError(f"hidden_units.{name}: modality not in manifest")
-        cfg.hidden_overrides[name] = _parse(f"key hidden_units.{name}", _units, raw)
+            raise ConfigError(f"{path}: key hidden_units.{name}: modality not in manifest")
+        cfg.hidden_overrides[name] = _parse(f"{path}: key hidden_units.{name}", _units, raw)
 
     if cfg.profile == "run4":
         cfg.seed = cfg.seed + 1
         cfg.epochs = cfg.epochs + max(1, cfg.epochs // 4)
     if cfg.enable_batchnorm and cfg.batch_size < 2:
-        raise ConfigError(f"key batch_size: batch normalization (enable_batchnorm, or "
+        raise ConfigError(f"{path}: key batch_size: batch normalization (enable_batchnorm, or "
                           f"profiles run2-run4) needs batch_size >= 2, got {cfg.batch_size}")
 
     if cfg.sequence_length not in _PAPERED_SEQUENCE_LENGTHS:

@@ -35,6 +35,8 @@ from .rng import generator
 FEATURES_DIR = "features"
 ANNOTATIONS_DIR = "annotations"
 MANIFEST_NAME = "manifest.txt"
+MANIFEST_KEYS = ("modalities", "movies", "annotation_range", "validation_movies",
+                 "train_fraction")
 AFFECT_COLUMNS = ("valence", "arousal")
 
 
@@ -272,9 +274,8 @@ def parse_pairs(text: str, kind: type, key: str) -> tuple[tuple[str, int | float
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     kv = _parse_kv_lines(path)
-    allowed = {"modalities", "movies", "annotation_range", "validation_movies", "train_fraction"}
     try:
-        unknown = set(kv) - allowed
+        unknown = set(kv).difference(MANIFEST_KEYS)
         if unknown:
             raise ConfigError(f"unknown manifest keys: {sorted(unknown)}")
         for required in ("modalities", "movies"):

@@ -33,6 +33,3 @@ class ConfigError(AffectSeqError):
         super().__init__(message)
         self.key = key
 
-
-class ContractViolation(AffectSeqError):
-    """A caller-supplied callable broke its documented contract."""

@@ -26,6 +26,7 @@ from .errors import ConfigError, DataError, DimensionError
 from .numerics import ParamStore, glorot_uniform
 
 OUTPUT_DIMS = ("valence", "arousal")
+CG2_POSITIONS = ("moe_input", "moe_output")
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class FusionConfig:
         lo, hi = self.output_range
         if not lo < hi:
             raise ConfigError(f"output range ({lo}, {hi}) must satisfy lo < hi")
-        if self.cg2_position not in ("moe_input", "moe_output"):
+        if self.cg2_position not in CG2_POSITIONS:
             raise ConfigError(f"unknown cg2_position: {self.cg2_position!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must lie in [0, 1)")

@@ -1,6 +1,6 @@
 """Training support around the autodiff graph: parameter storage and
-checkpoints, weight initialization, the loss record, the Adam optimizer,
-and a finite-difference gradient checker.
+checkpoints, weight initialization, the loss record and the Adam
+optimizer.
 
 A checkpoint (``affectseq-params v2``) is a text index of parameter names
 and shapes followed by one raw little-endian float64 payload, so loading
@@ -17,17 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    ContractViolation,
-    DataError,
-    DomainError,
-    NumericError,
-)
+from .errors import ConfigError, DataError, DomainError, NumericError
 
 CHECKPOINT_HEADER = "affectseq-params v2"
 _V1_HEADER = "affectseq-params v1"
@@ -249,8 +243,9 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, store: ParamStore, lr=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
+    def for_params(cls, store: ParamStore, **hyper) -> "AdamState":
+        """Zero moments for every parameter; ``hyper`` overrides the defaults."""
+        state = cls(**hyper)
         for name, value in store.items():
             state.m[name] = np.zeros_like(value)
             state.v[name] = np.zeros_like(value)
@@ -277,44 +272,3 @@ def adam_step(store: ParamStore, state: AdamState) -> None:
         p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
         if not np.all(np.isfinite(p)):
             raise NumericError(f"parameter {name} became non-finite after Adam step")
-
-
-def grad_check(
-    loss_fn: Callable[[ParamStore], float],
-    store: ParamStore,
-    eps: float = 1e-5,
-) -> float:
-    """Central finite differences against the analytic gradient.
-
-    ``loss_fn`` must return a scalar loss and populate ``store`` gradients
-    as a side effect (gradients are zeroed before the analytic call). The
-    closure must be deterministic; live dropout or any other source of
-    run-to-run variation is a contract violation. Returns the max over
-    parameter entries of ``|g_fd - g_an| / max(1e-8, |g_fd| + |g_an|)``.
-    On return the store's gradient buffers are zeroed.
-    """
-    if eps <= 0:
-        raise DomainError("grad_check needs eps > 0")
-    store.zero_grads()
-    base = float(loss_fn(store))
-    analytic = {name: store.grad(name).copy() for name in store.names()}
-    store.zero_grads()
-    if float(loss_fn(store)) != base:
-        raise ContractViolation("loss closure is not deterministic across calls")
-
-    worst = 0.0
-    for name in store.names():
-        flat = store.value(name).ravel()
-        gan = analytic[name].ravel()
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + eps
-            lp = float(loss_fn(store))
-            flat[i] = keep - eps
-            lm = float(loss_fn(store))
-            flat[i] = keep
-            fd = (lp - lm) / (2.0 * eps)
-            denom = max(1e-8, abs(fd) + abs(gan[i]))
-            worst = max(worst, abs(fd - gan[i]) / denom)
-    store.zero_grads()
-    return worst

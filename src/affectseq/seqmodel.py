@@ -45,6 +45,7 @@ from . import autodiff as ad
 from .errors import ConfigError, DimensionError, DomainError
 from .numerics import ParamStore, glorot_uniform
 
+CELL_KINDS = ("gru", "lstm")
 GRU_GATES = ("z", "r", "h")
 LSTM_GATES = ("i", "f", "g", "o")
 
@@ -59,7 +60,7 @@ class EncoderConfig:
     dropout_rate: float = 0.0
 
     def __post_init__(self):
-        if self.cell_kind not in ("gru", "lstm"):
+        if self.cell_kind not in CELL_KINDS:
             raise ConfigError(f"unknown cell kind: {self.cell_kind!r}")
         if self.input_dim < 1:
             raise ConfigError("input_dim must be >= 1")

@@ -207,13 +207,18 @@ class SmootherSpec:
 
 
 def smooth_track(values: np.ndarray, spec: SmootherSpec, causal: bool = False) -> np.ndarray:
-    """Smooth an [L] or [L, 2] track; columns are filtered independently."""
+    """Smooth an [L] or [L, 2] track; columns are filtered independently.
+
+    ``causal`` runs Butterworth as one forward pass; moving_average refuses it.
+    """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim not in (1, 2):
         raise DimensionError("tracks must be 1-D or 2-D")
     if spec.kind == "none":
         return values.copy()
     if spec.kind == "moving_average":
+        if causal:
+            raise ConfigError("moving_average is centred and has no causal form", key="causal")
         column = lambda x: weighted_moving_average(x, spec.weights)
     else:
         coeffs = butter_design(spec.order, spec.cutoff)

@@ -1,14 +1,15 @@
 """The training loop plus batched per-movie prediction.
 
 Training is single-threaded and fully deterministic given the config and
-seed: epoch shuffles, dropout masks, and initialization all derive from
+seed: epoch shuffles, dropout masks (drawn only when the model's
+``dropout_rate`` is above 0), and initialization all derive from
 purpose-split child seeds. A NaN or Inf loss aborts the run with
-NumericError rather than continuing silently.
+NumericError rather than continuing silently. Prediction runs one movie
+at a time, in sorted order, in batches of ``batch_size`` windows.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -59,10 +60,12 @@ def write_training_log(logs: list[EpochLog], path) -> None:
 
 def predict_tracks(store: ParamStore, model_config: ModelConfig,
                    features: Mapping[str, Mapping[str, np.ndarray]],
-                   batch_size: int = 512, parallel: int = 1) -> dict[str, np.ndarray]:
-    """Eval-mode predictions for whole movies, one window per second."""
+                   batch_size: int = 512) -> dict[str, np.ndarray]:
+    """Eval-mode predictions for whole movies, one window per second, in movie order."""
     window = model_config.sequence_length
 
+    # a function scope frees one movie's windows and batches before the next
+    # movie's are built, which bounds peak memory by the largest movie
     def one_movie(movie: str) -> np.ndarray:
         windows = window_sequences({movie: features[movie]}, None, window)
         chunks = []
@@ -71,12 +74,7 @@ def predict_tracks(store: ParamStore, model_config: ModelConfig,
             chunks.append(predict_batch(store, model_config, batch))
         return np.concatenate(chunks)
 
-    movies = sorted(features)
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(one_movie, movies))
-        return dict(zip(movies, results))
-    return {movie: one_movie(movie) for movie in movies}
+    return {movie: one_movie(movie) for movie in sorted(features)}
 
 
 def _validation_metrics(store, model_config, features, annotations, movies, batch_size):

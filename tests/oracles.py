@@ -8,10 +8,14 @@ check ``encode_batch_graph``, ``batch_norm_graph`` and
 evaluates a designed filter's transfer function and ``lfilter`` runs the
 difference equation over numpy scalars, for the smoothing tests.
 ``write_v1_checkpoint`` writes a ``ParamStore`` in the retired hex-text
-checkpoint format, which ``ParamStore.load`` still reads.
+checkpoint format, which ``ParamStore.load`` still reads. ``grad_check``
+compares a loss closure's analytic gradients with central finite
+differences.
 """
 
 import numpy as np
+
+from affectseq.errors import DomainError
 
 
 def sigmoid(z):
@@ -130,3 +134,44 @@ def write_v1_checkpoint(store, path):
         values = " ".join(float(v).hex() for v in arr.ravel())
         lines.append(f"{name} {dims} {values}".rstrip())
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class ContractViolation(Exception):
+    """A loss closure handed to ``grad_check`` broke its contract."""
+
+
+def grad_check(loss_fn, store, eps=1e-5):
+    """Central finite differences against the analytic gradient.
+
+    ``loss_fn`` must return a scalar loss and populate ``store`` gradients
+    as a side effect (gradients are zeroed before the analytic call). The
+    closure must be deterministic; live dropout or any other source of
+    run-to-run variation raises :class:`ContractViolation`. Returns the max
+    over parameter entries of ``|g_fd - g_an| / max(1e-8, |g_fd| + |g_an|)``.
+    On return the store's gradient buffers are zeroed.
+    """
+    if eps <= 0:
+        raise DomainError("grad_check needs eps > 0")
+    store.zero_grads()
+    base = float(loss_fn(store))
+    analytic = {name: store.grad(name).copy() for name in store.names()}
+    store.zero_grads()
+    if float(loss_fn(store)) != base:
+        raise ContractViolation("loss closure is not deterministic across calls")
+
+    worst = 0.0
+    for name in store.names():
+        flat = store.value(name).ravel()
+        gan = analytic[name].ravel()
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + eps
+            lp = float(loss_fn(store))
+            flat[i] = keep - eps
+            lm = float(loss_fn(store))
+            flat[i] = keep
+            fd = (lp - lm) / (2.0 * eps)
+            denom = max(1e-8, abs(fd) + abs(gan[i]))
+            worst = max(worst, abs(fd - gan[i]) / denom)
+    store.zero_grads()
+    return worst

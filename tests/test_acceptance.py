@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from oracles import grad_check
 from affectseq import autodiff as ad
 from affectseq.cli import main as cli_main
 from affectseq.config import parse_config
@@ -25,7 +26,7 @@ from affectseq.fusion import (
     map_to_range,
 )
 from affectseq.model import ModelConfig, init_model_params, training_loss
-from affectseq.numerics import ParamStore, grad_check
+from affectseq.numerics import ParamStore
 from affectseq.rng import generator
 from affectseq.seqmodel import EncoderConfig
 from affectseq.smoothing import butter_design, filtfilt
@@ -203,15 +204,15 @@ def test_07_run_matrix_fixture(tmp_path):
             return parse_config(path)
 
         run1 = resolve("run1")
-        assert run1.enable_dropout is False and run1.enable_batchnorm is False
+        assert run1.dropout_rate == 0.0 and run1.enable_batchnorm is False
         run2 = resolve("run2")
-        assert run2.enable_dropout and run2.enable_batchnorm
+        assert run2.dropout_rate == 0.5 and run2.enable_batchnorm
         assert run2.train_fraction == 0.7
         run3 = resolve("run3")
-        assert run3.enable_dropout and run3.enable_batchnorm
+        assert run3.dropout_rate == 0.5 and run3.enable_batchnorm
         assert run3.train_fraction == 1.0
         run4 = resolve("run4")
-        assert run4.enable_dropout and run4.enable_batchnorm
+        assert run4.dropout_rate == 0.5 and run4.enable_batchnorm
         assert (run4.seed, run4.epochs) != (run3.seed, run3.epochs)
 
         report = EvalReport(valence_mse=0.0837, valence_pcc=0.1786,

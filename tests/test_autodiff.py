@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from oracles import grad_check
 from affectseq import autodiff as ad
 from affectseq.errors import DimensionError
-from affectseq.numerics import ParamStore, grad_check
+from affectseq.numerics import ParamStore
 
 
 def check_op(build, shapes, seed=0, tol=1e-6):

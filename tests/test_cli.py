@@ -1,5 +1,6 @@
 """End-to-end command-line tests over a small synthetic dataset."""
 
+import argparse
 import contextlib
 import io
 import itertools
@@ -13,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from affectseq.cli import main
+from affectseq import config
+from affectseq.cli import _build_parser, main
 from affectseq.config import parse_config
-from affectseq.dataio import load_prediction_dir
+from affectseq.dataio import MANIFEST_KEYS, load_prediction_dir
 from affectseq.model import init_model_params
 
 
@@ -252,6 +254,22 @@ class TestExitCodes:
         assert f"{track}: track of length 5" in err and setting in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_causal_moving_average_is_exit_2(self, workspace, tmp_path, capsys, source):
+        if source == "flag":
+            settings = ["--smoother", "moving_average"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"manifest = {workspace / 'data' / 'manifest.txt'}\n"
+                           "smoother = moving_average\n")
+            settings = ["--config", str(cfg)]
+        rc = main(["smooth", *settings, "--causal", "--predictions",
+                   str(workspace / "data" / "annotations"), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--causal" in err and "moving_average" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow to inf is the point
     def test_exploding_run_is_numeric_failure(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "explode.cfg"
@@ -475,56 +493,62 @@ class TestMalformedCheckpoints:
                                            bits) == 2
 
 
+@pytest.fixture(scope="module")
+def run_a(workspace):
+    """The whole chain at the workspace's seed."""
+    return run_pipeline(workspace, "runA")
+
+
+@pytest.fixture(scope="module")
+def run_d(workspace):
+    """The whole chain at another seed."""
+    return run_pipeline(workspace, "runD", seed="4")
+
+
 class TestPipeline:
-    def test_full_chain_produces_defined_metrics(self, workspace):
-        out = run_pipeline(workspace, "runA")
-        report = (out / "eval" / "report.csv").read_text().splitlines()
+    def test_full_chain_produces_defined_metrics(self, run_a):
+        report = (run_a / "eval" / "report.csv").read_text().splitlines()
         headline = {line.split(",")[0]: line.split(",")[2]
                     for line in report[1:5]}
         for key in ("valence_mse", "valence_pcc", "arousal_mse", "arousal_pcc"):
             assert headline[key] != "undefined"
             float(headline[key])
-        text = (out / "eval" / "report.txt").read_text()
+        text = (run_a / "eval" / "report.txt").read_text()
         assert "Valence MSE  Valence PCC  Arousal MSE  Arousal PCC" in text
 
-    def test_training_artifacts(self, workspace):
-        out = workspace / "runA"
-        log = (out / "model" / "training_log.csv").read_text().splitlines()
+    def test_training_artifacts(self, run_a):
+        log = (run_a / "model" / "training_log.csv").read_text().splitlines()
         assert log[0].startswith("epoch,train_loss,")
         assert len(log) == 3  # header + 2 epochs
         for row in log[1:]:
             loss = float(row.split(",")[1])
             assert np.isfinite(loss)
-        resolved = (out / "model" / "resolved_config.txt").read_text()
-        assert "enable_dropout = false" in resolved
+        resolved = (run_a / "model" / "resolved_config.txt").read_text()
+        assert "dropout_rate = 0.0" in resolved
         assert "# resolved from profile: run1" in resolved
 
-    def test_prediction_files_reload(self, workspace):
-        out = workspace / "runA"
-        preds = load_prediction_dir(out / "raw")
+    def test_prediction_files_reload(self, run_a):
+        preds = load_prediction_dir(run_a / "raw")
         assert sorted(preds) == ["m000", "m001"]
         assert preds["m000"].shape == (50, 2)
         assert np.all(np.abs(preds["m000"]) < 1.0)
 
-    def test_determinism_byte_identical(self, workspace):
-        out_b = run_pipeline(workspace, "runB")
+    def test_determinism_byte_identical(self, workspace, run_a):
         out_c = run_pipeline(workspace, "runC")
         for rel in ("model/model.ckpt", "model/training_log.csv",
                     "model/resolved_config.txt", "raw/m000.csv", "raw/m001.csv",
                     "smooth/m000.csv", "smooth/m001.csv",
                     "eval/report.csv", "eval/report.txt"):
-            ba = (out_b / rel).read_bytes()
+            ba = (run_a / rel).read_bytes()
             bc = (out_c / rel).read_bytes()
             assert ba == bc, f"{rel} differs between identical runs"
 
-    def test_different_seed_changes_outputs(self, workspace):
-        out_b = workspace / "runB"
-        out_d = run_pipeline(workspace, "runD", seed="4")
-        assert (out_b / "raw" / "m000.csv").read_bytes() != \
-            (out_d / "raw" / "m000.csv").read_bytes()
+    def test_different_seed_changes_outputs(self, run_a, run_d):
+        assert (run_a / "raw" / "m000.csv").read_bytes() != \
+            (run_d / "raw" / "m000.csv").read_bytes()
 
-    def test_ensemble_of_duplicate_dir_is_identity(self, workspace, tmp_path):
-        raw = workspace / "runA" / "raw"
+    def test_ensemble_of_duplicate_dir_is_identity(self, run_a, tmp_path):
+        raw = run_a / "raw"
         out = tmp_path / "ens"
         assert main(["ensemble", "--runs", str(raw), str(raw),
                      "--out", str(out)]) == 0
@@ -533,27 +557,24 @@ class TestPipeline:
             b = load_prediction_dir(out)[movie]
             np.testing.assert_array_equal(a, b)
 
-    def test_ensemble_averages_two_runs(self, workspace, tmp_path):
-        run_b = workspace / "runB" / "raw"
-        run_d = workspace / "runD" / "raw"
+    def test_ensemble_averages_two_runs(self, run_a, run_d, tmp_path):
         out = tmp_path / "ens2"
-        assert main(["ensemble", "--runs", str(run_b), str(run_d),
+        assert main(["ensemble", "--runs", str(run_a / "raw"), str(run_d / "raw"),
                      "--out", str(out)]) == 0
-        pb = load_prediction_dir(run_b)["m000"]
-        pd = load_prediction_dir(run_d)["m000"]
+        pa = load_prediction_dir(run_a / "raw")["m000"]
+        pd = load_prediction_dir(run_d / "raw")["m000"]
         pe = load_prediction_dir(out)["m000"]
-        np.testing.assert_allclose(pe, (pb + pd) / 2.0, atol=1e-15)
+        np.testing.assert_allclose(pe, (pa + pd) / 2.0, atol=1e-15)
 
-    def test_predict_validation_split(self, workspace, tmp_path):
-        out = workspace / "runA"
+    def test_predict_validation_split(self, workspace, run_a, tmp_path):
         dest = tmp_path / "valpred"
         assert main(["predict", "--config", str(workspace / "run.cfg"),
-                     "--checkpoint", str(out / "model" / "model.ckpt"),
+                     "--checkpoint", str(run_a / "model" / "model.ckpt"),
                      "--out", str(dest), "--split", "validation"]) == 0
         assert sorted(load_prediction_dir(dest)) == ["m001"]
 
-    def test_smooth_standalone_flags(self, workspace, tmp_path):
-        raw = workspace / "runA" / "raw"
+    def test_smooth_standalone_flags(self, run_a, tmp_path):
+        raw = run_a / "raw"
         dest = tmp_path / "sm"
         assert main(["smooth", "--predictions", str(raw), "--out", str(dest),
                      "--smoother", "moving_average", "--weights", "1,2,1"]) == 0
@@ -561,15 +582,15 @@ class TestPipeline:
         assert main(["smooth", "--predictions", str(raw), "--out", str(tmp_path / "bw"),
                      "--order", "4", "--cutoff", "0.3"]) == 0
 
-    def test_checkpoint_architecture_mismatch_is_exit_2(self, workspace, tmp_path, capsys):
-        out = workspace / "runA"
+    def test_checkpoint_architecture_mismatch_is_exit_2(self, workspace, run_a, tmp_path,
+                                                        capsys):
         wider = tmp_path / "wider.cfg"
         wider.write_text(
             f"manifest = {workspace / 'data' / 'manifest.txt'}\n"
             "profile = run1\nsequence_length = 10\nhidden_units = 8\n"
         )
         rc = main(["predict", "--config", str(wider),
-                   "--checkpoint", str(out / "model" / "model.ckpt"),
+                   "--checkpoint", str(run_a / "model" / "model.ckpt"),
                    "--out", str(tmp_path / "p")])
         assert rc == 2
         assert "checkpoint" in capsys.readouterr().err
@@ -580,12 +601,12 @@ class TestPipeline:
             "profile = run1\nsequence_length = 10\nhidden_units = 4\ncell = lstm\n"
         )
         rc = main(["predict", "--config", str(lstm),
-                   "--checkpoint", str(out / "model" / "model.ckpt"),
+                   "--checkpoint", str(run_a / "model" / "model.ckpt"),
                    "--out", str(tmp_path / "p")])
         assert rc == 2
 
-    def test_misaligned_ensemble_is_exit_2(self, workspace, tmp_path, capsys):
-        raw = workspace / "runA" / "raw"
+    def test_misaligned_ensemble_is_exit_2(self, run_a, tmp_path, capsys):
+        raw = run_a / "raw"
         partial = tmp_path / "partial"
         partial.mkdir()
         (partial / "m000.csv").write_text((raw / "m000.csv").read_text())
@@ -593,12 +614,239 @@ class TestPipeline:
                    "--out", str(tmp_path / "e")])
         assert rc == 2
 
-    def test_parallel_predict_matches_serial(self, workspace, tmp_path):
-        out = workspace / "runA"
-        dest = tmp_path / "par"
-        assert main(["predict", "--config", str(workspace / "run.cfg"),
-                     "--checkpoint", str(out / "model" / "model.ckpt"),
-                     "--out", str(dest), "--parallel", "4"]) == 0
-        for movie in ("m000", "m001"):
-            assert (dest / f"{movie}.csv").read_bytes() == \
-                (out / "raw" / f"{movie}.csv").read_bytes()
+
+# Values each config key's parser refuses; hidden_units.audio is the
+# per-modality override of hidden_units.
+BAD_CONFIG_VALUES = {
+    "profile": ("run9", "Run1", ""), "seed": ("1.5", "abc"), "epochs": ("0", "x"),
+    "batch_size": ("0", "-3"), "learning_rate": ("-1", "inf", "nan"),
+    "adam_beta1": ("1.5", "-0.1"), "adam_beta2": ("2", "nan"),
+    "adam_epsilon": ("0", "-1e-8"), "cell": ("rnn", "GRU"),
+    "hidden_units": ("0", "4,4,4", "a"), "hidden_units.audio": ("0", "4,4,4"),
+    "sequence_length": ("0", "1e3"), "dropout_rate": ("1", "-0.1", "nan"),
+    "enable_batchnorm": ("yes", "1"), "train_fraction": ("0", "1.5"),
+    "num_experts": ("0", "2.0"), "l2_lambda": ("-1", "inf"), "cg2_position": ("middle",),
+    "bn_momentum": ("0", "1"), "bn_epsilon": ("0", "-inf"),
+    "use_batch_stats_at_inference": ("True",), "smoother": ("kalman",),
+    "butter_order": ("0", "5"), "butter_cutoff": ("0", "1"),
+    "ma_weights": ("1,1", ",", "1,-1,1"), "early_stop_patience": ("-1",),
+}
+# Values each manifest key refuses without reading a track.
+BAD_MANIFEST_VALUES = {
+    "modalities": ("audio:x", "audio:0", "audio:3, audio:3", "audio", ""),
+    "movies": ("m000:abc", "m000:50, m000:50", "m000:0", ""),
+    "annotation_range": ("0, b", "1, -1", "-inf, inf", "0, nan", "-1e308, 1e308", "1",
+                         "0,1,2"),
+    "validation_movies": ("m999",),
+    "train_fraction": ("0", "1.5", "abc", "nan"),
+}
+UNKNOWN_KEYS = ("enable_dropout", "optimizer", "Seed", "hidden_units_audio")
+OWNED = tuple((profile, key) for profile, preset in config._PROFILE_PRESETS.items()
+              for key in preset)
+# values a profile-owned key would accept anywhere else
+OWNED_VALUES = {"dropout_rate": ("0.3", "0", "0.5"), "enable_batchnorm": ("true", "false"),
+                "train_fraction": ("0.5", "0.7")}
+CONFIG_FAULTS = ("value", "unknown", "owned", "duplicate", "syntax", "no_manifest",
+                 "override", "batchnorm_batch")
+MANIFEST_FAULTS = ("value", "unknown", "missing", "duplicate", "syntax")
+
+
+def write_lines(path, items, extra=()):
+    """``key = value`` lines from a dict, then the raw ``extra`` lines."""
+    lines = [f"{k} = {v}" for k, v in items.items()]
+    path.write_text("\n".join([*lines, *extra]) + "\n")
+
+
+def check_settings_in_train_and_predict(fuzz_root, cfg, file, needles):
+    """``train`` and ``predict`` on ``cfg`` both exit 2, name ``file`` and
+    every needle, and write nothing."""
+    out = cfg.parent / "out"
+    for argv in (["train", "--config", str(cfg)],
+                 ["predict", "--config", str(cfg), "--checkpoint",
+                  str(fuzz_root / "model.ckpt")]):
+        rc, err = run_cli([*argv, "--out", str(out)])
+        assert rc == 2, err
+        assert str(file) in err, err
+        for needle in needles:
+            assert needle in err, (needle, err)
+        assert not out.exists()
+
+
+def check_config_fault(workspace, fuzz_root, fault, key, value, pick):
+    case = fuzz_root / f"config-{len(list(fuzz_root.iterdir()))}"
+    case.mkdir()
+    cfg = case / "run.cfg"
+    items = {"manifest": workspace / "data" / "manifest.txt", "seed": "3",
+             "sequence_length": "10", "hidden_units": "4", "epochs": "1"}
+    extra = []
+    if fault == "value":
+        items[key] = value
+        needles = [f"{cfg}: key {key}: "]
+    elif fault == "unknown":
+        items[key] = value
+        needles = [f"{cfg}: unknown config keys: ['{key}']"]
+    elif fault == "owned":
+        profile, key = OWNED[pick % len(OWNED)]
+        items.update({"profile": profile, key: OWNED_VALUES[key][pick % len(OWNED_VALUES[key])]})
+        needles = [f"{cfg}: profile {profile} fixes {key};"]
+    elif fault == "duplicate":
+        key = list(items)[pick % len(items)]
+        extra = [f"{key} = {items[key]}"]
+        needles = [f"{cfg}:{len(items) + 1}: duplicate key '{key}'"]
+    elif fault == "syntax":
+        extra = [f"{key} {value}"]
+        needles = [f"{cfg}:{len(items) + 1}: expected 'key = value'"]
+    elif fault == "no_manifest":
+        del items["manifest"]
+        needles = [f"{cfg}: missing required key 'manifest'"]
+    elif fault == "override":
+        items[f"hidden_units.{key}"] = "4"
+        needles = [f"{cfg}: key hidden_units.{key}: modality not in manifest"]
+    else:  # batch norm, switched on or preset by a profile, with one-window batches
+        items["batch_size"] = "1"
+        if pick % 4:
+            items["profile"] = f"run{pick % 4 + 1}"
+        else:
+            items["enable_batchnorm"] = "true"
+        needles = [f"{cfg}: key batch_size: batch normalization"]
+    write_lines(cfg, items, extra)
+    check_settings_in_train_and_predict(fuzz_root, cfg, cfg, needles)
+
+
+def check_manifest_fault(workspace, fuzz_root, fault, key, value, pick):
+    case = fuzz_root / f"manifest-{len(list(fuzz_root.iterdir()))}"
+    case.mkdir()
+    manifest = case / "manifest.txt"
+    items = dict(line.split(" = ", 1) for line in
+                 (workspace / "data" / "manifest.txt").read_text().splitlines()
+                 if " = " in line)
+    extra = []
+    if fault == "value":
+        items[key] = value
+        needles = [key]
+    elif fault == "unknown":
+        items[key] = value
+        needles = [f"{manifest}: unknown manifest keys: ['{key}']"]
+    elif fault == "missing":
+        key = ("modalities", "movies")[pick % 2]
+        del items[key]
+        needles = [f"{manifest}: missing required key '{key}'"]
+    elif fault == "duplicate":
+        key = list(items)[pick % len(items)]
+        extra = [f"{key} = {items[key]}"]
+        needles = [f"{manifest}:{len(items) + 1}: duplicate key '{key}'"]
+    else:
+        extra = [f"{key} {value}"]
+        needles = [f"{manifest}:{len(items) + 1}: expected 'key = value'"]
+    write_lines(manifest, items, extra)
+    cfg = case / "run.cfg"
+    write_lines(cfg, {"manifest": "manifest.txt", "profile": "run1"})
+    check_settings_in_train_and_predict(fuzz_root, cfg, manifest, needles)
+
+
+@st.composite
+def config_faults(draw):
+    fault = draw(st.sampled_from(CONFIG_FAULTS))
+    if fault == "value":
+        key = draw(st.sampled_from(sorted(BAD_CONFIG_VALUES)))
+        return fault, key, draw(st.sampled_from(BAD_CONFIG_VALUES[key]))
+    if fault == "unknown":
+        return fault, draw(st.sampled_from(UNKNOWN_KEYS)), draw(st.sampled_from(("true", "1")))
+    if fault == "override":
+        return fault, draw(st.sampled_from(("faces", "Audio", "image2"))), ""
+    return fault, draw(st.sampled_from(("seed", "cell", "x"))), draw(st.sampled_from(("", "1")))
+
+
+@st.composite
+def manifest_faults(draw):
+    fault = draw(st.sampled_from(MANIFEST_FAULTS))
+    if fault == "value":
+        key = draw(st.sampled_from(sorted(BAD_MANIFEST_VALUES)))
+        return fault, key, draw(st.sampled_from(BAD_MANIFEST_VALUES[key]))
+    if fault == "unknown":
+        return fault, draw(st.sampled_from(UNKNOWN_KEYS)), "1"
+    return fault, draw(st.sampled_from(("movies", "x"))), draw(st.sampled_from(("", "1")))
+
+
+class TestMalformedSettings:
+    """Every malformed config or manifest makes ``train`` and ``predict``
+    exit 2, naming the file and the key at fault (the line, for a line that
+    is not ``key = value``), before anything is written. The fuzz draws
+    faults at random; every fault kind, every bad value and every
+    profile-owned ``dropout_rate`` also has a pinned case."""
+
+    @given(case=config_faults(), pick=st.integers(0, 2 ** 16))
+    @settings(max_examples=100, deadline=None)
+    def test_fuzzed_config(self, workspace, fuzz_root, case, pick):
+        check_config_fault(workspace, fuzz_root, *case, pick)
+
+    @given(case=manifest_faults(), pick=st.integers(0, 2 ** 16))
+    @settings(max_examples=100, deadline=None)
+    def test_fuzzed_manifest(self, workspace, fuzz_root, case, pick):
+        check_manifest_fault(workspace, fuzz_root, *case, pick)
+
+    @pytest.mark.parametrize("fault, key, value, pick", [
+        ("unknown", "enable_dropout", "true", 0),
+        ("unknown", "enable_dropout", "false", 0),
+        *(("owned", "", "", OWNED.index((p, "dropout_rate")))
+          for p in ("run1", "run2", "run3", "run4")),
+        ("owned", "", "", OWNED.index(("run3", "enable_batchnorm"))),
+        ("owned", "", "", OWNED.index(("run2", "train_fraction"))),
+        ("duplicate", "", "", 1),
+        ("syntax", "seed", "1", 0),
+        ("no_manifest", "", "", 0),
+        ("override", "faces", "", 0),
+        *(("batchnorm_batch", "", "", pick) for pick in range(4)),
+    ], ids=str)
+    def test_each_config_fault(self, workspace, fuzz_root, fault, key, value, pick):
+        check_config_fault(workspace, fuzz_root, fault, key, value, pick)
+
+    @pytest.mark.parametrize("key, value", [(k, v) for k, values in BAD_CONFIG_VALUES.items()
+                                            for v in values], ids=str)
+    def test_each_bad_config_value(self, workspace, fuzz_root, key, value):
+        check_config_fault(workspace, fuzz_root, "value", key, value, 0)
+
+    @pytest.mark.parametrize("fault, key, value, pick", [
+        *(("value", k, v, 0) for k, values in BAD_MANIFEST_VALUES.items() for v in values),
+        ("unknown", "enable_dropout", "1", 0),
+        ("missing", "", "", 0),
+        ("missing", "", "", 1),
+        ("duplicate", "", "", 1),
+        ("syntax", "movies", "", 0),
+    ], ids=str)
+    def test_each_manifest_fault(self, workspace, fuzz_root, fault, key, value, pick):
+        check_manifest_fault(workspace, fuzz_root, fault, key, value, pick)
+
+
+def test_settable_surface():
+    """Every CLI flag, config key and manifest key, as sets: a new knob
+    fails here until it is listed."""
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {(name, option) for name, sub in commands.choices.items()
+             for action in sub._actions for option in action.option_strings
+             if option not in ("-h", "--help")}
+    expected = {
+        "synth": ("out", "movies", "length", "modalities", "noise", "noise-override", "lag",
+                  "seed", "validation"),
+        "train": ("config", "out", "seed", "profile"),
+        "predict": ("config", "checkpoint", "out", "split", "seed"),
+        "smooth": ("predictions", "out", "config", "smoother", "order", "cutoff", "weights",
+                   "causal"),
+        "ensemble": ("runs", "out"),
+        "evaluate": ("predictions", "annotations", "out", "aggregation"),
+    }
+    assert flags == {(name, f"--{flag}") for name, names in expected.items() for flag in names}
+    assert len(flags) == 32
+    assert config._KNOWN_KEYS == {
+        "manifest", "out", "profile", "seed", "epochs", "batch_size", "learning_rate",
+        "adam_beta1", "adam_beta2", "adam_epsilon", "cell", "hidden_units",
+        "sequence_length", "dropout_rate", "enable_batchnorm", "train_fraction",
+        "num_experts", "l2_lambda", "cg2_position", "bn_momentum", "bn_epsilon",
+        "use_batch_stats_at_inference", "smoother", "butter_order", "butter_cutoff",
+        "ma_weights", "early_stop_patience",
+    }
+    assert len(config._KNOWN_KEYS) == 27
+    assert set(MANIFEST_KEYS) == {"modalities", "movies", "annotation_range",
+                                  "validation_movies", "train_fraction"}
+    assert len(MANIFEST_KEYS) == 5

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from affectseq.config import parse_config, write_resolved
@@ -38,7 +40,7 @@ class TestDefaults:
         assert cfg.use_batch_stats_at_inference is True
         assert cfg.smoother == "butterworth"
         assert (cfg.butter_order, cfg.butter_cutoff) == (2, 0.05)
-        assert cfg.enable_dropout is False and cfg.enable_batchnorm is False
+        assert cfg.dropout_rate == 0.0 and cfg.enable_batchnorm is False
 
     def test_output_range_comes_from_manifest(self, tmp_path, dataset):
         cfg = parse_config(write_config(tmp_path, dataset))
@@ -48,19 +50,19 @@ class TestDefaults:
 class TestProfiles:
     def test_run1_disables_regularization(self, tmp_path, dataset):
         cfg = parse_config(write_config(tmp_path, dataset, "profile = run1\n"))
-        assert cfg.enable_dropout is False
+        assert cfg.dropout_rate == 0.0
         assert cfg.enable_batchnorm is False
         assert cfg.train_fraction == 1.0
 
     def test_run2_regularized_on_partial_data(self, tmp_path, dataset):
         cfg = parse_config(write_config(tmp_path, dataset, "profile = run2\n"))
-        assert cfg.enable_dropout is True
+        assert cfg.dropout_rate == 0.5
         assert cfg.enable_batchnorm is True
         assert cfg.train_fraction == 0.7
 
     def test_run3_regularized_full_data(self, tmp_path, dataset):
         cfg = parse_config(write_config(tmp_path, dataset, "profile = run3\n"))
-        assert cfg.enable_dropout is True
+        assert cfg.dropout_rate == 0.5
         assert cfg.enable_batchnorm is True
         assert cfg.train_fraction == 1.0
 
@@ -69,20 +71,39 @@ class TestProfiles:
                                          "profile = run3\nseed = 10\nepochs = 40\n"))
         cfg = parse_config(write_config(tmp_path, dataset,
                                         "profile = run4\nseed = 10\nepochs = 40\n"))
-        assert cfg.enable_dropout and cfg.enable_batchnorm
+        assert cfg.dropout_rate == 0.5 and cfg.enable_batchnorm
         assert cfg.seed != base.seed
         assert cfg.epochs != base.epochs
         assert (cfg.seed, cfg.epochs) == (11, 50)
 
-    def test_profile_owns_its_keys(self, tmp_path, dataset):
-        path = write_config(tmp_path, dataset, "profile = run1\nenable_dropout = true\n")
-        with pytest.raises(ConfigError, match="run1"):
+    @pytest.mark.parametrize("profile, key, value", [
+        *((p, "dropout_rate", "0.3") for p in ("run1", "run2", "run3", "run4")),
+        *((p, "enable_batchnorm", "true") for p in ("run1", "run2", "run3", "run4")),
+        ("run2", "train_fraction", "0.5"),
+    ])
+    def test_profile_owns_its_keys(self, tmp_path, dataset, profile, key, value):
+        path = write_config(tmp_path, dataset, f"profile = {profile}\n{key} = {value}\n")
+        message = f"{path}: profile {profile} fixes {key};"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             parse_config(path)
+
+    def test_profile_override_owns_keys_of_the_file(self, tmp_path, dataset):
+        path = write_config(tmp_path, dataset, "dropout_rate = 0.3\n")
+        message = f"{path}: profile run3 fixes dropout_rate;"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            parse_config(path, {"profile": "run3"})
+
+    def test_custom_sets_any_dropout_rate(self, tmp_path, dataset):
+        cfg = parse_config(write_config(tmp_path, dataset,
+                                        "enable_batchnorm = true\ndropout_rate = 0.3\n"))
+        model = cfg.model_config()
+        assert model.fusion.dropout_rate == 0.3
+        assert all(enc.dropout_rate == 0.3 for _, enc in model.encoders)
 
     def test_resolved_snapshot(self, tmp_path, dataset):
         cfg = parse_config(write_config(tmp_path, dataset, "profile = run2\nseed = 3\n"))
         lines = cfg.resolved_lines()
-        assert "enable_dropout = true" in lines
+        assert "dropout_rate = 0.5" in lines
         assert "enable_batchnorm = true" in lines
         assert "train_fraction = 0.7" in lines
         assert "batch_size = 512" in lines
@@ -114,7 +135,6 @@ class TestProfiles:
             "dropout_rate = 0.5\n"
             "early_stop_patience = 0\n"
             "enable_batchnorm = true\n"
-            "enable_dropout = true\n"
             "epochs = 30\n"
             "hidden_units = 128\n"
             "hidden_units.audio = 8,4\n"
@@ -139,7 +159,7 @@ class TestProfiles:
         target = write_resolved(cfg, tmp_path / "out")
         again = parse_config(target)
         assert again.profile == "custom"
-        for key in ("seed", "epochs", "enable_dropout", "enable_batchnorm",
+        for key in ("seed", "epochs", "dropout_rate", "enable_batchnorm",
                     "train_fraction", "hidden_units", "hidden_overrides",
                     "sequence_length", "learning_rate", "batch_size",
                     "num_experts", "l2_lambda", "smoother", "butter_order",
@@ -154,9 +174,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="manifest"):
             parse_config(path)
 
-    def test_unknown_key_rejected(self, tmp_path, dataset):
-        path = write_config(tmp_path, dataset, "optimizer = sgd\n")
-        with pytest.raises(ConfigError, match="optimizer"):
+    @pytest.mark.parametrize("line", ["optimizer = sgd", "enable_dropout = true",
+                                      "enable_dropout = false"])
+    def test_unknown_key_rejected(self, tmp_path, dataset, line):
+        path = write_config(tmp_path, dataset, line + "\n")
+        message = f"{path}: unknown config keys: ['{line.split()[0]}']"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(path)
 
     def test_out_of_range_value_names_range(self, tmp_path, dataset):
@@ -195,6 +218,6 @@ class TestValidation:
         assert cfg.seed == 9 and cfg.profile == "run1"
 
     def test_bad_bool(self, tmp_path, dataset):
-        path = write_config(tmp_path, dataset, "enable_dropout = yes\n")
+        path = write_config(tmp_path, dataset, "enable_batchnorm = yes\n")
         with pytest.raises(ConfigError, match="true or false"):
             parse_config(path)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import grad_check
 from affectseq import autodiff as ad
 from affectseq.errors import ConfigError, DataError, DimensionError
 from affectseq.fusion import (
@@ -23,7 +24,7 @@ from affectseq.model import (
     training_loss,
     wrap_leaves,
 )
-from affectseq.numerics import ParamStore, grad_check
+from affectseq.numerics import ParamStore
 from affectseq.rng import generator
 from affectseq.seqmodel import EncoderConfig
 

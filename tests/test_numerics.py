@@ -6,22 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import ContractViolation, grad_check
 from affectseq import autodiff as ad
 from affectseq.errors import (
     ConfigError,
-    ContractViolation,
     DataError,
     DimensionError,
     DomainError,
     NumericError,
 )
-from affectseq.numerics import (
-    AdamState,
-    LossValue,
-    ParamStore,
-    adam_step,
-    grad_check,
-)
+from affectseq.numerics import AdamState, LossValue, ParamStore, adam_step
 from affectseq.fusion import FusionConfig
 from affectseq.model import ModelConfig, init_model_params
 from affectseq.seqmodel import EncoderConfig

@@ -22,7 +22,6 @@ def matrix(tmp_path_factory):
         "sequence_length = 10\n"
         "hidden_units = 8\n"
         "learning_rate = 0.01\n"
-        "dropout_rate = 0.2\n"
         "butter_cutoff = 0.1\n"
     )
     run_dirs = []

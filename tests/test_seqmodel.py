@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import grad_check
 from affectseq import autodiff as ad
 from affectseq.errors import ConfigError, DimensionError, DomainError
-from affectseq.numerics import ParamStore, grad_check
+from affectseq.numerics import ParamStore
 from affectseq.rng import generator
 from affectseq.seqmodel import (
     EncoderConfig,

@@ -257,6 +257,21 @@ class TestSmoothTrack:
         expected = lfilter(c.b, c.a, track, steady_state(c.b, c.a) * track[0])
         np.testing.assert_array_equal(out, expected)
 
+    def test_causal_moving_average_is_refused(self):
+        # the centred window would answer an impulse at t=5 from t=3 on
+        impulse = np.zeros(12)
+        impulse[5] = 1.0
+        spec = SmootherSpec(kind="moving_average")
+        with pytest.raises(ConfigError, match="moving_average") as info:
+            smooth_track(impulse, spec, causal=True)
+        assert info.value.key == "causal"
+        assert np.flatnonzero(smooth_track(impulse, spec))[0] == 3
+
+    def test_causal_none_is_identity(self):
+        track = np.arange(6.0)
+        np.testing.assert_array_equal(
+            smooth_track(track, SmootherSpec(kind="none"), causal=True), track)
+
     def test_none_is_identity(self):
         track = np.arange(12.0).reshape(6, 2)
         np.testing.assert_array_equal(smooth_track(track, SmootherSpec(kind="none")), track)

@@ -37,7 +37,7 @@ def make_config(tmp_path, dataset, extra="", epochs=3, learning_rate=0.01):
 
 class TestRegularizedTraining:
     def test_run3_updates_running_stats_and_modes_differ(self, tmp_path, dataset):
-        cfg = make_config(tmp_path, dataset, "profile = run3\ndropout_rate = 0.3\n")
+        cfg = make_config(tmp_path, dataset, "enable_batchnorm = true\ndropout_rate = 0.3\n")
         result = train_run(cfg)
         rm = result.store.value("fusion.bn.running_mean")
         rv = result.store.value("fusion.bn.running_var")
@@ -47,7 +47,7 @@ class TestRegularizedTraining:
         features, _ = load_dataset(cfg.manifest)
         with_batch = predict_tracks(result.store, result.model_config, features)
         pop_cfg = make_config(tmp_path, dataset,
-                              "profile = run3\ndropout_rate = 0.3\n"
+                              "enable_batchnorm = true\ndropout_rate = 0.3\n"
                               "use_batch_stats_at_inference = false\n")
         with_running = predict_tracks(result.store, pop_cfg.model_config(), features)
         deltas = [np.abs(with_batch[m] - with_running[m]).max() for m in with_batch]
@@ -62,26 +62,11 @@ class TestRegularizedTraining:
             np.testing.assert_array_equal(loaded.value(name), result.store.value(name))
 
     def test_dropout_training_deterministic_per_seed(self, tmp_path, dataset):
-        cfg = make_config(tmp_path, dataset, "profile = run3\ndropout_rate = 0.4\n")
+        cfg = make_config(tmp_path, dataset, "enable_batchnorm = true\ndropout_rate = 0.4\n")
         a = train_run(cfg)
         b = train_run(cfg)
         for name in a.store.names():
             np.testing.assert_array_equal(a.store.value(name), b.store.value(name))
-
-    def test_zero_rate_turns_dropout_off_under_any_profile(self, tmp_path, dataset):
-        # run3 presets enable_dropout = true; a zero rate still means no
-        # dropout, so the run trains exactly like batch norm alone.
-        artifacts = []
-        for run, extra in enumerate(("profile = run3\ndropout_rate = 0\n",
-                                     "enable_batchnorm = true\nenable_dropout = false\n")):
-            result = train_run(make_config(tmp_path, dataset, extra))
-            out = tmp_path / f"run{run}"
-            out.mkdir()
-            result.store.save(out / "model.ckpt")
-            write_training_log(result.logs, out / "training_log.csv")
-            artifacts.append([(out / name).read_bytes()
-                              for name in ("model.ckpt", "training_log.csv")])
-        assert artifacts[0] == artifacts[1]
 
     def test_run2_trains_on_fraction(self, tmp_path, dataset):
         cfg = make_config(tmp_path, dataset, "profile = run2\n")
