@@ -31,7 +31,7 @@ from .dataio import (
 )
 from .errors import AffectSeqError, ConfigError, DataError, NumericError
 from .evalmetrics import AGGREGATION_MODES, ensemble_average, evaluate_run, render_csv, render_text
-from .model import init_model_params
+from .model import ModelConfig, init_model_params
 from .numerics import ParamStore
 from .smoothing import SMOOTHERS, SmootherSpec, smooth_track
 from .training import (
@@ -165,19 +165,23 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _check_architecture(store: ParamStore, model_config: ModelConfig, checkpoint) -> None:
+    """Refuse a checkpoint whose names or shapes differ from the configured
+    model's; the reference store is freed on return, before prediction."""
+    expected = init_model_params(model_config, seed=0)
+    if expected.names() != store.names():
+        raise DataError(f"checkpoint {checkpoint} does not match the configured architecture")
+    for name, value in expected.items():
+        if store.value(name).shape != value.shape:
+            raise DataError(f"checkpoint {checkpoint}: parameter {name} has shape "
+                            f"{store.value(name).shape}, expected {value.shape}")
+
+
 def _cmd_predict(args) -> int:
     cfg = parse_config(args.config, _config_overrides(args))
     store = ParamStore.load(args.checkpoint)
     model_config = cfg.model_config()
-    expected = init_model_params(model_config, seed=0)
-    if expected.names() != store.names():
-        raise DataError(
-            f"checkpoint {args.checkpoint} does not match the configured architecture"
-        )
-    for name in store.names():
-        if store.value(name).shape != expected.value(name).shape:
-            raise DataError(f"checkpoint {args.checkpoint}: parameter {name} has shape "
-                            f"{store.value(name).shape}, expected {expected.value(name).shape}")
+    _check_architecture(store, model_config, args.checkpoint)
     features, _ = load_dataset(cfg.manifest, with_annotations=False)
     if args.split != "all":
         train_ids, val_ids = split_dataset(cfg.manifest, cfg.seed,

@@ -242,13 +242,15 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
 
     ``overrides`` (from CLI flags) behave as if the file contained those
     keys, replacing any it did contain. A fault in a key from the file
-    names the file and the key.
+    names the file and the key; a fault in an override names the flag
+    spelled like its key (``--profile``). Flags spelled otherwise are
+    checked first with :func:`parse_values`.
     """
     path = Path(path)
     kv = _parse_kv_lines(path)
     overrides = {k: str(v) for k, v in (overrides or {}).items()}
-    labels = {k: f"{path}: key {k}" for k in kv if k not in overrides}
     kv.update(overrides)
+    labels = {k: f"--{k}" if k in overrides else f"{path}: key {k}" for k in kv}
 
     hidden_overrides_raw: dict[str, str] = {}
     for key in list(kv):

@@ -113,8 +113,11 @@ def weight_penalty_graph(leaves: dict[str, ad.Var]) -> ad.Var:
 
 def training_loss(windows: dict[str, np.ndarray], targets: np.ndarray,
                   store: ParamStore, config: ModelConfig, mode: str = "train",
-                  mask_rng: np.random.Generator | None = None) -> LossValue:
-    """Batch loss; backpropagates into the store's gradient buffers.
+                  mask_rng: np.random.Generator | None = None
+                  ) -> tuple[LossValue, dict[str, np.ndarray]]:
+    """Batch loss and its gradients, ``{name: d total / d parameter}`` for
+    every parameter the loss reaches (all but the batch-norm running
+    statistics, which have no gradient).
 
     ``targets`` is [B, 2] in annotation units and must lie inside the
     configured output range. Probabilities are floored at 1e-12 inside the
@@ -146,7 +149,4 @@ def training_loss(windows: dict[str, np.ndarray], targets: np.ndarray,
         lambda_l2=config.fusion.l2_lambda,
     )
     ad.backward(total)
-    for name, leaf in leaves.items():
-        if leaf.grad is not None:
-            store.grad(name)[...] += leaf.grad
-    return result
+    return result, {name: leaf.grad for name, leaf in leaves.items() if leaf.grad is not None}

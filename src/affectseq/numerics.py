@@ -2,6 +2,9 @@
 checkpoints, weight initialization, the loss record and the Adam
 optimizer.
 
+A :class:`ParamStore` holds named values only: a loss returns its
+gradients as a ``{name: gradient}`` dict, and :func:`adam_step` takes it.
+
 A checkpoint (``affectseq-params v2``) is a text index of parameter names
 and shapes followed by one raw little-endian float64 payload, so loading
 takes one ``np.frombuffer``; hex-text ``affectseq-params v1`` checkpoints
@@ -17,11 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError, NumericError
+from .errors import ConfigError, DataError, DimensionError, DomainError, NumericError
 
 CHECKPOINT_HEADER = "affectseq-params v2"
 _V1_HEADER = "affectseq-params v1"
@@ -38,16 +41,14 @@ def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarr
 
 
 class ParamStore:
-    """Named float64 tensors plus same-shape gradient buffers.
+    """Named float64 tensors, and nothing else.
 
-    Names are unique; arrays are C-contiguous. Training mutates values and
-    grads on one logical thread; snapshots for read-only use come from
-    :meth:`copy`.
+    Names are unique; arrays are C-contiguous. Training mutates values on
+    one logical thread; snapshots for read-only use come from :meth:`copy`.
     """
 
     def __init__(self):
         self._values: dict[str, np.ndarray] = {}
-        self._grads: dict[str, np.ndarray] = {}
 
     def add(self, name: str, value) -> np.ndarray:
         if name in self._values:
@@ -61,7 +62,6 @@ class ParamStore:
         if not np.all(np.isfinite(arr)):
             raise NumericError(f"parameter {name} initialized with non-finite values")
         self._values[name] = arr
-        self._grads[name] = np.zeros_like(arr)
         return arr
 
     def names(self) -> list[str]:
@@ -70,29 +70,15 @@ class ParamStore:
     def value(self, name: str) -> np.ndarray:
         return self._values[name]
 
-    def grad(self, name: str) -> np.ndarray:
-        return self._grads[name]
-
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
         for name in self.names():
             yield name, self._values[name]
-
-    def zero_grads(self) -> None:
-        for g in self._grads.values():
-            g.fill(0.0)
 
     def copy(self) -> "ParamStore":
         dup = ParamStore()
         for name, v in self._values.items():
             dup.add(name, v)
-            np.copyto(dup._grads[name], self._grads[name])
         return dup
-
-    def copy_values_from(self, other: "ParamStore") -> None:
-        if self.names() != other.names():
-            raise ConfigError("parameter stores hold different names")
-        for name, v in other._values.items():
-            np.copyto(self._values[name], v)
 
     def save(self, path) -> None:
         """Write an ``affectseq-params v2`` checkpoint: the header line, one
@@ -252,17 +238,25 @@ class AdamState:
         return state
 
 
-def adam_step(store: ParamStore, state: AdamState) -> None:
-    """One Adam update with bias correction: p -= lr * m_hat / (sqrt(v_hat) + eps)."""
+def adam_step(store: ParamStore, state: AdamState, grads: Mapping[str, np.ndarray]) -> None:
+    """One Adam update with bias correction, p -= lr * m_hat / (sqrt(v_hat) + eps),
+    of exactly the parameters in ``grads``. Every gradient is checked first
+    (a known name, its parameter's shape, finite values): a bad one moves nothing."""
     if sorted(state.m) != store.names():
         raise ConfigError("Adam state does not match the parameter store")
+    for name, g in grads.items():
+        if name not in state.m:
+            raise ConfigError(f"gradient for unknown parameter {name}")
+        if np.shape(g) != state.m[name].shape:
+            raise DimensionError(f"gradient for parameter {name} has shape {np.shape(g)}, "
+                                 f"expected {state.m[name].shape}")
+        if not np.all(np.isfinite(g)):
+            raise NumericError(f"non-finite gradient for parameter {name}")
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
-    for name in store.names():
-        g = store.grad(name)
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name}")
+    for name in sorted(grads):
+        g = np.asarray(grads[name], dtype=np.float64)
         m, v = state.m[name], state.v[name]
         m *= state.beta1
         m += (1.0 - state.beta1) * g

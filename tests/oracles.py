@@ -143,35 +143,36 @@ class ContractViolation(Exception):
 def grad_check(loss_fn, store, eps=1e-5):
     """Central finite differences against the analytic gradient.
 
-    ``loss_fn`` must return a scalar loss and populate ``store`` gradients
-    as a side effect (gradients are zeroed before the analytic call). The
-    closure must be deterministic; live dropout or any other source of
-    run-to-run variation raises :class:`ContractViolation`. Returns the max
-    over parameter entries of ``|g_fd - g_an| / max(1e-8, |g_fd| + |g_an|)``.
-    On return the store's gradient buffers are zeroed.
+    ``loss_fn(store)`` must return ``(loss, grads)``: a scalar loss and a
+    ``{name: gradient}`` dict over the store's names, where a name left out
+    has zero gradient. The closure must be deterministic; live dropout or
+    any other source of run-to-run variation, or a gradient for a name the
+    store lacks or of the wrong shape, raises :class:`ContractViolation`.
+    Returns the max over parameter entries of
+    ``|g_fd - g_an| / max(1e-8, |g_fd| + |g_an|)``.
     """
     if eps <= 0:
         raise DomainError("grad_check needs eps > 0")
-    store.zero_grads()
-    base = float(loss_fn(store))
-    analytic = {name: store.grad(name).copy() for name in store.names()}
-    store.zero_grads()
-    if float(loss_fn(store)) != base:
+    base, grads = loss_fn(store)
+    if float(loss_fn(store)[0]) != float(base):
         raise ContractViolation("loss closure is not deterministic across calls")
+    for name, g in grads.items():
+        if name not in store.names() or np.shape(g) != store.value(name).shape:
+            raise ContractViolation(f"gradient {name} of shape {np.shape(g)} matches no parameter")
+    analytic = {name: np.array(g, dtype=np.float64).ravel() for name, g in grads.items()}
 
     worst = 0.0
     for name in store.names():
         flat = store.value(name).ravel()
-        gan = analytic[name].ravel()
+        gan = analytic.get(name, np.zeros_like(flat))
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + eps
-            lp = float(loss_fn(store))
+            lp = float(loss_fn(store)[0])
             flat[i] = keep - eps
-            lm = float(loss_fn(store))
+            lm = float(loss_fn(store)[0])
             flat[i] = keep
             fd = (lp - lm) / (2.0 * eps)
             denom = max(1e-8, abs(fd) + abs(gan[i]))
             worst = max(worst, abs(fd - gan[i]) / denom)
-    store.zero_grads()
     return worst

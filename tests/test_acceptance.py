@@ -58,7 +58,8 @@ def test_01_gradient_fidelity():
         targets = generator(103, "targets").uniform(-0.7, 0.7, size=(3, 2))
 
         def loss(s):
-            return training_loss(windows, targets, s, config).total
+            value, grads = training_loss(windows, targets, s, config)
+            return value.total, grads
 
         started = time.perf_counter()
         err = grad_check(loss, store, eps=1e-5)

@@ -20,10 +20,8 @@ def check_op(build, shapes, seed=0, tol=1e-6):
         leaves = {name: ad.Var(s.value(name)) for name in shapes}
         out = build(leaves)
         ad.backward(out)
-        for name in shapes:
-            if leaves[name].grad is not None:
-                s.grad(name)[...] += leaves[name].grad
-        return float(out.value)
+        return float(out.value), {name: leaf.grad for name, leaf in leaves.items()
+                                  if leaf.grad is not None}
 
     return grad_check(loss, store)
 
@@ -116,8 +114,7 @@ class TestNonlinear:
             leaf = ad.Var(s.value("x"))
             out = ad.sum_all(ad.safe_log(leaf))
             ad.backward(out)
-            s.grad("x")[...] += leaf.grad
-            return float(out.value)
+            return float(out.value), {"x": leaf.grad}
 
         assert grad_check(loss, store) < 1e-6
 
@@ -134,8 +131,7 @@ class TestNonlinear:
             leaf = ad.Var(s.value("x"))
             out = ad.sum_all(ad.rsqrt_shift(leaf, 1e-3))
             ad.backward(out)
-            s.grad("x")[...] += leaf.grad
-            return float(out.value)
+            return float(out.value), {"x": leaf.grad}
 
         assert grad_check(loss, store) < 1e-6
 

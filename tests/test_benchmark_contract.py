@@ -10,15 +10,37 @@ module namespace holds it. Its set-up writes checkpoints with
 ``ParamStore.save(path)`` and it times ``ParamStore.load`` by that name.
 A refactor that renames any of these turns the benchmark's layers
 "missing", or stops them counting; these tests make it fail here first.
+Every layer ``tracing.py`` lists must also resolve to a function.
 """
 
+import importlib.util
 import inspect
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from affectseq import autodiff, dataio, smoothing
 from affectseq.numerics import ParamStore
 from affectseq.seqmodel import EncoderConfig, encode_batch_graph
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACING = _load_tracing()
+
+
+@pytest.mark.parametrize("name, module, path, work", TRACING.LAYERS + TRACING.SETUP_LAYERS,
+                         ids=[row[0] for row in TRACING.LAYERS + TRACING.SETUP_LAYERS])
+def test_every_traced_layer_resolves(name, module, path, work):
+    _, _, fn = TRACING._resolve(module, path)
+    assert callable(fn)
 
 
 def test_encoder_call_shape():

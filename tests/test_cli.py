@@ -98,18 +98,18 @@ class TestExitCodes:
         (["synth", "--noise-override", "audio:nan"], "--noise-override"),
         (["synth", "--modalities", "audio:3,audio:2"], "--modalities"),
         (["synth", "--modalities", "audio:3,audio:3"], "--modalities"),
+        (["train", "--profile", "run9"], "affectseq: --profile: must be one of"),
     ], ids=["synth-modalities", "synth-noise-override", "smooth-weights", "smooth-order",
             "smooth-cutoff", "synth-validation", "synth-modality-dim", "synth-movies",
             "synth-length", "synth-negative-noise-override", "smooth-even-weights",
             "smooth-no-weights", "synth-nan-noise", "synth-inf-noise",
             "synth-nan-noise-override", "synth-repeated-modality",
-            "synth-repeated-modality-same-dim"])
+            "synth-repeated-modality-same-dim", "train-profile"])
     def test_malformed_flag_is_exit_2(self, workspace, tmp_path, capsys, argv, flag):
-        # smooth reads real prediction files, so only the flag can be at fault
-        where = (["--out", str(tmp_path / "o")] if argv[0] == "synth" else
-                 ["--predictions", str(workspace / "data" / "annotations"),
-                  "--out", str(tmp_path / "o")])
-        assert main([*argv, *where]) == 2
+        # smooth and train read real files, so only the flag can be at fault
+        where = {"synth": [], "train": ["--config", str(workspace / "run.cfg")],
+                 "smooth": ["--predictions", str(workspace / "data" / "annotations")]}
+        assert main([*argv, *where[argv[0]], "--out", str(tmp_path / "o")]) == 2
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 

@@ -150,9 +150,8 @@ class TestBatchNorm:
             y = batch_norm_graph(x, leaves, config, "train")
             total = ad.sum_all(ad.mul(y, probe))
             ad.backward(total)
-            for key in ("gamma", "beta"):
-                s.grad(f"fusion.bn.{key}")[...] += leaves[f"fusion.bn.{key}"].grad
-            return float(total.value)
+            return float(total.value), {f"fusion.bn.{key}": leaves[f"fusion.bn.{key}"].grad
+                                        for key in ("gamma", "beta")}
 
         assert grad_check(loss, store) < 1e-4
 
@@ -309,10 +308,8 @@ class TestFusionHead:
             p = fusion_head_graph(batch, leaves, config)
             out = ad.sum_all(ad.mul(p, probe))
             ad.backward(out)
-            for n, leaf in leaves.items():
-                if leaf.grad is not None:
-                    s.grad(n)[...] += leaf.grad
-            return float(out.value)
+            return float(out.value), {n: leaf.grad for n, leaf in leaves.items()
+                                      if leaf.grad is not None}
 
         assert grad_check(loss, store) < 1e-4
 
@@ -359,7 +356,7 @@ class TestTrainingLoss:
         losses, probes = [], []
         for bias in np.linspace(-4.0, 2.0, 121):
             store.value("fusion.cg2.b")[...] = bias
-            value = training_loss(windows, targets, store, config)
+            value, _ = training_loss(windows, targets, store, config)
             probes.append(float(oracles.sigmoid(bias) * 0.5))
             losses.append(value.total)
         best = int(np.argmin(losses))
@@ -372,7 +369,7 @@ class TestTrainingLoss:
         config, store = tiny_model(l2_lambda=0.0)
         windows = self._windows(config, 4)
         targets = np.full((4, 2), 0.25)
-        value = training_loss(windows, targets, store, config)
+        value, _ = training_loss(windows, targets, store, config)
         assert value.lambda_l2 == 0.0
         assert value.total == value.loss
 
@@ -380,7 +377,7 @@ class TestTrainingLoss:
         config, store = tiny_model(seed=3)
         windows = self._windows(config, 5, seed=4)
         targets = generator(5, "t").uniform(-0.8, 0.8, size=(5, 2))
-        value = training_loss(windows, targets, store, config)
+        value, _ = training_loss(windows, targets, store, config)
 
         # Per-sample oracle through the plain-numpy single-sample path.
         total = 0.0
@@ -412,10 +409,10 @@ class TestTrainingLoss:
         config, store = tiny_model(seed=22)
         windows = self._windows(config, 2, seed=23)
         targets = np.array([[-1.0, 1.0], [1.0, -1.0]])
-        value = training_loss(windows, targets, store, config)
+        value, grads = training_loss(windows, targets, store, config)
         assert np.isfinite(value.total)
-        for name in store.names():
-            assert np.all(np.isfinite(store.grad(name)))
+        for g in grads.values():
+            assert np.all(np.isfinite(g))
 
     def test_end_to_end_gradcheck(self):
         config, store = tiny_model(seed=6)
@@ -423,7 +420,8 @@ class TestTrainingLoss:
         targets = generator(8, "t").uniform(-0.7, 0.7, size=(3, 2))
 
         def loss(s):
-            return training_loss(windows, targets, s, config).total
+            value, grads = training_loss(windows, targets, s, config)
+            return value.total, grads
 
         assert grad_check(loss, store, eps=1e-5) < 1e-4
 
@@ -433,7 +431,8 @@ class TestTrainingLoss:
         targets = generator(18, "t").uniform(-0.7, 0.7, size=(2, 2))
 
         def loss(s):
-            return training_loss(windows, targets, s, config).total
+            value, grads = training_loss(windows, targets, s, config)
+            return value.total, grads
 
         assert grad_check(loss, store, eps=1e-5) < 1e-4
 
@@ -450,7 +449,8 @@ class TestTrainingLoss:
         targets = generator(21, "t").uniform(-0.7, 0.7, size=(3, 2))
 
         def loss(s):
-            return training_loss(windows, targets, s, config).total
+            value, grads = training_loss(windows, targets, s, config)
+            return value.total, grads
 
         assert grad_check(loss, store, eps=1e-5) < 1e-4
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,26 @@ class TestParamStore:
         for name in store.names():
             assert loaded.value(name).shape == store.value(name).shape
             np.testing.assert_array_equal(loaded.value(name), store.value(name))
+
+    def test_loaded_store_holds_only_its_values(self, tmp_path):
+        store = ParamStore()
+        rng = np.random.default_rng(4)
+        for name, shape in (("a.W", (300, 200)), ("a.b", (300,)), ("b.W", (100, 100)),
+                            ("c", ())):
+            store.add(name, rng.normal(size=shape))
+        path = tmp_path / "model.ckpt"
+        store.save(path)
+        count = sum(value.size for _, value in store.items())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = ParamStore.load(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert loaded.names() == store.names()
+        # the values themselves plus small change: no second per-value buffer
+        assert held <= 1.05 * 8 * count
 
     def test_checkpoint_header_checked(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -379,33 +400,69 @@ class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         store = self._store([1.0, -2.0])
         state = AdamState.for_params(store, lr=0.1)
-        adam_step(store, state)
+        adam_step(store, state, {"p": np.zeros(2)})
         np.testing.assert_array_equal(store.value("p"), [1.0, -2.0])
         assert state.t == 1
 
     def test_zero_learning_rate_is_identity(self):
         store = self._store([1.0, -2.0])
-        store.grad("p")[:] = [3.0, -4.0]
         state = AdamState.for_params(store, lr=0.0)
-        adam_step(store, state)
+        adam_step(store, state, {"p": np.array([3.0, -4.0])})
         np.testing.assert_array_equal(store.value("p"), [1.0, -2.0])
 
     def test_first_step_closed_form(self):
         # m_hat = g, v_hat = g^2, so the first step is lr * g / (|g| + eps).
         store = self._store([1.0])
-        store.grad("p")[:] = 2.0
         state = AdamState.for_params(store, lr=0.1)
-        adam_step(store, state)
+        adam_step(store, state, {"p": np.array([2.0])})
         expected = 1.0 - 0.1 * 2.0 / (2.0 + 1e-8)
         np.testing.assert_allclose(store.value("p"), [expected], rtol=1e-15)
         np.testing.assert_allclose(store.value("p"), [0.9], atol=1e-8)
 
     def test_nan_gradient_aborts(self):
         store = self._store([1.0])
-        store.grad("p")[:] = np.nan
         state = AdamState.for_params(store)
         with pytest.raises(NumericError):
-            adam_step(store, state)
+            adam_step(store, state, {"p": np.array([np.nan])})
+
+    def test_parameters_without_gradient_keep_their_bits(self):
+        # the same bits as a zero gradient: m stays 0, so p -= 0.0
+        stores = [ParamStore(), ParamStore()]
+        for store in stores:
+            store.add("a", [1.0, -2.0])
+            store.add("b", [-0.0, 3.0])
+        states = [AdamState.for_params(store, lr=0.1) for store in stores]
+        for _ in range(2):
+            adam_step(stores[0], states[0], {"a": np.array([0.5, -1.5])})
+            adam_step(stores[1], states[1], {"a": np.array([0.5, -1.5]), "b": np.zeros(2)})
+        for name in ("a", "b"):
+            for got, want in ((stores[0].value(name), stores[1].value(name)),
+                              (states[0].m[name], states[1].m[name]),
+                              (states[0].v[name], states[1].v[name])):
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        np.testing.assert_array_equal(stores[0].value("b").view(np.int64),
+                                      np.array([-0.0, 3.0]).view(np.int64))
+
+    @pytest.mark.parametrize("bad, error", [
+        ({"b": np.array([np.nan])}, NumericError),
+        ({"b": np.array([np.inf])}, NumericError),
+        ({"c": np.array([1.0])}, ConfigError),
+        ({"b": np.array([1.0, 1.0])}, DimensionError),
+    ], ids=["nan", "inf", "unknown-name", "shape"])
+    def test_bad_gradient_moves_nothing(self, bad, error):
+        store = ParamStore()
+        store.add("a", [1.0, -2.0])
+        store.add("b", [3.0])
+        state = AdamState.for_params(store, lr=0.1)
+        adam_step(store, state, {"a": np.array([0.5, -0.5]), "b": np.array([2.0])})
+        snapshot = [(store.value(n).copy(), state.m[n].copy(), state.v[n].copy())
+                    for n in store.names()]
+        with pytest.raises(error):
+            adam_step(store, state, {"a": np.array([1.0, 1.0]), **bad})
+        assert state.t == 1
+        for name, arrays in zip(store.names(), snapshot):
+            for got, want in zip((store.value(name), state.m[name], state.v[name]), arrays):
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_lr_zero_identity_for_random_gradients(self):
         rng = np.random.default_rng(5)
@@ -415,9 +472,7 @@ class TestAdam:
         before = {n: store.value(n).copy() for n in store.names()}
         state = AdamState.for_params(store, lr=0.0)
         for _ in range(3):
-            for n in store.names():
-                store.grad(n)[:] = rng.normal(size=store.grad(n).shape)
-            adam_step(store, state)
+            adam_step(store, state, {n: rng.normal(size=before[n].shape) for n in store.names()})
         for n in store.names():
             np.testing.assert_array_equal(store.value(n), before[n])
 
@@ -430,8 +485,7 @@ class TestGradCheck:
 
         def loss(s):
             p = s.value("p")
-            s.grad("p")[:] += 2.0 * p
-            return float(p @ p)
+            return float(p @ p), {"p": 2.0 * p}
 
         assert grad_check(loss, store) < 1e-9
 
@@ -440,7 +494,7 @@ class TestGradCheck:
         store.add("p", [1.0, 2.0])
 
         def loss(s):
-            return 4.0
+            return 4.0, {}
 
         assert grad_check(loss, store) == 0.0
 
@@ -450,13 +504,21 @@ class TestGradCheck:
         rng = np.random.default_rng(0)
 
         def loss(s):
-            return float(rng.normal())
+            return float(rng.normal()), {}
 
         with pytest.raises(ContractViolation):
             grad_check(loss, store)
+
+    @pytest.mark.parametrize("grads", [{"q": np.zeros(1)}, {"p": np.zeros(2)}],
+                             ids=["unknown-name", "shape"])
+    def test_gradient_matching_no_parameter_rejected(self, grads):
+        store = ParamStore()
+        store.add("p", [1.0])
+        with pytest.raises(ContractViolation):
+            grad_check(lambda s: (float(s.value("p")[0]), grads), store)
 
     def test_eps_domain(self):
         store = ParamStore()
         store.add("p", [1.0])
         with pytest.raises(DomainError):
-            grad_check(lambda s: 0.0, store, eps=0.0)
+            grad_check(lambda s: (0.0, {}), store, eps=0.0)

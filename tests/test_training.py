@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from affectseq.config import parse_config
-from affectseq.dataio import SynthSpec, load_dataset, synth_generate
+from affectseq.dataio import SynthSpec, load_dataset, synth_generate, window_sequences
 from affectseq.errors import ConfigError
+from affectseq.model import init_model_params, training_loss
 from affectseq.numerics import ParamStore
+from affectseq.rng import generator
 from affectseq.training import predict_tracks, train_run, write_training_log
 
 
@@ -33,6 +35,23 @@ def make_config(tmp_path, dataset, extra="", epochs=3, learning_rate=0.01):
         + extra
     )
     return parse_config(path)
+
+
+@pytest.mark.parametrize("profile", ["run1", "run3"])
+def test_loss_returns_a_gradient_per_trained_parameter(tmp_path, dataset, profile):
+    cfg = make_config(tmp_path, dataset, f"profile = {profile}\n")
+    model_config = cfg.model_config()
+    store = init_model_params(model_config, cfg.seed)
+    features, annotations = load_dataset(cfg.manifest)
+    batch, targets = window_sequences(features, annotations,
+                                      model_config.sequence_length).gather(np.arange(8))
+    _, grads = training_loss(batch, targets, store, model_config, "train",
+                             generator(cfg.seed, "dropout"))
+    running = {"fusion.bn.running_mean", "fusion.bn.running_var"}
+    assert (running <= set(store.names())) == (profile == "run3")
+    assert sorted(grads) == [name for name in store.names() if name not in running]
+    for name, grad in grads.items():
+        assert grad.shape == store.value(name).shape and grad.dtype == np.float64
 
 
 class TestRegularizedTraining:
