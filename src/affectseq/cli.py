@@ -28,10 +28,11 @@ from .dataio import (
     save_prediction_dir,
     split_dataset,
     synth_generate,
+    write_file,
 )
 from .errors import AffectSeqError, ConfigError, DataError, NumericError
 from .evalmetrics import AGGREGATION_MODES, ensemble_average, evaluate_run, render_csv, render_text
-from .model import ModelConfig, init_model_params
+from .model import ModelConfig, param_shapes
 from .numerics import ParamStore
 from .smoothing import SMOOTHERS, SmootherSpec, smooth_track
 from .training import (
@@ -153,10 +154,9 @@ def _cmd_train(args) -> int:
         raise DataError("no output directory: set 'out' in the config or pass --out")
     for warning in cfg.warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    result = train_run(cfg)  # before any output, so a bad input leaves none
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_resolved(cfg, out_dir)
-    result = train_run(cfg)
     result.store.save(out_dir / CHECKPOINT_NAME)
     write_training_log(result.logs, out_dir / TRAINING_LOG_NAME)
     last = result.logs[-1]
@@ -167,14 +167,14 @@ def _cmd_train(args) -> int:
 
 def _check_architecture(store: ParamStore, model_config: ModelConfig, checkpoint) -> None:
     """Refuse a checkpoint whose names or shapes differ from the configured
-    model's; the reference store is freed on return, before prediction."""
-    expected = init_model_params(model_config, seed=0)
-    if expected.names() != store.names():
+    model's."""
+    expected = param_shapes(model_config)
+    if sorted(expected) != store.names():
         raise DataError(f"checkpoint {checkpoint} does not match the configured architecture")
-    for name, value in expected.items():
-        if store.value(name).shape != value.shape:
+    for name, shape in sorted(expected.items()):
+        if store.value(name).shape != shape:
             raise DataError(f"checkpoint {checkpoint}: parameter {name} has shape "
-                            f"{store.value(name).shape}, expected {value.shape}")
+                            f"{store.value(name).shape}, expected {shape}")
 
 
 def _cmd_predict(args) -> int:
@@ -246,9 +246,8 @@ def _cmd_evaluate(args) -> int:
     preds = load_prediction_dir(args.predictions)
     report = evaluate_run(preds, annos, args.aggregation)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.csv").write_text(render_csv(report), encoding="utf-8")
-    (out_dir / "report.txt").write_text(render_text(report), encoding="utf-8")
+    write_file(out_dir / "report.csv", [render_csv(report)])
+    write_file(out_dir / "report.txt", [render_text(report)])
     print(render_text(report), end="")
     return EXIT_OK
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .dataio import DatasetManifest, _parse_kv_lines, load_manifest
+from .dataio import DatasetManifest, _parse_kv_lines, load_manifest, write_file
 from .errors import ConfigError
 from .fusion import CG2_POSITIONS, FusionConfig
 from .model import ModelConfig
@@ -299,8 +299,6 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
 
 
 def write_resolved(cfg: RunConfig, out_dir) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    target = out_dir / "resolved_config.txt"
-    target.write_text("\n".join(cfg.resolved_lines()) + "\n", encoding="utf-8")
+    target = Path(out_dir) / "resolved_config.txt"
+    write_file(target, ["\n".join(cfg.resolved_lines()) + "\n"])
     return target

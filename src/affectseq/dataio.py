@@ -18,14 +18,22 @@ which reads back bit for bit. A track as the writer lays it out (rows
 ``np.loadtxt`` pass; any other text is read line by line, which gives the
 same values and the ``<path>:<line>`` errors. ``parse_pairs`` reads the
 ``name:value`` lists of manifests and ``synth`` flags.
+
+Every file is read by ``read_file`` (a path it cannot read is ``missing
+file: <path>``; ``decode_text`` makes a non-UTF-8 byte ``<path>:<line>:
+not UTF-8 text``) and written by ``write_file`` (``cannot write <path>:
+<reason>``), each fault a :class:`DataError`. Movie ids and modality names
+become file names, so each must be plain: not empty, ``.`` or ``..``, and
+without ``/``, ``\\`` or control characters.
 """
 
 from __future__ import annotations
 
 import math
+import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -38,6 +46,36 @@ MANIFEST_NAME = "manifest.txt"
 MANIFEST_KEYS = ("modalities", "movies", "annotation_range", "validation_movies",
                  "train_fraction")
 AFFECT_COLUMNS = ("valence", "arousal")
+
+
+def read_file(path) -> bytes:
+    """The bytes of an input file; a fault is a :class:`DataError` naming it."""
+    try:
+        return Path(path).read_bytes()
+    except (OSError, ValueError):  # ValueError: an embedded NUL
+        raise DataError(f"missing file: {path}") from None
+
+
+def decode_text(path, data: bytes) -> str:
+    """``data`` read from ``path`` as UTF-8; a bad byte names its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{lineno}: not UTF-8 text") from None
+
+
+def write_file(path, chunks: Iterable[str | bytes]) -> None:
+    """Make the parent directories of ``path``, then write each chunk as it
+    is drawn, text as UTF-8, so a large output is never joined in memory."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "wb") as out:
+            for chunk in chunks:
+                out.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+    except (OSError, ValueError) as exc:  # ValueError: an embedded NUL, or unencodable text
+        raise DataError(f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _parse_float(token: str, where: str) -> float:
@@ -57,9 +95,7 @@ def _parse_float(token: str, where: str) -> float:
 def _read_track(path: Path, columns: tuple[str, ...] | None) -> tuple[str, np.ndarray]:
     """(movie id, [L, C] values) of one track CSV; ``columns`` None means
     ``f0..f{C-1}`` with C taken from the header."""
-    if not path.exists():
-        raise DataError(f"missing file: {path}")
-    text = path.read_text(encoding="utf-8")
+    text = decode_text(path, read_file(path))
     lines = text.splitlines()
     if not lines:
         raise DataError(f"{path}: empty file")
@@ -160,9 +196,7 @@ def write_track(path, movie_id: str, values, columns: tuple[str, ...] | None = N
     lines = ["movie_id,t," + ",".join(columns)]
     for t, row in enumerate(values):
         lines.append(f"{movie_id},{t}," + ",".join(map(repr, row.tolist())))
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(path, ["\n".join(lines) + "\n"])
 
 
 def load_prediction_dir(directory) -> dict[str, np.ndarray]:
@@ -183,7 +217,6 @@ def load_prediction_dir(directory) -> dict[str, np.ndarray]:
 
 def save_prediction_dir(preds: Mapping[str, np.ndarray], directory) -> None:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     for movie in sorted(preds):
         write_track(directory / f"{movie}.csv", movie, preds[movie], AFFECT_COLUMNS)
 
@@ -206,6 +239,11 @@ class DatasetManifest:
                 raise ConfigError(f"{key} needs at least one entry", key=key)
             if len(set(names)) != len(names):
                 raise ConfigError(f"duplicate names in {key}", key=key)
+            for name in names:  # each becomes a file or directory name
+                if name in ("", ".", "..") or any(
+                        ch in "/\\" or unicodedata.category(ch) == "Cc" for ch in name):
+                    raise ConfigError(f"name {name!r} in {key} is not a plain file name",
+                                      key=key)
         if any(d < 1 for _, d in self.modalities):
             raise ConfigError("dims in modalities must be >= 1", key="modalities")
         if any(length < 1 for _, length in self.movies):
@@ -232,10 +270,8 @@ class DatasetManifest:
 
 
 def _parse_kv_lines(path: Path) -> dict[str, str]:
-    if not path.exists():
-        raise DataError(f"missing file: {path}")
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(decode_text(path, read_file(path)).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -307,7 +343,7 @@ def save_manifest(manifest: DatasetManifest, path=None) -> Path:
         "validation_movies = " + ", ".join(manifest.validation_movies),
         f"train_fraction = {manifest.train_fraction}",
     ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(path, ["\n".join(lines) + "\n"])
     return path
 
 

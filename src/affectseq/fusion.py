@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DataError, DimensionError
-from .numerics import ParamStore, glorot_uniform
+from .numerics import GLOROT, Layout, ParamStore, add_params
 
 OUTPUT_DIMS = ("valence", "arousal")
 CG2_POSITIONS = ("moe_input", "moe_output")
@@ -62,28 +62,32 @@ class FusionConfig:
             raise ConfigError("bn_epsilon must be positive")
 
 
-def init_fusion_params(store: ParamStore, config: FusionConfig, input_dim: int,
-                       rng: np.random.Generator) -> None:
-    """Add the head's parameters for an ``input_dim``-wide encoder state."""
+def fusion_layout(config: FusionConfig, input_dim: int) -> Layout:
+    """``(name, shape, fill)`` of the head's parameters for an
+    ``input_dim``-wide encoder state, in draw order (see :func:`add_params`)."""
     if input_dim < 1:
         raise ConfigError("fusion needs at least one input feature")
     f = input_dim
     e = config.num_experts
+    layout = []
     if config.enable_batchnorm:
-        store.add("fusion.bn.gamma", np.ones(f))
-        store.add("fusion.bn.beta", np.zeros(f))
-        store.add("fusion.bn.running_mean", np.zeros(f))
-        store.add("fusion.bn.running_var", np.ones(f))
-    store.add("fusion.cg1.W", glorot_uniform((f, f), rng))
-    store.add("fusion.cg1.b", np.zeros(f))
+        layout += [("fusion.bn.gamma", (f,), 1), ("fusion.bn.beta", (f,), 0),
+                   ("fusion.bn.running_mean", (f,), 0), ("fusion.bn.running_var", (f,), 1)]
+    layout += [("fusion.cg1.W", (f, f), GLOROT), ("fusion.cg1.b", (f,), 0)]
     for dim in OUTPUT_DIMS:
-        store.add(f"fusion.moe.{dim}.expert_W", glorot_uniform((e, f), rng))
-        store.add(f"fusion.moe.{dim}.expert_b", np.zeros(e))
-        store.add(f"fusion.moe.{dim}.gate_W", glorot_uniform((e, f), rng))
-        store.add(f"fusion.moe.{dim}.gate_b", np.zeros(e))
+        layout += [(f"fusion.moe.{dim}.expert_W", (e, f), GLOROT),
+                   (f"fusion.moe.{dim}.expert_b", (e,), 0),
+                   (f"fusion.moe.{dim}.gate_W", (e, f), GLOROT),
+                   (f"fusion.moe.{dim}.gate_b", (e,), 0)]
     cg2_dim = f if config.cg2_position == "moe_input" else len(OUTPUT_DIMS)
-    store.add("fusion.cg2.W", glorot_uniform((cg2_dim, cg2_dim), rng))
-    store.add("fusion.cg2.b", np.zeros(cg2_dim))
+    layout += [("fusion.cg2.W", (cg2_dim, cg2_dim), GLOROT), ("fusion.cg2.b", (cg2_dim,), 0)]
+    return layout
+
+
+def init_fusion_params(store: ParamStore, config: FusionConfig, input_dim: int,
+                       rng: np.random.Generator) -> None:
+    """Add the head's parameters for an ``input_dim``-wide encoder state."""
+    add_params(store, fusion_layout(config, input_dim), rng)
 
 
 def map_to_range(p: np.ndarray, output_range: tuple[float, float]) -> np.ndarray:

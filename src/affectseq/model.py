@@ -21,10 +21,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DataError, DimensionError
-from .fusion import FusionConfig, fusion_head_graph, init_fusion_params, map_to_range
+from .fusion import (FusionConfig, fusion_head_graph, fusion_layout, init_fusion_params,
+                     map_to_range)
 from .numerics import LossValue, ParamStore
 from .rng import generator
-from .seqmodel import EncoderConfig, encode_batch_graph, init_encoder_params
+from .seqmodel import EncoderConfig, encode_batch_graph, encoder_layout, init_encoder_params
 
 
 @dataclass(frozen=True)
@@ -41,14 +42,26 @@ class ModelConfig:
         if len(set(names)) != len(names):
             raise ConfigError("duplicate modality names")
 
+    @property
+    def state_width(self) -> int:
+        """Width of the concatenated encoder states the fusion head reads."""
+        return sum(enc.output_dim for _, enc in self.encoders)
+
 
 def init_model_params(config: ModelConfig, seed: int) -> ParamStore:
     store = ParamStore()
     for name, enc in config.encoders:
         init_encoder_params(store, f"enc.{name}", enc, generator(seed, f"init-enc-{name}"))
-    width = sum(enc.output_dim for _, enc in config.encoders)
-    init_fusion_params(store, config.fusion, width, generator(seed, "init-fusion"))
+    init_fusion_params(store, config.fusion, config.state_width, generator(seed, "init-fusion"))
     return store
+
+
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """``{name: shape}`` of every parameter :func:`init_model_params` adds,
+    read from the same layouts without drawing a value."""
+    layout = [p for name, enc in config.encoders for p in encoder_layout(f"enc.{name}", enc)]
+    layout += fusion_layout(config.fusion, config.state_width)
+    return {name: shape for name, shape, _ in layout}
 
 
 def wrap_leaves(store: ParamStore) -> dict[str, ad.Var]:

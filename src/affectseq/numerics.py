@@ -8,7 +8,8 @@ gradients as a ``{name: gradient}`` dict, and :func:`adam_step` takes it.
 A checkpoint (``affectseq-params v2``) is a text index of parameter names
 and shapes followed by one raw little-endian float64 payload, so loading
 takes one ``np.frombuffer``; hex-text ``affectseq-params v1`` checkpoints
-still load bit for bit.
+still load bit for bit. The file goes through :mod:`affectseq.dataio`'s
+one reader and one writer, and only its text part is decoded.
 
 All math is double precision. Model code builds its forward pass and
 gradients with the reverse-mode engine in :mod:`affectseq.autodiff`;
@@ -17,13 +18,14 @@ nothing here computes a layer.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterator, Mapping
 
 import numpy as np
 
+from .dataio import decode_text, read_file, write_file
 from .errors import ConfigError, DataError, DimensionError, DomainError, NumericError
 
 CHECKPOINT_HEADER = "affectseq-params v2"
@@ -38,6 +40,20 @@ def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarr
         fan_in = fan_out = shape[0]
     s = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-s, s, size=shape)
+
+
+GLOROT = "glorot"
+# (name, shape, fill) of each parameter a module adds, in draw order
+Layout = list[tuple[str, tuple[int, ...], object]]
+
+
+def add_params(store: ParamStore, layout: Layout, rng: np.random.Generator) -> None:
+    """Add each ``(name, shape, fill)`` of ``layout`` in order: a ``GLOROT``
+    fill draws from ``rng`` with :func:`glorot_uniform`, a number fills
+    the tensor with itself."""
+    for name, shape, fill in layout:
+        store.add(name, glorot_uniform(shape, rng) if fill == GLOROT
+                  else np.full(shape, float(fill)))
 
 
 class ParamStore:
@@ -90,10 +106,8 @@ class ParamStore:
         for name in names:
             dims = ",".join(str(d) for d in self._values[name].shape) or "-"
             index.append(f"{name} {dims}")
-        with open(path, "wb") as out:
-            out.write(("\n".join(index) + "\n\n").encode("utf-8"))
-            for name in names:
-                out.write(self._values[name].astype("<f8", copy=False).tobytes())
+        payload = (self._values[name].astype("<f8", copy=False).tobytes() for name in names)
+        write_file(path, itertools.chain(["\n".join(index) + "\n\n"], payload))
 
     @classmethod
     def load(cls, path) -> "ParamStore":
@@ -105,13 +119,10 @@ class ParamStore:
         fault is a :class:`DataError` naming the file, and the line of the
         record at fault.
         """
-        try:
-            data = Path(path).read_bytes()
-        except OSError:
-            raise DataError(f"missing file: {path}") from None
+        data = read_file(path)
         if data.startswith(CHECKPOINT_HEADER.encode() + b"\n"):
             return cls._load_v2(path, data)
-        lines = _decode(path, data).splitlines()
+        lines = decode_text(path, data).splitlines()
         if not lines or lines[0] != _V1_HEADER:
             raise DataError(f"{path}: missing checkpoint header {CHECKPOINT_HEADER!r} "
                             f"(or {_V1_HEADER!r})")
@@ -142,7 +153,7 @@ class ParamStore:
         payload = memoryview(data)[end + 2:]
         records = []
         total = 0
-        for lineno, line in enumerate(_decode(path, data[:end]).split("\n")[1:], start=2):
+        for lineno, line in enumerate(decode_text(path, data[:end]).split("\n")[1:], start=2):
             where = f"{path}:{lineno}"
             fields = line.split(" ")
             if len(fields) != 2:
@@ -160,14 +171,6 @@ class ParamStore:
         for where, name, shape, start, stop in records:
             _add_record(store, where, name, shape, flat[start:stop])
         return store
-
-
-def _decode(path, data: bytes) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{path}:{lineno}: not UTF-8 text") from None
 
 
 def _shape(where: str, dims: str) -> tuple[tuple[int, ...], int]:

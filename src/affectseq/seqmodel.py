@@ -43,7 +43,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DimensionError, DomainError
-from .numerics import ParamStore, glorot_uniform
+from .numerics import GLOROT, Layout, ParamStore, add_params
 
 CELL_KINDS = ("gru", "lstm")
 GRU_GATES = ("z", "r", "h")
@@ -83,19 +83,26 @@ class EncoderConfig:
         return self.input_dim if layer == 0 else self.hidden_units[layer - 1]
 
 
-def init_encoder_params(store: ParamStore, prefix: str, config: EncoderConfig,
-                        rng: np.random.Generator) -> None:
-    """Add one encoder's weights under ``prefix.l<layer>.``."""
+def encoder_layout(prefix: str, config: EncoderConfig) -> Layout:
+    """``(name, shape, fill)`` of one encoder's parameters under
+    ``prefix.l<layer>.``, in draw order (see :func:`add_params`)."""
     gates = GRU_GATES if config.cell_kind == "gru" else LSTM_GATES
+    layout = []
     for layer in range(config.num_layers):
         d = config.layer_input_dim(layer)
         h = config.hidden_units[layer]
         base = f"{prefix}.l{layer}"
         for gate in gates:
-            store.add(f"{base}.W_{gate}", glorot_uniform((h, d), rng))
-            store.add(f"{base}.U_{gate}", glorot_uniform((h, h), rng))
-            bias = np.ones(h) if (config.cell_kind == "lstm" and gate == "f") else np.zeros(h)
-            store.add(f"{base}.b_{gate}", bias)
+            bias = 1 if (config.cell_kind == "lstm" and gate == "f") else 0
+            layout += [(f"{base}.W_{gate}", (h, d), GLOROT), (f"{base}.U_{gate}", (h, h), GLOROT),
+                       (f"{base}.b_{gate}", (h,), bias)]
+    return layout
+
+
+def init_encoder_params(store: ParamStore, prefix: str, config: EncoderConfig,
+                        rng: np.random.Generator) -> None:
+    """Add one encoder's weights under ``prefix.l<layer>.``."""
+    add_params(store, encoder_layout(prefix, config), rng)
 
 
 # Batched, differentiable paths used by training and prediction. Windows

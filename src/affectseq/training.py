@@ -11,13 +11,12 @@ at a time, in sorted order, in batches of ``batch_size`` windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from .config import RunConfig
-from .dataio import batch_indices, load_dataset, split_dataset, window_sequences
+from .dataio import batch_indices, load_dataset, split_dataset, window_sequences, write_file
 from .errors import ConfigError
 from .evalmetrics import evaluate_run
 from .model import ModelConfig, init_model_params, predict_batch, training_loss
@@ -55,7 +54,7 @@ class EpochLog:
 
 def write_training_log(logs: list[EpochLog], path) -> None:
     lines = [_LOG_HEADER] + [log.csv_row() for log in logs]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(path, ["\n".join(lines) + "\n"])
 
 
 def predict_tracks(store: ParamStore, model_config: ModelConfig,

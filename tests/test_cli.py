@@ -5,6 +5,7 @@ import contextlib
 import io
 import itertools
 import math
+import os
 import shutil
 import struct
 
@@ -56,6 +57,40 @@ def run_pipeline(root, out_name, seed="3"):
     return out
 
 
+# A name of each kind that cannot be a movie id or modality name, because
+# each of those becomes a file or directory name
+NOT_PLAIN_NAMES = {"": "empty", ".": "dot", "..": "dotdot", "a/b": "slash", "a\\b": "backslash",
+                   "a\x07b": "control"}
+
+INPUT_KINDS = ("config", "manifest", "feature-csv", "annotation-csv", "prediction-csv",
+               "checkpoint")
+UNREADABLE_CASES = [*((kind, fault) for kind in INPUT_KINDS
+                      for fault in ("missing", "directory", "not-utf8")), ("manifest", "nul")]
+UNWRITABLE_CASES = [*((command, where) for command in ("synth", "train", "predict", "smooth",
+                                                       "ensemble", "evaluate")
+                      for where in ("on-file", "under-file")), ("train", "config-nul")]
+
+
+def input_readers(case):
+    """Each input kind: (its file in the ``case`` directory, the argv of
+    every command that reads it, ``--out`` aside)."""
+    cfg, ckpt, data, preds = case / "run.cfg", case / "model.ckpt", case / "data", case / "preds"
+    train = ["train", "--config", str(cfg)]
+    predict = ["predict", "--config", str(cfg), "--checkpoint", str(ckpt)]
+    evaluate = ["evaluate", "--predictions", str(preds), "--annotations", str(data / "annotations")]
+    return {
+        "config": (cfg, [train, predict,
+                         ["smooth", "--config", str(cfg), "--predictions", str(preds)]]),
+        "manifest": (data / "manifest.txt", [train, predict]),
+        "feature-csv": (data / "features" / "audio" / "m001.csv", [train, predict]),
+        "annotation-csv": (data / "annotations" / "m001.csv", [train, evaluate]),
+        "prediction-csv": (preds / "m001.csv", [
+            ["smooth", "--predictions", str(preds)],
+            ["ensemble", "--runs", str(data / "annotations"), str(preds)], evaluate]),
+        "checkpoint": (ckpt, [predict]),
+    }
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -99,12 +134,14 @@ class TestExitCodes:
         (["synth", "--modalities", "audio:3,audio:2"], "--modalities"),
         (["synth", "--modalities", "audio:3,audio:3"], "--modalities"),
         (["train", "--profile", "run9"], "affectseq: --profile: must be one of"),
+        *((["synth", "--modalities", f"{name}:3"], "--modalities") for name in NOT_PLAIN_NAMES),
     ], ids=["synth-modalities", "synth-noise-override", "smooth-weights", "smooth-order",
             "smooth-cutoff", "synth-validation", "synth-modality-dim", "synth-movies",
             "synth-length", "synth-negative-noise-override", "smooth-even-weights",
             "smooth-no-weights", "synth-nan-noise", "synth-inf-noise",
             "synth-nan-noise-override", "synth-repeated-modality",
-            "synth-repeated-modality-same-dim", "train-profile"])
+            "synth-repeated-modality-same-dim", "train-profile",
+            *(f"synth-modality-{kind}" for kind in NOT_PLAIN_NAMES.values())])
     def test_malformed_flag_is_exit_2(self, workspace, tmp_path, capsys, argv, flag):
         # smooth and train read real files, so only the flag can be at fault
         where = {"synth": [], "train": ["--config", str(workspace / "run.cfg")],
@@ -217,20 +254,76 @@ class TestExitCodes:
         assert f"{ckpt}:{lineno}:" in capsys.readouterr().err
         assert not (tmp_path / "p").exists()
 
-    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
-    def test_unreadable_checkpoint_is_exit_2(self, workspace, tmp_path, capsys, kind):
-        ckpt = tmp_path / "model.ckpt"
-        if kind == "directory":
-            ckpt.mkdir()
-        elif kind == "not-utf8":
-            ckpt.write_bytes(b"affectseq-params v1\n\xe9\n")
-        rc = main(["predict", "--config", str(workspace / "run.cfg"),
-                   "--checkpoint", str(ckpt), "--out", str(tmp_path / "p")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert (f"{ckpt}:2: not UTF-8 text" if kind == "not-utf8"
-                else f"missing file: {ckpt}") in err
-        assert not (tmp_path / "p").exists()
+    @pytest.mark.parametrize("kind, fault", UNREADABLE_CASES,
+                             ids=[f"{kind}-{fault}" for kind, fault in UNREADABLE_CASES])
+    def test_unreadable_input_is_exit_2(self, workspace, fuzz_root, tmp_path, kind, fault):
+        """Each command that reads an input exits 2 naming it, and writes
+        nothing, when the input is missing, a directory, not UTF-8 text, or
+        named by a path holding a NUL."""
+        for k in range(len(input_readers(tmp_path)[kind][1])):
+            case = tmp_path / f"case-{k}"
+            shutil.copytree(workspace / "data", case / "data")
+            shutil.copytree(workspace / "data" / "annotations", case / "preds")
+            shutil.copyfile(fuzz_root / "model.ckpt", case / "model.ckpt")
+            (case / "run.cfg").write_text((workspace / "run.cfg").read_text().replace(
+                str(workspace / "data"), str(case / "data")))
+            path, readers = input_readers(case)[kind]
+            argv = readers[k]
+            if fault == "missing" and str(path.parent) in argv:  # a track directory
+                shutil.rmtree(path.parent)
+                expected = f"missing track directory: {path.parent}"
+            elif fault == "missing":
+                path.unlink()
+                expected = f"missing file: {path}"
+            elif fault == "directory":
+                path.unlink()
+                path.mkdir()
+                expected = f"missing file: {path}"
+            elif fault == "not-utf8":
+                head, _, rest = path.read_bytes().partition(b"\n")
+                if kind == "checkpoint":  # the v1 text format, which decodes the whole file
+                    head, rest = b"affectseq-params v1", b"\n"
+                path.write_bytes(head + b"\n\xe9" + rest)
+                expected = f"{path}:2: not UTF-8 text"
+            else:
+                path = case / "data" / "manifest\x00.txt"
+                (case / "run.cfg").write_text(f"manifest = {path}\nprofile = run1\n")
+                expected = f"missing file: {path}"
+            rc, err = run_cli([*argv, "--out", str(case / "out")])
+            assert rc == 2, (argv, err)
+            assert expected in err, (argv, err)
+            assert not (case / "out").exists()
+
+    @pytest.mark.parametrize("command, where", UNWRITABLE_CASES,
+                             ids=[f"{command}-{where}" for command, where in UNWRITABLE_CASES])
+    def test_unwritable_output_is_exit_2(self, workspace, fuzz_root, tmp_path, command, where):
+        """An output on an existing file, under one, or at a path holding a
+        NUL exits 2 naming the output that cannot be written, and writes
+        nothing."""
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        cfg = workspace / "run.cfg"
+        if where == "config-nul":
+            out = tmp_path / "r\x00x"
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{(workspace / 'run.cfg').read_text()}out = {out}\n")
+        else:
+            out = blocker if where == "on-file" else blocker / "x"
+        annotations = str(workspace / "data" / "annotations")
+        argv = {
+            "synth": ["synth", "--movies", "1", "--length", "5"],
+            "train": ["train", "--config", str(cfg)],
+            "predict": ["predict", "--config", str(cfg),
+                        "--checkpoint", str(fuzz_root / "model.ckpt")],
+            "smooth": ["smooth", "--predictions", annotations],
+            "ensemble": ["ensemble", "--runs", annotations, annotations],
+            "evaluate": ["evaluate", "--predictions", annotations, "--annotations", annotations],
+        }[command]
+        rc, err = run_cli(argv if where == "config-nul" else [*argv, "--out", str(out)])
+        assert rc == 2, err
+        assert f"cannot write {out}{os.sep}" in err, err
+        assert blocker.read_text() == "kept\n"
+        assert {p.name for p in tmp_path.iterdir()} <= {"file", "run.cfg"}
 
     @pytest.mark.parametrize("source, setting", [("flag", "--weights"), ("config", "ma_weights")])
     def test_moving_average_longer_than_track_is_exit_2(self, workspace, tmp_path, capsys,
@@ -633,8 +726,11 @@ BAD_CONFIG_VALUES = {
 }
 # Values each manifest key refuses without reading a track.
 BAD_MANIFEST_VALUES = {
-    "modalities": ("audio:x", "audio:0", "audio:3, audio:3", "audio", ""),
-    "movies": ("m000:abc", "m000:50, m000:50", "m000:0", ""),
+    "modalities": ("audio:x", "audio:0", "audio:3, audio:3", "audio", "",
+                   *(f"{name}:3" for name in NOT_PLAIN_NAMES)),
+    # m001 stays, so validation_movies = m001 holds and only the name is at fault
+    "movies": ("m000:abc", "m000:50, m000:50", "m000:0", "",
+               *(f"m001:50, {name}:50" for name in [*NOT_PLAIN_NAMES, "../x"])),
     "annotation_range": ("0, b", "1, -1", "-inf, inf", "0, nan", "-1e308, 1e308", "1",
                          "0,1,2"),
     "validation_movies": ("m999",),

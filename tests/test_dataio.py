@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,15 +12,18 @@ from affectseq.dataio import (
     DatasetManifest,
     SynthSpec,
     batch_indices,
+    decode_text,
     load_dataset,
     load_features,
     load_manifest,
     load_predictions,
     parse_pairs,
+    read_file,
     save_manifest,
     split_dataset,
     synth_generate,
     window_sequences,
+    write_file,
     write_track,
 )
 from affectseq.errors import ConfigError, DataError
@@ -383,6 +389,21 @@ class TestManifestAndSplit:
         with pytest.raises(ConfigError, match="fps"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("key", ["modalities", "movies"])
+    @pytest.mark.parametrize("name", ["", ".", "..", "../x", "a/b", "a\\b", "a\x00b", "a\tb",
+                                      "a\x7fb", "a\x85b"], ids=repr)
+    def test_names_must_be_plain_file_names(self, tmp_path, key, name):
+        entries = {"modalities": (("audio", 4),), "movies": (("m000", 10),)}
+        entries[key] = ((name, 4),)
+        with pytest.raises(ConfigError, match="not a plain file name") as info:
+            DatasetManifest(root=tmp_path, **entries)
+        assert info.value.key == key
+
+    def test_plain_names_may_hold_spaces_dots_and_any_script(self, tmp_path):
+        manifest = DatasetManifest(root=tmp_path, modalities=(("face mesh", 4),),
+                                   movies=(("...", 5), ("a.b", 5), ("\u6620\u753b", 5)))
+        assert manifest.feature_path("face mesh", "...").parent.name == "face mesh"
+
     def test_unknown_validation_movie_rejected(self, tmp_path):
         path = tmp_path / "manifest.txt"
         path.write_text("modalities = a:2\nmovies = m:5\nvalidation_movies = ghost\n")
@@ -461,3 +482,71 @@ class TestSynth:
     def test_noise_override_unknown_modality(self):
         with pytest.raises(ConfigError):
             self._spec(noise_overrides=(("ghost", 0.1),))
+
+
+class TestFileBoundary:
+    def test_reader_faults_name_the_path(self, tmp_path):
+        (tmp_path / "dir").mkdir()
+        for path in (tmp_path / "missing", tmp_path / "dir", tmp_path / "nul\x00"):
+            with pytest.raises(DataError) as info:
+                read_file(path)
+            assert str(info.value) == f"missing file: {path}"
+
+    def test_decoder_names_the_line(self):
+        assert decode_text("p", "a\n\u00e9\n".encode()) == "a\n\u00e9\n"
+        with pytest.raises(DataError) as info:
+            decode_text("p", b"a\nb\n\xe9\n")
+        assert str(info.value) == "p:3: not UTF-8 text"
+
+    def test_writer_makes_parents_and_joins_chunks(self, tmp_path):
+        path = tmp_path / "a" / "b" / "out.bin"
+        write_file(path, iter(["t\u00e9xt\n", b"\x00\xff"]))
+        assert path.read_bytes() == "t\u00e9xt\n".encode() + b"\x00\xff"
+
+    @pytest.mark.parametrize("where, reason", [("on-file", "File exists"),
+                                               ("under-file", "Not a directory"),
+                                               ("nul", "embedded null byte")])
+    def test_writer_faults_name_the_path(self, tmp_path, where, reason):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        path = {"on-file": blocker / "out.csv", "under-file": blocker / "x" / "out.csv",
+                "nul": tmp_path / "r\x00x" / "out.csv"}[where]
+        with pytest.raises(DataError) as info:
+            write_file(path, ["text"])
+        assert str(info.value) == f"cannot write {path}: {reason}"
+        assert blocker.read_text() == "kept"
+
+    def test_files_are_touched_only_by_the_reader_and_writer(self):
+        """``open`` and the pathlib calls that read, write or make a
+        directory appear in the package only inside ``read_file`` and
+        ``write_file``, so every input and output gets their checks."""
+        touching = {"open", "read_text", "read_bytes", "write_text", "write_bytes", "mkdir"}
+        found = set()
+
+        class Scopes(ast.NodeVisitor):
+            def __init__(self, module):
+                self.module, self.scope = module, []
+
+            def visit_scope(self, node):
+                self.scope.append(node.name)
+                self.generic_visit(node)
+                self.scope.pop()
+
+            visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = visit_scope
+
+            def note(self, node, name):
+                if name in touching:
+                    found.add((self.module, ".".join(self.scope), name))
+                self.generic_visit(node)
+
+            def visit_Name(self, node):
+                self.note(node, node.id)
+
+            def visit_Attribute(self, node):
+                self.note(node, node.attr)
+
+        package = Path(dataio.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            Scopes(path.stem).visit(ast.parse(path.read_text(), str(path)))
+        assert found == {("dataio", "read_file", "read_bytes"),
+                         ("dataio", "write_file", "mkdir"), ("dataio", "write_file", "open")}

@@ -20,6 +20,7 @@ from affectseq.model import (
     ModelConfig,
     forward_graph,
     init_model_params,
+    param_shapes,
     predict_batch,
     training_loss,
     wrap_leaves,
@@ -485,6 +486,16 @@ def cell_model(cell, units, seed=0, t=4, d=3, **fusion_kw):
     windows = {name: generator(seed, f"w-{name}").normal(size=(5, t, d))
                for name, _ in encoders}
     return config, store, windows
+
+
+@pytest.mark.parametrize("cg2", ["moe_input", "moe_output"])
+@pytest.mark.parametrize("bn", [False, True], ids=["plain", "bn"])
+@pytest.mark.parametrize("cell, units", [("gru", (3,)), ("lstm", (4, 3))])
+def test_param_shapes_are_the_drawn_models(cell, units, bn, cg2):
+    """The shapes the architecture check reads match the drawn model's,
+    name for name, without drawing it."""
+    config, store, _ = cell_model(cell, units, enable_batchnorm=bn, cg2_position=cg2)
+    assert param_shapes(config) == {name: value.shape for name, value in store.items()}
 
 
 HEADS = {
