@@ -22,6 +22,7 @@ from pathlib import Path
 from .config import parse_config, parse_values, smoother_spec, write_resolved
 from .dataio import (
     SynthSpec,
+    check_out_dir,
     load_dataset,
     load_prediction_dir,
     parse_pairs,
@@ -152,6 +153,7 @@ def _cmd_train(args) -> int:
     cfg = parse_config(args.config, _config_overrides(args))
     if not cfg.out:
         raise DataError("no output directory: set 'out' in the config or pass --out")
+    check_out_dir(cfg.out)
     for warning in cfg.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     result = train_run(cfg)  # before any output, so a bad input leaves none
@@ -179,6 +181,7 @@ def _check_architecture(store: ParamStore, model_config: ModelConfig, checkpoint
 
 def _cmd_predict(args) -> int:
     cfg = parse_config(args.config, _config_overrides(args))
+    check_out_dir(args.out)
     store = ParamStore.load(args.checkpoint)
     model_config = cfg.model_config()
     _check_architecture(store, model_config, args.checkpoint)

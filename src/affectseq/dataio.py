@@ -22,7 +22,10 @@ same values and the ``<path>:<line>`` errors. ``parse_pairs`` reads the
 Every file is read by ``read_file`` (a path it cannot read is ``missing
 file: <path>``; ``decode_text`` makes a non-UTF-8 byte ``<path>:<line>:
 not UTF-8 text``) and written by ``write_file`` (``cannot write <path>:
-<reason>``), each fault a :class:`DataError`. Movie ids and modality names
+<reason>``), each fault a :class:`DataError`; ``check_out_dir`` refuses an
+output directory that cannot be made before any work is spent on it. These
+messages show a path holding a non-printable character as its ``repr``,
+so no control byte reaches the terminal. Movie ids and modality names
 become file names, so each must be plain: not empty, ``.`` or ``..``, and
 without ``/``, ``\\`` or control characters.
 """
@@ -30,6 +33,7 @@ without ``/``, ``\\`` or control characters.
 from __future__ import annotations
 
 import math
+import stat
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,12 +52,18 @@ MANIFEST_KEYS = ("modalities", "movies", "annotation_range", "validation_movies"
 AFFECT_COLUMNS = ("valence", "arousal")
 
 
+def shown(path) -> str:
+    """``path`` as a message shows it: as is when printable, else its ``repr``."""
+    text = str(path)
+    return text if text.isprintable() else repr(text)
+
+
 def read_file(path) -> bytes:
     """The bytes of an input file; a fault is a :class:`DataError` naming it."""
     try:
         return Path(path).read_bytes()
     except (OSError, ValueError):  # ValueError: an embedded NUL
-        raise DataError(f"missing file: {path}") from None
+        raise DataError(f"missing file: {shown(path)}") from None
 
 
 def decode_text(path, data: bytes) -> str:
@@ -62,7 +72,11 @@ def decode_text(path, data: bytes) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{path}:{lineno}: not UTF-8 text") from None
+        raise DataError(f"{shown(path)}:{lineno}: not UTF-8 text") from None
+
+
+def _write_error(path, exc: Exception) -> DataError:
+    return DataError(f"cannot write {shown(path)}: {getattr(exc, 'strerror', None) or exc}")
 
 
 def write_file(path, chunks: Iterable[str | bytes]) -> None:
@@ -75,7 +89,24 @@ def write_file(path, chunks: Iterable[str | bytes]) -> None:
             for chunk in chunks:
                 out.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
     except (OSError, ValueError) as exc:  # ValueError: an embedded NUL, or unencodable text
-        raise DataError(f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}") from None
+        raise _write_error(path, exc) from None
+
+
+def check_out_dir(path) -> None:
+    """Refuse, as ``write_file`` would, an output directory that cannot be
+    made: ``path`` or its nearest existing ancestor is not a directory, or
+    the path holds a NUL."""
+    path = Path(path)
+    for ancestor in (path, *path.parents):
+        try:
+            mode = ancestor.stat().st_mode
+        except FileNotFoundError:
+            continue
+        except (OSError, ValueError) as exc:  # ValueError: an embedded NUL
+            raise _write_error(path, exc) from None
+        if not stat.S_ISDIR(mode):
+            raise DataError(f"cannot write {shown(path)}: Not a directory")
+        return
 
 
 def _parse_float(token: str, where: str) -> float:

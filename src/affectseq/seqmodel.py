@@ -24,7 +24,11 @@ Each layer is one fused op, ``gru_sequence`` or ``lstm_sequence``, and
 one autodiff node for the whole window, after Appleyard et al.
 (arXiv:1604.01946). The per-gate U and b are stacked per call, so each
 step does a single h @ U.T for all gates; the input projections x_t @ W.T
-are hoisted out of the recurrence into GEMMs over blocks of steps. The
+are hoisted out of the recurrence into GEMMs over blocks of steps. In
+prediction the windows of a movie overlap, each one second after the last,
+and arrive as a strided view of the movie's rows; the first layer then
+projects each distinct row once, B+T-1 rows for B windows instead of B*T,
+and every step reads its B rows of that one table. The
 backward pass is hand-written backpropagation through time: one reverse
 loop over the steps for the pre-activation gradients, then every weight
 gradient is one GEMM over all B*T rows. The parameters keep their
@@ -112,7 +116,8 @@ def init_encoder_params(store: ParamStore, prefix: str, config: EncoderConfig,
 # pre-activation gradients are kept in window order ([B, T, .]), the row
 # order of the [B, T, D] input, for the GEMMs after the time loop.
 
-# Input rows projected per block of steps (see _input_steps).
+# Input rows of a copied batch projected per block of steps; a strided
+# view's row table is projected whole (see _input_steps).
 _BLOCK_BYTES = 1 << 20
 
 
@@ -121,15 +126,28 @@ def _stack(cell: Mapping, kind: str, gates: tuple[str, ...]) -> np.ndarray:
     return np.concatenate([ad.value(cell[f"{kind}_{gate}"]) for gate in gates])
 
 
+def _project(rows: np.ndarray, ws: list[np.ndarray], b: np.ndarray) -> np.ndarray:
+    """rows @ W.T + b for the stacked gates of [M, D] ``rows``: one GEMM per gate."""
+    width = ws[0].shape[0]
+    proj = np.empty((rows.shape[0], b.size))
+    for k, w in enumerate(ws):
+        proj[:, k * width:(k + 1) * width] = rows @ w.T
+    proj += b
+    return proj
+
+
 def _input_steps(x, cell: Mapping, gates: tuple[str, ...]):
     """x_t @ W.T + b of every step t of a [B, T, D] input, as [B, G*H]
     arrays in time order.
 
-    Steps are projected a block at a time, one [B*c, D] GEMM per gate, with
-    c steps of input (all T when D is small) fitting in ``_BLOCK_BYTES``.
-    At the wide feature widths (D ~ 2000) a stacked copy of W and the
-    whole [B*T, G*H] projection would otherwise be the largest arrays the
-    prediction path allocates.
+    When the window and step strides of ``x`` are equal (the overlapping
+    windows of one movie that prediction reads as a strided view), window
+    i at step t is row i + t of one [B+T-1, D] table, so that table is
+    projected once and step t reads rows t .. t+B-1. Any other input is
+    projected a block of steps at a time, one [B*c, D] GEMM per gate, with
+    c steps of input (all T when D is small) fitting in ``_BLOCK_BYTES``,
+    so a training batch at the wide feature widths (D ~ 2000) never holds
+    a stacked copy of W or the whole [B*T, G*H] projection.
     """
     vx = ad.value(x)
     ws = [ad.value(cell[f"W_{gate}"]) for gate in gates]
@@ -138,17 +156,16 @@ def _input_steps(x, cell: Mapping, gates: tuple[str, ...]):
                              f"gate weights {ws[0].shape}")
     batch, steps, dim = vx.shape
     b = _stack(cell, "b", gates)
-    width = ws[0].shape[0]
+    if vx.strides[0] == vx.strides[1]:
+        table = np.lib.stride_tricks.as_strided(
+            vx, (batch + steps - 1, dim), (vx.strides[0], vx.strides[2]), writeable=False)
+        proj = _project(table, ws, b)
+        return (proj[t:t + batch] for t in range(steps))
     block = max(1, _BLOCK_BYTES // (8 * batch * dim))
 
     def blocks():
         for t0 in range(0, steps, block):
-            rows = vx[:, t0:t0 + block].reshape(-1, dim)
-            proj = np.empty((rows.shape[0], b.size))
-            for k, w in enumerate(ws):
-                proj[:, k * width:(k + 1) * width] = rows @ w.T
-            del rows
-            proj += b
+            proj = _project(vx[:, t0:t0 + block].reshape(-1, dim), ws, b)
             yield from proj.reshape(batch, -1, b.size).transpose(1, 0, 2)
 
     return blocks()

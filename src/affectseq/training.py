@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import RunConfig
 from .dataio import batch_indices, load_dataset, split_dataset, window_sequences, write_file
@@ -60,18 +61,25 @@ def write_training_log(logs: list[EpochLog], path) -> None:
 def predict_tracks(store: ParamStore, model_config: ModelConfig,
                    features: Mapping[str, Mapping[str, np.ndarray]],
                    batch_size: int = 512) -> dict[str, np.ndarray]:
-    """Eval-mode predictions for whole movies, one window per second, in movie order."""
+    """Eval-mode predictions for whole movies, one window per second, in movie order.
+
+    A batch is a slice of the movie's windows as one zero-copy [L, T, D]
+    view of its padded rows, whose window and step strides are equal, so
+    the encoders project each row once per batch (see
+    :func:`affectseq.seqmodel._input_steps`) and no window is copied.
+    """
     window = model_config.sequence_length
 
-    # a function scope frees one movie's windows and batches before the next
-    # movie's are built, which bounds peak memory by the largest movie
+    # a function scope frees one movie's rows before the next movie's are
+    # built, which bounds peak memory by the largest movie
     def one_movie(movie: str) -> np.ndarray:
         windows = window_sequences({movie: features[movie]}, None, window)
-        chunks = []
-        for idx in batch_indices(len(windows), batch_size):
-            batch, _ = windows.gather(idx)
-            chunks.append(predict_batch(store, model_config, batch))
-        return np.concatenate(chunks)
+        views = {mod: sliding_window_view(rows, window, axis=0).transpose(0, 2, 1)
+                 for mod, rows in windows.rows.items()}
+        return np.concatenate([
+            predict_batch(store, model_config,
+                          {mod: view[idx[0]:idx[-1] + 1] for mod, view in views.items()})
+            for idx in batch_indices(len(windows), batch_size)])
 
     return {movie: one_movie(movie) for movie in sorted(features)}
 

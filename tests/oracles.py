@@ -10,11 +10,15 @@ difference equation over numpy scalars, for the smoothing tests.
 ``write_v1_checkpoint`` writes a ``ParamStore`` in the retired hex-text
 checkpoint format, which ``ParamStore.load`` still reads. ``grad_check``
 compares a loss closure's analytic gradients with central finite
-differences.
+differences. ``sliding_windows`` builds the strided window view that
+prediction hands the encoders, and ``projections_agree`` says whether
+BLAS rounds that view's shared input projection as it rounds a copy's.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from affectseq import seqmodel
 from affectseq.errors import DomainError
 
 
@@ -176,3 +180,20 @@ def grad_check(loss_fn, store, eps=1e-5):
             denom = max(1e-8, abs(fd) + abs(gan[i]))
             worst = max(worst, abs(fd - gan[i]) / denom)
     return worst
+
+
+def sliding_windows(rows, steps):
+    """The windows of ``steps`` consecutive [L, D] ``rows`` as one zero-copy
+    [L-steps+1, steps, D] view whose window and step strides are equal."""
+    return sliding_window_view(rows, steps, axis=0).transpose(0, 2, 1)
+
+
+def projections_agree(view, cell, kind):
+    """Whether the input projection gives the strided ``view`` (one
+    [B+T-1, D] table) and its contiguous copy (blocks of B*c rows) the same
+    bits. BLAS may pick another kernel for another row count, which rounds
+    differently: OpenBLAS's small-matrix kernel and gemv do."""
+    gates = seqmodel.GRU_GATES if kind == "gru" else seqmodel._LSTM_STACK
+    steps = zip(seqmodel._input_steps(view, cell, gates),
+                seqmodel._input_steps(np.ascontiguousarray(view), cell, gates))
+    return all(np.array_equal(a, b) for a, b in steps)

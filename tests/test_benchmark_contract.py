@@ -8,7 +8,9 @@ from their ``path`` argument and the samples smoothed by
 ``smoothing.filtfilt`` from its ``x``, replacing each function where a
 module namespace holds it. Its set-up writes checkpoints with
 ``ParamStore.save(path)`` and it times ``ParamStore.load`` by that name.
-A refactor that renames any of these turns the benchmark's layers
+It reads the batch and window sizes from ``np.shape(seqs)``, so during
+``predict`` the encoder must still receive one ``[B, T, D]`` array per
+batch, even though that array is a strided view. A refactor that renames any of these turns the benchmark's layers
 "missing", or stops them counting; these tests make it fail here first.
 Every layer ``tracing.py`` lists must also resolve to a function.
 """
@@ -20,7 +22,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from affectseq import autodiff, dataio, smoothing
+from affectseq import autodiff, dataio, model, smoothing
+from affectseq.cli import main
+from affectseq.config import parse_config
 from affectseq.numerics import ParamStore
 from affectseq.seqmodel import EncoderConfig, encode_batch_graph
 
@@ -46,6 +50,30 @@ def test_every_traced_layer_resolves(name, module, path, work):
 def test_encoder_call_shape():
     params = list(inspect.signature(encode_batch_graph).parameters)
     assert params[:2] == ["seqs", "config"]
+
+
+def test_predict_hands_the_encoder_batch_shaped_windows(monkeypatch, tmp_path):
+    """Movies of 7 s, windows of T = 4, batches of 3: the encoder of each
+    modality sees [B, 4, D] with B = 3, then 4 (a one-window remainder
+    folds into the batch before it)."""
+    manifest = dataio.synth_generate(dataio.SynthSpec(
+        num_movies=2, length=7, modalities=(("audio", 3), ("image", 2))), tmp_path / "data", 1)
+    (tmp_path / "run.cfg").write_text(
+        f"manifest = {manifest.root / dataio.MANIFEST_NAME}\nprofile = run1\n"
+        "sequence_length = 4\nhidden_units = 2\nbatch_size = 3\n")
+    config = parse_config(tmp_path / "run.cfg")
+    model.init_model_params(config.model_config(), 0).save(tmp_path / "model.ckpt")
+    shapes = []
+    encode = model.encode_batch_graph
+
+    def recorded(seqs, config, *args, **kwargs):
+        shapes.append(np.shape(seqs))
+        return encode(seqs, config, *args, **kwargs)
+
+    monkeypatch.setattr(model, "encode_batch_graph", recorded)
+    assert main(["predict", "--config", str(tmp_path / "run.cfg"), "--checkpoint",
+                 str(tmp_path / "model.ckpt"), "--out", str(tmp_path / "out")]) == 0
+    assert shapes == [(b, 4, d) for _ in range(2) for b in (3, 4) for d in (3, 2)]
 
 
 def test_checkpoint_call_shapes():

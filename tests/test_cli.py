@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from affectseq import config
+from affectseq import cli, config
 from affectseq.cli import _build_parser, main
 from affectseq.config import parse_config
 from affectseq.dataio import MANIFEST_KEYS, load_prediction_dir
@@ -288,7 +288,7 @@ class TestExitCodes:
             else:
                 path = case / "data" / "manifest\x00.txt"
                 (case / "run.cfg").write_text(f"manifest = {path}\nprofile = run1\n")
-                expected = f"missing file: {path}"
+                expected = f"missing file: {str(path)!r}"  # the NUL shown escaped
             rc, err = run_cli([*argv, "--out", str(case / "out")])
             assert rc == 2, (argv, err)
             assert expected in err, (argv, err)
@@ -296,10 +296,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, where", UNWRITABLE_CASES,
                              ids=[f"{command}-{where}" for command, where in UNWRITABLE_CASES])
-    def test_unwritable_output_is_exit_2(self, workspace, fuzz_root, tmp_path, command, where):
+    def test_unwritable_output_is_exit_2(self, workspace, fuzz_root, tmp_path, monkeypatch,
+                                         command, where):
         """An output on an existing file, under one, or at a path holding a
         NUL exits 2 naming the output that cannot be written, and writes
-        nothing."""
+        nothing. ``train`` and ``predict`` refuse it before training or
+        inference starts, and show a NUL escaped."""
         blocker = tmp_path / "file"
         blocker.write_text("kept\n")
         cfg = workspace / "run.cfg"
@@ -319,9 +321,21 @@ class TestExitCodes:
             "ensemble": ["ensemble", "--runs", annotations, annotations],
             "evaluate": ["evaluate", "--predictions", annotations, "--annotations", annotations],
         }[command]
+        early = command in ("train", "predict")
+        if early:
+            def no_work(*args, **kwargs):
+                raise AssertionError("the work started before --out was checked")
+
+            monkeypatch.setattr(cli, "train_run", no_work)
+            monkeypatch.setattr(cli, "predict_tracks", no_work)
         rc, err = run_cli(argv if where == "config-nul" else [*argv, "--out", str(out)])
         assert rc == 2, err
-        assert f"cannot write {out}{os.sep}" in err, err
+        if where == "config-nul":
+            assert f"cannot write {str(out)!r}: embedded null byte\n" in err, err
+        elif early:
+            assert f"cannot write {out}: Not a directory\n" in err, err
+        else:
+            assert f"cannot write {out}{os.sep}" in err, err
         assert blocker.read_text() == "kept\n"
         assert {p.name for p in tmp_path.iterdir()} <= {"file", "run.cfg"}
 

@@ -12,6 +12,7 @@ from affectseq.dataio import (
     DatasetManifest,
     SynthSpec,
     batch_indices,
+    check_out_dir,
     decode_text,
     load_dataset,
     load_features,
@@ -20,6 +21,7 @@ from affectseq.dataio import (
     parse_pairs,
     read_file,
     save_manifest,
+    shown,
     split_dataset,
     synth_generate,
     window_sequences,
@@ -487,10 +489,12 @@ class TestSynth:
 class TestFileBoundary:
     def test_reader_faults_name_the_path(self, tmp_path):
         (tmp_path / "dir").mkdir()
-        for path in (tmp_path / "missing", tmp_path / "dir", tmp_path / "nul\x00"):
+        for path, text in ((tmp_path / "missing", f"{tmp_path}/missing"),
+                           (tmp_path / "dir", f"{tmp_path}/dir"),
+                           (tmp_path / "nul\x00", repr(f"{tmp_path}/nul\x00"))):
             with pytest.raises(DataError) as info:
                 read_file(path)
-            assert str(info.value) == f"missing file: {path}"
+            assert str(info.value) == f"missing file: {text}"
 
     def test_decoder_names_the_line(self):
         assert decode_text("p", "a\n\u00e9\n".encode()) == "a\n\u00e9\n"
@@ -513,7 +517,35 @@ class TestFileBoundary:
                 "nul": tmp_path / "r\x00x" / "out.csv"}[where]
         with pytest.raises(DataError) as info:
             write_file(path, ["text"])
-        assert str(info.value) == f"cannot write {path}: {reason}"
+        shown = repr(str(path)) if where == "nul" else str(path)
+        assert str(info.value) == f"cannot write {shown}: {reason}"
+        assert blocker.read_text() == "kept"
+
+    def test_messages_escape_unprintable_paths(self, tmp_path):
+        """A printable path reads as it always did; one holding a control
+        character reads as its ``repr``, so no raw control byte is printed."""
+        assert shown(tmp_path / "plain \u00e9") == f"{tmp_path}/plain \u00e9"
+        assert shown("r\x00x") == "'r\\x00x'"
+        assert shown("a\x1b[31mb\n") == "'a\\x1b[31mb\\n'"
+        with pytest.raises(DataError) as info:
+            decode_text("r\x07x", b"\xff")
+        assert str(info.value) == "'r\\x07x':1: not UTF-8 text"
+
+    def test_out_dir_check(self, tmp_path):
+        """An output directory is refused before any work when it, or its
+        nearest existing ancestor, is not a directory, or it holds a NUL;
+        the check makes nothing."""
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        check_out_dir(tmp_path)
+        check_out_dir(tmp_path / "new" / "deeper")
+        for path, reason in ((blocker, "Not a directory"),
+                             (blocker / "x" / "y", "Not a directory"),
+                             (tmp_path / "r\x00x", "embedded null byte")):
+            with pytest.raises(DataError) as info:
+                check_out_dir(path)
+            assert str(info.value) == f"cannot write {shown(path)}: {reason}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
         assert blocker.read_text() == "kept"
 
     def test_files_are_touched_only_by_the_reader_and_writer(self):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from oracles import grad_check
 from affectseq import autodiff as ad
+from affectseq import seqmodel
 from affectseq.errors import ConfigError, DimensionError, DomainError
 from affectseq.numerics import ParamStore
 from affectseq.rng import generator
@@ -382,3 +383,53 @@ class TestEncoderConfig:
     def test_bad_cell(self):
         with pytest.raises(ConfigError):
             EncoderConfig(input_dim=3, hidden_units=(4,), cell_kind="tcn")
+
+
+class TestStridedWindows:
+    """Prediction hands an encoder the overlapping windows of a movie as one
+    strided view, whose first layer projects each distinct row once. The
+    states must be those of the same windows copied, bit for bit, whenever
+    BLAS rounds the shared projection's rows as it rounds the copy's
+    (``oracles.projections_agree``; the GEMMs differ in their row count). A
+    row count that sends one GEMM to another BLAS kernel moves the last
+    bits only, so there the states must agree to 1e-12."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["gru", "lstm"]), batch=st.integers(1, 16),
+           steps=st.integers(1, 16),
+           dim=st.one_of(st.integers(1, 80), st.sampled_from([1582, 2048])),
+           hidden=st.one_of(st.integers(1, 12), st.just(128)),
+           layers=st.integers(1, 2), seed=st.integers(0, 2**16))
+    def test_view_matches_copied_windows(self, kind, batch, steps, dim, hidden, layers, seed):
+        rng = np.random.default_rng(seed)
+        view = oracles.sliding_windows(rng.normal(size=(batch + steps - 1, dim)), steps)
+        assert view.strides[0] == view.strides[1] and view.shape == (batch, steps, dim)
+        cells = [random_cell(hidden, dim if layer == 0 else hidden, kind, rng)
+                 for layer in range(layers)]
+        strided, copied = view, np.ascontiguousarray(view)
+        for cell in cells:
+            strided = SEQUENCE_OPS[kind](strided, cell)
+            copied = SEQUENCE_OPS[kind](copied, cell)
+        if oracles.projections_agree(view, cells[0], kind):
+            event("projection rows agree: states compared bit for bit")
+            np.testing.assert_array_equal(strided, copied)
+        else:
+            event("BLAS rounds the row counts differently: states compared to 1e-12")
+            np.testing.assert_allclose(strided, copied, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    def test_encoder_reads_the_view_without_copying_it(self, kind, monkeypatch):
+        """The first layer projects the view's [B+T-1, D] table in place."""
+        rows = np.random.default_rng(1).normal(size=(12, 5))
+        view = oracles.sliding_windows(rows, 4)
+        projected = []
+        project = seqmodel._project
+
+        def recorded(table, ws, b):
+            projected.append(table)
+            return project(table, ws, b)
+
+        monkeypatch.setattr(seqmodel, "_project", recorded)
+        config = EncoderConfig(input_dim=5, hidden_units=(3,), cell_kind=kind)
+        encode_batch_graph(view, config, dict(make_encoder(config).items()), "enc.m")
+        assert projected[0].shape == (12, 5) and np.shares_memory(projected[0], rows)

@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+import oracles
+from affectseq import training
 from affectseq.config import parse_config
-from affectseq.dataio import SynthSpec, load_dataset, synth_generate, window_sequences
+from affectseq.dataio import (SynthSpec, batch_indices, load_dataset, synth_generate,
+                              window_sequences)
 from affectseq.errors import ConfigError
-from affectseq.model import init_model_params, training_loss
+from affectseq.model import init_model_params, predict_batch, training_loss
 from affectseq.numerics import ParamStore
 from affectseq.rng import generator
 from affectseq.training import predict_tracks, train_run, write_training_log
@@ -161,3 +166,97 @@ class TestLogs:
         write_training_log(result.logs, tmp_path / "log.csv")
         for row in (tmp_path / "log.csv").read_text().splitlines()[1:]:
             assert row.endswith(",,,")
+
+
+def copied_window_predictions(store, model_config, features, batch_size):
+    """Predictions with every batch's windows copied into one [B, T, D]
+    array (``WindowSet.gather``), as ``predict_tracks`` read them before it
+    took strided views."""
+    preds = {}
+    for movie in sorted(features):
+        windows = window_sequences({movie: features[movie]}, None,
+                                   model_config.sequence_length)
+        preds[movie] = np.concatenate([
+            predict_batch(store, model_config, windows.gather(idx)[0])
+            for idx in batch_indices(len(windows), batch_size)])
+    return preds
+
+
+def first_layer_projections_agree(store, model_config, features, batch_size):
+    """Whether BLAS rounds every batch's shared first-layer projection as it
+    rounds the copied windows' (see ``oracles.projections_agree``)."""
+    steps = model_config.sequence_length
+    for movie in sorted(features):
+        rows = window_sequences({movie: features[movie]}, None, steps).rows
+        for name, enc in model_config.encoders:
+            view = oracles.sliding_windows(rows[name], steps)
+            cell = {key[len(f"enc.{name}.l0."):]: value for key, value in store.items()
+                    if key.startswith(f"enc.{name}.l0.")}
+            for idx in batch_indices(len(view), batch_size):
+                if not oracles.projections_agree(view[idx[0]:idx[-1] + 1], cell, enc.cell_kind):
+                    return False
+    return True
+
+
+class TestStridedPrediction:
+    """``predict_tracks`` reads each batch as a slice of one strided view of
+    the movie's padded rows. Its predictions must be those of the same
+    batches copied, bit for bit wherever BLAS rounds the shared projection
+    as it rounds the copy's (see ``tests/test_seqmodel.py``). Both sides use
+    one batch size: how predictions depend on the batch size under batch
+    norm is a separate question."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(profile=st.sampled_from(["run1", "run3"]), kind=st.sampled_from(["gru", "lstm"]),
+           units=st.sampled_from(["4", "5,3"]), steps=st.integers(1, 8),
+           batch_size=st.integers(2, 9), extra=st.lists(st.integers(1, 30), min_size=0,
+                                                        max_size=2),
+           seed=st.integers(0, 2**16))
+    def test_matches_copied_windows(self, tmp_path_factory, dataset, profile, kind, units,
+                                    steps, batch_size, extra, seed):
+        path = tmp_path_factory.mktemp("strided") / "run.cfg"
+        path.write_text(f"manifest = {dataset / 'manifest.txt'}\nprofile = {profile}\n"
+                        f"cell = {kind}\nhidden_units = {units}\n"
+                        f"sequence_length = {steps}\n")
+        model_config = parse_config(path).model_config()
+        store = init_model_params(model_config, seed)
+        rng = np.random.default_rng(seed)
+        # the first movie always spans more than one batch
+        lengths = [batch_size + 1 + int(rng.integers(0, 2 * batch_size)), *extra]
+        features = {f"m{i:03d}": {name: rng.normal(size=(length, enc.input_dim))
+                                  for name, enc in model_config.encoders}
+                    for i, length in enumerate(lengths)}
+        strided = predict_tracks(store, model_config, features, batch_size)
+        copied = copied_window_predictions(store, model_config, features, batch_size)
+        assert sorted(strided) == sorted(copied)
+        exact = first_layer_projections_agree(store, model_config, features, batch_size)
+        event(f"projection rows agree: {exact}")
+        for movie in copied:
+            if exact:
+                np.testing.assert_array_equal(strided[movie], copied[movie])
+            else:
+                np.testing.assert_allclose(strided[movie], copied[movie], rtol=0, atol=1e-9)
+
+    def test_batches_share_the_padded_rows(self, tmp_path, dataset, monkeypatch):
+        """No batch copies its windows: each is a view of the movie's rows."""
+        model_config = make_config(tmp_path, dataset, "profile = run3\n").model_config()
+        store = init_model_params(model_config, 0)
+        features, _ = load_dataset(parse_config(tmp_path / "run.cfg").manifest)
+        built, seen = [], []
+
+        def recorded_windows(*args):
+            built.append(window_sequences(*args))
+            return built[-1]
+
+        def recorded_batch(store, config, windows):
+            seen.append((built[-1], windows))
+            return predict_batch(store, config, windows)
+
+        monkeypatch.setattr(training, "window_sequences", recorded_windows)
+        monkeypatch.setattr(training, "predict_batch", recorded_batch)
+        predict_tracks(store, model_config, features, batch_size=16)
+        assert len(seen) == 3 * 4  # three 60-s movies, four batches of up to 16 windows each
+        for windows, batch in seen:
+            for name, _ in model_config.encoders:
+                assert batch[name].shape[1:] == (10, windows.rows[name].shape[1])
+                assert np.shares_memory(batch[name], windows.rows[name])
