@@ -11,15 +11,20 @@ Subcommands wire the pipeline end to end on files:
 
 Exit codes: 0 success, 1 usage error, 2 data/config error, 3 numeric
 failure (non-finite loss or gradients).
+
+Each setting flag stores under the config key or SynthSpec field it
+sets, and leaves the default to the record that owns it. A setting error
+names the flag if you typed it, else the file and key it came from.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .config import parse_config, parse_values, smoother_spec, write_resolved
+from .config import _KNOWN_KEYS, parse_config, parse_values, smoother_spec, write_resolved
 from .dataio import (
     SynthSpec,
     check_out_dir,
@@ -27,15 +32,23 @@ from .dataio import (
     load_prediction_dir,
     parse_pairs,
     save_prediction_dir,
+    shown,
     split_dataset,
     synth_generate,
     write_file,
 )
 from .errors import AffectSeqError, ConfigError, DataError, NumericError
-from .evalmetrics import AGGREGATION_MODES, ensemble_average, evaluate_run, render_csv, render_text
+from .evalmetrics import (
+    AGGREGATION_MODES,
+    check_aligned,
+    ensemble_average,
+    evaluate_run,
+    render_csv,
+    render_text,
+)
 from .model import ModelConfig, param_shapes
 from .numerics import ParamStore
-from .smoothing import SMOOTHERS, SmootherSpec, smooth_track
+from .smoothing import SMOOTHERS, smooth_track
 from .training import (
     CHECKPOINT_NAME,
     TRAINING_LOG_NAME,
@@ -68,15 +81,16 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True, help="dataset directory to create")
-    p.add_argument("--movies", type=int, default=3)
-    p.add_argument("--length", type=int, default=200, help="seconds per movie")
-    p.add_argument("--modalities", default="audio:8,image:8", help="name:dim pairs")
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--noise-override", default="",
+    p.add_argument("--movies", dest="num_movies", type=int)
+    p.add_argument("--length", type=int, help="seconds per movie")
+    p.add_argument("--modalities", help="name:dim pairs")
+    p.add_argument("--noise", type=float)
+    p.add_argument("--noise-override", dest="noise_overrides",
                    help="per-modality noise as name:level[,name:level]")
-    p.add_argument("--lag", type=int, default=3)
+    p.add_argument("--lag", type=int)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--validation", default="", help="comma-separated validation movie ids")
+    p.add_argument("--validation", dest="validation_movies",
+                   help="comma-separated validation movie ids")
 
     p = sub.add_parser("train", help="train a model from a config file")
     p.add_argument("--config", required=True)
@@ -96,10 +110,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="take smoother settings from a config file")
     p.add_argument("--smoother", choices=SMOOTHERS)
-    p.add_argument("--order", help="Butterworth order (config key butter_order)")
-    p.add_argument("--cutoff", help="Butterworth cutoff (config key butter_cutoff)")
-    p.add_argument("--weights", help="comma-separated moving-average weights (ma_weights)")
-    p.add_argument("--causal", action="store_true",
+    p.add_argument("--order", dest="butter_order", help="Butterworth order")
+    p.add_argument("--cutoff", dest="butter_cutoff", help="Butterworth cutoff")
+    p.add_argument("--weights", dest="ma_weights", help="comma-separated moving-average weights")
+    p.add_argument("--causal", action="store_true", default=None,
                    help="single forward pass instead of zero-phase")
 
     p = sub.add_parser("ensemble", help="average prediction runs")
@@ -114,39 +128,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# SynthSpec and manifest keys that synth flags set, and those flags
-_SYNTH_FLAGS = {"num_movies": "--movies", "length": "--length", "noise": "--noise",
-                "lag": "--lag", "noise_overrides": "--noise-override",
-                "modalities": "--modalities", "validation_movies": "--validation"}
+# flags spelled otherwise than the key they set
+_FLAGS = {"num_movies": "--movies", "noise_overrides": "--noise-override",
+          "validation_movies": "--validation", "butter_order": "--order",
+          "butter_cutoff": "--cutoff", "ma_weights": "--weights"}
 
 
 def _cmd_synth(args) -> int:
-    try:
-        spec = SynthSpec(
-            num_movies=args.movies,
-            length=args.length,
-            modalities=parse_pairs(args.modalities, int, "modalities"),
-            noise=args.noise,
-            noise_overrides=parse_pairs(args.noise_override, float, "noise_overrides"),
-            lag=args.lag,
-            validation_movies=tuple(v.strip() for v in args.validation.split(",") if v.strip()),
-        )
-        manifest = synth_generate(spec, args.out, args.seed)
-    except ConfigError as exc:
-        if exc.key not in _SYNTH_FLAGS:
-            raise
-        raise ConfigError(f"{_SYNTH_FLAGS[exc.key]}: {exc}") from None
-    print(f"wrote {len(manifest.movies)} movies to {args.out}")
+    given = {f.name: getattr(args, f.name) for f in fields(SynthSpec)
+             if getattr(args, f.name, None) is not None}
+    for key, kind in (("modalities", int), ("noise_overrides", float)):
+        if key in given:
+            given[key] = parse_pairs(given[key], kind, key)
+    if "validation_movies" in given:
+        given["validation_movies"] = tuple(
+            v.strip() for v in given["validation_movies"].split(",") if v.strip())
+    manifest = synth_generate(SynthSpec(**given), args.out, args.seed)
+    print(f"wrote {len(manifest.movies)} movies to {shown(args.out)}")
     return EXIT_OK
 
 
 def _config_overrides(args) -> dict[str, str]:
-    overrides = {}
-    for key in ("out", "seed", "profile"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = str(value)
-    return overrides
+    """The config keys that typed flags set."""
+    return {key: str(value) for key, value in vars(args).items()
+            if key in _KNOWN_KEYS and value is not None}
 
 
 def _cmd_train(args) -> int:
@@ -163,7 +168,7 @@ def _cmd_train(args) -> int:
     write_training_log(result.logs, out_dir / TRAINING_LOG_NAME)
     last = result.logs[-1]
     print(f"trained {len(result.logs)} epochs; final loss {last.train_loss:.6f}; "
-          f"checkpoint at {out_dir / CHECKPOINT_NAME}")
+          f"checkpoint at {shown(out_dir / CHECKPOINT_NAME)}")
     return EXIT_OK
 
 
@@ -172,10 +177,11 @@ def _check_architecture(store: ParamStore, model_config: ModelConfig, checkpoint
     model's."""
     expected = param_shapes(model_config)
     if sorted(expected) != store.names():
-        raise DataError(f"checkpoint {checkpoint} does not match the configured architecture")
+        raise DataError(f"checkpoint {shown(checkpoint)} does not match the configured "
+                        "architecture")
     for name, shape in sorted(expected.items()):
         if store.value(name).shape != shape:
-            raise DataError(f"checkpoint {checkpoint}: parameter {name} has shape "
+            raise DataError(f"checkpoint {shown(checkpoint)}: parameter {name} has shape "
                             f"{store.value(name).shape}, expected {shape}")
 
 
@@ -195,52 +201,33 @@ def _cmd_predict(args) -> int:
         features = {m: features[m] for m in wanted}
     preds = predict_tracks(store, model_config, features, batch_size=cfg.batch_size)
     save_prediction_dir(preds, args.out)
-    print(f"wrote predictions for {len(preds)} movies to {args.out}")
+    print(f"wrote predictions for {len(preds)} movies to {shown(args.out)}")
     return EXIT_OK
 
 
-# smooth flags and the config keys they set
-_SMOOTH_FLAGS = {"smoother": "smoother", "order": "butter_order",
-                 "cutoff": "butter_cutoff", "weights": "ma_weights"}
-
-
-def _smoother_from_args(args) -> SmootherSpec:
-    """Flags override the config's smoother keys, or the defaults without
-    one; either way they are parsed and bounded like config keys."""
-    given = {key: getattr(args, flag) for flag, key in _SMOOTH_FLAGS.items()
-             if getattr(args, flag) is not None}
-    values = parse_values(given, {key: f"--{flag}" for flag, key in _SMOOTH_FLAGS.items()})
-    if args.config:
-        return smoother_spec(vars(parse_config(args.config, given)))
-    return smoother_spec(values)
-
-
 def _cmd_smooth(args) -> int:
-    spec = _smoother_from_args(args)
+    settings = _config_overrides(args)
+    spec = smoother_spec(vars(parse_config(args.config, settings)) if args.config
+                         else parse_values(settings))
     preds = load_prediction_dir(args.predictions)
     if spec.kind == "moving_average":
-        setting = "--weights" if args.weights is not None or not args.config else "ma_weights"
         for movie, track in preds.items():
             if len(track) < len(spec.weights):
-                raise DataError(f"{Path(args.predictions) / f'{movie}.csv'}: track of length "
-                                f"{len(track)} is shorter than the {len(spec.weights)} "
-                                f"moving-average weights set by {setting}")
-    try:
-        smoothed = {m: smooth_track(t, spec, causal=args.causal) for m, t in preds.items()}
-    except ConfigError as exc:
-        if exc.key != "causal":
-            raise
-        raise ConfigError(f"--causal: {exc}") from None
+                raise ConfigError(f"{shown(Path(args.predictions) / f'{movie}.csv')}: track of "
+                                  f"length {len(track)} is shorter than the "
+                                  f"{len(spec.weights)} weights of ma_weights", key="ma_weights")
+    smoothed = {m: smooth_track(t, spec, causal=bool(args.causal)) for m, t in preds.items()}
     save_prediction_dir(smoothed, args.out)
-    print(f"smoothed {len(smoothed)} movies with {spec.kind} into {args.out}")
+    print(f"smoothed {len(smoothed)} movies with {spec.kind} into {shown(args.out)}")
     return EXIT_OK
 
 
 def _cmd_ensemble(args) -> int:
     runs = [load_prediction_dir(run_dir) for run_dir in args.runs]
+    check_aligned(runs, [shown(run_dir) for run_dir in args.runs])
     averaged = ensemble_average(runs)
     save_prediction_dir(averaged, args.out)
-    print(f"averaged {len(args.runs)} runs into {args.out}")
+    print(f"averaged {len(args.runs)} runs into {shown(args.out)}")
     return EXIT_OK
 
 
@@ -284,7 +271,11 @@ def main(argv=None) -> int:
         print(f"affectseq: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except AffectSeqError as exc:
-        print(f"affectseq: {exc}", file=sys.stderr)
+        # a flag's dest is the key it sets, and it is None unless typed
+        key = getattr(exc, "key", None)
+        typed = key is not None and getattr(args, key, None) is not None
+        flag = f"{_FLAGS.get(key, f'--{key}')}: " if typed else ""
+        print(f"affectseq: {flag}{exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .dataio import DatasetManifest, _parse_kv_lines, load_manifest, write_file
+from .dataio import DatasetManifest, _parse_kv_lines, load_manifest, shown, write_file
 from .errors import ConfigError
 from .fusion import CG2_POSITIONS, FusionConfig
 from .model import ModelConfig
@@ -50,7 +50,7 @@ _PAPERED_SEQUENCE_LENGTHS = (10, 30, 60)
 
 
 # Parsers take the raw string and raise ConfigError with a message that
-# the caller prefixes with the key (or CLI flag) at fault.
+# ``_parse`` tags with the key at fault.
 
 def _choice(*options: str) -> Callable[[str], str]:
     def parse(raw: str) -> str:
@@ -114,11 +114,11 @@ def _key(default, parse: Callable[[str], object], echo: bool = True):
     return field(default=default, metadata={"parse": parse, "echo": echo})
 
 
-def _parse(label: str, parse: Callable[[str], object], raw: str):
+def _parse(key: str, parse: Callable[[str], object], raw: str):
     try:
         return parse(raw)
     except ConfigError as exc:
-        raise ConfigError(f"{label}: {exc}") from None
+        raise ConfigError(str(exc), key=key) from None
 
 
 @dataclass
@@ -217,17 +217,11 @@ def _echo(value) -> str:
     return str(value)
 
 
-def parse_values(raw: Mapping[str, str], labels: Mapping[str, str] | None = None) -> dict:
+def parse_values(raw: Mapping[str, str]) -> dict:
     """Every table key's value: its default, or its parsed entry in ``raw``.
-
-    Errors name ``labels[key]`` when given (a CLI flag, say), else the key.
-    """
-    labels = labels or {}
-    values = {}
-    for name, f in _TABLE.items():
-        values[name] = (_parse(labels.get(name, f"key {name}"), f.metadata["parse"], raw[name])
-                        if name in raw else f.default)
-    return values
+    A bad entry is a :class:`ConfigError` whose ``key`` is the key."""
+    return {name: _parse(name, f.metadata["parse"], raw[name]) if name in raw else f.default
+            for name, f in _TABLE.items()}
 
 
 def smoother_spec(values: Mapping[str, object]) -> SmootherSpec:
@@ -242,15 +236,15 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
 
     ``overrides`` (from CLI flags) behave as if the file contained those
     keys, replacing any it did contain. A fault in a key from the file
-    names the file and the key; a fault in an override names the flag
-    spelled like its key (``--profile``). Flags spelled otherwise are
-    checked first with :func:`parse_values`.
+    names the file and the key (``<path>: key <k>: ``); a fault in an
+    override is raised bare, its ``key`` left for the front end to name
+    the flag that set it.
     """
     path = Path(path)
+    source = shown(path)
     kv = _parse_kv_lines(path)
     overrides = {k: str(v) for k, v in (overrides or {}).items()}
     kv.update(overrides)
-    labels = {k: f"--{k}" if k in overrides else f"{path}: key {k}" for k in kv}
 
     hidden_overrides_raw: dict[str, str] = {}
     for key in list(kv):
@@ -258,37 +252,45 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
             hidden_overrides_raw[key[len("hidden_units."):]] = kv.pop(key)
     unknown = set(kv) - _KNOWN_KEYS
     if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"{source}: unknown config keys: {sorted(unknown)}")
     if "manifest" not in kv:
-        raise ConfigError(f"{path}: missing required key 'manifest'")
+        raise ConfigError(f"{source}: missing required key 'manifest'")
 
     manifest_path = Path(kv.pop("manifest"))
     if not manifest_path.is_absolute():
         manifest_path = path.parent / manifest_path
     manifest = load_manifest(manifest_path)
 
-    values = parse_values(kv, labels)
+    known_modalities = {name for name, _ in manifest.modalities}
+    try:
+        values = parse_values(kv)
+        hidden_overrides = {}
+        for name, raw in hidden_overrides_raw.items():
+            if name not in known_modalities:
+                raise ConfigError("modality not in manifest", key=f"hidden_units.{name}")
+            hidden_overrides[name] = _parse(f"hidden_units.{name}", _units, raw)
+    except ConfigError as exc:
+        if exc.key in overrides:
+            raise
+        raise ConfigError(f"{source}: key {exc.key}: {exc}", key=exc.key) from None
     preset = _PROFILE_PRESETS[values["profile"]]
     for owned in preset:
         if owned in kv:
-            raise ConfigError(f"{path}: profile {values['profile']} fixes {owned}; remove the key")
+            raise ConfigError(f"{source}: profile {values['profile']} fixes {owned}; "
+                              "remove the key")
     if "train_fraction" not in kv:
         values["train_fraction"] = manifest.train_fraction
     values.update(preset)
-    cfg = RunConfig(manifest_path=manifest_path, manifest=manifest, **values)
-
-    known_modalities = {name for name, _ in manifest.modalities}
-    for name, raw in hidden_overrides_raw.items():
-        if name not in known_modalities:
-            raise ConfigError(f"{path}: key hidden_units.{name}: modality not in manifest")
-        cfg.hidden_overrides[name] = _parse(f"{path}: key hidden_units.{name}", _units, raw)
+    cfg = RunConfig(manifest_path=manifest_path, manifest=manifest,
+                    hidden_overrides=hidden_overrides, **values)
 
     if cfg.profile == "run4":
         cfg.seed = cfg.seed + 1
         cfg.epochs = cfg.epochs + max(1, cfg.epochs // 4)
     if cfg.enable_batchnorm and cfg.batch_size < 2:
-        raise ConfigError(f"{path}: key batch_size: batch normalization (enable_batchnorm, or "
-                          f"profiles run2-run4) needs batch_size >= 2, got {cfg.batch_size}")
+        raise ConfigError(f"{source}: key batch_size: batch normalization (enable_batchnorm, or "
+                          f"profiles run2-run4) needs batch_size >= 2, got {cfg.batch_size}",
+                          key="batch_size")
 
     if cfg.sequence_length not in _PAPERED_SEQUENCE_LENGTHS:
         cfg.warnings = (

@@ -127,24 +127,25 @@ def _read_track(path: Path, columns: tuple[str, ...] | None) -> tuple[str, np.nd
     """(movie id, [L, C] values) of one track CSV; ``columns`` None means
     ``f0..f{C-1}`` with C taken from the header."""
     text = decode_text(path, read_file(path))
+    source = shown(path)
     lines = text.splitlines()
     if not lines:
-        raise DataError(f"{path}: empty file")
+        raise DataError(f"{source}: empty file")
     header = lines[0].split(",")
     if columns is None:
         columns = tuple(f"f{i}" for i in range(len(header) - 2))
     expected = ["movie_id", "t", *columns]
     if header != expected:
-        raise DataError(f"{path}: header {lines[0]!r} is not {','.join(expected)!r}")
+        raise DataError(f"{source}: header {lines[0]!r} is not {','.join(expected)!r}")
     if not columns:
-        raise DataError(f"{path}: no value columns")
+        raise DataError(f"{source}: no value columns")
     body = lines[1:]
     # loadtxt strips "\x1f" around a token, float() does not
     if body and "\x1f" not in text:
         track = _load_canonical(body, len(columns))
         if track is not None:
             return track
-    return _parse_rows(path, body, len(columns))
+    return _parse_rows(source, body, len(columns))
 
 
 def _load_canonical(lines: list[str], width: int) -> tuple[str, np.ndarray] | None:
@@ -165,40 +166,42 @@ def _load_canonical(lines: list[str], width: int) -> tuple[str, np.ndarray] | No
     return movie_id, values
 
 
-def _parse_rows(path: Path, lines: list[str], width: int) -> tuple[str, np.ndarray]:
-    """(movie id, [L, width] values) of the data lines of ``path``, read line
-    by line; the authority on ``<path>:<line>`` errors and on hex tokens."""
+def _parse_rows(source: str, lines: list[str], width: int) -> tuple[str, np.ndarray]:
+    """(movie id, [L, width] values) of the data lines of the file shown as
+    ``source``, read line by line; the authority on ``<path>:<line>`` errors
+    and on hex tokens."""
     movie_id = None
     rows: list[list[float]] = []
     for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
+        where = f"{source}:{lineno}"
         fields = line.split(",")
         if len(fields) != width + 2:
-            raise DataError(f"{path}:{lineno}: expected {width + 2} fields, got {len(fields)}")
+            raise DataError(f"{where}: expected {width + 2} fields, got {len(fields)}")
         if movie_id is None:
             movie_id = fields[0]
         elif fields[0] != movie_id:
-            raise DataError(f"{path}:{lineno}: mixed movie ids {movie_id!r} and {fields[0]!r}")
+            raise DataError(f"{where}: mixed movie ids {movie_id!r} and {fields[0]!r}")
         try:
             t = int(fields[1])
         except ValueError:
-            raise DataError(f"{path}:{lineno}: bad second index {fields[1]!r}") from None
+            raise DataError(f"{where}: bad second index {fields[1]!r}") from None
         expected_t = len(rows)
         if t != expected_t:
-            raise DataError(f"{path}:{lineno}: gap in seconds, expected t={expected_t}, got t={t}")
-        values = [_parse_float(tok, f"{path}:{lineno}") for tok in fields[2:]]
+            raise DataError(f"{where}: gap in seconds, expected t={expected_t}, got t={t}")
+        values = [_parse_float(tok, where) for tok in fields[2:]]
         if not all(math.isfinite(v) for v in values):
-            raise DataError(f"{path}:{lineno}: non-finite value")
+            raise DataError(f"{where}: non-finite value")
         rows.append(values)
     if not rows:
-        raise DataError(f"{path}: no data rows (empty movie)")
+        raise DataError(f"{source}: no data rows (empty movie)")
     return movie_id, np.array(rows)
 
 
 def _check_movie_id(path: Path, movie_id: str, expected: str) -> None:
     if movie_id != expected:
-        raise DataError(f"{path}: movie id {movie_id!r} does not match file location")
+        raise DataError(f"{shown(path)}: movie id {movie_id!r} does not match file location")
 
 
 def load_features(path) -> tuple[str, np.ndarray]:
@@ -234,10 +237,10 @@ def load_prediction_dir(directory) -> dict[str, np.ndarray]:
     """All ``<movie>.csv`` tracks in a prediction or annotation directory."""
     directory = Path(directory)
     if not directory.is_dir():
-        raise DataError(f"missing track directory: {directory}")
+        raise DataError(f"missing track directory: {shown(directory)}")
     paths = sorted(directory.glob("*.csv"))
     if not paths:
-        raise DataError(f"no track files in {directory}")
+        raise DataError(f"no track files in {shown(directory)}")
     tracks = {}
     for path in paths:
         movie_id, values = load_predictions(path)
@@ -302,16 +305,17 @@ class DatasetManifest:
 
 def _parse_kv_lines(path: Path) -> dict[str, str]:
     out: dict[str, str] = {}
+    source = shown(path)
     for lineno, raw in enumerate(decode_text(path, read_file(path)).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise DataError(f"{path}:{lineno}: expected 'key = value'")
+            raise DataError(f"{source}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
         if key in out:
-            raise DataError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise DataError(f"{source}:{lineno}: duplicate key {key!r}")
         out[key] = value.strip()
     return out
 
@@ -361,7 +365,7 @@ def load_manifest(path) -> DatasetManifest:
             train_fraction=_number(float, kv.get("train_fraction", "1.0"), "train_fraction"),
         )
     except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}", key=exc.key) from None
+        raise ConfigError(f"{shown(path)}: {exc}", key=exc.key) from None
 
 
 def save_manifest(manifest: DatasetManifest, path=None) -> Path:
@@ -387,6 +391,7 @@ def load_dataset(manifest: DatasetManifest, with_annotations: bool = True):
     features: dict[str, dict[str, np.ndarray]] = {}
     annotations: dict[str, np.ndarray] = {}
     lo, hi = manifest.annotation_range
+    declared = f"but the manifest in {shown(manifest.root)} declares"
     for movie, length in manifest.movies:
         per_mod: dict[str, np.ndarray] = {}
         for modality, dim in manifest.modalities:
@@ -394,9 +399,11 @@ def load_dataset(manifest: DatasetManifest, with_annotations: bool = True):
             movie_id, values = load_features(path)
             _check_movie_id(path, movie_id, movie)
             if values.shape[1] != dim:
-                raise DataError(f"{movie}/{modality}: dim {values.shape[1]} != manifest {dim}")
+                raise DataError(f"{shown(path)}: {values.shape[1]} feature columns, "
+                                f"{declared} {modality}:{dim}")
             if len(values) != length:
-                raise DataError(f"{movie}/{modality}: length {len(values)} != manifest {length}")
+                raise DataError(f"{shown(path)}: {len(values)} seconds, "
+                                f"{declared} {movie}:{length}")
             per_mod[modality] = values
         features[movie] = per_mod
         if with_annotations:
@@ -404,9 +411,10 @@ def load_dataset(manifest: DatasetManifest, with_annotations: bool = True):
             movie_id, values = load_predictions(path)
             _check_movie_id(path, movie_id, movie)
             if np.any(values < lo) or np.any(values > hi):
-                raise DataError(f"{path}: annotation outside declared range [{lo}, {hi}]")
+                raise DataError(f"{shown(path)}: annotation outside declared range [{lo}, {hi}]")
             if len(values) != length:
-                raise DataError(f"{movie}: annotation length {len(values)} != manifest {length}")
+                raise DataError(f"{shown(path)}: {len(values)} seconds, "
+                                f"{declared} {movie}:{length}")
             annotations[movie] = values
     return features, annotations
 

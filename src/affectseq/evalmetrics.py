@@ -123,17 +123,24 @@ def evaluate_run(preds: Mapping[str, np.ndarray], annos: Mapping[str, np.ndarray
                       arousal_pcc_undefined=undefined["arousal_pcc"])
 
 
-def ensemble_average(runs: Sequence[Mapping[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Pointwise mean over K aligned prediction-track collections."""
+def check_aligned(runs: Sequence[Mapping[str, np.ndarray]], names: Sequence[str]) -> None:
+    """Refuse runs that differ from the first in movies or track shapes;
+    an error names the run at fault and the first by ``names``."""
     if not runs:
         raise DataError("ensemble needs at least one run")
     movies = sorted(runs[0])
-    for k, run in enumerate(runs[1:], start=2):
+    for name, run in zip(names[1:], runs[1:]):
         if sorted(run) != movies:
-            raise DataError(f"run {k} covers different movies than run 1")
+            raise DataError(f"{name} covers different movies than {names[0]}")
         for movie in movies:
             if run[movie].shape != runs[0][movie].shape:
-                raise DataError(f"run {k} has a different track shape for {movie}")
+                raise DataError(f"{name} has a different track shape for {movie} than {names[0]}")
+
+
+def ensemble_average(runs: Sequence[Mapping[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Pointwise mean over K aligned prediction-track collections."""
+    check_aligned(runs, [f"run {k}" for k in range(1, len(runs) + 1)])
+    movies = sorted(runs[0])
     return {
         movie: np.mean([run[movie] for run in runs], axis=0)
         for movie in movies

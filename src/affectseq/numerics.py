@@ -25,7 +25,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .dataio import decode_text, read_file, write_file
+from .dataio import decode_text, read_file, shown, write_file
 from .errors import ConfigError, DataError, DimensionError, DomainError, NumericError
 
 CHECKPOINT_HEADER = "affectseq-params v2"
@@ -123,14 +123,15 @@ class ParamStore:
         if data.startswith(CHECKPOINT_HEADER.encode() + b"\n"):
             return cls._load_v2(path, data)
         lines = decode_text(path, data).splitlines()
+        source = shown(path)
         if not lines or lines[0] != _V1_HEADER:
-            raise DataError(f"{path}: missing checkpoint header {CHECKPOINT_HEADER!r} "
+            raise DataError(f"{source}: missing checkpoint header {CHECKPOINT_HEADER!r} "
                             f"(or {_V1_HEADER!r})")
         store = cls()
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
-            where = f"{path}:{lineno}"
+            where = f"{source}:{lineno}"
             fields = line.split(" ")
             if len(fields) < 2:
                 raise DataError(f"{where}: malformed parameter record")
@@ -147,14 +148,15 @@ class ParamStore:
 
     @classmethod
     def _load_v2(cls, path, data: bytes) -> "ParamStore":
+        source = shown(path)
         end = data.find(b"\n\n")
         if end < 0:
-            raise DataError(f"{path}: no blank line ends the checkpoint index")
+            raise DataError(f"{source}: no blank line ends the checkpoint index")
         payload = memoryview(data)[end + 2:]
         records = []
         total = 0
         for lineno, line in enumerate(decode_text(path, data[:end]).split("\n")[1:], start=2):
-            where = f"{path}:{lineno}"
+            where = f"{source}:{lineno}"
             fields = line.split(" ")
             if len(fields) != 2:
                 raise DataError(f"{where}: malformed index line {line!r}")
@@ -164,7 +166,7 @@ class ParamStore:
         if len(payload) != 8 * total:
             # a short payload is blamed on the first record it cannot hold
             where = next((where for where, *_, stop in records if 8 * stop > len(payload)),
-                         str(path))
+                         source)
             raise DataError(f"{where}: payload has {len(payload)} bytes, expected {8 * total}")
         flat = np.frombuffer(payload, dtype="<f8")
         store = cls()

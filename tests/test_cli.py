@@ -18,7 +18,7 @@ import oracles
 from affectseq import cli, config
 from affectseq.cli import _build_parser, main
 from affectseq.config import parse_config
-from affectseq.dataio import MANIFEST_KEYS, load_prediction_dir
+from affectseq.dataio import MANIFEST_KEYS, SynthSpec, load_prediction_dir, synth_generate
 from affectseq.model import init_model_params
 
 
@@ -960,3 +960,128 @@ def test_settable_surface():
     assert set(MANIFEST_KEYS) == {"modalities", "movies", "annotation_range",
                                   "validation_movies", "train_fraction"}
     assert len(MANIFEST_KEYS) == 5
+
+
+def tree_bytes(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestSettingLabels:
+    """One rule names the setting at fault: the flag when the user typed
+    it, else the config file and key it came from."""
+
+    def test_synth_defaults_are_the_records(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path / "cli")]) == 0
+        synth_generate(SynthSpec(), tmp_path / "lib", 1)
+        cli_files = tree_bytes(tmp_path / "cli")
+        assert cli_files == tree_bytes(tmp_path / "lib")
+        assert len(cli_files) == 3 + 3 * 2 + 1  # annotations, features, manifest
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--order", "9", "9 outside valid range [1, 4]"),
+        ("--weights", "1,1", "needs an odd number of weights, got 2"),
+    ])
+    def test_smooth_flag_over_config_names_the_flag(self, workspace, tmp_path, flag, value,
+                                                    message):
+        cfg = workspace / "run.cfg"
+        rc, err = run_cli(["smooth", "--config", str(cfg), flag, value, "--predictions",
+                           str(workspace / "data" / "annotations"), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert err == f"affectseq: {flag}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--cutoff", "0.2"], ["--smoother", "butterworth"]],
+                             ids=["no-flag", "other-flag", "smoother-flag"])
+    def test_smooth_config_value_names_file_and_key(self, workspace, tmp_path, flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"manifest = {workspace / 'data' / 'manifest.txt'}\nbutter_order = 9\n")
+        rc, err = run_cli(["smooth", "--config", str(cfg), *flags, "--predictions",
+                           str(workspace / "data" / "annotations"), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert err == f"affectseq: {cfg}: key butter_order: 9 outside valid range [1, 4]\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fault", ["dim", "length"])
+    def test_feature_csv_at_odds_with_manifest(self, workspace, fuzz_root, tmp_path, fault):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        csv = data / "features" / "audio" / "m001.csv"
+        lines = csv.read_text().splitlines()
+        if fault == "dim":  # drop the last value column, header included
+            lines = [line.rpartition(",")[0] for line in lines]
+            needle = f"{csv}: 2 feature columns, but the manifest in {data} declares audio:3"
+        else:
+            lines = lines[:-1]
+            needle = f"{csv}: 49 seconds, but the manifest in {data} declares m001:50"
+        csv.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text((workspace / "run.cfg").read_text().replace(
+            str(workspace / "data"), str(data)))
+        check_settings_in_train_and_predict(fuzz_root, cfg, csv, [needle])
+
+    @pytest.mark.parametrize("fault", ["movies", "shape"])
+    def test_misaligned_ensemble_names_both_directories(self, workspace, tmp_path, fault):
+        first, second = tmp_path / "e1", tmp_path / "e2"
+        shutil.copytree(workspace / "data" / "annotations", first)
+        shutil.copytree(workspace / "data" / "annotations", second)
+        track = second / "m001.csv"
+        if fault == "movies":
+            track.unlink()
+            needle = f"{second} covers different movies than {first}"
+        else:
+            track.write_text("\n".join(track.read_text().splitlines()[:-1]) + "\n")
+            needle = f"{second} has a different track shape for m001 than {first}"
+        rc, err = run_cli(["ensemble", "--runs", str(first), str(second),
+                           "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert err == f"affectseq: {needle}\n"
+        assert not (tmp_path / "o").exists()
+
+
+# a directory name holding ESC: printed raw, "[31m" would turn a terminal red
+ESCAPE_DIR = "bad\x1b[31m"
+
+
+class TestControlBytesInPaths:
+    """Each reader shows a path holding a control byte as its ``repr``, so
+    no control byte reaches stderr."""
+
+    @staticmethod
+    def check(argv, path, message):
+        rc, err = run_cli(argv)
+        assert rc == 2, err
+        assert f"{str(path)!r}{message}" in err, err
+        assert "\x1b" not in err
+
+    def test_config(self, workspace, fuzz_root, tmp_path):
+        cfg = tmp_path / ESCAPE_DIR / "run.cfg"
+        cfg.parent.mkdir()
+        cfg.write_text(f"manifest = {workspace / 'data' / 'manifest.txt'}\nbogus = 1\n")
+        self.check(["predict", "--config", str(cfg), "--checkpoint", str(fuzz_root / "model.ckpt"),
+                    "--out", str(tmp_path / "o")], cfg, ": unknown config keys: ['bogus']")
+
+    def test_manifest(self, workspace, tmp_path):
+        data = tmp_path / ESCAPE_DIR
+        shutil.copytree(workspace / "data", data)
+        manifest = data / "manifest.txt"
+        manifest.write_text(manifest.read_text() + "bogus = 1\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"manifest = {manifest}\nprofile = run1\n")
+        self.check(["train", "--config", str(cfg), "--out", str(tmp_path / "o")], manifest,
+                   ": unknown manifest keys: ['bogus']")
+
+    def test_track_csv(self, workspace, tmp_path):
+        preds = tmp_path / ESCAPE_DIR
+        shutil.copytree(workspace / "data" / "annotations", preds)
+        track = preds / "m001.csv"
+        mangle_track(track, "token", 2, 0, "abc")
+        self.check(["smooth", "--predictions", str(preds), "--out", str(tmp_path / "o")], track,
+                   ":3: bad float literal 'abc'")
+
+    def test_checkpoint(self, workspace, fuzz_root, tmp_path):
+        ckpt = tmp_path / ESCAPE_DIR / "model.ckpt"
+        ckpt.parent.mkdir()
+        ckpt.write_bytes(b"not a checkpoint\n")
+        self.check(["predict", "--config", str(workspace / "run.cfg"), "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path / "o")], ckpt, ": missing checkpoint header")

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from affectseq.config import parse_config, write_resolved
+from affectseq.config import parse_config, parse_values, write_resolved
 from affectseq.dataio import SynthSpec, synth_generate
 from affectseq.errors import ConfigError
 
@@ -216,6 +216,21 @@ class TestValidation:
         cfg = parse_config(write_config(tmp_path, dataset),
                            {"seed": "9", "profile": "run1"})
         assert cfg.seed == 9 and cfg.profile == "run1"
+
+    def test_parse_values_tags_the_key(self):
+        with pytest.raises(ConfigError, match=r"^9 outside valid range \[1, 4\]$") as err:
+            parse_values({"butter_order": "9"})
+        assert err.value.key == "butter_order"
+
+    def test_file_key_names_the_file_and_override_is_bare(self, tmp_path, dataset):
+        path = write_config(tmp_path, dataset, "seed = x\n")
+        message = f"{path}: key seed: expected an integer, got 'x'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as err:
+            parse_config(path)
+        assert err.value.key == "seed"
+        with pytest.raises(ConfigError, match=r"^expected an integer, got 'y'$") as err:
+            parse_config(path, {"seed": "y"})
+        assert err.value.key == "seed"
 
     def test_bad_bool(self, tmp_path, dataset):
         path = write_config(tmp_path, dataset, "enable_batchnorm = yes\n")

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,14 @@ class TestLoadFeatures:
         assert str(path) in str(err.value)
         movie_id, values = load_predictions(path)  # the reader itself declares no range
         assert movie_id == "m001" and values.shape == (5, 2)
+
+    def test_annotation_length_names_file_and_manifest(self, tmp_path):
+        manifest = synth_generate(SynthSpec(num_movies=2, length=5), tmp_path, seed=1)
+        path = manifest.annotation_path("m001")
+        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+        message = f"{path}: 4 seconds, but the manifest in {tmp_path} declares m001:5"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_dataset(manifest)
 
     def test_annotation_id_must_match_file(self, tmp_path):
         manifest = synth_generate(SynthSpec(num_movies=2, length=5), tmp_path, seed=1)

@@ -232,6 +232,17 @@ class TestEnsemble:
         with pytest.raises(DataError):
             ensemble_average(runs)
 
+    def test_misaligned_runs_named_by_position(self):
+        _, runs = self._runs(3)
+        runs[2] = {"other": runs[2]["m000"]}
+        with pytest.raises(DataError, match="^run 3 covers different movies than run 1$"):
+            ensemble_average(runs)
+        _, runs = self._runs(2)
+        runs[1]["m000"] = runs[1]["m000"][:10]
+        with pytest.raises(DataError,
+                           match="^run 2 has a different track shape for m000 than run 1$"):
+            ensemble_average(runs)
+
 
 class TestRendering:
     def _report(self):
