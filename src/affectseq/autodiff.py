@@ -19,8 +19,11 @@ each run a whole recurrent layer over T steps as one node with a
 hand-written backward (backpropagation through time). Built from the
 generic ops, a layer would take about ten nodes per step, each holding
 its own temporaries and visited one at a time by ``backward``; the fused
-node keeps only the gate activations and states its backward needs, and
-computes each weight gradient as one matrix product over all steps.
+node keeps only the gate activations and states its backward needs,
+overwrites the activations with their gradients, and computes each
+weight gradient as one matrix product over all steps. An encoder's top
+layer is such a node that outputs only its final state, so no op picks
+the last step out of a sequence.
 """
 
 from __future__ import annotations
@@ -189,21 +192,6 @@ def concat_cols(parts: Sequence):
     return _node(np.concatenate(values, axis=1),
                  *((p, lambda g, lo=lo, hi=hi: g[:, lo:hi])
                    for p, lo, hi in zip(parts, bounds[:-1], bounds[1:])))
-
-
-def last_step(x):
-    """The last step x[:, -1] of a [B, T, F] sequence, as a [B, F] copy that
-    does not keep the sequence alive."""
-    vx = value(x)
-    if vx.ndim != 3:
-        raise DimensionError(f"last_step expects a [B, T, F] sequence, got shape {vx.shape}")
-
-    def grad(g):
-        full = np.zeros(vx.shape)
-        full[:, -1] = g
-        return full
-
-    return _node(vx[:, -1].copy(), (x, grad))
 
 
 def sum_all(x):

@@ -125,7 +125,6 @@ def _parse(key: str, parse: Callable[[str], object], raw: str):
 class RunConfig:
     """Fully resolved settings for one pipeline run."""
 
-    manifest_path: Path
     manifest: DatasetManifest
     out: str | None = _key(None, str, echo=False)
     profile: str = _key("custom", _choice(*PROFILES), echo=False)
@@ -191,7 +190,7 @@ class RunConfig:
         path is deliberately absent: the echo lives inside it, and
         identical configs must produce byte-identical echoes.
         """
-        items = {"manifest": str(self.manifest_path), "profile": "custom"}
+        items = {"manifest": str(self.manifest.path), "profile": "custom"}
         for f in _TABLE.values():
             if f.metadata["echo"]:
                 items[f.name] = _echo(getattr(self, f.name))
@@ -281,8 +280,7 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
     if "train_fraction" not in kv:
         values["train_fraction"] = manifest.train_fraction
     values.update(preset)
-    cfg = RunConfig(manifest_path=manifest_path, manifest=manifest,
-                    hidden_overrides=hidden_overrides, **values)
+    cfg = RunConfig(manifest=manifest, hidden_overrides=hidden_overrides, **values)
 
     if cfg.profile == "run4":
         cfg.seed = cfg.seed + 1

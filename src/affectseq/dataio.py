@@ -1,6 +1,8 @@
 """Dataset ingestion, windowing, splits, and the synthetic generator.
 
-On-disk layout, rooted at the directory holding ``manifest.txt``:
+On-disk layout, rooted at the directory holding the manifest
+(``manifest.txt``, or the file a config's ``manifest`` key names; every
+message about the dataset names that file):
 
     manifest.txt
     features/<modality>/<movie_id>.csv    header: movie_id,t,f0..f{D-1}
@@ -257,9 +259,10 @@ def save_prediction_dir(preds: Mapping[str, np.ndarray], directory) -> None:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Declares modalities, movies, ranges, and the split."""
+    """Declares modalities, movies, ranges, and the split. ``path`` is the
+    manifest file; the tracks lie under its directory, ``root``."""
 
-    root: Path
+    path: Path
     modalities: tuple[tuple[str, int], ...]
     movies: tuple[tuple[str, int], ...]
     annotation_range: tuple[float, float] = (-1.0, 1.0)
@@ -291,6 +294,10 @@ class DatasetManifest:
                               key="validation_movies")
         if not 0.0 < self.train_fraction <= 1.0:
             raise ConfigError("train_fraction must lie in (0, 1]", key="train_fraction")
+
+    @property
+    def root(self) -> Path:
+        return self.path.parent
 
     @property
     def movie_ids(self) -> tuple[str, ...]:
@@ -356,7 +363,7 @@ def load_manifest(path) -> DatasetManifest:
         if len(bounds) != 2:
             raise ConfigError("annotation_range must be 'lo, hi'", key="annotation_range")
         return DatasetManifest(
-            root=path.parent,
+            path=path,
             modalities=parse_pairs(kv["modalities"], int, "modalities"),
             movies=parse_pairs(kv["movies"], int, "movies"),
             annotation_range=tuple(_number(float, b.strip(), "annotation_range") for b in bounds),
@@ -369,7 +376,7 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def save_manifest(manifest: DatasetManifest, path=None) -> Path:
-    path = Path(path) if path is not None else manifest.root / MANIFEST_NAME
+    path = Path(path) if path is not None else manifest.path
     lines = [
         "# affectseq dataset manifest",
         "modalities = " + ", ".join(f"{n}:{d}" for n, d in manifest.modalities),
@@ -391,7 +398,7 @@ def load_dataset(manifest: DatasetManifest, with_annotations: bool = True):
     features: dict[str, dict[str, np.ndarray]] = {}
     annotations: dict[str, np.ndarray] = {}
     lo, hi = manifest.annotation_range
-    declared = f"but the manifest in {shown(manifest.root)} declares"
+    declared = f"but {shown(manifest.path)} declares"
     for movie, length in manifest.movies:
         per_mod: dict[str, np.ndarray] = {}
         for modality, dim in manifest.modalities:
@@ -411,7 +418,8 @@ def load_dataset(manifest: DatasetManifest, with_annotations: bool = True):
             movie_id, values = load_predictions(path)
             _check_movie_id(path, movie_id, movie)
             if np.any(values < lo) or np.any(values > hi):
-                raise DataError(f"{shown(path)}: annotation outside declared range [{lo}, {hi}]")
+                raise DataError(f"{shown(path)}: annotation outside the range [{lo}, {hi}] "
+                                f"that {shown(manifest.path)} declares")
             if len(values) != length:
                 raise DataError(f"{shown(path)}: {len(values)} seconds, "
                                 f"{declared} {movie}:{length}")
@@ -502,7 +510,8 @@ def split_dataset(manifest: DatasetManifest, seed: int,
     """
     validation = tuple(sorted(manifest.validation_movies))
     if require_validation and not validation:
-        raise ConfigError("a validation movie list is required but empty")
+        raise ConfigError(f"{shown(manifest.path)}: a validation movie list is required "
+                          "but validation_movies is empty")
     fraction = manifest.train_fraction if train_fraction is None else train_fraction
     if not 0.0 < fraction <= 1.0:
         raise ConfigError("train_fraction must lie in (0, 1]")
@@ -601,7 +610,7 @@ def synth_generate(spec: SynthSpec, out_dir, seed: int) -> DatasetManifest:
     out_dir = Path(out_dir)
     movie_ids = [f"m{i:03d}" for i in range(spec.num_movies)]
     manifest = DatasetManifest(
-        root=out_dir,
+        path=out_dir / MANIFEST_NAME,
         modalities=spec.modalities,
         movies=tuple((m, spec.length) for m in movie_ids),
         annotation_range=spec.annotation_range,

@@ -24,18 +24,26 @@ Each layer is one fused op, ``gru_sequence`` or ``lstm_sequence``, and
 one autodiff node for the whole window, after Appleyard et al.
 (arXiv:1604.01946). The per-gate U and b are stacked per call, so each
 step does a single h @ U.T for all gates; the input projections x_t @ W.T
-are hoisted out of the recurrence into GEMMs over blocks of steps. In
+are hoisted out of the recurrence into GEMMs over blocks of steps, each
+block's input and projection within a fixed byte budget. In
 prediction the windows of a movie overlap, each one second after the last,
 and arrive as a strided view of the movie's rows; the first layer then
 projects each distinct row once, B+T-1 rows for B windows instead of B*T,
-and every step reads its B rows of that one table. The
-backward pass is hand-written backpropagation through time: one reverse
-loop over the steps for the pre-activation gradients, then every weight
-gradient is one GEMM over all B*T rows. The parameters keep their
-per-gate names (``<prefix>.l<layer>.W_z`` ... ``b_o``), so
-checkpoints written before the fused ops load unchanged. With constant inputs
-and parameters (prediction) the ops keep no per-step state for a
-backward pass.
+and every step reads its B rows of that one table. An encoder's top layer
+runs with ``last_only``: it outputs only the final state [B, H] and takes
+a [B, H] gradient, while the layer below outputs every step's state.
+
+The backward pass is hand-written backpropagation through time. In
+training an op keeps its state window-major, [B, T, .] arrays whose flat
+row b*T + t is window b at step t (the row order of the [B, T, D]
+input): the state before each step, the gate activations, and the GRU's
+r * h or the LSTM's cell states. One reverse loop over the steps writes
+each step's pre-activation gradients over that step's activations, in
+place; then every weight gradient is one GEMM over [B*T, .] views of
+those arrays. The parameters keep their per-gate names
+(``<prefix>.l<layer>.W_z`` ... ``b_o``), so checkpoints written before
+the fused ops load unchanged. With constant inputs and parameters
+(prediction) the ops keep no per-step state for a backward pass.
 """
 
 from __future__ import annotations
@@ -112,12 +120,14 @@ def init_encoder_params(store: ParamStore, prefix: str, config: EncoderConfig,
 # Batched, differentiable paths used by training and prediction. Windows
 # are constants; parameters come in as leaf Vars for training or as plain
 # arrays for prediction, which then builds no graph and keeps no per-step
-# state. Inside the fused ops time runs along the first axis ([T, B, .]);
-# pre-activation gradients are kept in window order ([B, T, .]), the row
-# order of the [B, T, D] input, for the GEMMs after the time loop.
+# state. The state a training op keeps for its backward pass is
+# window-major, [B, T, .] with row b*T + t for window b at step t: the
+# row order of the [B, T, D] input, so each weight gradient is one GEMM
+# over [B*T, .] views of it.
 
-# Input rows of a copied batch projected per block of steps; a strided
-# view's row table is projected whole (see _input_steps).
+# Bytes of input rows, or of their projection, computed per block of
+# steps of a copied batch; a strided view's row table is projected whole
+# (see _input_steps).
 _BLOCK_BYTES = 1 << 20
 
 
@@ -145,9 +155,10 @@ def _input_steps(x, cell: Mapping, gates: tuple[str, ...]):
     i at step t is row i + t of one [B+T-1, D] table, so that table is
     projected once and step t reads rows t .. t+B-1. Any other input is
     projected a block of steps at a time, one [B*c, D] GEMM per gate, with
-    c steps of input (all T when D is small) fitting in ``_BLOCK_BYTES``,
-    so a training batch at the wide feature widths (D ~ 2000) never holds
-    a stacked copy of W or the whole [B*T, G*H] projection.
+    the c steps' input and their [B*c, G*H] projection each fitting in
+    ``_BLOCK_BYTES``. So a training batch never holds the whole
+    projection, nor, at the wide feature widths (D ~ 2000), a stacked copy
+    of W.
     """
     vx = ad.value(x)
     ws = [ad.value(cell[f"W_{gate}"]) for gate in gates]
@@ -161,7 +172,7 @@ def _input_steps(x, cell: Mapping, gates: tuple[str, ...]):
             vx, (batch + steps - 1, dim), (vx.strides[0], vx.strides[2]), writeable=False)
         proj = _project(table, ws, b)
         return (proj[t:t + batch] for t in range(steps))
-    block = max(1, _BLOCK_BYTES // (8 * batch * dim))
+    block = max(1, _BLOCK_BYTES // (8 * batch * max(dim, b.size)))
 
     def blocks():
         for t0 in range(0, steps, block):
@@ -171,37 +182,31 @@ def _input_steps(x, cell: Mapping, gates: tuple[str, ...]):
     return blocks()
 
 
-def _rows(seq: np.ndarray) -> np.ndarray:
-    """A [T, B, F] array as [B*T, F] rows in window order."""
-    return seq.transpose(1, 0, 2).reshape(-1, seq.shape[2])
-
-
-def _input_grads(d_pre: np.ndarray, x, cell: Mapping,
-                 gates: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """Gradients of the stacked W and b, and of ``x`` when it is a Var, from
-    the [B, T, G*H] pre-activation gradients: one GEMM each over B*T rows."""
-    rows = d_pre.reshape(-1, d_pre.shape[2])
-    vx = ad.value(x)
-    grads = {"W": rows.T @ vx.reshape(rows.shape[0], -1), "b": rows.sum(axis=0)}
-    if isinstance(x, ad.Var):
-        grads["x"] = (rows @ _stack(cell, "W", gates)).reshape(vx.shape)
-    return grads
-
-
 def _sequence_node(out: np.ndarray, x, cell: Mapping, gates: tuple[str, ...], bptt):
     """The op's result: one node over ``x`` and every gate parameter.
 
-    ``bptt(g)`` returns the stacked gradients ``"W"``, ``"U"``, ``"b"`` (and
-    ``"x"`` when ``x`` is a Var). The first grad_fn that ``backward`` calls
-    runs it; each grad_fn then reads its gate's rows of the result.
+    ``bptt(g)`` runs backpropagation through time from the output
+    gradient ``g`` and returns the [B*T, G*H] pre-activation gradients and
+    the stacked U gradient. The first grad_fn that ``backward`` calls runs
+    it and takes the W, b and ``x`` gradients from its rows, each one GEMM
+    (or sum) over all B*T rows; each grad_fn then reads its gate's rows of
+    the stacked result.
     """
     width = ad.value(cell[f"U_{gates[0]}"]).shape[1]
     memo: dict[str, np.ndarray] = {}
 
+    def run(g):
+        rows, memo["U"] = bptt(g)
+        vx = ad.value(x)
+        memo["W"] = rows.T @ vx.reshape(rows.shape[0], -1)
+        memo["b"] = rows.sum(axis=0)
+        if isinstance(x, ad.Var):
+            memo["x"] = (rows @ _stack(cell, "W", gates)).reshape(vx.shape)
+
     def grad_fn(kind: str, k: int | None = None):
         def fn(g):
             if not memo:
-                memo.update(bptt(g))
+                run(g)
             grad = memo[kind]
             return grad if k is None else grad[k * width:(k + 1) * width]
         return fn
@@ -215,101 +220,124 @@ def _tracks_grad(x, cell: Mapping) -> bool:
     return any(isinstance(v, ad.Var) for v in (x, *cell.values()))
 
 
-def gru_sequence(x, cell: Mapping):
+def gru_sequence(x, cell: Mapping, last_only: bool = False):
     """GRU states [B, T, H] over a [B, T, D] input from a zero initial
-    state, as one node; ``cell`` maps ``W_z`` ... ``b_h`` to the layer's
-    parameters."""
+    state, or with ``last_only`` the final state [B, H] alone, as one
+    node; ``cell`` maps ``W_z`` ... ``b_h`` to the layer's parameters."""
     u = _stack(cell, "U", GRU_GATES)
     inputs = _input_steps(x, cell, GRU_GATES)
     batch, steps = ad.value(x).shape[:2]
     width = u.shape[1]
     u_zr, u_h = u[:2 * width], u[2 * width:]
     keep = _tracks_grad(x, cell)
-    hs = np.zeros((steps + 1, batch, width))
-    acts = np.empty((steps, batch, 3 * width)) if keep else None  # z, r, hc
+    out = None if last_only else np.empty((batch, steps, width))
+    if keep:
+        prev = np.empty((batch, steps, width))  # the state before each step
+        gated = np.empty((batch, steps, width))  # r * prev
+        acts = np.empty((batch, steps, 3 * width))  # z, r, hc
+    h = np.zeros((batch, width))
     for t, xw in enumerate(inputs):
-        h = hs[t]
         zr = ad.sigmoid(xw[:, :2 * width] + h @ u_zr.T)
         z, r = zr[:, :width], zr[:, width:]
-        hc = np.tanh(xw[:, 2 * width:] + (r * h) @ u_h.T)
-        hs[t + 1] = (1.0 - z) * h + z * hc
+        rh = r * h
+        hc = np.tanh(xw[:, 2 * width:] + rh @ u_h.T)
         if keep:
-            acts[t, :, :2 * width] = zr
-            acts[t, :, 2 * width:] = hc
+            prev[:, t], gated[:, t] = h, rh
+            acts[:, t, :2 * width], acts[:, t, 2 * width:] = zr, hc
+        h = (1.0 - z) * h + z * hc
+        if out is not None:
+            out[:, t] = h
 
     def bptt(g):
-        d_pre = np.empty((batch, steps, 3 * width))
-        dh = np.zeros((batch, width))
+        # Each step's pre-activation gradients overwrite its activations
+        # once the step has read them.
+        dh = g if last_only else np.zeros((batch, width))
         for t in reversed(range(steps)):
-            h = hs[t]
-            z, r, hc = (acts[t, :, k * width:(k + 1) * width] for k in range(3))
-            dh = dh + g[:, t]
-            d = d_pre[:, t]
-            d[:, 2 * width:] = dh * z * (1.0 - hc * hc)
-            d_rh = d[:, 2 * width:] @ u_h
-            d[:, :width] = dh * (hc - h) * z * (1.0 - z)
-            d[:, width:2 * width] = d_rh * h * r * (1.0 - r)
-            dh = dh * (1.0 - z) + d_rh * r + d[:, :2 * width] @ u_zr
-        grads = _input_grads(d_pre, x, cell, GRU_GATES)
-        rows = d_pre.reshape(-1, 3 * width)
-        prev = _rows(hs[:-1])
-        gated = _rows(acts[:, :, width:2 * width] * hs[:-1])
-        grads["U"] = np.concatenate([rows[:, :2 * width].T @ prev,
-                                     rows[:, 2 * width:].T @ gated])
-        return grads
+            h, a = prev[:, t], acts[:, t]
+            z, r, hc = a[:, :width], a[:, width:2 * width], a[:, 2 * width:]
+            if not last_only:
+                dh = dh + g[:, t]
+            d_z = dh * (hc - h) * z * (1.0 - z)
+            carry = dh * (1.0 - z)
+            hc[...] = dh * z * (1.0 - hc * hc)
+            z[...] = d_z
+            d_rh = a[:, 2 * width:] @ u_h
+            carry += d_rh * r
+            r[...] = d_rh * h * r * (1.0 - r)
+            dh = carry + a[:, :2 * width] @ u_zr
+        rows = acts.reshape(-1, 3 * width)
+        return rows, np.concatenate([rows[:, :2 * width].T @ prev.reshape(-1, width),
+                                     rows[:, 2 * width:].T @ gated.reshape(-1, width)])
 
-    return _sequence_node(hs[1:].transpose(1, 0, 2), x, cell, GRU_GATES, bptt)
+    return _sequence_node(h if last_only else out, x, cell, GRU_GATES, bptt)
 
 
 # The LSTM stacks its sigmoid gates first so one sigmoid covers them.
 _LSTM_STACK = ("i", "f", "o", "g")
 
 
-def lstm_sequence(x, cell: Mapping):
+def lstm_sequence(x, cell: Mapping, last_only: bool = False):
     """LSTM states h [B, T, H] over a [B, T, D] input from zero initial
-    states, as one node; ``cell`` maps ``W_i`` ... ``b_o`` to the layer's
-    parameters."""
+    states, or with ``last_only`` the final h [B, H] alone, as one node;
+    ``cell`` maps ``W_i`` ... ``b_o`` to the layer's parameters."""
     u = _stack(cell, "U", _LSTM_STACK)
     inputs = _input_steps(x, cell, _LSTM_STACK)
     batch, steps = ad.value(x).shape[:2]
     width = u.shape[1]
     keep = _tracks_grad(x, cell)
-    hs = np.zeros((steps + 1, batch, width))
-    cs = np.zeros((steps + 1, batch, width)) if keep else None
-    acts = np.empty((steps, batch, 4 * width)) if keep else None  # i, f, o, g
-    c = np.zeros((batch, width))
+    out = None if last_only else np.empty((batch, steps, width))
+    if keep:
+        prev = np.empty((batch, steps, width))  # h before each step
+        cs = np.zeros((batch, steps + 1, width))  # c before each step, then the last c
+        acts = np.empty((batch, steps, 4 * width))  # i, f, o, g
+    h = c = np.zeros((batch, width))
     for t, xw in enumerate(inputs):
-        pre = xw + hs[t] @ u.T
+        pre = xw + h @ u.T
         ifo = ad.sigmoid(pre[:, :3 * width])
         g = np.tanh(pre[:, 3 * width:])
         c = ifo[:, width:2 * width] * c + ifo[:, :width] * g
-        hs[t + 1] = ifo[:, 2 * width:] * np.tanh(c)
         if keep:
-            acts[t, :, :3 * width] = ifo
-            acts[t, :, 3 * width:] = g
-            cs[t + 1] = c
+            prev[:, t], cs[:, t + 1] = h, c
+            acts[:, t, :3 * width], acts[:, t, 3 * width:] = ifo, g
+        h = ifo[:, 2 * width:] * np.tanh(c)
+        if out is not None:
+            out[:, t] = h
 
     def bptt(grad):
-        d_pre = np.empty((batch, steps, 4 * width))
-        dh = np.zeros((batch, width))
+        # Each step's pre-activation gradients overwrite its activations
+        # once the step has read them.
+        dh = grad if last_only else np.zeros((batch, width))
         dc = np.zeros((batch, width))
         for t in reversed(range(steps)):
-            i, f, o, g = (acts[t, :, k * width:(k + 1) * width] for k in range(4))
-            tc = np.tanh(cs[t + 1])
-            dh = dh + grad[:, t]
+            a = acts[:, t]
+            i, f, o, g = (a[:, k * width:(k + 1) * width] for k in range(4))
+            tc = np.tanh(cs[:, t + 1])
+            if not last_only:
+                dh = dh + grad[:, t]
             dc = dc + dh * o * (1.0 - tc * tc)
-            d = d_pre[:, t]
-            d[:, :width] = dc * g * i * (1.0 - i)
-            d[:, width:2 * width] = dc * cs[t] * f * (1.0 - f)
-            d[:, 2 * width:3 * width] = dh * tc * o * (1.0 - o)
-            d[:, 3 * width:] = dc * i * (1.0 - g * g)
+            d_i = dc * g * i * (1.0 - i)
+            g[...] = dc * i * (1.0 - g * g)
+            i[...] = d_i
+            d_f = dc * cs[:, t] * f * (1.0 - f)
             dc = dc * f
-            dh = d @ u
-        grads = _input_grads(d_pre, x, cell, _LSTM_STACK)
-        grads["U"] = d_pre.reshape(-1, 4 * width).T @ _rows(hs[:-1])
-        return grads
+            f[...] = d_f
+            o[...] = dh * tc * o * (1.0 - o)
+            dh = a @ u
+        rows = acts.reshape(-1, 4 * width)
+        return rows, rows.T @ prev.reshape(-1, width)
 
-    return _sequence_node(hs[1:].transpose(1, 0, 2), x, cell, _LSTM_STACK, bptt)
+    return _sequence_node(h if last_only else out, x, cell, _LSTM_STACK, bptt)
+
+
+def _dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:
+    """An inverted-dropout mask for a [B, T, D] ``shape``, built in the
+    buffer of its uniform draw. One [T, B, D] draw gives the values of T
+    successive [B, D] draws."""
+    batch, steps, dim = shape
+    mask = rng.random((steps, batch, dim))
+    np.greater_equal(mask, rate, out=mask)
+    mask /= 1.0 - rate
+    return mask.transpose(1, 0, 2)
 
 
 def encode_batch_graph(seqs: np.ndarray, config: EncoderConfig,
@@ -318,7 +346,7 @@ def encode_batch_graph(seqs: np.ndarray, config: EncoderConfig,
                        mask_rng: np.random.Generator | None = None):
     """Differentiable encoder over a [B, T, D] batch; returns the final h [B, H]."""
     seqs = np.asarray(seqs, dtype=np.float64)
-    batch, steps, dim = seqs.shape
+    dim = seqs.shape[2]
     if dim != config.input_dim:
         raise DimensionError(f"batch windows of width {dim} do not match encoder "
                              f"input_dim {config.input_dim}")
@@ -331,11 +359,9 @@ def encode_batch_graph(seqs: np.ndarray, config: EncoderConfig,
     states = seqs
     for layer in range(config.num_layers):
         if train and config.dropout_rate > 0.0:
-            # One [T, B, D] draw gives the values of T successive [B, D] draws.
-            draw = mask_rng.random((steps, batch, config.layer_input_dim(layer)))
-            mask = (draw >= config.dropout_rate) / (1.0 - config.dropout_rate)
-            states = ad.mul(states, mask.transpose(1, 0, 2))
+            states = ad.mul(states, _dropout_mask(mask_rng, ad.value(states).shape,
+                                                  config.dropout_rate))
         cell = {f"{kind}_{gate}": leaves[f"{prefix}.l{layer}.{kind}_{gate}"]
                 for gate in gates for kind in ("W", "U", "b")}
-        states = sequence(states, cell)
-    return ad.last_step(states)
+        states = sequence(states, cell, last_only=layer == config.num_layers - 1)
+    return states

@@ -13,6 +13,8 @@ compares a loss closure's analytic gradients with central finite
 differences. ``sliding_windows`` builds the strided window view that
 prediction hands the encoders, and ``projections_agree`` says whether
 BLAS rounds that view's shared input projection as it rounds a copy's.
+``block_projections`` projects a copied batch a given number of steps
+at a time, to tell whether BLAS rounds two block sizes alike.
 """
 
 import numpy as np
@@ -186,6 +188,22 @@ def sliding_windows(rows, steps):
     """The windows of ``steps`` consecutive [L, D] ``rows`` as one zero-copy
     [L-steps+1, steps, D] view whose window and step strides are equal."""
     return sliding_window_view(rows, steps, axis=0).transpose(0, 2, 1)
+
+
+def block_projections(x, cell, kind, block):
+    """x_t @ W.T + b of every step of a contiguous [B, T, D] input, as
+    [T, B, G*H], computed ``block`` steps at a time the way the fused ops
+    project a copied batch: one GEMM per gate over the block's B*c rows,
+    then the bias."""
+    gates = seqmodel.GRU_GATES if kind == "gru" else seqmodel._LSTM_STACK
+    batch, steps, dim = x.shape
+    out = []
+    for t0 in range(0, steps, block):
+        rows = x[:, t0:t0 + block].reshape(-1, dim)
+        proj = np.concatenate([rows @ cell[f"W_{gate}"].T for gate in gates], axis=1)
+        proj += np.concatenate([cell[f"b_{gate}"] for gate in gates])
+        out.append(proj.reshape(batch, -1, proj.shape[1]).transpose(1, 0, 2))
+    return np.concatenate(out)
 
 
 def projections_agree(view, cell, kind):

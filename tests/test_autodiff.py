@@ -68,13 +68,6 @@ class TestMatrixOps:
         with pytest.raises(DimensionError):
             ad.linear(ad.Var(np.ones((2, 3))), ad.Var(np.ones((4, 5))))
 
-    def test_last_step(self):
-        err = check_op(
-            lambda l: ad.sum_all(ad.mul(ad.last_step(l["x"]), l["m"])),
-            {"x": (3, 4, 2), "m": (3, 2)},
-        )
-        assert err < 1e-7
-
     def test_concat_cols(self):
         err = check_op(
             lambda l: ad.sum_all(ad.mul(ad.concat_cols([l["a"], l["b"]]), l["m"])),
@@ -211,7 +204,6 @@ OPS = {
     "mean_axis0": (ad.mean_axis0, [(6, 3)]),
     "sum_axis1": (ad.sum_axis1, [(6, 3)]),
     "softmax_rows": (ad.softmax_rows, [(4, 5)]),
-    "last_step": (ad.last_step, [(3, 4, 2)]),
     "concat_cols": (lambda a, b: ad.concat_cols([a, b]), [(3, 2), (3, 4)]),
     "sum_all": (ad.sum_all, [(3, 4)]),
     "sum_squares": (ad.sum_squares, [(3, 4)]),

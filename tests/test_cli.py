@@ -6,6 +6,7 @@ import io
 import itertools
 import math
 import os
+import re
 import shutil
 import struct
 
@@ -1010,14 +1011,45 @@ class TestSettingLabels:
         lines = csv.read_text().splitlines()
         if fault == "dim":  # drop the last value column, header included
             lines = [line.rpartition(",")[0] for line in lines]
-            needle = f"{csv}: 2 feature columns, but the manifest in {data} declares audio:3"
+            needle = f"{csv}: 2 feature columns, but {data / 'manifest.txt'} declares audio:3"
         else:
             lines = lines[:-1]
-            needle = f"{csv}: 49 seconds, but the manifest in {data} declares m001:50"
+            needle = f"{csv}: 49 seconds, but {data / 'manifest.txt'} declares m001:50"
         csv.write_text("\n".join(lines) + "\n")
         cfg = tmp_path / "run.cfg"
         cfg.write_text((workspace / "run.cfg").read_text().replace(
             str(workspace / "data"), str(data)))
+        check_settings_in_train_and_predict(fuzz_root, cfg, csv, [needle])
+
+    @pytest.mark.parametrize("fault", ["dim", "length", "range"])
+    def test_dataset_messages_name_the_manifest_file(self, workspace, fuzz_root, tmp_path,
+                                                     fault):
+        """The config's ``manifest`` key names other.txt, not manifest.txt;
+        each dataset message names that file."""
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        manifest = data / "other.txt"
+        (data / "manifest.txt").rename(manifest)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text((workspace / "run.cfg").read_text().replace(
+            str(workspace / "data" / "manifest.txt"), str(manifest)))
+        if fault == "range":
+            csv = data / "annotations" / "m000.csv"
+            csv.write_text(re.sub(r"^m000,3,[^,]*,", "m000,3,7.5,", csv.read_text(), flags=re.M))
+            rc, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+            assert rc == 2
+            assert err == (f"affectseq: {csv}: annotation outside the range [-1.0, 1.0] "
+                           f"that {manifest} declares\n")
+            return
+        csv = data / "features" / "audio" / "m001.csv"
+        lines = csv.read_text().splitlines()
+        if fault == "dim":
+            lines = [line.rpartition(",")[0] for line in lines]
+            needle = f"{csv}: 2 feature columns, but {manifest} declares audio:3"
+        else:
+            lines = lines[:-1]
+            needle = f"{csv}: 49 seconds, but {manifest} declares m001:50"
+        csv.write_text("\n".join(lines) + "\n")
         check_settings_in_train_and_predict(fuzz_root, cfg, csv, [needle])
 
     @pytest.mark.parametrize("fault", ["movies", "shape"])

@@ -127,7 +127,7 @@ class TestLoadFeatures:
         manifest = synth_generate(SynthSpec(num_movies=2, length=5), tmp_path, seed=1)
         path = manifest.annotation_path("m001")
         path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
-        message = f"{path}: 4 seconds, but the manifest in {tmp_path} declares m001:5"
+        message = f"{path}: 4 seconds, but {tmp_path / 'manifest.txt'} declares m001:5"
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_dataset(manifest)
 
@@ -356,7 +356,7 @@ class TestManifestAndSplit:
     def _manifest(self, tmp_path, n=30, validation=13):
         movies = tuple((f"m{i:03d}", 100) for i in range(n))
         return DatasetManifest(
-            root=tmp_path,
+            path=tmp_path / "manifest.txt",
             modalities=(("audio", 4), ("image", 8)),
             movies=movies,
             validation_movies=tuple(f"m{i:03d}" for i in range(validation)),
@@ -367,6 +367,13 @@ class TestManifestAndSplit:
         train, val = split_dataset(manifest, seed=1)
         assert len(train) == 17 and len(val) == 13
         assert not set(train) & set(val)
+
+    def test_validation_required_names_the_manifest(self, tmp_path):
+        manifest = self._manifest(tmp_path, validation=0)
+        message = (f"{tmp_path / 'manifest.txt'}: a validation movie list is required "
+                   "but validation_movies is empty")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            split_dataset(manifest, seed=1, require_validation=True)
 
     def test_train_fraction_drops_whole_movies(self, tmp_path):
         manifest = self._manifest(tmp_path, n=23, validation=13)
@@ -407,11 +414,12 @@ class TestManifestAndSplit:
         entries = {"modalities": (("audio", 4),), "movies": (("m000", 10),)}
         entries[key] = ((name, 4),)
         with pytest.raises(ConfigError, match="not a plain file name") as info:
-            DatasetManifest(root=tmp_path, **entries)
+            DatasetManifest(path=tmp_path / "manifest.txt", **entries)
         assert info.value.key == key
 
     def test_plain_names_may_hold_spaces_dots_and_any_script(self, tmp_path):
-        manifest = DatasetManifest(root=tmp_path, modalities=(("face mesh", 4),),
+        manifest = DatasetManifest(path=tmp_path / "manifest.txt",
+                                   modalities=(("face mesh", 4),),
                                    movies=(("...", 5), ("a.b", 5), ("\u6620\u753b", 5)))
         assert manifest.feature_path("face mesh", "...").parent.name == "face mesh"
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
@@ -8,6 +10,8 @@ from oracles import grad_check
 from affectseq import autodiff as ad
 from affectseq import seqmodel
 from affectseq.errors import ConfigError, DimensionError, DomainError
+from affectseq.fusion import FusionConfig
+from affectseq.model import ModelConfig, init_model_params, training_loss
 from affectseq.numerics import ParamStore
 from affectseq.rng import generator
 from affectseq.seqmodel import (
@@ -144,29 +148,38 @@ class TestLstmCell:
         np.testing.assert_array_equal(store.value("enc.m.l0.b_i"), np.zeros(3))
 
 
+def sequence_gradcheck(kind, batch, steps, last_only):
+    # The input is a leaf too and every output is probed: each step's state,
+    # or the final state alone with ``last_only``.
+    rng = np.random.default_rng(2)
+    store = ParamStore()
+    store.add("x", rng.normal(size=(batch, steps, 3)))
+    for name, value in random_cell(4, 3, kind, rng).items():
+        store.add(name, 0.5 * value)
+    probe = rng.normal(size=(batch, 4) if last_only else (batch, steps, 4))
+
+    def loss(s):
+        leaves = leaves_of(s)
+        x = leaves.pop("x")
+        out = ad.sum_all(ad.mul(SEQUENCE_OPS[kind](x, leaves, last_only=last_only), probe))
+        ad.backward(out)
+        return float(out.value), {n: leaf.grad for n, leaf in {**leaves, "x": x}.items()}
+
+    return grad_check(loss, store, eps=1e-5)
+
+
 class TestSequenceOps:
     """``gru_sequence`` / ``lstm_sequence`` as autodiff nodes."""
 
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
     @pytest.mark.parametrize("batch, steps", [(1, 4), (3, 1), (2, 5)])
     def test_gradcheck(self, kind, batch, steps):
-        # The input is a leaf too and every step's state is probed, so the
-        # input gradient and each step's own output gradient are checked.
-        rng = np.random.default_rng(2)
-        store = ParamStore()
-        store.add("x", rng.normal(size=(batch, steps, 3)))
-        for name, value in random_cell(4, 3, kind, rng).items():
-            store.add(name, 0.5 * value)
-        probe = rng.normal(size=(batch, steps, 4))
+        assert sequence_gradcheck(kind, batch, steps, last_only=False) < 1e-4
 
-        def loss(s):
-            leaves = leaves_of(s)
-            x = leaves.pop("x")
-            out = ad.sum_all(ad.mul(SEQUENCE_OPS[kind](x, leaves), probe))
-            ad.backward(out)
-            return float(out.value), {n: leaf.grad for n, leaf in {**leaves, "x": x}.items()}
-
-        assert grad_check(loss, store, eps=1e-5) < 1e-4
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    @pytest.mark.parametrize("batch, steps", [(1, 4), (3, 1), (2, 5)])
+    def test_gradcheck_last_only(self, kind, batch, steps):
+        assert sequence_gradcheck(kind, batch, steps, last_only=True) < 1e-4
 
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
     def test_one_node_per_call(self, kind):
@@ -179,6 +192,57 @@ class TestSequenceOps:
         const = SEQUENCE_OPS[kind](x, cell)
         assert type(const) is np.ndarray
         np.testing.assert_array_equal(const, graph.value)
+        last = SEQUENCE_OPS[kind](x, cell, last_only=True)
+        assert last.shape == (2, 4)
+        np.testing.assert_array_equal(last, const[:, -1])
+
+
+def masked(states, rng, rate):
+    """``states`` times an inverted-dropout mask drawn as one [T, B, D] block."""
+    batch, steps, dim = ad.value(states).shape
+    mask = (rng.random((steps, batch, dim)) >= rate) / (1.0 - rate)
+    return ad.mul(states, mask.transpose(1, 0, 2))
+
+
+class TestLastOnly:
+    """An encoder's top layer outputs only its final state. Its value and
+    every gradient must be, bit for bit, those of the full-sequence op
+    whose states meet a probe that is zero except at the last step."""
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    @pytest.mark.parametrize("hidden, rate", [((5,), 0.0), ((4, 5), 0.0), ((5,), 0.5),
+                                              ((4, 5), 0.5)],
+                             ids=["one-layer", "two-layer", "one-layer-dropout",
+                                  "two-layer-dropout"])
+    def test_matches_full_sequence_with_last_step_probe(self, kind, hidden, rate):
+        config = EncoderConfig(input_dim=3, hidden_units=hidden, cell_kind=kind,
+                               dropout_rate=rate)
+        store = make_encoder(config, seed=13)
+        seqs = generator(14, "seqs").normal(size=(6, 7, 3))
+        probe = generator(15, "probe").normal(size=(6, hidden[-1]))
+
+        leaves = leaves_of(store)
+        final = encode_batch_graph(seqs, config, leaves, "enc.m", mode="train",
+                                   mask_rng=generator(16, "d"))
+        ad.backward(ad.sum_all(ad.mul(final, probe)))
+
+        full_leaves = leaves_of(store)
+        rng = generator(16, "d")
+        states = seqs
+        for layer in range(len(hidden)):
+            if rate > 0.0:
+                states = masked(states, rng, rate)
+            cell = {name.rpartition(".")[2]: leaf for name, leaf in full_leaves.items()
+                    if name.startswith(f"enc.m.l{layer}.")}
+            states = SEQUENCE_OPS[kind](states, cell)
+        last_step_probe = np.zeros((6, 7, hidden[-1]))
+        last_step_probe[:, -1] = probe
+        ad.backward(ad.sum_all(ad.mul(states, last_step_probe)))
+
+        np.testing.assert_array_equal(final.value, states.value[:, -1])
+        for name in store.names():
+            np.testing.assert_array_equal(leaves[name].grad, full_leaves[name].grad,
+                                          err_msg=name)
 
 
 class TestDropout:
@@ -433,3 +497,87 @@ class TestStridedWindows:
         config = EncoderConfig(input_dim=5, hidden_units=(3,), cell_kind=kind)
         encode_batch_graph(view, config, dict(make_encoder(config).items()), "enc.m")
         assert projected[0].shape == (12, 5) and np.shares_memory(projected[0], rows)
+
+
+class TestProjectionBlocks:
+    """A copied batch's input projection runs a block of steps at a time,
+    sized by ``_BLOCK_BYTES``. Outputs and gradients must not change, bit
+    for bit, between one step per block and all T steps in one block,
+    wherever BLAS rounds the two row counts alike
+    (``oracles.block_projections``)."""
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    @pytest.mark.parametrize("last_only", [False, True], ids=["sequence", "last-only"])
+    @pytest.mark.parametrize("batch, steps, dim, hidden", [(16, 12, 8, 32), (40, 6, 24, 4),
+                                                           (9, 8, 3, 5)])
+    def test_block_size_changes_no_bit(self, monkeypatch, kind, last_only, batch, steps, dim,
+                                       hidden):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(batch, steps, dim))
+        cell = {name: 0.5 * value for name, value in random_cell(hidden, dim, kind, rng).items()}
+        probe = rng.normal(size=(batch, hidden) if last_only else (batch, steps, hidden))
+        width = max(dim, (3 if kind == "gru" else 4) * hidden)
+        rows = []
+        project = seqmodel._project
+
+        def recorded(table, ws, b):
+            rows.append(table.shape[0])
+            return project(table, ws, b)
+
+        monkeypatch.setattr(seqmodel, "_project", recorded)
+
+        def run(block_steps):
+            monkeypatch.setattr(seqmodel, "_BLOCK_BYTES", 8 * batch * width * block_steps)
+            leaves = {name: ad.Var(value) for name, value in {**cell, "x": x}.items()}
+            xv = leaves.pop("x")
+            out = SEQUENCE_OPS[kind](xv, leaves, last_only=last_only)
+            ad.backward(ad.sum_all(ad.mul(out, probe)))
+            return out.value, {name: leaf.grad for name, leaf in {**leaves, "x": xv}.items()}
+
+        one = run(1)
+        assert set(rows) == {batch}
+        rows.clear()
+        whole = run(steps)
+        assert set(rows) == {batch * steps}
+        if not np.array_equal(oracles.block_projections(x, cell, kind, 1),
+                              oracles.block_projections(x, cell, kind, steps)):
+            pytest.skip("BLAS rounds the two row counts differently")
+        np.testing.assert_array_equal(one[0], whole[0])
+        for name, grad in one[1].items():
+            np.testing.assert_array_equal(grad, whole[1][name], err_msg=name)
+
+
+class TestTrainingMemory:
+    """One training step holds the state its fused ops keep and little
+    more. With two D-wide modalities, one layer of H units, dropout and
+    batch norm (run3), that state is float64 [B, T, D + 5H] per modality
+    for the GRU (the masked input, the state before each step, r * h and
+    three gate activations) and [B, T, D + 6H] for the LSTM (the cell
+    states in place of r * h, and four gates). The bound adds four
+    ``_BLOCK_BYTES`` for transients: a block of input rows, its
+    projection, one step's temporaries and the graph's own arrays.
+    Keeping state time-major, or a separate array of pre-activation
+    gradients, or a zero [B, T, H] gradient for the top layer's output,
+    breaks it."""
+
+    @pytest.mark.parametrize("kind, per_row", [("gru", 5), ("lstm", 6)])
+    def test_training_loss_peak(self, kind, per_row):
+        batch, steps, dim, hidden = 64, 30, 8, 64
+        encoders = tuple((name, EncoderConfig(input_dim=dim, hidden_units=(hidden,),
+                                              cell_kind=kind, dropout_rate=0.5))
+                         for name in ("audio", "image"))
+        config = ModelConfig(encoders, FusionConfig(enable_batchnorm=True, dropout_rate=0.5),
+                             sequence_length=steps)
+        store = init_model_params(config, 3)
+        rng = generator(5, "windows")
+        windows = {name: rng.normal(size=(batch, steps, dim)) for name, _ in encoders}
+        targets = rng.uniform(-0.9, 0.9, size=(batch, 2))
+        state = 2 * 8 * batch * steps * (dim + per_row * hidden)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            training_loss(windows, targets, store, config, mask_rng=generator(9, "mask"))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < state + 4 * seqmodel._BLOCK_BYTES
