@@ -2,12 +2,13 @@
 
 A ``Var`` wraps a float64 ndarray. Operations build a DAG; ``backward``
 walks it once in reverse topological order and accumulates gradients into
-``Var.grad``. Plain ndarrays or scalars passed to any op are constants
-and get no gradient path, which keeps feature windows and dropout masks
-out of the bookkeeping. An op whose inputs are all constants returns a
-plain float64 ndarray, not a ``Var``: the same model code run over
-parameter arrays instead of leaf ``Var``s computes the same values and
-builds no graph. ``value`` reads the array behind either kind of result.
+the leaves' ``Var.grad``. Plain ndarrays or scalars passed to any op are
+constants and get no gradient path, which keeps feature windows and
+dropout masks out of the bookkeeping. An op whose inputs are all
+constants returns a plain float64 ndarray, not a ``Var``: the same model
+code run over parameter arrays instead of leaf ``Var``s computes the
+same values and builds no graph. ``value`` reads the array behind either
+kind of result.
 
 Graphs are built per forward pass and thrown away; call ``backward`` at
 most once per graph. Elementwise ops follow numpy broadcasting; matrix
@@ -224,10 +225,13 @@ def _topo_order(root: Var) -> list[Var]:
 
 
 def backward(root: Var) -> None:
-    """Accumulate d(root)/d(leaf) into every reachable Var's ``grad``.
+    """Accumulate d(root)/d(leaf) into the ``grad`` of every reachable leaf
+    (a Var built from a value alone, such as a parameter).
 
-    ``root`` must be a scalar ``Var``. Call once per graph; a second call
-    would add the same gradients again.
+    An interior node's ``grad`` is dropped, set back to None, as soon as
+    its ``_backward`` has passed it on, so the gradients of a deep graph
+    are not all alive at once. ``root`` must be a scalar ``Var``. Call
+    once per graph.
     """
     if not isinstance(root, Var):
         raise DimensionError("backward root has no graph: it was built only from constants")
@@ -237,3 +241,4 @@ def backward(root: Var) -> None:
     for node in reversed(_topo_order(root)):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None

@@ -12,14 +12,14 @@ Seconds are strictly consecutive integers from 0; gaps are errors, never
 interpolated, and a track's movie id must match its file name. Every
 track CSV goes through one reader (``load_features`` and
 ``load_predictions`` are its public faces) and one writer,
-``write_track``. Ingest accepts finite decimal float literals (``float()``
-syntax without ``_``), or hexadecimal ones with their ``0x`` prefix; the
-writer emits each value as its shortest round-trip decimal (``repr``),
-which reads back bit for bit. A track as the writer lays it out (rows
-``<id>,<t>,...`` with t written 0..L-1, finite decimals) is parsed in one
-``np.loadtxt`` pass; any other text is read line by line, which gives the
-same values and the ``<path>:<line>`` errors. ``parse_pairs`` reads the
-``name:value`` lists of manifests and ``synth`` flags.
+``write_track``. Ingest accepts only finite decimal float literals
+(``float()`` syntax without ``_``); the writer emits each value as its
+shortest round-trip decimal (``repr``), which reads back bit for bit. A
+track as the writer lays it out (rows ``<id>,<t>,...`` with t written
+0..L-1, finite decimals) is parsed in one ``np.loadtxt`` pass; any other
+text is read line by line, which gives the same values and the
+``<path>:<line>`` errors. ``parse_pairs`` reads the ``name:value`` lists
+of manifests and ``synth`` flags.
 
 Every file is read by ``read_file`` (a path it cannot read is ``missing
 file: <path>``; ``decode_text`` makes a non-UTF-8 byte ``<path>:<line>:
@@ -117,11 +117,6 @@ def _parse_float(token: str, where: str) -> float:
             return float(token)
         except ValueError:
             pass
-        if "0x" in token.lower():  # float.fromhex alone would read "1e" as 30.0
-            try:
-                return float.fromhex(token)
-            except ValueError:
-                pass
     raise DataError(f"{where}: bad float literal {token!r}")
 
 
@@ -170,8 +165,7 @@ def _load_canonical(lines: list[str], width: int) -> tuple[str, np.ndarray] | No
 
 def _parse_rows(source: str, lines: list[str], width: int) -> tuple[str, np.ndarray]:
     """(movie id, [L, width] values) of the data lines of the file shown as
-    ``source``, read line by line; the authority on ``<path>:<line>`` errors
-    and on hex tokens."""
+    ``source``, read line by line; the authority on ``<path>:<line>`` errors."""
     movie_id = None
     rows: list[list[float]] = []
     for lineno, line in enumerate(lines, start=2):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DataError, DimensionError
-from .numerics import GLOROT, Layout, ParamStore, add_params
+from .numerics import GLOROT, Layout, ParamStore, add_params, dropout_mask
 
 OUTPUT_DIMS = ("valence", "arousal")
 CG2_POSITIONS = ("moe_input", "moe_output")
@@ -163,10 +163,7 @@ def fusion_head_graph(x, leaves: Mapping[str, ad.Var], config: FusionConfig,
     if config.enable_batchnorm:
         x = batch_norm_graph(x, leaves, config, mode)
     if config.dropout_rate > 0.0 and mode == "train":
-        if mask_rng is None:
-            raise ConfigError("train-mode dropout needs a generator")
-        mask = (mask_rng.random(values.shape) >= config.dropout_rate) / (1.0 - config.dropout_rate)
-        x = ad.mul(x, mask)
+        x = ad.mul(x, dropout_mask(mask_rng, values.shape, config.dropout_rate))
     v = context_gate_graph(x, leaves["fusion.cg1.W"], leaves["fusion.cg1.b"])
     cg2_w = leaves["fusion.cg2.W"]
     cg2_b = leaves["fusion.cg2.b"]

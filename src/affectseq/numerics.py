@@ -1,15 +1,15 @@
 """Training support around the autodiff graph: parameter storage and
-checkpoints, weight initialization, the loss record and the Adam
-optimizer.
+checkpoints, weight initialization, dropout masks, the loss record and
+the Adam optimizer.
 
 A :class:`ParamStore` holds named values only: a loss returns its
 gradients as a ``{name: gradient}`` dict, and :func:`adam_step` takes it.
 
 A checkpoint (``affectseq-params v2``) is a text index of parameter names
 and shapes followed by one raw little-endian float64 payload, so loading
-takes one ``np.frombuffer``; hex-text ``affectseq-params v1`` checkpoints
-still load bit for bit. The file goes through :mod:`affectseq.dataio`'s
-one reader and one writer, and only its text part is decoded.
+takes one ``np.frombuffer``; it is the one checkpoint format read or
+written. The file goes through :mod:`affectseq.dataio`'s one reader and
+one writer, and only its text part is decoded.
 
 All math is double precision. Model code builds its forward pass and
 gradients with the reverse-mode engine in :mod:`affectseq.autodiff`;
@@ -29,7 +29,6 @@ from .dataio import decode_text, read_file, shown, write_file
 from .errors import ConfigError, DataError, DimensionError, DomainError, NumericError
 
 CHECKPOINT_HEADER = "affectseq-params v2"
-_V1_HEADER = "affectseq-params v1"
 
 
 def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
@@ -54,6 +53,18 @@ def add_params(store: ParamStore, layout: Layout, rng: np.random.Generator) -> N
     for name, shape, fill in layout:
         store.add(name, glorot_uniform(shape, rng) if fill == GLOROT
                   else np.full(shape, float(fill)))
+
+
+def dropout_mask(rng: np.random.Generator | None, shape: tuple[int, ...],
+                 rate: float) -> np.ndarray:
+    """An inverted-dropout mask of ``shape``: 0 where a uniform draw falls
+    below ``rate``, else 1 / (1 - rate), built in the draw's own buffer."""
+    if rng is None:
+        raise ConfigError("train-mode dropout needs a generator")
+    mask = rng.random(shape)
+    np.greater_equal(mask, rate, out=mask)
+    mask /= 1.0 - rate
+    return mask
 
 
 class ParamStore:
@@ -111,44 +122,17 @@ class ParamStore:
 
     @classmethod
     def load(cls, path) -> "ParamStore":
-        """Read a checkpoint in either format, dispatching on its first line.
-
-        ``v2`` decodes only the index and takes each record as a slice of one
-        ``np.frombuffer`` over the payload; ``v1`` (text records
-        ``<name> <dims> <hex values>``) keeps its per-record parse. Every
-        fault is a :class:`DataError` naming the file, and the line of the
-        record at fault.
+        """Read an ``affectseq-params v2`` checkpoint: decode only the index
+        and take each record as a slice of one ``np.frombuffer`` over the
+        payload. Every fault is a :class:`DataError` naming the file, and
+        the line of the record at fault; a file with another first line is
+        refused, ``v1`` checkpoints included.
         """
         data = read_file(path)
-        if data.startswith(CHECKPOINT_HEADER.encode() + b"\n"):
-            return cls._load_v2(path, data)
-        lines = decode_text(path, data).splitlines()
         source = shown(path)
-        if not lines or lines[0] != _V1_HEADER:
+        if not data.startswith(CHECKPOINT_HEADER.encode() + b"\n"):
             raise DataError(f"{source}: missing checkpoint header {CHECKPOINT_HEADER!r} "
-                            f"(or {_V1_HEADER!r})")
-        store = cls()
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            where = f"{source}:{lineno}"
-            fields = line.split(" ")
-            if len(fields) < 2:
-                raise DataError(f"{where}: malformed parameter record")
-            name, dims, raw = fields[0], fields[1], fields[2:]
-            shape, count = _shape(where, dims)
-            if len(raw) != count:
-                raise DataError(f"{where}: parameter {name} has {len(raw)} values, expected {count}")
-            try:
-                flat = np.array([float.fromhex(v) for v in raw], dtype=np.float64)
-            except ValueError as exc:
-                raise DataError(f"{where}: bad float literal ({exc})") from exc
-            _add_record(store, where, name, shape, flat)
-        return store
-
-    @classmethod
-    def _load_v2(cls, path, data: bytes) -> "ParamStore":
-        source = shown(path)
+                            f"(affectseq-params v1 checkpoints are retired)")
         end = data.find(b"\n\n")
         if end < 0:
             raise DataError(f"{source}: no blank line ends the checkpoint index")
@@ -171,7 +155,15 @@ class ParamStore:
         flat = np.frombuffer(payload, dtype="<f8")
         store = cls()
         for where, name, shape, start, stop in records:
-            _add_record(store, where, name, shape, flat[start:stop])
+            values = flat[start:stop]
+            if not np.all(np.isfinite(values)):
+                raise DataError(f"{where}: parameter {name} has non-finite values")
+            try:
+                store.add(name, values.reshape(shape))
+            except ValueError as exc:  # reshape: past numpy's size or dims limit, even if empty
+                raise DataError(f"{where}: bad shape {shape} ({exc})") from None
+            except ConfigError as exc:
+                raise DataError(f"{where}: {exc}") from None
         return store
 
 
@@ -188,18 +180,6 @@ def _shape(where: str, dims: str) -> tuple[tuple[int, ...], int]:
     except ValueError:
         raise DataError(f"{where}: bad shape {dims!r}") from None
     return shape, math.prod(shape)
-
-
-def _add_record(store: ParamStore, where: str, name: str, shape, flat: np.ndarray) -> None:
-    """The record check both formats end in: finite values, then ``add``."""
-    if not np.all(np.isfinite(flat)):
-        raise DataError(f"{where}: parameter {name} has non-finite values")
-    try:
-        store.add(name, flat.reshape(shape))
-    except ValueError as exc:  # reshape: past numpy's dimension or size limit, even when empty
-        raise DataError(f"{where}: bad shape {shape} ({exc})") from None
-    except ConfigError as exc:
-        raise DataError(f"{where}: {exc}") from None
 
 
 @dataclass

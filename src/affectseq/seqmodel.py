@@ -55,7 +55,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DimensionError, DomainError
-from .numerics import GLOROT, Layout, ParamStore, add_params
+from .numerics import GLOROT, Layout, ParamStore, add_params, dropout_mask
 
 CELL_KINDS = ("gru", "lstm")
 GRU_GATES = ("z", "r", "h")
@@ -190,7 +190,8 @@ def _sequence_node(out: np.ndarray, x, cell: Mapping, gates: tuple[str, ...], bp
     the stacked U gradient. The first grad_fn that ``backward`` calls runs
     it and takes the W, b and ``x`` gradients from its rows, each one GEMM
     (or sum) over all B*T rows; each grad_fn then reads its gate's rows of
-    the stacked result.
+    the stacked result. The [B, T, D] ``x`` gradient leaves the memo once
+    it is returned.
     """
     width = ad.value(cell[f"U_{gates[0]}"]).shape[1]
     memo: dict[str, np.ndarray] = {}
@@ -207,7 +208,7 @@ def _sequence_node(out: np.ndarray, x, cell: Mapping, gates: tuple[str, ...], bp
         def fn(g):
             if not memo:
                 run(g)
-            grad = memo[kind]
+            grad = memo.pop("x") if kind == "x" else memo[kind]
             return grad if k is None else grad[k * width:(k + 1) * width]
         return fn
 
@@ -329,17 +330,6 @@ def lstm_sequence(x, cell: Mapping, last_only: bool = False):
     return _sequence_node(h if last_only else out, x, cell, _LSTM_STACK, bptt)
 
 
-def _dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:
-    """An inverted-dropout mask for a [B, T, D] ``shape``, built in the
-    buffer of its uniform draw. One [T, B, D] draw gives the values of T
-    successive [B, D] draws."""
-    batch, steps, dim = shape
-    mask = rng.random((steps, batch, dim))
-    np.greater_equal(mask, rate, out=mask)
-    mask /= 1.0 - rate
-    return mask.transpose(1, 0, 2)
-
-
 def encode_batch_graph(seqs: np.ndarray, config: EncoderConfig,
                        leaves: Mapping[str, ad.Var], prefix: str,
                        mode: str = "eval",
@@ -350,17 +340,17 @@ def encode_batch_graph(seqs: np.ndarray, config: EncoderConfig,
     if dim != config.input_dim:
         raise DimensionError(f"batch windows of width {dim} do not match encoder "
                              f"input_dim {config.input_dim}")
-    train = mode == "train"
-    if train and config.dropout_rate > 0.0 and mask_rng is None:
-        raise ConfigError("train-mode dropout needs a generator")
+    dropout = mode == "train" and config.dropout_rate > 0.0
 
     gates = GRU_GATES if config.cell_kind == "gru" else LSTM_GATES
     sequence = gru_sequence if config.cell_kind == "gru" else lstm_sequence
     states = seqs
     for layer in range(config.num_layers):
-        if train and config.dropout_rate > 0.0:
-            states = ad.mul(states, _dropout_mask(mask_rng, ad.value(states).shape,
-                                                  config.dropout_rate))
+        if dropout:
+            # one [T, B, D] draw gives the values of T successive [B, D] draws
+            batch, steps, width = ad.value(states).shape
+            states = ad.mul(states, dropout_mask(mask_rng, (steps, batch, width),
+                                                 config.dropout_rate).transpose(1, 0, 2))
         cell = {f"{kind}_{gate}": leaves[f"{prefix}.l{layer}.{kind}_{gate}"]
                 for gate in gates for kind in ("W", "U", "b")}
         states = sequence(states, cell, last_only=layer == config.num_layers - 1)

@@ -8,7 +8,7 @@ check ``encode_batch_graph``, ``batch_norm_graph`` and
 evaluates a designed filter's transfer function and ``lfilter`` runs the
 difference equation over numpy scalars, for the smoothing tests.
 ``write_v1_checkpoint`` writes a ``ParamStore`` in the retired hex-text
-checkpoint format, which ``ParamStore.load`` still reads. ``grad_check``
+checkpoint format, which ``ParamStore.load`` refuses. ``grad_check``
 compares a loss closure's analytic gradients with central finite
 differences. ``sliding_windows`` builds the strided window view that
 prediction hands the encoders, and ``projections_agree`` says whether

@@ -224,35 +224,35 @@ class TestExitCodes:
         assert f"{moved}: movie id 'm000'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("version, fault, lineno", [
-        ("v1", "non-finite", 2), ("v1", "duplicate", 3),
-        ("v2", "non-finite", 2), ("v2", "duplicate", 3)])
-    def test_malformed_checkpoint_is_exit_2(self, workspace, tmp_path, capsys, version, fault,
-                                            lineno):
+    @pytest.mark.parametrize("fault, lineno", [("non-finite", 2), ("duplicate", 3)],
+                             ids=["v2-non-finite-2", "v2-duplicate-3"])
+    def test_malformed_checkpoint_is_exit_2(self, workspace, tmp_path, capsys, fault, lineno):
         ckpt = tmp_path / "model.ckpt"
         store = init_model_params(parse_config(workspace / "run.cfg").model_config(), 0)
-        if version == "v1":
-            oracles.write_v1_checkpoint(store, ckpt)
-            lines = ckpt.read_text().splitlines()
-            if fault == "non-finite":
-                name, dims, _, *values = lines[1].split(" ")
-                lines[1] = " ".join([name, dims, "inf", *values])
-            else:
-                lines.insert(2, lines[1])
-            ckpt.write_text("\n".join(lines) + "\n")
+        store.save(ckpt)
+        index, payload = split_checkpoint(ckpt.read_bytes())
+        if fault == "non-finite":
+            payload = struct.pack("<d", np.inf) + payload[8:]
         else:
-            store.save(ckpt)
-            index, payload = split_checkpoint(ckpt.read_bytes())
-            if fault == "non-finite":
-                payload = struct.pack("<d", np.inf) + payload[8:]
-            else:
-                index.insert(2, index[1])
-                payload = payload[:8 * store.value(store.names()[0]).size] + payload
-            ckpt.write_bytes(b"\n".join(index) + b"\n\n" + payload)
+            index.insert(2, index[1])
+            payload = payload[:8 * store.value(store.names()[0]).size] + payload
+        ckpt.write_bytes(b"\n".join(index) + b"\n\n" + payload)
         rc = main(["predict", "--config", str(workspace / "run.cfg"),
                    "--checkpoint", str(ckpt), "--out", str(tmp_path / "p")])
         assert rc == 2
         assert f"{ckpt}:{lineno}:" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
+    def test_v1_checkpoint_is_exit_2(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        oracles.write_v1_checkpoint(
+            init_model_params(parse_config(workspace / "run.cfg").model_config(), 0), ckpt)
+        rc = main(["predict", "--config", str(workspace / "run.cfg"),
+                   "--checkpoint", str(ckpt), "--out", str(tmp_path / "p")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"affectseq: {ckpt}: missing checkpoint header 'affectseq-params v2' "
+            f"(affectseq-params v1 checkpoints are retired)\n")
         assert not (tmp_path / "p").exists()
 
     @pytest.mark.parametrize("kind, fault", UNREADABLE_CASES,
@@ -282,8 +282,6 @@ class TestExitCodes:
                 expected = f"missing file: {path}"
             elif fault == "not-utf8":
                 head, _, rest = path.read_bytes().partition(b"\n")
-                if kind == "checkpoint":  # the v1 text format, which decodes the whole file
-                    head, rest = b"affectseq-params v1", b"\n"
                 path.write_bytes(head + b"\n\xe9" + rest)
                 expected = f"{path}:2: not UTF-8 text"
             else:
@@ -395,9 +393,9 @@ class TestExitCodes:
 
 
 TRACK_FAULTS = ("header", "empty", "short_row", "token", "nan", "gap", "movie_id")
-# not numbers, though float.fromhex reads the first three as 2748, 30 and 255, and
-# float() reads "1_0" as 10.0
-BAD_TOKENS = ("abc", "1e", "ff", "", "1.2.3", "0x", "n/a", "1_0")
+# not numbers, though float.fromhex reads the first three as 2748, 30 and 255,
+# float() reads "1_0" as 10.0, and "0x1p-3" is a hex float, which tracks do not hold
+BAD_TOKENS = ("abc", "1e", "ff", "", "1.2.3", "0x", "n/a", "1_0", "0x1p-3")
 
 
 def mangle_track(path, fault, row, col, token):

@@ -87,15 +87,6 @@ class TestLoadFeatures:
         write_track(tmp_path / "again.csv", movie_id, loaded)
         assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "m007.csv").read_bytes()
 
-    def test_hex_literals_read_bitwise(self, tmp_path):
-        rng = np.random.default_rng(1)
-        values = rng.normal(size=(4, 3)) * 1e-7
-        lines = ["movie_id,t,f0,f1,f2"] + [
-            f"m001,{t}," + ",".join(v.hex() for v in row.tolist()) for t, row in enumerate(values)]
-        (tmp_path / "hex.csv").write_text("\n".join(lines) + "\n")
-        _, loaded = load_features(tmp_path / "hex.csv")
-        np.testing.assert_array_equal(loaded, values)
-
     def test_header_must_name_columns(self, tmp_path):
         path = write_feature_csv(tmp_path / "m000.csv")
         path.write_text(path.read_text().replace("f1", "g1", 1))
@@ -141,7 +132,7 @@ class TestLoadFeatures:
 
 
 # Tokens the one-pass reader and the per-line parse must treat alike: read
-# alike (+1, padded, Arabic-Indic digit, hex), or refuse alike
+# alike (+1, padded, Arabic-Indic digit), or refuse alike (hex, "_", "#")
 ODD_TOKENS = ("1_0", " 1.0", "1.0 ", "+1", "nan", "inf", "1e400", "0x1p-3", "\u0661", "1#2",
               "", "\x1f1", "1\x1f", "1\x00")
 LINE_EDITS = ("padded_t", "blank_line", "extra_column", "short_row", "id_underscore")
@@ -216,6 +207,13 @@ class TestReaderPaths:
         with pytest.raises(DataError) as err:
             load_features(path)
         assert str(err.value) == f"{path}:3: bad float literal '1_0'"
+
+    def test_hex_token_names_line(self, tmp_path):
+        path = write_feature_csv(tmp_path / "m000.csv", mangle=lambda lines: [
+            *lines[:2], lines[2].replace("0.100", "0x1p-3"), *lines[3:]])
+        with pytest.raises(DataError) as err:
+            load_features(path)
+        assert str(err.value) == f"{path}:3: bad float literal '0x1p-3'"
 
 
 class TestParsePairs:

@@ -17,9 +17,6 @@ from affectseq.errors import (
     NumericError,
 )
 from affectseq.numerics import AdamState, LossValue, ParamStore, adam_step
-from affectseq.fusion import FusionConfig
-from affectseq.model import ModelConfig, init_model_params
-from affectseq.seqmodel import EncoderConfig
 
 
 def dense(x, w, b):
@@ -164,31 +161,37 @@ class TestParamStore:
         assert held <= 1.05 * 8 * count
 
     def test_checkpoint_header_checked(self, tmp_path):
-        path = tmp_path / "bad.ckpt"
-        path.write_text("not-a-checkpoint\n")
-        with pytest.raises(DataError):
-            ParamStore.load(path)
+        store = ParamStore()
+        store.add("w", [0.125])
+        (tmp_path / "text.ckpt").write_text("not-a-checkpoint\n")
+        oracles.write_v1_checkpoint(store, tmp_path / "v1.ckpt")
+        for path in (tmp_path / "text.ckpt", tmp_path / "v1.ckpt"):
+            with pytest.raises(DataError) as info:
+                ParamStore.load(path)
+            assert str(info.value) == (f"{path}: missing checkpoint header "
+                                       f"'affectseq-params v2' (affectseq-params v1 "
+                                       f"checkpoints are retired)")
 
     def test_checkpoint_value_count_checked(self, tmp_path):
         path = tmp_path / "bad.ckpt"
-        path.write_text("affectseq-params v1\nw 2 0x1.0p+0\n")
-        with pytest.raises(DataError):
+        path.write_bytes(v2_bytes(["w 2"], [1.0]))
+        with pytest.raises(DataError) as info:
             ParamStore.load(path)
+        assert str(info.value) == f"{path}:2: payload has 8 bytes, expected 16"
 
-    @pytest.mark.parametrize("body", [
-        "w x 0x1.0p+0",                 # non-integer shape token
-        "w 2 0x1.0p+0 zzz",             # bad float literal
-        "w",                            # missing fields
-        "a 1 0x1.0p+0\na 1 0x1.0p+0",   # duplicate name
-        "w 1 nan",                      # non-finite value
-    ])
-    def test_checkpoint_malformed_records_rejected(self, tmp_path, body):
-        from affectseq.errors import AffectSeqError
-
+    @pytest.mark.parametrize("index, values, line, text", [
+        (["w x"], [1.0], 2, "bad shape 'x'"),
+        (["w 1 zzz"], [1.0], 2, "malformed index line 'w 1 zzz'"),
+        (["w"], [1.0], 2, "malformed index line 'w'"),
+        (["a 1", "a 1"], [1.0, 1.0], 3, "duplicate parameter name: a"),
+        (["w 1"], [np.nan], 2, "parameter w has non-finite values"),
+    ], ids=["bad-shape", "extra-field", "missing-field", "duplicate", "non-finite"])
+    def test_checkpoint_malformed_records_rejected(self, tmp_path, index, values, line, text):
         path = tmp_path / "bad.ckpt"
-        path.write_text(f"affectseq-params v1\n{body}\n")
-        with pytest.raises(AffectSeqError):
+        path.write_bytes(v2_bytes(index, values))
+        with pytest.raises(DataError) as info:
             ParamStore.load(path)
+        assert str(info.value) == f"{path}:{line}: {text}"
 
     def test_checkpoint_is_lexicographic(self, tmp_path):
         store = ParamStore()
@@ -226,8 +229,8 @@ def stores(draw):
 
 class TestCheckpointFormat:
     """``affectseq-params v2``: header, ``<name> <dims>`` index lines in name
-    order, a blank line, then raw little-endian float64 values; ``v1`` hex
-    text still loads. Every fault names the file and the record's line."""
+    order, a blank line, then raw little-endian float64 values. It is the
+    only format read. Every fault names the file and the record's line."""
 
     def test_v2_bytes_exact(self, tmp_path):
         store = ParamStore()
@@ -247,30 +250,15 @@ class TestCheckpointFormat:
 
     @given(store=stores())
     @settings(max_examples=60, deadline=None)
-    def test_both_formats_round_trip_bit_for_bit(self, tmp_path_factory, store):
-        root = tmp_path_factory.mktemp("ckpt")
-        store.save(root / "v2.ckpt")
-        oracles.write_v1_checkpoint(store, root / "v1.ckpt")
-        for path in (root / "v2.ckpt", root / "v1.ckpt"):
-            loaded = ParamStore.load(path)
-            assert loaded.names() == store.names()
-            for name in store.names():
-                assert loaded.value(name).shape == store.value(name).shape
-                np.testing.assert_array_equal(loaded.value(name).view(np.int64),
-                                              store.value(name).view(np.int64))
-
-    def test_v1_of_a_model_loads_as_its_v2(self, tmp_path):
-        encoders = (("audio", EncoderConfig(input_dim=5, hidden_units=(6, 4), cell_kind="lstm")),
-                    ("image", EncoderConfig(input_dim=3, hidden_units=(4,))))
-        config = ModelConfig(encoders=encoders, fusion=FusionConfig(enable_batchnorm=True))
-        store = init_model_params(config, seed=3)
-        store.save(tmp_path / "v2.ckpt")
-        oracles.write_v1_checkpoint(store, tmp_path / "v1.ckpt")
-        v1, v2 = (ParamStore.load(tmp_path / f"{v}.ckpt") for v in ("v1", "v2"))
-        assert v1.names() == v2.names() == store.names()
+    def test_round_trips_bit_for_bit(self, tmp_path_factory, store):
+        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+        store.save(path)
+        loaded = ParamStore.load(path)
+        assert loaded.names() == store.names()
         for name in store.names():
-            assert v1.value(name).tobytes() == v2.value(name).tobytes() \
-                == store.value(name).tobytes()
+            assert loaded.value(name).shape == store.value(name).shape
+            np.testing.assert_array_equal(loaded.value(name).view(np.int64),
+                                          store.value(name).view(np.int64))
 
     @pytest.mark.parametrize("name", ["", "a b", "a\tb", "a\nb", "a\rb", "a\x1cb", "a\x85b",
                                       "a\u2028b", "a\u2029b", "\xa0", "w ", "w\ud800"])
@@ -284,35 +272,21 @@ class TestCheckpointFormat:
         if kind == "directory":
             path.mkdir()
         elif kind == "not-utf8":
-            path.write_bytes(b"affectseq-params v1\nw 1 0x1p+0\n\xff\xfe\n")
+            path.write_bytes(b"affectseq-params v2\nw 1\n\xff\xfe 1\n\n" + bytes(16))
         with pytest.raises(DataError) as info:
             ParamStore.load(path)
         expected = f"{path}:3: not UTF-8 text" if kind == "not-utf8" else f"missing file: {path}"
         assert str(info.value) == expected
 
-    @pytest.mark.parametrize("dims", ["1000000000000000000000000000000",
-                                      "3037000500,3037000500"])
-    def test_v1_huge_shape_is_a_count_error(self, tmp_path, dims):
-        path = tmp_path / "bad.ckpt"
-        path.write_text(f"affectseq-params v1\nw {dims} 0x1p+0\n")
-        with pytest.raises(DataError) as info:
-            ParamStore.load(path)
-        count = math.prod(int(d) for d in dims.split(","))
-        assert str(info.value) == f"{path}:2: parameter w has 1 values, expected {count}"
-
     @pytest.mark.parametrize("dims", ["+1", " 1", "1 ", "\u0661", "1,", ",1", "", "-1", "1e0",
                                       "1_0", "0x1", "9" * 5000, ",".join("1" * 65)],
                              ids=lambda dims: repr(dims) if len(dims) < 12 else f"{len(dims)}-chars")
     def test_strict_shape_tokens(self, tmp_path, dims):
-        for version, record in (("v1", f"w {dims} 0x1p+0"), ("v2", f"w {dims}")):
-            path = tmp_path / f"{version}.ckpt"
-            if version == "v1":
-                path.write_text(f"affectseq-params v1\n{record}\n")
-            else:
-                path.write_bytes(v2_bytes([record], [1.0]))
-            with pytest.raises(DataError) as info:
-                ParamStore.load(path)
-            assert str(info.value).startswith(f"{path}:2: "), (version, str(info.value))
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(v2_bytes([f"w {dims}"], [1.0]))
+        with pytest.raises(DataError) as info:
+            ParamStore.load(path)
+        assert str(info.value).startswith(f"{path}:2: "), str(info.value)
 
     def test_empty_shape_over_numpy_size_limit(self, tmp_path):
         path = tmp_path / "model.ckpt"

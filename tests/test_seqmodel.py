@@ -560,10 +560,10 @@ class TestTrainingMemory:
     gradients, or a zero [B, T, H] gradient for the top layer's output,
     breaks it."""
 
-    @pytest.mark.parametrize("kind, per_row", [("gru", 5), ("lstm", 6)])
-    def test_training_loss_peak(self, kind, per_row):
-        batch, steps, dim, hidden = 64, 30, 8, 64
-        encoders = tuple((name, EncoderConfig(input_dim=dim, hidden_units=(hidden,),
+    @staticmethod
+    def peak(kind, hidden, batch, steps, dim):
+        """tracemalloc peak of one run3-like ``training_loss``."""
+        encoders = tuple((name, EncoderConfig(input_dim=dim, hidden_units=hidden,
                                               cell_kind=kind, dropout_rate=0.5))
                          for name in ("audio", "image"))
         config = ModelConfig(encoders, FusionConfig(enable_batchnorm=True, dropout_rate=0.5),
@@ -572,12 +572,31 @@ class TestTrainingMemory:
         rng = generator(5, "windows")
         windows = {name: rng.normal(size=(batch, steps, dim)) for name, _ in encoders}
         targets = rng.uniform(-0.9, 0.9, size=(batch, 2))
-        state = 2 * 8 * batch * steps * (dim + per_row * hidden)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             training_loss(windows, targets, store, config, mask_rng=generator(9, "mask"))
-            peak = tracemalloc.get_traced_memory()[1] - base
+            return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < state + 4 * seqmodel._BLOCK_BYTES
+
+    @pytest.mark.parametrize("kind, per_row", [("gru", 5), ("lstm", 6)])
+    def test_training_loss_peak(self, kind, per_row):
+        batch, steps, dim, hidden = 64, 30, 8, 64
+        state = 2 * 8 * batch * steps * (dim + per_row * hidden)
+        assert self.peak(kind, (hidden,), batch, steps, dim) < state + 4 * seqmodel._BLOCK_BYTES
+
+    def test_two_layer_backward_peak(self):
+        """Two LSTM layers keep [B, T, D + 15H] per modality: the masked
+        input, layer 0's state before each step, cell states, four gates
+        and output, the mask on that output and the masked result, then
+        layer 1's state, cell states and gates. Backward adds three
+        [B, T, H] arrays at most: the gradient of the masked output, its
+        product with the mask, and layer 0's copy of that. Keeping every
+        interior node's gradient, or the x gradient in a sequence node's
+        memo, breaks it."""
+        batch, steps, dim, hidden = 64, 30, 8, 64
+        state = 2 * 8 * batch * steps * (dim + 15 * hidden)
+        in_flight = 3 * 8 * batch * steps * hidden
+        peak = self.peak("lstm", (hidden, hidden), batch, steps, dim)
+        assert peak < state + in_flight + 4 * seqmodel._BLOCK_BYTES
