@@ -224,23 +224,42 @@ class TestExitCodes:
         assert f"{moved}: movie id 'm000'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("fault, lineno", [("non-finite", 2), ("duplicate", 3)],
-                             ids=["v2-non-finite-2", "v2-duplicate-3"])
-    def test_malformed_checkpoint_is_exit_2(self, workspace, tmp_path, capsys, fault, lineno):
+    @pytest.mark.parametrize("version, fault, lineno", [
+        ("v1", "non-finite", 2), ("v1", "duplicate", 3),
+        ("v2", "non-finite", 2), ("v2", "duplicate", 3)])
+    def test_malformed_checkpoint_is_exit_2(self, workspace, tmp_path, capsys, version, fault,
+                                            lineno):
+        """A faulty ``v2`` record is named by its line; a ``v1`` file with
+        the same fault is refused at its header, before the record is read."""
         ckpt = tmp_path / "model.ckpt"
         store = init_model_params(parse_config(workspace / "run.cfg").model_config(), 0)
-        store.save(ckpt)
-        index, payload = split_checkpoint(ckpt.read_bytes())
-        if fault == "non-finite":
-            payload = struct.pack("<d", np.inf) + payload[8:]
+        if version == "v1":
+            oracles.write_v1_checkpoint(store, ckpt)
+            lines = ckpt.read_text().splitlines()
+            if fault == "non-finite":
+                name, dims, _, *values = lines[1].split(" ")
+                lines[1] = " ".join([name, dims, "inf", *values])
+            else:
+                lines.insert(2, lines[1])
+            ckpt.write_text("\n".join(lines) + "\n")
         else:
-            index.insert(2, index[1])
-            payload = payload[:8 * store.value(store.names()[0]).size] + payload
-        ckpt.write_bytes(b"\n".join(index) + b"\n\n" + payload)
+            store.save(ckpt)
+            index, payload = split_checkpoint(ckpt.read_bytes())
+            if fault == "non-finite":
+                payload = struct.pack("<d", np.inf) + payload[8:]
+            else:
+                index.insert(2, index[1])
+                payload = payload[:8 * store.value(store.names()[0]).size] + payload
+            ckpt.write_bytes(b"\n".join(index) + b"\n\n" + payload)
         rc = main(["predict", "--config", str(workspace / "run.cfg"),
                    "--checkpoint", str(ckpt), "--out", str(tmp_path / "p")])
         assert rc == 2
-        assert f"{ckpt}:{lineno}:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if version == "v1":
+            assert err == (f"affectseq: {ckpt}: missing checkpoint header "
+                           f"'affectseq-params v2' (affectseq-params v1 checkpoints are retired)\n")
+        else:
+            assert f"{ckpt}:{lineno}:" in err
         assert not (tmp_path / "p").exists()
 
     def test_v1_checkpoint_is_exit_2(self, workspace, tmp_path, capsys):

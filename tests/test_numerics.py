@@ -278,6 +278,25 @@ class TestCheckpointFormat:
         expected = f"{path}:3: not UTF-8 text" if kind == "not-utf8" else f"missing file: {path}"
         assert str(info.value) == expected
 
+    @pytest.mark.parametrize("dims", ["1000000000000000000000000000000",
+                                      "3037000500,3037000500"])
+    def test_v1_huge_shape_is_a_count_error(self, tmp_path, dims):
+        """The huge shapes that the ``v1`` reader counted as Python ints stay
+        a count error in ``v2``, with no int64 overflow; the ``v1`` file
+        itself is refused at its header, before its shape is sized."""
+        v1 = tmp_path / "v1.ckpt"
+        v1.write_text(f"affectseq-params v1\nw {dims} 0x1p+0\n")
+        with pytest.raises(DataError) as info:
+            ParamStore.load(v1)
+        assert str(info.value) == (f"{v1}: missing checkpoint header 'affectseq-params v2' "
+                                   f"(affectseq-params v1 checkpoints are retired)")
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(v2_bytes([f"w {dims}"], [1.0]))
+        with pytest.raises(DataError) as info:
+            ParamStore.load(path)
+        count = math.prod(int(d) for d in dims.split(","))
+        assert str(info.value) == f"{path}:2: payload has 8 bytes, expected {8 * count}"
+
     @pytest.mark.parametrize("dims", ["+1", " 1", "1 ", "\u0661", "1,", ",1", "", "-1", "1e0",
                                       "1_0", "0x1", "9" * 5000, ",".join("1" * 65)],
                              ids=lambda dims: repr(dims) if len(dims) < 12 else f"{len(dims)}-chars")
