@@ -11,8 +11,12 @@ same values and builds no graph. ``value`` reads the array behind either
 kind of result.
 
 Graphs are built per forward pass and thrown away; call ``backward`` at
-most once per graph. Elementwise ops follow numpy broadcasting; matrix
-ops are restricted to the 2-D forms the models here need.
+most once per graph. ``backward`` starts from a scalar root, or from any
+root with a seed gradient of its shape: a graph cut at leaf ``Var``s can
+then be backpropagated part by part, and parts that share no node can
+run on different threads (:mod:`affectseq.model` runs the encoders so).
+Elementwise ops follow numpy broadcasting; matrix ops are restricted to
+the 2-D forms the models here need.
 
 Besides the generic ops below, :mod:`affectseq.seqmodel` builds two
 custom nodes through ``_node``: ``gru_sequence`` and ``lstm_sequence``
@@ -57,13 +61,21 @@ def value(x) -> np.ndarray:
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
-def _accum(var: Var, g: np.ndarray) -> None:
-    # A copy, because later gradients are added to it in place and g may
-    # be a view of an array its grad_fn keeps (a sequence node's memo).
-    if var.grad is None:
+def _accum(var: Var, g: np.ndarray, shared: bool) -> None:
+    """Add ``g``, a grad_fn's result, to ``var.grad``.
+
+    Later terms are added to the first in place, so a first ``g`` that
+    someone else may hold is copied: one marked ``shared`` (see
+    :func:`_node`) or a view (a slice of ``concat_cols``, a sequence
+    node's memo). A new array that only this call holds, such as
+    ``mul``'s ``g * b``, is taken as it is.
+    """
+    if var.grad is not None:
+        var.grad += g
+    elif shared or not isinstance(g, np.ndarray) or g.base is not None:
         var.grad = np.array(g, dtype=np.float64)
     else:
-        var.grad += g
+        var.grad = g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -74,23 +86,29 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+    return g if g.shape == shape else g.reshape(shape)
 
 
 def _node(out, *inputs):
     """An op's result from its value and its (input, grad_fn) pairs.
 
     Only ``Var`` inputs are kept; ``grad_fn`` maps the output's gradient
-    to that input's. With no ``Var`` input the result is ``out`` itself as
-    a plain array: constants in, constant out, and no node is built.
+    to that input's. It returns the gradient it was given, a view, or a
+    new array that it keeps no reference to (see :func:`_accum`). The
+    output's gradient belongs to the node alone, which drops it once the
+    grad_fns have run, so the last input's grad_fn may also overwrite it
+    in place, and the last input takes it over without a copy; the other
+    inputs get copies. With no ``Var`` input the result is ``out`` itself
+    as a plain array: constants in, constant out, and no node is built.
     """
     edges = tuple((x, fn) for x, fn in inputs if isinstance(x, Var))
     if not edges:
         return np.asarray(out, dtype=np.float64)
 
     def backward(g):
-        for x, fn in edges:
-            _accum(x, fn(g))
+        for i, (x, fn) in enumerate(edges, 1):
+            grad = fn(g)
+            _accum(x, grad, grad is g and i < len(edges))
 
     return Var(out, tuple(x for x, _ in edges), backward)
 
@@ -109,8 +127,12 @@ def sub(a, b):
 
 
 def mul(a, b):
+    # b's grad_fn, and a's when b is a constant, belongs to the node's last
+    # input and scales the node's own gradient in place (see _node): a
+    # dropout mask's product then takes no second array in backward.
     va, vb = value(a), value(b)
-    return _elementwise(a, b, va * vb, lambda g: g * vb, lambda g: g * va)
+    da = (lambda g: g * vb) if isinstance(b, Var) else (lambda g: np.multiply(g, vb, out=g))
+    return _elementwise(a, b, va * vb, da, lambda g: np.multiply(g, va, out=g))
 
 
 def scale_shift(x, a: float = 1.0, b: float = 0.0):
@@ -224,20 +246,31 @@ def _topo_order(root: Var) -> list[Var]:
     return order
 
 
-def backward(root: Var) -> None:
+def backward(root: Var, grad: np.ndarray | None = None) -> None:
     """Accumulate d(root)/d(leaf) into the ``grad`` of every reachable leaf
     (a Var built from a value alone, such as a parameter).
 
+    ``grad`` seeds the gradient of the root's value: with it, each leaf
+    gets the vector-Jacobian product ``sum(grad * d(root)/d(leaf))``, so a
+    graph cut at a ``Var`` can be backpropagated piece by piece (the model
+    runs each encoder's part from the gradient its state received from
+    the head). It must have the root's shape and is copied; without it
+    ``root`` must be a scalar and the seed is 1.
+
     An interior node's ``grad`` is dropped, set back to None, as soon as
     its ``_backward`` has passed it on, so the gradients of a deep graph
-    are not all alive at once. ``root`` must be a scalar ``Var``. Call
-    once per graph.
+    are not all alive at once. Call once per graph.
     """
     if not isinstance(root, Var):
         raise DimensionError("backward root has no graph: it was built only from constants")
-    if root.value.size != 1:
-        raise DimensionError(f"backward needs a scalar root, got shape {root.value.shape}")
-    root.grad = np.ones_like(root.value)
+    if grad is None:
+        if root.value.size != 1:
+            raise DimensionError(f"backward needs a scalar root, got shape {root.value.shape}")
+        grad = np.ones_like(root.value)
+    elif np.shape(grad) != root.value.shape:
+        raise DimensionError(f"backward seed of shape {np.shape(grad)} for a root of shape "
+                             f"{root.value.shape}")
+    root.grad = np.array(grad, dtype=np.float64)
     for node in reversed(_topo_order(root)):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)

@@ -11,11 +11,34 @@ weight matrix (2-D parameter), never biases:
 
 Batch reduction order is fixed (sample order within the batch, dimensions
 valence then arousal) so reruns are bit-identical.
+
+The modalities meet only at the head, so their encoders are independent
+until then, and :func:`per_modality` runs them at once: the first on the
+calling thread, the others on a shared thread pool of
+``min(modalities, usable CPUs) - 1`` workers (inline, with no thread,
+for one modality or one usable CPU). numpy's matrix products and most
+of its elementwise work release the interpreter lock, so the encoders
+overlap on separate cores. Eval-mode forward passes (``predict_batch``,
+``training_loss(mode="eval")``) encode that way, and ``training_loss``
+backpropagates each encoder that way from the gradient its state gets
+from the head. Each encoder computes exactly what it computes alone, so
+every output is bit-identical at any thread count.
+
+The train-mode forward pass stays sequential. Its dropout masks come
+from one generator in modality order, and one encoder's input
+projection blocks are all a training step holds besides the kept state;
+two encoders running at once would hold two, past the peak-memory bounds
+that the tests (``TestTrainingMemory``) set for a training step.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -69,6 +92,57 @@ def wrap_leaves(store: ParamStore) -> dict[str, ad.Var]:
     return {name: ad.Var(store.value(name)) for name in store.names()}
 
 
+# The encoder thread pool: (workers, executor), made on first use and
+# replaced by a larger one when a call needs more workers; the threads of
+# the one replaced exit once the last caller using it lets it go.
+_pool: tuple[int, ThreadPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None  # a forked child inherits the executor but not its threads
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _executor(workers: int) -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] < workers:
+            _pool = (workers, ThreadPoolExecutor(workers, "affectseq-encoder"))
+        return _pool[1]
+
+
+def per_modality(jobs: Sequence[Callable[[], object]]) -> list:
+    """Each job's result, in order: the first job runs on the calling
+    thread and the others on the encoder pool, at once.
+
+    It returns once every job has finished; if any failed, it raises the
+    first failure in job order, as running them one by one would. With
+    one job or one usable CPU the jobs run inline and no thread starts.
+    """
+    workers = min(len(jobs), _usable_cpus()) - 1
+    if workers < 1:
+        return [job() for job in jobs]
+    pool = _executor(workers)
+    futures = [pool.submit(job) for job in jobs[1:]]
+    try:
+        first = jobs[0]()
+    finally:
+        wait(futures)
+    return [first] + [future.result() for future in futures]
+
+
 def _check_windows(config: ModelConfig, windows: dict[str, np.ndarray]) -> int:
     sizes = set()
     for name, _ in config.encoders:
@@ -86,6 +160,28 @@ def _check_windows(config: ModelConfig, windows: dict[str, np.ndarray]) -> int:
     return sizes.pop()
 
 
+def encode_states(leaves: dict[str, ad.Var], config: ModelConfig,
+                  windows: dict[str, np.ndarray], mode: str = "eval",
+                  mask_rng: np.random.Generator | None = None) -> list:
+    """Each modality's final encoder state [B, H], in modality order.
+
+    Eval mode runs the encoders at once through :func:`per_modality`;
+    train mode runs them one after another, drawing dropout masks from
+    ``mask_rng`` in modality order (see the module docstring).
+    """
+    _check_windows(config, windows)
+    jobs = [functools.partial(encode_batch_graph, windows[name], enc, leaves, f"enc.{name}",
+                              mode, mask_rng)
+            for name, enc in config.encoders]
+    return [job() for job in jobs] if mode == "train" else per_modality(jobs)
+
+
+def head_graph(states: list, leaves: dict[str, ad.Var], config: ModelConfig,
+               mode: str = "eval", mask_rng: np.random.Generator | None = None):
+    """Gated probabilities p_prime [B, 2] from the encoder states."""
+    return fusion_head_graph(ad.concat_cols(states), leaves, config.fusion, mode, mask_rng)
+
+
 def forward_graph(leaves: dict[str, ad.Var], config: ModelConfig,
                   windows: dict[str, np.ndarray], mode: str = "eval",
                   mask_rng: np.random.Generator | None = None):
@@ -94,13 +190,8 @@ def forward_graph(leaves: dict[str, ad.Var], config: ModelConfig,
     Leaf Vars (``wrap_leaves``) give a graph to backpropagate; the store's
     plain arrays give the same values as an ndarray and build no graph.
     """
-    _check_windows(config, windows)
-    states = [
-        encode_batch_graph(windows[name], enc, leaves, f"enc.{name}", mode, mask_rng)
-        for name, enc in config.encoders
-    ]
-    x = ad.concat_cols(states)
-    return fusion_head_graph(x, leaves, config.fusion, mode, mask_rng)
+    states = encode_states(leaves, config, windows, mode, mask_rng)
+    return head_graph(states, leaves, config, mode, mask_rng)
 
 
 def predict_batch(store: ParamStore, config: ModelConfig,
@@ -147,7 +238,14 @@ def training_loss(windows: dict[str, np.ndarray], targets: np.ndarray,
     t01 = (targets - lo) / (hi - lo)
 
     leaves = wrap_leaves(store)
-    p_prime = forward_graph(leaves, config, windows, mode, mask_rng)
+    states = encode_states(leaves, config, windows, mode, mask_rng)
+    # The head runs over leaves holding the states, so its backward stops
+    # there, and each encoder's backward then runs from its leaf's gradient.
+    # An encoder parameter gets at most two gradient terms, the L2
+    # penalty's and its op's, and a sum of two floats does not depend on
+    # their order: the bits are those of one backward over the whole graph.
+    cut = [ad.Var(state.value) for state in states]
+    p_prime = head_graph(cut, leaves, config, mode, mask_rng)
     like = ad.add(
         ad.mul(t01, ad.safe_log(p_prime)),
         ad.mul(1.0 - t01, ad.safe_log(ad.scale_shift(p_prime, -1.0, 1.0))),
@@ -162,4 +260,6 @@ def training_loss(windows: dict[str, np.ndarray], targets: np.ndarray,
         lambda_l2=config.fusion.l2_lambda,
     )
     ad.backward(total)
+    per_modality([functools.partial(ad.backward, state, leaf.grad)
+                  for state, leaf in zip(states, cut)])
     return result, {name: leaf.grad for name, leaf in leaves.items() if leaf.grad is not None}

@@ -70,8 +70,11 @@ def dropout_mask(rng: np.random.Generator | None, shape: tuple[int, ...],
 class ParamStore:
     """Named float64 tensors, and nothing else.
 
-    Names are unique; arrays are C-contiguous. Training mutates values on
-    one logical thread; snapshots for read-only use come from :meth:`copy`.
+    Names are unique; arrays are C-contiguous. Values change only on the
+    thread that runs the training loop (Adam steps, batch-norm running
+    statistics); the encoder threads of :mod:`affectseq.model` only read
+    them, within a call that returns before the next change. Snapshots
+    for read-only use come from :meth:`copy`.
     """
 
     def __init__(self):

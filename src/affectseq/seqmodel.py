@@ -202,7 +202,10 @@ def _sequence_node(out: np.ndarray, x, cell: Mapping, gates: tuple[str, ...], bp
         memo["W"] = rows.T @ vx.reshape(rows.shape[0], -1)
         memo["b"] = rows.sum(axis=0)
         if isinstance(x, ad.Var):
-            memo["x"] = (rows @ _stack(cell, "W", gates)).reshape(vx.shape)
+            # written through a 2-D view, so the memo holds the [B, T, D]
+            # array itself, which autodiff._accum then takes without a copy
+            memo["x"] = np.empty(vx.shape)
+            np.matmul(rows, _stack(cell, "W", gates), out=memo["x"].reshape(rows.shape[0], -1))
 
     def grad_fn(kind: str, k: int | None = None):
         def fn(g):

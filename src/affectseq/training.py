@@ -1,9 +1,11 @@
 """The training loop plus batched per-movie prediction.
 
-Training is single-threaded and fully deterministic given the config and
-seed: epoch shuffles, dropout masks (drawn only when the model's
-``dropout_rate`` is above 0), and initialization all derive from
-purpose-split child seeds. A NaN or Inf loss aborts the run with
+Training is fully deterministic given the config and seed: epoch
+shuffles, dropout masks (drawn only when the model's ``dropout_rate`` is
+above 0), and initialization all derive from purpose-split child seeds.
+The loop itself runs on one thread; within a step, and in the per-epoch
+validation pass, the modality encoders may run on several (see
+:mod:`affectseq.model`), which moves no bit of any output. A NaN or Inf loss aborts the run with
 NumericError rather than continuing silently. Prediction runs one movie
 at a time, in sorted order, in batches of ``batch_size`` windows.
 """

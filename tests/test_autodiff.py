@@ -190,6 +190,73 @@ class TestGraphStructure:
         ad.backward(ad.sum_all(node))
         np.testing.assert_allclose(x.grad, [[1.0]])
 
+    def test_fresh_gradient_is_taken_without_a_copy(self):
+        x = ad.Var(np.ones(3))
+        made = []
+
+        def grad_fn(g):
+            made.append(g * 2.0)
+            return made[-1]
+
+        out = ad._node(np.ones(3), (x, grad_fn))
+        ad.backward(out, np.ones(3))
+        # `made` holds it here only to compare identities after the fact
+        assert x.grad is made[0]
+
+    def test_constant_factor_scales_the_gradient_in_place(self):
+        """A dropout-style product passes its own gradient on, scaled in
+        place, instead of a second array."""
+        x = ad.Var(np.ones(3))
+        mask = np.array([0.0, 2.0, 2.0])
+        made = []
+
+        def grad_fn(g):
+            made.append(g * 3.0)
+            return made[-1]
+
+        out = ad._node(np.ones(3), (ad.mul(x, mask), grad_fn))
+        ad.backward(out, np.ones(3))
+        assert x.grad is made[0]
+        np.testing.assert_array_equal(x.grad, [0.0, 6.0, 6.0])
+
+    def test_passed_through_and_sliced_gradients_are_copied(self):
+        a, b = ad.Var(np.ones((2, 2))), ad.Var(np.ones((2, 2)))
+        seed = np.arange(8.0).reshape(2, 4)
+        out = ad.concat_cols([ad.add(a, b), ad.add(ad.mul(a, 3.0), a)])
+        ad.backward(out, seed)
+        np.testing.assert_array_equal(a.grad, seed[:, :2] + 4.0 * seed[:, 2:])
+        np.testing.assert_array_equal(b.grad, seed[:, :2])
+        assert not np.shares_memory(a.grad, b.grad)
+        np.testing.assert_array_equal(seed, np.arange(8.0).reshape(2, 4))
+
+    def test_seeded_backward_is_the_vector_jacobian_product(self):
+        rng = np.random.default_rng(4)
+        w0, x0 = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
+        seed = rng.normal(size=(5, 3))
+        grads = []
+        for seeded in (True, False):
+            w, x = ad.Var(w0), ad.Var(x0)
+            y = ad.sigmoid(ad.linear(x, w))
+            if seeded:
+                ad.backward(y, seed)
+            else:
+                ad.backward(ad.sum_all(ad.mul(y, seed)))
+            grads.append((w.grad, x.grad))
+        for seeded, summed in zip(*grads):
+            np.testing.assert_array_equal(seeded, summed)
+
+    def test_seed_must_match_the_root(self):
+        x = ad.Var(np.ones((2, 3)))
+        with pytest.raises(DimensionError, match="seed of shape"):
+            ad.backward(ad.scale_shift(x, 2.0), np.ones((3, 2)))
+
+    def test_seed_is_copied_at_a_leaf_root(self):
+        x = ad.Var(np.ones(2))
+        seed = np.ones(2)
+        ad.backward(x, seed)
+        x.grad += 1.0
+        np.testing.assert_array_equal(seed, [1.0, 1.0])
+
 
 # Every public op, with the shapes of its array inputs.
 OPS = {

@@ -590,11 +590,12 @@ class TestTrainingMemory:
         """Two LSTM layers keep [B, T, D + 15H] per modality: the masked
         input, layer 0's state before each step, cell states, four gates
         and output, the mask on that output and the masked result, then
-        layer 1's state, cell states and gates. Backward adds three
-        [B, T, H] arrays at most: the gradient of the masked output, its
-        product with the mask, and layer 0's copy of that. Keeping every
-        interior node's gradient, or the x gradient in a sequence node's
-        memo, breaks it."""
+        layer 1's state, cell states and gates. Backward adds a few
+        [B, T, H] arrays: per encoder, the gradient of the masked output,
+        which the mask scales in place and layer 0 takes without a copy,
+        and the two encoders backpropagate at once. Keeping every interior
+        node's gradient or the x gradient in a sequence node's memo
+        breaks it."""
         batch, steps, dim, hidden = 64, 30, 8, 64
         state = 2 * 8 * batch * steps * (dim + 15 * hidden)
         in_flight = 3 * 8 * batch * steps * hidden
