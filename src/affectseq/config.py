@@ -1,9 +1,9 @@
 """Run configuration: key-value config files, run profiles, and the
 resolved echo written next to training artifacts.
 
-Config files use ``key = value`` lines with ``#`` comments. Unknown keys
-are rejected. The ``profile`` key expands to preset regularization and
-split settings:
+Config files use ``key = value`` lines with ``#`` comments. Unknown keys,
+retired ones such as ``bn_momentum`` included, are rejected. The
+``profile`` key expands to preset regularization and split settings:
 
     run1    dropout_rate 0, no batch normalization
     run2    dropout_rate 0.5 + batch normalization, train_fraction 0.7
@@ -146,10 +146,7 @@ class RunConfig:
     num_experts: int = _key(FusionConfig.num_experts, _number(int, lo=1))
     l2_lambda: float = _key(FusionConfig.l2_lambda, _number(float, lo=0))
     cg2_position: str = _key(FusionConfig.cg2_position, _choice(*CG2_POSITIONS))
-    bn_momentum: float = _key(FusionConfig.bn_momentum,
-                              _number(float, lo=0, hi=1, lo_open=True, hi_open=True))
     bn_epsilon: float = _key(FusionConfig.bn_epsilon, _number(float, lo=0, lo_open=True))
-    use_batch_stats_at_inference: bool = _key(FusionConfig.use_batch_stats_at_inference, _bool)
     smoother: str = _key(SmootherSpec.kind, _choice(*SMOOTHERS))
     butter_order: int = _key(SmootherSpec.order, _number(int, lo=1, hi=4))
     butter_cutoff: float = _key(SmootherSpec.cutoff,
@@ -176,9 +173,7 @@ class RunConfig:
             dropout_rate=self.dropout_rate,
             output_range=self.manifest.annotation_range,
             cg2_position=self.cg2_position,
-            bn_momentum=self.bn_momentum,
             bn_epsilon=self.bn_epsilon,
-            use_batch_stats_at_inference=self.use_batch_stats_at_inference,
         )
         return ModelConfig(encoders=encoders, fusion=fusion,
                            sequence_length=self.sequence_length)

@@ -10,6 +10,10 @@ range. Every head parameter, batch-norm running statistics included,
 lives in the parameter store under ``fusion.``; the head's input width
 is the width of ``fusion.cg1.W``.
 
+Train-mode batch norm normalizes a batch by its own statistics; eval
+mode normalizes each row alone by the running statistics, which only
+training sets (see :mod:`affectseq.training`).
+
 The batched training-time loss lives in :mod:`affectseq.model`, which
 wires these pieces to the encoders.
 """
@@ -40,9 +44,7 @@ class FusionConfig:
     dropout_rate: float = 0.0
     output_range: tuple[float, float] = (-1.0, 1.0)
     cg2_position: str = "moe_output"
-    bn_momentum: float = 0.9
     bn_epsilon: float = 1e-5
-    use_batch_stats_at_inference: bool = True
 
     def __post_init__(self):
         if self.num_experts < 1:
@@ -56,8 +58,6 @@ class FusionConfig:
             raise ConfigError(f"unknown cg2_position: {self.cg2_position!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must lie in [0, 1)")
-        if not 0.0 < self.bn_momentum < 1.0:
-            raise ConfigError("bn_momentum must lie in (0, 1)")
         if not self.bn_epsilon > 0.0:
             raise ConfigError("bn_epsilon must be positive")
 
@@ -97,36 +97,23 @@ def map_to_range(p: np.ndarray, output_range: tuple[float, float]) -> np.ndarray
 
 def batch_norm_graph(x, leaves: Mapping[str, ad.Var], config: FusionConfig, mode: str):
     """Differentiable batch norm over a [B, F] batch with the ``fusion.bn.``
-    scale, shift and running statistics.
+    scale and shift.
 
-    Train mode normalizes by the batch mean/var (biased) and folds the
-    batch statistics into the running ones with
-    ``running = bn_momentum * running + (1 - bn_momentum) * batch`` as a
-    side effect on the leaves' arrays, which are the store's own. Eval
-    mode normalizes by the current batch's statistics when
-    ``use_batch_stats_at_inference`` is set (the default), else by the
-    running statistics.
+    Train mode normalizes by the batch mean and biased variance; eval mode
+    normalizes each row by the running statistics. Neither writes a leaf.
     """
-    running_mean = ad.value(leaves["fusion.bn.running_mean"])
-    running_var = ad.value(leaves["fusion.bn.running_var"])
     eps = config.bn_epsilon
     if mode not in ("train", "eval"):
         raise ConfigError(f"unknown mode: {mode!r}")
-    train = mode == "train"
-    if train and ad.value(x).shape[0] < 2:
-        raise DataError("batch normalization needs B >= 2 in train mode")
-    if train or config.use_batch_stats_at_inference:
-        mu = ad.mean_axis0(x)
-        centered = ad.sub(x, mu)
-        var = ad.mean_axis0(ad.mul(centered, centered))
-        xhat = ad.mul(centered, ad.rsqrt_shift(var, eps))
-        if train:
-            m = config.bn_momentum
-            running_mean[:] = m * running_mean + (1.0 - m) * ad.value(mu)[0]
-            running_var[:] = m * running_var + (1.0 - m) * ad.value(var)[0]
+    if mode == "train":
+        if ad.value(x).shape[0] < 2:
+            raise DataError("batch normalization needs B >= 2 in train mode")
+        centered = ad.sub(x, ad.mean_axis0(x))
+        xhat = ad.mul(centered, ad.rsqrt_shift(ad.mean_axis0(ad.mul(centered, centered)), eps))
     else:
-        inv = 1.0 / np.sqrt(running_var + eps)
-        xhat = ad.mul(ad.sub(x, running_mean.reshape(1, -1)), inv.reshape(1, -1))
+        inv = 1.0 / np.sqrt(ad.value(leaves["fusion.bn.running_var"]) + eps)
+        xhat = ad.mul(ad.sub(x, ad.value(leaves["fusion.bn.running_mean"]).reshape(1, -1)),
+                      inv.reshape(1, -1))
     return ad.add(ad.mul(xhat, leaves["fusion.bn.gamma"]), leaves["fusion.bn.beta"])
 
 
@@ -151,11 +138,7 @@ def moe_graph(v, leaves: Mapping[str, ad.Var]) -> ad.Var:
 def fusion_head_graph(x, leaves: Mapping[str, ad.Var], config: FusionConfig,
                       mode: str = "eval",
                       mask_rng: np.random.Generator | None = None) -> ad.Var:
-    """Batched head over a [B, F] input; returns gated probabilities [B, 2].
-
-    Train mode updates the batch-norm running statistics in place through
-    the leaves, which share the store's arrays.
-    """
+    """Batched head over a [B, F] input; returns gated probabilities [B, 2]."""
     values = ad.value(x)
     width = ad.value(leaves["fusion.cg1.W"]).shape[1]
     if values.ndim != 2 or values.shape[1] != width:

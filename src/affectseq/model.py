@@ -221,7 +221,8 @@ def training_loss(windows: dict[str, np.ndarray], targets: np.ndarray,
                   ) -> tuple[LossValue, dict[str, np.ndarray]]:
     """Batch loss and its gradients, ``{name: d total / d parameter}`` for
     every parameter the loss reaches (all but the batch-norm running
-    statistics, which have no gradient).
+    statistics, which have no gradient). Under train-mode batch norm the
+    loss record also carries the batch's moments of the fusion input.
 
     ``targets`` is [B, 2] in annotation units and must lie inside the
     configured output range. Probabilities are floored at 1e-12 inside the
@@ -259,6 +260,10 @@ def training_loss(windows: dict[str, np.ndarray], targets: np.ndarray,
         l2_penalty=float(penalty.value),
         lambda_l2=config.fusion.l2_lambda,
     )
+    if mode == "train" and config.fusion.enable_batchnorm:
+        x = np.concatenate([leaf.value for leaf in cut], axis=1)
+        result.batch_moments = np.stack([x.mean(axis=0), x.var(axis=0, ddof=1)])
+        del x  # free before backward allocates, as training.train_run's loop explains
     ad.backward(total)
     per_modality([functools.partial(ad.backward, state, leaf.grad)
                   for state, leaf in zip(states, cut)])

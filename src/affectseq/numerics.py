@@ -71,9 +71,9 @@ class ParamStore:
     """Named float64 tensors, and nothing else.
 
     Names are unique; arrays are C-contiguous. Values change only on the
-    thread that runs the training loop (Adam steps, batch-norm running
-    statistics); the encoder threads of :mod:`affectseq.model` only read
-    them, within a call that returns before the next change. Snapshots
+    thread that runs the training loop, in Adam steps and when an epoch
+    sets the batch-norm running statistics; forward passes and the
+    encoder threads of :mod:`affectseq.model` only read them. Snapshots
     for read-only use come from :meth:`copy`.
     """
 
@@ -187,11 +187,13 @@ def _shape(where: str, dims: str) -> tuple[tuple[int, ...], int]:
 
 @dataclass
 class LossValue:
-    """Cross-entropy part, L2 penalty, and the regularization weight."""
+    """Cross-entropy part, L2 penalty, and the regularization weight; under
+    train-mode batch norm also the fusion input's [mean, unbiased var]."""
 
     loss: float
     l2_penalty: float
     lambda_l2: float
+    batch_moments: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not np.isfinite(self.total):

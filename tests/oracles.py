@@ -15,12 +15,15 @@ prediction hands the encoders, and ``projections_agree`` says whether
 BLAS rounds that view's shared input projection as it rounds a copy's.
 ``block_projections`` projects a copied batch a given number of steps
 at a time, to tell whether BLAS rounds two block sizes alike.
+``encoder_drift`` and ``head_drift`` bound how far two evaluations of
+the model can drift apart when BLAS rounds their products differently.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from affectseq import seqmodel
+from affectseq.dataio import window_sequences
 from affectseq.errors import DomainError
 
 
@@ -215,3 +218,154 @@ def projections_agree(view, cell, kind):
     steps = zip(seqmodel._input_steps(view, cell, gates),
                 seqmodel._input_steps(np.ascontiguousarray(view), cell, gates))
     return all(np.array_equal(a, b) for a, b in steps)
+
+
+# How far two evaluations of the model may drift apart when BLAS sums the
+# terms of a product in another order: a kernel picked by the row count
+# (a strided table against a copy, or one batch size against another).
+# Higham (Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1):
+# a computed n-term sum lies within gamma_n * sum |terms| of the exact
+# one, with gamma_n = n u / (1 - n u), so two computations of one row's
+# projection differ by at most 2 gamma_{D+1} |x| |W|^T (bias included).
+# That drift is carried through every step and layer to first order, on
+# the forward values of one evaluation: a pre-activation drift e moves
+# sigmoid by s (1 - s) e and tanh by (1 - t^2) e, a product x y drifts by
+# |x| e_y + |y| e_x, and every recurrent product adds its own rounding as
+# the projection does. Each elementwise result may add a fresh rounding
+# of at most FRESH times its magnitude (at least 1): numpy's exp and tanh
+# lie within 2 ulp, and their vector and scalar loops may differ. Second
+# order terms (drifts near 1e-12 squared) are left out.
+UNIT_ROUNDOFF = 2.0 ** -53
+FRESH = 8 * UNIT_ROUNDOFF
+
+
+def _gamma(n):
+    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+
+
+def _fresh(value):
+    return FRESH * np.maximum(np.abs(value), 1.0)
+
+
+def _affine_drift(a, err, w, b):
+    """``a @ w.T + b`` over the rows of ``a`` and its drift bound, when
+    ``err`` bounds the drift of ``a``."""
+    aw = np.abs(w).T
+    bound = err @ aw + 2.0 * _gamma(a.shape[-1] + 1) * (np.abs(a) @ aw + np.abs(b))
+    return a @ w.T + b, bound
+
+
+def _sigmoid_drift(a, err):
+    s = sigmoid(a)
+    return s, s * (1.0 - s) * err + _fresh(s)
+
+
+def _tanh_drift(a, err):
+    t = np.tanh(a)
+    return t, (1.0 - t * t) * err + _fresh(t)
+
+
+def _product_drift(x, ex, y, ey):
+    return x * y, np.abs(x) * ey + np.abs(y) * ex + _fresh(x * y)
+
+
+def _gate_drift(x, err, p, gate, h, eh, nonlinearity=_sigmoid_drift):
+    """One gate's activation over [B, D] inputs ``x`` and [B, H] states ``h``."""
+    a, ea = _affine_drift(np.concatenate([x, h], axis=1), np.concatenate([err, eh], axis=1),
+                          np.concatenate([p[f"W_{gate}"], p[f"U_{gate}"]], axis=1),
+                          p[f"b_{gate}"])
+    return nonlinearity(a, ea)
+
+
+def encoder_drift(x, cells, kind):
+    """A stacked GRU or LSTM over a [B, T, D] batch, each layer's cell a dict
+    of ``W_*``, ``U_*``, ``b_*``: the top layer's states [B, T, H] and an
+    elementwise bound on how far two evaluations of them can drift apart
+    (see the derivation above)."""
+    err = np.zeros_like(x)
+    for p in cells:
+        width = p["b_h" if kind == "gru" else "b_g"].size
+        h, eh, c, ec = (np.zeros((x.shape[0], width)) for _ in range(4))
+        states, drifts = [], []
+        for t in range(x.shape[1]):
+            xt, et = x[:, t], err[:, t]
+            if kind == "gru":
+                z, ez = _gate_drift(xt, et, p, "z", h, eh)
+                r, er = _gate_drift(xt, et, p, "r", h, eh)
+                rh, erh = _product_drift(r, er, h, eh)
+                hc, ehc = _gate_drift(xt, et, p, "h", rh, erh, _tanh_drift)
+                h_new = (1.0 - z) * h + z * hc
+                eh = (np.abs(1.0 - z) * eh + np.abs(z) * ehc + np.abs(hc - h) * ez
+                      + 3 * _fresh(h_new))
+                h = h_new
+            else:
+                i, ei = _gate_drift(xt, et, p, "i", h, eh)
+                f, ef = _gate_drift(xt, et, p, "f", h, eh)
+                o, eo = _gate_drift(xt, et, p, "o", h, eh)
+                g, eg = _gate_drift(xt, et, p, "g", h, eh, _tanh_drift)
+                c_new = f * c + i * g
+                ec = (np.abs(f) * ec + np.abs(c) * ef + np.abs(i) * eg + np.abs(g) * ei
+                      + 3 * _fresh(c_new))
+                c = c_new
+                h, eh = _product_drift(o, eo, *_tanh_drift(c, ec))
+            states.append(h)
+            drifts.append(eh)
+        x, err = np.stack(states, axis=1), np.stack(drifts, axis=1)
+    return x, err
+
+
+def _context_gate_drift(x, err, w, b):
+    return _product_drift(*_sigmoid_drift(*_affine_drift(x, err, w, b)), x, err)
+
+
+def head_drift(x, err, store, config):
+    """Eval-mode predictions in annotation units [B, 2] from [B, F] encoder
+    states ``x`` whose drift ``err`` bounds, and the predictions' drift
+    bound, carried through the head as :func:`encoder_drift` carries it."""
+    if config.enable_batchnorm:
+        scale = store.value("fusion.bn.gamma") / np.sqrt(store.value("fusion.bn.running_var")
+                                                         + config.bn_epsilon)
+        shifted = x - store.value("fusion.bn.running_mean")
+        x = shifted * scale + store.value("fusion.bn.beta")
+        err = np.abs(scale) * err + 4 * _fresh(np.abs(shifted) * (1.0 + np.abs(scale)) + np.abs(x))
+    w2, b2 = store.value("fusion.cg2.W"), store.value("fusion.cg2.b")
+    v, ev = _context_gate_drift(x, err, store.value("fusion.cg1.W"), store.value("fusion.cg1.b"))
+    if config.cg2_position == "moe_input":
+        v, ev = _context_gate_drift(v, ev, w2, b2)
+    columns = []
+    for dim in ("valence", "arousal"):
+        ew, eb, gw, gb = (store.value(f"fusion.moe.{dim}.{k}")
+                          for k in ("expert_W", "expert_b", "gate_W", "gate_b"))
+        s, es = _sigmoid_drift(*_affine_drift(v, ev, ew, eb))
+        logits, el = _affine_drift(v, ev, gw, gb)
+        g = np.exp(logits - logits.max(axis=1, keepdims=True))
+        g /= g.sum(axis=1, keepdims=True)
+        # softmax to first order: dg_k = g_k (dl_k - sum_j g_j dl_j)
+        eg = g * (el + np.sum(g * el, axis=1, keepdims=True)) + 3 * _fresh(g)
+        mix = np.sum(g * s, axis=1)
+        columns.append((mix, np.sum(g * es + s * eg, axis=1)
+                        + 2.0 * _gamma(g.shape[1]) * mix + _fresh(mix)))
+    p, ep = np.stack([c[0] for c in columns], axis=1), np.stack([c[1] for c in columns], axis=1)
+    if config.cg2_position == "moe_output":
+        p, ep = _context_gate_drift(p, ep, w2, b2)
+    lo, hi = config.output_range
+    out = lo + (hi - lo) * p
+    return out, (hi - lo) * ep + 2 * _fresh(out)
+
+
+def prediction_drift(store, model_config, features):
+    """Eval-mode predictions of each movie's windows, one window per second,
+    computed in one batch per movie, with their drift bound: how far two
+    evaluations of them, in any batches, can drift apart."""
+    steps = model_config.sequence_length
+    out = {}
+    for movie in sorted(features):
+        rows = window_sequences({movie: features[movie]}, None, steps).rows
+        states = [encoder_drift(np.ascontiguousarray(sliding_windows(rows[name], steps)),
+                                [cell_params(store, f"enc.{name}.l{layer}")
+                                 for layer in range(len(enc.hidden_units))], enc.cell_kind)
+                  for name, enc in model_config.encoders]
+        out[movie] = head_drift(np.concatenate([h[:, -1] for h, _ in states], axis=1),
+                                np.concatenate([e[:, -1] for _, e in states], axis=1),
+                                store, model_config.fusion)
+    return out

@@ -19,8 +19,10 @@ import oracles
 from affectseq import cli, config
 from affectseq.cli import _build_parser, main
 from affectseq.config import parse_config
-from affectseq.dataio import MANIFEST_KEYS, SynthSpec, load_prediction_dir, synth_generate
+from affectseq.dataio import (MANIFEST_KEYS, SynthSpec, load_dataset, load_prediction_dir,
+                              synth_generate)
 from affectseq.model import init_model_params
+from affectseq.numerics import ParamStore
 
 
 @pytest.fixture(scope="module")
@@ -630,6 +632,33 @@ def run_d(workspace):
     return run_pipeline(workspace, "runD", seed="4")
 
 
+def test_predict_does_not_depend_on_batch_size(tmp_path):
+    """``batch_size`` bounds prediction's memory only: a run3 (batch-norm)
+    checkpoint predicts the same tracks at 64 and at 128 windows a batch,
+    to within how BLAS rounds another row count (``oracles.prediction_drift``)."""
+    assert main(["synth", "--out", str(tmp_path / "data"), "--movies", "2", "--length", "300",
+                 "--modalities", "audio:3,image:2", "--seed", "7"]) == 0
+    for size in (64, 128):
+        (tmp_path / f"b{size}.cfg").write_text(
+            f"manifest = {tmp_path / 'data' / 'manifest.txt'}\nprofile = run3\nseed = 3\n"
+            f"epochs = 1\nsequence_length = 10\nhidden_units = 4\nbatch_size = {size}\n")
+    checkpoint = tmp_path / "model" / "model.ckpt"
+    assert main(["train", "--config", str(tmp_path / "b64.cfg"),
+                 "--out", str(checkpoint.parent)]) == 0
+    tracks = {}
+    for size in (64, 128):
+        assert main(["predict", "--config", str(tmp_path / f"b{size}.cfg"), "--checkpoint",
+                     str(checkpoint), "--out", str(tmp_path / f"raw{size}")]) == 0
+        tracks[size] = load_prediction_dir(tmp_path / f"raw{size}")
+    cfg = parse_config(tmp_path / "b64.cfg")
+    drift = oracles.prediction_drift(ParamStore.load(checkpoint), cfg.model_config(),
+                                     load_dataset(cfg.manifest, with_annotations=False)[0])
+    assert sorted(tracks[64]) == sorted(tracks[128]) == sorted(drift) == ["m000", "m001"]
+    for movie, (_, bound) in drift.items():
+        assert tracks[64][movie].shape == (300, 2)
+        assert np.all(np.abs(tracks[64][movie] - tracks[128][movie]) <= bound)
+
+
 class TestPipeline:
     def test_full_chain_produces_defined_metrics(self, run_a):
         report = (run_a / "eval" / "report.csv").read_text().splitlines()
@@ -751,8 +780,7 @@ BAD_CONFIG_VALUES = {
     "sequence_length": ("0", "1e3"), "dropout_rate": ("1", "-0.1", "nan"),
     "enable_batchnorm": ("yes", "1"), "train_fraction": ("0", "1.5"),
     "num_experts": ("0", "2.0"), "l2_lambda": ("-1", "inf"), "cg2_position": ("middle",),
-    "bn_momentum": ("0", "1"), "bn_epsilon": ("0", "-inf"),
-    "use_batch_stats_at_inference": ("True",), "smoother": ("kalman",),
+    "bn_epsilon": ("0", "-inf"), "smoother": ("kalman",),
     "butter_order": ("0", "5"), "butter_cutoff": ("0", "1"),
     "ma_weights": ("1,1", ",", "1,-1,1"), "early_stop_patience": ("-1",),
 }
@@ -768,7 +796,9 @@ BAD_MANIFEST_VALUES = {
     "validation_movies": ("m999",),
     "train_fraction": ("0", "1.5", "abc", "nan"),
 }
-UNKNOWN_KEYS = ("enable_dropout", "optimizer", "Seed", "hidden_units_audio")
+# enable_dropout, bn_momentum and use_batch_stats_at_inference were keys once
+RETIRED_KEYS = ("enable_dropout", "bn_momentum", "use_batch_stats_at_inference")
+UNKNOWN_KEYS = (*RETIRED_KEYS, "optimizer", "Seed", "hidden_units_audio")
 OWNED = tuple((profile, key) for profile, preset in config._PROFILE_PRESETS.items()
               for key in preset)
 # values a profile-owned key would accept anywhere else
@@ -934,6 +964,10 @@ class TestMalformedSettings:
     def test_each_bad_config_value(self, workspace, fuzz_root, key, value):
         check_config_fault(workspace, fuzz_root, "value", key, value, 0)
 
+    @pytest.mark.parametrize("key", RETIRED_KEYS)
+    def test_each_retired_config_key(self, workspace, fuzz_root, key):
+        check_config_fault(workspace, fuzz_root, "unknown", key, "true", 0)
+
     @pytest.mark.parametrize("fault, key, value, pick", [
         *(("value", k, v, 0) for k, values in BAD_MANIFEST_VALUES.items() for v in values),
         ("unknown", "enable_dropout", "1", 0),
@@ -970,11 +1004,10 @@ def test_settable_surface():
         "manifest", "out", "profile", "seed", "epochs", "batch_size", "learning_rate",
         "adam_beta1", "adam_beta2", "adam_epsilon", "cell", "hidden_units",
         "sequence_length", "dropout_rate", "enable_batchnorm", "train_fraction",
-        "num_experts", "l2_lambda", "cg2_position", "bn_momentum", "bn_epsilon",
-        "use_batch_stats_at_inference", "smoother", "butter_order", "butter_cutoff",
-        "ma_weights", "early_stop_patience",
+        "num_experts", "l2_lambda", "cg2_position", "bn_epsilon", "smoother",
+        "butter_order", "butter_cutoff", "ma_weights", "early_stop_patience",
     }
-    assert len(config._KNOWN_KEYS) == 27
+    assert len(config._KNOWN_KEYS) == 25
     assert set(MANIFEST_KEYS) == {"modalities", "movies", "annotation_range",
                                   "validation_movies", "train_fraction"}
     assert len(MANIFEST_KEYS) == 5

@@ -37,7 +37,6 @@ class TestDefaults:
         assert cfg.l2_lambda == 1e-5
         assert cfg.learning_rate == 0.001
         assert cfg.cg2_position == "moe_output"
-        assert cfg.use_batch_stats_at_inference is True
         assert cfg.smoother == "butterworth"
         assert (cfg.butter_order, cfg.butter_cutoff) == (2, 0.05)
         assert cfg.dropout_rate == 0.0 and cfg.enable_batchnorm is False
@@ -127,7 +126,6 @@ class TestProfiles:
             "adam_epsilon = 1e-08\n"
             "batch_size = 512\n"
             "bn_epsilon = 1e-05\n"
-            "bn_momentum = 0.9\n"
             "butter_cutoff = 0.05\n"
             "butter_order = 2\n"
             "cell = gru\n"
@@ -148,7 +146,6 @@ class TestProfiles:
             "sequence_length = 7\n"
             "smoother = moving_average\n"
             "train_fraction = 0.7\n"
-            "use_batch_stats_at_inference = true\n"
             "# warning: sequence_length 7 is outside the usual grid (10, 30, 60); accepted\n"
         ).encode("utf-8")
 
@@ -174,8 +171,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="manifest"):
             parse_config(path)
 
+    # enable_dropout, bn_momentum and use_batch_stats_at_inference are
+    # retired keys: a config that still sets one is refused by name
     @pytest.mark.parametrize("line", ["optimizer = sgd", "enable_dropout = true",
-                                      "enable_dropout = false"])
+                                      "enable_dropout = false", "bn_momentum = 0.9",
+                                      "use_batch_stats_at_inference = false"])
     def test_unknown_key_rejected(self, tmp_path, dataset, line):
         path = write_config(tmp_path, dataset, line + "\n")
         message = f"{path}: unknown config keys: ['{line.split()[0]}']"
@@ -184,7 +184,7 @@ class TestValidation:
 
     def test_out_of_range_value_names_range(self, tmp_path, dataset):
         for line, match in (("dropout_rate = 1.5", r"dropout_rate: .*\[0, 1\)"),
-                            ("bn_momentum = 1", r"bn_momentum: .*\(0, 1\)")):
+                            ("bn_epsilon = 0", r"bn_epsilon: .*\(0, inf\)")):
             path = write_config(tmp_path, dataset, line + "\n")
             with pytest.raises(ConfigError, match=match):
                 parse_config(path)

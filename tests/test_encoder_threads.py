@@ -91,7 +91,10 @@ def test_pooled_run_is_bit_identical_to_inline(monkeypatch, threads_seen, cell, 
     np.testing.assert_array_equal(pooled["predict"], inline["predict"])
     for mode in ("eval", "train"):
         (value, grads), (value0, grads0) = pooled[mode], inline[mode]
-        assert value == value0
+        assert (value.loss, value.l2_penalty) == (value0.loss, value0.l2_penalty)
+        # the batch-norm moments that train_run averages into the running statistics
+        np.testing.assert_array_equal(value.batch_moments, value0.batch_moments)
+        assert (value.batch_moments is None) == (mode == "eval")
         assert sorted(grads) == sorted(grads0)
         for name, grad in grads.items():
             np.testing.assert_array_equal(grad, grads0[name], err_msg=f"{mode} {name}")
@@ -142,11 +145,13 @@ def test_one_modality_or_one_cpu_starts_no_thread(monkeypatch, threads_seen, cpu
     config, store, windows, targets = run3_model("lstm", (4, 3), modalities)
     monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(model, "_pool", None)
-    before = threading.active_count()
+    # a thread of an earlier test's dropped pool may still be exiting, so
+    # the check is that no thread appears, not that the count holds
+    before = set(threading.enumerate())
     model.predict_batch(store, config, windows)
     model.training_loss(windows, targets, store, config, "train", generator(1, "masks"))
     assert model._pool is None
-    assert threading.active_count() == before
+    assert set(threading.enumerate()) <= before
     assert threads_seen == {threading.current_thread().name}
 
 

@@ -83,17 +83,16 @@ class TestBatchNorm:
         out = batch_norm(np.full((8, 3), 7.7), leaves, "train")
         np.testing.assert_allclose(out, 0.3, atol=1e-12)
 
-    def test_running_stats_match_hand_ema(self):
+    def test_train_mode_normalizes_by_the_batch_and_writes_no_leaf(self):
         leaves = bn_leaves()
+        running = {name: leaves[name].copy() for name in leaves}
         rng = np.random.default_rng(1)
-        b1 = rng.normal(size=(16, 3))
-        b2 = rng.normal(size=(16, 3))
-        batch_norm(b1, leaves, "train", bn_momentum=0.9)
-        batch_norm(b2, leaves, "train", bn_momentum=0.9)
-        mean = 0.9 * (0.9 * 0.0 + 0.1 * b1.mean(axis=0)) + 0.1 * b2.mean(axis=0)
-        var = 0.9 * (0.9 * 1.0 + 0.1 * b1.var(axis=0)) + 0.1 * b2.var(axis=0)
-        np.testing.assert_allclose(leaves["fusion.bn.running_mean"], mean, atol=1e-12)
-        np.testing.assert_allclose(leaves["fusion.bn.running_var"], var, atol=1e-12)
+        for batch in (rng.normal(size=(16, 3)), rng.normal(2.0, 3.0, size=(5, 3))):
+            np.testing.assert_allclose(batch_norm(batch, leaves, "train"),
+                                       oracles.batch_norm_train(batch, 1.0, 0.0, 1e-5),
+                                       atol=1e-12)
+        for name, value in running.items():
+            np.testing.assert_array_equal(leaves[name], value)
 
     def test_train_output_moments(self):
         # Output variance is gamma^2 * v/(v+eps): the 1e-6 bound needs the
@@ -112,17 +111,28 @@ class TestBatchNorm:
         with pytest.raises(DataError):
             batch_norm(np.ones((1, 3)), bn_leaves(), "train")
 
-    def test_eval_uses_batch_stats_by_default(self):
-        x = np.array([[1.0, 10.0, -3.0], [3.0, 12.0, -1.0]])
-        out = batch_norm(x, bn_leaves(), "eval")
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-12)
+    def test_eval_normalizes_each_row_alone(self):
+        # Elementwise arithmetic only, so a row gets the same bits in any
+        # batch, a batch far from the running statistics included.
+        leaves = bn_leaves()
+        leaves["fusion.bn.running_mean"] = np.array([0.5, -2.0, 1.0])
+        leaves["fusion.bn.running_var"] = np.array([0.25, 4.0, 9.0])
+        leaves["fusion.bn.gamma"] = np.array([2.0, 0.5, -1.0])
+        x = np.random.default_rng(5).normal(3.0, 10.0, size=(9, 3))
+        out = batch_norm(x, leaves, "eval")
+        for i in range(len(x)):
+            np.testing.assert_array_equal(batch_norm(x[i:i + 1], leaves, "eval")[0], out[i])
+            np.testing.assert_array_equal(batch_norm(x[i:i + 4], leaves, "eval")[0], out[i])
+        direct = leaves["fusion.bn.gamma"] * (x - leaves["fusion.bn.running_mean"]) / np.sqrt(
+            leaves["fusion.bn.running_var"] + 1e-5)
+        np.testing.assert_allclose(out, direct, rtol=1e-15, atol=1e-15)
 
     def test_eval_with_running_stats(self):
         leaves = bn_leaves()
         leaves["fusion.bn.running_mean"] = np.array([1.0, 2.0, 3.0])
         leaves["fusion.bn.running_var"] = np.array([4.0, 4.0, 4.0])
         x = np.array([[1.0, 2.0, 3.0]])
-        out = batch_norm(x, leaves, "eval", use_batch_stats_at_inference=False)
+        out = batch_norm(x, leaves, "eval")
         np.testing.assert_allclose(out, 0.0, atol=1e-9)
 
     def test_graph_matches_apply_and_gradchecks(self):
@@ -158,8 +168,7 @@ class TestBatchNorm:
 
 
 class TestFusionConfig:
-    @pytest.mark.parametrize("setting", [{"bn_momentum": 1.0}, {"bn_epsilon": 0.0}],
-                             ids=["bn_momentum", "bn_epsilon"])
+    @pytest.mark.parametrize("setting", [{"bn_epsilon": 0.0}], ids=["bn_epsilon"])
     def test_bad_batch_norm_setting_rejected_when_built(self, setting):
         with pytest.raises(ConfigError, match=next(iter(setting))):
             FusionConfig(**setting)
@@ -498,10 +507,12 @@ def test_param_shapes_are_the_drawn_models(cell, units, bn, cg2):
     assert param_shapes(config) == {name: value.shape for name, value in store.items()}
 
 
+# Fusion settings and forward mode: batch norm normalizes by the batch's
+# statistics in train mode and by the running statistics in eval mode.
 HEADS = {
-    "plain": {},
-    "bn-batch-stats": {"enable_batchnorm": True},
-    "bn-running-stats": {"enable_batchnorm": True, "use_batch_stats_at_inference": False},
+    "plain": ({}, "eval"),
+    "bn-batch-stats": ({"enable_batchnorm": True}, "train"),
+    "bn-running-stats": ({"enable_batchnorm": True}, "eval"),
 }
 
 
@@ -511,10 +522,10 @@ class TestConstantForward:
     @pytest.mark.parametrize("units", [(3,), (4, 3)], ids=["1layer", "2layer"])
     @pytest.mark.parametrize("cell", ["gru", "lstm"])
     def test_store_arrays_give_the_graph_values(self, cell, units, head, cg2):
-        config, store, windows = cell_model(cell, units, seed=31, cg2_position=cg2,
-                                            **HEADS[head])
-        const = forward_graph(dict(store.items()), config, windows)
-        graph = forward_graph(wrap_leaves(store), config, windows)
+        settings, mode = HEADS[head]
+        config, store, windows = cell_model(cell, units, seed=31, cg2_position=cg2, **settings)
+        const = forward_graph(dict(store.items()), config, windows, mode)
+        graph = forward_graph(wrap_leaves(store), config, windows, mode)
         assert type(const) is np.ndarray
         assert isinstance(graph, ad.Var)
         np.testing.assert_array_equal(const, graph.value)
@@ -535,22 +546,22 @@ class TestConstantForward:
         training_loss(windows, np.zeros((5, 2)), store, config, "train", generator(0, "d"))
         assert built
 
-    def test_train_mode_moves_running_stats_by_the_batch_moments(self):
-        config, store, windows = cell_model("gru", (3,), seed=33, enable_batchnorm=True,
-                                            bn_momentum=0.7)
-        mean0 = store.value("fusion.bn.running_mean").copy()
-        var0 = store.value("fusion.bn.running_var").copy()
+    def test_train_mode_reports_the_batch_moments_and_writes_nothing(self):
+        config, store, windows = cell_model("gru", (3,), seed=33, enable_batchnorm=True)
+        before = dict(store.copy().items())
         x = np.array([
             np.concatenate([oracles.encode(windows[name][i], enc, store, f"enc.{name}")
                             for name, enc in config.encoders])
             for i in range(5)
         ])
         predict_batch(store, config, windows)
-        training_loss(windows, np.zeros((5, 2)), store, config, mode="eval")
-        np.testing.assert_array_equal(store.value("fusion.bn.running_mean"), mean0)
-        np.testing.assert_array_equal(store.value("fusion.bn.running_var"), var0)
-        training_loss(windows, np.zeros((5, 2)), store, config, mode="train")
-        np.testing.assert_allclose(store.value("fusion.bn.running_mean"),
-                                   0.7 * mean0 + 0.3 * x.mean(axis=0), atol=1e-12)
-        np.testing.assert_allclose(store.value("fusion.bn.running_var"),
-                                   0.7 * var0 + 0.3 * x.var(axis=0), atol=1e-12)
+        value, _ = training_loss(windows, np.zeros((5, 2)), store, config, mode="eval")
+        assert value.batch_moments is None
+        value, _ = training_loss(windows, np.zeros((5, 2)), store, config, mode="train")
+        for name, array in before.items():
+            np.testing.assert_array_equal(store.value(name), array, err_msg=name)
+        np.testing.assert_allclose(value.batch_moments,
+                                   [x.mean(axis=0), x.var(axis=0, ddof=1)], atol=1e-12)
+        plain, store, _ = cell_model("gru", (3,), seed=33)
+        value, _ = training_loss(windows, np.zeros((5, 2)), store, plain, mode="train")
+        assert value.batch_moments is None

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -455,8 +455,11 @@ class TestStridedWindows:
     states must be those of the same windows copied, bit for bit, whenever
     BLAS rounds the shared projection's rows as it rounds the copy's
     (``oracles.projections_agree``; the GEMMs differ in their row count). A
-    row count that sends one GEMM to another BLAS kernel moves the last
-    bits only, so there the states must agree to 1e-12."""
+    row count that sends one GEMM to another BLAS kernel changes how its
+    sums round, so there each state must lie within the drift bound of
+    ``oracles.encoder_drift``: a row projection's rounding, carried to first
+    order through the steps and layers. The pinned example, a two-layer
+    GRU at H=128, drifts by 1.9e-12."""
 
     @settings(max_examples=80, deadline=None)
     @given(kind=st.sampled_from(["gru", "lstm"]), batch=st.integers(1, 16),
@@ -464,13 +467,15 @@ class TestStridedWindows:
            dim=st.one_of(st.integers(1, 80), st.sampled_from([1582, 2048])),
            hidden=st.one_of(st.integers(1, 12), st.just(128)),
            layers=st.integers(1, 2), seed=st.integers(0, 2**16))
+    @example(kind="gru", batch=2, steps=7, dim=57, hidden=128, layers=2, seed=0)
     def test_view_matches_copied_windows(self, kind, batch, steps, dim, hidden, layers, seed):
         rng = np.random.default_rng(seed)
         view = oracles.sliding_windows(rng.normal(size=(batch + steps - 1, dim)), steps)
         assert view.strides[0] == view.strides[1] and view.shape == (batch, steps, dim)
         cells = [random_cell(hidden, dim if layer == 0 else hidden, kind, rng)
                  for layer in range(layers)]
-        strided, copied = view, np.ascontiguousarray(view)
+        copy = np.ascontiguousarray(view)
+        strided, copied = view, copy
         for cell in cells:
             strided = SEQUENCE_OPS[kind](strided, cell)
             copied = SEQUENCE_OPS[kind](copied, cell)
@@ -478,8 +483,9 @@ class TestStridedWindows:
             event("projection rows agree: states compared bit for bit")
             np.testing.assert_array_equal(strided, copied)
         else:
-            event("BLAS rounds the row counts differently: states compared to 1e-12")
-            np.testing.assert_allclose(strided, copied, rtol=0, atol=1e-12)
+            event("BLAS rounds the row counts differently: states within the drift bound")
+            _, bound = oracles.encoder_drift(copy, cells, kind)
+            assert np.all(np.abs(strided - copied) <= bound)
 
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
     def test_encoder_reads_the_view_without_copying_it(self, kind, monkeypatch):

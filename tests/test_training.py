@@ -60,22 +60,30 @@ def test_loss_returns_a_gradient_per_trained_parameter(tmp_path, dataset, profil
 
 
 class TestRegularizedTraining:
-    def test_run3_updates_running_stats_and_modes_differ(self, tmp_path, dataset):
-        cfg = make_config(tmp_path, dataset, "enable_batchnorm = true\ndropout_rate = 0.3\n")
-        result = train_run(cfg)
-        rm = result.store.value("fusion.bn.running_mean")
-        rv = result.store.value("fusion.bn.running_var")
-        assert not np.allclose(rm, 0.0)
-        assert not np.allclose(rv, 1.0)
+    def test_running_stats_are_the_last_epochs_batch_average(self, tmp_path, dataset,
+                                                             monkeypatch):
+        """Each epoch sets the running statistics to the mean of its steps'
+        batch moments, weighted by their window counts (120 windows in
+        batches of 16 leave a last batch of 8)."""
+        cfg = make_config(tmp_path, dataset, "enable_batchnorm = true\ndropout_rate = 0.3\n"
+                          "batch_size = 16\n")
+        steps = []
 
-        features, _ = load_dataset(cfg.manifest)
-        with_batch = predict_tracks(result.store, result.model_config, features)
-        pop_cfg = make_config(tmp_path, dataset,
-                              "enable_batchnorm = true\ndropout_rate = 0.3\n"
-                              "use_batch_stats_at_inference = false\n")
-        with_running = predict_tracks(result.store, pop_cfg.model_config(), features)
-        deltas = [np.abs(with_batch[m] - with_running[m]).max() for m in with_batch]
-        assert max(deltas) > 0.0
+        def recorded(batch, targets, *args):
+            value, grads = training_loss(batch, targets, *args)
+            steps.append((len(targets), value.batch_moments))
+            return value, grads
+
+        monkeypatch.setattr(training, "training_loss", recorded)
+        result = train_run(cfg)
+        assert len(steps) == 3 * 8 and [m for m, _ in steps[-8:]] == [16] * 7 + [8]
+        last = steps[-8:]
+        expected = sum(m * moments for m, moments in last) / sum(m for m, _ in last)
+        np.testing.assert_allclose(result.store.value("fusion.bn.running_mean"), expected[0],
+                                   rtol=1e-14, atol=0)
+        np.testing.assert_allclose(result.store.value("fusion.bn.running_var"), expected[1],
+                                   rtol=1e-14, atol=0)
+        assert not np.allclose(expected, steps[0][1])
 
     def test_checkpoint_roundtrips_running_stats(self, tmp_path, dataset):
         cfg = make_config(tmp_path, dataset, "profile = run3\n")
@@ -142,6 +150,23 @@ class TestEarlyStopping:
                                    atol=1e-12)
 
 
+    def test_restores_the_best_epochs_batch_norm_statistics(self, tmp_path, dataset):
+        """The snapshot of the best epoch holds the statistics its
+        validation pass read."""
+        cfg = make_config(tmp_path, dataset, "profile = run3\nearly_stop_patience = 2\n"
+                          "batch_size = 16\n", epochs=12, learning_rate=0.2)
+        result = train_run(cfg)
+        scores = [log.val_valence_mse + log.val_arousal_mse for log in result.logs]
+        assert np.argmin(scores) < len(scores) - 1  # a later epoch's statistics were set
+        features, annos = load_dataset(cfg.manifest)
+        preds = predict_tracks(result.store, result.model_config,
+                               {m: features[m] for m in result.validation_movies})
+        from affectseq.evalmetrics import evaluate_run
+        report = evaluate_run(preds, {m: annos[m] for m in result.validation_movies})
+        np.testing.assert_allclose(report.valence_mse + report.arousal_mse, min(scores),
+                                   atol=1e-12)
+
+
 class TestLogs:
     def test_log_csv_shape(self, tmp_path, dataset):
         cfg = make_config(tmp_path, dataset)
@@ -203,8 +228,7 @@ class TestStridedPrediction:
     the movie's padded rows. Its predictions must be those of the same
     batches copied, bit for bit wherever BLAS rounds the shared projection
     as it rounds the copy's (see ``tests/test_seqmodel.py``). Both sides use
-    one batch size: how predictions depend on the batch size under batch
-    norm is a separate question."""
+    one batch size; ``TestBatchSizeIndependence`` compares batch sizes."""
 
     @settings(max_examples=25, deadline=None)
     @given(profile=st.sampled_from(["run1", "run3"]), kind=st.sampled_from(["gru", "lstm"]),
@@ -260,3 +284,42 @@ class TestStridedPrediction:
             for name, _ in model_config.encoders:
                 assert batch[name].shape[1:] == (10, windows.rows[name].shape[1])
                 assert np.shares_memory(batch[name], windows.rows[name])
+
+
+class TestBatchSizeIndependence:
+    """Eval mode treats each window alone, so ``batch_size`` only bounds
+    memory. Two batch sizes give the same predictions up to how BLAS rounds
+    a product at another row count: a one-row batch's head GEMMs round
+    otherwise than a 256-row batch's even at F=6, so bits can differ even
+    where ``oracles.projections_agree`` holds. Each prediction must lie
+    within the drift bound of ``oracles.prediction_drift``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(profile=st.sampled_from(["run1", "run3"]), kind=st.sampled_from(["gru", "lstm"]),
+           units=st.sampled_from(["4", "5,3"]), steps=st.integers(1, 8),
+           sizes=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+           lengths=st.lists(st.integers(1, 90), min_size=1, max_size=3),
+           seed=st.integers(0, 2**16))
+    def test_predictions_do_not_depend_on_batch_size(self, tmp_path_factory, dataset, profile,
+                                                     kind, units, steps, sizes, lengths, seed):
+        path = tmp_path_factory.mktemp("batch-size") / "run.cfg"
+        path.write_text(f"manifest = {dataset / 'manifest.txt'}\nprofile = {profile}\n"
+                        f"cell = {kind}\nhidden_units = {units}\n"
+                        f"sequence_length = {steps}\n")
+        model_config = parse_config(path).model_config()
+        store = init_model_params(model_config, seed)
+        rng = np.random.default_rng(seed)
+        if model_config.fusion.enable_batchnorm:
+            width = model_config.state_width
+            store.value("fusion.bn.running_mean")[:] = rng.normal(0.0, 0.3, size=width)
+            store.value("fusion.bn.running_var")[:] = rng.uniform(0.01, 0.5, size=width)
+        features = {f"m{i:03d}": {name: rng.normal(size=(length, enc.input_dim))
+                                  for name, enc in model_config.encoders}
+                    for i, length in enumerate(lengths)}
+        first, second = (predict_tracks(store, model_config, features, size) for size in sizes)
+        drift = oracles.prediction_drift(store, model_config, features)
+        for movie, (expected, bound) in drift.items():
+            event(f"bit for bit: {np.array_equal(first[movie], second[movie])}")
+            assert first[movie].shape == expected.shape == (lengths[int(movie[1:])], 2)
+            assert np.all(np.abs(first[movie] - second[movie]) <= bound)
+            assert np.all(np.abs(first[movie] - expected) <= bound)
