@@ -10,9 +10,10 @@ range. Every head parameter, batch-norm running statistics included,
 lives in the parameter store under ``fusion.``; the head's input width
 is the width of ``fusion.cg1.W``.
 
-Train-mode batch norm normalizes a batch by its own statistics; eval
-mode normalizes each row alone by the running statistics, which only
-training sets (see :mod:`affectseq.training`).
+A training pass (one given the step's generator) normalizes a batch by
+its own statistics and draws dropout masks; an inference pass normalizes
+each row alone by the running statistics, which only training sets (see
+:mod:`affectseq.training`), and skips dropout.
 
 The batched training-time loss lives in :mod:`affectseq.model`, which
 wires these pieces to the encoders.
@@ -95,19 +96,19 @@ def map_to_range(p: np.ndarray, output_range: tuple[float, float]) -> np.ndarray
     return lo + (hi - lo) * np.asarray(p, dtype=np.float64)
 
 
-def batch_norm_graph(x, leaves: Mapping[str, ad.Var], config: FusionConfig, mode: str):
+def batch_norm_graph(x, leaves: Mapping[str, ad.Var], config: FusionConfig,
+                     rng: np.random.Generator | None):
     """Differentiable batch norm over a [B, F] batch with the ``fusion.bn.``
     scale and shift.
 
-    Train mode normalizes by the batch mean and biased variance; eval mode
-    normalizes each row by the running statistics. Neither writes a leaf.
+    A training pass (``rng`` given) normalizes by the batch mean and biased
+    variance; an inference pass normalizes each row by the running
+    statistics. Neither writes a leaf.
     """
     eps = config.bn_epsilon
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"unknown mode: {mode!r}")
-    if mode == "train":
+    if rng is not None:
         if ad.value(x).shape[0] < 2:
-            raise DataError("batch normalization needs B >= 2 in train mode")
+            raise DataError("batch normalization needs B >= 2 in a training pass")
         centered = ad.sub(x, ad.mean_axis0(x))
         xhat = ad.mul(centered, ad.rsqrt_shift(ad.mean_axis0(ad.mul(centered, centered)), eps))
     else:
@@ -136,17 +137,16 @@ def moe_graph(v, leaves: Mapping[str, ad.Var]) -> ad.Var:
 
 
 def fusion_head_graph(x, leaves: Mapping[str, ad.Var], config: FusionConfig,
-                      mode: str = "eval",
-                      mask_rng: np.random.Generator | None = None) -> ad.Var:
+                      rng: np.random.Generator | None = None) -> ad.Var:
     """Batched head over a [B, F] input; returns gated probabilities [B, 2]."""
     values = ad.value(x)
     width = ad.value(leaves["fusion.cg1.W"]).shape[1]
     if values.ndim != 2 or values.shape[1] != width:
         raise DimensionError(f"fusion input {values.shape} does not match F={width}")
     if config.enable_batchnorm:
-        x = batch_norm_graph(x, leaves, config, mode)
-    if config.dropout_rate > 0.0 and mode == "train":
-        x = ad.mul(x, dropout_mask(mask_rng, values.shape, config.dropout_rate))
+        x = batch_norm_graph(x, leaves, config, rng)
+    if rng is not None and config.dropout_rate > 0.0:
+        x = ad.mul(x, dropout_mask(rng, values.shape, config.dropout_rate))
     v = context_gate_graph(x, leaves["fusion.cg1.W"], leaves["fusion.cg1.b"])
     cg2_w = leaves["fusion.cg2.W"]
     cg2_b = leaves["fusion.cg2.b"]

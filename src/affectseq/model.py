@@ -18,17 +18,16 @@ calling thread, the others on a shared thread pool of
 ``min(modalities, usable CPUs) - 1`` workers (inline, with no thread,
 for one modality or one usable CPU). numpy's matrix products and most
 of its elementwise work release the interpreter lock, so the encoders
-overlap on separate cores. Eval-mode forward passes (``predict_batch``,
-``training_loss(mode="eval")``) encode that way, and ``training_loss``
-backpropagates each encoder that way from the gradient its state gets
-from the head. Each encoder computes exactly what it computes alone, so
-every output is bit-identical at any thread count.
-
-The train-mode forward pass stays sequential. Its dropout masks come
-from one generator in modality order, and one encoder's input
-projection blocks are all a training step holds besides the kept state;
-two encoders running at once would hold two, past the peak-memory bounds
-that the tests (``TestTrainingMemory``) set for a training step.
+overlap on separate cores. Every forward pass encodes that way, and
+``training_loss`` backpropagates each encoder that way from the gradient
+its state gets from the head. Each of the n encoders gets 1/n of the
+projection block budget (``seqmodel._BLOCK_BYTES``), so a step's peak
+memory does not grow with n. In a training pass (one given the step's
+generator) the calling thread spawns one child generator per modality
+before any encoder starts; each encoder draws its dropout masks from its
+child, and the head from the step's generator. Each encoder computes
+exactly what it computes alone, so every output is bit-identical at any
+thread count.
 """
 
 from __future__ import annotations
@@ -161,43 +160,39 @@ def _check_windows(config: ModelConfig, windows: dict[str, np.ndarray]) -> int:
 
 
 def encode_states(leaves: dict[str, ad.Var], config: ModelConfig,
-                  windows: dict[str, np.ndarray], mode: str = "eval",
-                  mask_rng: np.random.Generator | None = None) -> list:
-    """Each modality's final encoder state [B, H], in modality order.
-
-    Eval mode runs the encoders at once through :func:`per_modality`;
-    train mode runs them one after another, drawing dropout masks from
-    ``mask_rng`` in modality order (see the module docstring).
-    """
-    _check_windows(config, windows)
-    jobs = [functools.partial(encode_batch_graph, windows[name], enc, leaves, f"enc.{name}",
-                              mode, mask_rng)
-            for name, enc in config.encoders]
-    return [job() for job in jobs] if mode == "train" else per_modality(jobs)
+                  windows: dict[str, np.ndarray],
+                  rng: np.random.Generator | None = None) -> list:
+    """Each modality's final encoder state [B, H], in modality order, over
+    windows that :func:`_check_windows` has passed (see the module
+    docstring)."""
+    count = len(config.encoders)
+    rngs = [None] * count if rng is None else rng.spawn(count)
+    return per_modality([functools.partial(encode_batch_graph, windows[name], enc, leaves,
+                                           f"enc.{name}", child, count)
+                         for (name, enc), child in zip(config.encoders, rngs)])
 
 
 def head_graph(states: list, leaves: dict[str, ad.Var], config: ModelConfig,
-               mode: str = "eval", mask_rng: np.random.Generator | None = None):
+               rng: np.random.Generator | None = None):
     """Gated probabilities p_prime [B, 2] from the encoder states."""
-    return fusion_head_graph(ad.concat_cols(states), leaves, config.fusion, mode, mask_rng)
+    return fusion_head_graph(ad.concat_cols(states), leaves, config.fusion, rng)
 
 
 def forward_graph(leaves: dict[str, ad.Var], config: ModelConfig,
-                  windows: dict[str, np.ndarray], mode: str = "eval",
-                  mask_rng: np.random.Generator | None = None):
+                  windows: dict[str, np.ndarray], rng: np.random.Generator | None = None):
     """Gated probabilities p_prime [B, 2] over the given parameter leaves.
 
     Leaf Vars (``wrap_leaves``) give a graph to backpropagate; the store's
     plain arrays give the same values as an ndarray and build no graph.
     """
-    states = encode_states(leaves, config, windows, mode, mask_rng)
-    return head_graph(states, leaves, config, mode, mask_rng)
+    _check_windows(config, windows)
+    return head_graph(encode_states(leaves, config, windows, rng), leaves, config, rng)
 
 
 def predict_batch(store: ParamStore, config: ModelConfig,
                   windows: dict[str, np.ndarray]) -> np.ndarray:
     """Eval-mode predictions in annotation units, shape [B, 2]."""
-    p_prime = forward_graph(dict(store.items()), config, windows, mode="eval")
+    p_prime = forward_graph(dict(store.items()), config, windows)
     return map_to_range(p_prime, config.fusion.output_range)
 
 
@@ -216,13 +211,14 @@ def weight_penalty_graph(leaves: dict[str, ad.Var]) -> ad.Var:
 
 
 def training_loss(windows: dict[str, np.ndarray], targets: np.ndarray,
-                  store: ParamStore, config: ModelConfig, mode: str = "train",
-                  mask_rng: np.random.Generator | None = None
+                  store: ParamStore, config: ModelConfig, rng: np.random.Generator | None
                   ) -> tuple[LossValue, dict[str, np.ndarray]]:
     """Batch loss and its gradients, ``{name: d total / d parameter}`` for
     every parameter the loss reaches (all but the batch-norm running
-    statistics, which have no gradient). Under train-mode batch norm the
-    loss record also carries the batch's moments of the fusion input.
+    statistics, which have no gradient), over a training pass drawing from
+    the step's generator ``rng``, or over an inference pass if it is None.
+    Under training-pass batch norm the loss record also carries the
+    batch's moments of the fusion input.
 
     ``targets`` is [B, 2] in annotation units and must lie inside the
     configured output range. Probabilities are floored at 1e-12 inside the
@@ -239,14 +235,14 @@ def training_loss(windows: dict[str, np.ndarray], targets: np.ndarray,
     t01 = (targets - lo) / (hi - lo)
 
     leaves = wrap_leaves(store)
-    states = encode_states(leaves, config, windows, mode, mask_rng)
+    states = encode_states(leaves, config, windows, rng)
     # The head runs over leaves holding the states, so its backward stops
     # there, and each encoder's backward then runs from its leaf's gradient.
     # An encoder parameter gets at most two gradient terms, the L2
     # penalty's and its op's, and a sum of two floats does not depend on
     # their order: the bits are those of one backward over the whole graph.
     cut = [ad.Var(state.value) for state in states]
-    p_prime = head_graph(cut, leaves, config, mode, mask_rng)
+    p_prime = head_graph(cut, leaves, config, rng)
     like = ad.add(
         ad.mul(t01, ad.safe_log(p_prime)),
         ad.mul(1.0 - t01, ad.safe_log(ad.scale_shift(p_prime, -1.0, 1.0))),
@@ -260,7 +256,7 @@ def training_loss(windows: dict[str, np.ndarray], targets: np.ndarray,
         l2_penalty=float(penalty.value),
         lambda_l2=config.fusion.l2_lambda,
     )
-    if mode == "train" and config.fusion.enable_batchnorm:
+    if rng is not None and config.fusion.enable_batchnorm:
         x = np.concatenate([leaf.value for leaf in cut], axis=1)
         result.batch_moments = np.stack([x.mean(axis=0), x.var(axis=0, ddof=1)])
         del x  # free before backward allocates, as training.train_run's loop explains

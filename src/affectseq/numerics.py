@@ -55,12 +55,9 @@ def add_params(store: ParamStore, layout: Layout, rng: np.random.Generator) -> N
                   else np.full(shape, float(fill)))
 
 
-def dropout_mask(rng: np.random.Generator | None, shape: tuple[int, ...],
-                 rate: float) -> np.ndarray:
+def dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:
     """An inverted-dropout mask of ``shape``: 0 where a uniform draw falls
     below ``rate``, else 1 / (1 - rate), built in the draw's own buffer."""
-    if rng is None:
-        raise ConfigError("train-mode dropout needs a generator")
     mask = rng.random(shape)
     np.greater_equal(mask, rate, out=mask)
     mask /= 1.0 - rate

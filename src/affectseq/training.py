@@ -1,11 +1,12 @@
 """The training loop plus batched per-movie prediction.
 
 Training is fully deterministic given the config and seed: epoch
-shuffles, dropout masks (drawn only when the model's ``dropout_rate`` is
-above 0), and initialization all derive from purpose-split child seeds.
+shuffles, each step's dropout generator, and initialization all derive
+from purpose-split child seeds. Each modality's encoder draws its masks
+from its own child of the step's generator (see :mod:`affectseq.model`).
 The loop itself runs on one thread; within a step, and in the per-epoch
-validation pass, the modality encoders may run on several (see
-:mod:`affectseq.model`), which moves no bit of any output. A NaN or Inf
+validation pass, the modality encoders may run on several, which moves
+no bit of any output. A NaN or Inf
 loss aborts the run with NumericError rather than continuing silently.
 Each epoch ends by setting the batch-norm running statistics to the
 window-weighted means of its steps' batch means and unbiased variances
@@ -124,8 +125,6 @@ def train_run(cfg: RunConfig) -> TrainResult:
     windows = window_sequences({m: features[m] for m in train_ids}, annotations,
                                model_config.sequence_length)
 
-    needs_masks = model_config.fusion.dropout_rate > 0.0 or any(
-        enc.dropout_rate > 0.0 for _, enc in model_config.encoders)
     logs: list[EpochLog] = []
     best_score = np.inf
     best_params: ParamStore | None = None
@@ -136,8 +135,8 @@ def train_run(cfg: RunConfig) -> TrainResult:
         moments = np.zeros((2, model_config.state_width))
         for b, idx in enumerate(batch_indices(len(windows), cfg.batch_size, order)):
             batch, targets = windows.gather(idx)
-            mask_rng = generator(cfg.seed, f"dropout-e{epoch}-b{b}") if needs_masks else None
-            value, grads = training_loss(batch, targets, store, model_config, "train", mask_rng)
+            rng = generator(cfg.seed, f"dropout-e{epoch}-b{b}")
+            value, grads = training_loss(batch, targets, store, model_config, rng)
             adam_step(store, adam, grads)
             del grads  # free before the next step's graph (kept: +3 % peak RSS at paper sizes)
             loss_sum += value.total * len(idx)

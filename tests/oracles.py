@@ -209,14 +209,15 @@ def block_projections(x, cell, kind, block):
     return np.concatenate(out)
 
 
-def projections_agree(view, cell, kind):
+def projections_agree(view, cell, kind, shares=1):
     """Whether the input projection gives the strided ``view`` (one
-    [B+T-1, D] table) and its contiguous copy (blocks of B*c rows) the same
-    bits. BLAS may pick another kernel for another row count, which rounds
-    differently: OpenBLAS's small-matrix kernel and gemv do."""
+    [B+T-1, D] table) and its contiguous copy (blocks of B*c rows, c set by
+    one of ``shares`` encoders' budget) the same bits. BLAS may pick
+    another kernel for another row count, which rounds differently:
+    OpenBLAS's small-matrix kernel and gemv do."""
     gates = seqmodel.GRU_GATES if kind == "gru" else seqmodel._LSTM_STACK
     steps = zip(seqmodel._input_steps(view, cell, gates),
-                seqmodel._input_steps(np.ascontiguousarray(view), cell, gates))
+                seqmodel._input_steps(np.ascontiguousarray(view), cell, gates, shares))
     return all(np.array_equal(a, b) for a, b in steps)
 
 

@@ -57,7 +57,7 @@ def test_01_gradient_fidelity():
         targets = generator(103, "targets").uniform(-0.7, 0.7, size=(3, 2))
 
         def loss(s):
-            value, grads = training_loss(windows, targets, s, config)
+            value, grads = training_loss(windows, targets, s, config, generator(0, "masks"))
             return value.total, grads
 
         started = time.perf_counter()
@@ -324,7 +324,7 @@ def test_10_batchnorm_inference_modes(tmp_path):
         for epoch in range(cfg.epochs):
             order = generator(cfg.seed, f"shuffle-epoch-{epoch}").permutation(len(windows))
             mean_sum, var_sum = 0.0, 0.0
-            for idx in batch_indices(len(windows), cfg.batch_size, order):
+            for b, idx in enumerate(batch_indices(len(windows), cfg.batch_size, order)):
                 batch, targets = windows.gather(idx)
                 x = np.array([np.concatenate([oracles.encode(batch[name][i], enc, store,
                                                              f"enc.{name}")
@@ -333,7 +333,8 @@ def test_10_batchnorm_inference_modes(tmp_path):
                 mean_sum = mean_sum + len(idx) * x.mean(axis=0)
                 var_sum = var_sum + len(idx) * np.sum((x - x.mean(axis=0)) ** 2, axis=0) / (
                     len(idx) - 1)
-                _, grads = training_loss(batch, targets, store, config, "train")
+                _, grads = training_loss(batch, targets, store, config,
+                                         generator(cfg.seed, f"dropout-e{epoch}-b{b}"))
                 adam_step(store, adam, grads)
         np.testing.assert_allclose(result.store.value("fusion.bn.running_mean"),
                                    mean_sum / len(windows), rtol=1e-12, atol=1e-14)

@@ -7,6 +7,7 @@ each modality but the first its own pool worker, more threads than this
 host may have cores.
 """
 
+import inspect
 import sys
 import threading
 import time
@@ -43,16 +44,19 @@ def run3_model(cell, units, modalities, seed=0, batch=6, steps=5):
 
 @pytest.fixture
 def threads_seen(monkeypatch):
-    """Names of the threads that ran an encoder forward or backward pass."""
+    """``(pass, thread name)`` of each encoder pass run: "train" for a
+    forward pass given a generator, "eval" for one without, "backward"
+    for a backward pass."""
     seen = set()
     encode, backward = model.encode_batch_graph, ad.backward
 
     def encode_recorded(*args, **kwargs):
-        seen.add(threading.current_thread().name)
+        rng = inspect.signature(encode).bind(*args, **kwargs).arguments.get("rng")
+        seen.add(("eval" if rng is None else "train", threading.current_thread().name))
         return encode(*args, **kwargs)
 
     def backward_recorded(*args, **kwargs):
-        seen.add(threading.current_thread().name)
+        seen.add(("backward", threading.current_thread().name))
         return backward(*args, **kwargs)
 
     monkeypatch.setattr(model, "encode_batch_graph", encode_recorded)
@@ -65,10 +69,9 @@ def outputs(monkeypatch, cpus, config, store, windows, targets):
     monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
     store = store.copy()
     results = {"predict": model.predict_batch(store, config, windows)}
-    for mode in ("eval", "train"):
-        value, grads = model.training_loss(windows, targets, store, config, mode,
-                                           generator(1, f"masks-{mode}"))
-        results[mode] = (value, grads)
+    results["eval"] = model.training_loss(windows, targets, store, config, None)
+    results["train"] = model.training_loss(windows, targets, store, config,
+                                           generator(1, "masks-train"))
     results["store"] = dict(store.copy().items())
     return results
 
@@ -79,15 +82,18 @@ def outputs(monkeypatch, cpus, config, store, windows, targets):
 def test_pooled_run_is_bit_identical_to_inline(monkeypatch, threads_seen, cell, units,
                                                modalities):
     config, store, windows, targets = run3_model(cell, units, modalities)
+    caller = threading.current_thread().name
     inline = outputs(monkeypatch, 1, config, store, windows, targets)
-    assert threads_seen == {threading.current_thread().name}
+    assert {thread for _, thread in threads_seen} == {caller}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:
         pooled = outputs(monkeypatch, 8, config, store, windows, targets)
     finally:
         sys.setswitchinterval(interval)
-    assert threads_seen - {threading.current_thread().name}  # some encoders ran on the pool
+    # some encoders ran on the pool: forward in either pass, and backward
+    for kind in ("eval", "train", "backward"):
+        assert {thread for seen, thread in threads_seen if seen == kind} - {caller}, kind
     np.testing.assert_array_equal(pooled["predict"], inline["predict"])
     for mode in ("eval", "train"):
         (value, grads), (value0, grads0) = pooled[mode], inline[mode]
@@ -111,7 +117,7 @@ def test_failure_in_a_later_modality_is_raised_as_inline(monkeypatch, cpus):
     with pytest.raises(DimensionError, match=message):
         model.predict_batch(store, config, windows)
     with pytest.raises(DimensionError, match=message):
-        model.training_loss(windows, targets, store, config, "eval")
+        model.training_loss(windows, targets, store, config, None)
 
 
 def test_first_failure_in_job_order_is_raised_after_every_job(monkeypatch):
@@ -149,10 +155,11 @@ def test_one_modality_or_one_cpu_starts_no_thread(monkeypatch, threads_seen, cpu
     # the check is that no thread appears, not that the count holds
     before = set(threading.enumerate())
     model.predict_batch(store, config, windows)
-    model.training_loss(windows, targets, store, config, "train", generator(1, "masks"))
+    model.training_loss(windows, targets, store, config, generator(1, "masks"))
     assert model._pool is None
     assert set(threading.enumerate()) <= before
-    assert threads_seen == {threading.current_thread().name}
+    assert {kind for kind, _ in threads_seen} == {"eval", "train", "backward"}
+    assert {thread for _, thread in threads_seen} == {threading.current_thread().name}
 
 
 def test_train_writes_the_same_bytes_at_one_and_two_cpus(monkeypatch, tmp_path):

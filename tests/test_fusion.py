@@ -64,9 +64,14 @@ def bn_leaves(f=3):
             "fusion.bn.running_mean": np.zeros(f), "fusion.bn.running_var": np.ones(f)}
 
 
-def batch_norm(x, leaves, mode, **kw):
+# A training pass's generator. No model run with it here has dropout, so
+# nothing draws from it and the tests cannot depend on their order.
+TRAIN = generator(0, "masks")
+
+
+def batch_norm(x, leaves, rng, **kw):
     config = FusionConfig(enable_batchnorm=True, **kw)
-    return ad.value(batch_norm_graph(x, leaves, config, mode))
+    return ad.value(batch_norm_graph(x, leaves, config, rng))
 
 
 class TestBatchNorm:
@@ -74,13 +79,13 @@ class TestBatchNorm:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(64, 3))
         x = (x - x.mean(axis=0)) / x.std(axis=0)
-        out = batch_norm(x, bn_leaves(), "train", bn_epsilon=1e-5)
+        out = batch_norm(x, bn_leaves(), TRAIN, bn_epsilon=1e-5)
         assert np.max(np.abs(out - x)) < 1e-4
 
     def test_constant_column_collapses_to_beta(self):
         leaves = bn_leaves()
         leaves["fusion.bn.beta"] = np.full(3, 0.3)
-        out = batch_norm(np.full((8, 3), 7.7), leaves, "train")
+        out = batch_norm(np.full((8, 3), 7.7), leaves, TRAIN)
         np.testing.assert_allclose(out, 0.3, atol=1e-12)
 
     def test_train_mode_normalizes_by_the_batch_and_writes_no_leaf(self):
@@ -88,7 +93,7 @@ class TestBatchNorm:
         running = {name: leaves[name].copy() for name in leaves}
         rng = np.random.default_rng(1)
         for batch in (rng.normal(size=(16, 3)), rng.normal(2.0, 3.0, size=(5, 3))):
-            np.testing.assert_allclose(batch_norm(batch, leaves, "train"),
+            np.testing.assert_allclose(batch_norm(batch, leaves, TRAIN),
                                        oracles.batch_norm_train(batch, 1.0, 0.0, 1e-5),
                                        atol=1e-12)
         for name, value in running.items():
@@ -102,14 +107,14 @@ class TestBatchNorm:
         leaves["fusion.bn.gamma"] = np.array([2.0, 0.5, 1.0])
         leaves["fusion.bn.beta"] = np.array([1.0, -1.0, 0.0])
         for batch in (16, 64, 256):
-            out = batch_norm(rng.normal(2.0, 10.0, size=(batch, 3)), leaves, "train")
+            out = batch_norm(rng.normal(2.0, 10.0, size=(batch, 3)), leaves, TRAIN)
             np.testing.assert_allclose(out.mean(axis=0), leaves["fusion.bn.beta"], atol=1e-9)
             np.testing.assert_allclose(out.var(axis=0), leaves["fusion.bn.gamma"] ** 2,
                                        atol=1e-6)
 
     def test_degenerate_train_batch_rejected(self):
         with pytest.raises(DataError):
-            batch_norm(np.ones((1, 3)), bn_leaves(), "train")
+            batch_norm(np.ones((1, 3)), bn_leaves(), TRAIN)
 
     def test_eval_normalizes_each_row_alone(self):
         # Elementwise arithmetic only, so a row gets the same bits in any
@@ -119,10 +124,10 @@ class TestBatchNorm:
         leaves["fusion.bn.running_var"] = np.array([0.25, 4.0, 9.0])
         leaves["fusion.bn.gamma"] = np.array([2.0, 0.5, -1.0])
         x = np.random.default_rng(5).normal(3.0, 10.0, size=(9, 3))
-        out = batch_norm(x, leaves, "eval")
+        out = batch_norm(x, leaves, None)
         for i in range(len(x)):
-            np.testing.assert_array_equal(batch_norm(x[i:i + 1], leaves, "eval")[0], out[i])
-            np.testing.assert_array_equal(batch_norm(x[i:i + 4], leaves, "eval")[0], out[i])
+            np.testing.assert_array_equal(batch_norm(x[i:i + 1], leaves, None)[0], out[i])
+            np.testing.assert_array_equal(batch_norm(x[i:i + 4], leaves, None)[0], out[i])
         direct = leaves["fusion.bn.gamma"] * (x - leaves["fusion.bn.running_mean"]) / np.sqrt(
             leaves["fusion.bn.running_var"] + 1e-5)
         np.testing.assert_allclose(out, direct, rtol=1e-15, atol=1e-15)
@@ -132,7 +137,7 @@ class TestBatchNorm:
         leaves["fusion.bn.running_mean"] = np.array([1.0, 2.0, 3.0])
         leaves["fusion.bn.running_var"] = np.array([4.0, 4.0, 4.0])
         x = np.array([[1.0, 2.0, 3.0]])
-        out = batch_norm(x, leaves, "eval")
+        out = batch_norm(x, leaves, None)
         np.testing.assert_allclose(out, 0.0, atol=1e-9)
 
     def test_graph_matches_apply_and_gradchecks(self):
@@ -151,14 +156,14 @@ class TestBatchNorm:
             return leaves
 
         for batch in (2, 8):
-            out = batch_norm_graph(x[:batch], fresh_leaves(store), config, "train")
+            out = batch_norm_graph(x[:batch], fresh_leaves(store), config, TRAIN)
             direct = oracles.batch_norm_train(x[:batch], store.value("fusion.bn.gamma"),
                                               store.value("fusion.bn.beta"), 1e-5)
             np.testing.assert_allclose(out.value, direct, atol=1e-12)
 
         def loss(s):
             leaves = fresh_leaves(s)
-            y = batch_norm_graph(x, leaves, config, "train")
+            y = batch_norm_graph(x, leaves, config, TRAIN)
             total = ad.sum_all(ad.mul(y, probe))
             ad.backward(total)
             return float(total.value), {f"fusion.bn.{key}": leaves[f"fusion.bn.{key}"].grad
@@ -366,7 +371,7 @@ class TestTrainingLoss:
         losses, probes = [], []
         for bias in np.linspace(-4.0, 2.0, 121):
             store.value("fusion.cg2.b")[...] = bias
-            value, _ = training_loss(windows, targets, store, config)
+            value, _ = training_loss(windows, targets, store, config, TRAIN)
             probes.append(float(oracles.sigmoid(bias) * 0.5))
             losses.append(value.total)
         best = int(np.argmin(losses))
@@ -379,7 +384,7 @@ class TestTrainingLoss:
         config, store = tiny_model(l2_lambda=0.0)
         windows = self._windows(config, 4)
         targets = np.full((4, 2), 0.25)
-        value, _ = training_loss(windows, targets, store, config)
+        value, _ = training_loss(windows, targets, store, config, TRAIN)
         assert value.lambda_l2 == 0.0
         assert value.total == value.loss
 
@@ -387,7 +392,7 @@ class TestTrainingLoss:
         config, store = tiny_model(seed=3)
         windows = self._windows(config, 5, seed=4)
         targets = generator(5, "t").uniform(-0.8, 0.8, size=(5, 2))
-        value, _ = training_loss(windows, targets, store, config)
+        value, _ = training_loss(windows, targets, store, config, TRAIN)
 
         # Per-sample oracle through the plain-numpy single-sample path.
         total = 0.0
@@ -413,13 +418,13 @@ class TestTrainingLoss:
         config, store = tiny_model()
         windows = self._windows(config, 2)
         with pytest.raises(DataError):
-            training_loss(windows, np.array([[0.0, 1.5], [0.0, 0.0]]), store, config)
+            training_loss(windows, np.array([[0.0, 1.5], [0.0, 0.0]]), store, config, TRAIN)
 
     def test_targets_at_range_bounds_stay_finite(self):
         config, store = tiny_model(seed=22)
         windows = self._windows(config, 2, seed=23)
         targets = np.array([[-1.0, 1.0], [1.0, -1.0]])
-        value, grads = training_loss(windows, targets, store, config)
+        value, grads = training_loss(windows, targets, store, config, TRAIN)
         assert np.isfinite(value.total)
         for g in grads.values():
             assert np.all(np.isfinite(g))
@@ -430,7 +435,7 @@ class TestTrainingLoss:
         targets = generator(8, "t").uniform(-0.7, 0.7, size=(3, 2))
 
         def loss(s):
-            value, grads = training_loss(windows, targets, s, config)
+            value, grads = training_loss(windows, targets, s, config, TRAIN)
             return value.total, grads
 
         assert grad_check(loss, store, eps=1e-5) < 1e-4
@@ -441,7 +446,7 @@ class TestTrainingLoss:
         targets = generator(18, "t").uniform(-0.7, 0.7, size=(2, 2))
 
         def loss(s):
-            value, grads = training_loss(windows, targets, s, config)
+            value, grads = training_loss(windows, targets, s, config, TRAIN)
             return value.total, grads
 
         assert grad_check(loss, store, eps=1e-5) < 1e-4
@@ -459,7 +464,7 @@ class TestTrainingLoss:
         targets = generator(21, "t").uniform(-0.7, 0.7, size=(3, 2))
 
         def loss(s):
-            value, grads = training_loss(windows, targets, s, config)
+            value, grads = training_loss(windows, targets, s, config, TRAIN)
             return value.total, grads
 
         assert grad_check(loss, store, eps=1e-5) < 1e-4
@@ -477,7 +482,7 @@ class TestTrainingLoss:
         with pytest.raises(DimensionError, match="T=4"):
             predict_batch(store, config, windows)
         with pytest.raises(DimensionError, match="T=4"):
-            training_loss(windows, np.zeros((2, 2)), store, config)
+            training_loss(windows, np.zeros((2, 2)), store, config, TRAIN)
 
 
 def cell_model(cell, units, seed=0, t=4, d=3, **fusion_kw):
@@ -507,12 +512,12 @@ def test_param_shapes_are_the_drawn_models(cell, units, bn, cg2):
     assert param_shapes(config) == {name: value.shape for name, value in store.items()}
 
 
-# Fusion settings and forward mode: batch norm normalizes by the batch's
-# statistics in train mode and by the running statistics in eval mode.
+# Fusion settings and pass: batch norm normalizes by the batch's statistics
+# in a training pass and by the running statistics in an inference pass.
 HEADS = {
-    "plain": ({}, "eval"),
-    "bn-batch-stats": ({"enable_batchnorm": True}, "train"),
-    "bn-running-stats": ({"enable_batchnorm": True}, "eval"),
+    "plain": ({}, None),
+    "bn-batch-stats": ({"enable_batchnorm": True}, TRAIN),
+    "bn-running-stats": ({"enable_batchnorm": True}, None),
 }
 
 
@@ -522,10 +527,10 @@ class TestConstantForward:
     @pytest.mark.parametrize("units", [(3,), (4, 3)], ids=["1layer", "2layer"])
     @pytest.mark.parametrize("cell", ["gru", "lstm"])
     def test_store_arrays_give_the_graph_values(self, cell, units, head, cg2):
-        settings, mode = HEADS[head]
+        settings, rng = HEADS[head]
         config, store, windows = cell_model(cell, units, seed=31, cg2_position=cg2, **settings)
-        const = forward_graph(dict(store.items()), config, windows, mode)
-        graph = forward_graph(wrap_leaves(store), config, windows, mode)
+        const = forward_graph(dict(store.items()), config, windows, rng)
+        graph = forward_graph(wrap_leaves(store), config, windows, rng)
         assert type(const) is np.ndarray
         assert isinstance(graph, ad.Var)
         np.testing.assert_array_equal(const, graph.value)
@@ -543,7 +548,7 @@ class TestConstantForward:
         monkeypatch.setattr(ad.Var, "__init__", counted)
         preds = predict_batch(store, config, windows)
         assert preds.shape == (5, 2) and not built
-        training_loss(windows, np.zeros((5, 2)), store, config, "train", generator(0, "d"))
+        training_loss(windows, np.zeros((5, 2)), store, config, generator(0, "d"))
         assert built
 
     def test_train_mode_reports_the_batch_moments_and_writes_nothing(self):
@@ -555,13 +560,13 @@ class TestConstantForward:
             for i in range(5)
         ])
         predict_batch(store, config, windows)
-        value, _ = training_loss(windows, np.zeros((5, 2)), store, config, mode="eval")
+        value, _ = training_loss(windows, np.zeros((5, 2)), store, config, None)
         assert value.batch_moments is None
-        value, _ = training_loss(windows, np.zeros((5, 2)), store, config, mode="train")
+        value, _ = training_loss(windows, np.zeros((5, 2)), store, config, TRAIN)
         for name, array in before.items():
             np.testing.assert_array_equal(store.value(name), array, err_msg=name)
         np.testing.assert_allclose(value.batch_moments,
                                    [x.mean(axis=0), x.var(axis=0, ddof=1)], atol=1e-12)
         plain, store, _ = cell_model("gru", (3,), seed=33)
-        value, _ = training_loss(windows, np.zeros((5, 2)), store, plain, mode="train")
+        value, _ = training_loss(windows, np.zeros((5, 2)), store, plain, TRAIN)
         assert value.batch_moments is None

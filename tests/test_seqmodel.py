@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import grad_check
 from affectseq import autodiff as ad
-from affectseq import seqmodel
+from affectseq import model, seqmodel
 from affectseq.errors import ConfigError, DimensionError, DomainError
 from affectseq.fusion import FusionConfig
 from affectseq.model import ModelConfig, init_model_params, training_loss
@@ -222,8 +222,7 @@ class TestLastOnly:
         probe = generator(15, "probe").normal(size=(6, hidden[-1]))
 
         leaves = leaves_of(store)
-        final = encode_batch_graph(seqs, config, leaves, "enc.m", mode="train",
-                                   mask_rng=generator(16, "d"))
+        final = encode_batch_graph(seqs, config, leaves, "enc.m", rng=generator(16, "d"))
         ad.backward(ad.sum_all(ad.mul(final, probe)))
 
         full_leaves = leaves_of(store)
@@ -257,7 +256,7 @@ class TestDropout:
         config = self._config(0.5)
         store = make_encoder(config, seed=1)
         seqs = generator(2, "seqs").normal(size=(4, 5, 3))
-        dropped = encode_batch_graph(seqs, config, leaves_of(store), "enc.m", mode="eval").value
+        dropped = encode_batch_graph(seqs, config, leaves_of(store), "enc.m", rng=None).value
         plain = encode_batch_graph(seqs, self._config(0.0), leaves_of(store), "enc.m").value
         np.testing.assert_array_equal(dropped, plain)
 
@@ -265,8 +264,8 @@ class TestDropout:
         config = self._config(0.0)
         store = make_encoder(config, seed=1)
         seqs = generator(2, "seqs").normal(size=(4, 5, 3))
-        train = encode_batch_graph(seqs, config, leaves_of(store), "enc.m", mode="train",
-                                   mask_rng=generator(0, "d")).value
+        train = encode_batch_graph(seqs, config, leaves_of(store), "enc.m",
+                                   rng=generator(0, "d")).value
         plain = encode_batch_graph(seqs, config, leaves_of(store), "enc.m").value
         np.testing.assert_array_equal(train, plain)
 
@@ -291,8 +290,7 @@ class TestDropout:
         trials, batch = 4000, 500
         for _ in range(trials // batch):
             leaves = leaves_of(store)
-            h = encode_batch_graph(np.ones((batch, 1, 1000)), config, leaves, "enc.m",
-                                   mode="train", mask_rng=rng)
+            h = encode_batch_graph(np.ones((batch, 1, 1000)), config, leaves, "enc.m", rng=rng)
             ad.backward(ad.sum_all(h))
             total += 2.0 * leaves["enc.m.l0.W_h"].grad[0]
         mean = total / trials
@@ -321,8 +319,8 @@ class TestEncodeSequence:
         config = self._config(dropout_rate=0.5)
         store = make_encoder(config, seed=3)
         seqs = generator(1, "seq").normal(size=(2, 5, 3))
-        a = encode_batch_graph(seqs, config, leaves_of(store), "enc.m", mode="eval").value
-        b = encode_batch_graph(seqs, config, leaves_of(store), "enc.m", mode="eval").value
+        a = encode_batch_graph(seqs, config, leaves_of(store), "enc.m", rng=None).value
+        b = encode_batch_graph(seqs, config, leaves_of(store), "enc.m", rng=None).value
         np.testing.assert_array_equal(a, b)
 
     def test_train_deterministic_given_seed(self):
@@ -331,8 +329,8 @@ class TestEncodeSequence:
         seqs = generator(1, "seq").normal(size=(2, 5, 3))
 
         def run():
-            return encode_batch_graph(seqs, config, leaves_of(store), "enc.m", mode="train",
-                                      mask_rng=generator(7, "encoder-dropout")).value
+            return encode_batch_graph(seqs, config, leaves_of(store), "enc.m",
+                                      rng=generator(7, "encoder-dropout")).value
 
         np.testing.assert_array_equal(run(), run())
 
@@ -385,7 +383,7 @@ class TestEncodeSequence:
 
         def run(seed):
             return encode_batch_graph(seqs, config, leaves_of(store), "enc.m",
-                                      mode="train", mask_rng=generator(seed, "d")).value
+                                      rng=generator(seed, "d")).value
 
         np.testing.assert_array_equal(run(1), run(1))
         assert not np.array_equal(run(1), run(2))
@@ -398,8 +396,8 @@ class TestEncodeSequence:
         config = self._config(cell_kind=kind, hidden_units=(4, 3), dropout_rate=0.5)
         store = make_encoder(config, seed=10)
         seqs = generator(11, "seqs").normal(size=(5, 6, 3))
-        out = encode_batch_graph(seqs, config, leaves_of(store), "enc.m", mode="train",
-                                 mask_rng=generator(12, "d")).value
+        out = encode_batch_graph(seqs, config, leaves_of(store), "enc.m",
+                                 rng=generator(12, "d")).value
         # The masks in the order a per-step unroll draws them: layer by
         # layer, one [B, D] draw per step.
         rng = generator(12, "d")
@@ -418,19 +416,19 @@ class TestEncoderGradients:
         (2, 5, (3, 3), 0.4),
     ], ids=["two-layer", "b1", "t1", "one-layer", "train-dropout"])
     def test_gradcheck(self, kind, batch, steps, hidden, rate):
-        # Train-mode dropout draws its masks from a fresh generator with a
-        # fixed seed on every call, so the loss is deterministic.
+        # Training-pass dropout draws its masks from a fresh generator with
+        # a fixed seed on every call, so the loss is deterministic; without
+        # dropout the pass is an inference pass.
         config = EncoderConfig(input_dim=4, hidden_units=hidden, cell_kind=kind,
                                dropout_rate=rate)
         store = make_encoder(config, seed=7)
         seqs = generator(5, "seqs").normal(size=(batch, steps, 4))
         probe = generator(6, "probe").normal(size=(batch, hidden[-1]))
-        mode = "train" if rate > 0.0 else "eval"
 
         def loss(s):
             leaves = {n: ad.Var(s.value(n)) for n in s.names()}
-            h = encode_batch_graph(seqs, config, leaves, "enc.m", mode=mode,
-                                   mask_rng=generator(8, "dropout"))
+            h = encode_batch_graph(seqs, config, leaves, "enc.m",
+                                   rng=generator(8, "dropout") if rate > 0.0 else None)
             out = ad.sum_all(ad.mul(h, probe))
             ad.backward(out)
             return float(out.value), {n: leaf.grad for n, leaf in leaves.items()
@@ -553,44 +551,78 @@ class TestProjectionBlocks:
             np.testing.assert_array_equal(grad, whole[1][name], err_msg=name)
 
 
+    def test_encoders_at_once_share_the_budget(self, monkeypatch):
+        """Each of a model's n encoders projects a copied batch in blocks
+        within ``_BLOCK_BYTES // n``: 6 steps a block alone, 3 for each of
+        two, 2 for each of three."""
+        batch, steps, dim = 4, 12, 6
+        rows = []
+        project = seqmodel._project
+
+        def recorded(table, ws, b):
+            rows.append(table.shape[0])
+            return project(table, ws, b)
+
+        monkeypatch.setattr(seqmodel, "_project", recorded)
+        monkeypatch.setattr(seqmodel, "_BLOCK_BYTES", 8 * batch * dim * 6)
+        for count in (1, 2, 3):
+            encoders = tuple((name, EncoderConfig(input_dim=dim, hidden_units=(2,)))
+                             for name in ("a", "b", "c")[:count])
+            config = ModelConfig(encoders, FusionConfig(), sequence_length=steps)
+            windows = {name: np.ones((batch, steps, dim)) for name, _ in encoders}
+            rows.clear()
+            training_loss(windows, np.zeros((batch, 2)), init_model_params(config, 0), config,
+                          generator(0, "masks"))
+            assert rows == [batch * (6 // count)] * (count * steps // (6 // count))
+
+
 class TestTrainingMemory:
     """One training step holds the state its fused ops keep and little
-    more. With two D-wide modalities, one layer of H units, dropout and
+    more. With D-wide modalities, one layer of H units, dropout and
     batch norm (run3), that state is float64 [B, T, D + 5H] per modality
     for the GRU (the masked input, the state before each step, r * h and
     three gate activations) and [B, T, D + 6H] for the LSTM (the cell
     states in place of r * h, and four gates). The bound adds four
     ``_BLOCK_BYTES`` for transients: a block of input rows, its
-    projection, one step's temporaries and the graph's own arrays.
-    Keeping state time-major, or a separate array of pre-activation
-    gradients, or a zero [B, T, H] gradient for the top layer's output,
+    projection, one step's temporaries and the graph's own arrays; the
+    encoders run at once and share the block budget, so it does not grow
+    with the modality count. Keeping state time-major, or a separate
+    array of pre-activation gradients, or a zero [B, T, H] gradient for
+    the top layer's output, or giving each encoder a whole budget,
     breaks it."""
 
     @staticmethod
-    def peak(kind, hidden, batch, steps, dim):
-        """tracemalloc peak of one run3-like ``training_loss``."""
+    def peak(kind, hidden, batch, steps, dim, modalities=2):
+        """tracemalloc peak of one run3-like ``training_loss`` over
+        ``modalities`` encoders, all running at once whatever the host's
+        CPU count."""
         encoders = tuple((name, EncoderConfig(input_dim=dim, hidden_units=hidden,
                                               cell_kind=kind, dropout_rate=0.5))
-                         for name in ("audio", "image"))
+                         for name in ("audio", "image", "face")[:modalities])
         config = ModelConfig(encoders, FusionConfig(enable_batchnorm=True, dropout_rate=0.5),
                              sequence_length=steps)
         store = init_model_params(config, 3)
         rng = generator(5, "windows")
         windows = {name: rng.normal(size=(batch, steps, dim)) for name, _ in encoders}
         targets = rng.uniform(-0.9, 0.9, size=(batch, 2))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            training_loss(windows, targets, store, config, mask_rng=generator(9, "mask"))
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_usable_cpus", lambda: modalities)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                training_loss(windows, targets, store, config, generator(9, "mask"))
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
 
-    @pytest.mark.parametrize("kind, per_row", [("gru", 5), ("lstm", 6)])
-    def test_training_loss_peak(self, kind, per_row):
+    @pytest.mark.parametrize("kind, per_row, modalities", [("gru", 5, 2), ("lstm", 6, 2),
+                                                           ("gru", 5, 3)],
+                             ids=["gru-5", "lstm-6", "gru-5-three-modalities"])
+    def test_training_loss_peak(self, kind, per_row, modalities):
         batch, steps, dim, hidden = 64, 30, 8, 64
-        state = 2 * 8 * batch * steps * (dim + per_row * hidden)
-        assert self.peak(kind, (hidden,), batch, steps, dim) < state + 4 * seqmodel._BLOCK_BYTES
+        state = modalities * 8 * batch * steps * (dim + per_row * hidden)
+        peak = self.peak(kind, (hidden,), batch, steps, dim, modalities)
+        assert peak < state + 4 * seqmodel._BLOCK_BYTES
 
     def test_two_layer_backward_peak(self):
         """Two LSTM layers keep [B, T, D + 15H] per modality: the masked

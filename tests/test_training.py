@@ -50,8 +50,7 @@ def test_loss_returns_a_gradient_per_trained_parameter(tmp_path, dataset, profil
     features, annotations = load_dataset(cfg.manifest)
     batch, targets = window_sequences(features, annotations,
                                       model_config.sequence_length).gather(np.arange(8))
-    _, grads = training_loss(batch, targets, store, model_config, "train",
-                             generator(cfg.seed, "dropout"))
+    _, grads = training_loss(batch, targets, store, model_config, generator(cfg.seed, "dropout"))
     running = {"fusion.bn.running_mean", "fusion.bn.running_var"}
     assert (running <= set(store.names())) == (profile == "run3")
     assert sorted(grads) == [name for name in store.names() if name not in running]
@@ -218,7 +217,8 @@ def first_layer_projections_agree(store, model_config, features, batch_size):
             cell = {key[len(f"enc.{name}.l0."):]: value for key, value in store.items()
                     if key.startswith(f"enc.{name}.l0.")}
             for idx in batch_indices(len(view), batch_size):
-                if not oracles.projections_agree(view[idx[0]:idx[-1] + 1], cell, enc.cell_kind):
+                if not oracles.projections_agree(view[idx[0]:idx[-1] + 1], cell, enc.cell_kind,
+                                                 len(model_config.encoders)):
                     return False
     return True
 
