@@ -14,28 +14,27 @@ valence then arousal) so reruns are bit-identical.
 
 The modalities meet only at the head, so their encoders are independent
 until then, and :func:`per_modality` runs them at once: the first on the
-calling thread, the others on a shared thread pool of
-``min(modalities, usable CPUs) - 1`` workers (inline, with no thread,
-for one modality or one usable CPU). numpy's matrix products and most
-of its elementwise work release the interpreter lock, so the encoders
-overlap on separate cores. Every forward pass encodes that way, and
-``training_loss`` backpropagates each encoder that way from the gradient
-its state gets from the head. Each of the n encoders gets 1/n of the
-projection block budget (``seqmodel._BLOCK_BYTES``), so a step's peak
-memory does not grow with n. In a training pass (one given the step's
-generator) the calling thread spawns one child generator per modality
-before any encoder starts; each encoder draws its dropout masks from its
-child, and the head from the step's generator. Each encoder computes
-exactly what it computes alone, so every output is bit-identical at any
-thread count.
+calling thread, the others on ``min(modalities, usable CPUs) - 1``
+threads that the call starts and joins before it returns (inline, with
+no thread, for one modality or one usable CPU). numpy's matrix products
+and most of its elementwise work release the interpreter lock, so the
+encoders overlap on separate cores. Every forward pass encodes that way,
+and ``training_loss`` backpropagates each encoder that way from the
+gradient its state gets from the head. In a training pass (one given the
+step's generator) the calling thread spawns one child generator per
+modality before any encoder starts; each encoder draws its dropout masks
+from its child, and the head from the step's generator. No encoder
+writes what another reads, and modality k's child is the same whatever
+the modality count, so each encoder computes exactly what it computes
+alone: every output is bit-identical at any thread count, and an
+encoder's state does not depend on how many modalities run beside it.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -91,22 +90,6 @@ def wrap_leaves(store: ParamStore) -> dict[str, ad.Var]:
     return {name: ad.Var(store.value(name)) for name in store.names()}
 
 
-# The encoder thread pool: (workers, executor), made on first use and
-# replaced by a larger one when a call needs more workers; the threads of
-# the one replaced exit once the last caller using it lets it go.
-_pool: tuple[int, ThreadPoolExecutor] | None = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    global _pool
-    _pool = None  # a forked child inherits the executor but not its threads
-
-
-if hasattr(os, "register_at_fork"):  # POSIX only
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -114,31 +97,22 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _executor(workers: int) -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] < workers:
-            _pool = (workers, ThreadPoolExecutor(workers, "affectseq-encoder"))
-        return _pool[1]
-
-
 def per_modality(jobs: Sequence[Callable[[], object]]) -> list:
     """Each job's result, in order: the first job runs on the calling
-    thread and the others on the encoder pool, at once.
+    thread and the others, at once, on threads that the call starts.
 
-    It returns once every job has finished; if any failed, it raises the
-    first failure in job order, as running them one by one would. With
-    one job or one usable CPU the jobs run inline and no thread starts.
+    It returns once every job has finished and its threads have exited;
+    if any job failed, it raises the first failure in job order, as
+    running them one by one would. With one job or one usable CPU the
+    jobs run inline and no thread starts.
     """
     workers = min(len(jobs), _usable_cpus()) - 1
     if workers < 1:
         return [job() for job in jobs]
-    pool = _executor(workers)
-    futures = [pool.submit(job) for job in jobs[1:]]
-    try:
+    # leaving the block waits for every job, also when the first one raises
+    with ThreadPoolExecutor(workers, "affectseq-encoder") as pool:
+        futures = [pool.submit(job) for job in jobs[1:]]
         first = jobs[0]()
-    finally:
-        wait(futures)
     return [first] + [future.result() for future in futures]
 
 
@@ -168,7 +142,7 @@ def encode_states(leaves: dict[str, ad.Var], config: ModelConfig,
     count = len(config.encoders)
     rngs = [None] * count if rng is None else rng.spawn(count)
     return per_modality([functools.partial(encode_batch_graph, windows[name], enc, leaves,
-                                           f"enc.{name}", child, count)
+                                           f"enc.{name}", child)
                          for (name, enc), child in zip(config.encoders, rngs)])
 
 

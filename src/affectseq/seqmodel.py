@@ -23,16 +23,16 @@ not an encoder one: an encoder unrolls whatever T its batch has.
 Each layer is one fused op, ``gru_sequence`` or ``lstm_sequence``, and
 one autodiff node for the whole window, after Appleyard et al.
 (arXiv:1604.01946). The per-gate U and b are stacked per call, so each
-step does a single h @ U.T for all gates; the input projections x_t @ W.T
-are hoisted out of the recurrence into GEMMs over blocks of steps, each
-block's input and projection within a byte budget that the encoders
-running at once share. In prediction the windows of a movie overlap,
-each one second after the last, and arrive as a strided view of the
-movie's rows; the first layer then projects each distinct row once,
-B+T-1 rows for B windows instead of B*T, and every step reads its B rows
-of that one table. An encoder's top layer runs with ``last_only``: it
-outputs only the final state [B, H] and takes a [B, H] gradient, while
-the layer below outputs every step's state.
+step does a single h @ U.T for all gates. A copied [B, T, D] input is
+projected inside the recurrence, one [B, D] GEMM per gate on step t's
+rows, so an op never holds more than one step's projection. In
+prediction the windows of a movie overlap, each one second after the
+last, and arrive as a strided view of the movie's rows; the first layer
+then projects each distinct row once, B+T-1 rows for B windows instead
+of B*T, and every step reads its B rows of that one table. An encoder's
+top layer runs with ``last_only``: it outputs only the final state
+[B, H] and takes a [B, H] gradient, while the layer below outputs every
+step's state.
 
 The backward pass is hand-written backpropagation through time. In
 training an op keeps its state window-major, [B, T, .] arrays whose flat
@@ -126,14 +126,6 @@ def init_encoder_params(store: ParamStore, prefix: str, config: EncoderConfig,
 # row order of the [B, T, D] input, so each weight gradient is one GEMM
 # over [B*T, .] views of it.
 
-# Bytes of input rows, or of their projection, computed per block of
-# steps of a copied batch; a strided view's row table is projected whole
-# (see _input_steps). The encoders that run at once share it: each of n
-# gets _BLOCK_BYTES // n. A block's row count sets how BLAS rounds its
-# GEMMs, so at D > 32 a copied batch's last bits can depend on how many
-# modalities share the budget.
-_BLOCK_BYTES = 1 << 20
-
 
 def _stack(cell: Mapping, kind: str, gates: tuple[str, ...]) -> np.ndarray:
     """The ``kind`` ("W", "U" or "b") parameters of ``gates``, stacked in that order."""
@@ -150,7 +142,7 @@ def _project(rows: np.ndarray, ws: list[np.ndarray], b: np.ndarray) -> np.ndarra
     return proj
 
 
-def _input_steps(x, cell: Mapping, gates: tuple[str, ...], shares: int = 1):
+def _input_steps(x, cell: Mapping, gates: tuple[str, ...]):
     """x_t @ W.T + b of every step t of a [B, T, D] input, as [B, G*H]
     arrays in time order.
 
@@ -158,12 +150,9 @@ def _input_steps(x, cell: Mapping, gates: tuple[str, ...], shares: int = 1):
     windows of one movie that prediction reads as a strided view), window
     i at step t is row i + t of one [B+T-1, D] table, so that table is
     projected once and step t reads rows t .. t+B-1. Any other input is
-    projected a block of steps at a time, one [B*c, D] GEMM per gate, with
-    the c steps' input and their [B*c, G*H] projection each fitting in
-    ``_BLOCK_BYTES // shares``, the share of one of ``shares`` encoders
-    running at once. So a training batch never holds the whole
-    projection, nor, at the wide feature widths (D ~ 2000), a stacked copy
-    of W.
+    projected as the recurrence reaches each step, one [B, D] GEMM per
+    gate on that step's rows, so no batch holds its whole projection nor,
+    at the wide feature widths (D ~ 2000), a stacked copy of W.
     """
     vx = ad.value(x)
     ws = [ad.value(cell[f"W_{gate}"]) for gate in gates]
@@ -177,14 +166,7 @@ def _input_steps(x, cell: Mapping, gates: tuple[str, ...], shares: int = 1):
             vx, (batch + steps - 1, dim), (vx.strides[0], vx.strides[2]), writeable=False)
         proj = _project(table, ws, b)
         return (proj[t:t + batch] for t in range(steps))
-    block = max(1, _BLOCK_BYTES // shares // (8 * batch * max(dim, b.size)))
-
-    def blocks():
-        for t0 in range(0, steps, block):
-            proj = _project(vx[:, t0:t0 + block].reshape(-1, dim), ws, b)
-            yield from proj.reshape(batch, -1, b.size).transpose(1, 0, 2)
-
-    return blocks()
+    return (_project(vx[:, t], ws, b) for t in range(steps))
 
 
 def _sequence_node(out: np.ndarray, x, cell: Mapping, gates: tuple[str, ...], bptt):
@@ -229,12 +211,12 @@ def _tracks_grad(x, cell: Mapping) -> bool:
     return any(isinstance(v, ad.Var) for v in (x, *cell.values()))
 
 
-def gru_sequence(x, cell: Mapping, last_only: bool = False, shares: int = 1):
+def gru_sequence(x, cell: Mapping, last_only: bool = False):
     """GRU states [B, T, H] over a [B, T, D] input from a zero initial
     state, or with ``last_only`` the final state [B, H] alone, as one
     node; ``cell`` maps ``W_z`` ... ``b_h`` to the layer's parameters."""
     u = _stack(cell, "U", GRU_GATES)
-    inputs = _input_steps(x, cell, GRU_GATES, shares)
+    inputs = _input_steps(x, cell, GRU_GATES)
     batch, steps = ad.value(x).shape[:2]
     width = u.shape[1]
     u_zr, u_h = u[:2 * width], u[2 * width:]
@@ -285,12 +267,12 @@ def gru_sequence(x, cell: Mapping, last_only: bool = False, shares: int = 1):
 _LSTM_STACK = ("i", "f", "o", "g")
 
 
-def lstm_sequence(x, cell: Mapping, last_only: bool = False, shares: int = 1):
+def lstm_sequence(x, cell: Mapping, last_only: bool = False):
     """LSTM states h [B, T, H] over a [B, T, D] input from zero initial
     states, or with ``last_only`` the final h [B, H] alone, as one node;
     ``cell`` maps ``W_i`` ... ``b_o`` to the layer's parameters."""
     u = _stack(cell, "U", _LSTM_STACK)
-    inputs = _input_steps(x, cell, _LSTM_STACK, shares)
+    inputs = _input_steps(x, cell, _LSTM_STACK)
     batch, steps = ad.value(x).shape[:2]
     width = u.shape[1]
     keep = _tracks_grad(x, cell)
@@ -340,10 +322,10 @@ def lstm_sequence(x, cell: Mapping, last_only: bool = False, shares: int = 1):
 
 def encode_batch_graph(seqs: np.ndarray, config: EncoderConfig,
                        leaves: Mapping[str, ad.Var], prefix: str,
-                       rng: np.random.Generator | None = None, shares: int = 1):
+                       rng: np.random.Generator | None = None):
     """Differentiable encoder over a [B, T, D] batch; returns the final h [B, H].
     Dropout draws each layer's input mask from ``rng``, and is the identity
-    without one; ``shares`` goes to :func:`_input_steps`."""
+    without one."""
     seqs = np.asarray(seqs, dtype=np.float64)
     dim = seqs.shape[2]
     if dim != config.input_dim:
@@ -362,5 +344,5 @@ def encode_batch_graph(seqs: np.ndarray, config: EncoderConfig,
                                                  config.dropout_rate).transpose(1, 0, 2))
         cell = {f"{kind}_{gate}": leaves[f"{prefix}.l{layer}.{kind}_{gate}"]
                 for gate in gates for kind in ("W", "U", "b")}
-        states = sequence(states, cell, layer == config.num_layers - 1, shares)
+        states = sequence(states, cell, layer == config.num_layers - 1)
     return states

@@ -92,13 +92,6 @@ def predict_tracks(store: ParamStore, model_config: ModelConfig,
     return {movie: one_movie(movie) for movie in sorted(features)}
 
 
-def _validation_metrics(store, model_config, features, annotations, movies, batch_size):
-    preds = predict_tracks(store, model_config,
-                           {m: features[m] for m in movies}, batch_size)
-    report = evaluate_run(preds, {m: annotations[m] for m in movies}, "macro_per_movie")
-    return report
-
-
 @dataclass
 class TrainResult:
     store: ParamStore
@@ -157,8 +150,10 @@ def train_run(cfg: RunConfig) -> TrainResult:
             train_l2=l2_last,
         )
         if val_ids:
-            report = _validation_metrics(store, model_config, features, annotations,
-                                         val_ids, cfg.batch_size)
+            report = evaluate_run(
+                predict_tracks(store, model_config, {m: features[m] for m in val_ids},
+                               cfg.batch_size),
+                {m: annotations[m] for m in val_ids}, "macro_per_movie")
             log.val_valence_mse = report.valence_mse
             log.val_valence_pcc = report.valence_pcc
             log.val_arousal_mse = report.arousal_mse

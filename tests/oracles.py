@@ -11,10 +11,10 @@ difference equation over numpy scalars, for the smoothing tests.
 checkpoint format, which ``ParamStore.load`` refuses. ``grad_check``
 compares a loss closure's analytic gradients with central finite
 differences. ``sliding_windows`` builds the strided window view that
-prediction hands the encoders, and ``projections_agree`` says whether
-BLAS rounds that view's shared input projection as it rounds a copy's.
-``block_projections`` projects a copied batch a given number of steps
-at a time, to tell whether BLAS rounds two block sizes alike.
+prediction hands the encoders, ``copied_windows`` the batch that
+training gathers from the same rows, and ``projections_agree`` says
+whether BLAS rounds that view's shared input projection as it rounds a
+copy's.
 ``encoder_drift`` and ``head_drift`` bound how far two evaluations of
 the model can drift apart when BLAS rounds their products differently.
 """
@@ -193,31 +193,24 @@ def sliding_windows(rows, steps):
     return sliding_window_view(rows, steps, axis=0).transpose(0, 2, 1)
 
 
-def block_projections(x, cell, kind, block):
-    """x_t @ W.T + b of every step of a contiguous [B, T, D] input, as
-    [T, B, G*H], computed ``block`` steps at a time the way the fused ops
-    project a copied batch: one GEMM per gate over the block's B*c rows,
-    then the bias."""
-    gates = seqmodel.GRU_GATES if kind == "gru" else seqmodel._LSTM_STACK
-    batch, steps, dim = x.shape
-    out = []
-    for t0 in range(0, steps, block):
-        rows = x[:, t0:t0 + block].reshape(-1, dim)
-        proj = np.concatenate([rows @ cell[f"W_{gate}"].T for gate in gates], axis=1)
-        proj += np.concatenate([cell[f"b_{gate}"] for gate in gates])
-        out.append(proj.reshape(batch, -1, proj.shape[1]).transpose(1, 0, 2))
-    return np.concatenate(out)
+def copied_windows(view):
+    """A copy of a window view laid out as a gathered batch, [B, T, D] with
+    row-major strides. ``np.ascontiguousarray`` returns a one-window view
+    itself, whose equal window and step strides the encoders read as a
+    strided view."""
+    copy = np.empty(view.shape)
+    copy[...] = view
+    return copy
 
 
-def projections_agree(view, cell, kind, shares=1):
+def projections_agree(view, cell, kind):
     """Whether the input projection gives the strided ``view`` (one
-    [B+T-1, D] table) and its contiguous copy (blocks of B*c rows, c set by
-    one of ``shares`` encoders' budget) the same bits. BLAS may pick
-    another kernel for another row count, which rounds differently:
-    OpenBLAS's small-matrix kernel and gemv do."""
+    [B+T-1, D] table) and its contiguous copy (B rows a step) the same
+    bits. BLAS may pick another kernel for another row count, which
+    rounds differently: OpenBLAS's small-matrix kernel and gemv do."""
     gates = seqmodel.GRU_GATES if kind == "gru" else seqmodel._LSTM_STACK
     steps = zip(seqmodel._input_steps(view, cell, gates),
-                seqmodel._input_steps(np.ascontiguousarray(view), cell, gates, shares))
+                seqmodel._input_steps(copied_windows(view), cell, gates))
     return all(np.array_equal(a, b) for a, b in steps)
 
 

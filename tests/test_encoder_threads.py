@@ -1,10 +1,10 @@
 """Running the modality encoders on several threads changes no bit.
 
 ``model.per_modality`` runs the first encoder on the calling thread and
-the others on a pool sized by the usable CPUs, which these tests set by
-patching ``model._usable_cpus``: 1 forces every encoder inline, 8 gives
-each modality but the first its own pool worker, more threads than this
-host may have cores.
+the others on threads the call starts, as many as the usable CPUs allow,
+which these tests set by patching ``model._usable_cpus``: 1 forces every
+encoder inline, 8 gives each modality but the first its own thread, more
+threads than the host may have cores.
 """
 
 import inspect
@@ -150,16 +150,27 @@ def test_first_failure_in_job_order_is_raised_after_every_job(monkeypatch):
 def test_one_modality_or_one_cpu_starts_no_thread(monkeypatch, threads_seen, cpus, modalities):
     config, store, windows, targets = run3_model("lstm", (4, 3), modalities)
     monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(model, "_pool", None)
-    # a thread of an earlier test's dropped pool may still be exiting, so
-    # the check is that no thread appears, not that the count holds
+    # a thread another test started may still be exiting, so the check is
+    # that no thread appears, not that the count holds
     before = set(threading.enumerate())
     model.predict_batch(store, config, windows)
     model.training_loss(windows, targets, store, config, generator(1, "masks"))
-    assert model._pool is None
     assert set(threading.enumerate()) <= before
     assert {kind for kind, _ in threads_seen} == {"eval", "train", "backward"}
     assert {thread for _, thread in threads_seen} == {threading.current_thread().name}
+
+
+def test_encoder_threads_end_with_the_call(monkeypatch, threads_seen):
+    """Each pooled call joins the threads it started: none outlives it."""
+    config, store, windows, targets = run3_model("gru", (4,), 3)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 8)
+    model.predict_batch(store, config, windows)
+    model.training_loss(windows, targets, store, config, generator(1, "masks"))
+    caller = threading.current_thread().name
+    for kind in ("eval", "train", "backward"):
+        assert {thread for seen, thread in threads_seen if seen == kind} - {caller}, kind
+    assert not [thread.name for thread in threading.enumerate()
+                if thread.name.startswith("affectseq-encoder")]
 
 
 def test_train_writes_the_same_bytes_at_one_and_two_cpus(monkeypatch, tmp_path):

@@ -11,7 +11,7 @@ from affectseq import autodiff as ad
 from affectseq import model, seqmodel
 from affectseq.errors import ConfigError, DimensionError, DomainError
 from affectseq.fusion import FusionConfig
-from affectseq.model import ModelConfig, init_model_params, training_loss
+from affectseq.model import ModelConfig, init_model_params, predict_batch, training_loss
 from affectseq.numerics import ParamStore
 from affectseq.rng import generator
 from affectseq.seqmodel import (
@@ -472,7 +472,7 @@ class TestStridedWindows:
         assert view.strides[0] == view.strides[1] and view.shape == (batch, steps, dim)
         cells = [random_cell(hidden, dim if layer == 0 else hidden, kind, rng)
                  for layer in range(layers)]
-        copy = np.ascontiguousarray(view)
+        copy = oracles.copied_windows(view)
         strided, copied = view, copy
         for cell in cells:
             strided = SEQUENCE_OPS[kind](strided, cell)
@@ -503,24 +503,24 @@ class TestStridedWindows:
         assert projected[0].shape == (12, 5) and np.shares_memory(projected[0], rows)
 
 
-class TestProjectionBlocks:
-    """A copied batch's input projection runs a block of steps at a time,
-    sized by ``_BLOCK_BYTES``. Outputs and gradients must not change, bit
-    for bit, between one step per block and all T steps in one block,
-    wherever BLAS rounds the two row counts alike
-    (``oracles.block_projections``)."""
+class TestPerStepProjection:
+    """A copied batch's input projection runs inside the recurrence, one
+    [B, D] GEMM per gate on each step's rows. No budget cuts the steps into
+    blocks, so an encoder's bits depend neither on T nor on how many
+    encoders run beside it."""
 
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
     @pytest.mark.parametrize("last_only", [False, True], ids=["sequence", "last-only"])
     @pytest.mark.parametrize("batch, steps, dim, hidden", [(16, 12, 8, 32), (40, 6, 24, 4),
                                                            (9, 8, 3, 5)])
-    def test_block_size_changes_no_bit(self, monkeypatch, kind, last_only, batch, steps, dim,
-                                       hidden):
+    def test_copied_batch_projects_each_step_once(self, monkeypatch, kind, last_only, batch,
+                                                  steps, dim, hidden):
+        """A graph op over a copied batch projects B rows a step, and its
+        first k states are those of the batch's first k steps alone, bit
+        for bit."""
         rng = np.random.default_rng(17)
         x = rng.normal(size=(batch, steps, dim))
         cell = {name: 0.5 * value for name, value in random_cell(hidden, dim, kind, rng).items()}
-        probe = rng.normal(size=(batch, hidden) if last_only else (batch, steps, hidden))
-        width = max(dim, (3 if kind == "gru" else 4) * hidden)
         rows = []
         project = seqmodel._project
 
@@ -529,51 +529,76 @@ class TestProjectionBlocks:
             return project(table, ws, b)
 
         monkeypatch.setattr(seqmodel, "_project", recorded)
+        out = SEQUENCE_OPS[kind](ad.Var(x), {name: ad.Var(value) for name, value in cell.items()},
+                                 last_only=last_only)
+        assert rows == [batch] * steps
+        states = SEQUENCE_OPS[kind](x, cell)
+        np.testing.assert_array_equal(out.value, states[:, -1] if last_only else states)
+        for k in (1, steps // 2, steps - 1):
+            prefix = SEQUENCE_OPS[kind](x[:, :k], cell, last_only=last_only)
+            np.testing.assert_array_equal(prefix, states[:, k - 1] if last_only
+                                          else states[:, :k], err_msg=f"{k} steps")
 
-        def run(block_steps):
-            monkeypatch.setattr(seqmodel, "_BLOCK_BYTES", 8 * batch * width * block_steps)
-            leaves = {name: ad.Var(value) for name, value in {**cell, "x": x}.items()}
-            xv = leaves.pop("x")
-            out = SEQUENCE_OPS[kind](xv, leaves, last_only=last_only)
-            ad.backward(ad.sum_all(ad.mul(out, probe)))
-            return out.value, {name: leaf.grad for name, leaf in {**leaves, "x": xv}.items()}
-
-        one = run(1)
-        assert set(rows) == {batch}
-        rows.clear()
-        whole = run(steps)
-        assert set(rows) == {batch * steps}
-        if not np.array_equal(oracles.block_projections(x, cell, kind, 1),
-                              oracles.block_projections(x, cell, kind, steps)):
-            pytest.skip("BLAS rounds the two row counts differently")
-        np.testing.assert_array_equal(one[0], whole[0])
-        for name, grad in one[1].items():
-            np.testing.assert_array_equal(grad, whole[1][name], err_msg=name)
-
-
-    def test_encoders_at_once_share_the_budget(self, monkeypatch):
-        """Each of a model's n encoders projects a copied batch in blocks
-        within ``_BLOCK_BYTES // n``: 6 steps a block alone, 3 for each of
-        two, 2 for each of three."""
-        batch, steps, dim = 4, 12, 6
-        rows = []
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    def test_each_layer_projects_each_step_once(self, monkeypatch, kind, training):
+        batch, steps, dim, hidden = 9, 7, 4, (5, 3)
+        shapes = []
         project = seqmodel._project
 
         def recorded(table, ws, b):
-            rows.append(table.shape[0])
+            shapes.append(table.shape)
             return project(table, ws, b)
 
         monkeypatch.setattr(seqmodel, "_project", recorded)
-        monkeypatch.setattr(seqmodel, "_BLOCK_BYTES", 8 * batch * dim * 6)
-        for count in (1, 2, 3):
-            encoders = tuple((name, EncoderConfig(input_dim=dim, hidden_units=(2,)))
-                             for name in ("a", "b", "c")[:count])
-            config = ModelConfig(encoders, FusionConfig(), sequence_length=steps)
-            windows = {name: np.ones((batch, steps, dim)) for name, _ in encoders}
-            rows.clear()
-            training_loss(windows, np.zeros((batch, 2)), init_model_params(config, 0), config,
-                          generator(0, "masks"))
-            assert rows == [batch * (6 // count)] * (count * steps // (6 // count))
+        config = EncoderConfig(input_dim=dim, hidden_units=hidden, cell_kind=kind,
+                               dropout_rate=0.5)
+        store = make_encoder(config)
+        seqs = np.random.default_rng(3).normal(size=(batch, steps, dim))
+        leaves = leaves_of(store) if training else dict(store.items())
+        encode_batch_graph(seqs, config, leaves, "enc.m",
+                           generator(2, "masks") if training else None)
+        assert shapes == [(batch, width) for width in (dim, hidden[0]) for _ in range(steps)]
+
+    @staticmethod
+    def first_encoder(kind, batch, steps, dim, hidden, count):
+        """The first encoder's training-pass state and its parameters'
+        gradients from a fixed probe, in a model of ``count`` modalities
+        whose encoders all run at once."""
+        encoders = tuple((name, EncoderConfig(input_dim=dim, hidden_units=(hidden,),
+                                              cell_kind=kind, dropout_rate=0.5))
+                         for name in ("audio", "image", "face")[:count])
+        config = ModelConfig(encoders, FusionConfig(), sequence_length=steps)
+        leaves = model.wrap_leaves(init_model_params(config, 3))
+        rng = generator(5, "windows")
+        windows = {name: rng.normal(size=(batch, steps, dim)) for name, _ in encoders}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_usable_cpus", lambda: 8)
+            state = model.encode_states(leaves, config, windows, generator(9, "step"))[0]
+        ad.backward(state, generator(6, "probe").normal(size=(batch, hidden)))
+        return state.value, {name: leaf.grad for name, leaf in leaves.items()
+                             if name.startswith("enc.audio.")}
+
+    @settings(max_examples=12, deadline=None)
+    @given(kind=st.sampled_from(["gru", "lstm"]), batch=st.sampled_from([24, 64, 128]),
+           steps=st.sampled_from([10, 30]), dim=st.sampled_from([40, 57, 64]),
+           hidden=st.sampled_from([4, 16, 32]))
+    @example(kind="gru", batch=24, steps=30, dim=64, hidden=4)
+    def test_first_encoder_does_not_depend_on_the_modality_count(self, kind, batch, steps,
+                                                                 dim, hidden):
+        """Each of a model's encoders draws from the ``rng.spawn`` child of
+        its position, the same child at any modality count, and projects
+        its own rows. The pinned example is one where a projection budget
+        shared among the encoders moved the first state by 6.0e-16 between
+        one and three modalities."""
+        state, grads = self.first_encoder(kind, batch, steps, dim, hidden, 1)
+        for count in (2, 3):
+            other, other_grads = self.first_encoder(kind, batch, steps, dim, hidden, count)
+            np.testing.assert_array_equal(other, state, err_msg=f"{count} modalities")
+            assert sorted(other_grads) == sorted(grads)
+            for name, grad in grads.items():
+                np.testing.assert_array_equal(other_grads[name], grad,
+                                              err_msg=f"{count} modalities: {name}")
 
 
 class TestTrainingMemory:
@@ -582,14 +607,11 @@ class TestTrainingMemory:
     batch norm (run3), that state is float64 [B, T, D + 5H] per modality
     for the GRU (the masked input, the state before each step, r * h and
     three gate activations) and [B, T, D + 6H] for the LSTM (the cell
-    states in place of r * h, and four gates). The bound adds four
-    ``_BLOCK_BYTES`` for transients: a block of input rows, its
-    projection, one step's temporaries and the graph's own arrays; the
-    encoders run at once and share the block budget, so it does not grow
-    with the modality count. Keeping state time-major, or a separate
-    array of pre-activation gradients, or a zero [B, T, H] gradient for
-    the top layer's output, or giving each encoder a whole budget,
-    breaks it."""
+    states in place of r * h, and four gates). The bound adds 4 MiB for
+    transients: each running encoder's [B, G*H] projection of one step and
+    that step's temporaries, and the graph's own arrays. Keeping state
+    time-major, or a separate array of pre-activation gradients, or a zero
+    [B, T, H] gradient for the top layer's output, breaks it."""
 
     @staticmethod
     def peak(kind, hidden, batch, steps, dim, modalities=2):
@@ -622,7 +644,7 @@ class TestTrainingMemory:
         batch, steps, dim, hidden = 64, 30, 8, 64
         state = modalities * 8 * batch * steps * (dim + per_row * hidden)
         peak = self.peak(kind, (hidden,), batch, steps, dim, modalities)
-        assert peak < state + 4 * seqmodel._BLOCK_BYTES
+        assert peak < state + (4 << 20)
 
     def test_two_layer_backward_peak(self):
         """Two LSTM layers keep [B, T, D + 15H] per modality: the masked
@@ -638,4 +660,29 @@ class TestTrainingMemory:
         state = 2 * 8 * batch * steps * (dim + 15 * hidden)
         in_flight = 3 * 8 * batch * steps * hidden
         peak = self.peak("lstm", (hidden, hidden), batch, steps, dim)
-        assert peak < state + in_flight + 4 * seqmodel._BLOCK_BYTES
+        assert peak < state + in_flight + (4 << 20)
+
+
+class TestPredictionMemory:
+    """A prediction pass keeps no per-step state for a backward pass, and
+    projects a copied input one step at a time. Over copied windows a
+    two-layer encoder's peak stays below the lower layer's [B, T, H]
+    output, the upper layer's input, plus the upper layer's whole
+    [B, T, G*H] projection: projecting the copied batch whole breaks it."""
+
+    @pytest.mark.parametrize("kind, gates", [("gru", 3), ("lstm", 4)])
+    def test_predict_batch_projects_no_whole_layer(self, kind, gates):
+        batch, steps, dim, hidden = 64, 30, 8, 64
+        encoder = EncoderConfig(input_dim=dim, hidden_units=(hidden, hidden), cell_kind=kind)
+        config = ModelConfig((("audio", encoder),), FusionConfig(enable_batchnorm=True),
+                             sequence_length=steps)
+        store = init_model_params(config, 3)
+        windows = {"audio": generator(5, "windows").normal(size=(batch, steps, dim))}
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            predict_batch(store, config, windows)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * batch * steps * hidden + 8 * batch * steps * gates * hidden
