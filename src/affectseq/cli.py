@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .config import _KNOWN_KEYS, parse_config, parse_values, smoother_spec, write_resolved
@@ -191,14 +191,18 @@ def _cmd_predict(args) -> int:
     store = ParamStore.load(args.checkpoint)
     model_config = cfg.model_config()
     _check_architecture(store, model_config, args.checkpoint)
-    features, _ = load_dataset(cfg.manifest, with_annotations=False)
+    manifest = cfg.manifest
     if args.split != "all":
-        train_ids, val_ids = split_dataset(cfg.manifest, cfg.seed,
+        train_ids, val_ids = split_dataset(manifest, cfg.seed,
                                            train_fraction=cfg.train_fraction)
         wanted = train_ids if args.split == "train" else val_ids
         if not wanted:
             raise DataError(f"the {args.split} split is empty")
-        features = {m: features[m] for m in wanted}
+        # read only the split's tracks; the split is drawn, so the validation
+        # list, which may name dropped movies, is no longer needed
+        manifest = replace(manifest, validation_movies=(), movies=tuple(
+            (movie, length) for movie, length in manifest.movies if movie in wanted))
+    features, _ = load_dataset(manifest, with_annotations=False)
     preds = predict_tracks(store, model_config, features, batch_size=cfg.batch_size)
     save_prediction_dir(preds, args.out)
     print(f"wrote predictions for {len(preds)} movies to {shown(args.out)}")

@@ -21,15 +21,17 @@ text is read line by line, which gives the same values and the
 ``<path>:<line>`` errors. ``parse_pairs`` reads the ``name:value`` lists
 of manifests and ``synth`` flags.
 
-Every file is read by ``read_file`` (a path it cannot read is ``missing
-file: <path>``; ``decode_text`` makes a non-UTF-8 byte ``<path>:<line>:
-not UTF-8 text``) and written by ``write_file`` (``cannot write <path>:
-<reason>``), each fault a :class:`DataError`; ``check_out_dir`` refuses an
-output directory that cannot be made before any work is spent on it. These
-messages show a path holding a non-printable character as its ``repr``,
-so no control byte reaches the terminal. Movie ids and modality names
-become file names, so each must be plain: not empty, ``.`` or ``..``, and
-without ``/``, ``\\`` or control characters.
+Every file is opened for reading by ``open_input``: ``read_file`` takes
+all its bytes, and the checkpoint loader reads its payload straight into
+the parameter array. A path it cannot open or read is ``missing file:
+<path>``; ``decode_text`` makes a non-UTF-8 byte ``<path>:<line>: not
+UTF-8 text``. Every file is written by ``write_file`` (``cannot write
+<path>: <reason>``). Each fault is a :class:`DataError`; ``check_out_dir``
+refuses an output directory that cannot be made before any work is spent
+on it. These messages show a path holding a non-printable character as
+its ``repr``, so no control byte reaches the terminal. Movie ids and
+modality names become file names, so each must be plain: not empty,
+``.`` or ``..``, and without ``/``, ``\\`` or control characters.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ from __future__ import annotations
 import math
 import stat
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -60,12 +63,26 @@ def shown(path) -> str:
     return text if text.isprintable() else repr(text)
 
 
-def read_file(path) -> bytes:
-    """The bytes of an input file; a fault is a :class:`DataError` naming it."""
+@contextmanager
+def open_input(path) -> Iterator[BinaryIO]:
+    """An input file opened for binary reading, closed on leaving the
+    ``with``; a path that cannot be opened or read is a :class:`DataError`
+    naming it."""
     try:
-        return Path(path).read_bytes()
+        file = open(path, "rb")
     except (OSError, ValueError):  # ValueError: an embedded NUL
         raise DataError(f"missing file: {shown(path)}") from None
+    with file:
+        try:
+            yield file
+        except OSError:
+            raise DataError(f"missing file: {shown(path)}") from None
+
+
+def read_file(path) -> bytes:
+    """The bytes of an input file; a fault is a :class:`DataError` naming it."""
+    with open_input(path) as file:
+        return file.read()
 
 
 def decode_text(path, data: bytes) -> str:

@@ -6,10 +6,12 @@ A :class:`ParamStore` holds named values only: a loss returns its
 gradients as a ``{name: gradient}`` dict, and :func:`adam_step` takes it.
 
 A checkpoint (``affectseq-params v2``) is a text index of parameter names
-and shapes followed by one raw little-endian float64 payload, so loading
-takes one ``np.frombuffer``; it is the one checkpoint format read or
-written. The file goes through :mod:`affectseq.dataio`'s one reader and
-one writer, and only its text part is decoded.
+and shapes followed by one raw little-endian float64 payload; it is the
+one checkpoint format read or written. Loading reads the payload once,
+straight into one array whose slices are the parameters, so the file is
+never held in memory beside its values; saving writes each parameter's
+own memory. The file goes through :mod:`affectseq.dataio`'s one opener
+and one writer, and only its text part is decoded.
 
 All math is double precision. Model code builds its forward pass and
 gradients with the reverse-mode engine in :mod:`affectseq.autodiff`;
@@ -20,12 +22,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from .dataio import decode_text, read_file, shown, write_file
+from .dataio import decode_text, open_input, shown, write_file
 from .errors import ConfigError, DataError, DimensionError, DomainError, NumericError
 
 CHECKPOINT_HEADER = "affectseq-params v2"
@@ -78,6 +81,15 @@ class ParamStore:
         self._values: dict[str, np.ndarray] = {}
 
     def add(self, name: str, value) -> np.ndarray:
+        """Store a C-contiguous float64 copy of ``value`` under ``name``."""
+        self._check_new_name(name)
+        arr = np.array(value, dtype=np.float64, order="C")
+        if not np.all(np.isfinite(arr)):
+            raise NumericError(f"parameter {name} initialized with non-finite values")
+        self._values[name] = arr
+        return arr
+
+    def _check_new_name(self, name: str) -> None:
         if name in self._values:
             raise ConfigError(f"duplicate parameter name: {name}")
         # str.split() also splits on every line break str.splitlines() knows,
@@ -85,11 +97,6 @@ class ParamStore:
         if name.split() != [name] or name.encode("utf-8", "replace").decode() != name:
             raise ConfigError(f"parameter names must be non-empty UTF-8 text without "
                               f"whitespace or line breaks: {name!r}")
-        arr = np.array(value, dtype=np.float64, order="C")
-        if not np.all(np.isfinite(arr)):
-            raise NumericError(f"parameter {name} initialized with non-finite values")
-        self._values[name] = arr
-        return arr
 
     def names(self) -> list[str]:
         return sorted(self._values)
@@ -111,59 +118,71 @@ class ParamStore:
         """Write an ``affectseq-params v2`` checkpoint: the header line, one
         ``<name> <dims>`` index line per parameter in name order, a blank
         line, then every value as raw little-endian float64, in index order
-        and C order. The bytes depend only on names, shapes and values."""
+        and C order, each written from the parameter's own memory. The bytes
+        depend only on names, shapes and values."""
         names = self.names()
         index = [CHECKPOINT_HEADER]
         for name in names:
             dims = ",".join(str(d) for d in self._values[name].shape) or "-"
             index.append(f"{name} {dims}")
-        payload = (self._values[name].astype("<f8", copy=False).tobytes() for name in names)
+        payload = (memoryview(self._values[name].astype("<f8", copy=False)) for name in names)
         write_file(path, itertools.chain(["\n".join(index) + "\n\n"], payload))
 
     @classmethod
     def load(cls, path) -> "ParamStore":
-        """Read an ``affectseq-params v2`` checkpoint: decode only the index
-        and take each record as a slice of one ``np.frombuffer`` over the
-        payload. Every fault is a :class:`DataError` naming the file, and
-        the line of the record at fault; a file with another first line is
-        refused, ``v1`` checkpoints included.
+        """Read an ``affectseq-params v2`` checkpoint: decode only the index,
+        then read the payload once, straight into one aligned ``<f8`` array
+        that the store owns; each parameter is a C-contiguous, writable view
+        of its own slice of it. The payload's length comes from the file's
+        size and is checked before the array is allocated. Every fault is a
+        :class:`DataError` naming the file, and the line of the record at
+        fault; a file with another first line is refused, ``v1`` checkpoints
+        included.
         """
-        data = read_file(path)
         source = shown(path)
-        if not data.startswith(CHECKPOINT_HEADER.encode() + b"\n"):
-            raise DataError(f"{source}: missing checkpoint header {CHECKPOINT_HEADER!r} "
-                            f"(affectseq-params v1 checkpoints are retired)")
-        end = data.find(b"\n\n")
-        if end < 0:
-            raise DataError(f"{source}: no blank line ends the checkpoint index")
-        payload = memoryview(data)[end + 2:]
-        records = []
-        total = 0
-        for lineno, line in enumerate(decode_text(path, data[:end]).split("\n")[1:], start=2):
-            where = f"{source}:{lineno}"
-            fields = line.split(" ")
-            if len(fields) != 2:
-                raise DataError(f"{where}: malformed index line {line!r}")
-            shape, count = _shape(where, fields[1])
-            records.append((where, fields[0], shape, total, total + count))
-            total += count
-        if len(payload) != 8 * total:
-            # a short payload is blamed on the first record it cannot hold
-            where = next((where for where, *_, stop in records if 8 * stop > len(payload)),
-                         source)
-            raise DataError(f"{where}: payload has {len(payload)} bytes, expected {8 * total}")
-        flat = np.frombuffer(payload, dtype="<f8")
+        with open_input(path) as file:
+            index = [file.readline()]
+            if index[0] != CHECKPOINT_HEADER.encode() + b"\n":
+                raise DataError(f"{source}: missing checkpoint header {CHECKPOINT_HEADER!r} "
+                                f"(affectseq-params v1 checkpoints are retired)")
+            while (line := file.readline()) != b"\n":
+                if not line:
+                    raise DataError(f"{source}: no blank line ends the checkpoint index")
+                index.append(line)
+            text = decode_text(path, b"".join(index))
+            records = []
+            total = 0
+            for lineno, line in enumerate(text.split("\n")[1:-1], start=2):
+                where = f"{source}:{lineno}"
+                fields = line.split(" ")
+                if len(fields) != 2:
+                    raise DataError(f"{where}: malformed index line {line!r}")
+                shape, count = _shape(where, fields[1])
+                records.append((where, fields[0], shape, total, total + count))
+                total += count
+            size = os.fstat(file.fileno()).st_size - file.tell()
+            if size != 8 * total:
+                # a short payload is blamed on the first record it cannot hold
+                where = next((where for where, *_, stop in records if 8 * stop > size), source)
+                raise DataError(f"{where}: payload has {size} bytes, expected {8 * total}")
+            flat = np.empty(total, dtype="<f8")
+            got = file.readinto(flat)
+            if got != size:
+                raise DataError(f"{source}: short read: the payload ended after {got} of "
+                                f"{size} bytes (the file changed while it was read)")
         store = cls()
         for where, name, shape, start, stop in records:
             values = flat[start:stop]
             if not np.all(np.isfinite(values)):
                 raise DataError(f"{where}: parameter {name} has non-finite values")
             try:
-                store.add(name, values.reshape(shape))
+                values = values.reshape(shape)
+                store._check_new_name(name)
             except ValueError as exc:  # reshape: past numpy's size or dims limit, even if empty
                 raise DataError(f"{where}: bad shape {shape} ({exc})") from None
             except ConfigError as exc:
                 raise DataError(f"{where}: {exc}") from None
+            store._values[name] = values
         return store
 
 

@@ -99,13 +99,18 @@ def lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray,
         raise DimensionError(f"initial state must have length {n}")
     z = z.tolist()
     y = []
+    append = y.append
+    b0, bn, an = b[0], b[n], a[n]
+    taps = [(j, b[j + 1], a[j + 1]) for j in range(n - 1)]
     for xi in np.asarray(x, dtype=np.float64).tolist():
-        yi = z[0] + b[0] * xi if n else b[0] * xi
-        for j in range(n - 1):
-            z[j] = z[j + 1] + b[j + 1] * xi - a[j + 1] * yi
         if n:
-            z[n - 1] = b[n] * xi - a[n] * yi
-        y.append(yi)
+            yi = z[0] + b0 * xi
+            for j, bj, aj in taps:
+                z[j] = z[j + 1] + bj * xi - aj * yi
+            z[n - 1] = bn * xi - an * yi
+        else:
+            yi = b0 * xi
+        append(yi)
     return np.array(y, dtype=np.float64)
 
 

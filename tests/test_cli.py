@@ -727,6 +727,24 @@ class TestPipeline:
                      "--out", str(dest), "--split", "validation"]) == 0
         assert sorted(load_prediction_dir(dest)) == ["m001"]
 
+    def test_predict_split_reads_only_its_movies(self, workspace, run_a, tmp_path, capsys):
+        """A split's predict reads only its own movies' features: a broken
+        track of the training movie stops ``--split all`` alone."""
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text((workspace / "run.cfg").read_text().replace(
+            str(workspace / "data"), str(data)))
+        broken = data / "features" / "audio" / "m000.csv"
+        broken.write_bytes(b"\xff\xfe")
+        predict = ["predict", "--config", str(cfg),
+                   "--checkpoint", str(run_a / "model" / "model.ckpt")]
+        assert main([*predict, "--out", str(tmp_path / "val"), "--split", "validation"]) == 0
+        assert sorted(load_prediction_dir(tmp_path / "val")) == ["m001"]
+        capsys.readouterr()
+        assert main([*predict, "--out", str(tmp_path / "all"), "--split", "all"]) == 2
+        assert capsys.readouterr().err == f"affectseq: {broken}:1: not UTF-8 text\n"
+
     def test_smooth_standalone_flags(self, run_a, tmp_path):
         raw = run_a / "raw"
         dest = tmp_path / "sm"

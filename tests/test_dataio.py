@@ -565,7 +565,8 @@ class TestFileBoundary:
 
     def test_files_are_touched_only_by_the_reader_and_writer(self):
         """``open`` and the pathlib calls that read, write or make a
-        directory appear in the package only inside ``read_file`` and
+        directory appear in the package only inside ``open_input`` (the
+        opener of ``read_file`` and the checkpoint loader) and
         ``write_file``, so every input and output gets their checks."""
         touching = {"open", "read_text", "read_bytes", "write_text", "write_bytes", "mkdir"}
         found = set()
@@ -595,5 +596,5 @@ class TestFileBoundary:
         package = Path(dataio.__file__).parent
         for path in sorted(package.glob("*.py")):
             Scopes(path.stem).visit(ast.parse(path.read_text(), str(path)))
-        assert found == {("dataio", "read_file", "read_bytes"),
+        assert found == {("dataio", "open_input", "open"),
                          ("dataio", "write_file", "mkdir"), ("dataio", "write_file", "open")}

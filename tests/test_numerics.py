@@ -1,5 +1,8 @@
+import itertools
 import math
+import os
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -210,6 +213,18 @@ def v2_bytes(index, values):
             + np.asarray(values, dtype="<f8").tobytes())
 
 
+def wide_store():
+    """Random values in the shapes of two LSTM encoders (H=128) over
+    openSMILE (1582) and CNN (2048) feature widths."""
+    rng = np.random.default_rng(5)
+    store = ParamStore()
+    for modality, width in (("audio", 1582), ("image", 2048)):
+        for gate in "ifog":
+            for kind, shape in (("W", (128, width)), ("U", (128, 128)), ("b", (128,))):
+                store.add(f"enc.{modality}.l0.{kind}_{gate}", rng.normal(size=shape))
+    return store
+
+
 names = st.text(st.characters(codec="utf-8"), min_size=1, max_size=8).filter(
     lambda name: name.split() == [name])
 values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
@@ -327,6 +342,72 @@ class TestCheckpointFormat:
         with pytest.raises(DataError) as info:
             ParamStore.load(path)
         assert str(info.value) == f"{path}:{line}: payload has {cut} bytes, expected 24"
+
+    def test_short_read_names_the_file(self, tmp_path, monkeypatch):
+        """A file that ends before the size taken of it is a short read."""
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(v2_bytes(["a 2"], [1.0]))
+        size = path.stat().st_size + 8
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+        with pytest.raises(DataError) as info:
+            ParamStore.load(path)
+        assert str(info.value) == (f"{path}: short read: the payload ended after 8 of 16 "
+                                   f"bytes (the file changed while it was read)")
+
+    def test_load_holds_the_payload_once(self, tmp_path):
+        """A checkpoint of LSTM encoders over openSMILE (1582) and CNN (2048)
+        features loads at a traced peak of its payload plus small change:
+        the file's bytes are never held beside the values."""
+        store = wide_store()
+        path = tmp_path / "wide.ckpt"
+        store.save(path)
+        payload = 8 * sum(value.size for _, value in store.items())
+        assert payload >= 8 * 2 ** 20
+        tracemalloc.start()
+        try:
+            loaded = ParamStore.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.names() == store.names()
+        assert peak <= payload + 2 ** 20, (peak, payload)
+
+    def test_loaded_parameters_are_disjoint_owned_views(self, tmp_path):
+        rng = np.random.default_rng(6)
+        store = ParamStore()
+        for name, shape in (("a", (3, 4)), ("b", ()), ("c", (0, 5)), ("d", (7,)),
+                            ("e", (2, 3, 2))):
+            store.add(name, rng.normal(size=shape))
+        path = tmp_path / "model.ckpt"
+        store.save(path)
+        values = [value for _, value in ParamStore.load(path).items()]
+        for value in values:
+            assert value.dtype == np.float64
+            assert value.flags.aligned and value.flags.c_contiguous and value.flags.writeable
+            assert isinstance(value.base, np.ndarray) and value.base.flags.owndata
+        for x, y in itertools.combinations(values, 2):
+            assert not np.shares_memory(x, y)
+        for i, value in enumerate(values):
+            value[...] = i
+        assert [set(value.ravel().tolist()) for value in values] == \
+            [{0.0}, {1.0}, set(), {3.0}, {4.0}]
+
+    def test_adam_step_on_loaded_store_saves_as_on_added_store(self, tmp_path):
+        rng = np.random.default_rng(7)
+        built = ParamStore()
+        for name, shape in (("a.W", (30, 20)), ("a.b", (30,)), ("c", ())):
+            built.add(name, rng.normal(size=shape))
+        built.save(tmp_path / "start.ckpt")
+        loaded = ParamStore.load(tmp_path / "start.ckpt")
+        grads = {name: rng.normal(size=value.shape) for name, value in built.items()}
+        for side, store in (("built", built), ("loaded", loaded)):
+            state = AdamState.for_params(store, lr=0.01)
+            for _ in range(2):
+                adam_step(store, state, grads)
+            store.save(tmp_path / f"{side}.ckpt")
+        stepped = (tmp_path / "built.ckpt").read_bytes()
+        assert stepped != (tmp_path / "start.ckpt").read_bytes()
+        assert (tmp_path / "loaded.ckpt").read_bytes() == stepped
 
     @pytest.mark.parametrize("extra", [b"\x00", b"\n", bytes(8)])
     def test_long_payload_names_bytes(self, tmp_path, extra):
