@@ -9,24 +9,29 @@ Subcommands wire the pipeline end to end on files:
     ensemble  average K aligned prediction directories
     evaluate  predictions + annotations -> report.csv / report.txt
 
-Exit codes: 0 success, 1 usage error, 2 data/config error, 3 numeric
+Exit codes: 0 success, 1 usage error (an unknown or missing command
+option, or a bad value of a command option such as ``--split``), 2
+data/config error (a bad value of a setting flag included), 3 numeric
 failure (non-finite loss or gradients).
 
-Each setting flag stores under the config key or SynthSpec field it
-sets, and leaves the default to the record that owns it. A setting error
-names the flag if you typed it, else the file and key it came from.
+Each setting flag stores its text under the config key or SynthSpec
+field it sets, and leaves parsing to that setting's parser and the
+default to the record that owns it. A setting error names the flag if
+you typed it, else the file and key it came from.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
-from .config import _KNOWN_KEYS, parse_config, parse_values, smoother_spec, write_resolved
+from .config import (_KNOWN_KEYS, _number, _parse, parse_config, parse_values, smoother_spec,
+                     write_resolved)
 from .dataio import (
     SynthSpec,
+    _list,
     check_out_dir,
     load_dataset,
     load_prediction_dir,
@@ -40,7 +45,6 @@ from .dataio import (
 from .errors import AffectSeqError, ConfigError, DataError, NumericError
 from .evalmetrics import (
     AGGREGATION_MODES,
-    check_aligned,
     ensemble_average,
     evaluate_run,
     render_csv,
@@ -81,21 +85,21 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True, help="dataset directory to create")
-    p.add_argument("--movies", dest="num_movies", type=int)
-    p.add_argument("--length", type=int, help="seconds per movie")
+    p.add_argument("--movies", dest="num_movies")
+    p.add_argument("--length", help="seconds per movie")
     p.add_argument("--modalities", help="name:dim pairs")
-    p.add_argument("--noise", type=float)
+    p.add_argument("--noise")
     p.add_argument("--noise-override", dest="noise_overrides",
                    help="per-modality noise as name:level[,name:level]")
-    p.add_argument("--lag", type=int)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--lag")
+    p.add_argument("--seed", default="1")
     p.add_argument("--validation", dest="validation_movies",
                    help="comma-separated validation movie ids")
 
     p = sub.add_parser("train", help="train a model from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="output directory (overrides the config)")
-    p.add_argument("--seed", type=int, help="seed (overrides the config)")
+    p.add_argument("--seed", help="seed (overrides the config)")
     p.add_argument("--profile", help="run profile (overrides the config)")
 
     p = sub.add_parser("predict", help="run inference over a dataset")
@@ -103,13 +107,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", choices=("all", "train", "validation"), default="all")
-    p.add_argument("--seed", type=int, help="seed (overrides the config)")
+    p.add_argument("--seed", help="seed (overrides the config)")
 
     p = sub.add_parser("smooth", help="low-pass filter prediction tracks")
     p.add_argument("--predictions", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="take smoother settings from a config file")
-    p.add_argument("--smoother", choices=SMOOTHERS)
+    p.add_argument("--smoother", help=" | ".join(SMOOTHERS))
     p.add_argument("--order", dest="butter_order", help="Butterworth order")
     p.add_argument("--cutoff", dest="butter_cutoff", help="Butterworth cutoff")
     p.add_argument("--weights", dest="ma_weights", help="comma-separated moving-average weights")
@@ -134,23 +138,27 @@ _FLAGS = {"num_movies": "--movies", "noise_overrides": "--noise-override",
           "butter_cutoff": "--cutoff", "ma_weights": "--weights"}
 
 
+# each synth flag's parser; SynthSpec checks the ranges
+_SYNTH_PARSERS = {
+    "num_movies": _number(int), "length": _number(int), "noise": _number(float),
+    "lag": _number(int), "seed": _number(int), "validation_movies": _list(str),
+    "modalities": lambda raw: parse_pairs(raw, int, "modalities"),
+    "noise_overrides": lambda raw: parse_pairs(raw, float, "noise_overrides"),
+}
+
+
 def _cmd_synth(args) -> int:
-    given = {f.name: getattr(args, f.name) for f in fields(SynthSpec)
-             if getattr(args, f.name, None) is not None}
-    for key, kind in (("modalities", int), ("noise_overrides", float)):
-        if key in given:
-            given[key] = parse_pairs(given[key], kind, key)
-    if "validation_movies" in given:
-        given["validation_movies"] = tuple(
-            v.strip() for v in given["validation_movies"].split(",") if v.strip())
-    manifest = synth_generate(SynthSpec(**given), args.out, args.seed)
+    given = {key: _parse(key, parse, getattr(args, key))
+             for key, parse in _SYNTH_PARSERS.items() if getattr(args, key) is not None}
+    seed = given.pop("seed")
+    manifest = synth_generate(SynthSpec(**given), args.out, seed)
     print(f"wrote {len(manifest.movies)} movies to {shown(args.out)}")
     return EXIT_OK
 
 
 def _config_overrides(args) -> dict[str, str]:
     """The config keys that typed flags set."""
-    return {key: str(value) for key, value in vars(args).items()
+    return {key: value for key, value in vars(args).items()
             if key in _KNOWN_KEYS and value is not None}
 
 
@@ -193,8 +201,7 @@ def _cmd_predict(args) -> int:
     _check_architecture(store, model_config, args.checkpoint)
     manifest = cfg.manifest
     if args.split != "all":
-        train_ids, val_ids = split_dataset(manifest, cfg.seed,
-                                           train_fraction=cfg.train_fraction)
+        train_ids, val_ids = split_dataset(manifest, cfg.seed, cfg.train_fraction)
         wanted = train_ids if args.split == "train" else val_ids
         if not wanted:
             raise DataError(f"the {args.split} split is empty")
@@ -228,8 +235,7 @@ def _cmd_smooth(args) -> int:
 
 def _cmd_ensemble(args) -> int:
     runs = [load_prediction_dir(run_dir) for run_dir in args.runs]
-    check_aligned(runs, [shown(run_dir) for run_dir in args.runs])
-    averaged = ensemble_average(runs)
+    averaged = ensemble_average(runs, [shown(run_dir) for run_dir in args.runs])
     save_prediction_dir(averaged, args.out)
     print(f"averaged {len(args.runs)} runs into {shown(args.out)}")
     return EXIT_OK

@@ -20,7 +20,10 @@ Every key except ``manifest`` is a :class:`RunConfig` field declared with
 :func:`_key`, which holds its default (the one of the record that owns the
 setting) and its parser; the known-key set, parsing, validation and the
 resolved echo all read that one table, which is also the one place
-smoother settings are checked. Batch norm needs ``batch_size >= 2``.
+smoother settings are checked. The table is the one owner of each key:
+``train_fraction`` (1.0, whole movies dropped by a seeded shuffle) is set
+here or by run2, never by the manifest. Batch norm needs
+``batch_size >= 2``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .dataio import DatasetManifest, _parse_kv_lines, load_manifest, shown, write_file
+from .dataio import DatasetManifest, _list, _parse_kv_lines, load_manifest, shown, write_file
 from .errors import ConfigError
 from .fusion import CG2_POSITIONS, FusionConfig
 from .model import ModelConfig
@@ -87,13 +90,6 @@ def _number(kind: type, lo=None, hi=None, lo_open=False, hi_open=False) -> Calla
     return parse
 
 
-def _list(item: Callable[[str], float]) -> Callable[[str], tuple]:
-    """Comma-separated items; blank items are skipped."""
-    def parse(raw: str) -> tuple:
-        return tuple(item(tok.strip()) for tok in raw.split(",") if tok.strip())
-    return parse
-
-
 def _units(raw: str) -> tuple[int, ...]:
     units = _list(_number(int, lo=1))(raw)
     if not 1 <= len(units) <= 2:
@@ -141,8 +137,7 @@ class RunConfig:
     dropout_rate: float = _key(EncoderConfig.dropout_rate,
                                _number(float, lo=0, hi=1, hi_open=True))
     enable_batchnorm: bool = _key(FusionConfig.enable_batchnorm, _bool)
-    train_fraction: float = _key(DatasetManifest.train_fraction,
-                                 _number(float, lo=0, hi=1, lo_open=True))
+    train_fraction: float = _key(1.0, _number(float, lo=0, hi=1, lo_open=True))
     num_experts: int = _key(FusionConfig.num_experts, _number(int, lo=1))
     l2_lambda: float = _key(FusionConfig.l2_lambda, _number(float, lo=0))
     cg2_position: str = _key(FusionConfig.cg2_position, _choice(*CG2_POSITIONS))
@@ -272,8 +267,6 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
         if owned in kv:
             raise ConfigError(f"{source}: profile {values['profile']} fixes {owned}; "
                               "remove the key")
-    if "train_fraction" not in kv:
-        values["train_fraction"] = manifest.train_fraction
     values.update(preset)
     cfg = RunConfig(manifest=manifest, hidden_overrides=hidden_overrides, **values)
 

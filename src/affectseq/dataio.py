@@ -19,7 +19,12 @@ track as the writer lays it out (rows ``<id>,<t>,...`` with t written
 0..L-1, finite decimals) is parsed in one ``np.loadtxt`` pass; any other
 text is read line by line, which gives the same values and the
 ``<path>:<line>`` errors. ``parse_pairs`` reads the ``name:value`` lists
-of manifests and ``synth`` flags.
+of manifests and ``synth`` flags, and ``_list`` every comma list.
+
+The manifest declares the dataset alone: ``modalities``, ``movies``,
+``annotation_range`` and ``validation_movies``. How much of the training
+side trains is the run config's ``train_fraction``, which its caller
+hands to ``split_dataset``; a manifest that sets it is refused as unknown.
 
 Every file is opened for reading by ``open_input``: ``read_file`` takes
 all its bytes, and the checkpoint loader reads its payload straight into
@@ -42,7 +47,7 @@ import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -52,8 +57,7 @@ from .rng import generator
 FEATURES_DIR = "features"
 ANNOTATIONS_DIR = "annotations"
 MANIFEST_NAME = "manifest.txt"
-MANIFEST_KEYS = ("modalities", "movies", "annotation_range", "validation_movies",
-                 "train_fraction")
+MANIFEST_KEYS = ("modalities", "movies", "annotation_range", "validation_movies")
 AFFECT_COLUMNS = ("valence", "arousal")
 
 
@@ -278,7 +282,6 @@ class DatasetManifest:
     movies: tuple[tuple[str, int], ...]
     annotation_range: tuple[float, float] = (-1.0, 1.0)
     validation_movies: tuple[str, ...] = ()
-    train_fraction: float = 1.0
 
     def __post_init__(self):
         for key in ("modalities", "movies"):
@@ -303,8 +306,6 @@ class DatasetManifest:
         if unknown:
             raise ConfigError(f"validation_movies not in movies: {sorted(unknown)}",
                               key="validation_movies")
-        if not 0.0 < self.train_fraction <= 1.0:
-            raise ConfigError("train_fraction must lie in (0, 1]", key="train_fraction")
 
     @property
     def root(self) -> Path:
@@ -345,19 +346,23 @@ def _number(kind: type, raw: str, key: str):
         raise ConfigError(f"bad value {raw!r} in {key}", key=key) from None
 
 
+def _list(item: Callable[[str], object]) -> Callable[[str], tuple]:
+    """A parser of comma-separated items, each read by ``item``; blank
+    items are skipped."""
+    def parse(raw: str) -> tuple:
+        return tuple(item(tok.strip()) for tok in raw.split(",") if tok.strip())
+    return parse
+
+
 def parse_pairs(text: str, kind: type, key: str) -> tuple[tuple[str, int | float], ...]:
     """The ``name:value`` entries of a comma list, each value read by
     ``kind``; blank entries are skipped. Errors carry ``key``."""
-    items = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    def pair(chunk: str) -> tuple[str, int | float]:
         name, sep, raw = chunk.partition(":")
         if not sep:
             raise ConfigError(f"entry {chunk!r} in {key} must be name:value", key=key)
-        items.append((name.strip(), _number(kind, raw, key)))
-    return tuple(items)
+        return name.strip(), _number(kind, raw, key)
+    return _list(pair)(text)
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -370,17 +375,16 @@ def load_manifest(path) -> DatasetManifest:
         for required in ("modalities", "movies"):
             if required not in kv:
                 raise ConfigError(f"missing required key {required!r}", key=required)
-        bounds = kv.get("annotation_range", "-1.0, 1.0").split(",")
+        bounds = _list(lambda b: _number(float, b, "annotation_range"))(
+            kv.get("annotation_range", "-1.0, 1.0"))
         if len(bounds) != 2:
             raise ConfigError("annotation_range must be 'lo, hi'", key="annotation_range")
         return DatasetManifest(
             path=path,
             modalities=parse_pairs(kv["modalities"], int, "modalities"),
             movies=parse_pairs(kv["movies"], int, "movies"),
-            annotation_range=tuple(_number(float, b.strip(), "annotation_range") for b in bounds),
-            validation_movies=tuple(
-                p.strip() for p in kv.get("validation_movies", "").split(",") if p.strip()),
-            train_fraction=_number(float, kv.get("train_fraction", "1.0"), "train_fraction"),
+            annotation_range=bounds,
+            validation_movies=_list(str)(kv.get("validation_movies", "")),
         )
     except ConfigError as exc:
         raise ConfigError(f"{shown(path)}: {exc}", key=exc.key) from None
@@ -394,7 +398,6 @@ def save_manifest(manifest: DatasetManifest, path=None) -> Path:
         "movies = " + ", ".join(f"{m}:{l}" for m, l in manifest.movies),
         "annotation_range = " + f"{manifest.annotation_range[0]}, {manifest.annotation_range[1]}",
         "validation_movies = " + ", ".join(manifest.validation_movies),
-        f"train_fraction = {manifest.train_fraction}",
     ]
     write_file(path, ["\n".join(lines) + "\n"])
     return path
@@ -510,25 +513,23 @@ def window_sequences(features: Mapping[str, Mapping[str, np.ndarray]],
     )
 
 
-def split_dataset(manifest: DatasetManifest, seed: int,
-                  require_validation: bool = False,
-                  train_fraction: float | None = None) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Movie-level split: validation ids from the manifest, then an optional
-    seeded train_fraction cut on whole movies (no second-level leakage).
+def split_dataset(manifest: DatasetManifest, seed: int, train_fraction: float,
+                  require_validation: bool = False) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Movie-level split: validation ids from the manifest, then a seeded
+    ``train_fraction`` cut on whole movies (no second-level leakage).
 
-    ``train_fraction`` overrides the manifest value when given; the cut
-    keeps round(fraction * n) movies chosen by a seeded shuffle.
+    The fraction, in (0, 1], comes from the run config; the cut keeps
+    round(fraction * n) movies chosen by a seeded shuffle.
     """
     validation = tuple(sorted(manifest.validation_movies))
     if require_validation and not validation:
         raise ConfigError(f"{shown(manifest.path)}: a validation movie list is required "
                           "but validation_movies is empty")
-    fraction = manifest.train_fraction if train_fraction is None else train_fraction
-    if not 0.0 < fraction <= 1.0:
+    if not 0.0 < train_fraction <= 1.0:
         raise ConfigError("train_fraction must lie in (0, 1]")
     train = sorted(set(manifest.movie_ids) - set(validation))
-    if fraction < 1.0 and train:
-        keep = max(1, int(math.floor(fraction * len(train) + 0.5)))
+    if train_fraction < 1.0 and train:
+        keep = max(1, int(math.floor(train_fraction * len(train) + 0.5)))
         rng = generator(seed, "train-fraction")
         order = rng.permutation(len(train))
         train = sorted(train[i] for i in order[:keep])
@@ -566,7 +567,6 @@ class SynthSpec:
     annotation_range: tuple[float, float] = (-1.0, 1.0)
     lag: int = 3
     validation_movies: tuple[str, ...] = ()
-    train_fraction: float = 1.0
 
     def __post_init__(self):
         for key in ("num_movies", "length"):
@@ -626,7 +626,6 @@ def synth_generate(spec: SynthSpec, out_dir, seed: int) -> DatasetManifest:
         movies=tuple((m, spec.length) for m in movie_ids),
         annotation_range=spec.annotation_range,
         validation_movies=spec.validation_movies,
-        train_fraction=spec.train_fraction,
     )
     lifts = {
         name: generator(seed, f"lift-{name}").normal(0.0, 0.5, size=(dim, 4))

@@ -13,6 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .dataio import AFFECT_COLUMNS
 from .errors import ConfigError, CoverageError, DataError
 
 AGGREGATION_MODES = ("macro_per_movie", "pooled")
@@ -50,6 +51,12 @@ def pearson(pred, truth) -> float | None:
     return float((dx @ dy) / np.sqrt(ssx * ssy))
 
 
+_SCORES = {"mse": mse, "pcc": pearson}
+# the four headline metrics in report order: valence_mse, valence_pcc, arousal_mse, arousal_pcc
+METRICS = tuple(f"{affect}_{score}" for affect in AFFECT_COLUMNS for score in _SCORES)
+_PCC_METRICS = tuple(f"{affect}_pcc" for affect in AFFECT_COLUMNS)
+
+
 @dataclass
 class EvalReport:
     """The four headline metrics plus the per-movie breakdown."""
@@ -64,7 +71,7 @@ class EvalReport:
     arousal_pcc_undefined: int = 0
 
     def row(self) -> tuple:
-        return (self.valence_mse, self.valence_pcc, self.arousal_mse, self.arousal_pcc)
+        return tuple(getattr(self, name) for name in METRICS)
 
 
 def _check_coverage(preds: Mapping[str, np.ndarray], annos: Mapping[str, np.ndarray]) -> None:
@@ -83,12 +90,8 @@ def _check_coverage(preds: Mapping[str, np.ndarray], annos: Mapping[str, np.ndar
 
 def _movie_metrics(pred: np.ndarray, anno: np.ndarray) -> dict[str, float | None]:
     n = anno.shape[0]
-    return {
-        "valence_mse": mse(pred[:n, 0], anno[:, 0]),
-        "valence_pcc": pearson(pred[:n, 0], anno[:, 0]),
-        "arousal_mse": mse(pred[:n, 1], anno[:, 1]),
-        "arousal_pcc": pearson(pred[:n, 1], anno[:, 1]),
-    }
+    return {f"{affect}_{score}": metric(pred[:n, d], anno[:, d])
+            for d, affect in enumerate(AFFECT_COLUMNS) for score, metric in _SCORES.items()}
 
 
 def evaluate_run(preds: Mapping[str, np.ndarray], annos: Mapping[str, np.ndarray],
@@ -113,21 +116,22 @@ def evaluate_run(preds: Mapping[str, np.ndarray], annos: Mapping[str, np.ndarray
         headline = _movie_metrics(pred_all, anno_all)
     else:
         headline = {}
-        for key in per_movie[movies[0]]:
+        for key in METRICS:
             defined = [per_movie[m][key] for m in movies if per_movie[m][key] is not UNDEFINED]
             headline[key] = float(np.mean(defined)) if defined else UNDEFINED
-    undefined = {key: sum(per_movie[m][key] is UNDEFINED for m in movies)
-                 for key in ("valence_pcc", "arousal_pcc")}
-    return EvalReport(**headline, aggregation=aggregation, per_movie=per_movie,
-                      valence_pcc_undefined=undefined["valence_pcc"],
-                      arousal_pcc_undefined=undefined["arousal_pcc"])
+    undefined = {f"{key}_undefined": sum(per_movie[m][key] is UNDEFINED for m in movies)
+                 for key in _PCC_METRICS}
+    return EvalReport(**headline, **undefined, aggregation=aggregation, per_movie=per_movie)
 
 
-def check_aligned(runs: Sequence[Mapping[str, np.ndarray]], names: Sequence[str]) -> None:
-    """Refuse runs that differ from the first in movies or track shapes;
-    an error names the run at fault and the first by ``names``."""
+def ensemble_average(runs: Sequence[Mapping[str, np.ndarray]],
+                     names: Sequence[str] | None = None) -> dict[str, np.ndarray]:
+    """Pointwise mean over K prediction-track collections. Runs that differ
+    from the first in movies or track shapes are refused; an error names
+    the run at fault and the first by ``names`` (default ``run 1..K``)."""
     if not runs:
         raise DataError("ensemble needs at least one run")
+    names = names or [f"run {k}" for k in range(1, len(runs) + 1)]
     movies = sorted(runs[0])
     for name, run in zip(names[1:], runs[1:]):
         if sorted(run) != movies:
@@ -135,12 +139,6 @@ def check_aligned(runs: Sequence[Mapping[str, np.ndarray]], names: Sequence[str]
         for movie in movies:
             if run[movie].shape != runs[0][movie].shape:
                 raise DataError(f"{name} has a different track shape for {movie} than {names[0]}")
-
-
-def ensemble_average(runs: Sequence[Mapping[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Pointwise mean over K aligned prediction-track collections."""
-    check_aligned(runs, [f"run {k}" for k in range(1, len(runs) + 1)])
-    movies = sorted(runs[0])
     return {
         movie: np.mean([run[movie] for run in runs], axis=0)
         for movie in movies
@@ -170,18 +168,14 @@ def render_text(report: EvalReport) -> str:
 
 def render_csv(report: EvalReport) -> str:
     """``metric,aggregation,value`` rows: headline metrics then per-movie."""
+    def cell(value) -> str:
+        return "undefined" if value is UNDEFINED else repr(float(value))
+
     out = ["metric,aggregation,value"]
-    headline = zip(
-        ("valence_mse", "valence_pcc", "arousal_mse", "arousal_pcc"), report.row()
-    )
-    for name, value in headline:
-        rendered = "undefined" if value is UNDEFINED else repr(float(value))
-        out.append(f"{name},{report.aggregation},{rendered}")
-    out.append(f"valence_pcc_undefined_movies,{report.aggregation},{report.valence_pcc_undefined}")
-    out.append(f"arousal_pcc_undefined_movies,{report.aggregation},{report.arousal_pcc_undefined}")
-    for movie in sorted(report.per_movie):
-        for key in ("valence_mse", "valence_pcc", "arousal_mse", "arousal_pcc"):
-            value = report.per_movie[movie][key]
-            rendered = "undefined" if value is UNDEFINED else repr(float(value))
-            out.append(f"{movie}.{key},per_movie,{rendered}")
+    out += [f"{name},{report.aggregation},{cell(value)}"
+            for name, value in zip(METRICS, report.row())]
+    out += [f"{key}_undefined_movies,{report.aggregation},{getattr(report, f'{key}_undefined')}"
+            for key in _PCC_METRICS]
+    out += [f"{movie}.{key},per_movie,{cell(report.per_movie[movie][key])}"
+            for movie in sorted(report.per_movie) for key in METRICS]
     return "\n".join(out) + "\n"

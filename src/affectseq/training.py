@@ -18,7 +18,7 @@ it normalizes each window alone, so the batch size only bounds memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
@@ -27,7 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .config import RunConfig
 from .dataio import batch_indices, load_dataset, split_dataset, window_sequences, write_file
 from .errors import ConfigError
-from .evalmetrics import evaluate_run
+from .evalmetrics import METRICS, evaluate_run
 from .model import ModelConfig, init_model_params, predict_batch, training_loss
 from .numerics import AdamState, ParamStore, adam_step
 from .rng import generator
@@ -35,12 +35,11 @@ from .rng import generator
 TRAINING_LOG_NAME = "training_log.csv"
 CHECKPOINT_NAME = "model.ckpt"
 
-_LOG_HEADER = ("epoch,train_loss,train_xent,train_l2,"
-               "val_valence_mse,val_valence_pcc,val_arousal_mse,val_arousal_pcc")
-
 
 @dataclass
 class EpochLog:
+    """One ``training_log.csv`` row: its fields, in order, are the columns."""
+
     epoch: int
     train_loss: float
     train_xent: float
@@ -51,18 +50,12 @@ class EpochLog:
     val_arousal_pcc: float | None = None
 
     def csv_row(self) -> str:
-        def cell(v):
-            return "" if v is None else repr(float(v))
-
-        return ",".join([
-            str(self.epoch), cell(self.train_loss), cell(self.train_xent),
-            cell(self.train_l2), cell(self.val_valence_mse), cell(self.val_valence_pcc),
-            cell(self.val_arousal_mse), cell(self.val_arousal_pcc),
-        ])
+        values = [getattr(self, f.name) for f in fields(self)[1:]]
+        return ",".join([str(self.epoch), *("" if v is None else repr(float(v)) for v in values)])
 
 
 def write_training_log(logs: list[EpochLog], path) -> None:
-    lines = [_LOG_HEADER] + [log.csv_row() for log in logs]
+    lines = [",".join(f.name for f in fields(EpochLog))] + [log.csv_row() for log in logs]
     write_file(path, ["\n".join(lines) + "\n"])
 
 
@@ -103,11 +96,8 @@ class TrainResult:
 
 def train_run(cfg: RunConfig) -> TrainResult:
     features, annotations = load_dataset(cfg.manifest)
-    train_ids, val_ids = split_dataset(
-        cfg.manifest, cfg.seed,
-        require_validation=cfg.early_stop_patience > 0,
-        train_fraction=cfg.train_fraction,
-    )
+    train_ids, val_ids = split_dataset(cfg.manifest, cfg.seed, cfg.train_fraction,
+                                       require_validation=cfg.early_stop_patience > 0)
     if not train_ids:
         raise ConfigError("no training movies left after the split")
 
@@ -154,10 +144,8 @@ def train_run(cfg: RunConfig) -> TrainResult:
                 predict_tracks(store, model_config, {m: features[m] for m in val_ids},
                                cfg.batch_size),
                 {m: annotations[m] for m in val_ids}, "macro_per_movie")
-            log.val_valence_mse = report.valence_mse
-            log.val_valence_pcc = report.valence_pcc
-            log.val_arousal_mse = report.arousal_mse
-            log.val_arousal_pcc = report.arousal_pcc
+            for name in METRICS:
+                setattr(log, f"val_{name}", getattr(report, name))
         logs.append(log)
 
         if cfg.early_stop_patience > 0:

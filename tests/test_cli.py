@@ -138,16 +138,29 @@ class TestExitCodes:
         (["synth", "--modalities", "audio:3,audio:3"], "--modalities"),
         (["train", "--profile", "run9"], "affectseq: --profile: must be one of"),
         *((["synth", "--modalities", f"{name}:3"], "--modalities") for name in NOT_PLAIN_NAMES),
+        # values argparse once typed itself, exiting 1 with its own message
+        (["train", "--seed", "x"], "affectseq: --seed: expected an integer, got 'x'"),
+        (["predict", "--seed", "x"], "affectseq: --seed: expected an integer, got 'x'"),
+        (["synth", "--movies", "x"], "affectseq: --movies: expected an integer, got 'x'"),
+        (["synth", "--length", "x"], "affectseq: --length: expected an integer, got 'x'"),
+        (["synth", "--lag", "1.5"], "affectseq: --lag: expected an integer, got '1.5'"),
+        (["synth", "--noise", "abc"], "affectseq: --noise: expected a number, got 'abc'"),
+        (["synth", "--seed", "x"], "affectseq: --seed: expected an integer, got 'x'"),
+        (["smooth", "--smoother", "kalman"], "affectseq: --smoother: must be one of"),
     ], ids=["synth-modalities", "synth-noise-override", "smooth-weights", "smooth-order",
             "smooth-cutoff", "synth-validation", "synth-modality-dim", "synth-movies",
             "synth-length", "synth-negative-noise-override", "smooth-even-weights",
             "smooth-no-weights", "synth-nan-noise", "synth-inf-noise",
             "synth-nan-noise-override", "synth-repeated-modality",
             "synth-repeated-modality-same-dim", "train-profile",
-            *(f"synth-modality-{kind}" for kind in NOT_PLAIN_NAMES.values())])
-    def test_malformed_flag_is_exit_2(self, workspace, tmp_path, capsys, argv, flag):
-        # smooth and train read real files, so only the flag can be at fault
+            *(f"synth-modality-{kind}" for kind in NOT_PLAIN_NAMES.values()),
+            "train-seed", "predict-seed", "synth-movies-text", "synth-length-text",
+            "synth-lag-fraction", "synth-noise-text", "synth-seed", "smooth-smoother"])
+    def test_malformed_flag_is_exit_2(self, workspace, fuzz_root, tmp_path, capsys, argv, flag):
+        # smooth, train and predict read real files, so only the flag can be at fault
         where = {"synth": [], "train": ["--config", str(workspace / "run.cfg")],
+                 "predict": ["--config", str(workspace / "run.cfg"), "--checkpoint",
+                             str(fuzz_root / "model.ckpt")],
                  "smooth": ["--predictions", str(workspace / "data" / "annotations")]}
         assert main([*argv, *where[argv[0]], "--out", str(tmp_path / "o")]) == 2
         assert flag in capsys.readouterr().err
@@ -156,7 +169,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, value", [
         ("movies", "m000:abc"),
         ("modalities", "audio:x"),
-        ("train_fraction", "abc"),
         ("annotation_range", "0, b"),
         ("movies", "m000:120, m000:120"),
         ("modalities", "audio:0"),
@@ -812,10 +824,11 @@ BAD_MANIFEST_VALUES = {
     "annotation_range": ("0, b", "1, -1", "-inf, inf", "0, nan", "-1e308, 1e308", "1",
                          "0,1,2"),
     "validation_movies": ("m999",),
-    "train_fraction": ("0", "1.5", "abc", "nan"),
 }
 # enable_dropout, bn_momentum and use_batch_stats_at_inference were keys once
 RETIRED_KEYS = ("enable_dropout", "bn_momentum", "use_batch_stats_at_inference")
+# the run config alone sets train_fraction; manifests once carried it too
+RETIRED_MANIFEST_KEYS = ("train_fraction",)
 UNKNOWN_KEYS = (*RETIRED_KEYS, "optimizer", "Seed", "hidden_units_audio")
 OWNED = tuple((profile, key) for profile, preset in config._PROFILE_PRESETS.items()
               for key in preset)
@@ -940,7 +953,7 @@ def manifest_faults(draw):
         key = draw(st.sampled_from(sorted(BAD_MANIFEST_VALUES)))
         return fault, key, draw(st.sampled_from(BAD_MANIFEST_VALUES[key]))
     if fault == "unknown":
-        return fault, draw(st.sampled_from(UNKNOWN_KEYS)), "1"
+        return fault, draw(st.sampled_from((*UNKNOWN_KEYS, *RETIRED_MANIFEST_KEYS))), "1"
     return fault, draw(st.sampled_from(("movies", "x"))), draw(st.sampled_from(("", "1")))
 
 
@@ -997,6 +1010,12 @@ class TestMalformedSettings:
     def test_each_manifest_fault(self, workspace, fuzz_root, fault, key, value, pick):
         check_manifest_fault(workspace, fuzz_root, fault, key, value, pick)
 
+    # 1.0 is what synth wrote into every manifest while the key was one
+    @pytest.mark.parametrize("key", RETIRED_MANIFEST_KEYS)
+    @pytest.mark.parametrize("value", ["1.0", "0.5"])
+    def test_each_retired_manifest_key(self, workspace, fuzz_root, key, value):
+        check_manifest_fault(workspace, fuzz_root, "unknown", key, value, 0)
+
 
 def test_settable_surface():
     """Every CLI flag, config key and manifest key, as sets: a new knob
@@ -1027,8 +1046,21 @@ def test_settable_surface():
     }
     assert len(config._KNOWN_KEYS) == 25
     assert set(MANIFEST_KEYS) == {"modalities", "movies", "annotation_range",
-                                  "validation_movies", "train_fraction"}
-    assert len(MANIFEST_KEYS) == 5
+                                  "validation_movies"}
+    assert len(MANIFEST_KEYS) == 4
+
+
+def test_setting_flags_carry_text():
+    """A flag that sets a config key or a synth setting leaves its value to
+    that setting's parser: argparse neither types nor restricts it."""
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    settings_ = config._KNOWN_KEYS | set(cli._SYNTH_PARSERS)
+    actions = [action for sub in commands.choices.values() for action in sub._actions
+               if action.dest in settings_ and action.dest != "out"]
+    assert len(actions) == 15
+    for action in actions:
+        assert (action.type, action.choices) == (None, None), action.option_strings
 
 
 def tree_bytes(root):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from affectseq import dataio
 from affectseq.dataio import (
     AFFECT_COLUMNS,
+    MANIFEST_KEYS,
     DatasetManifest,
     SynthSpec,
     batch_indices,
@@ -362,7 +363,7 @@ class TestManifestAndSplit:
 
     def test_split_counts(self, tmp_path):
         manifest = self._manifest(tmp_path)
-        train, val = split_dataset(manifest, seed=1)
+        train, val = split_dataset(manifest, seed=1, train_fraction=1.0)
         assert len(train) == 17 and len(val) == 13
         assert not set(train) & set(val)
 
@@ -371,7 +372,7 @@ class TestManifestAndSplit:
         message = (f"{tmp_path / 'manifest.txt'}: a validation movie list is required "
                    "but validation_movies is empty")
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            split_dataset(manifest, seed=1, require_validation=True)
+            split_dataset(manifest, seed=1, train_fraction=1.0, require_validation=True)
 
     def test_train_fraction_drops_whole_movies(self, tmp_path):
         manifest = self._manifest(tmp_path, n=23, validation=13)
@@ -389,7 +390,7 @@ class TestManifestAndSplit:
     def test_validation_required(self, tmp_path):
         manifest = self._manifest(tmp_path, validation=0)
         with pytest.raises(ConfigError):
-            split_dataset(manifest, seed=1, require_validation=True)
+            split_dataset(manifest, seed=1, train_fraction=1.0, require_validation=True)
 
     def test_manifest_roundtrip(self, tmp_path):
         manifest = self._manifest(tmp_path, n=3, validation=1)
@@ -398,6 +399,8 @@ class TestManifestAndSplit:
         assert loaded.modalities == manifest.modalities
         assert loaded.movies == manifest.movies
         assert loaded.validation_movies == manifest.validation_movies
+        keys = [line.split(" = ")[0] for line in path.read_text().splitlines()[1:]]
+        assert keys == list(MANIFEST_KEYS)
 
     def test_unknown_manifest_key_rejected(self, tmp_path):
         path = tmp_path / "manifest.txt"
