@@ -27,11 +27,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import (_KNOWN_KEYS, _number, _parse, parse_config, parse_values, smoother_spec,
-                     write_resolved)
+from .config import _KNOWN_KEYS, parse_config, parse_values, smoother_spec, write_resolved
 from .dataio import (
     SynthSpec,
     _list,
+    _number,
+    _parse,
     check_out_dir,
     load_dataset,
     load_prediction_dir,
@@ -142,8 +143,8 @@ _FLAGS = {"num_movies": "--movies", "noise_overrides": "--noise-override",
 _SYNTH_PARSERS = {
     "num_movies": _number(int), "length": _number(int), "noise": _number(float),
     "lag": _number(int), "seed": _number(int), "validation_movies": _list(str),
-    "modalities": lambda raw: parse_pairs(raw, int, "modalities"),
-    "noise_overrides": lambda raw: parse_pairs(raw, float, "noise_overrides"),
+    "modalities": lambda raw: parse_pairs(raw, int),
+    "noise_overrides": lambda raw: parse_pairs(raw, float),
 }
 
 

@@ -28,12 +28,12 @@ here or by run2, never by the manifest. Batch norm needs
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .dataio import DatasetManifest, _list, _parse_kv_lines, load_manifest, shown, write_file
+from .dataio import (DatasetManifest, _list, _number, _parse, _parse_kv_lines, load_manifest,
+                     shown, write_file)
 from .errors import ConfigError
 from .fusion import CG2_POSITIONS, FusionConfig
 from .model import ModelConfig
@@ -69,27 +69,6 @@ def _bool(raw: str) -> bool:
     raise ConfigError(f"expected true or false, got {raw!r}")
 
 
-def _number(kind: type, lo=None, hi=None, lo_open=False, hi_open=False) -> Callable[[str], float]:
-    """An int or float parser with inclusive, exclusive or absent bounds."""
-    left = "(-inf" if lo is None else f"{'(' if lo_open else '['}{lo:g}"
-    right = "inf)" if hi is None else f"{hi:g}{')' if hi_open else ']'}"
-
-    def parse(raw: str):
-        try:
-            value = kind(raw)
-        except ValueError:
-            raise ConfigError(
-                f"expected {'an integer' if kind is int else 'a number'}, got {raw!r}") from None
-        if kind is float and not math.isfinite(value):
-            raise ConfigError(f"expected a finite number, got {raw!r}")
-        above = lo is None or (value > lo if lo_open else value >= lo)
-        below = hi is None or (value < hi if hi_open else value <= hi)
-        if not (above and below):
-            raise ConfigError(f"{value} outside valid range {left}, {right}")
-        return value
-    return parse
-
-
 def _units(raw: str) -> tuple[int, ...]:
     units = _list(_number(int, lo=1))(raw)
     if not 1 <= len(units) <= 2:
@@ -108,13 +87,6 @@ def _key(default, parse: Callable[[str], object], echo: bool = True):
     """A config key: its RunConfig field default, its parser, and whether
     the resolved echo writes it."""
     return field(default=default, metadata={"parse": parse, "echo": echo})
-
-
-def _parse(key: str, parse: Callable[[str], object], raw: str):
-    try:
-        return parse(raw)
-    except ConfigError as exc:
-        raise ConfigError(str(exc), key=key) from None
 
 
 @dataclass

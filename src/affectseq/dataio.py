@@ -18,8 +18,17 @@ shortest round-trip decimal (``repr``), which reads back bit for bit. A
 track as the writer lays it out (rows ``<id>,<t>,...`` with t written
 0..L-1, finite decimals) is parsed in one ``np.loadtxt`` pass; any other
 text is read line by line, which gives the same values and the
-``<path>:<line>`` errors. ``parse_pairs`` reads the ``name:value`` lists
-of manifests and ``synth`` flags, and ``_list`` every comma list.
+``<path>:<line>`` errors. ``save_prediction_dir`` checks every track of
+a directory before it writes one, and writes a large directory from one
+lane per usable CPU: this process and forked children, each formatting
+its tracks with ``write_track``'s code, so the bytes do not depend on
+the lane count (the README's "Threads and processes" gives the rule).
+
+Settings have one number parser, ``_number``, and one comma-list parser,
+``_list``; ``parse_pairs`` reads the ``name:value`` lists of manifests
+and ``synth`` flags with both. Their messages name no setting:
+``_parse`` tags a fault with its key, and the caller names the flag, or
+the file and the key (``<manifest>: key <k>: ``), once.
 
 The manifest declares the dataset alone: ``modalities``, ``movies``,
 ``annotation_range`` and ``validation_movies``. How much of the training
@@ -41,8 +50,11 @@ modality names become file names, so each must be plain: not empty,
 
 from __future__ import annotations
 
+import gc
 import math
+import os
 import stat
+import threading
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -57,7 +69,6 @@ from .rng import generator
 FEATURES_DIR = "features"
 ANNOTATIONS_DIR = "annotations"
 MANIFEST_NAME = "manifest.txt"
-MANIFEST_KEYS = ("modalities", "movies", "annotation_range", "validation_movies")
 AFFECT_COLUMNS = ("valence", "arousal")
 
 
@@ -231,9 +242,10 @@ def load_predictions(path) -> tuple[str, np.ndarray]:
     return _read_track(Path(path), AFFECT_COLUMNS)
 
 
-def write_track(path, movie_id: str, values, columns: tuple[str, ...] | None = None) -> None:
-    """Write one track CSV, each value as its shortest round-trip decimal;
-    ``columns`` None names the value columns ``f0..f{C-1}``."""
+def _checked_track(movie_id: str, values, columns: tuple[str, ...] | None
+                   ) -> tuple[np.ndarray, tuple[str, ...]]:
+    """(values as float64, column names) of a track that ``write_track`` can
+    write: [L>=1, C>=1], finite, and as many columns as names."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
         raise DataError(f"track {movie_id} must be [L>=1, C>=1], got shape {values.shape}")
@@ -244,10 +256,20 @@ def write_track(path, movie_id: str, values, columns: tuple[str, ...] | None = N
     if len(columns) != values.shape[1]:
         raise DataError(f"track {movie_id} has {values.shape[1]} value columns, "
                         f"expected {len(columns)}")
+    return values, columns
+
+
+def _write_checked(path, movie_id: str, values: np.ndarray, columns: tuple[str, ...]) -> None:
     lines = ["movie_id,t," + ",".join(columns)]
     for t, row in enumerate(values):
         lines.append(f"{movie_id},{t}," + ",".join(map(repr, row.tolist())))
     write_file(path, ["\n".join(lines) + "\n"])
+
+
+def write_track(path, movie_id: str, values, columns: tuple[str, ...] | None = None) -> None:
+    """Write one track CSV, each value as its shortest round-trip decimal;
+    ``columns`` None names the value columns ``f0..f{C-1}``."""
+    _write_checked(path, movie_id, *_checked_track(movie_id, values, columns))
 
 
 def load_prediction_dir(directory) -> dict[str, np.ndarray]:
@@ -266,10 +288,86 @@ def load_prediction_dir(directory) -> dict[str, np.ndarray]:
     return tracks
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, or
+    ``os.cpu_count()`` where the platform has none."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+# Forking and reaping a child costs about as much as writing a few
+# thousand values, so a directory smaller than this is written inline.
+_FORK_VALUES = 2 ** 14
+
+
 def save_prediction_dir(preds: Mapping[str, np.ndarray], directory) -> None:
+    """Write each ``<movie>.csv`` track of ``preds`` into ``directory`` as
+    ``write_track`` writes it, after checking every track, so a bad track
+    raises its ``write_track`` message before any file is written.
+
+    A directory of at least ``_FORK_VALUES`` values in two or more tracks
+    is written from ``k = min(tracks, usable CPUs)`` lanes when the process
+    runs one thread and can fork: this process writes tracks 0, k, 2k, ...
+    and each of k - 1 forked children writes tracks j, j + k, ... Then this
+    process writes again, in track order, every track that no lane
+    finished, so the first failure in track order is raised here as a
+    one-lane write raises it; other movies' files may be left behind.
+    """
     directory = Path(directory)
-    for movie in sorted(preds):
-        write_track(directory / f"{movie}.csv", movie, preds[movie], AFFECT_COLUMNS)
+    jobs = [(directory / f"{movie}.csv", movie,
+             *_checked_track(movie, preds[movie], AFFECT_COLUMNS)) for movie in sorted(preds)]
+    lanes = min(len(jobs), _usable_cpus())
+    if (lanes < 2 or sum(job[2].size for job in jobs) < _FORK_VALUES
+            or not hasattr(os, "fork") or threading.active_count() != 1):
+        lanes = 1
+    done = [False] * len(jobs)
+    children = []
+    try:
+        for lane in range(1, lanes):
+            child = _fork_lane(jobs, lane, lanes)
+            if child is None:
+                break  # the lanes that did not start are written below
+            children.append(child)
+        try:
+            for i in range(0, len(jobs), lanes):
+                _write_checked(*jobs[i])
+                done[i] = True
+        except DataError:
+            pass  # written again below, in track order
+    finally:
+        for lane, (pid, pipe) in enumerate(children, start=1):
+            with pipe:
+                reported = len(pipe.read())
+            os.waitpid(pid, 0)
+            done[lane:lane + reported * lanes:lanes] = [True] * reported
+    for job, finished in zip(jobs, done):
+        if not finished:
+            _write_checked(*job)
+
+
+def _fork_lane(jobs: list, lane: int, lanes: int) -> tuple[int, BinaryIO] | None:
+    """(pid, read end of its pipe) of a child that writes jobs ``lane``,
+    ``lane + lanes``, ..., sends one byte per finished write and exits at
+    its first failure or its last write; None when no child can start."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        try:
+            gc.disable()  # collecting would touch, and so copy, the parent's heap
+            for i in range(lane, len(jobs), lanes):
+                _write_checked(*jobs[i])
+                os.write(write, b"\0")
+        finally:
+            os._exit(0)  # never return into the parent's stack
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
 
 
 @dataclass(frozen=True)
@@ -339,11 +437,34 @@ def _parse_kv_lines(path: Path) -> dict[str, str]:
     return out
 
 
-def _number(kind: type, raw: str, key: str):
+def _number(kind: type, lo=None, hi=None, lo_open=False, hi_open=False) -> Callable[[str], float]:
+    """An int or float parser with inclusive, exclusive or absent bounds;
+    a float must be finite."""
+    left = "(-inf" if lo is None else f"{'(' if lo_open else '['}{lo:g}"
+    right = "inf)" if hi is None else f"{hi:g}{')' if hi_open else ']'}"
+
+    def parse(raw: str):
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise ConfigError(
+                f"expected {'an integer' if kind is int else 'a number'}, got {raw!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"expected a finite number, got {raw!r}")
+        above = lo is None or (value > lo if lo_open else value >= lo)
+        below = hi is None or (value < hi if hi_open else value <= hi)
+        if not (above and below):
+            raise ConfigError(f"{value} outside valid range {left}, {right}")
+        return value
+    return parse
+
+
+def _parse(key: str, parse: Callable[[str], object], raw: str):
+    """``parse(raw)``, its error tagged with ``key``."""
     try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"bad value {raw!r} in {key}", key=key) from None
+        return parse(raw)
+    except ConfigError as exc:
+        raise ConfigError(str(exc), key=key) from None
 
 
 def _list(item: Callable[[str], object]) -> Callable[[str], tuple]:
@@ -354,40 +475,56 @@ def _list(item: Callable[[str], object]) -> Callable[[str], tuple]:
     return parse
 
 
-def parse_pairs(text: str, kind: type, key: str) -> tuple[tuple[str, int | float], ...]:
+def parse_pairs(text: str, kind: type) -> tuple[tuple[str, int | float], ...]:
     """The ``name:value`` entries of a comma list, each value read by
-    ``kind``; blank entries are skipped. Errors carry ``key``."""
+    ``_number(kind)``; blank entries are skipped."""
+    value = _number(kind)
+
     def pair(chunk: str) -> tuple[str, int | float]:
         name, sep, raw = chunk.partition(":")
         if not sep:
-            raise ConfigError(f"entry {chunk!r} in {key} must be name:value", key=key)
-        return name.strip(), _number(kind, raw, key)
+            raise ConfigError(f"entry {chunk!r} must be name:value")
+        return name.strip(), value(raw)
     return _list(pair)(text)
 
 
+def _range(raw: str) -> tuple[float, ...]:
+    bounds = _list(_number(float))(raw)
+    if len(bounds) != 2:
+        raise ConfigError("must be 'lo, hi'")
+    return bounds
+
+
+_MANIFEST_PARSERS = {
+    "modalities": lambda raw: parse_pairs(raw, int),
+    "movies": lambda raw: parse_pairs(raw, int),
+    "annotation_range": _range,
+    "validation_movies": _list(str),
+}
+MANIFEST_KEYS = tuple(_MANIFEST_PARSERS)
+
+
 def load_manifest(path) -> DatasetManifest:
+    """The manifest at ``path``. A value that does not parse names the
+    manifest and its key (``<path>: key <k>: ``); a parsed value the
+    manifest refuses names the manifest, and its message the key."""
     path = Path(path)
+    source = shown(path)
     kv = _parse_kv_lines(path)
+    unknown = set(kv).difference(MANIFEST_KEYS)
+    if unknown:
+        raise ConfigError(f"{source}: unknown manifest keys: {sorted(unknown)}")
+    for required in ("modalities", "movies"):
+        if required not in kv:
+            raise ConfigError(f"{source}: missing required key {required!r}", key=required)
     try:
-        unknown = set(kv).difference(MANIFEST_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown manifest keys: {sorted(unknown)}")
-        for required in ("modalities", "movies"):
-            if required not in kv:
-                raise ConfigError(f"missing required key {required!r}", key=required)
-        bounds = _list(lambda b: _number(float, b, "annotation_range"))(
-            kv.get("annotation_range", "-1.0, 1.0"))
-        if len(bounds) != 2:
-            raise ConfigError("annotation_range must be 'lo, hi'", key="annotation_range")
-        return DatasetManifest(
-            path=path,
-            modalities=parse_pairs(kv["modalities"], int, "modalities"),
-            movies=parse_pairs(kv["movies"], int, "movies"),
-            annotation_range=bounds,
-            validation_movies=_list(str)(kv.get("validation_movies", "")),
-        )
+        values = {key: _parse(key, _MANIFEST_PARSERS[key], raw) for key, raw in kv.items()}
     except ConfigError as exc:
-        raise ConfigError(f"{shown(path)}: {exc}", key=exc.key) from None
+        raise ConfigError(f"{source}: key {exc.key}: {exc}", key=exc.key) from None
+    try:
+        return DatasetManifest(path=path, **values)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}", key=exc.key) from None
 
 
 def save_manifest(manifest: DatasetManifest, path=None) -> Path:

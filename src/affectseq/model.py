@@ -33,7 +33,6 @@ encoder's state does not depend on how many modalities run beside it.
 from __future__ import annotations
 
 import functools
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -41,6 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from .dataio import _usable_cpus
 from .errors import ConfigError, DataError, DimensionError
 from .fusion import (FusionConfig, fusion_head_graph, fusion_layout, init_fusion_params,
                      map_to_range)
@@ -88,13 +88,6 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 def wrap_leaves(store: ParamStore) -> dict[str, ad.Var]:
     """Leaf Vars sharing the store's arrays (no copies)."""
     return {name: ad.Var(store.value(name)) for name in store.names()}
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
 
 
 def per_modality(jobs: Sequence[Callable[[], object]]) -> list:

@@ -191,6 +191,44 @@ class TestExitCodes:
         assert str(manifest) in err and key in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--noise-override", "audio:x"], "--noise-override: expected a number, got 'x'"),
+        (["--noise", "x"], "--noise: expected a number, got 'x'"),
+        (["--modalities", "audio:1.5"], "--modalities: expected an integer, got '1.5'"),
+        (["--movies", "1.5"], "--movies: expected an integer, got '1.5'"),
+        (["--modalities", "audio"], "--modalities: entry 'audio' must be name:value"),
+        (["--noise-override", "audio:nan"], "--noise-override: expected a finite number, "
+                                            "got 'nan'"),
+    ], ids=["noise-override", "noise", "modalities", "movies", "modalities-entry",
+            "noise-override-nan"])
+    def test_synth_number_flags_share_one_message(self, tmp_path, capsys, argv, message):
+        """One number parser reads every synth flag, and the message names
+        the flag once."""
+        assert main(["synth", *argv, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"affectseq: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("modalities", "audio:x", "expected an integer, got 'x'"),
+        ("movies", "m000:1.5", "expected an integer, got '1.5'"),
+        ("modalities", "audio", "entry 'audio' must be name:value"),
+        ("annotation_range", "0, b", "expected a number, got 'b'"),
+        ("annotation_range", "1", "must be 'lo, hi'"),
+        ("annotation_range", "0, nan", "expected a finite number, got 'nan'"),
+    ], ids=["modalities", "movies", "modalities-entry", "range-text", "range-one-bound",
+            "range-nan"])
+    def test_manifest_value_names_manifest_and_key_once(self, workspace, tmp_path, capsys,
+                                                         key, value, message):
+        lines = (workspace / "data" / "manifest.txt").read_text().splitlines()
+        lines = [line for line in lines if not line.startswith(f"{key} =")]
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("\n".join([*lines, f"{key} = {value}"]) + "\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"manifest = {manifest}\nprofile = run1\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"affectseq: {manifest}: key {key}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("body, key", [
         ("learning_rate = inf", "learning_rate"),
         ("l2_lambda = inf", "l2_lambda"),

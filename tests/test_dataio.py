@@ -1,5 +1,8 @@
 import ast
+import os
 import re
+import signal
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,7 @@ from affectseq.dataio import (
     parse_pairs,
     read_file,
     save_manifest,
+    save_prediction_dir,
     shown,
     split_dataset,
     synth_generate,
@@ -30,7 +34,10 @@ from affectseq.dataio import (
     write_file,
     write_track,
 )
+from affectseq.cli import main
+from affectseq.config import parse_config
 from affectseq.errors import ConfigError, DataError
+from affectseq.model import init_model_params
 
 
 def write_feature_csv(path, movie="m000", dim=2, rows=3, mangle=None):
@@ -219,15 +226,21 @@ class TestReaderPaths:
 
 class TestParsePairs:
     def test_values_and_blank_entries(self):
-        assert parse_pairs(" audio:8, ,image: 5,", int, "modalities") == (("audio", 8),
-                                                                          ("image", 5))
-        assert parse_pairs("", float, "noise_overrides") == ()
+        assert parse_pairs(" audio:8, ,image: 5,", int) == (("audio", 8), ("image", 5))
+        assert parse_pairs("", float) == ()
 
-    @pytest.mark.parametrize("text", ["audio", "audio:x", "audio:1.5"])
-    def test_bad_entry_names_key(self, text):
-        with pytest.raises(ConfigError, match="modalities") as err:
-            parse_pairs(text, int, "modalities")
-        assert err.value.key == "modalities"
+    @pytest.mark.parametrize("text, kind, message", [
+        ("audio", int, "entry 'audio' must be name:value"),
+        ("audio:x", int, "expected an integer, got 'x'"),
+        ("audio:1.5", int, "expected an integer, got '1.5'"),
+        ("audio:nan", float, "expected a finite number, got 'nan'"),
+    ], ids=["audio", "audio:x", "audio:1.5", "audio:nan"])
+    def test_bad_entry_message(self, text, kind, message):
+        """The message leaves the setting to its caller, which names the
+        flag, or the manifest and the key, once."""
+        with pytest.raises(ConfigError) as err:
+            parse_pairs(text, kind)
+        assert str(err.value) == message
 
 
 class TestWindowing:
@@ -601,3 +614,116 @@ class TestFileBoundary:
             Scopes(path.stem).visit(ast.parse(path.read_text(), str(path)))
         assert found == {("dataio", "open_input", "open"),
                          ("dataio", "write_file", "mkdir"), ("dataio", "write_file", "open")}
+
+
+def lane_tracks():
+    """Four movies of 2100 s, 16,800 values: above the fork floor."""
+    rng = np.random.default_rng(3)
+    tracks = {f"m{i:03d}": rng.normal(size=(2100, 2)) for i in range(4)}
+    assert sum(t.size for t in tracks.values()) >= dataio._FORK_VALUES
+    return tracks
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """One entry per ``os.fork`` call made in this process."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+class TestPredictionDirLanes:
+    """``save_prediction_dir`` writes a large directory from one lane per
+    usable CPU, this process and forked children; what it writes and
+    raises does not depend on the lane count."""
+
+    def test_bytes_do_not_depend_on_lanes(self, monkeypatch, tmp_path, forks):
+        tracks = lane_tracks()
+        for cpus in (1, 2):
+            monkeypatch.setattr(dataio, "_usable_cpus", lambda cpus=cpus: cpus)
+            save_prediction_dir(tracks, tmp_path / f"cpus{cpus}")
+            assert len(forks) == cpus - 1
+        for movie in tracks:
+            assert ((tmp_path / "cpus1" / f"{movie}.csv").read_bytes()
+                    == (tmp_path / "cpus2" / f"{movie}.csv").read_bytes())
+
+    def test_failure_in_a_child_lane_is_raised_as_inline(self, monkeypatch, tmp_path, forks):
+        tracks = lane_tracks()
+        messages = []
+        for cpus in (1, 2):
+            out = tmp_path / f"cpus{cpus}"
+            (out / "m001.csv").mkdir(parents=True)  # in the child's lane at two lanes
+            monkeypatch.setattr(dataio, "_usable_cpus", lambda cpus=cpus: cpus)
+            with pytest.raises(DataError) as err:
+                save_prediction_dir(tracks, out)
+            messages.append(str(err.value).replace(str(out), "<out>"))
+        assert len(forks) == 1
+        assert messages == ["cannot write <out>/m001.csv: Is a directory"] * 2
+
+    def test_tracks_a_dead_child_left_are_written_here(self, monkeypatch, tmp_path, forks):
+        tracks = lane_tracks()
+        parent, write = os.getpid(), dataio._write_checked
+
+        def dying(path, *args):
+            if os.getpid() != parent and path.name == "m003.csv":
+                os.kill(os.getpid(), signal.SIGKILL)
+            write(path, *args)
+
+        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(dataio, "_write_checked", dying)
+        save_prediction_dir(tracks, tmp_path / "lanes")
+        assert len(forks) == 1
+        for movie, values in tracks.items():
+            write_track(tmp_path / "inline.csv", movie, values, AFFECT_COLUMNS)
+            assert ((tmp_path / "lanes" / f"{movie}.csv").read_bytes()
+                    == (tmp_path / "inline.csv").read_bytes())
+
+    def test_no_fork_while_another_thread_runs(self, monkeypatch, tmp_path):
+        def refuse():
+            raise AssertionError("forked while another thread ran")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 2)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(60,))
+        thread.start()
+        try:
+            save_prediction_dir(lane_tracks(), tmp_path)
+        finally:
+            stop.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"m00{i}.csv" for i in range(4)]
+
+    def test_bad_track_writes_nothing(self, tmp_path):
+        with pytest.raises(DataError) as err:
+            save_prediction_dir({"m000": np.zeros((3, 2)), "m001": np.array([[0.0, np.nan]])},
+                                tmp_path / "out")
+        assert str(err.value) == "track m001 has non-finite values"
+        assert not (tmp_path / "out").exists()
+
+    def test_commands_leave_no_child_process(self, monkeypatch, tmp_path, forks):
+        """``predict``, ``smooth`` and ``ensemble`` each write 16,400 values
+        from two lanes, and every child is reaped when they return."""
+        manifest = synth_generate(SynthSpec(num_movies=2, length=4100,
+                                            modalities=(("audio", 1),)), tmp_path / "data", 1)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"manifest = {manifest.path}\nprofile = run1\nsequence_length = 2\n"
+                       "hidden_units = 2\nbatch_size = 4096\n")
+        init_model_params(parse_config(cfg).model_config(), 0).save(tmp_path / "model.ckpt")
+        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 2)
+        raw, smooth = str(tmp_path / "raw"), str(tmp_path / "smooth")
+        for argv in (["predict", "--config", str(cfg), "--checkpoint",
+                      str(tmp_path / "model.ckpt"), "--out", raw],
+                     ["smooth", "--predictions", raw, "--out", smooth],
+                     ["ensemble", "--runs", raw, smooth, "--out", str(tmp_path / "mean")]):
+            assert main(argv) == 0
+        assert len(forks) == 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
