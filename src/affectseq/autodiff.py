@@ -10,25 +10,13 @@ code run over parameter arrays instead of leaf ``Var``s computes the
 same values and builds no graph. ``value`` reads the array behind either
 kind of result.
 
-Graphs are built per forward pass and thrown away; call ``backward`` at
-most once per graph. ``backward`` starts from a scalar root, or from any
-root with a seed gradient of its shape: a graph cut at leaf ``Var``s can
-then be backpropagated part by part, and parts that share no node can
-run on different threads (:mod:`affectseq.model` runs the encoders so).
-Elementwise ops follow numpy broadcasting; matrix ops are restricted to
-the 2-D forms the models here need.
-
-Besides the generic ops below, :mod:`affectseq.seqmodel` builds two
-custom nodes through ``_node``: ``gru_sequence`` and ``lstm_sequence``
-each run a whole recurrent layer over T steps as one node with a
-hand-written backward (backpropagation through time). Built from the
-generic ops, a layer would take about ten nodes per step, each holding
-its own temporaries and visited one at a time by ``backward``; the fused
-node keeps only the gate activations and states its backward needs,
-overwrites the activations with their gradients, and computes each
-weight gradient as one matrix product over all steps. An encoder's top
-layer is such a node that outputs only its final state, so no op picks
-the last step out of a sequence.
+Graphs are built per forward pass and thrown away; call ``backward``
+once per graph, from a scalar root. Elementwise ops follow numpy
+broadcasting; matrix ops are restricted to the 2-D forms the models here
+need. The graph serves the fusion head and the loss
+(:mod:`affectseq.model`): the recurrent encoders backpropagate through
+their own closures (:mod:`affectseq.seqmodel`), and their states enter
+the graph as leaf ``Var``s.
 """
 
 from __future__ import annotations
@@ -66,9 +54,9 @@ def _accum(var: Var, g: np.ndarray, shared: bool) -> None:
 
     Later terms are added to the first in place, so a first ``g`` that
     someone else may hold is copied: one marked ``shared`` (see
-    :func:`_node`) or a view (a slice of ``concat_cols``, a sequence
-    node's memo). A new array that only this call holds, such as
-    ``mul``'s ``g * b``, is taken as it is.
+    :func:`_node`) or a view (a slice of ``concat_cols``). A new array
+    that only this call holds, such as ``mul``'s ``g * b``, is taken as
+    it is.
     """
     if var.grad is not None:
         var.grad += g
@@ -222,12 +210,6 @@ def sum_all(x):
     return _node(np.asarray(vx.sum()), (x, lambda g: np.broadcast_to(g, vx.shape).copy()))
 
 
-def sum_squares(x):
-    """Scalar sum of squared entries (for weight penalties)."""
-    vx = value(x)
-    return _node(np.asarray((vx * vx).sum()), (x, lambda g: 2.0 * g * vx))
-
-
 def _topo_order(root: Var) -> list[Var]:
     order: list[Var] = []
     seen: set[int] = set()
@@ -246,16 +228,10 @@ def _topo_order(root: Var) -> list[Var]:
     return order
 
 
-def backward(root: Var, grad: np.ndarray | None = None) -> None:
+def backward(root: Var) -> None:
     """Accumulate d(root)/d(leaf) into the ``grad`` of every reachable leaf
-    (a Var built from a value alone, such as a parameter).
-
-    ``grad`` seeds the gradient of the root's value: with it, each leaf
-    gets the vector-Jacobian product ``sum(grad * d(root)/d(leaf))``, so a
-    graph cut at a ``Var`` can be backpropagated piece by piece (the model
-    runs each encoder's part from the gradient its state received from
-    the head). It must have the root's shape and is copied; without it
-    ``root`` must be a scalar and the seed is 1.
+    (a Var built from a value alone, such as a parameter); ``root`` must
+    be a scalar.
 
     An interior node's ``grad`` is dropped, set back to None, as soon as
     its ``_backward`` has passed it on, so the gradients of a deep graph
@@ -263,14 +239,9 @@ def backward(root: Var, grad: np.ndarray | None = None) -> None:
     """
     if not isinstance(root, Var):
         raise DimensionError("backward root has no graph: it was built only from constants")
-    if grad is None:
-        if root.value.size != 1:
-            raise DimensionError(f"backward needs a scalar root, got shape {root.value.shape}")
-        grad = np.ones_like(root.value)
-    elif np.shape(grad) != root.value.shape:
-        raise DimensionError(f"backward seed of shape {np.shape(grad)} for a root of shape "
-                             f"{root.value.shape}")
-    root.grad = np.array(grad, dtype=np.float64)
+    if root.value.size != 1:
+        raise DimensionError(f"backward needs a scalar root, got shape {root.value.shape}")
+    root.grad = np.ones_like(root.value)
     for node in reversed(_topo_order(root)):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)

@@ -26,9 +26,10 @@ the lane count (the README's "Threads and processes" gives the rule).
 
 Settings have one number parser, ``_number``, and one comma-list parser,
 ``_list``; ``parse_pairs`` reads the ``name:value`` lists of manifests
-and ``synth`` flags with both. Their messages name no setting:
-``_parse`` tags a fault with its key, and the caller names the flag, or
-the file and the key (``<manifest>: key <k>: ``), once.
+and ``synth`` flags with both. Their messages name no setting, nor do
+those of the ``DatasetManifest`` and ``SynthSpec`` checks: ``_parse``
+and the checks tag a fault with its key, and the caller names the flag,
+or the file and the key (``<manifest>: key <k>: ``), once.
 
 The manifest declares the dataset alone: ``modalities``, ``movies``,
 ``annotation_range`` and ``validation_movies``. How much of the training
@@ -385,25 +386,23 @@ class DatasetManifest:
         for key in ("modalities", "movies"):
             names = [name for name, _ in getattr(self, key)]
             if not names:
-                raise ConfigError(f"{key} needs at least one entry", key=key)
+                raise ConfigError("needs at least one entry", key=key)
             if len(set(names)) != len(names):
-                raise ConfigError(f"duplicate names in {key}", key=key)
+                raise ConfigError("duplicate names", key=key)
             for name in names:  # each becomes a file or directory name
                 if name in ("", ".", "..") or any(
                         ch in "/\\" or unicodedata.category(ch) == "Cc" for ch in name):
-                    raise ConfigError(f"name {name!r} in {key} is not a plain file name",
-                                      key=key)
+                    raise ConfigError(f"name {name!r} is not a plain file name", key=key)
         if any(d < 1 for _, d in self.modalities):
-            raise ConfigError("dims in modalities must be >= 1", key="modalities")
+            raise ConfigError("dims must be >= 1", key="modalities")
         if any(length < 1 for _, length in self.movies):
-            raise ConfigError("lengths in movies must be >= 1", key="movies")
+            raise ConfigError("lengths must be >= 1", key="movies")
         lo, hi = self.annotation_range
         if not (lo < hi and math.isfinite(hi - lo)):  # a finite width has finite bounds
-            raise ConfigError("annotation_range needs finite lo < hi", key="annotation_range")
+            raise ConfigError("needs finite lo < hi", key="annotation_range")
         unknown = set(self.validation_movies) - set(self.movie_ids)
         if unknown:
-            raise ConfigError(f"validation_movies not in movies: {sorted(unknown)}",
-                              key="validation_movies")
+            raise ConfigError(f"not in movies: {sorted(unknown)}", key="validation_movies")
 
     @property
     def root(self) -> Path:
@@ -505,9 +504,8 @@ MANIFEST_KEYS = tuple(_MANIFEST_PARSERS)
 
 
 def load_manifest(path) -> DatasetManifest:
-    """The manifest at ``path``. A value that does not parse names the
-    manifest and its key (``<path>: key <k>: ``); a parsed value the
-    manifest refuses names the manifest, and its message the key."""
+    """The manifest at ``path``. A value that does not parse, or that the
+    manifest refuses, names the manifest and its key (``<path>: key <k>: ``)."""
     path = Path(path)
     source = shown(path)
     kv = _parse_kv_lines(path)
@@ -519,12 +517,9 @@ def load_manifest(path) -> DatasetManifest:
             raise ConfigError(f"{source}: missing required key {required!r}", key=required)
     try:
         values = {key: _parse(key, _MANIFEST_PARSERS[key], raw) for key, raw in kv.items()}
-    except ConfigError as exc:
-        raise ConfigError(f"{source}: key {exc.key}: {exc}", key=exc.key) from None
-    try:
         return DatasetManifest(path=path, **values)
     except ConfigError as exc:
-        raise ConfigError(f"{source}: {exc}", key=exc.key) from None
+        raise ConfigError(f"{source}: key {exc.key}: {exc}", key=exc.key) from None
 
 
 def save_manifest(manifest: DatasetManifest, path=None) -> Path:
@@ -708,17 +703,16 @@ class SynthSpec:
     def __post_init__(self):
         for key in ("num_movies", "length"):
             if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1", key=key)
+                raise ConfigError("must be >= 1", key=key)
         for key in ("noise", "lag"):
             if not 0 <= getattr(self, key) < math.inf:  # NaN fails too
-                raise ConfigError(f"{key} must be finite and >= 0", key=key)
+                raise ConfigError("must be finite and >= 0", key=key)
         names = {name for name, _ in self.modalities}
         for name, level in self.noise_overrides:
             if name not in names:
-                raise ConfigError(f"noise override for unknown modality {name!r}",
-                                  key="noise_overrides")
+                raise ConfigError(f"unknown modality {name!r}", key="noise_overrides")
             if not 0 <= level < math.inf:
-                raise ConfigError("noise levels must be finite and >= 0", key="noise_overrides")
+                raise ConfigError("levels must be finite and >= 0", key="noise_overrides")
 
     def noise_for(self, modality: str) -> float:
         for name, level in self.noise_overrides:

@@ -12,6 +12,13 @@ weight matrix (2-D parameter), never biases:
 Batch reduction order is fixed (sample order within the batch, dimensions
 valence then arousal) so reruns are bit-identical.
 
+The autodiff graph covers the head and the loss alone: its leaves are
+the head's parameters and leaf ``Var``s holding the encoder states. Each
+encoder hands back its own backward closure
+(:func:`affectseq.seqmodel.encode_batch_graph`), which runs from the
+gradient its state's leaf receives. The penalty is a plain sum, and each
+weight matrix's gradient gets its term, 2 * lambda * W.
+
 The modalities meet only at the head, so their encoders are independent
 until then, and :func:`per_modality` runs them at once: the first on the
 calling thread, the others on ``min(modalities, usable CPUs) - 1``
@@ -85,11 +92,6 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return {name: shape for name, shape, _ in layout}
 
 
-def wrap_leaves(store: ParamStore) -> dict[str, ad.Var]:
-    """Leaf Vars sharing the store's arrays (no copies)."""
-    return {name: ad.Var(store.value(name)) for name in store.names()}
-
-
 def per_modality(jobs: Sequence[Callable[[], object]]) -> list:
     """Each job's result, in order: the first job runs on the calling
     thread and the others, at once, on threads that the call starts.
@@ -126,55 +128,33 @@ def _check_windows(config: ModelConfig, windows: dict[str, np.ndarray]) -> int:
     return sizes.pop()
 
 
-def encode_states(leaves: dict[str, ad.Var], config: ModelConfig,
-                  windows: dict[str, np.ndarray],
-                  rng: np.random.Generator | None = None) -> list:
-    """Each modality's final encoder state [B, H], in modality order, over
-    windows that :func:`_check_windows` has passed (see the module
-    docstring)."""
+def encode_states(params: dict[str, np.ndarray], config: ModelConfig,
+                  windows: dict[str, np.ndarray], rng: np.random.Generator | None = None,
+                  keep: bool = False) -> list:
+    """Each modality's final encoder state [B, H], or with ``keep`` its
+    ``(state, backward)`` (see :func:`encode_batch_graph`), in modality
+    order, over windows that :func:`_check_windows` has passed (see the
+    module docstring)."""
     count = len(config.encoders)
     rngs = [None] * count if rng is None else rng.spawn(count)
-    return per_modality([functools.partial(encode_batch_graph, windows[name], enc, leaves,
-                                           f"enc.{name}", child)
+    return per_modality([functools.partial(encode_batch_graph, windows[name], enc, params,
+                                           f"enc.{name}", child, keep)
                          for (name, enc), child in zip(config.encoders, rngs)])
 
 
-def head_graph(states: list, leaves: dict[str, ad.Var], config: ModelConfig,
+def head_graph(states: list, leaves: dict, config: ModelConfig,
                rng: np.random.Generator | None = None):
     """Gated probabilities p_prime [B, 2] from the encoder states."""
     return fusion_head_graph(ad.concat_cols(states), leaves, config.fusion, rng)
 
 
-def forward_graph(leaves: dict[str, ad.Var], config: ModelConfig,
-                  windows: dict[str, np.ndarray], rng: np.random.Generator | None = None):
-    """Gated probabilities p_prime [B, 2] over the given parameter leaves.
-
-    Leaf Vars (``wrap_leaves``) give a graph to backpropagate; the store's
-    plain arrays give the same values as an ndarray and build no graph.
-    """
-    _check_windows(config, windows)
-    return head_graph(encode_states(leaves, config, windows, rng), leaves, config, rng)
-
-
 def predict_batch(store: ParamStore, config: ModelConfig,
                   windows: dict[str, np.ndarray]) -> np.ndarray:
     """Eval-mode predictions in annotation units, shape [B, 2]."""
-    p_prime = forward_graph(dict(store.items()), config, windows)
+    _check_windows(config, windows)
+    params = dict(store.items())
+    p_prime = head_graph(encode_states(params, config, windows), params, config)
     return map_to_range(p_prime, config.fusion.output_range)
-
-
-def weight_penalty_graph(leaves: dict[str, ad.Var]) -> ad.Var:
-    """Sum of squared entries over weight matrices (2-D leaves), in name order."""
-    total = None
-    for name in sorted(leaves):
-        leaf = leaves[name]
-        if leaf.value.ndim != 2:
-            continue
-        term = ad.sum_squares(leaf)
-        total = term if total is None else ad.add(total, term)
-    if total is None:
-        raise ConfigError("no weight matrices found")
-    return total
 
 
 def training_loss(windows: dict[str, np.ndarray], targets: np.ndarray,
@@ -201,33 +181,36 @@ def training_loss(windows: dict[str, np.ndarray], targets: np.ndarray,
         raise DataError(f"targets fall outside the annotation range ({lo}, {hi})")
     t01 = (targets - lo) / (hi - lo)
 
-    leaves = wrap_leaves(store)
-    states = encode_states(leaves, config, windows, rng)
-    # The head runs over leaves holding the states, so its backward stops
-    # there, and each encoder's backward then runs from its leaf's gradient.
-    # An encoder parameter gets at most two gradient terms, the L2
-    # penalty's and its op's, and a sum of two floats does not depend on
-    # their order: the bits are those of one backward over the whole graph.
-    cut = [ad.Var(state.value) for state in states]
+    params = dict(store.items())
+    encoded = encode_states(params, config, windows, rng, keep=True)
+    # The head is the only graph. It runs over leaves holding the encoder
+    # states, so its backward stops there, and each encoder's backward then
+    # runs from its leaf's gradient.
+    cut = [ad.Var(state) for state, _ in encoded]
+    leaves = {name: ad.Var(value) for name, value in params.items()
+              if name.startswith("fusion.")}
     p_prime = head_graph(cut, leaves, config, rng)
     like = ad.add(
         ad.mul(t01, ad.safe_log(p_prime)),
         ad.mul(1.0 - t01, ad.safe_log(ad.scale_shift(p_prime, -1.0, 1.0))),
     )
     xent = ad.scale_shift(ad.sum_all(like), -1.0 / batch)
-    penalty = weight_penalty_graph(leaves)
-    total = ad.add(xent, ad.scale_shift(penalty, config.fusion.l2_lambda))
+    weights = [(name, value) for name, value in params.items() if value.ndim == 2]
+    penalty = 0.0
+    for _, value in weights:  # in name order, left to right
+        penalty += float((value * value).sum())
 
-    result = LossValue(
-        loss=float(xent.value),
-        l2_penalty=float(penalty.value),
-        lambda_l2=config.fusion.l2_lambda,
-    )
+    result = LossValue(loss=float(xent.value), l2_penalty=penalty,
+                       lambda_l2=config.fusion.l2_lambda)
     if rng is not None and config.fusion.enable_batchnorm:
         x = np.concatenate([leaf.value for leaf in cut], axis=1)
         result.batch_moments = np.stack([x.mean(axis=0), x.var(axis=0, ddof=1)])
         del x  # free before backward allocates, as training.train_run's loop explains
-    ad.backward(total)
-    per_modality([functools.partial(ad.backward, state, leaf.grad)
-                  for state, leaf in zip(states, cut)])
-    return result, {name: leaf.grad for name, leaf in leaves.items() if leaf.grad is not None}
+    ad.backward(xent)
+    grads = {name: leaf.grad for name, leaf in leaves.items() if leaf.grad is not None}
+    for part in per_modality([functools.partial(backward, leaf.grad)
+                              for (_, backward), leaf in zip(encoded, cut)]):
+        grads.update(part)
+    for name, value in weights:
+        grads[name] += (2.0 * config.fusion.l2_lambda) * value
+    return result, grads

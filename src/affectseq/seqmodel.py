@@ -20,31 +20,35 @@ an inference pass (no generator) skips it; a rate of 0 turns it off.
 The window length T is a model setting (:class:`affectseq.model.ModelConfig`),
 not an encoder one: an encoder unrolls whatever T its batch has.
 
-Each layer is one fused op, ``gru_sequence`` or ``lstm_sequence``, and
-one autodiff node for the whole window, after Appleyard et al.
-(arXiv:1604.01946). The per-gate U and b are stacked per call, so each
-step does a single h @ U.T for all gates. A copied [B, T, D] input is
-projected inside the recurrence, one [B, D] GEMM per gate on step t's
-rows, so an op never holds more than one step's projection. In
-prediction the windows of a movie overlap, each one second after the
-last, and arrive as a strided view of the movie's rows; the first layer
-then projects each distinct row once, B+T-1 rows for B windows instead
-of B*T, and every step reads its B rows of that one table. An encoder's
-top layer runs with ``last_only``: it outputs only the final state
-[B, H] and takes a [B, H] gradient, while the layer below outputs every
-step's state.
+Each layer is one fused op, ``gru_sequence`` or ``lstm_sequence``, over
+the whole window, after Appleyard et al. (arXiv:1604.01946). The
+per-gate U and b are stacked per call, so each step does a single
+h @ U.T for all gates. A copied [B, T, D] input is projected inside the
+recurrence, one [B, D] GEMM per gate on step t's rows, so an op never
+holds more than one step's projection. In prediction the windows of a
+movie overlap, each one second after the last, and arrive as a strided
+view of the movie's rows; the first layer then projects each distinct
+row once, B+T-1 rows for B windows instead of B*T, and every step reads
+its B rows of that one table. An encoder's top layer runs with
+``last_only``: it outputs only the final state [B, H] and takes a
+[B, H] gradient, while the layer below outputs every step's state.
 
-The backward pass is hand-written backpropagation through time. In
-training an op keeps its state window-major, [B, T, .] arrays whose flat
-row b*T + t is window b at step t (the row order of the [B, T, D]
-input): the state before each step, the gate activations, and the GRU's
-r * h or the LSTM's cell states. One reverse loop over the steps writes
-each step's pre-activation gradients over that step's activations, in
-place; then every weight gradient is one GEMM over [B*T, .] views of
-those arrays. The parameters keep their per-gate names
-(``<prefix>.l<layer>.W_z`` ... ``b_o``), so checkpoints written before
-the fused ops load unchanged. With constant inputs and parameters
-(prediction) the ops keep no per-step state for a backward pass.
+The encoders take plain arrays and build no autodiff graph; that graph
+covers the fusion head alone (:mod:`affectseq.model`). Their backward
+pass is hand-written backpropagation through time, returned as a
+closure: with ``keep`` an op returns its states and ``bptt``, and
+``encode_batch_graph`` its final state and ``backward``, which maps that
+state's gradient to ``{parameter name: gradient}``, layer by layer from
+the top down. An op run with ``keep`` holds its state window-major,
+[B, T, .] arrays whose flat row b*T + t is window b at step t (the row
+order of the [B, T, D] input): the state before each step, the gate
+activations, and the GRU's r * h or the LSTM's cell states. One reverse
+loop over the steps writes each step's pre-activation gradients over
+that step's activations, in place; then every weight gradient is one
+GEMM over [B*T, .] views of those arrays. The parameters keep their
+per-gate names (``<prefix>.l<layer>.W_z`` ... ``b_o``), so checkpoints
+written before the fused ops load unchanged. Without ``keep``
+(prediction) an op holds no per-step state.
 """
 
 from __future__ import annotations
@@ -118,18 +122,9 @@ def init_encoder_params(store: ParamStore, prefix: str, config: EncoderConfig,
     add_params(store, encoder_layout(prefix, config), rng)
 
 
-# Batched, differentiable paths used by training and prediction. Windows
-# are constants; parameters come in as leaf Vars for training or as plain
-# arrays for prediction, which then builds no graph and keeps no per-step
-# state. The state a training op keeps for its backward pass is
-# window-major, [B, T, .] with row b*T + t for window b at step t: the
-# row order of the [B, T, D] input, so each weight gradient is one GEMM
-# over [B*T, .] views of it.
-
-
 def _stack(cell: Mapping, kind: str, gates: tuple[str, ...]) -> np.ndarray:
     """The ``kind`` ("W", "U" or "b") parameters of ``gates``, stacked in that order."""
-    return np.concatenate([ad.value(cell[f"{kind}_{gate}"]) for gate in gates])
+    return np.concatenate([cell[f"{kind}_{gate}"] for gate in gates])
 
 
 def _project(rows: np.ndarray, ws: list[np.ndarray], b: np.ndarray) -> np.ndarray:
@@ -142,7 +137,7 @@ def _project(rows: np.ndarray, ws: list[np.ndarray], b: np.ndarray) -> np.ndarra
     return proj
 
 
-def _input_steps(x, cell: Mapping, gates: tuple[str, ...]):
+def _input_steps(x: np.ndarray, cell: Mapping, gates: tuple[str, ...]):
     """x_t @ W.T + b of every step t of a [B, T, D] input, as [B, G*H]
     arrays in time order.
 
@@ -154,73 +149,49 @@ def _input_steps(x, cell: Mapping, gates: tuple[str, ...]):
     gate on that step's rows, so no batch holds its whole projection nor,
     at the wide feature widths (D ~ 2000), a stacked copy of W.
     """
-    vx = ad.value(x)
-    ws = [ad.value(cell[f"W_{gate}"]) for gate in gates]
-    if vx.ndim != 3 or vx.shape[2] != ws[0].shape[1]:
-        raise DimensionError(f"sequence input {vx.shape} incompatible with "
+    ws = [cell[f"W_{gate}"] for gate in gates]
+    if x.ndim != 3 or x.shape[2] != ws[0].shape[1]:
+        raise DimensionError(f"sequence input {x.shape} incompatible with "
                              f"gate weights {ws[0].shape}")
-    batch, steps, dim = vx.shape
+    batch, steps, dim = x.shape
     b = _stack(cell, "b", gates)
-    if vx.strides[0] == vx.strides[1]:
+    if x.strides[0] == x.strides[1]:
         table = np.lib.stride_tricks.as_strided(
-            vx, (batch + steps - 1, dim), (vx.strides[0], vx.strides[2]), writeable=False)
+            x, (batch + steps - 1, dim), (x.strides[0], x.strides[2]), writeable=False)
         proj = _project(table, ws, b)
         return (proj[t:t + batch] for t in range(steps))
-    return (_project(vx[:, t], ws, b) for t in range(steps))
+    return (_project(x[:, t], ws, b) for t in range(steps))
 
 
-def _sequence_node(out: np.ndarray, x, cell: Mapping, gates: tuple[str, ...], bptt):
-    """The op's result: one node over ``x`` and every gate parameter.
-
-    ``bptt(g)`` runs backpropagation through time from the output
-    gradient ``g`` and returns the [B*T, G*H] pre-activation gradients and
-    the stacked U gradient. The first grad_fn that ``backward`` calls runs
-    it and takes the W, b and ``x`` gradients from its rows, each one GEMM
-    (or sum) over all B*T rows; each grad_fn then reads its gate's rows of
-    the stacked result. The [B, T, D] ``x`` gradient leaves the memo once
-    it is returned.
+def _layer_grads(x: np.ndarray, cell: Mapping, gates: tuple[str, ...], rows: np.ndarray,
+                 du: np.ndarray, want_x: bool):
+    """A layer's ``{"W_<gate>": gradient, ...}`` and, if ``want_x``, the
+    gradient of its [B, T, D] input ``x`` (else None), from the [B*T, G*H]
+    pre-activation gradients ``rows`` and the stacked U gradient ``du``.
+    The stacked W, b and ``x`` gradients are each one GEMM (or sum) over
+    all B*T rows, and each gate's gradients are its rows of the stacks.
     """
-    width = ad.value(cell[f"U_{gates[0]}"]).shape[1]
-    memo: dict[str, np.ndarray] = {}
-
-    def run(g):
-        rows, memo["U"] = bptt(g)
-        vx = ad.value(x)
-        memo["W"] = rows.T @ vx.reshape(rows.shape[0], -1)
-        memo["b"] = rows.sum(axis=0)
-        if isinstance(x, ad.Var):
-            # written through a 2-D view, so the memo holds the [B, T, D]
-            # array itself, which autodiff._accum then takes without a copy
-            memo["x"] = np.empty(vx.shape)
-            np.matmul(rows, _stack(cell, "W", gates), out=memo["x"].reshape(rows.shape[0], -1))
-
-    def grad_fn(kind: str, k: int | None = None):
-        def fn(g):
-            if not memo:
-                run(g)
-            grad = memo.pop("x") if kind == "x" else memo[kind]
-            return grad if k is None else grad[k * width:(k + 1) * width]
-        return fn
-
-    return ad._node(out, (x, grad_fn("x")),
-                    *((cell[f"{kind}_{gate}"], grad_fn(kind, k))
-                      for k, gate in enumerate(gates) for kind in ("W", "U", "b")))
+    width = du.shape[1]
+    stacked = {"W": rows.T @ x.reshape(rows.shape[0], -1), "U": du, "b": rows.sum(axis=0)}
+    grads = {f"{kind}_{gate}": grad[k * width:(k + 1) * width]
+             for kind, grad in stacked.items() for k, gate in enumerate(gates)}
+    return grads, (rows @ _stack(cell, "W", gates)).reshape(x.shape) if want_x else None
 
 
-def _tracks_grad(x, cell: Mapping) -> bool:
-    return any(isinstance(v, ad.Var) for v in (x, *cell.values()))
-
-
-def gru_sequence(x, cell: Mapping, last_only: bool = False):
+def gru_sequence(x: np.ndarray, cell: Mapping, last_only: bool = False, keep: bool = False):
     """GRU states [B, T, H] over a [B, T, D] input from a zero initial
-    state, or with ``last_only`` the final state [B, H] alone, as one
-    node; ``cell`` maps ``W_z`` ... ``b_h`` to the layer's parameters."""
+    state, or with ``last_only`` the final state [B, H] alone; ``cell``
+    maps ``W_z`` ... ``b_h`` to the layer's parameters.
+
+    With ``keep`` it returns ``(states, bptt)``: ``bptt(g, want_x)``, run
+    once, maps the states' gradient ``g`` to the :func:`_layer_grads` of
+    the layer.
+    """
     u = _stack(cell, "U", GRU_GATES)
     inputs = _input_steps(x, cell, GRU_GATES)
-    batch, steps = ad.value(x).shape[:2]
+    batch, steps = x.shape[:2]
     width = u.shape[1]
     u_zr, u_h = u[:2 * width], u[2 * width:]
-    keep = _tracks_grad(x, cell)
     out = None if last_only else np.empty((batch, steps, width))
     if keep:
         prev = np.empty((batch, steps, width))  # the state before each step
@@ -238,8 +209,10 @@ def gru_sequence(x, cell: Mapping, last_only: bool = False):
         h = (1.0 - z) * h + z * hc
         if out is not None:
             out[:, t] = h
+    if not keep:
+        return h if last_only else out
 
-    def bptt(g):
+    def bptt(g, want_x):
         # Each step's pre-activation gradients overwrite its activations
         # once the step has read them.
         dh = g if last_only else np.zeros((batch, width))
@@ -257,25 +230,26 @@ def gru_sequence(x, cell: Mapping, last_only: bool = False):
             r[...] = d_rh * h * r * (1.0 - r)
             dh = carry + a[:, :2 * width] @ u_zr
         rows = acts.reshape(-1, 3 * width)
-        return rows, np.concatenate([rows[:, :2 * width].T @ prev.reshape(-1, width),
-                                     rows[:, 2 * width:].T @ gated.reshape(-1, width)])
+        du = np.concatenate([rows[:, :2 * width].T @ prev.reshape(-1, width),
+                             rows[:, 2 * width:].T @ gated.reshape(-1, width)])
+        return _layer_grads(x, cell, GRU_GATES, rows, du, want_x)
 
-    return _sequence_node(h if last_only else out, x, cell, GRU_GATES, bptt)
+    return (h if last_only else out), bptt
 
 
 # The LSTM stacks its sigmoid gates first so one sigmoid covers them.
 _LSTM_STACK = ("i", "f", "o", "g")
 
 
-def lstm_sequence(x, cell: Mapping, last_only: bool = False):
+def lstm_sequence(x: np.ndarray, cell: Mapping, last_only: bool = False, keep: bool = False):
     """LSTM states h [B, T, H] over a [B, T, D] input from zero initial
-    states, or with ``last_only`` the final h [B, H] alone, as one node;
-    ``cell`` maps ``W_i`` ... ``b_o`` to the layer's parameters."""
+    states, or with ``last_only`` the final h [B, H] alone; ``cell`` maps
+    ``W_i`` ... ``b_o`` to the layer's parameters. ``keep`` is
+    :func:`gru_sequence`'s."""
     u = _stack(cell, "U", _LSTM_STACK)
     inputs = _input_steps(x, cell, _LSTM_STACK)
-    batch, steps = ad.value(x).shape[:2]
+    batch, steps = x.shape[:2]
     width = u.shape[1]
-    keep = _tracks_grad(x, cell)
     out = None if last_only else np.empty((batch, steps, width))
     if keep:
         prev = np.empty((batch, steps, width))  # h before each step
@@ -293,8 +267,10 @@ def lstm_sequence(x, cell: Mapping, last_only: bool = False):
         h = ifo[:, 2 * width:] * np.tanh(c)
         if out is not None:
             out[:, t] = h
+    if not keep:
+        return h if last_only else out
 
-    def bptt(grad):
+    def bptt(grad, want_x):
         # Each step's pre-activation gradients overwrite its activations
         # once the step has read them.
         dh = grad if last_only else np.zeros((batch, width))
@@ -315,17 +291,22 @@ def lstm_sequence(x, cell: Mapping, last_only: bool = False):
             o[...] = dh * tc * o * (1.0 - o)
             dh = a @ u
         rows = acts.reshape(-1, 4 * width)
-        return rows, rows.T @ prev.reshape(-1, width)
+        return _layer_grads(x, cell, _LSTM_STACK, rows, rows.T @ prev.reshape(-1, width), want_x)
 
-    return _sequence_node(h if last_only else out, x, cell, _LSTM_STACK, bptt)
+    return (h if last_only else out), bptt
 
 
 def encode_batch_graph(seqs: np.ndarray, config: EncoderConfig,
-                       leaves: Mapping[str, ad.Var], prefix: str,
-                       rng: np.random.Generator | None = None):
-    """Differentiable encoder over a [B, T, D] batch; returns the final h [B, H].
-    Dropout draws each layer's input mask from ``rng``, and is the identity
-    without one."""
+                       params: Mapping[str, np.ndarray], prefix: str,
+                       rng: np.random.Generator | None = None, keep: bool = False):
+    """The final h [B, H] of the encoder under ``prefix`` over a [B, T, D]
+    batch. Dropout draws each layer's input mask from ``rng``, and is the
+    identity without one.
+
+    With ``keep`` it returns ``(h, backward)``: ``backward(g)``, run once,
+    maps h's gradient ``g`` to ``{parameter name: gradient}``, layer by
+    layer from the top down.
+    """
     seqs = np.asarray(seqs, dtype=np.float64)
     dim = seqs.shape[2]
     if dim != config.input_dim:
@@ -336,13 +317,34 @@ def encode_batch_graph(seqs: np.ndarray, config: EncoderConfig,
     gates = GRU_GATES if config.cell_kind == "gru" else LSTM_GATES
     sequence = gru_sequence if config.cell_kind == "gru" else lstm_sequence
     states = seqs
+    kept = []  # (layer, the mask on its input or None, bptt), bottom up
     for layer in range(config.num_layers):
+        mask = None
         if dropout:
             # one [T, B, D] draw gives the values of T successive [B, D] draws
-            batch, steps, width = ad.value(states).shape
-            states = ad.mul(states, dropout_mask(rng, (steps, batch, width),
-                                                 config.dropout_rate).transpose(1, 0, 2))
-        cell = {f"{kind}_{gate}": leaves[f"{prefix}.l{layer}.{kind}_{gate}"]
+            batch, steps, width = states.shape
+            mask = dropout_mask(rng, (steps, batch, width),
+                                config.dropout_rate).transpose(1, 0, 2)
+            states = states * mask
+            if not layer:  # the input gets no gradient, so its mask is not held
+                mask = None
+        cell = {f"{kind}_{gate}": params[f"{prefix}.l{layer}.{kind}_{gate}"]
                 for gate in gates for kind in ("W", "U", "b")}
-        states = sequence(states, cell, layer == config.num_layers - 1)
-    return states
+        states = sequence(states, cell, layer == config.num_layers - 1, keep)
+        if keep:
+            states, bptt = states
+            kept.append((layer, mask, bptt))
+    if not keep:
+        return states
+
+    def backward(g):
+        grads = {}
+        while kept:  # each layer's state is freed once its gradients are out
+            layer, mask, bptt = kept.pop()
+            cell_grads, g = bptt(g, layer > 0)
+            grads.update((f"{prefix}.l{layer}.{key}", grad) for key, grad in cell_grads.items())
+            if mask is not None:
+                np.multiply(g, mask, out=g)
+        return grads
+
+    return states, backward

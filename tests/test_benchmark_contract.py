@@ -25,6 +25,7 @@ import pytest
 from affectseq import autodiff, dataio, model, smoothing
 from affectseq.cli import main
 from affectseq.config import parse_config
+from affectseq.fusion import FusionConfig
 from affectseq.numerics import ParamStore
 from affectseq.seqmodel import EncoderConfig, encode_batch_graph
 
@@ -92,13 +93,11 @@ def test_encoder_config_fields():
 
 
 def test_graph_nodes_are_autodiff_vars(monkeypatch):
-    assert autodiff.Var.__module__ == "affectseq.autodiff"
-    config = EncoderConfig(input_dim=3, hidden_units=(4,))
-    leaves = {
-        f"enc.m.l0.{kind}_{gate}": autodiff.Var(np.zeros(shape))
-        for gate in ("z", "r", "h")
-        for kind, shape in (("W", (4, 3)), ("U", (4, 4)), ("b", (4,)))
-    }
+    """The node class resolves, a training step builds nodes of it (the
+    benchmark's ``nodes_per_train_step``), and the encoder returns its
+    final state as a plain [B, H] array."""
+    _, _, cls = TRACING._resolve(*TRACING.NODE_CLASS)
+    assert cls is autodiff.Var
     built = []
     init = autodiff.Var.__init__
 
@@ -107,9 +106,18 @@ def test_graph_nodes_are_autodiff_vars(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(autodiff.Var, "__init__", counted)
-    h = encode_batch_graph(np.zeros((2, 5, 3)), config, leaves, "enc.m")
-    assert type(h) is autodiff.Var
-    assert h in built
+    config = EncoderConfig(input_dim=3, hidden_units=(4,))
+    params = {
+        f"enc.m.l0.{kind}_{gate}": np.zeros(shape)
+        for gate in ("z", "r", "h")
+        for kind, shape in (("W", (4, 3)), ("U", (4, 4)), ("b", (4,)))
+    }
+    h = encode_batch_graph(np.zeros((2, 5, 3)), config, params, "enc.m")
+    assert type(h) is np.ndarray and h.shape == (2, 4)
+    model_config = model.ModelConfig((("m", config),), FusionConfig(), sequence_length=5)
+    store = model.init_model_params(model_config, 0)
+    model.training_loss({"m": np.zeros((2, 5, 3))}, np.zeros((2, 2)), store, model_config, None)
+    assert built
 
 
 def test_track_reader_and_filter_call_shapes():

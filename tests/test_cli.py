@@ -125,8 +125,8 @@ class TestExitCodes:
         (["smooth", "--order", "9"], "--order"),
         (["smooth", "--cutoff", "1.5"], "--cutoff"),
         (["synth", "--validation", "zzz"], "--validation"),
-        (["synth", "--modalities", "audio:0"], "--modalities"),
-        (["synth", "--movies", "0"], "--movies"),
+        (["synth", "--modalities", "audio:0"], "affectseq: --modalities: dims must be >= 1"),
+        (["synth", "--movies", "0"], "affectseq: --movies: must be >= 1"),
         (["synth", "--length", "0"], "--length"),
         (["synth", "--noise-override", "audio:-1"], "--noise-override"),
         (["smooth", "--smoother", "moving_average", "--weights", "1,1"], "--weights"),
@@ -188,7 +188,7 @@ class TestExitCodes:
         cfg.write_text(f"manifest = {manifest}\nprofile = run1\n")
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert str(manifest) in err and key in err
+        assert f"{manifest}: key {key}: " in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -950,7 +950,7 @@ def check_manifest_fault(workspace, fuzz_root, fault, key, value, pick):
     extra = []
     if fault == "value":
         items[key] = value
-        needles = [key]
+        needles = [f"{manifest}: key {key}: "]
     elif fault == "unknown":
         items[key] = value
         needles = [f"{manifest}: unknown manifest keys: ['{key}']"]

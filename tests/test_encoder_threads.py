@@ -15,7 +15,6 @@ import time
 import numpy as np
 import pytest
 
-from affectseq import autodiff as ad
 from affectseq import model
 from affectseq.cli import main
 from affectseq.dataio import MANIFEST_NAME, SynthSpec, synth_generate
@@ -46,21 +45,24 @@ def run3_model(cell, units, modalities, seed=0, batch=6, steps=5):
 def threads_seen(monkeypatch):
     """``(pass, thread name)`` of each encoder pass run: "train" for a
     forward pass given a generator, "eval" for one without, "backward"
-    for a backward pass."""
+    for a run of the backward closure a kept forward pass returns."""
     seen = set()
-    encode, backward = model.encode_batch_graph, ad.backward
+    encode = model.encode_batch_graph
 
     def encode_recorded(*args, **kwargs):
-        rng = inspect.signature(encode).bind(*args, **kwargs).arguments.get("rng")
-        seen.add(("eval" if rng is None else "train", threading.current_thread().name))
-        return encode(*args, **kwargs)
+        arguments = inspect.signature(encode).bind(*args, **kwargs).arguments
+        seen.add(("eval" if arguments.get("rng") is None else "train",
+                  threading.current_thread().name))
+        if not arguments.get("keep"):
+            return encode(*args, **kwargs)
+        state, backward = encode(*args, **kwargs)
 
-    def backward_recorded(*args, **kwargs):
-        seen.add(("backward", threading.current_thread().name))
-        return backward(*args, **kwargs)
+        def backward_recorded(g):
+            seen.add(("backward", threading.current_thread().name))
+            return backward(g)
+        return state, backward_recorded
 
     monkeypatch.setattr(model, "encode_batch_graph", encode_recorded)
-    monkeypatch.setattr(ad, "backward", backward_recorded)
     return seen
 
 

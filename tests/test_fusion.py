@@ -18,12 +18,12 @@ from affectseq.fusion import (
 )
 from affectseq.model import (
     ModelConfig,
-    forward_graph,
+    encode_states,
+    head_graph,
     init_model_params,
     param_shapes,
     predict_batch,
     training_loss,
-    wrap_leaves,
 )
 from affectseq.numerics import ParamStore
 from affectseq.rng import generator
@@ -414,6 +414,39 @@ class TestTrainingLoss:
         np.testing.assert_allclose(value.total, xent + config.fusion.l2_lambda * penalty,
                                    atol=1e-12)
 
+    def test_l2_penalty_is_the_name_order_sum(self):
+        config, store = tiny_model(seed=28, l2_lambda=0.05)
+        windows = self._windows(config, 3, seed=29)
+        targets = generator(30, "t").uniform(-0.7, 0.7, size=(3, 2))
+        value, _ = training_loss(windows, targets, store, config, None)
+        penalty = 0.0
+        for name in sorted(store.names()):
+            if store.value(name).ndim == 2:
+                penalty += float((store.value(name) ** 2).sum())
+        assert value.l2_penalty == penalty
+        assert value.total == value.loss + 0.05 * penalty
+
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    def test_l2_gradient_is_two_lambda_w_on_weight_matrices_only(self, cell):
+        # The same parameters under lambda and under 0: each weight matrix's
+        # gradient differs by exactly (2 * lambda) * W, and no other does.
+        encoders = tuple((name, EncoderConfig(input_dim=3, hidden_units=(3, 2), cell_kind=cell))
+                         for name in ("a", "b"))
+        rng = generator(31, "w")
+        windows = {name: rng.normal(size=(3, 4, 3)) for name, _ in encoders}
+        targets = generator(32, "t").uniform(-0.7, 0.7, size=(3, 2))
+        grads = {}
+        for lam in (0.0, 0.2):
+            config = ModelConfig(encoders=encoders, fusion=FusionConfig(l2_lambda=lam),
+                                 sequence_length=4)
+            store = init_model_params(config, 33)
+            _, grads[lam] = training_loss(windows, targets, store, config, None)
+        assert grads[0.0].keys() == grads[0.2].keys() == set(store.names())
+        for name in store.names():
+            w = store.value(name)
+            expected = grads[0.0][name] + (2.0 * 0.2) * w if w.ndim == 2 else grads[0.0][name]
+            np.testing.assert_array_equal(grads[0.2][name], expected)
+
     def test_targets_outside_range_rejected(self):
         config, store = tiny_model()
         windows = self._windows(config, 2)
@@ -465,6 +498,25 @@ class TestTrainingLoss:
 
         def loss(s):
             value, grads = training_loss(windows, targets, s, config, TRAIN)
+            return value.total, grads
+
+        assert grad_check(loss, store, eps=1e-5) < 1e-4
+
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    def test_end_to_end_gradcheck_two_layers_with_dropout(self, cell):
+        # Dropout in the encoders and the head draws from a fresh generator
+        # with a fixed seed on every call, so the loss is deterministic.
+        encoders = tuple((name, EncoderConfig(input_dim=3, hidden_units=(3, 2), cell_kind=cell,
+                                              dropout_rate=0.4))
+                         for name in ("a", "b"))
+        fusion = FusionConfig(enable_batchnorm=True, dropout_rate=0.3, l2_lambda=0.1)
+        config = ModelConfig(encoders=encoders, fusion=fusion, sequence_length=4)
+        store = init_model_params(config, 24)
+        windows = self._windows(config, 3, seed=25)
+        targets = generator(26, "t").uniform(-0.7, 0.7, size=(3, 2))
+
+        def loss(s):
+            value, grads = training_loss(windows, targets, s, config, generator(27, "step"))
             return value.total, grads
 
         assert grad_check(loss, store, eps=1e-5) < 1e-4
@@ -529,8 +581,12 @@ class TestConstantForward:
     def test_store_arrays_give_the_graph_values(self, cell, units, head, cg2):
         settings, rng = HEADS[head]
         config, store, windows = cell_model(cell, units, seed=31, cg2_position=cg2, **settings)
-        const = forward_graph(dict(store.items()), config, windows, rng)
-        graph = forward_graph(wrap_leaves(store), config, windows, rng)
+        params = dict(store.items())
+        const = head_graph(encode_states(params, config, windows, rng), params, config, rng)
+        # the training path: encoders that keep their state, the head over leaf Vars
+        states = [ad.Var(state) for state, _ in
+                  encode_states(params, config, windows, rng, keep=True)]
+        graph = head_graph(states, leaves_of(store), config, rng)
         assert type(const) is np.ndarray
         assert isinstance(graph, ad.Var)
         np.testing.assert_array_equal(const, graph.value)

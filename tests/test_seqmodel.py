@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import grad_check
-from affectseq import autodiff as ad
 from affectseq import model, seqmodel
 from affectseq.errors import ConfigError, DimensionError, DomainError
 from affectseq.fusion import FusionConfig
@@ -43,8 +42,8 @@ def make_encoder(config, seed=0, prefix="enc.m"):
     return store
 
 
-def leaves_of(store):
-    return {n: ad.Var(store.value(n)) for n in store.names()}
+def params_of(store):
+    return dict(store.items())
 
 
 SEQUENCE_OPS = {"gru": gru_sequence, "lstm": lstm_sequence}
@@ -149,8 +148,8 @@ class TestLstmCell:
 
 
 def sequence_gradcheck(kind, batch, steps, last_only):
-    # The input is a leaf too and every output is probed: each step's state,
-    # or the final state alone with ``last_only``.
+    # The input is a parameter too and every output is probed: each step's
+    # state, or the final state alone with ``last_only``.
     rng = np.random.default_rng(2)
     store = ParamStore()
     store.add("x", rng.normal(size=(batch, steps, 3)))
@@ -159,17 +158,17 @@ def sequence_gradcheck(kind, batch, steps, last_only):
     probe = rng.normal(size=(batch, 4) if last_only else (batch, steps, 4))
 
     def loss(s):
-        leaves = leaves_of(s)
-        x = leaves.pop("x")
-        out = ad.sum_all(ad.mul(SEQUENCE_OPS[kind](x, leaves, last_only=last_only), probe))
-        ad.backward(out)
-        return float(out.value), {n: leaf.grad for n, leaf in {**leaves, "x": x}.items()}
+        cell = params_of(s)
+        x = cell.pop("x")
+        out, bptt = SEQUENCE_OPS[kind](x, cell, last_only=last_only, keep=True)
+        grads, dx = bptt(probe, True)
+        return float((out * probe).sum()), {**grads, "x": dx}
 
     return grad_check(loss, store, eps=1e-5)
 
 
 class TestSequenceOps:
-    """``gru_sequence`` / ``lstm_sequence`` as autodiff nodes."""
+    """``gru_sequence`` / ``lstm_sequence`` and their backward closures."""
 
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
     @pytest.mark.parametrize("batch, steps", [(1, 4), (3, 1), (2, 5)])
@@ -182,26 +181,24 @@ class TestSequenceOps:
         assert sequence_gradcheck(kind, batch, steps, last_only=True) < 1e-4
 
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
-    def test_one_node_per_call(self, kind):
+    def test_keep_gives_the_plain_states(self, kind):
         rng = np.random.default_rng(3)
         cell = random_cell(4, 3, kind, rng)
         x = rng.normal(size=(2, 6, 3))
-        graph = SEQUENCE_OPS[kind](x, {k: ad.Var(v) for k, v in cell.items()})
-        assert isinstance(graph, ad.Var) and len(graph._parents) == len(cell)
-        assert all(p._parents == () for p in graph._parents)
         const = SEQUENCE_OPS[kind](x, cell)
-        assert type(const) is np.ndarray
-        np.testing.assert_array_equal(const, graph.value)
+        assert type(const) is np.ndarray and const.shape == (2, 6, 4)
         last = SEQUENCE_OPS[kind](x, cell, last_only=True)
-        assert last.shape == (2, 4)
         np.testing.assert_array_equal(last, const[:, -1])
+        for last_only, plain in ((False, const), (True, last)):
+            kept, bptt = SEQUENCE_OPS[kind](x, cell, last_only=last_only, keep=True)
+            assert callable(bptt)
+            np.testing.assert_array_equal(kept, plain)
 
 
-def masked(states, rng, rate):
-    """``states`` times an inverted-dropout mask drawn as one [T, B, D] block."""
-    batch, steps, dim = ad.value(states).shape
-    mask = (rng.random((steps, batch, dim)) >= rate) / (1.0 - rate)
-    return ad.mul(states, mask.transpose(1, 0, 2))
+def mask_of(states, rng, rate):
+    """An inverted-dropout mask for ``states``, drawn as one [T, B, D] block."""
+    batch, steps, dim = states.shape
+    return ((rng.random((steps, batch, dim)) >= rate) / (1.0 - rate)).transpose(1, 0, 2)
 
 
 class TestLastOnly:
@@ -221,27 +218,34 @@ class TestLastOnly:
         seqs = generator(14, "seqs").normal(size=(6, 7, 3))
         probe = generator(15, "probe").normal(size=(6, hidden[-1]))
 
-        leaves = leaves_of(store)
-        final = encode_batch_graph(seqs, config, leaves, "enc.m", rng=generator(16, "d"))
-        ad.backward(ad.sum_all(ad.mul(final, probe)))
+        final, backward = encode_batch_graph(seqs, config, params_of(store), "enc.m",
+                                             rng=generator(16, "d"), keep=True)
+        grads = backward(probe)
 
-        full_leaves = leaves_of(store)
+        # the same layers run over every step, then backpropagated by hand
         rng = generator(16, "d")
-        states = seqs
+        states, layers = seqs, []
         for layer in range(len(hidden)):
-            if rate > 0.0:
-                states = masked(states, rng, rate)
-            cell = {name.rpartition(".")[2]: leaf for name, leaf in full_leaves.items()
+            mask = mask_of(states, rng, rate) if rate > 0.0 else 1.0
+            states = states * mask
+            cell = {name.rpartition(".")[2]: value for name, value in store.items()
                     if name.startswith(f"enc.m.l{layer}.")}
-            states = SEQUENCE_OPS[kind](states, cell)
-        last_step_probe = np.zeros((6, 7, hidden[-1]))
-        last_step_probe[:, -1] = probe
-        ad.backward(ad.sum_all(ad.mul(states, last_step_probe)))
+            states, bptt = SEQUENCE_OPS[kind](states, cell, keep=True)
+            layers.append((mask, bptt))
+        g = np.zeros((6, 7, hidden[-1]))
+        g[:, -1] = probe
+        full_grads = {}
+        for layer in reversed(range(len(hidden))):
+            mask, bptt = layers[layer]
+            cell_grads, g = bptt(g, layer > 0)
+            full_grads.update((f"enc.m.l{layer}.{key}", grad) for key, grad in cell_grads.items())
+            if layer:
+                g = g * mask
 
-        np.testing.assert_array_equal(final.value, states.value[:, -1])
+        np.testing.assert_array_equal(final, states[:, -1])
+        assert sorted(grads) == sorted(full_grads) == store.names()
         for name in store.names():
-            np.testing.assert_array_equal(leaves[name].grad, full_leaves[name].grad,
-                                          err_msg=name)
+            np.testing.assert_array_equal(grads[name], full_grads[name], err_msg=name)
 
 
 class TestDropout:
@@ -256,17 +260,17 @@ class TestDropout:
         config = self._config(0.5)
         store = make_encoder(config, seed=1)
         seqs = generator(2, "seqs").normal(size=(4, 5, 3))
-        dropped = encode_batch_graph(seqs, config, leaves_of(store), "enc.m", rng=None).value
-        plain = encode_batch_graph(seqs, self._config(0.0), leaves_of(store), "enc.m").value
+        dropped = encode_batch_graph(seqs, config, params_of(store), "enc.m", rng=None)
+        plain = encode_batch_graph(seqs, self._config(0.0), params_of(store), "enc.m")
         np.testing.assert_array_equal(dropped, plain)
 
     def test_zero_rate_is_identity(self):
         config = self._config(0.0)
         store = make_encoder(config, seed=1)
         seqs = generator(2, "seqs").normal(size=(4, 5, 3))
-        train = encode_batch_graph(seqs, config, leaves_of(store), "enc.m",
-                                   rng=generator(0, "d")).value
-        plain = encode_batch_graph(seqs, config, leaves_of(store), "enc.m").value
+        train = encode_batch_graph(seqs, config, params_of(store), "enc.m",
+                                   rng=generator(0, "d"))
+        plain = encode_batch_graph(seqs, config, params_of(store), "enc.m")
         np.testing.assert_array_equal(train, plain)
 
     def test_rate_domain(self):
@@ -277,7 +281,7 @@ class TestDropout:
         # Inverted dropout: E[mask * x] = x, checked by Monte Carlo. With
         # every weight zero, z = 1/2 and hc = 0, so d(sum h)/dW_h[0, j] is
         # exactly half the sum of the masked inputs x_j * mask_j over the
-        # batch: the gradient reads the masks back out of the graph. The
+        # batch: the gradient reads the masks back out of the backward pass. The
         # per-entry bound is a max over 1000 entries, so the trial count
         # leaves the [0.9, 1.1] window several sigma of headroom.
         config = EncoderConfig(input_dim=1000, hidden_units=(1,),
@@ -289,10 +293,9 @@ class TestDropout:
         total = np.zeros(1000)
         trials, batch = 4000, 500
         for _ in range(trials // batch):
-            leaves = leaves_of(store)
-            h = encode_batch_graph(np.ones((batch, 1, 1000)), config, leaves, "enc.m", rng=rng)
-            ad.backward(ad.sum_all(h))
-            total += 2.0 * leaves["enc.m.l0.W_h"].grad[0]
+            h, backward = encode_batch_graph(np.ones((batch, 1, 1000)), config,
+                                             params_of(store), "enc.m", rng=rng, keep=True)
+            total += 2.0 * backward(np.ones_like(h))["enc.m.l0.W_h"][0]
         mean = total / trials
         assert mean.min() > 0.9 and mean.max() < 1.1
 
@@ -309,7 +312,7 @@ class TestEncodeSequence:
         config = self._config()
         store = make_encoder(config, seed=2)
         x = np.array([[[0.3, -0.2, 0.8]], [[1.0, 0.5, -0.1]]])
-        h = encode_batch_graph(x, config, leaves_of(store), "enc.m").value
+        h = encode_batch_graph(x, config, params_of(store), "enc.m")
         cell = oracles.cell_params(store, "enc.m.l0")
         for i in range(2):
             np.testing.assert_allclose(h[i], oracles.gru_step(x[i, 0], np.zeros(4), cell),
@@ -319,8 +322,8 @@ class TestEncodeSequence:
         config = self._config(dropout_rate=0.5)
         store = make_encoder(config, seed=3)
         seqs = generator(1, "seq").normal(size=(2, 5, 3))
-        a = encode_batch_graph(seqs, config, leaves_of(store), "enc.m", rng=None).value
-        b = encode_batch_graph(seqs, config, leaves_of(store), "enc.m", rng=None).value
+        a = encode_batch_graph(seqs, config, params_of(store), "enc.m", rng=None)
+        b = encode_batch_graph(seqs, config, params_of(store), "enc.m", rng=None)
         np.testing.assert_array_equal(a, b)
 
     def test_train_deterministic_given_seed(self):
@@ -329,8 +332,8 @@ class TestEncodeSequence:
         seqs = generator(1, "seq").normal(size=(2, 5, 3))
 
         def run():
-            return encode_batch_graph(seqs, config, leaves_of(store), "enc.m",
-                                      rng=generator(7, "encoder-dropout")).value
+            return encode_batch_graph(seqs, config, params_of(store), "enc.m",
+                                      rng=generator(7, "encoder-dropout"))
 
         np.testing.assert_array_equal(run(), run())
 
@@ -340,7 +343,7 @@ class TestEncodeSequence:
         seqs = generator(2, "seq").normal(size=(3, 3, 3))
         p = oracles.cell_params(store, "enc.m.l0")
         for batch in (1, 3):
-            out = encode_batch_graph(seqs[:batch], config, leaves_of(store), "enc.m").value
+            out = encode_batch_graph(seqs[:batch], config, params_of(store), "enc.m")
             for i in range(batch):
                 h = np.zeros(4)
                 for t in range(3):
@@ -354,7 +357,7 @@ class TestEncodeSequence:
         p0 = oracles.cell_params(store, "enc.m.l0")
         p1 = oracles.cell_params(store, "enc.m.l1")
         for batch in (1, 3):
-            out = encode_batch_graph(seqs[:batch], config, leaves_of(store), "enc.m").value
+            out = encode_batch_graph(seqs[:batch], config, params_of(store), "enc.m")
             for i in range(batch):
                 h0, cc0 = np.zeros(4), np.zeros(4)
                 h1, cc1 = np.zeros(2), np.zeros(2)
@@ -368,8 +371,8 @@ class TestEncodeSequence:
         config = self._config(cell_kind=kind, hidden_units=(4, 3))
         store = make_encoder(config, seed=6)
         seqs = generator(4, "seqs").normal(size=(5, 6, 3))
-        batched = encode_batch_graph(seqs, config, leaves_of(store), "enc.m").value
-        single = encode_batch_graph(seqs[:1], config, leaves_of(store), "enc.m").value
+        batched = encode_batch_graph(seqs, config, params_of(store), "enc.m")
+        single = encode_batch_graph(seqs[:1], config, params_of(store), "enc.m")
         for i in range(5):
             np.testing.assert_allclose(batched[i], oracles.encode(seqs[i], config, store, "enc.m"),
                                        atol=1e-14)
@@ -382,12 +385,12 @@ class TestEncodeSequence:
         seqs = generator(9, "seqs").normal(size=(4, 5, 3))
 
         def run(seed):
-            return encode_batch_graph(seqs, config, leaves_of(store), "enc.m",
-                                      rng=generator(seed, "d")).value
+            return encode_batch_graph(seqs, config, params_of(store), "enc.m",
+                                      rng=generator(seed, "d"))
 
         np.testing.assert_array_equal(run(1), run(1))
         assert not np.array_equal(run(1), run(2))
-        eval_out = encode_batch_graph(seqs, config, leaves_of(store), "enc.m").value
+        eval_out = encode_batch_graph(seqs, config, params_of(store), "enc.m")
         assert not np.array_equal(run(1), eval_out)
 
 
@@ -396,8 +399,8 @@ class TestEncodeSequence:
         config = self._config(cell_kind=kind, hidden_units=(4, 3), dropout_rate=0.5)
         store = make_encoder(config, seed=10)
         seqs = generator(11, "seqs").normal(size=(5, 6, 3))
-        out = encode_batch_graph(seqs, config, leaves_of(store), "enc.m",
-                                 rng=generator(12, "d")).value
+        out = encode_batch_graph(seqs, config, params_of(store), "enc.m",
+                                 rng=generator(12, "d"))
         # The masks in the order a per-step unroll draws them: layer by
         # layer, one [B, D] draw per step.
         rng = generator(12, "d")
@@ -426,13 +429,10 @@ class TestEncoderGradients:
         probe = generator(6, "probe").normal(size=(batch, hidden[-1]))
 
         def loss(s):
-            leaves = {n: ad.Var(s.value(n)) for n in s.names()}
-            h = encode_batch_graph(seqs, config, leaves, "enc.m",
-                                   rng=generator(8, "dropout") if rate > 0.0 else None)
-            out = ad.sum_all(ad.mul(h, probe))
-            ad.backward(out)
-            return float(out.value), {n: leaf.grad for n, leaf in leaves.items()
-                                      if leaf.grad is not None}
+            h, backward = encode_batch_graph(seqs, config, params_of(s), "enc.m",
+                                             rng=generator(8, "dropout") if rate > 0.0 else None,
+                                             keep=True)
+            return float((h * probe).sum()), backward(probe)
 
         assert grad_check(loss, store, eps=1e-5) < 1e-4
 
@@ -515,7 +515,7 @@ class TestPerStepProjection:
                                                            (9, 8, 3, 5)])
     def test_copied_batch_projects_each_step_once(self, monkeypatch, kind, last_only, batch,
                                                   steps, dim, hidden):
-        """A graph op over a copied batch projects B rows a step, and its
+        """An op that keeps its state, over a copied batch, projects B rows a step, and its
         first k states are those of the batch's first k steps alone, bit
         for bit."""
         rng = np.random.default_rng(17)
@@ -529,11 +529,10 @@ class TestPerStepProjection:
             return project(table, ws, b)
 
         monkeypatch.setattr(seqmodel, "_project", recorded)
-        out = SEQUENCE_OPS[kind](ad.Var(x), {name: ad.Var(value) for name, value in cell.items()},
-                                 last_only=last_only)
+        out, _ = SEQUENCE_OPS[kind](x, cell, last_only=last_only, keep=True)
         assert rows == [batch] * steps
         states = SEQUENCE_OPS[kind](x, cell)
-        np.testing.assert_array_equal(out.value, states[:, -1] if last_only else states)
+        np.testing.assert_array_equal(out, states[:, -1] if last_only else states)
         for k in (1, steps // 2, steps - 1):
             prefix = SEQUENCE_OPS[kind](x[:, :k], cell, last_only=last_only)
             np.testing.assert_array_equal(prefix, states[:, k - 1] if last_only
@@ -555,9 +554,8 @@ class TestPerStepProjection:
                                dropout_rate=0.5)
         store = make_encoder(config)
         seqs = np.random.default_rng(3).normal(size=(batch, steps, dim))
-        leaves = leaves_of(store) if training else dict(store.items())
-        encode_batch_graph(seqs, config, leaves, "enc.m",
-                           generator(2, "masks") if training else None)
+        encode_batch_graph(seqs, config, params_of(store), "enc.m",
+                           generator(2, "masks") if training else None, keep=training)
         assert shapes == [(batch, width) for width in (dim, hidden[0]) for _ in range(steps)]
 
     @staticmethod
@@ -569,15 +567,14 @@ class TestPerStepProjection:
                                               cell_kind=kind, dropout_rate=0.5))
                          for name in ("audio", "image", "face")[:count])
         config = ModelConfig(encoders, FusionConfig(), sequence_length=steps)
-        leaves = model.wrap_leaves(init_model_params(config, 3))
+        params = params_of(init_model_params(config, 3))
         rng = generator(5, "windows")
         windows = {name: rng.normal(size=(batch, steps, dim)) for name, _ in encoders}
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(model, "_usable_cpus", lambda: 8)
-            state = model.encode_states(leaves, config, windows, generator(9, "step"))[0]
-        ad.backward(state, generator(6, "probe").normal(size=(batch, hidden)))
-        return state.value, {name: leaf.grad for name, leaf in leaves.items()
-                             if name.startswith("enc.audio.")}
+            state, backward = model.encode_states(params, config, windows, generator(9, "step"),
+                                                  keep=True)[0]
+        return state, backward(generator(6, "probe").normal(size=(batch, hidden)))
 
     @settings(max_examples=12, deadline=None)
     @given(kind=st.sampled_from(["gru", "lstm"]), batch=st.sampled_from([24, 64, 128]),
@@ -652,10 +649,8 @@ class TestTrainingMemory:
         and output, the mask on that output and the masked result, then
         layer 1's state, cell states and gates. Backward adds a few
         [B, T, H] arrays: per encoder, the gradient of the masked output,
-        which the mask scales in place and layer 0 takes without a copy,
-        and the two encoders backpropagate at once. Keeping every interior
-        node's gradient or the x gradient in a sequence node's memo
-        breaks it."""
+        which the mask scales in place and layer 0 reads as it is, and the
+        two encoders backpropagate at once."""
         batch, steps, dim, hidden = 64, 30, 8, 64
         state = 2 * 8 * batch * steps * (dim + 15 * hidden)
         in_flight = 3 * 8 * batch * steps * hidden
