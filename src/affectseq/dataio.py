@@ -14,15 +14,18 @@ track CSV goes through one reader (``load_features`` and
 ``load_predictions`` are its public faces) and one writer,
 ``write_track``. Ingest accepts only finite decimal float literals
 (``float()`` syntax without ``_``); the writer emits each value as its
-shortest round-trip decimal (``repr``), which reads back bit for bit. A
-track as the writer lays it out (rows ``<id>,<t>,...`` with t written
-0..L-1, finite decimals) is parsed in one ``np.loadtxt`` pass; any other
-text is read line by line, which gives the same values and the
-``<path>:<line>`` errors. ``save_prediction_dir`` checks every track of
-a directory before it writes one, and writes a large directory from one
-lane per usable CPU: this process and forked children, each formatting
-its tracks with ``write_track``'s code, so the bytes do not depend on
-the lane count (the README's "Threads and processes" gives the rule).
+shortest round-trip decimal (``repr``), formatting a block of rows at a
+time, and the value reads back bit for bit. A track as the writer lays
+it out (rows ``<id>,<t>,...`` with one id, t written 0..L-1, and no
+control byte but the newline) has its line heads checked by vectorised
+passes over its bytes and its values parsed in one ``np.loadtxt`` pass;
+any other text is read line by line, which gives the same values and
+the ``<path>:<line>`` errors. ``save_prediction_dir`` checks every track
+of a directory before it writes one, and writes a large directory from
+one lane per usable CPU: this process and forked children, each
+formatting its tracks with ``write_track``'s code, so the bytes do not
+depend on the lane count (the README's "Threads and processes" gives
+the rule).
 
 Settings have one number parser, ``_number``, and one comma-list parser,
 ``_list``; ``parse_pairs`` reads the ``name:value`` lists of manifests
@@ -46,12 +49,15 @@ refuses an output directory that cannot be made before any work is spent
 on it. These messages show a path holding a non-printable character as
 its ``repr``, so no control byte reaches the terminal. Movie ids and
 modality names become file names, so each must be plain: not empty,
-``.`` or ``..``, and without ``/``, ``\\`` or control characters.
+``.`` or ``..``, and without ``/``, ``\\``, control characters or line
+breaks. A track's movie id is also one CSV field, so the writers refuse
+one that holds ``,``.
 """
 
 from __future__ import annotations
 
 import gc
+import io
 import math
 import os
 import stat
@@ -153,47 +159,98 @@ def _parse_float(token: str, where: str) -> float:
     raise DataError(f"{where}: bad float literal {token!r}")
 
 
+def _plain_name(name: str) -> bool:
+    """Whether ``name`` can be a file name and one line of text: not
+    empty, ``.`` or ``..``, and without ``/``, ``\\``, a control character or
+    a line break."""
+    return name not in ("", ".", "..") and not any(
+        ch in "/\\" or unicodedata.category(ch) in ("Cc", "Zl", "Zp") for ch in name)
+
+
 def _read_track(path: Path, columns: tuple[str, ...] | None) -> tuple[str, np.ndarray]:
     """(movie id, [L, C] values) of one track CSV; ``columns`` None means
     ``f0..f{C-1}`` with C taken from the header."""
-    text = decode_text(path, read_file(path))
+    data = read_file(path)
     source = shown(path)
-    lines = text.splitlines()
-    if not lines:
+    if not data:
         raise DataError(f"{source}: empty file")
-    header = lines[0].split(",")
+    ends = _line_ends(data)
+    lines = None if ends is not None else decode_text(path, data).splitlines()
+    first = lines[0] if ends is None else data[:ends[0]].decode()
+    header = first.split(",")
     if columns is None:
         columns = tuple(f"f{i}" for i in range(len(header) - 2))
     expected = ["movie_id", "t", *columns]
     if header != expected:
-        raise DataError(f"{source}: header {lines[0]!r} is not {','.join(expected)!r}")
+        raise DataError(f"{source}: header {first!r} is not {','.join(expected)!r}")
     if not columns:
         raise DataError(f"{source}: no value columns")
-    body = lines[1:]
-    # loadtxt strips "\x1f" around a token, float() does not
-    if body and "\x1f" not in text:
-        track = _load_canonical(body, len(columns))
+    if ends is not None:
+        track = _load_canonical(data, ends, len(columns))
         if track is not None:
             return track
-    return _parse_rows(source, body, len(columns))
+        lines = data.decode().splitlines()
+    return _parse_rows(source, lines[1:], len(columns))
 
 
-def _load_canonical(lines: list[str], width: int) -> tuple[str, np.ndarray] | None:
-    """(movie id, [L, width] values) of data lines as ``write_track`` writes
-    them, parsed in one ``np.loadtxt`` pass; None for any other text."""
-    movie_id = lines[0].partition(",")[0]
-    heads = [f"{movie_id},{t}," for t in range(len(lines))]
-    # loadtxt skips empty lines and warns when none is left, so the first must carry values
-    if len(lines[0]) == len(heads[0]) or not all(map(str.startswith, lines, heads)):
+def _line_ends(data: bytes) -> np.ndarray | None:
+    """The offset of each line's end in a track file's bytes when a
+    newline alone ends its lines, as ``str.splitlines()`` would end them:
+    UTF-8 text with no other control byte and no U+0085, U+2028 or U+2029
+    line break; else None."""
+    if not data.isascii():
+        try:
+            text = data.decode()
+        except UnicodeDecodeError:
+            return None
+        if any(ch in text for ch in "\x85\u2028\u2029"):
+            return None
+    octets = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(octets < 0x20)
+    if (octets[ends] != ord("\n")).any():
+        return None
+    return ends if data.endswith(b"\n") else np.append(ends, len(data))
+
+
+def _load_canonical(data: bytes, ends: np.ndarray, width: int) -> tuple[str, np.ndarray] | None:
+    """(movie id, [L, width] values) of a track file's bytes, whose lines
+    end at ``ends``, when every data line is ``<id>,<t>,<width values>``
+    with one id and t written 0..L-1; None for any other text. Vectorised
+    passes over the bytes check each line's head, and one ``np.loadtxt``
+    pass parses the values."""
+    starts, stops = ends[:-1] + 1, ends[1:]
+    count = len(starts)
+    if not count:
+        return None
+    head = data[starts[0]:stops[0]].partition(b",")[0] + b","
+    digits = np.ones(count, np.int64)  # of each line's t
+    for power in range(1, len(str(count - 1))):
+        digits[10 ** power:] += 1
+    at = starts + len(head)  # where each t begins
+    # loadtxt skips empty lines, so each must hold its head and a value
+    if (stops - at <= digits + 1).any():
+        return None
+    octets = np.frombuffer(data, np.uint8)
+    if any((octets[starts + i] != byte).any() for i, byte in enumerate(head)):
+        return None
+    t = np.arange(count)
+    for i in range(digits[-1]):  # the i-th digit of every t that has one
+        has = slice(10 ** i if i else 0, None)
+        if (octets[at[has] + i] != ord("0") + t[has] // 10 ** (digits[has] - 1 - i) % 10).any():
+            return None
+    # a line of fewer than width + 2 fields fails loadtxt's usecols, so
+    # the body's comma count shows any line of more
+    commas = np.count_nonzero(octets[ends[0]:] == ord(","))
+    if (octets[at + digits] != ord(",")).any() or commas != count * (width + 1):
         return None
     try:
-        values = np.loadtxt((line[len(head):] for line, head in zip(lines, heads)),
-                            delimiter=",", comments=None, ndmin=2)
+        values = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, skiprows=1,
+                            usecols=range(2, width + 2), ndmin=2)
     except ValueError:
         return None
-    if values.shape != (len(lines), width) or not np.isfinite(values).all():
+    if values.shape != (count, width) or not np.isfinite(values).all():
         return None
-    return movie_id, values
+    return head[:-1].decode(), values
 
 
 def _parse_rows(source: str, lines: list[str], width: int) -> tuple[str, np.ndarray]:
@@ -246,7 +303,10 @@ def load_predictions(path) -> tuple[str, np.ndarray]:
 def _checked_track(movie_id: str, values, columns: tuple[str, ...] | None
                    ) -> tuple[np.ndarray, tuple[str, ...]]:
     """(values as float64, column names) of a track that ``write_track`` can
-    write: [L>=1, C>=1], finite, and as many columns as names."""
+    write: a plain movie id without ``,``, [L>=1, C>=1] finite values, and
+    as many columns as names."""
+    if not _plain_name(movie_id) or "," in movie_id:  # a file name, and a CSV field
+        raise DataError(f"track {movie_id!r}: a movie id must be a plain file name without ','")
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
         raise DataError(f"track {movie_id} must be [L>=1, C>=1], got shape {values.shape}")
@@ -260,11 +320,32 @@ def _checked_track(movie_id: str, values, columns: tuple[str, ...] | None
     return values, columns
 
 
+# A track is formatted a block of whole rows at a time, each block about
+# this many values, so the text is never held whole.
+_BLOCK_VALUES = 2 ** 11
+
+
 def _write_checked(path, movie_id: str, values: np.ndarray, columns: tuple[str, ...]) -> None:
-    lines = ["movie_id,t," + ",".join(columns)]
-    for t, row in enumerate(values):
-        lines.append(f"{movie_id},{t}," + ",".join(map(repr, row.tolist())))
-    write_file(path, ["\n".join(lines) + "\n"])
+    write_file(path, _track_text(movie_id, values, columns))
+
+
+def _track_text(movie_id: str, values: np.ndarray, columns: tuple[str, ...]) -> Iterator[str]:
+    """The text of a checked track: its header, then one string per row
+    block, which joins the block's value reprs with commas and lets each
+    row's last value carry the line break and the next row's head."""
+    yield "movie_id,t," + ",".join(columns) + "\n"
+    count, width = values.shape
+    rows = max(1, _BLOCK_VALUES // width)
+    head = f"\n{movie_id},"
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        tokens = list(map(repr, values[start:stop].ravel().tolist()))
+        last = slice(width - 1, -1, width)  # each row's last value but the block's
+        tokens[last] = map(str.__add__, tokens[last],
+                           map(head.__add__, map(str, range(start + 1, stop))))
+        tokens[0] = f"{movie_id},{start},{tokens[0]}"
+        tokens[-1] += "\n"
+        yield ",".join(tokens)
 
 
 def write_track(path, movie_id: str, values, columns: tuple[str, ...] | None = None) -> None:
@@ -298,7 +379,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Forking and reaping a child costs about as much as writing a few
+# Forking and reaping a child costs about as much as writing several
 # thousand values, so a directory smaller than this is written inline.
 _FORK_VALUES = 2 ** 14
 
@@ -390,8 +471,7 @@ class DatasetManifest:
             if len(set(names)) != len(names):
                 raise ConfigError("duplicate names", key=key)
             for name in names:  # each becomes a file or directory name
-                if name in ("", ".", "..") or any(
-                        ch in "/\\" or unicodedata.category(ch) == "Cc" for ch in name):
+                if not _plain_name(name):
                     raise ConfigError(f"name {name!r} is not a plain file name", key=key)
         if any(d < 1 for _, d in self.modalities):
             raise ConfigError("dims must be >= 1", key="modalities")

@@ -7,6 +7,8 @@ check ``encode_batch_graph``, ``batch_norm_graph`` and
 ``fusion_head_graph`` row by row against it. ``freq_response``
 evaluates a designed filter's transfer function and ``lfilter`` runs the
 difference equation over numpy scalars, for the smoothing tests.
+``track_text`` formats a track CSV row by row, as the track writer's
+block formatter must.
 ``write_v1_checkpoint`` writes a ``ParamStore`` in the retired hex-text
 checkpoint format, which ``ParamStore.load`` refuses. ``grad_check``
 compares a loss closure's analytic gradients with central finite
@@ -132,6 +134,16 @@ def lfilter(b, a, x, zi):
             z[n - 1] = b[n] * xi - a[n] * yi
         y[i] = yi
     return y
+
+
+def track_text(movie_id, values, columns):
+    """A track CSV as ``write_track`` lays it out, one row at a time: the
+    header, then ``<id>,<t>,<repr of each value>`` for t = 0..L-1, each
+    line ending in a newline."""
+    lines = ["movie_id,t," + ",".join(columns)]
+    for t, row in enumerate(values):
+        lines.append(f"{movie_id},{t}," + ",".join(map(repr, row.tolist())))
+    return "\n".join(lines) + "\n"
 
 
 def write_v1_checkpoint(store, path):

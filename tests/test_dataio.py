@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from affectseq import dataio
@@ -38,6 +38,7 @@ from affectseq.cli import main
 from affectseq.config import parse_config
 from affectseq.errors import ConfigError, DataError
 from affectseq.model import init_model_params
+from oracles import track_text
 
 
 def write_feature_csv(path, movie="m000", dim=2, rows=3, mangle=None):
@@ -207,7 +208,8 @@ class TestReaderPaths:
         outcome = read_outcome(lambda: load_features(path))
         assert outcome == read_outcome(lambda: dataio._parse_rows(path, body, width))
         if not edited:
-            assert dataio._load_canonical(body, width) is not None
+            data = text.encode("utf-8")
+            assert dataio._load_canonical(data, dataio._line_ends(data), width) is not None
 
     def test_underscore_token_names_line(self, tmp_path):
         path = write_feature_csv(tmp_path / "m000.csv", mangle=lambda lines: [
@@ -222,6 +224,114 @@ class TestReaderPaths:
         with pytest.raises(DataError) as err:
             load_features(path)
         assert str(err.value) == f"{path}:3: bad float literal '0x1p-3'"
+
+
+# Line heads write_track never writes: t tokens that int() reads, t
+# tokens that name another second, and another id of the same length
+HEAD_EDITS = {"padded": lambda m, t: (m, "0" + t), "signed": lambda m, t: (m, "+" + t),
+              "spaced": lambda m, t: (m, f" {t} "), "next": lambda m, t: (m, str(int(t) + 1)),
+              "short": lambda m, t: (m, t[:-1]), "other_id": lambda m, t: ("m001", t)}
+
+
+@pytest.mark.parametrize("row", [9, 10, 99, 100, 999, 1000])
+@pytest.mark.parametrize("edit", sorted(HEAD_EDITS))
+def test_head_check_at_digit_boundaries(tmp_path, row, edit):
+    """A line head edited on either side of a digit-count boundary of t
+    is read as the per-line parse reads it, value for value or error for
+    error."""
+    path = tmp_path / "m000.csv"
+    write_track(path, "m000", np.arange(2002.0).reshape(1001, 2))
+    lines = path.read_text().splitlines()
+    movie, t, rest = lines[row + 1].split(",", 2)
+    lines[row + 1] = ",".join([*HEAD_EDITS[edit](movie, t), rest])
+    path.write_text("\n".join(lines) + "\n")
+    outcome = read_outcome(lambda: load_features(path))
+    assert outcome == read_outcome(lambda: dataio._parse_rows(str(path), lines[1:], 2))
+    assert isinstance(outcome, tuple) == (edit in ("padded", "signed", "spaced"))
+
+
+# Values whose shortest repr takes an unusual form: signed zero, the
+# least subnormal, and exponent forms below and above repr's
+# fixed-point range.
+EDGE_VALUES = (-0.0, 5e-324, 1e-5, 1e16, 1e22)
+
+
+@st.composite
+def written_tracks(draw):
+    """(movie id, [L, C] values) for ``write_track``: C in 1-3 or 2048,
+    L around the digit-count boundaries of t and around row-block
+    boundaries, the edge values planted among random magnitudes."""
+    width = draw(st.sampled_from((1, 2, 3, 2048)))
+    rows = max(1, dataio._BLOCK_VALUES // width)  # rows per written block
+    if width == 2048:  # every row is a block
+        length = draw(st.integers(1, 4))
+    else:
+        around_block = st.builds(lambda k, d: k * rows + d, st.integers(1, 2), st.integers(-1, 1))
+        length = draw(st.sampled_from((9, 10, 99, 100, 999, 1000)) | st.integers(1, 3)
+                      | around_block)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.normal(size=(length, width)) * 10.0 ** rng.integers(-320, 300, (length, width))
+    planted = st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False, allow_infinity=False)
+    for value in draw(st.lists(planted, max_size=8)):
+        values[rng.integers(length), rng.integers(width)] = value
+    movie = draw(st.sampled_from(("m000", "%d", "\u6620\u753b", "a b", "")) | st.text(max_size=6))
+    return movie, values
+
+
+def plain_id(movie):
+    return dataio._plain_name(movie) and "," not in movie
+
+
+# every edge value, in a one-column track one row past its first block
+EDGE_TRACK = ("m000", np.resize(EDGE_VALUES, (dataio._BLOCK_VALUES + 1, 1)))
+
+
+class TestTrackWriter:
+    """``write_track`` formats a block of rows at a time, and what it
+    writes is what the row-by-row reference writes and what the one-pass
+    reader reads."""
+
+    @given(track=written_tracks())
+    @example(track=EDGE_TRACK)
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_match_row_by_row_reference(self, tmp_path_factory, track):
+        movie, values = track
+        path = tmp_path_factory.getbasetemp() / "written.csv"
+        if not plain_id(movie):
+            with pytest.raises(DataError, match=re.escape(f"track {movie!r}: ")):
+                write_track(path, movie, values)
+            return
+        write_track(path, movie, values)
+        columns = tuple(f"f{i}" for i in range(values.shape[1]))
+        assert path.read_bytes() == track_text(movie, values, columns).encode("utf-8")
+
+    @given(track=written_tracks())
+    @example(track=EDGE_TRACK)
+    @settings(max_examples=60, deadline=None)
+    def test_every_written_track_is_read_in_one_pass(self, tmp_path_factory, track):
+        movie, values = track
+        assume(plain_id(movie))
+        path = tmp_path_factory.getbasetemp() / "written.csv"
+        write_track(path, movie, values)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "_parse_rows", None)  # any line-by-line read fails
+            movie_id, loaded = load_features(path)
+        assert movie_id == movie
+        assert loaded.shape == values.shape
+        assert loaded.view(np.int64).tolist() == values.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("movie", ["../escaped", "a/b", "a\\b", "m,1", "m\n1", "m\r1",
+                                       "m\u20281", "", ".", ".."], ids=repr)
+    def test_movie_id_must_be_plain(self, tmp_path, movie):
+        out = tmp_path / "out"
+        for write in (lambda: write_track(out / "track.csv", movie, np.zeros((2, 2))),
+                      lambda: save_prediction_dir({"m000": np.zeros((2, 2)),
+                                                   movie: np.zeros((2, 2))}, out)):
+            with pytest.raises(DataError) as err:
+                write()
+            assert str(err.value) == (f"track {movie!r}: a movie id must be a plain file "
+                                      "name without ','")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestParsePairs:
@@ -423,7 +533,7 @@ class TestManifestAndSplit:
 
     @pytest.mark.parametrize("key", ["modalities", "movies"])
     @pytest.mark.parametrize("name", ["", ".", "..", "../x", "a/b", "a\\b", "a\x00b", "a\tb",
-                                      "a\x7fb", "a\x85b"], ids=repr)
+                                      "a\x7fb", "a\x85b", "a\u2028b", "a\u2029b"], ids=repr)
     def test_names_must_be_plain_file_names(self, tmp_path, key, name):
         entries = {"modalities": (("audio", 4),), "movies": (("m000", 10),)}
         entries[key] = ((name, 4),)

@@ -657,6 +657,31 @@ class TestTrainingMemory:
         peak = self.peak("lstm", (hidden, hidden), batch, steps, dim)
         assert peak < state + in_flight + (4 << 20)
 
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    def test_masked_gradient_scaled_in_place(self, kind):
+        """Backward through a two-layer encoder with dropout allocates
+        less than two [B, T, H] arrays beyond what its forward kept: one
+        for the gradient of layer 0's output, and less than one of
+        temporaries. The mask on that output scales the gradient in
+        place; a scaled copy would sit beside it while layer 1's state is
+        still alive, and break the bound."""
+        batch, steps, dim, hidden = 64, 30, 8, 64
+        config = EncoderConfig(input_dim=dim, hidden_units=(hidden, hidden), cell_kind=kind,
+                               dropout_rate=0.5)
+        params = params_of(make_encoder(config))
+        seqs = generator(5, "windows").normal(size=(batch, steps, dim))
+        h, backward = encode_batch_graph(seqs, config, params, "enc.m", generator(9, "mask"),
+                                         keep=True)
+        g = np.ones_like(h)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * batch * steps * hidden
+
 
 class TestPredictionMemory:
     """A prediction pass keeps no per-step state for a backward pass, and
