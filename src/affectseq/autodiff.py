@@ -13,10 +13,8 @@ kind of result.
 Graphs are built per forward pass and thrown away; call ``backward``
 once per graph, from a scalar root. Elementwise ops follow numpy
 broadcasting; matrix ops are restricted to the 2-D forms the models here
-need. The graph serves the fusion head and the loss
-(:mod:`affectseq.model`): the recurrent encoders backpropagate through
-their own closures (:mod:`affectseq.seqmodel`), and their states enter
-the graph as leaf ``Var``s.
+need. The graph serves only the fusion head and the loss, over leaf
+``Var``s holding the encoder states (:mod:`affectseq.model`).
 """
 
 from __future__ import annotations
@@ -25,6 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import numerics
 from .errors import DimensionError
 
 class Var:
@@ -144,12 +143,8 @@ def linear(x, w, b=None):
 
 
 def sigmoid(x):
-    """0.5 * (1 + tanh(x / 2)): no overflow and no branches. It differs from
-    1 / (1 + exp(-x)) by at most one float64 epsilon, which in the far
-    negative tail, where values fall below 1e-9, is a large relative error."""
-    out = np.tanh(0.5 * value(x))
-    out += 1.0
-    out *= 0.5
+    """:func:`affectseq.numerics.sigmoid`, with its gradient."""
+    out = numerics.sigmoid(value(x))
     return _node(out, (x, lambda g: g * out * (1.0 - out)))
 
 

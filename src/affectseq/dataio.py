@@ -22,10 +22,7 @@ passes over its bytes and its values parsed in one ``np.loadtxt`` pass;
 any other text is read line by line, which gives the same values and
 the ``<path>:<line>`` errors. ``save_prediction_dir`` checks every track
 of a directory before it writes one, and writes a large directory from
-one lane per usable CPU: this process and forked children, each
-formatting its tracks with ``write_track``'s code, so the bytes do not
-depend on the lane count (the README's "Threads and processes" gives
-the rule).
+the lanes of :mod:`affectseq.lanes` with ``write_track``'s code.
 
 Settings have one number parser, ``_number``, and one comma-list parser,
 ``_list``; ``parse_pairs`` reads the ``name:value`` lists of manifests
@@ -56,12 +53,10 @@ one that holds ``,``.
 
 from __future__ import annotations
 
-import gc
+import functools
 import io
 import math
-import os
 import stat
-import threading
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -71,6 +66,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .lanes import in_processes
 from .rng import generator
 
 FEATURES_DIR = "features"
@@ -370,17 +366,8 @@ def load_prediction_dir(directory) -> dict[str, np.ndarray]:
     return tracks
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set, or
-    ``os.cpu_count()`` where the platform has none."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-# Forking and reaping a child costs about as much as writing several
-# thousand values, so a directory smaller than this is written inline.
+# Starting and reaping a child process costs about as much as writing
+# several thousand values, so a directory smaller than this is written inline.
 _FORK_VALUES = 2 ** 14
 
 
@@ -389,67 +376,19 @@ def save_prediction_dir(preds: Mapping[str, np.ndarray], directory) -> None:
     ``write_track`` writes it, after checking every track, so a bad track
     raises its ``write_track`` message before any file is written.
 
-    A directory of at least ``_FORK_VALUES`` values in two or more tracks
-    is written from ``k = min(tracks, usable CPUs)`` lanes when the process
-    runs one thread and can fork: this process writes tracks 0, k, 2k, ...
-    and each of k - 1 forked children writes tracks j, j + k, ... Then this
-    process writes again, in track order, every track that no lane
-    finished, so the first failure in track order is raised here as a
-    one-lane write raises it; other movies' files may be left behind.
+    A directory of at least ``_FORK_VALUES`` values is written by
+    :func:`affectseq.lanes.in_processes`, one job per track; on a failure
+    other movies' files may be left behind.
     """
     directory = Path(directory)
-    jobs = [(directory / f"{movie}.csv", movie,
-             *_checked_track(movie, preds[movie], AFFECT_COLUMNS)) for movie in sorted(preds)]
-    lanes = min(len(jobs), _usable_cpus())
-    if (lanes < 2 or sum(job[2].size for job in jobs) < _FORK_VALUES
-            or not hasattr(os, "fork") or threading.active_count() != 1):
-        lanes = 1
-    done = [False] * len(jobs)
-    children = []
-    try:
-        for lane in range(1, lanes):
-            child = _fork_lane(jobs, lane, lanes)
-            if child is None:
-                break  # the lanes that did not start are written below
-            children.append(child)
-        try:
-            for i in range(0, len(jobs), lanes):
-                _write_checked(*jobs[i])
-                done[i] = True
-        except DataError:
-            pass  # written again below, in track order
-    finally:
-        for lane, (pid, pipe) in enumerate(children, start=1):
-            with pipe:
-                reported = len(pipe.read())
-            os.waitpid(pid, 0)
-            done[lane:lane + reported * lanes:lanes] = [True] * reported
-    for job, finished in zip(jobs, done):
-        if not finished:
-            _write_checked(*job)
-
-
-def _fork_lane(jobs: list, lane: int, lanes: int) -> tuple[int, BinaryIO] | None:
-    """(pid, read end of its pipe) of a child that writes jobs ``lane``,
-    ``lane + lanes``, ..., sends one byte per finished write and exits at
-    its first failure or its last write; None when no child can start."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None
-    if pid == 0:
-        try:
-            gc.disable()  # collecting would touch, and so copy, the parent's heap
-            for i in range(lane, len(jobs), lanes):
-                _write_checked(*jobs[i])
-                os.write(write, b"\0")
-        finally:
-            os._exit(0)  # never return into the parent's stack
-    os.close(write)
-    return pid, os.fdopen(read, "rb")
+    jobs = [functools.partial(_write_checked, directory / f"{movie}.csv", movie,
+                              *_checked_track(movie, preds[movie], AFFECT_COLUMNS))
+            for movie in sorted(preds)]
+    if sum(job.args[2].size for job in jobs) >= _FORK_VALUES:
+        in_processes(jobs)
+    else:
+        for job in jobs:
+            job()
 
 
 @dataclass(frozen=True)

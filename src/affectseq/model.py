@@ -19,38 +19,30 @@ encoder hands back its own backward closure
 gradient its state's leaf receives. The penalty is a plain sum, and each
 weight matrix's gradient gets its term, 2 * lambda * W.
 
-The modalities meet only at the head, so their encoders are independent
-until then, and :func:`per_modality` runs them at once: the first on the
-calling thread, the others on ``min(modalities, usable CPUs) - 1``
-threads that the call starts and joins before it returns (inline, with
-no thread, for one modality or one usable CPU). numpy's matrix products
-and most of its elementwise work release the interpreter lock, so the
-encoders overlap on separate cores. Every forward pass encodes that way,
-and ``training_loss`` backpropagates each encoder that way from the
-gradient its state gets from the head. In a training pass (one given the
-step's generator) the calling thread spawns one child generator per
-modality before any encoder starts; each encoder draws its dropout masks
-from its child, and the head from the step's generator. No encoder
-writes what another reads, and modality k's child is the same whatever
-the modality count, so each encoder computes exactly what it computes
-alone: every output is bit-identical at any thread count, and an
-encoder's state does not depend on how many modalities run beside it.
+The modalities meet only at the head, so
+:func:`affectseq.lanes.in_threads` runs their encoders at once, forward
+and backward. In a training pass (one given the step's generator) the
+calling thread spawns one child generator per modality before any
+encoder starts; each encoder draws its dropout masks from its child, and
+the head from the step's generator. No encoder writes what another
+reads, and modality k's child is the same whatever the modality count,
+so each encoder computes exactly what it computes alone: every output is
+bit-identical at any thread count, and an encoder's state does not
+depend on how many modalities run beside it.
 """
 
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .dataio import _usable_cpus
 from .errors import ConfigError, DataError, DimensionError
 from .fusion import (FusionConfig, fusion_head_graph, fusion_layout, init_fusion_params,
                      map_to_range)
+from .lanes import in_threads
 from .numerics import LossValue, ParamStore
 from .rng import generator
 from .seqmodel import EncoderConfig, encode_batch_graph, encoder_layout, init_encoder_params
@@ -92,25 +84,6 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return {name: shape for name, shape, _ in layout}
 
 
-def per_modality(jobs: Sequence[Callable[[], object]]) -> list:
-    """Each job's result, in order: the first job runs on the calling
-    thread and the others, at once, on threads that the call starts.
-
-    It returns once every job has finished and its threads have exited;
-    if any job failed, it raises the first failure in job order, as
-    running them one by one would. With one job or one usable CPU the
-    jobs run inline and no thread starts.
-    """
-    workers = min(len(jobs), _usable_cpus()) - 1
-    if workers < 1:
-        return [job() for job in jobs]
-    # leaving the block waits for every job, also when the first one raises
-    with ThreadPoolExecutor(workers, "affectseq-encoder") as pool:
-        futures = [pool.submit(job) for job in jobs[1:]]
-        first = jobs[0]()
-    return [first] + [future.result() for future in futures]
-
-
 def _check_windows(config: ModelConfig, windows: dict[str, np.ndarray]) -> int:
     sizes = set()
     for name, _ in config.encoders:
@@ -137,9 +110,9 @@ def encode_states(params: dict[str, np.ndarray], config: ModelConfig,
     module docstring)."""
     count = len(config.encoders)
     rngs = [None] * count if rng is None else rng.spawn(count)
-    return per_modality([functools.partial(encode_batch_graph, windows[name], enc, params,
-                                           f"enc.{name}", child, keep)
-                         for (name, enc), child in zip(config.encoders, rngs)])
+    return in_threads([functools.partial(encode_batch_graph, windows[name], enc, params,
+                                         f"enc.{name}", child, keep)
+                       for (name, enc), child in zip(config.encoders, rngs)])
 
 
 def head_graph(states: list, leaves: dict, config: ModelConfig,
@@ -208,8 +181,8 @@ def training_loss(windows: dict[str, np.ndarray], targets: np.ndarray,
         del x  # free before backward allocates, as training.train_run's loop explains
     ad.backward(xent)
     grads = {name: leaf.grad for name, leaf in leaves.items() if leaf.grad is not None}
-    for part in per_modality([functools.partial(backward, leaf.grad)
-                              for (_, backward), leaf in zip(encoded, cut)]):
+    for part in in_threads([functools.partial(backward, leaf.grad)
+                            for (_, backward), leaf in zip(encoded, cut)]):
         grads.update(part)
     for name, value in weights:
         grads[name] += (2.0 * config.fusion.l2_lambda) * value

@@ -13,9 +13,9 @@ never held in memory beside its values; saving writes each parameter's
 own memory. The file goes through :mod:`affectseq.dataio`'s one opener
 and one writer, and only its text part is decoded.
 
-All math is double precision. Model code builds its forward pass and
-gradients with the reverse-mode engine in :mod:`affectseq.autodiff`;
-nothing here computes a layer.
+All math is double precision. The encoders backpropagate by hand, and
+the reverse-mode engine in :mod:`affectseq.autodiff` serves only the
+fusion head and the loss; nothing here computes a layer.
 """
 
 from __future__ import annotations
@@ -56,6 +56,16 @@ def add_params(store: ParamStore, layout: Layout, rng: np.random.Generator) -> N
     for name, shape, fill in layout:
         store.add(name, glorot_uniform(shape, rng) if fill == GLOROT
                   else np.full(shape, float(fill)))
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """0.5 * (1 + tanh(x / 2)): no overflow and no branches. It differs from
+    1 / (1 + exp(-x)) by at most one float64 epsilon, which in the far
+    negative tail, where values fall below 1e-9, is a large relative error."""
+    out = np.tanh(0.5 * x)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:

@@ -58,9 +58,8 @@ from typing import Mapping
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import ConfigError, DimensionError, DomainError
-from .numerics import GLOROT, Layout, ParamStore, add_params, dropout_mask
+from .numerics import GLOROT, Layout, ParamStore, add_params, dropout_mask, sigmoid
 
 CELL_KINDS = ("gru", "lstm")
 GRU_GATES = ("z", "r", "h")
@@ -199,7 +198,7 @@ def gru_sequence(x: np.ndarray, cell: Mapping, last_only: bool = False, keep: bo
         acts = np.empty((batch, steps, 3 * width))  # z, r, hc
     h = np.zeros((batch, width))
     for t, xw in enumerate(inputs):
-        zr = ad.sigmoid(xw[:, :2 * width] + h @ u_zr.T)
+        zr = sigmoid(xw[:, :2 * width] + h @ u_zr.T)
         z, r = zr[:, :width], zr[:, width:]
         rh = r * h
         hc = np.tanh(xw[:, 2 * width:] + rh @ u_h.T)
@@ -258,7 +257,7 @@ def lstm_sequence(x: np.ndarray, cell: Mapping, last_only: bool = False, keep: b
     h = c = np.zeros((batch, width))
     for t, xw in enumerate(inputs):
         pre = xw + h @ u.T
-        ifo = ad.sigmoid(pre[:, :3 * width])
+        ifo = sigmoid(pre[:, :3 * width])
         g = np.tanh(pre[:, 3 * width:])
         c = ifo[:, width:2 * width] * c + ifo[:, :width] * g
         if keep:

@@ -6,8 +6,8 @@ from purpose-split child seeds. Each modality's encoder draws its masks
 from its own child of the step's generator (see :mod:`affectseq.model`).
 The loop itself runs on one thread; within a step, and in the per-epoch
 validation pass, the modality encoders may run on several, which moves
-no bit of any output. A NaN or Inf
-loss aborts the run with NumericError rather than continuing silently.
+no bit of any output. A NaN or Inf loss aborts the run with NumericError
+rather than continuing silently.
 Each epoch ends by setting the batch-norm running statistics to the
 window-weighted means of its steps' batch means and unbiased variances
 (Ioffe & Szegedy, arXiv:1502.03167, Algorithm 2), which validation, early

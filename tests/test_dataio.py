@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from affectseq import dataio
+from affectseq import dataio, lanes
 from affectseq.dataio import (
     AFFECT_COLUMNS,
     MANIFEST_KEYS,
@@ -757,7 +757,7 @@ class TestPredictionDirLanes:
     def test_bytes_do_not_depend_on_lanes(self, monkeypatch, tmp_path, forks):
         tracks = lane_tracks()
         for cpus in (1, 2):
-            monkeypatch.setattr(dataio, "_usable_cpus", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(lanes, "usable_cpus", lambda cpus=cpus: cpus)
             save_prediction_dir(tracks, tmp_path / f"cpus{cpus}")
             assert len(forks) == cpus - 1
         for movie in tracks:
@@ -770,7 +770,7 @@ class TestPredictionDirLanes:
         for cpus in (1, 2):
             out = tmp_path / f"cpus{cpus}"
             (out / "m001.csv").mkdir(parents=True)  # in the child's lane at two lanes
-            monkeypatch.setattr(dataio, "_usable_cpus", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(lanes, "usable_cpus", lambda cpus=cpus: cpus)
             with pytest.raises(DataError) as err:
                 save_prediction_dir(tracks, out)
             messages.append(str(err.value).replace(str(out), "<out>"))
@@ -786,7 +786,7 @@ class TestPredictionDirLanes:
                 os.kill(os.getpid(), signal.SIGKILL)
             write(path, *args)
 
-        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
         monkeypatch.setattr(dataio, "_write_checked", dying)
         save_prediction_dir(tracks, tmp_path / "lanes")
         assert len(forks) == 1
@@ -800,7 +800,7 @@ class TestPredictionDirLanes:
             raise AssertionError("forked while another thread ran")
 
         monkeypatch.setattr(os, "fork", refuse)
-        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait, args=(60,))
         thread.start()
@@ -828,7 +828,7 @@ class TestPredictionDirLanes:
         cfg.write_text(f"manifest = {manifest.path}\nprofile = run1\nsequence_length = 2\n"
                        "hidden_units = 2\nbatch_size = 4096\n")
         init_model_params(parse_config(cfg).model_config(), 0).save(tmp_path / "model.ckpt")
-        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
         raw, smooth = str(tmp_path / "raw"), str(tmp_path / "smooth")
         for argv in (["predict", "--config", str(cfg), "--checkpoint",
                       str(tmp_path / "model.ckpt"), "--out", raw],

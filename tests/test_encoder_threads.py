@@ -1,8 +1,8 @@
 """Running the modality encoders on several threads changes no bit.
 
-``model.per_modality`` runs the first encoder on the calling thread and
+``lanes.in_threads`` runs the first encoder on the calling thread and
 the others on threads the call starts, as many as the usable CPUs allow,
-which these tests set by patching ``model._usable_cpus``: 1 forces every
+which these tests set by patching ``lanes.usable_cpus``: 1 forces every
 encoder inline, 8 gives each modality but the first its own thread, more
 threads than the host may have cores.
 """
@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from affectseq import model
+from affectseq import lanes, model
 from affectseq.cli import main
 from affectseq.dataio import MANIFEST_NAME, SynthSpec, synth_generate
 from affectseq.errors import DimensionError
@@ -68,7 +68,7 @@ def threads_seen(monkeypatch):
 
 def outputs(monkeypatch, cpus, config, store, windows, targets):
     """Everything the model computes over one batch, at ``cpus`` usable CPUs."""
-    monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: cpus)
     store = store.copy()
     results = {"predict": model.predict_batch(store, config, windows)}
     results["eval"] = model.training_loss(windows, targets, store, config, None)
@@ -114,7 +114,7 @@ def test_pooled_run_is_bit_identical_to_inline(monkeypatch, threads_seen, cell, 
 def test_failure_in_a_later_modality_is_raised_as_inline(monkeypatch, cpus):
     config, store, windows, targets = run3_model("gru", (4,), 3)
     windows["face"] = windows["face"][:, :, :2]
-    monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: cpus)
     message = "batch windows of width 2 do not match encoder input_dim 4"
     with pytest.raises(DimensionError, match=message):
         model.predict_batch(store, config, windows)
@@ -123,7 +123,7 @@ def test_failure_in_a_later_modality_is_raised_as_inline(monkeypatch, cpus):
 
 
 def test_first_failure_in_job_order_is_raised_after_every_job(monkeypatch):
-    monkeypatch.setattr(model, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 8)
     finished = []
 
     def fails(label, delay):
@@ -139,19 +139,19 @@ def test_first_failure_in_job_order_is_raised_after_every_job(monkeypatch):
         return 1
 
     with pytest.raises(ValueError, match="^second$"):
-        model.per_modality([lambda: 0, fails("second", 0.1), fails("third", 0.0), slow])
+        lanes.in_threads([lambda: 0, fails("second", 0.1), fails("third", 0.0), slow])
     assert sorted(finished) == ["second", "slow", "third"]
     finished.clear()
     with pytest.raises(ValueError, match="^first$"):
-        model.per_modality([fails("first", 0.0), slow, fails("third", 0.0)])
+        lanes.in_threads([fails("first", 0.0), slow, fails("third", 0.0)])
     assert sorted(finished) == ["first", "slow", "third"]
-    assert model.per_modality([lambda: 0, slow, lambda: 2]) == [0, 1, 2]
+    assert lanes.in_threads([lambda: 0, slow, lambda: 2]) == [0, 1, 2]
 
 
 @pytest.mark.parametrize("cpus, modalities", [(8, 1), (1, 3)], ids=["one-modality", "one-cpu"])
 def test_one_modality_or_one_cpu_starts_no_thread(monkeypatch, threads_seen, cpus, modalities):
     config, store, windows, targets = run3_model("lstm", (4, 3), modalities)
-    monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: cpus)
     # a thread another test started may still be exiting, so the check is
     # that no thread appears, not that the count holds
     before = set(threading.enumerate())
@@ -165,7 +165,7 @@ def test_one_modality_or_one_cpu_starts_no_thread(monkeypatch, threads_seen, cpu
 def test_encoder_threads_end_with_the_call(monkeypatch, threads_seen):
     """Each pooled call joins the threads it started: none outlives it."""
     config, store, windows, targets = run3_model("gru", (4,), 3)
-    monkeypatch.setattr(model, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 8)
     model.predict_batch(store, config, windows)
     model.training_loss(windows, targets, store, config, generator(1, "masks"))
     caller = threading.current_thread().name
@@ -188,7 +188,7 @@ def test_train_writes_the_same_bytes_at_one_and_two_cpus(monkeypatch, tmp_path):
         "sequence_length = 6\nhidden_units = 5,3\ncell = lstm\n")
     written = []
     for cpus in (1, 2):
-        monkeypatch.setattr(model, "_usable_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(lanes, "usable_cpus", lambda cpus=cpus: cpus)
         out = tmp_path / f"cpus{cpus}"
         assert main(["train", "--config", str(tmp_path / "run.cfg"), "--out", str(out)]) == 0
         written.append([(out / name).read_bytes()

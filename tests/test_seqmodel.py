@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import grad_check
-from affectseq import model, seqmodel
+from affectseq import lanes, model, seqmodel
 from affectseq.errors import ConfigError, DimensionError, DomainError
 from affectseq.fusion import FusionConfig
 from affectseq.model import ModelConfig, init_model_params, predict_batch, training_loss
@@ -571,7 +571,7 @@ class TestPerStepProjection:
         rng = generator(5, "windows")
         windows = {name: rng.normal(size=(batch, steps, dim)) for name, _ in encoders}
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(model, "_usable_cpus", lambda: 8)
+            patch.setattr(lanes, "usable_cpus", lambda: 8)
             state, backward = model.encode_states(params, config, windows, generator(9, "step"),
                                                   keep=True)[0]
         return state, backward(generator(6, "probe").normal(size=(batch, hidden)))
@@ -625,7 +625,7 @@ class TestTrainingMemory:
         windows = {name: rng.normal(size=(batch, steps, dim)) for name, _ in encoders}
         targets = rng.uniform(-0.9, 0.9, size=(batch, 2))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(model, "_usable_cpus", lambda: modalities)
+            patch.setattr(lanes, "usable_cpus", lambda: modalities)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
