@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from .config import _KNOWN_KEYS, parse_config, parse_values, smoother_spec, write_resolved
@@ -37,6 +38,7 @@ from .dataio import (
     load_dataset,
     load_prediction_dir,
     parse_pairs,
+    per_track,
     save_prediction_dir,
     shown,
     split_dataset,
@@ -228,7 +230,9 @@ def _cmd_smooth(args) -> int:
                 raise ConfigError(f"{shown(Path(args.predictions) / f'{movie}.csv')}: track of "
                                   f"length {len(track)} is shorter than the "
                                   f"{len(spec.weights)} weights of ma_weights", key="ma_weights")
-    smoothed = {m: smooth_track(t, spec, causal=bool(args.causal)) for m, t in preds.items()}
+    tracks = preds.values()
+    jobs = [partial(smooth_track, track, spec, causal=bool(args.causal)) for track in tracks]
+    smoothed = dict(zip(preds, per_track(jobs, sum(track.size for track in tracks))))
     save_prediction_dir(smoothed, args.out)
     print(f"smoothed {len(smoothed)} movies with {spec.kind} into {shown(args.out)}")
     return EXIT_OK

@@ -21,8 +21,12 @@ control byte but the newline) has its line heads checked by vectorised
 passes over its bytes and its values parsed in one ``np.loadtxt`` pass;
 any other text is read line by line, which gives the same values and
 the ``<path>:<line>`` errors. ``save_prediction_dir`` checks every track
-of a directory before it writes one, and writes a large directory from
-the lanes of :mod:`affectseq.lanes` with ``write_track``'s code.
+of a directory before it writes one. ``per_track`` runs per-track work,
+one job per track, from the lanes of :mod:`affectseq.lanes` once it
+handles ``_FORK_VALUES`` values, and inline below that one floor: a
+directory's writes, its reads (whose values its file sizes estimate),
+and ``smooth``'s filtering. A lane reads and writes with the same code,
+so the values, files and faults do not depend on the lane count.
 
 Settings have one number parser, ``_number``, and one comma-list parser,
 ``_list``; ``parse_pairs`` reads the ``name:value`` lists of manifests
@@ -58,10 +62,10 @@ import io
 import math
 import stat
 import unicodedata
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -350,25 +354,47 @@ def write_track(path, movie_id: str, values, columns: tuple[str, ...] | None = N
     _write_checked(path, movie_id, *_checked_track(movie_id, values, columns))
 
 
+def _load_named(path: Path) -> np.ndarray:
+    """The values of one track CSV whose movie id is its file name's stem."""
+    movie_id, values = load_predictions(path)
+    _check_movie_id(path, movie_id, path.stem)
+    return values
+
+
 def load_prediction_dir(directory) -> dict[str, np.ndarray]:
-    """All ``<movie>.csv`` tracks in a prediction or annotation directory."""
+    """All ``<movie>.csv`` tracks in a prediction or annotation directory,
+    each checked for its movie id.
+
+    A directory of files that hold at least ``_FORK_VALUES`` values, as
+    their bytes tell, is read by :func:`per_track`'s lanes, one job per
+    file; a fault is raised as an inline read raises it.
+    """
     directory = Path(directory)
     if not directory.is_dir():
         raise DataError(f"missing track directory: {shown(directory)}")
     paths = sorted(directory.glob("*.csv"))
     if not paths:
         raise DataError(f"no track files in {shown(directory)}")
-    tracks = {}
+    size = 0
     for path in paths:
-        movie_id, values = load_predictions(path)
-        _check_movie_id(path, movie_id, path.stem)
-        tracks[movie_id] = values
-    return tracks
+        with suppress(OSError):  # the read names the file
+            size += path.stat().st_size
+    # a value as write_track writes a track of two columns takes about 24
+    # bytes: its repr, a comma, and half its row's head
+    jobs = [functools.partial(_load_named, path) for path in paths]
+    return dict(zip((path.stem for path in paths), per_track(jobs, size // 24)))
 
 
 # Starting and reaping a child process costs about as much as writing
-# several thousand values, so a directory smaller than this is written inline.
+# several thousand values, so work over fewer values than this runs inline.
 _FORK_VALUES = 2 ** 14
+
+
+def per_track(jobs: Sequence[Callable[[], object]], values: int) -> list:
+    """Each per-track job's result, in job order: from the lanes of
+    :func:`affectseq.lanes.in_processes` when the jobs handle at least
+    ``_FORK_VALUES`` values in all, else inline."""
+    return in_processes(jobs) if values >= _FORK_VALUES else [job() for job in jobs]
 
 
 def save_prediction_dir(preds: Mapping[str, np.ndarray], directory) -> None:
@@ -376,19 +402,14 @@ def save_prediction_dir(preds: Mapping[str, np.ndarray], directory) -> None:
     ``write_track`` writes it, after checking every track, so a bad track
     raises its ``write_track`` message before any file is written.
 
-    A directory of at least ``_FORK_VALUES`` values is written by
-    :func:`affectseq.lanes.in_processes`, one job per track; on a failure
-    other movies' files may be left behind.
+    The tracks are written by :func:`per_track`, one job per track; on a
+    failure other movies' files may be left behind.
     """
     directory = Path(directory)
     jobs = [functools.partial(_write_checked, directory / f"{movie}.csv", movie,
                               *_checked_track(movie, preds[movie], AFFECT_COLUMNS))
             for movie in sorted(preds)]
-    if sum(job.args[2].size for job in jobs) >= _FORK_VALUES:
-        in_processes(jobs)
-    else:
-        for job in jobs:
-            job()
+    per_track(jobs, sum(job.args[2].size for job in jobs))
 
 
 @dataclass(frozen=True)

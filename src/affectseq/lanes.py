@@ -7,14 +7,18 @@ others on ``min(jobs, usable CPUs) - 1`` threads named
 ``affectseq-encoder`` that the call starts and joins; the model's
 modality encoders run this way.
 
-:func:`in_processes` runs jobs from ``k = min(jobs, usable CPUs)`` lanes
-when the process runs one Python thread and can fork: this process runs
-jobs 0, k, 2k, ... and each of k - 1 forked children jobs j, j + k, ...,
-sending one byte per finished job on a pipe (a job writes its own
-output). Once every child is reaped, this process runs again, in job
-order, each job that no lane finished, so a failure is raised as a
-one-lane run raises it and no child outlives the call. ``dataio`` writes
-a large prediction directory this way.
+:func:`in_processes` returns each job's result, in job order, from
+``k = min(jobs, usable CPUs)`` lanes when the process runs one Python
+thread and can fork: this process runs jobs 0, k, 2k, ... and each of
+k - 1 forked children jobs j, j + k, ..., appending each result, pickled
+behind its length, to an unlinked spool file opened before the fork. A
+child never waits for this process, however large its results. Once
+every child is reaped, this process reads back each complete record and
+runs again, in job order, each job that no lane finished, so a failure
+is raised as a one-lane run raises it and no child outlives the call. A
+job that warns in a child is not finished there: it runs again here,
+where its warning is shown. ``dataio`` reads and writes a large
+prediction directory this way, and ``smooth`` filters its tracks.
 """
 
 from __future__ import annotations
@@ -22,9 +26,12 @@ from __future__ import annotations
 import contextlib
 import gc
 import os
+import pickle
+import tempfile
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
-from typing import BinaryIO, Callable, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 
 def usable_cpus() -> int:
@@ -49,13 +56,16 @@ def in_threads(jobs: Sequence[Callable[[], object]]) -> list:
     return [first] + [future.result() for future in futures]
 
 
-def in_processes(jobs: Sequence[Callable[[], object]]) -> None:
-    """Run every job; the first failure in job order is raised, and jobs
-    after it may have run in other lanes."""
+_UNDONE = object()  # the result of a job that no lane finished
+
+
+def in_processes(jobs: Sequence[Callable[[], object]]) -> list:
+    """Each job's result, in job order; the first failure in job order is
+    raised, and jobs after it may have run in other lanes."""
     lanes = min(len(jobs), usable_cpus())
     if lanes < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
-        lanes = 1
-    done = [False] * len(jobs)
+        return [job() for job in jobs]
+    results = [_UNDONE] * len(jobs)
     children = []
     try:
         for lane in range(1, lanes):
@@ -65,37 +75,51 @@ def in_processes(jobs: Sequence[Callable[[], object]]) -> None:
             children.append(child)
         with contextlib.suppress(Exception):  # a failed job runs again below, in job order
             for i in range(0, len(jobs), lanes):
-                jobs[i]()
-                done[i] = True
+                results[i] = jobs[i]()
     finally:
-        for lane, (pid, pipe) in enumerate(children, start=1):
-            with pipe:
-                reported = len(pipe.read())
-            os.waitpid(pid, 0)
-            done[lane:lane + reported * lanes:lanes] = [True] * reported
-    for job, finished in zip(jobs, done):
-        if not finished:
-            job()
+        with contextlib.ExitStack() as spools:
+            for pid, spool in children:
+                spools.enter_context(spool)
+                os.waitpid(pid, 0)
+            for lane, (_, spool) in enumerate(children, start=1):
+                for i, result in zip(range(lane, len(jobs), lanes), _spooled(spool)):
+                    results[i] = result
+    return [job() if result is _UNDONE else result for job, result in zip(jobs, results)]
 
 
 def _fork_lane(jobs: Sequence, lane: int, lanes: int) -> tuple[int, BinaryIO] | None:
-    """(pid, read end of its pipe) of a child that runs jobs ``lane``,
-    ``lane + lanes``, ..., sends one byte per finished job and exits at
-    its first failure or after its last job; None when no child can start."""
-    read, write = os.pipe()
+    """(pid, spool file) of a child that runs jobs ``lane``, ``lane +
+    lanes``, ..., spools each result and exits at its first failure or
+    warning, or after its last job; None when no child can start."""
+    try:
+        spool = tempfile.TemporaryFile()
+    except OSError:
+        return None
     try:
         pid = os.fork()
     except OSError:
-        os.close(read)
-        os.close(write)
+        spool.close()
         return None
     if pid == 0:
         try:
             gc.disable()  # collecting would touch, and so copy, the parent's heap
+            warnings.simplefilter("error")  # so the parent runs the job again, and shows it
             for i in range(lane, len(jobs), lanes):
-                jobs[i]()
-                os.write(write, b"\0")
+                record = pickle.dumps(jobs[i](), pickle.HIGHEST_PROTOCOL)
+                spool.write(len(record).to_bytes(8, "little"))
+                spool.write(record)
+                spool.flush()  # a later failure or kill loses no finished result
         finally:
             os._exit(0)  # never return into the parent's stack
-    os.close(write)
-    return pid, os.fdopen(read, "rb")
+    return pid, spool
+
+
+def _spooled(spool: BinaryIO) -> Iterator[object]:
+    """The results a reaped child spooled, up to its first incomplete record."""
+    spool.seek(0)
+    while len(head := spool.read(8)) == 8:
+        size = int.from_bytes(head, "little")
+        record = spool.read(size)
+        if len(record) < size:
+            return
+        yield pickle.loads(record)

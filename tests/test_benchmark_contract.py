@@ -127,6 +127,9 @@ def test_track_reader_and_filter_call_shapes():
 
 
 def test_prediction_dir_reads_through_module_global(monkeypatch, tmp_path):
+    """perfbench counts ``load_prediction_dir``'s reads by patching
+    ``dataio.load_predictions``. This 2 x 3-row directory is below the
+    fork floor, so it is read inline, where the patched global counts it."""
     dataio.save_prediction_dir({m: np.zeros((3, 2)) for m in ("m000", "m001")}, tmp_path)
     read = []
     load = dataio.load_predictions

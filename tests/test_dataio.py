@@ -735,24 +735,11 @@ def lane_tracks():
     return tracks
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """One entry per ``os.fork`` call made in this process."""
-    calls = []
-    fork = os.fork
-
-    def counted():
-        calls.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
 class TestPredictionDirLanes:
-    """``save_prediction_dir`` writes a large directory from one lane per
-    usable CPU, this process and forked children; what it writes and
-    raises does not depend on the lane count."""
+    """``save_prediction_dir`` and ``load_prediction_dir`` write and read a
+    large directory from one lane per usable CPU, this process and forked
+    children; what they write, return and raise does not depend on the
+    lane count."""
 
     def test_bytes_do_not_depend_on_lanes(self, monkeypatch, tmp_path, forks):
         tracks = lane_tracks()
@@ -795,6 +782,55 @@ class TestPredictionDirLanes:
             assert ((tmp_path / "lanes" / f"{movie}.csv").read_bytes()
                     == (tmp_path / "inline.csv").read_bytes())
 
+    def test_reads_do_not_depend_on_lanes(self, monkeypatch, tmp_path, forks):
+        save_prediction_dir(lane_tracks(), tmp_path)
+        read = []
+        for cpus in (1, 2):
+            forks.clear()
+            monkeypatch.setattr(lanes, "usable_cpus", lambda cpus=cpus: cpus)
+            read.append(dataio.load_prediction_dir(tmp_path))
+            assert len(forks) == cpus - 1
+        assert list(read[0]) == list(read[1]) == [f"m00{i}" for i in range(4)]
+        for movie, values in read[0].items():
+            assert values.tobytes() == read[1][movie].tobytes()
+
+    def test_bad_token_in_a_child_lane_is_raised_as_inline(self, monkeypatch, tmp_path, forks):
+        save_prediction_dir(lane_tracks(), tmp_path)
+        path = tmp_path / "m001.csv"  # in the child's lane at two lanes
+        lines = path.read_text().splitlines(keepends=True)
+        lines[4] = "m001,3,1_0," + lines[4].split(",", 3)[3]
+        path.write_text("".join(lines))
+        messages = []
+        for cpus in (1, 2):
+            forks.clear()
+            monkeypatch.setattr(lanes, "usable_cpus", lambda cpus=cpus: cpus)
+            with pytest.raises(DataError) as err:
+                dataio.load_prediction_dir(tmp_path)
+            assert len(forks) == cpus - 1
+            messages.append(str(err.value))
+        assert messages == [f"{path}:5: bad float literal '1_0'"] * 2
+
+    def test_tracks_a_dead_child_left_are_read_here(self, monkeypatch, tmp_path, forks):
+        save_prediction_dir(lane_tracks(), tmp_path)
+        inline = dataio.load_prediction_dir(tmp_path)
+        forks.clear()
+        parent, load = os.getpid(), dataio.load_predictions
+
+        def dying(path):
+            if os.getpid() != parent and path.name == "m003.csv":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return load(path)
+
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(dataio, "load_predictions", dying)
+        read = dataio.load_prediction_dir(tmp_path)
+        assert len(forks) == 1
+        assert list(read) == list(inline)
+        for movie, values in inline.items():
+            assert values.tobytes() == read[movie].tobytes()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_no_fork_while_another_thread_runs(self, monkeypatch, tmp_path):
         def refuse():
             raise AssertionError("forked while another thread ran")
@@ -820,8 +856,12 @@ class TestPredictionDirLanes:
         assert not (tmp_path / "out").exists()
 
     def test_commands_leave_no_child_process(self, monkeypatch, tmp_path, forks):
-        """``predict``, ``smooth`` and ``ensemble`` each write 16,400 values
-        from two lanes, and every child is reaped when they return."""
+        """``predict``, ``smooth``, ``ensemble`` and ``evaluate`` handle
+        directories of 16,400 values and fork one child per stage of per-track
+        work, and every child is reaped when they return: ``predict`` writes
+        (1); ``smooth`` reads, filters and writes (3); ``ensemble`` reads two
+        runs and writes (3); ``evaluate`` reads the annotations and the
+        predictions (2)."""
         manifest = synth_generate(SynthSpec(num_movies=2, length=4100,
                                             modalities=(("audio", 1),)), tmp_path / "data", 1)
         cfg = tmp_path / "run.cfg"
@@ -829,12 +869,14 @@ class TestPredictionDirLanes:
                        "hidden_units = 2\nbatch_size = 4096\n")
         init_model_params(parse_config(cfg).model_config(), 0).save(tmp_path / "model.ckpt")
         monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
-        raw, smooth = str(tmp_path / "raw"), str(tmp_path / "smooth")
+        raw, smooth, mean = (str(tmp_path / name) for name in ("raw", "smooth", "mean"))
         for argv in (["predict", "--config", str(cfg), "--checkpoint",
                       str(tmp_path / "model.ckpt"), "--out", raw],
                      ["smooth", "--predictions", raw, "--out", smooth],
-                     ["ensemble", "--runs", raw, smooth, "--out", str(tmp_path / "mean")]):
+                     ["ensemble", "--runs", raw, smooth, "--out", mean],
+                     ["evaluate", "--predictions", mean, "--annotations",
+                      str(tmp_path / "data" / "annotations"), "--out", str(tmp_path / "eval")]):
             assert main(argv) == 0
-        assert len(forks) == 3
+        assert len(forks) == 9
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
