@@ -25,8 +25,9 @@ of a directory before it writes one. ``per_track`` runs per-track work,
 one job per track, from the lanes of :mod:`affectseq.lanes` once it
 handles ``_FORK_VALUES`` values, and inline below that one floor: a
 directory's writes, its reads (whose values its file sizes estimate),
-and ``smooth``'s filtering. A lane reads and writes with the same code,
-so the values, files and faults do not depend on the lane count.
+``smooth``'s filtering, and ``load_dataset``'s reads and checks (whose
+values its manifest declares). A lane reads and writes with the same
+code, so the values, files and faults do not depend on the lane count.
 
 Settings have one number parser, ``_number``, and one comma-list parser,
 ``_list``; ``parse_pairs`` reads the ``name:value`` lists of manifests
@@ -580,36 +581,50 @@ def load_dataset(manifest: DatasetManifest, with_annotations: bool = True):
 
     ``features[movie][modality]`` is [L, D]; ``annotations[movie]`` is
     [L, 2]. Lengths are validated against the manifest and each other.
+    Each track is read and checked by one job of :func:`per_track`, each
+    movie's modalities and then its annotations; its fork floor counts the
+    values the manifest declares (length x width per track). The first
+    fault in that order is raised, as an inline read raises it.
     """
-    features: dict[str, dict[str, np.ndarray]] = {}
-    annotations: dict[str, np.ndarray] = {}
     lo, hi = manifest.annotation_range
     declared = f"but {shown(manifest.path)} declares"
+
+    def feature(movie: str, length: int, modality: str, dim: int) -> np.ndarray:
+        path = manifest.feature_path(modality, movie)
+        movie_id, values = load_features(path)
+        _check_movie_id(path, movie_id, movie)
+        if values.shape[1] != dim:
+            raise DataError(f"{shown(path)}: {values.shape[1]} feature columns, "
+                            f"{declared} {modality}:{dim}")
+        if len(values) != length:
+            raise DataError(f"{shown(path)}: {len(values)} seconds, {declared} {movie}:{length}")
+        return values
+
+    def annotation(movie: str, length: int) -> np.ndarray:
+        path = manifest.annotation_path(movie)
+        movie_id, values = load_predictions(path)
+        _check_movie_id(path, movie_id, movie)
+        if np.any(values < lo) or np.any(values > hi):
+            raise DataError(f"{shown(path)}: annotation outside the range [{lo}, {hi}] "
+                            f"that {shown(manifest.path)} declares")
+        if len(values) != length:
+            raise DataError(f"{shown(path)}: {len(values)} seconds, {declared} {movie}:{length}")
+        return values
+
+    jobs = []
     for movie, length in manifest.movies:
-        per_mod: dict[str, np.ndarray] = {}
-        for modality, dim in manifest.modalities:
-            path = manifest.feature_path(modality, movie)
-            movie_id, values = load_features(path)
-            _check_movie_id(path, movie_id, movie)
-            if values.shape[1] != dim:
-                raise DataError(f"{shown(path)}: {values.shape[1]} feature columns, "
-                                f"{declared} {modality}:{dim}")
-            if len(values) != length:
-                raise DataError(f"{shown(path)}: {len(values)} seconds, "
-                                f"{declared} {movie}:{length}")
-            per_mod[modality] = values
-        features[movie] = per_mod
+        jobs += [functools.partial(feature, movie, length, modality, dim)
+                 for modality, dim in manifest.modalities]
         if with_annotations:
-            path = manifest.annotation_path(movie)
-            movie_id, values = load_predictions(path)
-            _check_movie_id(path, movie_id, movie)
-            if np.any(values < lo) or np.any(values > hi):
-                raise DataError(f"{shown(path)}: annotation outside the range [{lo}, {hi}] "
-                                f"that {shown(manifest.path)} declares")
-            if len(values) != length:
-                raise DataError(f"{shown(path)}: {len(values)} seconds, "
-                                f"{declared} {movie}:{length}")
-            annotations[movie] = values
+            jobs.append(functools.partial(annotation, movie, length))
+    width = sum(dim for _, dim in manifest.modalities) + len(AFFECT_COLUMNS) * with_annotations
+    tracks = iter(per_track(jobs, width * sum(length for _, length in manifest.movies)))
+    features: dict[str, dict[str, np.ndarray]] = {}
+    annotations: dict[str, np.ndarray] = {}
+    for movie, _ in manifest.movies:
+        features[movie] = {modality: next(tracks) for modality, _ in manifest.modalities}
+        if with_annotations:
+            annotations[movie] = next(tracks)
     return features, annotations
 
 

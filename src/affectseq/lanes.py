@@ -12,13 +12,22 @@ modality encoders run this way.
 thread and can fork: this process runs jobs 0, k, 2k, ... and each of
 k - 1 forked children jobs j, j + k, ..., appending each result, pickled
 behind its length, to an unlinked spool file opened before the fork. A
-child never waits for this process, however large its results. Once
-every child is reaped, this process reads back each complete record and
-runs again, in job order, each job that no lane finished, so a failure
-is raised as a one-lane run raises it and no child outlives the call. A
+child never waits for this process, however large its results. Lane k
+runs on CPU ``cpus[k % len(cpus)]`` of the calling thread's affinity
+set, in order, because a freshly forked child may otherwise share its
+parent's CPU for its whole life. This process pins each child as soon
+as it is forked, so that the child does not first wait for this
+thread's CPU; the child pins itself again before its first job; and the
+calling thread is pinned to ``cpus[0]`` once the children are forked.
+Where threads cannot be pinned, nothing is. Once the call's work is
+done, the calling thread gets its whole set back, every child is
+reaped, and this process reads back each complete record and runs
+again, in job order, each job that no lane finished, so a failure is
+raised as a one-lane run raises it and no child outlives the call. A
 job that warns in a child is not finished there: it runs again here,
-where its warning is shown. ``dataio`` reads and writes a large
-prediction directory this way, and ``smooth`` filters its tracks.
+where its warning is shown. ``dataio`` reads a large dataset, and reads
+and writes a large prediction directory, this way, and ``smooth``
+filters its tracks.
 """
 
 from __future__ import annotations
@@ -43,6 +52,15 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _pin(cpus: list[int], lane: int | None = None, pid: int = 0) -> None:
+    """Keep process ``pid`` (0: this thread) to lane ``lane``'s CPU,
+    ``cpus[lane % len(cpus)]``, or to all of ``cpus`` when ``lane`` is
+    None; nothing where threads cannot be pinned (``cpus`` empty)."""
+    if cpus:
+        with contextlib.suppress(OSError):  # a CPU gone offline, or a child gone
+            os.sched_setaffinity(pid, cpus if lane is None else [cpus[lane % len(cpus)]])
+
+
 def in_threads(jobs: Sequence[Callable[[], object]]) -> list:
     """Each job's result, in order; once every job has ended and its thread
     has exited, the first failure in job order is raised, as inline."""
@@ -65,18 +83,22 @@ def in_processes(jobs: Sequence[Callable[[], object]]) -> list:
     lanes = min(len(jobs), usable_cpus())
     if lanes < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
         return [job() for job in jobs]
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     results = [_UNDONE] * len(jobs)
     children = []
     try:
         for lane in range(1, lanes):
-            child = _fork_lane(jobs, lane, lanes)
+            child = _fork_lane(jobs, lane, lanes, cpus)
             if child is None:
                 break  # the lanes that did not start are run below
             children.append(child)
+            _pin(cpus, lane, child[0])  # it may be queued behind this thread until it runs
+        _pin(cpus, 0)
         with contextlib.suppress(Exception):  # a failed job runs again below, in job order
             for i in range(0, len(jobs), lanes):
                 results[i] = jobs[i]()
     finally:
+        _pin(cpus)  # threads started after the call see the whole set
         with contextlib.ExitStack() as spools:
             for pid, spool in children:
                 spools.enter_context(spool)
@@ -87,10 +109,12 @@ def in_processes(jobs: Sequence[Callable[[], object]]) -> list:
     return [job() if result is _UNDONE else result for job, result in zip(jobs, results)]
 
 
-def _fork_lane(jobs: Sequence, lane: int, lanes: int) -> tuple[int, BinaryIO] | None:
-    """(pid, spool file) of a child that runs jobs ``lane``, ``lane +
-    lanes``, ..., spools each result and exits at its first failure or
-    warning, or after its last job; None when no child can start."""
+def _fork_lane(jobs: Sequence, lane: int, lanes: int,
+               cpus: list[int]) -> tuple[int, BinaryIO] | None:
+    """(pid, spool file) of a child that pins itself to its lane's CPU of
+    ``cpus``, runs jobs ``lane``, ``lane + lanes``, ..., spools each result
+    and exits at its first failure or warning, or after its last job; None
+    when no child can start."""
     try:
         spool = tempfile.TemporaryFile()
     except OSError:
@@ -102,6 +126,7 @@ def _fork_lane(jobs: Sequence, lane: int, lanes: int) -> tuple[int, BinaryIO] | 
         return None
     if pid == 0:
         try:
+            _pin(cpus, lane)
             gc.disable()  # collecting would touch, and so copy, the parent's heap
             warnings.simplefilter("error")  # so the parent runs the job again, and shows it
             for i in range(lane, len(jobs), lanes):

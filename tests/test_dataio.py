@@ -880,3 +880,77 @@ class TestPredictionDirLanes:
         assert len(forks) == 9
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+def lane_dataset(root):
+    """Two movies of 100 s over 40 + 42 feature columns, 16,400 feature
+    values and 400 annotation values: above the fork floor."""
+    manifest = synth_generate(SynthSpec(num_movies=2, length=100,
+                                        modalities=(("audio", 40), ("image", 42))), root, 1)
+    assert 2 * 100 * (40 + 42) >= dataio._FORK_VALUES
+    return manifest
+
+
+class TestDatasetLanes:
+    """``load_dataset`` reads and checks one track per job, each movie's
+    modalities and then its annotations: at two lanes this process reads
+    jobs 0, 2, 4 (m000/audio, m000 annotations, m001/image) and a child
+    jobs 1, 3, 5. What it returns and raises does not depend on the lane
+    count."""
+
+    @pytest.mark.parametrize("with_annotations", [True, False])
+    def test_arrays_do_not_depend_on_lanes(self, monkeypatch, tmp_path, forks,
+                                           with_annotations):
+        manifest = lane_dataset(tmp_path)
+        read = []
+        for cpus in (1, 2):
+            forks.clear()
+            monkeypatch.setattr(lanes, "usable_cpus", lambda cpus=cpus: cpus)
+            read.append(load_dataset(manifest, with_annotations))
+            assert len(forks) == cpus - 1
+        (features, annotations), (features2, annotations2) = read
+        assert list(features) == list(features2) == ["m000", "m001"]
+        assert list(annotations) == list(annotations2) == (
+            ["m000", "m001"] if with_annotations else [])
+        for movie, tracks in features.items():
+            assert list(tracks) == list(features2[movie]) == ["audio", "image"]
+            for modality, values in tracks.items():
+                assert values.shape == (100, 40 if modality == "audio" else 42)
+                assert values.tobytes() == features2[movie][modality].tobytes()
+        for movie, values in annotations.items():
+            assert values.tobytes() == annotations2[movie].tobytes()
+
+    def raised(self, monkeypatch, manifest, forks) -> list[str]:
+        messages = []
+        for cpus in (1, 2):
+            forks.clear()
+            monkeypatch.setattr(lanes, "usable_cpus", lambda cpus=cpus: cpus)
+            with pytest.raises(DataError) as err:
+                load_dataset(manifest)
+            assert len(forks) == cpus - 1
+            messages.append(str(err.value))
+        return messages
+
+    def test_bad_token_in_a_child_lane_is_raised_as_inline(self, monkeypatch, tmp_path, forks):
+        manifest = lane_dataset(tmp_path)
+        path = manifest.feature_path("image", "m000")  # job 1: the child's lane
+        lines = path.read_text().splitlines(keepends=True)
+        lines[4] = "m000,3,1_0," + lines[4].split(",", 3)[3]
+        path.write_text("".join(lines))
+        assert self.raised(monkeypatch, manifest, forks) == [
+            f"{path}:5: bad float literal '1_0'"] * 2
+
+    def test_first_fault_in_job_order_wins(self, monkeypatch, tmp_path, forks):
+        """An annotation fault in m000 (job 2, this lane) wins over a
+        feature fault in m001 (job 3, the child's lane), at both counts."""
+        manifest = lane_dataset(tmp_path)
+        annotation = manifest.annotation_path("m000")
+        write_track(annotation, "m000", np.full((100, 2), 1.5), AFFECT_COLUMNS)
+        feature = manifest.feature_path("audio", "m001")
+        feature.write_text(feature.read_text().replace("m001,7,", "m001,8,", 1))
+        assert self.raised(monkeypatch, manifest, forks) == [
+            f"{annotation}: annotation outside the range [-1.0, 1.0] that "
+            f"{manifest.path} declares"] * 2
+        write_track(annotation, "m000", np.zeros((100, 2)), AFFECT_COLUMNS)
+        assert self.raised(monkeypatch, manifest, forks) == [
+            f"{feature}:9: gap in seconds, expected t=7, got t=8"] * 2

@@ -1,7 +1,8 @@
 """One CPU count, ``lanes.usable_cpus``, sizes both runners: the encoder
 threads of ``lanes.in_threads`` and the forked lanes of
-``lanes.in_processes``, which read, filter and write prediction tracks
-and hand each job's result back in job order."""
+``lanes.in_processes``, which read datasets, read, filter and write
+prediction tracks, and hand each job's result back in job order. Each
+lane runs on its own CPU of the caller's affinity set."""
 
 import io
 import os
@@ -27,9 +28,11 @@ from affectseq.dataio import (
 
 
 def test_one_cpu_count_drives_threads_and_forks(monkeypatch, tmp_path):
-    """``predict`` over two modalities writes 2 x 4100 x 2 = 16,400
-    values: at one usable CPU it starts no encoder thread and forks no
-    child, at two it does both, and it writes the same bytes at both."""
+    """``predict`` over two modalities reads 2 x 4100 x 3 = 24,600 feature
+    values and writes 2 x 4100 x 2 = 16,400: at one usable CPU it starts
+    no encoder thread and forks no child, at two it starts encoder threads
+    and forks twice, once to read and once to write, and it writes the
+    same bytes at both."""
     assert 2 * 4100 * 2 >= _FORK_VALUES
     manifest = synth_generate(SynthSpec(num_movies=2, length=4100,
                                         modalities=(("audio", 1), ("image", 2))),
@@ -60,7 +63,7 @@ def test_one_cpu_count_drives_threads_and_forks(monkeypatch, tmp_path):
         assert main(["predict", "--config", str(cfg), "--checkpoint",
                      str(tmp_path / "model.ckpt"), "--out", str(out)]) == 0
         pooled = {name for name in threads if name.startswith("affectseq-encoder")}
-        assert (len(forks), bool(pooled)) == (cpus - 1, cpus == 2), cpus
+        assert (len(forks), bool(pooled)) == (2 * (cpus - 1), cpus == 2), cpus
         assert threading.current_thread().name in threads
         written.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
     assert sorted(written[0]) == ["m000.csv", "m001.csv"]
@@ -161,16 +164,96 @@ def test_a_job_that_warns_in_a_child_runs_again_here(monkeypatch):
 
 def test_fork_after_blas_threads_start_does_not_warn(monkeypatch, forks):
     """Python 3.12 and later warn when a process that runs several OS
-    threads forks; OpenBLAS starts its threads for a product this large,
-    and the warning, as an error here, would fail every forked command."""
+    threads forks; OpenBLAS starts its threads for a product this large.
+    The warning is recorded, not raised: ``os.fork`` clears a warning
+    raised as an error, so an error filter would hide it."""
     rng = np.random.default_rng(0)
     a = rng.normal(size=(512, 512))
     assert np.isfinite(a @ a).all()
     monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
         assert lanes.in_processes([lambda: 1, lambda: 2]) == [1, 2]
     assert len(forks) == 1
+    assert not [str(w.message) for w in shown if issubclass(w.category, DeprecationWarning)]
+
+
+CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+two_cpus = pytest.mark.skipif(len(CPUS) < 2, reason="needs two usable CPUs")
+
+
+def affinity():
+    return os.sched_getaffinity(0)
+
+
+@two_cpus
+def test_each_lane_runs_on_its_own_cpu(monkeypatch):
+    """Lane k, which runs jobs k, k + 2, ..., runs on the k-th CPU of the
+    caller's affinity set."""
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
+    assert lanes.in_processes([affinity] * 4) == [{CPUS[0]}, {CPUS[1]}] * 2
+    assert affinity() == set(CPUS)
+
+
+@two_cpus
+def test_the_caller_gets_its_whole_set_back_when_a_job_raises(monkeypatch):
+    """The failed job runs again inline on the caller's whole set, after
+    the lanes, and the caller keeps that set."""
+    seen = []
+
+    def failing():
+        seen.append(affinity())
+        raise ValueError("job failed")
+
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
+    with pytest.raises(ValueError, match="job failed"):
+        lanes.in_processes([failing, affinity])
+    assert seen == [{CPUS[0]}, set(CPUS)]
+    assert affinity() == set(CPUS)
+
+
+@two_cpus
+def test_more_lanes_than_cpus_take_the_cpus_in_turn(monkeypatch, forks):
+    count = len(CPUS) + 1
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: count)
+    assert lanes.in_processes([affinity] * count) == [{CPUS[k % len(CPUS)]}
+                                                      for k in range(count)]
+    assert len(forks) == count - 1
+    assert affinity() == set(CPUS)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not CPUS, reason="no affinity masks")
+def test_nothing_is_pinned_where_threads_cannot_be(monkeypatch):
+    monkeypatch.delattr(os, "sched_setaffinity")
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
+    assert lanes.in_processes([affinity] * 2) == [set(CPUS)] * 2
+
+
+@pytest.mark.parametrize("movies, length, modalities, read_forks", [
+    (3, 200, (("audio", 8), ("image", 8)), 0),  # paper_train: 3 x 200 x 18 = 10,800 values
+    (2, 40, (("audio", 1582), ("image", 2048)), 1),  # wide_infer: 2 x 40 x 3630 = 290,400
+])
+def test_dataset_reads_fork_at_wide_infer_size_only(monkeypatch, tmp_path, forks, movies,
+                                                    length, modalities, read_forks):
+    """``train`` and ``predict`` fork for their dataset read only when it
+    holds at least ``_FORK_VALUES`` declared values; their other outputs
+    are too small to fork at these sizes."""
+    dims = sum(dim for _, dim in modalities)
+    assert (movies * length * (dims + 2) >= _FORK_VALUES) == bool(read_forks)
+    manifest = synth_generate(SynthSpec(num_movies=movies, length=length,
+                                        modalities=modalities), tmp_path / "data", 1)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"manifest = {manifest.path}\nprofile = run1\nsequence_length = 2\n"
+                   "hidden_units = 2\nbatch_size = 4096\nepochs = 1\n")
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
+    forks.clear()
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "train")]) == 0
+    assert len(forks) == read_forks
+    assert main(["predict", "--config", str(cfg), "--checkpoint",
+                 str(tmp_path / "train" / "model.ckpt"), "--out", str(tmp_path / "raw")]) == 0
+    assert len(forks) == 2 * read_forks
 
 
 def affect_dirs(root, movies: int, length: int):
