@@ -2,13 +2,11 @@
 multimodal feature tracks, with context-gated mixture-of-experts fusion,
 low-pass post-smoothing, run ensembling, and MSE/PCC evaluation."""
 
+from .config import DatasetManifest, load_manifest, parse_pairs
 from .dataio import (
-    DatasetManifest,
     SynthSpec,
     load_features,
-    load_manifest,
     load_predictions,
-    parse_pairs,
     split_dataset,
     synth_generate,
     window_sequences,

@@ -28,23 +28,10 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
-from .config import _KNOWN_KEYS, parse_config, parse_values, smoother_spec, write_resolved
-from .dataio import (
-    SynthSpec,
-    _list,
-    _number,
-    _parse,
-    check_out_dir,
-    load_dataset,
-    load_prediction_dir,
-    parse_pairs,
-    per_track,
-    save_prediction_dir,
-    shown,
-    split_dataset,
-    synth_generate,
-    write_file,
-)
+from .config import (RunConfig, declared, number, parse_config, parse_fields, smoother_spec,
+                     tagged, write_resolved)
+from .dataio import (SynthSpec, load_dataset, load_prediction_dir, save_prediction_dir,
+                     split_dataset, synth_generate)
 from .errors import AffectSeqError, ConfigError, DataError, NumericError
 from .evalmetrics import (
     AGGREGATION_MODES,
@@ -53,6 +40,8 @@ from .evalmetrics import (
     render_csv,
     render_text,
 )
+from .files import check_out_dir, shown, write_file
+from .lanes import per_track
 from .model import ModelConfig, param_shapes
 from .numerics import ParamStore
 from .smoothing import SMOOTHERS, smooth_track
@@ -141,32 +130,22 @@ _FLAGS = {"num_movies": "--movies", "noise_overrides": "--noise-override",
           "butter_cutoff": "--cutoff", "ma_weights": "--weights"}
 
 
-# each synth flag's parser; SynthSpec checks the ranges
-_SYNTH_PARSERS = {
-    "num_movies": _number(int), "length": _number(int), "noise": _number(float),
-    "lag": _number(int), "seed": _number(int), "validation_movies": _list(str),
-    "modalities": lambda raw: parse_pairs(raw, int),
-    "noise_overrides": lambda raw: parse_pairs(raw, float),
-}
+def _typed(args, record) -> dict[str, str]:
+    """The keys of ``record`` that typed flags set."""
+    keys = declared(record)
+    return {key: value for key, value in vars(args).items() if key in keys and value is not None}
 
 
 def _cmd_synth(args) -> int:
-    given = {key: _parse(key, parse, getattr(args, key))
-             for key, parse in _SYNTH_PARSERS.items() if getattr(args, key) is not None}
-    seed = given.pop("seed")
-    manifest = synth_generate(SynthSpec(**given), args.out, seed)
+    values = parse_fields(SynthSpec, _typed(args, SynthSpec))
+    seed = tagged("seed", number(int), args.seed)
+    manifest = synth_generate(SynthSpec(**values), args.out, seed)
     print(f"wrote {len(manifest.movies)} movies to {shown(args.out)}")
     return EXIT_OK
 
 
-def _config_overrides(args) -> dict[str, str]:
-    """The config keys that typed flags set."""
-    return {key: value for key, value in vars(args).items()
-            if key in _KNOWN_KEYS and value is not None}
-
-
 def _cmd_train(args) -> int:
-    cfg = parse_config(args.config, _config_overrides(args))
+    cfg = parse_config(args.config, _typed(args, RunConfig))
     if not cfg.out:
         raise DataError("no output directory: set 'out' in the config or pass --out")
     check_out_dir(cfg.out)
@@ -197,7 +176,7 @@ def _check_architecture(store: ParamStore, model_config: ModelConfig, checkpoint
 
 
 def _cmd_predict(args) -> int:
-    cfg = parse_config(args.config, _config_overrides(args))
+    cfg = parse_config(args.config, _typed(args, RunConfig))
     check_out_dir(args.out)
     store = ParamStore.load(args.checkpoint)
     model_config = cfg.model_config()
@@ -220,9 +199,9 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_smooth(args) -> int:
-    settings = _config_overrides(args)
+    settings = _typed(args, RunConfig)
     spec = smoother_spec(vars(parse_config(args.config, settings)) if args.config
-                         else parse_values(settings))
+                         else parse_fields(RunConfig, settings))
     preds = load_prediction_dir(args.predictions)
     if spec.kind == "moving_average":
         for movie, track in preds.items():

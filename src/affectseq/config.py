@@ -1,9 +1,27 @@
-"""Run configuration: key-value config files, run profiles, and the
-resolved echo written next to training artifacts.
+"""Settings: the ``key = value`` files and flags that configure the
+pipeline, and the records that declare their keys.
 
-Config files use ``key = value`` lines with ``#`` comments. Unknown keys,
-retired ones such as ``bn_momentum`` included, are rejected. The
-``profile`` key expands to preset regularization and split settings:
+Each key is a field of the record that owns it, declared with
+:func:`setting`, which holds its default and its parser: a run config
+key is a :class:`RunConfig` field, a manifest key a
+:class:`DatasetManifest` field, and a ``synth`` flag a
+:class:`~affectseq.dataio.SynthSpec` field. :func:`parse_fields` parses
+any record's keys from those declarations. The parsers (one number
+parser ``number``, one comma-list parser ``items``, and ``parse_pairs``
+for ``name:value`` lists) and the records' checks name no setting:
+``tagged`` and the checks tag a fault with its key, and the caller names
+the flag, or the file and the key (``<file>: key <k>: ``), once.
+
+A settings file holds ``key = value`` lines and ``#`` comments; a key
+appears once, and an unknown one, a retired one such as ``bn_momentum``
+included, is refused. The manifest (``manifest.txt``, or the file a
+config's ``manifest`` key names) declares the dataset alone; its tracks
+lie under its directory, at ``features/<modality>/<movie_id>.csv`` and
+``annotations/<movie_id>.csv``. A run config names its manifest,
+relative to the config file, and may set every other
+:class:`RunConfig` key; ``train_fraction`` (1.0, whole movies dropped
+by a seeded shuffle) is set there or by run2, never by the manifest.
+The ``profile`` key expands to preset regularization and split settings:
 
     run1    dropout_rate 0, no batch normalization
     run2    dropout_rate 0.5 + batch normalization, train_fraction 0.7
@@ -14,32 +32,29 @@ retired ones such as ``bn_momentum`` included, are rejected. The
 A profile owns the keys it presets; setting one in the same file is an
 error naming the profile. A ``dropout_rate`` of 0 (the default) means no
 dropout. Values outside the usual grids (for example a sequence length
-other than 10/30/60) are accepted with a warning record.
-
-Every key except ``manifest`` is a :class:`RunConfig` field declared with
-:func:`_key`, which holds its default (the one of the record that owns the
-setting) and its parser; the known-key set, parsing, validation and the
-resolved echo all read that one table, which is also the one place
-smoother settings are checked. The table is the one owner of each key:
-``train_fraction`` (1.0, whole movies dropped by a seeded shuffle) is set
-here or by run2, never by the manifest. Batch norm needs
-``batch_size >= 2``.
+other than 10/30/60) are accepted with a warning record. Batch norm
+needs ``batch_size >= 2``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from contextlib import contextmanager
+from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
-from .dataio import (DatasetManifest, _list, _number, _parse, _parse_kv_lines, load_manifest,
-                     shown, write_file)
-from .errors import ConfigError
+from .errors import ConfigError, DataError
+from .files import decode_text, plain_name, read_file, shown, write_file
 from .fusion import CG2_POSITIONS, FusionConfig
 from .model import ModelConfig
 from .numerics import AdamState
 from .seqmodel import CELL_KINDS, EncoderConfig
 from .smoothing import SMOOTHERS, SmootherSpec
+
+FEATURES_DIR = "features"
+ANNOTATIONS_DIR = "annotations"
+MANIFEST_NAME = "manifest.txt"
 
 _PROFILE_PRESETS = {
     "custom": {},
@@ -52,8 +67,96 @@ PROFILES = tuple(_PROFILE_PRESETS)
 _PAPERED_SEQUENCE_LENGTHS = (10, 30, 60)
 
 
+def _read_settings(path: Path) -> dict[str, str]:
+    """The ``key = value`` lines of the settings file at ``path``."""
+    out: dict[str, str] = {}
+    source = shown(path)
+    for lineno, raw in enumerate(decode_text(path, read_file(path)).splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataError(f"{source}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in out:
+            raise DataError(f"{source}:{lineno}: duplicate key {key!r}")
+        out[key] = value.strip()
+    return out
+
+
+@contextmanager
+def _naming(source: str, bare=()) -> Iterator[None]:
+    """Re-raise the block's :class:`ConfigError` naming the file ``source``
+    and its key, unless the key is in ``bare``: a flag the caller names."""
+    try:
+        yield
+    except ConfigError as exc:
+        if exc.key in bare:
+            raise
+        raise ConfigError(f"{source}: key {exc.key}: {exc}", key=exc.key) from None
+
+
 # Parsers take the raw string and raise ConfigError with a message that
-# ``_parse`` tags with the key at fault.
+# ``tagged`` tags with the key at fault.
+
+def number(kind: type, lo=None, hi=None, lo_open=False, hi_open=False) -> Callable[[str], float]:
+    """An int or float parser with inclusive, exclusive or absent bounds;
+    a float must be finite."""
+    left = "(-inf" if lo is None else f"{'(' if lo_open else '['}{lo:g}"
+    right = "inf)" if hi is None else f"{hi:g}{')' if hi_open else ']'}"
+
+    def parse(raw: str):
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise ConfigError(
+                f"expected {'an integer' if kind is int else 'a number'}, got {raw!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"expected a finite number, got {raw!r}")
+        above = lo is None or (value > lo if lo_open else value >= lo)
+        below = hi is None or (value < hi if hi_open else value <= hi)
+        if not (above and below):
+            raise ConfigError(f"{value} outside valid range {left}, {right}")
+        return value
+    return parse
+
+
+def tagged(key: str, parse: Callable[[str], object], raw: str):
+    """``parse(raw)``, its error tagged with ``key``."""
+    try:
+        return parse(raw)
+    except ConfigError as exc:
+        raise ConfigError(str(exc), key=key) from None
+
+
+def items(item: Callable[[str], object]) -> Callable[[str], tuple]:
+    """A parser of comma-separated items, each read by ``item``; blank
+    items are skipped."""
+    def parse(raw: str) -> tuple:
+        return tuple(item(tok.strip()) for tok in raw.split(",") if tok.strip())
+    return parse
+
+
+def parse_pairs(text: str, kind: type) -> tuple[tuple[str, int | float], ...]:
+    """The ``name:value`` entries of a comma list, each value read by
+    ``number(kind)``; blank entries are skipped."""
+    value = number(kind)
+
+    def pair(chunk: str) -> tuple[str, int | float]:
+        name, sep, raw = chunk.partition(":")
+        if not sep:
+            raise ConfigError(f"entry {chunk!r} must be name:value")
+        return name.strip(), value(raw)
+    return items(pair)(text)
+
+
+def _range(raw: str) -> tuple[float, ...]:
+    bounds = items(number(float))(raw)
+    if len(bounds) != 2:
+        raise ConfigError("must be 'lo, hi'")
+    return bounds
+
 
 def _choice(*options: str) -> Callable[[str], str]:
     def parse(raw: str) -> str:
@@ -70,23 +173,114 @@ def _bool(raw: str) -> bool:
 
 
 def _units(raw: str) -> tuple[int, ...]:
-    units = _list(_number(int, lo=1))(raw)
+    units = items(number(int, lo=1))(raw)
     if not 1 <= len(units) <= 2:
         raise ConfigError(f"encoders support 1 or 2 layers, got {len(units)}")
     return units
 
 
 def _weights(raw: str) -> tuple[float, ...]:
-    weights = _list(_number(float, lo=0, lo_open=True))(raw)
+    weights = items(number(float, lo=0, lo_open=True))(raw)
     if len(weights) % 2 == 0:
         raise ConfigError(f"needs an odd number of weights, got {len(weights)}")
     return weights
 
 
-def _key(default, parse: Callable[[str], object], echo: bool = True):
-    """A config key: its RunConfig field default, its parser, and whether
-    the resolved echo writes it."""
+def setting(default, parse: Callable[[str], object], echo: bool = True):
+    """A settings key as a field of the record that owns it: its default
+    (``MISSING`` for a key that must be set), its parser, and whether a
+    config's resolved echo writes it."""
     return field(default=default, metadata={"parse": parse, "echo": echo})
+
+
+def declared(record) -> dict[str, Field]:
+    """The fields of ``record`` declared with :func:`setting`, by key, in
+    declaration order."""
+    return {f.name: f for f in fields(record) if "parse" in f.metadata}
+
+
+def parse_fields(record, raw: Mapping[str, str]) -> dict:
+    """Each key ``record`` declares: its parsed entry in ``raw``, else its
+    default. A bad entry is a :class:`ConfigError` whose ``key`` is the key."""
+    return {name: tagged(name, f.metadata["parse"], raw[name]) if name in raw else f.default
+            for name, f in declared(record).items()}
+
+
+@dataclass(frozen=True)
+class DatasetManifest:
+    """Declares modalities, movies, ranges, and the split. ``path`` is the
+    manifest file; the tracks lie under its directory, ``root``."""
+
+    path: Path
+    modalities: tuple[tuple[str, int], ...] = setting(MISSING, lambda raw: parse_pairs(raw, int))
+    movies: tuple[tuple[str, int], ...] = setting(MISSING, lambda raw: parse_pairs(raw, int))
+    annotation_range: tuple[float, float] = setting((-1.0, 1.0), _range)
+    validation_movies: tuple[str, ...] = setting((), items(str))
+
+    def __post_init__(self):
+        for key in ("modalities", "movies"):
+            names = [name for name, _ in getattr(self, key)]
+            if not names:
+                raise ConfigError("needs at least one entry", key=key)
+            if len(set(names)) != len(names):
+                raise ConfigError("duplicate names", key=key)
+            for name in names:  # each becomes a file or directory name
+                if not plain_name(name):
+                    raise ConfigError(f"name {name!r} is not a plain file name", key=key)
+        if any(d < 1 for _, d in self.modalities):
+            raise ConfigError("dims must be >= 1", key="modalities")
+        if any(length < 1 for _, length in self.movies):
+            raise ConfigError("lengths must be >= 1", key="movies")
+        lo, hi = self.annotation_range
+        if not (lo < hi and math.isfinite(hi - lo)):  # a finite width has finite bounds
+            raise ConfigError("needs finite lo < hi", key="annotation_range")
+        unknown = set(self.validation_movies) - set(self.movie_ids)
+        if unknown:
+            raise ConfigError(f"not in movies: {sorted(unknown)}", key="validation_movies")
+
+    @property
+    def root(self) -> Path:
+        return self.path.parent
+
+    @property
+    def movie_ids(self) -> tuple[str, ...]:
+        return tuple(m for m, _ in self.movies)
+
+    def feature_path(self, modality: str, movie: str) -> Path:
+        return self.root / FEATURES_DIR / modality / f"{movie}.csv"
+
+    def annotation_path(self, movie: str) -> Path:
+        return self.root / ANNOTATIONS_DIR / f"{movie}.csv"
+
+
+def load_manifest(path) -> DatasetManifest:
+    """The manifest at ``path``. A value that does not parse, or that the
+    manifest refuses, names the manifest and its key (``<path>: key <k>: ``)."""
+    path = Path(path)
+    source = shown(path)
+    kv = _read_settings(path)
+    unknown = set(kv).difference(declared(DatasetManifest))
+    if unknown:
+        raise ConfigError(f"{source}: unknown manifest keys: {sorted(unknown)}")
+    for required in ("modalities", "movies"):
+        if required not in kv:
+            raise ConfigError(f"{source}: missing required key {required!r}", key=required)
+    with _naming(source):
+        return DatasetManifest(path=path, **parse_fields(DatasetManifest, kv))
+
+
+def save_manifest(manifest: DatasetManifest) -> Path:
+    """Write ``manifest`` to its ``path``, one line per key in declaration
+    order; returns the path."""
+    lines = [
+        "# affectseq dataset manifest",
+        "modalities = " + ", ".join(f"{n}:{d}" for n, d in manifest.modalities),
+        "movies = " + ", ".join(f"{m}:{l}" for m, l in manifest.movies),
+        "annotation_range = " + f"{manifest.annotation_range[0]}, {manifest.annotation_range[1]}",
+        "validation_movies = " + ", ".join(manifest.validation_movies),
+    ]
+    write_file(manifest.path, ["\n".join(lines) + "\n"])
+    return manifest.path
 
 
 @dataclass
@@ -94,32 +288,32 @@ class RunConfig:
     """Fully resolved settings for one pipeline run."""
 
     manifest: DatasetManifest
-    out: str | None = _key(None, str, echo=False)
-    profile: str = _key("custom", _choice(*PROFILES), echo=False)
-    seed: int = _key(1, _number(int))
-    epochs: int = _key(30, _number(int, lo=1))
-    batch_size: int = _key(512, _number(int, lo=1))
-    learning_rate: float = _key(AdamState.lr, _number(float, lo=0))
-    adam_beta1: float = _key(AdamState.beta1, _number(float, lo=0, hi=1))
-    adam_beta2: float = _key(AdamState.beta2, _number(float, lo=0, hi=1))
-    adam_epsilon: float = _key(AdamState.epsilon, _number(float, lo=0, lo_open=True))
-    cell: str = _key(EncoderConfig.cell_kind, _choice(*CELL_KINDS))
-    hidden_units: tuple[int, ...] = _key(EncoderConfig.hidden_units, _units)
-    sequence_length: int = _key(ModelConfig.sequence_length, _number(int, lo=1))
-    dropout_rate: float = _key(EncoderConfig.dropout_rate,
-                               _number(float, lo=0, hi=1, hi_open=True))
-    enable_batchnorm: bool = _key(FusionConfig.enable_batchnorm, _bool)
-    train_fraction: float = _key(1.0, _number(float, lo=0, hi=1, lo_open=True))
-    num_experts: int = _key(FusionConfig.num_experts, _number(int, lo=1))
-    l2_lambda: float = _key(FusionConfig.l2_lambda, _number(float, lo=0))
-    cg2_position: str = _key(FusionConfig.cg2_position, _choice(*CG2_POSITIONS))
-    bn_epsilon: float = _key(FusionConfig.bn_epsilon, _number(float, lo=0, lo_open=True))
-    smoother: str = _key(SmootherSpec.kind, _choice(*SMOOTHERS))
-    butter_order: int = _key(SmootherSpec.order, _number(int, lo=1, hi=4))
-    butter_cutoff: float = _key(SmootherSpec.cutoff,
-                                _number(float, lo=0, hi=1, lo_open=True, hi_open=True))
-    ma_weights: tuple[float, ...] = _key(SmootherSpec.weights, _weights)
-    early_stop_patience: int = _key(0, _number(int, lo=0))
+    out: str | None = setting(None, str, echo=False)
+    profile: str = setting("custom", _choice(*PROFILES), echo=False)
+    seed: int = setting(1, number(int))
+    epochs: int = setting(30, number(int, lo=1))
+    batch_size: int = setting(512, number(int, lo=1))
+    learning_rate: float = setting(AdamState.lr, number(float, lo=0))
+    adam_beta1: float = setting(AdamState.beta1, number(float, lo=0, hi=1))
+    adam_beta2: float = setting(AdamState.beta2, number(float, lo=0, hi=1))
+    adam_epsilon: float = setting(AdamState.epsilon, number(float, lo=0, lo_open=True))
+    cell: str = setting(EncoderConfig.cell_kind, _choice(*CELL_KINDS))
+    hidden_units: tuple[int, ...] = setting(EncoderConfig.hidden_units, _units)
+    sequence_length: int = setting(ModelConfig.sequence_length, number(int, lo=1))
+    dropout_rate: float = setting(EncoderConfig.dropout_rate,
+                                  number(float, lo=0, hi=1, hi_open=True))
+    enable_batchnorm: bool = setting(FusionConfig.enable_batchnorm, _bool)
+    train_fraction: float = setting(1.0, number(float, lo=0, hi=1, lo_open=True))
+    num_experts: int = setting(FusionConfig.num_experts, number(int, lo=1))
+    l2_lambda: float = setting(FusionConfig.l2_lambda, number(float, lo=0))
+    cg2_position: str = setting(FusionConfig.cg2_position, _choice(*CG2_POSITIONS))
+    bn_epsilon: float = setting(FusionConfig.bn_epsilon, number(float, lo=0, lo_open=True))
+    smoother: str = setting(SmootherSpec.kind, _choice(*SMOOTHERS))
+    butter_order: int = setting(SmootherSpec.order, number(int, lo=1, hi=4))
+    butter_cutoff: float = setting(SmootherSpec.cutoff,
+                                   number(float, lo=0, hi=1, lo_open=True, hi_open=True))
+    ma_weights: tuple[float, ...] = setting(SmootherSpec.weights, _weights)
+    early_stop_patience: int = setting(0, number(int, lo=0))
     hidden_overrides: dict[str, tuple[int, ...]] = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
 
@@ -152,22 +346,21 @@ class RunConfig:
         path is deliberately absent: the echo lives inside it, and
         identical configs must produce byte-identical echoes.
         """
-        items = {"manifest": str(self.manifest.path), "profile": "custom"}
-        for f in _TABLE.values():
+        entries = {"manifest": str(self.manifest.path), "profile": "custom"}
+        for f in declared(RunConfig).values():
             if f.metadata["echo"]:
-                items[f.name] = _echo(getattr(self, f.name))
+                entries[f.name] = _echo(getattr(self, f.name))
         for name, units in self.hidden_overrides.items():
-            items[f"hidden_units.{name}"] = _echo(units)
+            entries[f"hidden_units.{name}"] = _echo(units)
         lines = []
         if self.profile != "custom":
             lines.append(f"# resolved from profile: {self.profile}")
-        lines.extend(f"{key} = {items[key]}" for key in sorted(items))
+        lines.extend(f"{key} = {entries[key]}" for key in sorted(entries))
         lines.extend(f"# warning: {w}" for w in self.warnings)
         return lines
 
 
-_TABLE = {f.name: f for f in fields(RunConfig) if "parse" in f.metadata}
-_KNOWN_KEYS = {"manifest", *_TABLE}
+_KNOWN_KEYS = {"manifest", *declared(RunConfig)}
 
 
 def _echo(value) -> str:
@@ -176,13 +369,6 @@ def _echo(value) -> str:
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     return str(value)
-
-
-def parse_values(raw: Mapping[str, str]) -> dict:
-    """Every table key's value: its default, or its parsed entry in ``raw``.
-    A bad entry is a :class:`ConfigError` whose ``key`` is the key."""
-    return {name: _parse(name, f.metadata["parse"], raw[name]) if name in raw else f.default
-            for name, f in _TABLE.items()}
 
 
 def smoother_spec(values: Mapping[str, object]) -> SmootherSpec:
@@ -203,7 +389,7 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
     """
     path = Path(path)
     source = shown(path)
-    kv = _parse_kv_lines(path)
+    kv = _read_settings(path)
     overrides = {k: str(v) for k, v in (overrides or {}).items()}
     kv.update(overrides)
 
@@ -223,17 +409,13 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
     manifest = load_manifest(manifest_path)
 
     known_modalities = {name for name, _ in manifest.modalities}
-    try:
-        values = parse_values(kv)
+    with _naming(source, bare=overrides):
+        values = parse_fields(RunConfig, kv)
         hidden_overrides = {}
         for name, raw in hidden_overrides_raw.items():
             if name not in known_modalities:
                 raise ConfigError("modality not in manifest", key=f"hidden_units.{name}")
-            hidden_overrides[name] = _parse(f"hidden_units.{name}", _units, raw)
-    except ConfigError as exc:
-        if exc.key in overrides:
-            raise
-        raise ConfigError(f"{source}: key {exc.key}: {exc}", key=exc.key) from None
+            hidden_overrides[name] = tagged(f"hidden_units.{name}", _units, raw)
     preset = _PROFILE_PRESETS[values["profile"]]
     for owned in preset:
         if owned in kv:
@@ -246,9 +428,9 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
         cfg.seed = cfg.seed + 1
         cfg.epochs = cfg.epochs + max(1, cfg.epochs // 4)
     if cfg.enable_batchnorm and cfg.batch_size < 2:
-        raise ConfigError(f"{source}: key batch_size: batch normalization (enable_batchnorm, or "
-                          f"profiles run2-run4) needs batch_size >= 2, got {cfg.batch_size}",
-                          key="batch_size")
+        with _naming(source):
+            raise ConfigError("batch normalization (enable_batchnorm, or profiles run2-run4) "
+                              f"needs batch_size >= 2, got {cfg.batch_size}", key="batch_size")
 
     if cfg.sequence_length not in _PAPERED_SEQUENCE_LENGTHS:
         cfg.warnings = (

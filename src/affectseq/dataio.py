@@ -1,59 +1,29 @@
-"""Dataset ingestion, windowing, splits, and the synthetic generator.
+"""Track files and the datasets built from them: the track CSV format,
+prediction directories, dataset loading, windows, splits, batches, and
+the synthetic generator.
 
-On-disk layout, rooted at the directory holding the manifest
-(``manifest.txt``, or the file a config's ``manifest`` key names; every
-message about the dataset names that file):
-
-    manifest.txt
-    features/<modality>/<movie_id>.csv    header: movie_id,t,f0..f{D-1}
-    annotations/<movie_id>.csv            header: movie_id,t,valence,arousal
-
-Seconds are strictly consecutive integers from 0; gaps are errors, never
-interpolated, and a track's movie id must match its file name. Every
-track CSV goes through one reader (``load_features`` and
-``load_predictions`` are its public faces) and one writer,
-``write_track``. Ingest accepts only finite decimal float literals
-(``float()`` syntax without ``_``); the writer emits each value as its
-shortest round-trip decimal (``repr``), formatting a block of rows at a
+A track CSV's header is ``movie_id,t,`` and its value columns
+(``f0..f{D-1}`` for features, ``valence,arousal`` for annotations and
+predictions). Seconds are strictly consecutive integers from 0 in plain
+ASCII digits; gaps are errors, never interpolated, and a track's movie
+id must match its file name. Every track CSV goes through one reader
+(``load_features`` and ``load_predictions`` are its public faces) and
+one writer, ``write_track``. Ingest accepts only finite decimal float
+literals (``float()`` syntax without ``_``); the writer emits each value
+as its shortest round-trip decimal (``repr``), a block of rows at a
 time, and the value reads back bit for bit. A track as the writer lays
 it out (rows ``<id>,<t>,...`` with one id, t written 0..L-1, and no
 control byte but the newline) has its line heads checked by vectorised
 passes over its bytes and its values parsed in one ``np.loadtxt`` pass;
 any other text is read line by line, which gives the same values and
-the ``<path>:<line>`` errors. ``save_prediction_dir`` checks every track
-of a directory before it writes one. ``per_track`` runs per-track work,
-one job per track, from the lanes of :mod:`affectseq.lanes` once it
-handles ``_FORK_VALUES`` values, and inline below that one floor: a
-directory's writes, its reads (whose values its file sizes estimate),
-``smooth``'s filtering, and ``load_dataset``'s reads and checks (whose
-values its manifest declares). A lane reads and writes with the same
+the ``<path>:<line>`` errors. A movie id is a file name and a CSV field,
+so the writers refuse one that is not plain or that holds ``,``.
+``save_prediction_dir`` checks every track before it writes one.
+
+A prediction directory's reads and writes, and ``load_dataset``'s reads
+and checks, run one job per track through
+:func:`affectseq.lanes.per_track`; a lane reads and writes with the same
 code, so the values, files and faults do not depend on the lane count.
-
-Settings have one number parser, ``_number``, and one comma-list parser,
-``_list``; ``parse_pairs`` reads the ``name:value`` lists of manifests
-and ``synth`` flags with both. Their messages name no setting, nor do
-those of the ``DatasetManifest`` and ``SynthSpec`` checks: ``_parse``
-and the checks tag a fault with its key, and the caller names the flag,
-or the file and the key (``<manifest>: key <k>: ``), once.
-
-The manifest declares the dataset alone: ``modalities``, ``movies``,
-``annotation_range`` and ``validation_movies``. How much of the training
-side trains is the run config's ``train_fraction``, which its caller
-hands to ``split_dataset``; a manifest that sets it is refused as unknown.
-
-Every file is opened for reading by ``open_input``: ``read_file`` takes
-all its bytes, and the checkpoint loader reads its payload straight into
-the parameter array. A path it cannot open or read is ``missing file:
-<path>``; ``decode_text`` makes a non-UTF-8 byte ``<path>:<line>: not
-UTF-8 text``. Every file is written by ``write_file`` (``cannot write
-<path>: <reason>``). Each fault is a :class:`DataError`; ``check_out_dir``
-refuses an output directory that cannot be made before any work is spent
-on it. These messages show a path holding a non-printable character as
-its ``repr``, so no control byte reaches the terminal. Movie ids and
-modality names become file names, so each must be plain: not empty,
-``.`` or ``..``, and without ``/``, ``\\``, control characters or line
-breaks. A track's movie id is also one CSV field, so the writers refuse
-one that holds ``,``.
 """
 
 from __future__ import annotations
@@ -61,94 +31,21 @@ from __future__ import annotations
 import functools
 import io
 import math
-import stat
-import unicodedata
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
+from .config import (MANIFEST_NAME, DatasetManifest, items, number, parse_pairs, save_manifest,
+                     setting)
 from .errors import ConfigError, DataError
-from .lanes import in_processes
+from .files import decode_text, plain_name, read_file, shown, write_file
+from .lanes import per_track
 from .rng import generator
 
-FEATURES_DIR = "features"
-ANNOTATIONS_DIR = "annotations"
-MANIFEST_NAME = "manifest.txt"
 AFFECT_COLUMNS = ("valence", "arousal")
-
-
-def shown(path) -> str:
-    """``path`` as a message shows it: as is when printable, else its ``repr``."""
-    text = str(path)
-    return text if text.isprintable() else repr(text)
-
-
-@contextmanager
-def open_input(path) -> Iterator[BinaryIO]:
-    """An input file opened for binary reading, closed on leaving the
-    ``with``; a path that cannot be opened or read is a :class:`DataError`
-    naming it."""
-    try:
-        file = open(path, "rb")
-    except (OSError, ValueError):  # ValueError: an embedded NUL
-        raise DataError(f"missing file: {shown(path)}") from None
-    with file:
-        try:
-            yield file
-        except OSError:
-            raise DataError(f"missing file: {shown(path)}") from None
-
-
-def read_file(path) -> bytes:
-    """The bytes of an input file; a fault is a :class:`DataError` naming it."""
-    with open_input(path) as file:
-        return file.read()
-
-
-def decode_text(path, data: bytes) -> str:
-    """``data`` read from ``path`` as UTF-8; a bad byte names its line."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{shown(path)}:{lineno}: not UTF-8 text") from None
-
-
-def _write_error(path, exc: Exception) -> DataError:
-    return DataError(f"cannot write {shown(path)}: {getattr(exc, 'strerror', None) or exc}")
-
-
-def write_file(path, chunks: Iterable[str | bytes]) -> None:
-    """Make the parent directories of ``path``, then write each chunk as it
-    is drawn, text as UTF-8, so a large output is never joined in memory."""
-    path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as out:
-            for chunk in chunks:
-                out.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
-    except (OSError, ValueError) as exc:  # ValueError: an embedded NUL, or unencodable text
-        raise _write_error(path, exc) from None
-
-
-def check_out_dir(path) -> None:
-    """Refuse, as ``write_file`` would, an output directory that cannot be
-    made: ``path`` or its nearest existing ancestor is not a directory, or
-    the path holds a NUL."""
-    path = Path(path)
-    for ancestor in (path, *path.parents):
-        try:
-            mode = ancestor.stat().st_mode
-        except FileNotFoundError:
-            continue
-        except (OSError, ValueError) as exc:  # ValueError: an embedded NUL
-            raise _write_error(path, exc) from None
-        if not stat.S_ISDIR(mode):
-            raise DataError(f"cannot write {shown(path)}: Not a directory")
-        return
 
 
 def _parse_float(token: str, where: str) -> float:
@@ -158,14 +55,6 @@ def _parse_float(token: str, where: str) -> float:
         except ValueError:
             pass
     raise DataError(f"{where}: bad float literal {token!r}")
-
-
-def _plain_name(name: str) -> bool:
-    """Whether ``name`` can be a file name and one line of text: not
-    empty, ``.`` or ``..``, and without ``/``, ``\\``, a control character or
-    a line break."""
-    return name not in ("", ".", "..") and not any(
-        ch in "/\\" or unicodedata.category(ch) in ("Cc", "Zl", "Zp") for ch in name)
 
 
 def _read_track(path: Path, columns: tuple[str, ...] | None) -> tuple[str, np.ndarray]:
@@ -271,7 +160,9 @@ def _parse_rows(source: str, lines: list[str], width: int) -> tuple[str, np.ndar
         elif fields[0] != movie_id:
             raise DataError(f"{where}: mixed movie ids {movie_id!r} and {fields[0]!r}")
         try:
-            t = int(fields[1])
+            if not (fields[1].isascii() and fields[1].isdigit()):  # int() reads "+1", "1_0"
+                raise ValueError(fields[1])
+            t = int(fields[1])  # int() refuses past its digit limit
         except ValueError:
             raise DataError(f"{where}: bad second index {fields[1]!r}") from None
         expected_t = len(rows)
@@ -306,7 +197,7 @@ def _checked_track(movie_id: str, values, columns: tuple[str, ...] | None
     """(values as float64, column names) of a track that ``write_track`` can
     write: a plain movie id without ``,``, [L>=1, C>=1] finite values, and
     as many columns as names."""
-    if not _plain_name(movie_id) or "," in movie_id:  # a file name, and a CSV field
+    if not plain_name(movie_id) or "," in movie_id:  # a file name, and a CSV field
         raise DataError(f"track {movie_id!r}: a movie id must be a plain file name without ','")
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
@@ -386,18 +277,6 @@ def load_prediction_dir(directory) -> dict[str, np.ndarray]:
     return dict(zip((path.stem for path in paths), per_track(jobs, size // 24)))
 
 
-# Starting and reaping a child process costs about as much as writing
-# several thousand values, so work over fewer values than this runs inline.
-_FORK_VALUES = 2 ** 14
-
-
-def per_track(jobs: Sequence[Callable[[], object]], values: int) -> list:
-    """Each per-track job's result, in job order: from the lanes of
-    :func:`affectseq.lanes.in_processes` when the jobs handle at least
-    ``_FORK_VALUES`` values in all, else inline."""
-    return in_processes(jobs) if values >= _FORK_VALUES else [job() for job in jobs]
-
-
 def save_prediction_dir(preds: Mapping[str, np.ndarray], directory) -> None:
     """Write each ``<movie>.csv`` track of ``preds`` into ``directory`` as
     ``write_track`` writes it, after checking every track, so a bad track
@@ -411,169 +290,6 @@ def save_prediction_dir(preds: Mapping[str, np.ndarray], directory) -> None:
                               *_checked_track(movie, preds[movie], AFFECT_COLUMNS))
             for movie in sorted(preds)]
     per_track(jobs, sum(job.args[2].size for job in jobs))
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    """Declares modalities, movies, ranges, and the split. ``path`` is the
-    manifest file; the tracks lie under its directory, ``root``."""
-
-    path: Path
-    modalities: tuple[tuple[str, int], ...]
-    movies: tuple[tuple[str, int], ...]
-    annotation_range: tuple[float, float] = (-1.0, 1.0)
-    validation_movies: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        for key in ("modalities", "movies"):
-            names = [name for name, _ in getattr(self, key)]
-            if not names:
-                raise ConfigError("needs at least one entry", key=key)
-            if len(set(names)) != len(names):
-                raise ConfigError("duplicate names", key=key)
-            for name in names:  # each becomes a file or directory name
-                if not _plain_name(name):
-                    raise ConfigError(f"name {name!r} is not a plain file name", key=key)
-        if any(d < 1 for _, d in self.modalities):
-            raise ConfigError("dims must be >= 1", key="modalities")
-        if any(length < 1 for _, length in self.movies):
-            raise ConfigError("lengths must be >= 1", key="movies")
-        lo, hi = self.annotation_range
-        if not (lo < hi and math.isfinite(hi - lo)):  # a finite width has finite bounds
-            raise ConfigError("needs finite lo < hi", key="annotation_range")
-        unknown = set(self.validation_movies) - set(self.movie_ids)
-        if unknown:
-            raise ConfigError(f"not in movies: {sorted(unknown)}", key="validation_movies")
-
-    @property
-    def root(self) -> Path:
-        return self.path.parent
-
-    @property
-    def movie_ids(self) -> tuple[str, ...]:
-        return tuple(m for m, _ in self.movies)
-
-    def feature_path(self, modality: str, movie: str) -> Path:
-        return self.root / FEATURES_DIR / modality / f"{movie}.csv"
-
-    def annotation_path(self, movie: str) -> Path:
-        return self.root / ANNOTATIONS_DIR / f"{movie}.csv"
-
-
-def _parse_kv_lines(path: Path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    source = shown(path)
-    for lineno, raw in enumerate(decode_text(path, read_file(path)).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DataError(f"{source}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in out:
-            raise DataError(f"{source}:{lineno}: duplicate key {key!r}")
-        out[key] = value.strip()
-    return out
-
-
-def _number(kind: type, lo=None, hi=None, lo_open=False, hi_open=False) -> Callable[[str], float]:
-    """An int or float parser with inclusive, exclusive or absent bounds;
-    a float must be finite."""
-    left = "(-inf" if lo is None else f"{'(' if lo_open else '['}{lo:g}"
-    right = "inf)" if hi is None else f"{hi:g}{')' if hi_open else ']'}"
-
-    def parse(raw: str):
-        try:
-            value = kind(raw)
-        except ValueError:
-            raise ConfigError(
-                f"expected {'an integer' if kind is int else 'a number'}, got {raw!r}") from None
-        if kind is float and not math.isfinite(value):
-            raise ConfigError(f"expected a finite number, got {raw!r}")
-        above = lo is None or (value > lo if lo_open else value >= lo)
-        below = hi is None or (value < hi if hi_open else value <= hi)
-        if not (above and below):
-            raise ConfigError(f"{value} outside valid range {left}, {right}")
-        return value
-    return parse
-
-
-def _parse(key: str, parse: Callable[[str], object], raw: str):
-    """``parse(raw)``, its error tagged with ``key``."""
-    try:
-        return parse(raw)
-    except ConfigError as exc:
-        raise ConfigError(str(exc), key=key) from None
-
-
-def _list(item: Callable[[str], object]) -> Callable[[str], tuple]:
-    """A parser of comma-separated items, each read by ``item``; blank
-    items are skipped."""
-    def parse(raw: str) -> tuple:
-        return tuple(item(tok.strip()) for tok in raw.split(",") if tok.strip())
-    return parse
-
-
-def parse_pairs(text: str, kind: type) -> tuple[tuple[str, int | float], ...]:
-    """The ``name:value`` entries of a comma list, each value read by
-    ``_number(kind)``; blank entries are skipped."""
-    value = _number(kind)
-
-    def pair(chunk: str) -> tuple[str, int | float]:
-        name, sep, raw = chunk.partition(":")
-        if not sep:
-            raise ConfigError(f"entry {chunk!r} must be name:value")
-        return name.strip(), value(raw)
-    return _list(pair)(text)
-
-
-def _range(raw: str) -> tuple[float, ...]:
-    bounds = _list(_number(float))(raw)
-    if len(bounds) != 2:
-        raise ConfigError("must be 'lo, hi'")
-    return bounds
-
-
-_MANIFEST_PARSERS = {
-    "modalities": lambda raw: parse_pairs(raw, int),
-    "movies": lambda raw: parse_pairs(raw, int),
-    "annotation_range": _range,
-    "validation_movies": _list(str),
-}
-MANIFEST_KEYS = tuple(_MANIFEST_PARSERS)
-
-
-def load_manifest(path) -> DatasetManifest:
-    """The manifest at ``path``. A value that does not parse, or that the
-    manifest refuses, names the manifest and its key (``<path>: key <k>: ``)."""
-    path = Path(path)
-    source = shown(path)
-    kv = _parse_kv_lines(path)
-    unknown = set(kv).difference(MANIFEST_KEYS)
-    if unknown:
-        raise ConfigError(f"{source}: unknown manifest keys: {sorted(unknown)}")
-    for required in ("modalities", "movies"):
-        if required not in kv:
-            raise ConfigError(f"{source}: missing required key {required!r}", key=required)
-    try:
-        values = {key: _parse(key, _MANIFEST_PARSERS[key], raw) for key, raw in kv.items()}
-        return DatasetManifest(path=path, **values)
-    except ConfigError as exc:
-        raise ConfigError(f"{source}: key {exc.key}: {exc}", key=exc.key) from None
-
-
-def save_manifest(manifest: DatasetManifest, path=None) -> Path:
-    path = Path(path) if path is not None else manifest.path
-    lines = [
-        "# affectseq dataset manifest",
-        "modalities = " + ", ".join(f"{n}:{d}" for n, d in manifest.modalities),
-        "movies = " + ", ".join(f"{m}:{l}" for m, l in manifest.movies),
-        "annotation_range = " + f"{manifest.annotation_range[0]}, {manifest.annotation_range[1]}",
-        "validation_movies = " + ", ".join(manifest.validation_movies),
-    ]
-    write_file(path, ["\n".join(lines) + "\n"])
-    return path
 
 
 def load_dataset(manifest: DatasetManifest, with_annotations: bool = True):
@@ -743,17 +459,21 @@ class SynthSpec:
     """Shape of a generated dataset with known latent dynamics.
 
     ``noise`` is a shared level; ``noise_overrides`` sets per-modality
-    levels on top of it.
+    levels on top of it. Each field but ``annotation_range`` is set by a
+    ``synth`` flag and declared with its parser; ``__post_init__`` checks
+    the ranges.
     """
 
-    num_movies: int = 3
-    length: int = 200
-    modalities: tuple[tuple[str, int], ...] = (("audio", 8), ("image", 8))
-    noise: float = 0.05
-    noise_overrides: tuple[tuple[str, float], ...] = ()
+    num_movies: int = setting(3, number(int))
+    length: int = setting(200, number(int))
+    modalities: tuple[tuple[str, int], ...] = setting((("audio", 8), ("image", 8)),
+                                                      lambda raw: parse_pairs(raw, int))
+    noise: float = setting(0.05, number(float))
+    noise_overrides: tuple[tuple[str, float], ...] = setting(
+        (), lambda raw: parse_pairs(raw, float))
     annotation_range: tuple[float, float] = (-1.0, 1.0)
-    lag: int = 3
-    validation_movies: tuple[str, ...] = ()
+    lag: int = setting(3, number(int))
+    validation_movies: tuple[str, ...] = setting((), items(str))
 
     def __post_init__(self):
         for key in ("num_movies", "length"):
@@ -820,13 +540,13 @@ def synth_generate(spec: SynthSpec, out_dir, seed: int) -> DatasetManifest:
     for movie in movie_ids:
         latent = _latent_trajectory(spec.length, spec.annotation_range,
                                     generator(seed, f"latent-{movie}"))
-        write_track(out_dir / ANNOTATIONS_DIR / f"{movie}.csv", movie, latent, AFFECT_COLUMNS)
+        write_track(manifest.annotation_path(movie), movie, latent, AFFECT_COLUMNS)
         lag_idx = np.maximum(np.arange(spec.length) - spec.lag, 0)
         base = np.concatenate([latent, latent[lag_idx]], axis=1)
         for name, dim in spec.modalities:
             noise = generator(seed, f"noise-{name}-{movie}").normal(
                 0.0, 1.0, size=(spec.length, dim))
             values = base @ lifts[name].T + spec.noise_for(name) * noise
-            write_track(out_dir / FEATURES_DIR / name / f"{movie}.csv", movie, values)
+            write_track(manifest.feature_path(name, movie), movie, values)
     save_manifest(manifest)
     return manifest

@@ -25,9 +25,11 @@ reaped, and this process reads back each complete record and runs
 again, in job order, each job that no lane finished, so a failure is
 raised as a one-lane run raises it and no child outlives the call. A
 job that warns in a child is not finished there: it runs again here,
-where its warning is shown. ``dataio`` reads a large dataset, and reads
-and writes a large prediction directory, this way, and ``smooth``
-filters its tracks.
+where its warning is shown.
+
+:func:`per_track` runs the per-track jobs of a dataset's reads, a
+prediction directory's reads and writes, and ``smooth``'s filtering on
+these lanes once they handle the one floor of ``_FORK_VALUES`` values.
 """
 
 from __future__ import annotations
@@ -107,6 +109,18 @@ def in_processes(jobs: Sequence[Callable[[], object]]) -> list:
                 for i, result in zip(range(lane, len(jobs), lanes), _spooled(spool)):
                     results[i] = result
     return [job() if result is _UNDONE else result for job, result in zip(jobs, results)]
+
+
+# Starting and reaping a child process costs about as much as writing
+# several thousand values, so work over fewer values than this runs inline.
+_FORK_VALUES = 2 ** 14
+
+
+def per_track(jobs: Sequence[Callable[[], object]], values: int) -> list:
+    """Each per-track job's result, in job order: from the lanes of
+    :func:`in_processes` when the jobs handle at least ``_FORK_VALUES``
+    values in all, else inline."""
+    return in_processes(jobs) if values >= _FORK_VALUES else [job() for job in jobs]
 
 
 def _fork_lane(jobs: Sequence, lane: int, lanes: int,

@@ -10,7 +10,7 @@ and shapes followed by one raw little-endian float64 payload; it is the
 one checkpoint format read or written. Loading reads the payload once,
 straight into one array whose slices are the parameters, so the file is
 never held in memory beside its values; saving writes each parameter's
-own memory. The file goes through :mod:`affectseq.dataio`'s one opener
+own memory. The file goes through :mod:`affectseq.files`'s one opener
 and one writer, and only its text part is decoded.
 
 All math is double precision. The encoders backpropagate by hand, and
@@ -28,8 +28,8 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .dataio import decode_text, open_input, shown, write_file
 from .errors import ConfigError, DataError, DimensionError, DomainError, NumericError
+from .files import decode_text, open_input, shown, write_file
 
 CHECKPOINT_HEADER = "affectseq-params v2"
 

@@ -25,9 +25,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import RunConfig
-from .dataio import batch_indices, load_dataset, split_dataset, window_sequences, write_file
+from .dataio import batch_indices, load_dataset, split_dataset, window_sequences
 from .errors import ConfigError
 from .evalmetrics import METRICS, evaluate_run
+from .files import write_file
 from .model import ModelConfig, init_model_params, predict_batch, training_loss
 from .numerics import AdamState, ParamStore, adam_step
 from .rng import generator

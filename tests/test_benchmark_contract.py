@@ -1,4 +1,5 @@
-"""The package interface that ``perfbench/tracing.py`` reads.
+"""The package interface that ``perfbench/tracing.py`` and
+``perfbench/workloads.py`` read.
 
 The benchmark wraps ``seqmodel.encode_batch_graph`` and computes the
 encoder's work from its first two arguments and from ``EncoderConfig``,
@@ -12,11 +13,13 @@ It reads the batch and window sizes from ``np.shape(seqs)``, so during
 ``predict`` the encoder must still receive one ``[B, T, D]`` array per
 batch, even though that array is a strided view. A refactor that renames any of these turns the benchmark's layers
 "missing", or stops them counting; these tests make it fail here first.
-Every layer ``tracing.py`` lists must also resolve to a function.
+Every layer ``tracing.py`` lists must also resolve to a function, and
+every name ``workloads.py`` imports must exist where it imports it from.
 """
 
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,21 +27,24 @@ import pytest
 
 from affectseq import autodiff, dataio, model, smoothing
 from affectseq.cli import main
-from affectseq.config import parse_config
+from affectseq.config import MANIFEST_NAME, parse_config
 from affectseq.fusion import FusionConfig
 from affectseq.numerics import ParamStore
 from affectseq.seqmodel import EncoderConfig, encode_batch_graph
 
 
-def _load_tracing():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def _load_perfbench(name):
+    """``perfbench/<name>.py`` as the module ``perfbench_<name>``, registered
+    in ``sys.modules`` before it runs, where ``dataclasses`` looks it up."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
-TRACING = _load_tracing()
+TRACING = _load_perfbench("tracing")
 
 
 @pytest.mark.parametrize("name, module, path, work", TRACING.LAYERS + TRACING.SETUP_LAYERS,
@@ -46,6 +52,15 @@ TRACING = _load_tracing()
 def test_every_traced_layer_resolves(name, module, path, work):
     _, _, fn = TRACING._resolve(module, path)
     assert callable(fn)
+
+
+def test_workloads_set_up_imports():
+    """The benchmark's set-up imports its ``affectseq`` names by module
+    (``SynthSpec``, ``synth_generate`` and ``save_prediction_dir`` from
+    ``dataio``, ``parse_config`` from ``config``); loading it resolves
+    every one."""
+    workloads = _load_perfbench("workloads")
+    assert sorted(workloads.WORKLOADS) == ["paper_train", "post_long", "wide_infer"]
 
 
 def test_encoder_call_shape():
@@ -61,7 +76,7 @@ def test_predict_hands_the_encoder_batch_shaped_windows(monkeypatch, tmp_path):
     manifest = dataio.synth_generate(dataio.SynthSpec(
         num_movies=2, length=7, modalities=(("audio", 3), ("image", 2))), tmp_path / "data", 1)
     (tmp_path / "run.cfg").write_text(
-        f"manifest = {manifest.root / dataio.MANIFEST_NAME}\nprofile = run1\n"
+        f"manifest = {manifest.root / MANIFEST_NAME}\nprofile = run1\n"
         "sequence_length = 4\nhidden_units = 2\nbatch_size = 3\n")
     config = parse_config(tmp_path / "run.cfg")
     model.init_model_params(config.model_config(), 0).save(tmp_path / "model.ckpt")

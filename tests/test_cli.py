@@ -18,9 +18,8 @@ from hypothesis import strategies as st
 import oracles
 from affectseq import cli, config
 from affectseq.cli import _build_parser, main
-from affectseq.config import parse_config
-from affectseq.dataio import (MANIFEST_KEYS, SynthSpec, load_dataset, load_prediction_dir,
-                              synth_generate)
+from affectseq.config import DatasetManifest, declared, parse_config
+from affectseq.dataio import SynthSpec, load_dataset, load_prediction_dir, synth_generate
 from affectseq.model import init_model_params
 from affectseq.numerics import ParamStore
 
@@ -1083,9 +1082,9 @@ def test_settable_surface():
         "butter_order", "butter_cutoff", "ma_weights", "early_stop_patience",
     }
     assert len(config._KNOWN_KEYS) == 25
-    assert set(MANIFEST_KEYS) == {"modalities", "movies", "annotation_range",
-                                  "validation_movies"}
-    assert len(MANIFEST_KEYS) == 4
+    assert set(declared(DatasetManifest)) == {"modalities", "movies", "annotation_range",
+                                              "validation_movies"}
+    assert len(declared(DatasetManifest)) == 4
 
 
 def test_setting_flags_carry_text():
@@ -1093,7 +1092,7 @@ def test_setting_flags_carry_text():
     that setting's parser: argparse neither types nor restricts it."""
     parser = _build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    settings_ = config._KNOWN_KEYS | set(cli._SYNTH_PARSERS)
+    settings_ = config._KNOWN_KEYS | {*declared(SynthSpec), "seed"}
     actions = [action for sub in commands.choices.values() for action in sub._actions
                if action.dest in settings_ and action.dest != "out"]
     assert len(actions) == 15

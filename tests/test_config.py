@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from affectseq.config import parse_config, parse_values, write_resolved
+from affectseq.config import RunConfig, parse_config, parse_fields, write_resolved
 from affectseq.dataio import SynthSpec, synth_generate
 from affectseq.errors import ConfigError
 
@@ -219,7 +219,7 @@ class TestValidation:
 
     def test_parse_values_tags_the_key(self):
         with pytest.raises(ConfigError, match=r"^9 outside valid range \[1, 4\]$") as err:
-            parse_values({"butter_order": "9"})
+            parse_fields(RunConfig, {"butter_order": "9"})
         assert err.value.key == "butter_order"
 
     def test_file_key_names_the_file_and_override_is_bare(self, tmp_path, dataset):

@@ -10,33 +10,25 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from affectseq import dataio, lanes
+from affectseq import dataio, files, lanes
+from affectseq.cli import main
+from affectseq.config import (DatasetManifest, declared, load_manifest, parse_config,
+                              parse_pairs, save_manifest)
 from affectseq.dataio import (
     AFFECT_COLUMNS,
-    MANIFEST_KEYS,
-    DatasetManifest,
     SynthSpec,
     batch_indices,
-    check_out_dir,
-    decode_text,
     load_dataset,
     load_features,
-    load_manifest,
     load_predictions,
-    parse_pairs,
-    read_file,
-    save_manifest,
     save_prediction_dir,
-    shown,
     split_dataset,
     synth_generate,
     window_sequences,
-    write_file,
     write_track,
 )
-from affectseq.cli import main
-from affectseq.config import parse_config
 from affectseq.errors import ConfigError, DataError
+from affectseq.files import check_out_dir, decode_text, read_file, shown, write_file
 from affectseq.model import init_model_params
 from oracles import track_text
 
@@ -226,8 +218,9 @@ class TestReaderPaths:
         assert str(err.value) == f"{path}:3: bad float literal '0x1p-3'"
 
 
-# Line heads write_track never writes: t tokens that int() reads, t
-# tokens that name another second, and another id of the same length
+# Line heads write_track never writes: t tokens in plain digits, t tokens
+# that int() reads but the format refuses, t tokens that name another
+# second, and another id of the same length
 HEAD_EDITS = {"padded": lambda m, t: (m, "0" + t), "signed": lambda m, t: (m, "+" + t),
               "spaced": lambda m, t: (m, f" {t} "), "next": lambda m, t: (m, str(int(t) + 1)),
               "short": lambda m, t: (m, t[:-1]), "other_id": lambda m, t: ("m001", t)}
@@ -247,7 +240,24 @@ def test_head_check_at_digit_boundaries(tmp_path, row, edit):
     path.write_text("\n".join(lines) + "\n")
     outcome = read_outcome(lambda: load_features(path))
     assert outcome == read_outcome(lambda: dataio._parse_rows(str(path), lines[1:], 2))
-    assert isinstance(outcome, tuple) == (edit in ("padded", "signed", "spaced"))
+    assert isinstance(outcome, tuple) == (edit == "padded")
+
+
+@pytest.mark.parametrize("line, token", [(3, "+1"), (3, " 1"), (3, "1 "), (3, "\u0661"),
+                                         (3, "1_0"), (2, "-0")], ids=repr)
+def test_second_index_is_plain_ascii_digits(tmp_path, line, token):
+    """A second index is plain ASCII digits: a sign, a space, a digit
+    group or a non-ASCII digit, each of which ``int()`` reads, names its
+    line."""
+    path = tmp_path / "m000.csv"
+    write_track(path, "m000", np.zeros((3, 2)), AFFECT_COLUMNS)
+    lines = path.read_text().splitlines()
+    movie, _, rest = lines[line - 1].split(",", 2)
+    lines[line - 1] = ",".join([movie, token, rest])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        load_predictions(path)
+    assert str(err.value) == f"{path}:{line}: bad second index {token!r}"
 
 
 # Values whose shortest repr takes an unusual form: signed zero, the
@@ -279,7 +289,7 @@ def written_tracks(draw):
 
 
 def plain_id(movie):
-    return dataio._plain_name(movie) and "," not in movie
+    return files.plain_name(movie) and "," not in movie
 
 
 # every edge value, in a one-column track one row past its first block
@@ -517,13 +527,13 @@ class TestManifestAndSplit:
 
     def test_manifest_roundtrip(self, tmp_path):
         manifest = self._manifest(tmp_path, n=3, validation=1)
-        path = save_manifest(manifest, tmp_path / "manifest.txt")
+        path = save_manifest(manifest)
         loaded = load_manifest(path)
         assert loaded.modalities == manifest.modalities
         assert loaded.movies == manifest.movies
         assert loaded.validation_movies == manifest.validation_movies
         keys = [line.split(" = ")[0] for line in path.read_text().splitlines()[1:]]
-        assert keys == list(MANIFEST_KEYS)
+        assert keys == list(declared(DatasetManifest))
 
     def test_unknown_manifest_key_rejected(self, tmp_path):
         path = tmp_path / "manifest.txt"
@@ -720,18 +730,31 @@ class TestFileBoundary:
             def visit_Attribute(self, node):
                 self.note(node, node.attr)
 
-        package = Path(dataio.__file__).parent
+        package = Path(files.__file__).parent
         for path in sorted(package.glob("*.py")):
             Scopes(path.stem).visit(ast.parse(path.read_text(), str(path)))
-        assert found == {("dataio", "open_input", "open"),
-                         ("dataio", "write_file", "mkdir"), ("dataio", "write_file", "open")}
+        assert found == {("files", "open_input", "open"),
+                         ("files", "write_file", "mkdir"), ("files", "write_file", "open")}
+
+
+def test_no_module_imports_another_modules_private_name():
+    """Each module of the package imports only public names from the
+    others: a name that starts with ``_`` stays in its own module."""
+    found = set()
+    package = Path(files.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:  # from .<module> import
+                found |= {(path.stem, node.module, alias.name) for alias in node.names
+                          if alias.name.startswith("_")}
+    assert found == set()
 
 
 def lane_tracks():
     """Four movies of 2100 s, 16,800 values: above the fork floor."""
     rng = np.random.default_rng(3)
     tracks = {f"m{i:03d}": rng.normal(size=(2100, 2)) for i in range(4)}
-    assert sum(t.size for t in tracks.values()) >= dataio._FORK_VALUES
+    assert sum(t.size for t in tracks.values()) >= lanes._FORK_VALUES
     return tracks
 
 
@@ -887,7 +910,7 @@ def lane_dataset(root):
     values and 400 annotation values: above the fork floor."""
     manifest = synth_generate(SynthSpec(num_movies=2, length=100,
                                         modalities=(("audio", 40), ("image", 42))), root, 1)
-    assert 2 * 100 * (40 + 42) >= dataio._FORK_VALUES
+    assert 2 * 100 * (40 + 42) >= lanes._FORK_VALUES
     return manifest
 
 

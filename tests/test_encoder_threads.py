@@ -17,7 +17,8 @@ import pytest
 
 from affectseq import lanes, model
 from affectseq.cli import main
-from affectseq.dataio import MANIFEST_NAME, SynthSpec, synth_generate
+from affectseq.config import MANIFEST_NAME
+from affectseq.dataio import SynthSpec, synth_generate
 from affectseq.errors import DimensionError
 from affectseq.fusion import FusionConfig
 from affectseq.rng import generator

@@ -18,13 +18,8 @@ import pytest
 from affectseq import lanes, model
 from affectseq.cli import main
 from affectseq.config import parse_config
-from affectseq.dataio import (
-    _FORK_VALUES,
-    SynthSpec,
-    load_prediction_dir,
-    save_prediction_dir,
-    synth_generate,
-)
+from affectseq.dataio import SynthSpec, load_prediction_dir, save_prediction_dir, synth_generate
+from affectseq.lanes import _FORK_VALUES
 
 
 def test_one_cpu_count_drives_threads_and_forks(monkeypatch, tmp_path):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from affectseq.cli import main
-from affectseq.dataio import load_prediction_dir, load_manifest, load_dataset
+from affectseq.config import load_manifest
+from affectseq.dataio import load_dataset, load_prediction_dir
 from affectseq.evalmetrics import evaluate_run
 
 
