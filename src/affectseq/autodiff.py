@@ -15,6 +15,11 @@ once per graph, from a scalar root. Elementwise ops follow numpy
 broadcasting; matrix ops are restricted to the 2-D forms the models here
 need. The graph serves only the fusion head and the loss, over leaf
 ``Var``s holding the encoder states (:mod:`affectseq.model`).
+
+Each node holds its edges, an ``(input, grad_fn)`` pair per ``Var``
+input, and ``backward`` has one rule for every edge: an input's first
+share of a gradient is copied into its ``grad``, and later shares are
+added with ``+=``, so a grad_fn may return the gradient it was given.
 """
 
 from __future__ import annotations
@@ -27,13 +32,12 @@ from . import numerics
 from .errors import DimensionError
 
 class Var:
-    __slots__ = ("value", "grad", "_parents", "_backward")
+    __slots__ = ("value", "grad", "edges")
 
-    def __init__(self, value, parents: tuple = (), backward: Callable | None = None):
+    def __init__(self, value, edges: tuple = ()):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self._parents = parents
-        self._backward = backward
+        self.edges = edges
 
     @property
     def shape(self):
@@ -46,23 +50,6 @@ class Var:
 def value(x) -> np.ndarray:
     """The float64 array behind ``x``: a Var's value, or ``x`` as an array."""
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
-
-
-def _accum(var: Var, g: np.ndarray, shared: bool) -> None:
-    """Add ``g``, a grad_fn's result, to ``var.grad``.
-
-    Later terms are added to the first in place, so a first ``g`` that
-    someone else may hold is copied: one marked ``shared`` (see
-    :func:`_node`) or a view (a slice of ``concat_cols``). A new array
-    that only this call holds, such as ``mul``'s ``g * b``, is taken as
-    it is.
-    """
-    if var.grad is not None:
-        var.grad += g
-    elif shared or not isinstance(g, np.ndarray) or g.base is not None:
-        var.grad = np.array(g, dtype=np.float64)
-    else:
-        var.grad = g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -79,25 +66,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def _node(out, *inputs):
     """An op's result from its value and its (input, grad_fn) pairs.
 
-    Only ``Var`` inputs are kept; ``grad_fn`` maps the output's gradient
-    to that input's. It returns the gradient it was given, a view, or a
-    new array that it keeps no reference to (see :func:`_accum`). The
-    output's gradient belongs to the node alone, which drops it once the
-    grad_fns have run, so the last input's grad_fn may also overwrite it
-    in place, and the last input takes it over without a copy; the other
-    inputs get copies. With no ``Var`` input the result is ``out`` itself
-    as a plain array: constants in, constant out, and no node is built.
+    Only ``Var`` inputs are kept, as the node's edges; ``grad_fn`` maps the
+    output's gradient to that input's share, which ``backward`` copies or
+    adds (see the module docstring). With no ``Var`` input the result is
+    ``out`` itself as a plain array: constants in, constant out, and no
+    node is built.
     """
     edges = tuple((x, fn) for x, fn in inputs if isinstance(x, Var))
-    if not edges:
-        return np.asarray(out, dtype=np.float64)
-
-    def backward(g):
-        for i, (x, fn) in enumerate(edges, 1):
-            grad = fn(g)
-            _accum(x, grad, grad is g and i < len(edges))
-
-    return Var(out, tuple(x for x, _ in edges), backward)
+    return Var(out, edges) if edges else np.asarray(out, dtype=np.float64)
 
 
 def _elementwise(a, b, out, da: Callable, db: Callable):
@@ -114,12 +90,8 @@ def sub(a, b):
 
 
 def mul(a, b):
-    # b's grad_fn, and a's when b is a constant, belongs to the node's last
-    # input and scales the node's own gradient in place (see _node): a
-    # dropout mask's product then takes no second array in backward.
     va, vb = value(a), value(b)
-    da = (lambda g: g * vb) if isinstance(b, Var) else (lambda g: np.multiply(g, vb, out=g))
-    return _elementwise(a, b, va * vb, da, lambda g: np.multiply(g, va, out=g))
+    return _elementwise(a, b, va * vb, lambda g: g * vb, lambda g: g * va)
 
 
 def scale_shift(x, a: float = 1.0, b: float = 0.0):
@@ -168,7 +140,7 @@ def mean_axis0(x):
     if vx.ndim != 2:
         raise DimensionError(f"mean_axis0 expects a matrix, got shape {vx.shape}")
     return _node(vx.mean(axis=0, keepdims=True),
-                 (x, lambda g: np.broadcast_to(g / vx.shape[0], vx.shape).copy()))
+                 (x, lambda g: np.broadcast_to(g / vx.shape[0], vx.shape)))
 
 
 def sum_axis1(x):
@@ -176,8 +148,7 @@ def sum_axis1(x):
     vx = value(x)
     if vx.ndim != 2:
         raise DimensionError(f"sum_axis1 expects a matrix, got shape {vx.shape}")
-    return _node(vx.sum(axis=1, keepdims=True),
-                 (x, lambda g: np.broadcast_to(g, vx.shape).copy()))
+    return _node(vx.sum(axis=1, keepdims=True), (x, lambda g: np.broadcast_to(g, vx.shape)))
 
 
 def softmax_rows(x):
@@ -202,7 +173,7 @@ def concat_cols(parts: Sequence):
 
 def sum_all(x):
     vx = value(x)
-    return _node(np.asarray(vx.sum()), (x, lambda g: np.broadcast_to(g, vx.shape).copy()))
+    return _node(np.asarray(vx.sum()), (x, lambda g: np.broadcast_to(g, vx.shape)))
 
 
 def _topo_order(root: Var) -> list[Var]:
@@ -218,8 +189,7 @@ def _topo_order(root: Var) -> list[Var]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            stack.append((parent, False))
+        stack.extend((parent, False) for parent, _ in node.edges)
     return order
 
 
@@ -228,9 +198,10 @@ def backward(root: Var) -> None:
     (a Var built from a value alone, such as a parameter); ``root`` must
     be a scalar.
 
-    An interior node's ``grad`` is dropped, set back to None, as soon as
-    its ``_backward`` has passed it on, so the gradients of a deep graph
-    are not all alive at once. Call once per graph.
+    Each edge's share is copied into its input's ``grad`` if it is the
+    first, and added with ``+=`` if not. An interior node's ``grad`` is
+    dropped, set back to None, once its edges have passed it on, so the
+    gradients of a deep graph are not all alive at once. Call once per graph.
     """
     if not isinstance(root, Var):
         raise DimensionError("backward root has no graph: it was built only from constants")
@@ -238,6 +209,12 @@ def backward(root: Var) -> None:
         raise DimensionError(f"backward needs a scalar root, got shape {root.value.shape}")
     root.grad = np.ones_like(root.value)
     for node in reversed(_topo_order(root)):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-            node.grad = None
+        if not node.edges:
+            continue
+        for x, grad_fn in node.edges:
+            share = grad_fn(node.grad)
+            if x.grad is None:
+                x.grad = np.array(share, dtype=np.float64)
+            else:
+                x.grad += share
+        node.grad = None

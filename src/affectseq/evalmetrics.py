@@ -109,7 +109,12 @@ def evaluate_run(preds: Mapping[str, np.ndarray], annos: Mapping[str, np.ndarray
         raise DataError("no annotated movies to evaluate")
     _check_coverage(preds, annos)
     movies = sorted(annos)
-    per_movie = {m: _movie_metrics(preds[m], annos[m]) for m in movies}
+    per_movie = {}
+    for m in movies:  # both aggregations report every movie's metrics
+        try:
+            per_movie[m] = _movie_metrics(preds[m], annos[m])
+        except DataError as exc:
+            raise DataError(f"{m}: {exc}") from None
     if aggregation == "pooled":
         pred_all = np.concatenate([preds[m][: annos[m].shape[0]] for m in movies])
         anno_all = np.concatenate([annos[m] for m in movies])

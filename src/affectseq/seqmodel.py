@@ -46,8 +46,8 @@ activations, and the GRU's r * h or the LSTM's cell states. One reverse
 loop over the steps writes each step's pre-activation gradients over
 that step's activations, in place; then every weight gradient is one
 GEMM over [B*T, .] views of those arrays. The parameters keep their
-per-gate names (``<prefix>.l<layer>.W_z`` ... ``b_o``), so checkpoints
-written before the fused ops load unchanged. Without ``keep``
+per-gate names (``<prefix>.l<layer>.W_z`` ... ``b_o``), the names every
+``v2`` checkpoint records. Without ``keep``
 (prediction) an op holds no per-step state.
 """
 

@@ -28,7 +28,7 @@ from .config import RunConfig
 from .dataio import batch_indices, load_dataset, split_dataset, window_sequences
 from .errors import ConfigError
 from .evalmetrics import METRICS, evaluate_run
-from .files import write_file
+from .files import shown, write_file
 from .model import ModelConfig, init_model_params, predict_batch, training_loss
 from .numerics import AdamState, ParamStore, adam_step
 from .rng import generator
@@ -103,11 +103,14 @@ def train_run(cfg: RunConfig) -> TrainResult:
         raise ConfigError("no training movies left after the split")
 
     model_config = cfg.model_config()
+    windows = window_sequences({m: features[m] for m in train_ids}, annotations,
+                               model_config.sequence_length)
+    if model_config.fusion.enable_batchnorm and len(windows) < 2:
+        raise ConfigError(f"{shown(cfg.manifest.path)}: batch normalization (enable_batchnorm, or "
+                          f"profiles run2-run4) needs >= 2 training windows, got {len(windows)}")
     store = init_model_params(model_config, cfg.seed)
     adam = AdamState.for_params(store, lr=cfg.learning_rate, beta1=cfg.adam_beta1,
                                 beta2=cfg.adam_beta2, epsilon=cfg.adam_epsilon)
-    windows = window_sequences({m: features[m] for m in train_ids}, annotations,
-                               model_config.sequence_length)
 
     logs: list[EpochLog] = []
     best_score = np.inf

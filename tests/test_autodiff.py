@@ -1,5 +1,7 @@
 """Finite-difference checks for every reverse-mode op the models use."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -190,35 +192,6 @@ class TestGraphStructure:
         ad.backward(ad.sum_all(node))
         np.testing.assert_allclose(x.grad, [[1.0]])
 
-    def test_fresh_gradient_is_taken_without_a_copy(self):
-        x = ad.Var(np.ones(3))
-        made = []
-
-        def grad_fn(g):
-            made.append(g * 2.0)
-            return made[-1]
-
-        out = ad._node(np.ones(3), (x, grad_fn))
-        ad.backward(ad.sum_all(out))
-        # `made` holds it here only to compare identities after the fact
-        assert x.grad is made[0]
-
-    def test_constant_factor_scales_the_gradient_in_place(self):
-        """A dropout-style product passes its own gradient on, scaled in
-        place, instead of a second array."""
-        x = ad.Var(np.ones(3))
-        mask = np.array([0.0, 2.0, 2.0])
-        made = []
-
-        def grad_fn(g):
-            made.append(g * 3.0)
-            return made[-1]
-
-        out = ad._node(np.ones(3), (ad.mul(x, mask), grad_fn))
-        ad.backward(ad.sum_all(out))
-        assert x.grad is made[0]
-        np.testing.assert_array_equal(x.grad, [0.0, 6.0, 6.0])
-
     def test_passed_through_and_sliced_gradients_are_copied(self):
         a, b = ad.Var(np.ones((2, 2))), ad.Var(np.ones((2, 2)))
         seed = np.arange(8.0).reshape(2, 4)
@@ -228,6 +201,22 @@ class TestGraphStructure:
         np.testing.assert_array_equal(b.grad, seed[:, :2])
         assert not np.shares_memory(a.grad, b.grad)
         np.testing.assert_array_equal(seed, np.arange(8.0).reshape(2, 4))
+
+    def test_backward_releases_interior_gradients_and_gives_leaves_their_own(self):
+        """After backward every interior node's gradient is dropped, and each
+        reachable leaf holds a gradient that shares no memory with another's."""
+        rng = np.random.default_rng(5)
+        a, b, c = (ad.Var(rng.normal(size=(3, 2))) for _ in range(3))
+        joined = ad.concat_cols([ad.add(a, b), ad.mul(b, c), ad.scale_shift(a, 2.0, 1.0)])
+        root = ad.sum_all(ad.mul(ad.sum_axis1(joined), ad.sum_axis1(ad.mul(c, 0.5))))
+        ad.backward(root)
+        nodes = ad._topo_order(root)
+        leaves = [node for node in nodes if not node.edges]
+        assert {id(leaf) for leaf in leaves} == {id(a), id(b), id(c)}
+        assert all(node.grad is None for node in nodes if node.edges)
+        assert all(leaf.grad is not None for leaf in leaves)
+        for first, second in itertools.combinations(leaves, 2):
+            assert not np.shares_memory(first.grad, second.grad)
 
 
 # Every public op, with the shapes of its array inputs.

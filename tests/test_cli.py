@@ -461,6 +461,32 @@ class TestExitCodes:
         assert rc == 3
         assert "numeric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("aggregation", ["macro_per_movie", "pooled"])
+    def test_one_second_movie_in_evaluate_names_the_movie(self, tmp_path, capsys, aggregation):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--movies", "2", "--length", "1"]) == 0
+        capsys.readouterr()
+        rc = main(["evaluate", "--predictions", str(data / "annotations"),
+                   "--annotations", str(data / "annotations"), "--out", str(tmp_path / "o"),
+                   "--aggregation", aggregation])
+        assert rc == 2
+        assert capsys.readouterr().err == "affectseq: m000: pearson needs at least two samples\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_batch_norm_on_one_training_window_names_manifest_and_setting(self, tmp_path,
+                                                                          capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--movies", "1", "--length", "1"]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"manifest = {data / 'manifest.txt'}\nprofile = run3\nbatch_size = 4\n")
+        capsys.readouterr()
+        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"affectseq: {data / 'manifest.txt'}: batch normalization (enable_batchnorm, or "
+            "profiles run2-run4) needs >= 2 training windows, got 1\n")
+        assert not (tmp_path / "o").exists()
+
 
 TRACK_FAULTS = ("header", "empty", "short_row", "token", "nan", "gap", "movie_id")
 # not numbers, though float.fromhex reads the first three as 2748, 30 and 255,

@@ -750,6 +750,35 @@ def test_no_module_imports_another_modules_private_name():
     assert found == set()
 
 
+def test_every_private_module_name_is_used():
+    """A module-level private name (``def _x``, ``class _X``, ``_X = ...``)
+    is loaded, reached as an attribute or imported somewhere in the
+    package: code that nothing calls is deleted, not kept."""
+    defined, used = set(), set()
+    package = Path(files.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                names = set()
+            defined |= {(path.stem, name) for name in names
+                        if name.startswith("_") and not name.endswith("__")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {alias.name for alias in node.names}
+    assert defined, "no private module-level names found"
+    assert {(module, name) for module, name in defined if name not in used} == set()
+
+
 def lane_tracks():
     """Four movies of 2100 s, 16,800 values: above the fork floor."""
     rng = np.random.default_rng(3)
