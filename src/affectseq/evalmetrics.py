@@ -1,9 +1,10 @@
 """Scoring: MSE and Pearson correlation, per-movie aggregation, run
 ensembling, and report rendering.
 
-Undefined correlations (zero-variance series) are reported as the
-``UNDEFINED`` sentinel, excluded from macro means, and counted, so
-reports stay machine-readable instead of propagating NaN.
+Undefined correlations (zero-variance series, or a movie annotated for
+one second) are reported as the ``UNDEFINED`` sentinel, excluded from
+macro means, and counted, so reports stay machine-readable instead of
+propagating NaN.
 """
 
 from __future__ import annotations
@@ -89,8 +90,11 @@ def _check_coverage(preds: Mapping[str, np.ndarray], annos: Mapping[str, np.ndar
 
 
 def _movie_metrics(pred: np.ndarray, anno: np.ndarray) -> dict[str, float | None]:
+    """The four metrics over the annotated seconds; a single second has an
+    UNDEFINED PCC, as a constant track has."""
     n = anno.shape[0]
-    return {f"{affect}_{score}": metric(pred[:n, d], anno[:, d])
+    return {f"{affect}_{score}": UNDEFINED if score == "pcc" and n < 2
+            else metric(pred[:n, d], anno[:, d])
             for d, affect in enumerate(AFFECT_COLUMNS) for score, metric in _SCORES.items()}
 
 

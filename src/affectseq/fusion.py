@@ -15,8 +15,13 @@ its own statistics and draws dropout masks; an inference pass normalizes
 each row alone by the running statistics, which only training sets (see
 :mod:`affectseq.training`), and skips dropout.
 
-The batched training-time loss lives in :mod:`affectseq.model`, which
-wires these pieces to the encoders.
+Each layer computes plain numpy and writes its own backward, returning
+``autodiff.layer(x, out, grad_fn)``: over a ``Var`` input that links it
+into the training chain, over an array it is the output array alone.
+Where a value feeds several ops inside a layer, its gradient terms are
+summed in one fixed order, so every gradient keeps its bits. The
+batched training-time loss lives in :mod:`affectseq.model`, which wires
+these pieces to the encoders.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DataError, DimensionError
-from .numerics import GLOROT, Layout, ParamStore, add_params, dropout_mask
+from .numerics import (GLOROT, Layout, ParamStore, add_params, dropout_mask, sigmoid,
+                       softmax_rows)
 
 OUTPUT_DIMS = ("valence", "arousal")
 CG2_POSITIONS = ("moe_input", "moe_output")
@@ -96,62 +102,103 @@ def map_to_range(p: np.ndarray, output_range: tuple[float, float]) -> np.ndarray
     return lo + (hi - lo) * np.asarray(p, dtype=np.float64)
 
 
-def batch_norm_graph(x, leaves: Mapping[str, ad.Var], config: FusionConfig,
+def batch_norm_graph(x, params: Mapping[str, np.ndarray], config: FusionConfig,
                      rng: np.random.Generator | None):
-    """Differentiable batch norm over a [B, F] batch with the ``fusion.bn.``
-    scale and shift.
+    """Batch norm over a [B, F] batch with the ``fusion.bn.`` scale and shift.
 
     A training pass (``rng`` given) normalizes by the batch mean and biased
     variance; an inference pass normalizes each row by the running
-    statistics. Neither writes a leaf.
+    statistics. Neither writes a parameter.
     """
+    vx = ad.value(x)
     eps = config.bn_epsilon
     if rng is not None:
-        if ad.value(x).shape[0] < 2:
+        if vx.shape[0] < 2:
             raise DataError("batch normalization needs B >= 2 in a training pass")
-        centered = ad.sub(x, ad.mean_axis0(x))
-        xhat = ad.mul(centered, ad.rsqrt_shift(ad.mean_axis0(ad.mul(centered, centered)), eps))
+        centered = vx - vx.mean(axis=0, keepdims=True)
+        var = (centered * centered).mean(axis=0, keepdims=True)
+        inv = 1.0 / np.sqrt(var + eps)
     else:
-        inv = 1.0 / np.sqrt(ad.value(leaves["fusion.bn.running_var"]) + eps)
-        xhat = ad.mul(ad.sub(x, ad.value(leaves["fusion.bn.running_mean"]).reshape(1, -1)),
-                      inv.reshape(1, -1))
-    return ad.add(ad.mul(xhat, leaves["fusion.bn.gamma"]), leaves["fusion.bn.beta"])
+        inv = (1.0 / np.sqrt(params["fusion.bn.running_var"] + eps)).reshape(1, -1)
+        centered = vx - params["fusion.bn.running_mean"].reshape(1, -1)
+    xhat = centered * inv
+    gamma = params["fusion.bn.gamma"]
+
+    def grad_fn(g):
+        named = {"fusion.bn.gamma": (g * xhat).sum(axis=0), "fusion.bn.beta": g.sum(axis=0)}
+        g = g * gamma
+        dx = g * inv
+        if rng is not None:
+            # the batch statistics' terms: the centered batch gets its scale
+            # term, then its two variance terms, then x its mean's term
+            dvar = -0.5 * (g * centered).sum(axis=0, keepdims=True) * inv / (var + eps)
+            dsq = dvar / len(vx) * centered
+            dx += dsq
+            dx += dsq
+            dx = dx + (-dx).sum(axis=0, keepdims=True) / len(vx)
+        return dx, named
+
+    return ad.layer(x, xhat * gamma + params["fusion.bn.beta"], grad_fn)
 
 
-def context_gate_graph(x, w: ad.Var, b: ad.Var) -> ad.Var:
-    """y = sigmoid(x W^T + b) * x, elementwise; never grows magnitudes."""
-    return ad.mul(ad.sigmoid(ad.linear(x, w, b)), x)
+def context_gate_graph(x, params: Mapping[str, np.ndarray], gate: str):
+    """y = sigmoid(x W^T + b) * x, elementwise, with the ``fusion.<gate>.``
+    parameters; never grows magnitudes."""
+    vx = ad.value(x)
+    w, b = params[f"fusion.{gate}.W"], params[f"fusion.{gate}.b"]
+    if w.shape != (vx.shape[1],) * 2 or b.shape != (vx.shape[1],):
+        raise DimensionError(f"{gate}: input {vx.shape} does not match W {w.shape}, b {b.shape}")
+    s = sigmoid(vx @ w.T + b)
+
+    def grad_fn(g):
+        dz = g * vx * s * (1.0 - s)
+        return g * s + dz @ w, {f"fusion.{gate}.W": dz.T @ vx, f"fusion.{gate}.b": dz.sum(axis=0)}
+
+    return ad.layer(x, s * vx, grad_fn)
 
 
-def moe_graph(v, leaves: Mapping[str, ad.Var]) -> ad.Var:
+def moe_graph(v, params: Mapping[str, np.ndarray]):
     """Mixture output [B, 2]: per output dimension, logistic-regression
     experts weighted by a softmax over gate logits. Entries lie in (0, 1)."""
-    columns = []
+    vv = ad.value(v)
+    columns, kept = [], []
     for dim in OUTPUT_DIMS:
-        logits = ad.linear(v, leaves[f"fusion.moe.{dim}.expert_W"],
-                           leaves[f"fusion.moe.{dim}.expert_b"])
-        gates = ad.softmax_rows(ad.linear(v, leaves[f"fusion.moe.{dim}.gate_W"],
-                                          leaves[f"fusion.moe.{dim}.gate_b"]))
-        columns.append(ad.sum_axis1(ad.mul(gates, ad.sigmoid(logits))))
-    return ad.concat_cols(columns)
+        name = f"fusion.moe.{dim}."
+        experts = sigmoid(vv @ params[name + "expert_W"].T + params[name + "expert_b"])
+        gates = softmax_rows(vv @ params[name + "gate_W"].T + params[name + "gate_b"])
+        columns.append((gates * experts).sum(axis=1, keepdims=True))
+        kept.append((name, experts, gates))
+
+    def grad_fn(g):
+        terms, named = [], {}
+        for d, (name, experts, gates) in enumerate(kept):
+            dgates = g[:, d:d + 1] * experts
+            dz = {"gate": gates * (dgates - (dgates * gates).sum(axis=1, keepdims=True)),
+                  "expert": g[:, d:d + 1] * gates * experts * (1.0 - experts)}
+            for kind, grad in dz.items():
+                terms.append(grad @ params[f"{name}{kind}_W"])
+                named[f"{name}{kind}_W"] = grad.T @ vv
+                named[f"{name}{kind}_b"] = grad.sum(axis=0)
+        # v's four terms, summed left to right in the order that keeps bits
+        return sum(terms[1:], terms[0]), named
+
+    return ad.layer(v, np.concatenate(columns, axis=1), grad_fn)
 
 
-def fusion_head_graph(x, leaves: Mapping[str, ad.Var], config: FusionConfig,
-                      rng: np.random.Generator | None = None) -> ad.Var:
-    """Batched head over a [B, F] input; returns gated probabilities [B, 2]."""
+def fusion_head_graph(x, params: Mapping[str, np.ndarray], config: FusionConfig,
+                      rng: np.random.Generator | None = None):
+    """Head over a [B, F] input; returns gated probabilities [B, 2], a
+    ``Var`` on the chain if ``x`` is one (see :mod:`affectseq.autodiff`)."""
     values = ad.value(x)
-    width = ad.value(leaves["fusion.cg1.W"]).shape[1]
+    width = params["fusion.cg1.W"].shape[1]
     if values.ndim != 2 or values.shape[1] != width:
         raise DimensionError(f"fusion input {values.shape} does not match F={width}")
     if config.enable_batchnorm:
-        x = batch_norm_graph(x, leaves, config, rng)
+        x = batch_norm_graph(x, params, config, rng)
     if rng is not None and config.dropout_rate > 0.0:
-        x = ad.mul(x, dropout_mask(rng, values.shape, config.dropout_rate))
-    v = context_gate_graph(x, leaves["fusion.cg1.W"], leaves["fusion.cg1.b"])
-    cg2_w = leaves["fusion.cg2.W"]
-    cg2_b = leaves["fusion.cg2.b"]
+        mask = dropout_mask(rng, values.shape, config.dropout_rate)
+        x = ad.layer(x, ad.value(x) * mask, lambda g: (g * mask, {}))
+    v = context_gate_graph(x, params, "cg1")
     if config.cg2_position == "moe_input":
-        v = context_gate_graph(v, cg2_w, cg2_b)
-        return moe_graph(v, leaves)
-    p = moe_graph(v, leaves)
-    return context_gate_graph(p, cg2_w, cg2_b)
+        return moe_graph(context_gate_graph(v, params, "cg2"), params)
+    return context_gate_graph(moe_graph(v, params), params, "cg2")

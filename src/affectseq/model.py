@@ -12,12 +12,13 @@ weight matrix (2-D parameter), never biases:
 Batch reduction order is fixed (sample order within the batch, dimensions
 valence then arousal) so reruns are bit-identical.
 
-The autodiff graph covers the head and the loss alone: its leaves are
-the head's parameters and leaf ``Var``s holding the encoder states. Each
-encoder hands back its own backward closure
-(:func:`affectseq.seqmodel.encode_batch_graph`), which runs from the
-gradient its state's leaf receives. The penalty is a plain sum, and each
-weight matrix's gradient gets its term, 2 * lambda * W.
+Every layer writes its own backward. Each encoder hands back a closure
+(:func:`affectseq.seqmodel.encode_batch_graph`); the head's layers and
+the cross-entropy link theirs into one chain (:mod:`affectseq.autodiff`)
+that starts at a ``Var`` over the concatenated encoder states, so each
+encoder's closure runs from its slice of that ``Var``'s gradient. The
+penalty is a plain sum, and each weight matrix's gradient gets its term,
+2 * lambda * W.
 
 The modalities meet only at the head, so
 :func:`affectseq.lanes.in_threads` runs their encoders at once, forward
@@ -115,19 +116,31 @@ def encode_states(params: dict[str, np.ndarray], config: ModelConfig,
                        for (name, enc), child in zip(config.encoders, rngs)])
 
 
-def head_graph(states: list, leaves: dict, config: ModelConfig,
-               rng: np.random.Generator | None = None):
-    """Gated probabilities p_prime [B, 2] from the encoder states."""
-    return fusion_head_graph(ad.concat_cols(states), leaves, config.fusion, rng)
-
-
 def predict_batch(store: ParamStore, config: ModelConfig,
                   windows: dict[str, np.ndarray]) -> np.ndarray:
     """Eval-mode predictions in annotation units, shape [B, 2]."""
     _check_windows(config, windows)
     params = dict(store.items())
-    p_prime = head_graph(encode_states(params, config, windows), params, config)
-    return map_to_range(p_prime, config.fusion.output_range)
+    x = np.concatenate(encode_states(params, config, windows), axis=1)
+    return map_to_range(fusion_head_graph(x, params, config.fusion), config.fusion.output_range)
+
+
+def cross_entropy_graph(p, t01: np.ndarray):
+    """The chain's last layer: the batch-mean cross-entropy of ``p``
+    against ``t01``, each probability floored at 1e-12 inside its log."""
+    vp = ad.value(p)
+    q = 1.0 - vp
+    c1, c2 = np.maximum(vp, 1e-12), np.maximum(q, 1e-12)
+    scale = -1.0 / len(vp)
+
+    def grad_fn(g):
+        g = scale * g
+        return (np.where(vp > 1e-12, g * t01 / c1, 0.0)
+                - np.where(q > 1e-12, g * (1.0 - t01) / c2, 0.0)), {}
+
+    like = t01 * np.log(c1) + (1.0 - t01) * np.log(c2)
+    # + 0.0 keeps a perfect batch's loss at 0.0, not -0.0
+    return ad.layer(p, scale * like.sum() + 0.0, grad_fn)
 
 
 def training_loss(windows: dict[str, np.ndarray], targets: np.ndarray,
@@ -156,18 +169,10 @@ def training_loss(windows: dict[str, np.ndarray], targets: np.ndarray,
 
     params = dict(store.items())
     encoded = encode_states(params, config, windows, rng, keep=True)
-    # The head is the only graph. It runs over leaves holding the encoder
-    # states, so its backward stops there, and each encoder's backward then
-    # runs from its leaf's gradient.
-    cut = [ad.Var(state) for state, _ in encoded]
-    leaves = {name: ad.Var(value) for name, value in params.items()
-              if name.startswith("fusion.")}
-    p_prime = head_graph(cut, leaves, config, rng)
-    like = ad.add(
-        ad.mul(t01, ad.safe_log(p_prime)),
-        ad.mul(1.0 - t01, ad.safe_log(ad.scale_shift(p_prime, -1.0, 1.0))),
-    )
-    xent = ad.scale_shift(ad.sum_all(like), -1.0 / batch)
+    # The chain starts at the concatenated encoder states, so its backward
+    # stops there, and each encoder's backward then runs from its slice.
+    x = ad.Var(np.concatenate([state for state, _ in encoded], axis=1))
+    xent = cross_entropy_graph(fusion_head_graph(x, params, config.fusion, rng), t01)
     weights = [(name, value) for name, value in params.items() if value.ndim == 2]
     penalty = 0.0
     for _, value in weights:  # in name order, left to right
@@ -176,13 +181,12 @@ def training_loss(windows: dict[str, np.ndarray], targets: np.ndarray,
     result = LossValue(loss=float(xent.value), l2_penalty=penalty,
                        lambda_l2=config.fusion.l2_lambda)
     if rng is not None and config.fusion.enable_batchnorm:
-        x = np.concatenate([leaf.value for leaf in cut], axis=1)
-        result.batch_moments = np.stack([x.mean(axis=0), x.var(axis=0, ddof=1)])
-        del x  # free before backward allocates, as training.train_run's loop explains
-    ad.backward(xent)
-    grads = {name: leaf.grad for name, leaf in leaves.items() if leaf.grad is not None}
-    for part in in_threads([functools.partial(backward, leaf.grad)
-                            for (_, backward), leaf in zip(encoded, cut)]):
+        result.batch_moments = np.stack([x.value.mean(axis=0), x.value.var(axis=0, ddof=1)])
+    head, dx = ad.backward(xent)
+    grads = {name: head[name] for name in params if name in head}
+    bounds = np.cumsum([0] + [state.shape[1] for state, _ in encoded])
+    for part in in_threads([functools.partial(backward, dx[:, lo:hi].copy())
+                            for (_, backward), lo, hi in zip(encoded, bounds[:-1], bounds[1:])]):
         grads.update(part)
     for name, value in weights:
         grads[name] += (2.0 * config.fusion.l2_lambda) * value

@@ -1,6 +1,6 @@
-"""Training support around the autodiff graph: parameter storage and
-checkpoints, weight initialization, dropout masks, the loss record and
-the Adam optimizer.
+"""Training support: parameter storage and checkpoints, weight
+initialization, the activations the layers share, dropout masks, the
+loss record and the Adam optimizer.
 
 A :class:`ParamStore` holds named values only: a loss returns its
 gradients as a ``{name: gradient}`` dict, and :func:`adam_step` takes it.
@@ -13,9 +13,9 @@ never held in memory beside its values; saving writes each parameter's
 own memory. The file goes through :mod:`affectseq.files`'s one opener
 and one writer, and only its text part is decoded.
 
-All math is double precision. The encoders backpropagate by hand, and
-the reverse-mode engine in :mod:`affectseq.autodiff` serves only the
-fusion head and the loss; nothing here computes a layer.
+All math is double precision. Every layer backpropagates by hand, in
+:mod:`affectseq.seqmodel`, :mod:`affectseq.fusion` and
+:mod:`affectseq.model`; nothing here computes a layer.
 """
 
 from __future__ import annotations
@@ -66,6 +66,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     out += 1.0
     out *= 0.5
     return out
+
+
+def softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a [B, K] matrix, max-subtracted for stability."""
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:

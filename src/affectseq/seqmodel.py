@@ -33,13 +33,13 @@ its B rows of that one table. An encoder's top layer runs with
 ``last_only``: it outputs only the final state [B, H] and takes a
 [B, H] gradient, while the layer below outputs every step's state.
 
-The encoders take plain arrays and build no autodiff graph; that graph
-covers the fusion head alone (:mod:`affectseq.model`). Their backward
-pass is hand-written backpropagation through time, returned as a
-closure: with ``keep`` an op returns its states and ``bptt``, and
-``encode_batch_graph`` its final state and ``backward``, which maps that
-state's gradient to ``{parameter name: gradient}``, layer by layer from
-the top down. An op run with ``keep`` holds its state window-major,
+The encoders take plain arrays and stay off the head's chain
+(:mod:`affectseq.autodiff`). Their backward pass is hand-written
+backpropagation through time, returned as a closure: with ``keep`` an
+op returns its states and ``bptt``, and ``encode_batch_graph`` its
+final state and ``backward``, which maps that state's gradient to
+``{parameter name: gradient}``, layer by layer from the top down. An op
+run with ``keep`` holds its state window-major,
 [B, T, .] arrays whose flat row b*T + t is window b at step t (the row
 order of the [B, T, D] input): the state before each step, the gate
 activations, and the GRU's r * h or the LSTM's cell states. One reverse

@@ -2,7 +2,7 @@
 
 Each function restates an equation from the docstrings of
 ``affectseq.seqmodel`` and ``affectseq.fusion`` with column-vector
-products (``W @ x``), independently of the autodiff ops, so tests can
+products (``W @ x``), independently of the batched layers, so tests can
 check ``encode_batch_graph``, ``batch_norm_graph`` and
 ``fusion_head_graph`` row by row against it. ``freq_response``
 evaluates a designed filter's transfer function and ``lfilter`` runs the

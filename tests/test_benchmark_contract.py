@@ -19,6 +19,7 @@ every name ``workloads.py`` imports must exist where it imports it from.
 
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -52,6 +53,30 @@ TRACING = _load_perfbench("tracing")
 def test_every_traced_layer_resolves(name, module, path, work):
     _, _, fn = TRACING._resolve(module, path)
     assert callable(fn)
+
+
+def test_every_declared_per_layer_metric_has_a_source():
+    """Each ``per_layer`` metric ``BENCHMARK.json`` declares, less its last
+    dotted part, names a layer of ``LAYERS`` or ``SETUP_LAYERS`` that
+    resolves, a ``cli.*`` command span, or a ``trace.*`` figure; an
+    ``autodiff.nodes_per_*`` count needs the node class to resolve. A traced
+    result that lacks a declared metric would be malformed."""
+    root = Path(__file__).resolve().parents[1]
+    declared = [m["name"] for m in json.loads((root / "BENCHMARK.json").read_text())["per_layer"]]
+    layers = {row[0]: row for row in TRACING.LAYERS + TRACING.SETUP_LAYERS}
+    unsourced = []
+    for metric in declared:
+        layer = metric.rsplit(".", 1)[0]
+        try:
+            if layer in layers:
+                TRACING._resolve(*layers[layer][1:3])
+            elif metric.startswith("autodiff.nodes_per_"):
+                TRACING._resolve(*TRACING.NODE_CLASS)
+            elif not metric.startswith(("cli.", "trace.")):
+                unsourced.append(f"{metric}: no source")
+        except (ImportError, AttributeError) as exc:
+            unsourced.append(f"{metric}: {exc}")
+    assert declared and unsourced == []
 
 
 def test_workloads_set_up_imports():

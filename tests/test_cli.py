@@ -469,9 +469,14 @@ class TestExitCodes:
         rc = main(["evaluate", "--predictions", str(data / "annotations"),
                    "--annotations", str(data / "annotations"), "--out", str(tmp_path / "o"),
                    "--aggregation", aggregation])
-        assert rc == 2
-        assert capsys.readouterr().err == "affectseq: m000: pearson needs at least two samples\n"
-        assert not (tmp_path / "o").exists()
+        assert rc == 0
+        # each movie is named in the report, with its PCC undefined and counted
+        report = (tmp_path / "o" / "report.csv").read_text()
+        for movie in ("m000", "m001"):
+            assert f"{movie}.valence_pcc,per_movie,undefined" in report
+            assert f"{movie}.arousal_pcc,per_movie,undefined" in report
+        if aggregation == "macro_per_movie":
+            assert f"valence_pcc_undefined_movies,{aggregation},2" in report
 
     def test_batch_norm_on_one_training_window_names_manifest_and_setting(self, tmp_path,
                                                                           capsys):

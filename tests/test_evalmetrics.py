@@ -111,6 +111,28 @@ class TestEvaluateRun:
         preds = {m: v + 0.1 * rng.normal(size=v.shape) for m, v in annos.items()}
         return preds, annos
 
+    @pytest.mark.parametrize("aggregation", ["macro_per_movie", "pooled"])
+    def test_one_second_movie_has_undefined_pcc(self, aggregation):
+        """A movie annotated for one second has an UNDEFINED PCC, skipped
+        and counted under macro; the pooled headline uses every second."""
+        preds, annos = self._toy()
+        annos["m002"] = np.array([[0.3, -0.2]])
+        preds["m002"] = np.array([[0.1, 0.4], [0.5, 0.5]])
+        report = evaluate_run(preds, annos, aggregation)
+        assert report.per_movie["m002"]["valence_pcc"] is UNDEFINED
+        assert report.per_movie["m002"]["arousal_pcc"] is UNDEFINED
+        assert report.per_movie["m002"]["valence_mse"] == (0.1 - 0.3) ** 2
+        assert report.valence_pcc_undefined == report.arousal_pcc_undefined == 1
+        movies = sorted(annos)
+        if aggregation == "pooled":
+            truth = np.concatenate([annos[m] for m in movies])
+            pred = np.concatenate([preds[m][:len(annos[m])] for m in movies])
+            for d, key in enumerate(("valence_pcc", "arousal_pcc")):
+                assert getattr(report, key) == pearson(pred[:, d], truth[:, d])
+        else:
+            assert report.valence_pcc == np.mean([report.per_movie[m]["valence_pcc"]
+                                                  for m in ("m000", "m001")])
+
     def test_perfect_predictions(self):
         _, annos = self._toy()
         report = evaluate_run(annos, annos)

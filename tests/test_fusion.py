@@ -19,13 +19,12 @@ from affectseq.fusion import (
 from affectseq.model import (
     ModelConfig,
     encode_states,
-    head_graph,
     init_model_params,
     param_shapes,
     predict_batch,
     training_loss,
 )
-from affectseq.numerics import ParamStore
+from affectseq.numerics import ParamStore, sigmoid
 from affectseq.rng import generator
 from affectseq.seqmodel import EncoderConfig
 
@@ -41,21 +40,22 @@ def zeroed_head_store(config, experts_value=0.0):
     return store
 
 
-def leaves_of(store):
-    return {n: ad.Var(store.value(n)) for n in store.names()}
+def probed(y, probe):
+    """A last layer that reduces ``y`` to its dot product with ``probe``."""
+    return ad.layer(y, (y.value * probe).sum(), lambda g: (g * probe, {}))
 
 
 def context_gate(x, w, b):
-    return ad.value(context_gate_graph(x, w, b))
+    return context_gate_graph(x, {"fusion.cg1.W": w, "fusion.cg1.b": b}, "cg1")
 
 
 def moe(v, dim_params):
     """``moe_graph`` over (expert_W, expert_b, gate_W, gate_b) per output dimension."""
-    leaves = {}
-    for dim, params in zip(("valence", "arousal"), dim_params):
-        for key, value in zip(("expert_W", "expert_b", "gate_W", "gate_b"), params):
-            leaves[f"fusion.moe.{dim}.{key}"] = ad.Var(value)
-    return ad.value(moe_graph(v, leaves))
+    params = {}
+    for dim, values in zip(("valence", "arousal"), dim_params):
+        for key, value in zip(("expert_W", "expert_b", "gate_W", "gate_b"), values):
+            params[f"fusion.moe.{dim}.{key}"] = value
+    return moe_graph(v, params)
 
 
 def bn_leaves(f=3):
@@ -71,7 +71,7 @@ TRAIN = generator(0, "masks")
 
 def batch_norm(x, leaves, rng, **kw):
     config = FusionConfig(enable_batchnorm=True, **kw)
-    return ad.value(batch_norm_graph(x, leaves, config, rng))
+    return batch_norm_graph(x, leaves, config, rng)
 
 
 class TestBatchNorm:
@@ -149,25 +149,19 @@ class TestBatchNorm:
         probe = rng.normal(size=(8, 3))
         config = FusionConfig(enable_batchnorm=True)
 
-        def fresh_leaves(s):
-            leaves = bn_leaves()
-            for key in ("gamma", "beta"):
-                leaves[f"fusion.bn.{key}"] = ad.Var(s.value(f"fusion.bn.{key}"))
-            return leaves
+        def params(s):
+            return {**bn_leaves(), **dict(s.items())}
 
         for batch in (2, 8):
-            out = batch_norm_graph(x[:batch], fresh_leaves(store), config, TRAIN)
+            out = batch_norm_graph(ad.Var(x[:batch]), params(store), config, TRAIN)
             direct = oracles.batch_norm_train(x[:batch], store.value("fusion.bn.gamma"),
                                               store.value("fusion.bn.beta"), 1e-5)
             np.testing.assert_allclose(out.value, direct, atol=1e-12)
 
         def loss(s):
-            leaves = fresh_leaves(s)
-            y = batch_norm_graph(x, leaves, config, TRAIN)
-            total = ad.sum_all(ad.mul(y, probe))
-            ad.backward(total)
-            return float(total.value), {f"fusion.bn.{key}": leaves[f"fusion.bn.{key}"].grad
-                                        for key in ("gamma", "beta")}
+            total = probed(batch_norm_graph(ad.Var(x), params(s), config, TRAIN), probe)
+            grads, _ = ad.backward(total)
+            return float(total.value), grads
 
         assert grad_check(loss, store) < 1e-4
 
@@ -222,7 +216,7 @@ class TestMoe:
         p = moe(v, params)
         for d in range(2):
             ew, eb, _, _ = params[d]
-            np.testing.assert_array_equal(p[:, d], ad.value(ad.sigmoid(ad.linear(v, ew, eb)))[:, 0])
+            np.testing.assert_array_equal(p[:, d], sigmoid(v @ ew.T + eb)[:, 0])
 
     def test_zero_gating_means_uniform_mixture(self):
         rng = np.random.default_rng(2)
@@ -259,8 +253,7 @@ class TestMoe:
         store = ParamStore()
         init_fusion_params(store, config, 6, generator(9, "init"))
         v = generator(4, "v").normal(size=(7, 6))
-        leaves = {n: ad.Var(store.value(n)) for n in store.names()}
-        p = moe_graph(v, leaves).value
+        p = moe_graph(ad.Var(v), dict(store.items())).value
         assert np.all((p > 0.0) & (p < 1.0))
 
 
@@ -271,7 +264,7 @@ class TestFusionHead:
         config = FusionConfig(num_experts=1)
         store = zeroed_head_store(config)
         x = np.array([[0.4, -0.6, 1.0, 0.2, 0.0, -0.3]])
-        p = fusion_head_graph(x, leaves_of(store), config).value
+        p = fusion_head_graph(x, dict(store.items()), config)
         np.testing.assert_allclose(p, [[0.25, 0.25]], atol=1e-15)
         np.testing.assert_allclose(map_to_range(p, config.output_range), [[-0.5, -0.5]],
                                    atol=1e-15)
@@ -285,7 +278,7 @@ class TestFusionHead:
         store = ParamStore()
         init_fusion_params(store, config, 6, generator(5, "init"))
         x = generator(6, "states").normal(scale=3.0, size=(50, 6))
-        p = fusion_head_graph(x, leaves_of(store), config).value
+        p = fusion_head_graph(x, dict(store.items()), config)
         pred = map_to_range(p, config.output_range)
         assert np.all((pred > -1.0) & (pred < 1.0))
         assert np.all((p > 0.0) & (p < 1.0))
@@ -296,7 +289,7 @@ class TestFusionHead:
         init_fusion_params(store, config, 6, generator(7, "init"))
         batch = generator(8, "x").normal(size=(5, 6))
         for size in (1, 5):
-            graph_p = fusion_head_graph(batch[:size], leaves_of(store), config).value
+            graph_p = fusion_head_graph(ad.Var(batch[:size]), dict(store.items()), config).value
             for i in range(size):
                 p = oracles.fusion_head(batch[i], store, config)
                 np.testing.assert_allclose(graph_p[i], p, atol=1e-14)
@@ -307,8 +300,7 @@ class TestFusionHead:
         init_fusion_params(store, config, 6, generator(11, "init"))
         assert store.value("fusion.cg2.W").shape == (6, 6)
         batch = generator(12, "x").normal(size=(4, 6))
-        leaves = {n: ad.Var(store.value(n)) for n in store.names()}
-        p = fusion_head_graph(batch, leaves, config).value
+        p = fusion_head_graph(ad.Var(batch), dict(store.items()), config).value
         assert np.all((p > 0.0) & (p < 1.0))
 
     def test_head_gradcheck(self):
@@ -319,12 +311,9 @@ class TestFusionHead:
         probe = generator(15, "probe").normal(size=(3, 2))
 
         def loss(s):
-            leaves = {n: ad.Var(s.value(n)) for n in s.names()}
-            p = fusion_head_graph(batch, leaves, config)
-            out = ad.sum_all(ad.mul(p, probe))
-            ad.backward(out)
-            return float(out.value), {n: leaf.grad for n, leaf in leaves.items()
-                                      if leaf.grad is not None}
+            out = probed(fusion_head_graph(ad.Var(batch), dict(s.items()), config), probe)
+            grads, _ = ad.backward(out)
+            return float(out.value), grads
 
         assert grad_check(loss, store) < 1e-4
 
@@ -564,6 +553,34 @@ def test_param_shapes_are_the_drawn_models(cell, units, bn, cg2):
     assert param_shapes(config) == {name: value.shape for name, value in store.items()}
 
 
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("cg2", ["moe_input", "moe_output"])
+@pytest.mark.parametrize("bn", ["none", "batch", "running"])
+def test_training_loss_gradcheck_matrix(bn, cg2, dropout):
+    """Every head arrangement through ``training_loss``: no batch norm and
+    training-pass batch norm in a training pass, inference-pass batch norm
+    (its running statistics held fixed, outside the checked store) in an
+    inference pass, where dropout is off."""
+    config, store, windows = cell_model("gru", (3,), seed=40, cg2_position=cg2,
+                                        enable_batchnorm=bn != "none", dropout_rate=dropout)
+    targets = generator(41, "t").uniform(-0.7, 0.7, size=(5, 2))
+    running = {name: value for name, value in store.items() if ".running_" in name}
+    checked = ParamStore()
+    for name, value in store.items():
+        if name not in running:
+            checked.add(name, value)
+
+    def loss(s):
+        full = s.copy()
+        for name, value in running.items():
+            full.add(name, value)
+        step = None if bn == "running" else generator(42, "step")
+        value, grads = training_loss(windows, targets, full, config, step)
+        return value.total, grads
+
+    assert grad_check(loss, checked, eps=1e-5) < 1e-4
+
+
 # Fusion settings and pass: batch norm normalizes by the batch's statistics
 # in a training pass and by the running statistics in an inference pass.
 HEADS = {
@@ -582,11 +599,12 @@ class TestConstantForward:
         settings, rng = HEADS[head]
         config, store, windows = cell_model(cell, units, seed=31, cg2_position=cg2, **settings)
         params = dict(store.items())
-        const = head_graph(encode_states(params, config, windows, rng), params, config, rng)
-        # the training path: encoders that keep their state, the head over leaf Vars
-        states = [ad.Var(state) for state, _ in
-                  encode_states(params, config, windows, rng, keep=True)]
-        graph = head_graph(states, leaves_of(store), config, rng)
+        x = np.concatenate(encode_states(params, config, windows, rng), axis=1)
+        const = fusion_head_graph(x, params, config.fusion, rng)
+        # the training path: encoders that keep their state, the head over a Var
+        states = [state for state, _ in encode_states(params, config, windows, rng, keep=True)]
+        graph = fusion_head_graph(ad.Var(np.concatenate(states, axis=1)), params,
+                                  config.fusion, rng)
         assert type(const) is np.ndarray
         assert isinstance(graph, ad.Var)
         np.testing.assert_array_equal(const, graph.value)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import ContractViolation, grad_check
-from affectseq import autodiff as ad
 from affectseq.errors import (
     ConfigError,
     DataError,
@@ -19,67 +18,12 @@ from affectseq.errors import (
     DomainError,
     NumericError,
 )
-from affectseq.numerics import AdamState, LossValue, ParamStore, adam_step
-
-
-def dense(x, w, b):
-    """``ad.linear`` on one input row."""
-    w, b = np.asarray(w, dtype=float), np.asarray(b, dtype=float)
-    return ad.value(ad.linear(np.atleast_2d(x), w, b))[0]
+from affectseq.numerics import AdamState, LossValue, ParamStore, adam_step, softmax_rows
 
 
 def softmax(z):
-    """``ad.softmax_rows`` on one row of logits."""
-    return ad.value(ad.softmax_rows(np.atleast_2d(np.asarray(z, dtype=float))))[0]
-
-
-class TestDense:
-    def test_identity(self):
-        y = dense([1.0, 2.0], np.eye(2), [0.0, 0.0])
-        np.testing.assert_array_equal(y, [1.0, 2.0])
-
-    def test_zero_weights_return_bias(self):
-        y = dense([5.0, -3.0, 2.0], np.zeros((2, 3)), [3.0, -1.0])
-        np.testing.assert_array_equal(y, [3.0, -1.0])
-
-    def test_hand_multiply(self):
-        y = dense([1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [0.0, 0.0])
-        np.testing.assert_allclose(y, [3.0, -1.0], atol=0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            dense([1.0, 2.0, 3.0], np.eye(2), [0.0, 0.0])
-
-    def test_backward_matches_finite_differences(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=4)
-        w = rng.normal(size=(3, 4))
-        b = rng.normal(size=3)
-        g = rng.normal(size=3)
-
-        def loss(xv, wv, bv):
-            return float(g @ dense(xv, wv, bv))
-
-        xs, ws, bs = ad.Var(x[None, :]), ad.Var(w), ad.Var(b)
-        ad.backward(ad.sum_all(ad.mul(ad.linear(xs, ws, bs), g)))
-        dx, dw, db = xs.grad[0], ws.grad, bs.grad
-        eps = 1e-6
-        for i in range(4):
-            pert = x.copy()
-            pert[i] += eps
-            hi = loss(pert, w, b)
-            pert[i] -= 2 * eps
-            lo = loss(pert, w, b)
-            np.testing.assert_allclose(dx[i], (hi - lo) / (2 * eps), rtol=1e-6)
-        for i in range(3):
-            for j in range(4):
-                pert = w.copy()
-                pert[i, j] += eps
-                hi = loss(x, pert, b)
-                pert[i, j] -= 2 * eps
-                lo = loss(x, pert, b)
-                np.testing.assert_allclose(dw[i, j], (hi - lo) / (2 * eps), rtol=1e-6)
-        np.testing.assert_allclose(db, g)
+    """``softmax_rows`` on one row of logits."""
+    return softmax_rows(np.atleast_2d(np.asarray(z, dtype=float)))[0]
 
 
 class TestSoftmax:
