@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 from .config import (RunConfig, declared, number, parse_config, parse_fields, smoother_spec,
                      tagged, write_resolved)
-from .dataio import (SynthSpec, load_dataset, load_prediction_dir, save_prediction_dir,
+from .dataio import (SynthSpec, load_dataset, load_prediction_dirs, save_prediction_dir,
                      split_dataset, synth_generate)
 from .errors import AffectSeqError, ConfigError, DataError, NumericError
 from .evalmetrics import (
@@ -41,10 +41,9 @@ from .evalmetrics import (
     render_text,
 )
 from .files import check_out_dir, shown, write_file
-from .lanes import per_track
 from .model import ModelConfig, param_shapes
 from .numerics import ParamStore
-from .smoothing import SMOOTHERS, smooth_track
+from .smoothing import SMOOTHERS, ShortTrackWarning, smooth_track
 from .training import (
     CHECKPOINT_NAME,
     TRAINING_LOG_NAME,
@@ -139,6 +138,7 @@ def _typed(args, record) -> dict[str, str]:
 def _cmd_synth(args) -> int:
     values = parse_fields(SynthSpec, _typed(args, SynthSpec))
     seed = tagged("seed", number(int), args.seed)
+    check_out_dir(args.out)
     manifest = synth_generate(SynthSpec(**values), args.out, seed)
     print(f"wrote {len(manifest.movies)} movies to {shown(args.out)}")
     return EXIT_OK
@@ -202,23 +202,35 @@ def _cmd_smooth(args) -> int:
     settings = _typed(args, RunConfig)
     spec = smoother_spec(vars(parse_config(args.config, settings)) if args.config
                          else parse_fields(RunConfig, settings))
-    preds = load_prediction_dir(args.predictions)
-    if spec.kind == "moving_average":
-        for movie, track in preds.items():
-            if len(track) < len(spec.weights):
-                raise ConfigError(f"{shown(Path(args.predictions) / f'{movie}.csv')}: track of "
-                                  f"length {len(track)} is shorter than the "
-                                  f"{len(spec.weights)} weights of ma_weights", key="ma_weights")
-    tracks = preds.values()
-    jobs = [partial(smooth_track, track, spec, causal=bool(args.causal)) for track in tracks]
-    smoothed = dict(zip(preds, per_track(jobs, sum(track.size for track in tracks))))
-    save_prediction_dir(smoothed, args.out)
-    print(f"smoothed {len(smoothed)} movies with {spec.kind} into {shown(args.out)}")
+    check_out_dir(args.out)
+
+    def smoothed(path: Path, track):
+        """``track`` smoothed, and one note per distinct short-track
+        fallback that its columns took."""
+        if spec.kind == "moving_average" and len(track) < len(spec.weights):
+            raise ConfigError(f"{shown(path)}: track of length {len(track)} is shorter than "
+                              f"the {len(spec.weights)} weights of ma_weights", key="ma_weights")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ShortTrackWarning)
+            track = smooth_track(track, spec, causal=bool(args.causal))
+        short = [str(w.message) for w in caught if w.category is ShortTrackWarning]
+        for w in caught:
+            if w.category is not ShortTrackWarning:  # shown as outside the block
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        return track, [f"{shown(path)}: {message}" for message in dict.fromkeys(short)]
+
+    (read,) = load_prediction_dirs(args.predictions, transform=smoothed)
+    for _, notes in read.values():
+        for note in notes:
+            print(f"warning: {note}", file=sys.stderr)
+    save_prediction_dir({movie: track for movie, (track, _) in read.items()}, args.out)
+    print(f"smoothed {len(read)} movies with {spec.kind} into {shown(args.out)}")
     return EXIT_OK
 
 
 def _cmd_ensemble(args) -> int:
-    runs = [load_prediction_dir(run_dir) for run_dir in args.runs]
+    check_out_dir(args.out)
+    runs = load_prediction_dirs(*args.runs)
     averaged = ensemble_average(runs, [shown(run_dir) for run_dir in args.runs])
     save_prediction_dir(averaged, args.out)
     print(f"averaged {len(args.runs)} runs into {shown(args.out)}")
@@ -226,8 +238,8 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    annos = load_prediction_dir(args.annotations)
-    preds = load_prediction_dir(args.predictions)
+    check_out_dir(args.out)
+    annos, preds = load_prediction_dirs(args.annotations, args.predictions)
     report = evaluate_run(preds, annos, args.aggregation)
     out_dir = Path(args.out)
     write_file(out_dir / "report.csv", [render_csv(report)])

@@ -20,10 +20,13 @@ the ``<path>:<line>`` errors. A movie id is a file name and a CSV field,
 so the writers refuse one that is not plain or that holds ``,``.
 ``save_prediction_dir`` checks every track before it writes one.
 
-A prediction directory's reads and writes, and ``load_dataset``'s reads
-and checks, run one job per track through
-:func:`affectseq.lanes.per_track`; a lane reads and writes with the same
-code, so the values, files and faults do not depend on the lane count.
+``load_prediction_dirs`` reads every directory a command needs in one
+pass, and a caller's transform (``smooth``'s filter) runs on each track in
+the job that reads it. Those reads, a prediction directory's writes, and
+``load_dataset``'s reads and checks run one job per track through
+:func:`affectseq.lanes.per_track`, which nothing outside this module
+calls; a lane reads and writes with the same code, so the values, files
+and faults do not depend on the lane count.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -246,35 +249,41 @@ def write_track(path, movie_id: str, values, columns: tuple[str, ...] | None = N
     _write_checked(path, movie_id, *_checked_track(movie_id, values, columns))
 
 
-def _load_named(path: Path) -> np.ndarray:
-    """The values of one track CSV whose movie id is its file name's stem."""
+def _load_named(path: Path, transform: Callable | None):
+    """The values of one track CSV whose movie id is its file name's stem,
+    passed through ``transform(path, values)`` when one is given."""
     movie_id, values = load_predictions(path)
     _check_movie_id(path, movie_id, path.stem)
-    return values
+    return values if transform is None else transform(path, values)
 
 
-def load_prediction_dir(directory) -> dict[str, np.ndarray]:
-    """All ``<movie>.csv`` tracks in a prediction or annotation directory,
-    each checked for its movie id.
+def load_prediction_dirs(*directories, transform: Callable | None = None) -> list[dict]:
+    """One dict per directory of all its ``<movie>.csv`` tracks, each
+    checked for its movie id and then, when ``transform`` is given,
+    replaced by ``transform(path, values)``.
 
-    A directory of files that hold at least ``_FORK_VALUES`` values, as
-    their bytes tell, is read by :func:`per_track`'s lanes, one job per
-    file; a fault is raised as an inline read raises it.
+    Every directory is listed before any file is read. The files are then
+    read in one pass, directory by directory in name order, one job per
+    file; once the files hold at least ``_FORK_VALUES`` values, as their
+    bytes tell, the jobs run on :func:`per_track`'s lanes, and the first
+    fault in that order is raised as an inline read raises it.
     """
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise DataError(f"missing track directory: {shown(directory)}")
-    paths = sorted(directory.glob("*.csv"))
-    if not paths:
-        raise DataError(f"no track files in {shown(directory)}")
-    size = 0
-    for path in paths:
-        with suppress(OSError):  # the read names the file
-            size += path.stat().st_size
+    listed, size = [], 0
+    for directory in map(Path, directories):
+        if not directory.is_dir():
+            raise DataError(f"missing track directory: {shown(directory)}")
+        paths = sorted(directory.glob("*.csv"))
+        if not paths:
+            raise DataError(f"no track files in {shown(directory)}")
+        listed.append(paths)
+        for path in paths:
+            with suppress(OSError):  # the read names the file
+                size += path.stat().st_size
     # a value as write_track writes a track of two columns takes about 24
     # bytes: its repr, a comma, and half its row's head
-    jobs = [functools.partial(_load_named, path) for path in paths]
-    return dict(zip((path.stem for path in paths), per_track(jobs, size // 24)))
+    jobs = [functools.partial(_load_named, path, transform) for paths in listed for path in paths]
+    tracks = iter(per_track(jobs, size // 24))
+    return [{path.stem: next(tracks) for path in paths} for paths in listed]
 
 
 def save_prediction_dir(preds: Mapping[str, np.ndarray], directory) -> None:

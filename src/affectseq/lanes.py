@@ -27,9 +27,11 @@ raised as a one-lane run raises it and no child outlives the call. A
 job that warns in a child is not finished there: it runs again here,
 where its warning is shown.
 
-:func:`per_track` runs the per-track jobs of a dataset's reads, a
-prediction directory's reads and writes, and ``smooth``'s filtering on
-these lanes once they handle the one floor of ``_FORK_VALUES`` values.
+:func:`per_track` runs the per-track jobs of :mod:`affectseq.dataio` on
+these lanes once they handle the one floor of ``_FORK_VALUES`` values: a
+dataset's reads, a prediction directory's writes, and the one read pass
+over a command's prediction directories, whose jobs also run ``smooth``'s
+filter.
 """
 
 from __future__ import annotations

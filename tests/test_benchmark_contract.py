@@ -167,9 +167,10 @@ def test_track_reader_and_filter_call_shapes():
 
 
 def test_prediction_dir_reads_through_module_global(monkeypatch, tmp_path):
-    """perfbench counts ``load_prediction_dir``'s reads by patching
-    ``dataio.load_predictions``. This 2 x 3-row directory is below the
-    fork floor, so it is read inline, where the patched global counts it."""
+    """perfbench counts ``load_prediction_dirs``' reads by patching
+    ``dataio.load_predictions``, which each read job calls through the
+    module global. This 2 x 3-row directory is below the fork floor, so it
+    is read inline, where the patched global counts it."""
     dataio.save_prediction_dir({m: np.zeros((3, 2)) for m in ("m000", "m001")}, tmp_path)
     read = []
     load = dataio.load_predictions
@@ -179,5 +180,5 @@ def test_prediction_dir_reads_through_module_global(monkeypatch, tmp_path):
         return load(path)
 
     monkeypatch.setattr(dataio, "load_predictions", counted)
-    assert sorted(dataio.load_prediction_dir(tmp_path)) == ["m000", "m001"]
+    assert sorted(dataio.load_prediction_dirs(tmp_path)[0]) == ["m000", "m001"]
     assert read == [tmp_path / "m000.csv", tmp_path / "m001.csv"]

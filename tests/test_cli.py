@@ -5,7 +5,6 @@ import contextlib
 import io
 import itertools
 import math
-import os
 import re
 import shutil
 import struct
@@ -19,7 +18,7 @@ import oracles
 from affectseq import cli, config
 from affectseq.cli import _build_parser, main
 from affectseq.config import DatasetManifest, declared, parse_config
-from affectseq.dataio import SynthSpec, load_dataset, load_prediction_dir, synth_generate
+from affectseq.dataio import SynthSpec, load_dataset, load_prediction_dirs, synth_generate
 from affectseq.model import init_model_params
 from affectseq.numerics import ParamStore
 
@@ -369,8 +368,9 @@ class TestExitCodes:
                                          command, where):
         """An output on an existing file, under one, or at a path holding a
         NUL exits 2 naming the output that cannot be written, and writes
-        nothing. ``train`` and ``predict`` refuse it before training or
-        inference starts, and show a NUL escaped."""
+        nothing. Every command refuses it before its work starts (generating,
+        training, inference, or reading the track directories), and shows a
+        NUL escaped."""
         blocker = tmp_path / "file"
         blocker.write_text("kept\n")
         cfg = workspace / "run.cfg"
@@ -390,21 +390,17 @@ class TestExitCodes:
             "ensemble": ["ensemble", "--runs", annotations, annotations],
             "evaluate": ["evaluate", "--predictions", annotations, "--annotations", annotations],
         }[command]
-        early = command in ("train", "predict")
-        if early:
-            def no_work(*args, **kwargs):
-                raise AssertionError("the work started before --out was checked")
+        def no_work(*args, **kwargs):
+            raise AssertionError("the work started before --out was checked")
 
-            monkeypatch.setattr(cli, "train_run", no_work)
-            monkeypatch.setattr(cli, "predict_tracks", no_work)
+        for work in ("synth_generate", "train_run", "predict_tracks", "load_prediction_dirs"):
+            monkeypatch.setattr(cli, work, no_work)
         rc, err = run_cli(argv if where == "config-nul" else [*argv, "--out", str(out)])
         assert rc == 2, err
         if where == "config-nul":
             assert f"cannot write {str(out)!r}: embedded null byte\n" in err, err
-        elif early:
-            assert f"cannot write {out}: Not a directory\n" in err, err
         else:
-            assert f"cannot write {out}{os.sep}" in err, err
+            assert f"cannot write {out}: Not a directory\n" in err, err
         assert blocker.read_text() == "kept\n"
         assert {p.name for p in tmp_path.iterdir()} <= {"file", "run.cfg"}
 
@@ -729,7 +725,7 @@ def test_predict_does_not_depend_on_batch_size(tmp_path):
     for size in (64, 128):
         assert main(["predict", "--config", str(tmp_path / f"b{size}.cfg"), "--checkpoint",
                      str(checkpoint), "--out", str(tmp_path / f"raw{size}")]) == 0
-        tracks[size] = load_prediction_dir(tmp_path / f"raw{size}")
+        tracks[size] = load_prediction_dirs(tmp_path / f"raw{size}")[0]
     cfg = parse_config(tmp_path / "b64.cfg")
     drift = oracles.prediction_drift(ParamStore.load(checkpoint), cfg.model_config(),
                                      load_dataset(cfg.manifest, with_annotations=False)[0])
@@ -762,7 +758,7 @@ class TestPipeline:
         assert "# resolved from profile: run1" in resolved
 
     def test_prediction_files_reload(self, run_a):
-        preds = load_prediction_dir(run_a / "raw")
+        preds = load_prediction_dirs(run_a / "raw")[0]
         assert sorted(preds) == ["m000", "m001"]
         assert preds["m000"].shape == (50, 2)
         assert np.all(np.abs(preds["m000"]) < 1.0)
@@ -787,17 +783,17 @@ class TestPipeline:
         assert main(["ensemble", "--runs", str(raw), str(raw),
                      "--out", str(out)]) == 0
         for movie in ("m000", "m001"):
-            a = load_prediction_dir(raw)[movie]
-            b = load_prediction_dir(out)[movie]
+            a = load_prediction_dirs(raw)[0][movie]
+            b = load_prediction_dirs(out)[0][movie]
             np.testing.assert_array_equal(a, b)
 
     def test_ensemble_averages_two_runs(self, run_a, run_d, tmp_path):
         out = tmp_path / "ens2"
         assert main(["ensemble", "--runs", str(run_a / "raw"), str(run_d / "raw"),
                      "--out", str(out)]) == 0
-        pa = load_prediction_dir(run_a / "raw")["m000"]
-        pd = load_prediction_dir(run_d / "raw")["m000"]
-        pe = load_prediction_dir(out)["m000"]
+        pa = load_prediction_dirs(run_a / "raw")[0]["m000"]
+        pd = load_prediction_dirs(run_d / "raw")[0]["m000"]
+        pe = load_prediction_dirs(out)[0]["m000"]
         np.testing.assert_allclose(pe, (pa + pd) / 2.0, atol=1e-15)
 
     def test_predict_validation_split(self, workspace, run_a, tmp_path):
@@ -805,7 +801,7 @@ class TestPipeline:
         assert main(["predict", "--config", str(workspace / "run.cfg"),
                      "--checkpoint", str(run_a / "model" / "model.ckpt"),
                      "--out", str(dest), "--split", "validation"]) == 0
-        assert sorted(load_prediction_dir(dest)) == ["m001"]
+        assert sorted(load_prediction_dirs(dest)[0]) == ["m001"]
 
     def test_predict_split_reads_only_its_movies(self, workspace, run_a, tmp_path, capsys):
         """A split's predict reads only its own movies' features: a broken
@@ -820,7 +816,7 @@ class TestPipeline:
         predict = ["predict", "--config", str(cfg),
                    "--checkpoint", str(run_a / "model" / "model.ckpt")]
         assert main([*predict, "--out", str(tmp_path / "val"), "--split", "validation"]) == 0
-        assert sorted(load_prediction_dir(tmp_path / "val")) == ["m001"]
+        assert sorted(load_prediction_dirs(tmp_path / "val")[0]) == ["m001"]
         capsys.readouterr()
         assert main([*predict, "--out", str(tmp_path / "all"), "--split", "all"]) == 2
         assert capsys.readouterr().err == f"affectseq: {broken}:1: not UTF-8 text\n"
@@ -830,7 +826,7 @@ class TestPipeline:
         dest = tmp_path / "sm"
         assert main(["smooth", "--predictions", str(raw), "--out", str(dest),
                      "--smoother", "moving_average", "--weights", "1,2,1"]) == 0
-        assert sorted(load_prediction_dir(dest)) == ["m000", "m001"]
+        assert sorted(load_prediction_dirs(dest)[0]) == ["m000", "m001"]
         assert main(["smooth", "--predictions", str(raw), "--out", str(tmp_path / "bw"),
                      "--order", "4", "--cutoff", "0.3"]) == 0
 

@@ -779,6 +779,25 @@ def test_every_private_module_name_is_used():
     assert {(module, name) for module, name in defined if name not in used} == set()
 
 
+def test_only_dataio_and_model_import_lanes():
+    """The fork and thread policy stays behind one module: only ``dataio``
+    (the per-track reads and writes) and ``model`` (the encoder threads)
+    import ``affectseq.lanes``, however the import is spelled."""
+    importers = set()
+    package = Path(files.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any("lanes" in name.split(".") for name in names):
+                importers.add(path.stem)
+    assert importers == {"dataio", "model"}
+
+
 def lane_tracks():
     """Four movies of 2100 s, 16,800 values: above the fork floor."""
     rng = np.random.default_rng(3)
@@ -788,7 +807,7 @@ def lane_tracks():
 
 
 class TestPredictionDirLanes:
-    """``save_prediction_dir`` and ``load_prediction_dir`` write and read a
+    """``save_prediction_dir`` and ``load_prediction_dirs`` write and read a
     large directory from one lane per usable CPU, this process and forked
     children; what they write, return and raise does not depend on the
     lane count."""
@@ -840,7 +859,7 @@ class TestPredictionDirLanes:
         for cpus in (1, 2):
             forks.clear()
             monkeypatch.setattr(lanes, "usable_cpus", lambda cpus=cpus: cpus)
-            read.append(dataio.load_prediction_dir(tmp_path))
+            read.append(dataio.load_prediction_dirs(tmp_path)[0])
             assert len(forks) == cpus - 1
         assert list(read[0]) == list(read[1]) == [f"m00{i}" for i in range(4)]
         for movie, values in read[0].items():
@@ -857,14 +876,14 @@ class TestPredictionDirLanes:
             forks.clear()
             monkeypatch.setattr(lanes, "usable_cpus", lambda cpus=cpus: cpus)
             with pytest.raises(DataError) as err:
-                dataio.load_prediction_dir(tmp_path)
+                dataio.load_prediction_dirs(tmp_path)[0]
             assert len(forks) == cpus - 1
             messages.append(str(err.value))
         assert messages == [f"{path}:5: bad float literal '1_0'"] * 2
 
     def test_tracks_a_dead_child_left_are_read_here(self, monkeypatch, tmp_path, forks):
         save_prediction_dir(lane_tracks(), tmp_path)
-        inline = dataio.load_prediction_dir(tmp_path)
+        inline = dataio.load_prediction_dirs(tmp_path)[0]
         forks.clear()
         parent, load = os.getpid(), dataio.load_predictions
 
@@ -875,7 +894,7 @@ class TestPredictionDirLanes:
 
         monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
         monkeypatch.setattr(dataio, "load_predictions", dying)
-        read = dataio.load_prediction_dir(tmp_path)
+        read = dataio.load_prediction_dirs(tmp_path)[0]
         assert len(forks) == 1
         assert list(read) == list(inline)
         for movie, values in inline.items():
@@ -909,11 +928,11 @@ class TestPredictionDirLanes:
 
     def test_commands_leave_no_child_process(self, monkeypatch, tmp_path, forks):
         """``predict``, ``smooth``, ``ensemble`` and ``evaluate`` handle
-        directories of 16,400 values and fork one child per stage of per-track
+        directories of 16,400 values and fork one child per pass of per-track
         work, and every child is reaped when they return: ``predict`` writes
-        (1); ``smooth`` reads, filters and writes (3); ``ensemble`` reads two
-        runs and writes (3); ``evaluate`` reads the annotations and the
-        predictions (2)."""
+        (1); ``smooth`` reads and filters in one pass, then writes (2);
+        ``ensemble`` reads both runs in one pass, then writes (2); ``evaluate``
+        reads the annotations and the predictions in one pass (1)."""
         manifest = synth_generate(SynthSpec(num_movies=2, length=4100,
                                             modalities=(("audio", 1),)), tmp_path / "data", 1)
         cfg = tmp_path / "run.cfg"
@@ -929,7 +948,7 @@ class TestPredictionDirLanes:
                      ["evaluate", "--predictions", mean, "--annotations",
                       str(tmp_path / "data" / "annotations"), "--out", str(tmp_path / "eval")]):
             assert main(argv) == 0
-        assert len(forks) == 9
+        assert len(forks) == 6
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

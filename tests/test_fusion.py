@@ -24,7 +24,7 @@ from affectseq.model import (
     predict_batch,
     training_loss,
 )
-from affectseq.numerics import ParamStore, sigmoid
+from affectseq.numerics import ParamStore, sigmoid, softmax_rows
 from affectseq.rng import generator
 from affectseq.seqmodel import EncoderConfig
 
@@ -165,6 +165,26 @@ class TestBatchNorm:
 
         assert grad_check(loss, store) < 1e-4
 
+    def test_training_input_gradient_keeps_its_documented_order(self):
+        """The training pass's input gradient, bit for bit: the centered
+        batch gets its scale term, then its two variance terms, then x its
+        mean's term. Adding the two variance terms first gives other bits."""
+        rng = np.random.default_rng(11)
+        x, g = rng.normal(size=(16, 12)), rng.normal(size=(16, 12))
+        leaves = {**bn_leaves(12), "fusion.bn.gamma": rng.normal(1.0, 0.2, size=12)}
+        out = batch_norm(ad.Var(x), leaves, TRAIN)
+        dx, _ = out.grad_fn(g)
+        centered = x - x.mean(axis=0, keepdims=True)
+        var = (centered * centered).mean(axis=0, keepdims=True)
+        inv = 1.0 / np.sqrt(var + 1e-5)
+        scaled = g * leaves["fusion.bn.gamma"]
+        dvar = -0.5 * (scaled * centered).sum(axis=0, keepdims=True) * inv / (var + 1e-5)
+        dsq = dvar / 16 * centered
+        for first, matches in (((scaled * inv + dsq) + dsq, True),
+                               (scaled * inv + (dsq + dsq), False)):
+            expected = first + (-first).sum(axis=0, keepdims=True) / 16
+            assert np.array_equal(dx, expected) == matches
+
 
 class TestFusionConfig:
     @pytest.mark.parametrize("setting", [{"bn_epsilon": 0.0}], ids=["bn_epsilon"])
@@ -247,6 +267,26 @@ class TestMoe:
                     direct = float(gates @ oracles.sigmoid(ew @ v[i] + eb))
                     np.testing.assert_allclose(p[i, d], direct, atol=1e-15)
             assert np.all((p > 0.0) & (p < 1.0))
+
+    def test_input_gradient_sums_its_terms_in_order(self):
+        """The input gradient, bit for bit, is its four terms summed left to
+        right: valence gate, valence experts, arousal gate, arousal experts.
+        Summing each dimension's experts before its gate gives other bits."""
+        rng = np.random.default_rng(12)
+        v, g = rng.normal(size=(16, 12)), rng.normal(size=(16, 2))
+        params = [(rng.normal(size=(3, 12)), rng.normal(size=3),
+                   rng.normal(size=(3, 12)), rng.normal(size=3)) for _ in range(2)]
+        dx, _ = moe(ad.Var(v), params).grad_fn(g)
+        terms = []
+        for d, (ew, eb, gw, gb) in enumerate(params):
+            experts, gates = sigmoid(v @ ew.T + eb), softmax_rows(v @ gw.T + gb)
+            dgates = g[:, d:d + 1] * experts
+            dz_gate = gates * (dgates - (dgates * gates).sum(axis=1, keepdims=True))
+            dz_expert = g[:, d:d + 1] * gates * experts * (1.0 - experts)
+            terms.append((dz_gate @ gw, dz_expert @ ew))
+        (vg, ve), (ag, ae) = terms
+        assert np.array_equal(dx, vg + ve + ag + ae)
+        assert not np.array_equal(dx, ve + vg + ae + ag)
 
     def test_gates_sum_to_one_inside_graph(self):
         config = FusionConfig(num_experts=3)

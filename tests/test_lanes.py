@@ -18,7 +18,7 @@ import pytest
 from affectseq import lanes, model
 from affectseq.cli import main
 from affectseq.config import parse_config
-from affectseq.dataio import SynthSpec, load_prediction_dir, save_prediction_dir, synth_generate
+from affectseq.dataio import SynthSpec, load_prediction_dirs, save_prediction_dir, synth_generate
 from affectseq.lanes import _FORK_VALUES
 
 
@@ -256,7 +256,7 @@ def affect_dirs(root, movies: int, length: int):
     ``movies`` tracks of ``length`` s."""
     manifest = synth_generate(SynthSpec(num_movies=movies, length=length,
                                         modalities=(("audio", 1),)), root / "data", 1)
-    annotations = load_prediction_dir(manifest.root / "annotations")
+    annotations = load_prediction_dirs(manifest.root / "annotations")[0]
     runs = []
     for k in (1, 2):
         rng = np.random.default_rng(k)
@@ -277,8 +277,8 @@ def post_chain(annotations: str, runs: list[str], out) -> list[list[str]]:
 
 def test_post_chain_writes_the_same_bytes_at_one_and_two_cpus(monkeypatch, tmp_path, forks):
     """``smooth``, ``ensemble`` and ``evaluate`` over directories of 16,400
-    values fork at two usable CPUs and write the same tracks and reports
-    as at one."""
+    values fork at two usable CPUs, once per read pass and once per write,
+    and write the same tracks and reports as at one."""
     annotations, runs = affect_dirs(tmp_path, 2, 4100)
     assert 2 * 4100 * 2 >= _FORK_VALUES
     written = []
@@ -288,7 +288,7 @@ def test_post_chain_writes_the_same_bytes_at_one_and_two_cpus(monkeypatch, tmp_p
         out = tmp_path / f"cpus{cpus}"
         for argv in post_chain(annotations, runs, out):
             assert main(argv) == 0
-        assert len(forks) == (cpus - 1) * (3 + 3 + 3 + 2)
+        assert len(forks) == (cpus - 1) * (2 + 2 + 2 + 1)
         written.append({str(path.relative_to(out)): path.read_bytes()
                         for path in sorted(out.rglob("*")) if path.is_file()})
     assert len(written[0]) == 2 * 2 + 2 + 2
@@ -306,3 +306,53 @@ def test_small_directories_never_fork(monkeypatch, tmp_path, forks, movies, leng
     for argv in post_chain(annotations, runs, tmp_path / "out"):
         assert main(argv) == 0
     assert forks == []
+
+
+def raw_dir(root, lengths: dict[str, int]):
+    """A prediction directory of noise tracks of the given lengths."""
+    rng = np.random.default_rng(4)
+    save_prediction_dir({movie: rng.normal(size=(length, 2))
+                         for movie, length in lengths.items()}, root / "raw")
+    return root / "raw"
+
+
+def test_smooth_warns_once_per_short_track_in_name_order(monkeypatch, tmp_path, capsys, forks):
+    """``smooth`` prints one ``warning: <path>: <message>`` line per track
+    too short for its Butterworth padding, in name order, and the same
+    lines at one and two usable CPUs, where the short m001 and m003 fall
+    in the child's lane."""
+    raw = raw_dir(tmp_path, {"m000": 2400, "m001": 8, "m002": 2400, "m003": 4, "m004": 2400,
+                             "m005": 2400})
+    errs = []
+    for cpus in (1, 2):
+        forks.clear()
+        monkeypatch.setattr(lanes, "usable_cpus", lambda cpus=cpus: cpus)
+        assert main(["smooth", "--predictions", str(raw), "--out",
+                     str(tmp_path / f"cpus{cpus}")]) == 0
+        assert len(forks) == 2 * (cpus - 1)  # one read-and-filter pass, one write
+        errs.append(capsys.readouterr().err)
+    short = "is too short for order 2 (needs > 9); using a uniform moving average of width"
+    assert errs == [f"warning: {raw / 'm001.csv'}: track of length 8 {short} 5\n"
+                    f"warning: {raw / 'm003.csv'}: track of length 4 {short} 3\n"] * 2
+
+
+def test_smooth_names_the_first_faulty_track_in_name_order(monkeypatch, tmp_path, capsys,
+                                                           forks):
+    """``smooth`` checks each track in the job that reads it, so the first
+    faulty track in name order is named whatever its fault and lane: m000
+    is shorter than the moving average's weights, and m001, in the child's
+    lane at two CPUs, holds a bad token."""
+    raw = raw_dir(tmp_path, {"m000": 3, **{f"m00{i}": 2400 for i in range(1, 5)}})
+    path = raw / "m001.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[4] = "m001,3,1_0," + lines[4].split(",", 3)[3]
+    path.write_text("".join(lines))
+    for cpus in (1, 2):
+        forks.clear()
+        monkeypatch.setattr(lanes, "usable_cpus", lambda cpus=cpus: cpus)
+        assert main(["smooth", "--smoother", "moving_average", "--predictions", str(raw),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert len(forks) == cpus - 1
+        assert capsys.readouterr().err == (f"affectseq: {raw / 'm000.csv'}: track of length 3 "
+                                           "is shorter than the 5 weights of ma_weights\n")
+        assert not (tmp_path / "out").exists()

@@ -6,7 +6,7 @@ import pytest
 
 from affectseq.cli import main
 from affectseq.config import load_manifest
-from affectseq.dataio import load_dataset, load_prediction_dir
+from affectseq.dataio import load_dataset, load_prediction_dirs
 from affectseq.evalmetrics import evaluate_run
 
 
@@ -45,7 +45,7 @@ def matrix(tmp_path_factory):
 def scores(root, pred_dir):
     manifest = load_manifest(root / "data" / "manifest.txt")
     _, annos = load_dataset(manifest)
-    preds = load_prediction_dir(pred_dir)
+    preds = load_prediction_dirs(pred_dir)[0]
     return evaluate_run(preds, annos, "macro_per_movie")
 
 
@@ -53,7 +53,7 @@ class TestRunMatrix:
     def test_all_runs_produce_full_tracks(self, matrix):
         root, run_dirs = matrix
         for pred_dir in run_dirs + [root / "run5"]:
-            preds = load_prediction_dir(pred_dir)
+            preds = load_prediction_dirs(pred_dir)[0]
             assert sorted(preds) == ["m000", "m001", "m002"]
             for track in preds.values():
                 assert track.shape == (120, 2)
@@ -61,7 +61,7 @@ class TestRunMatrix:
 
     def test_runs_actually_differ(self, matrix):
         root, run_dirs = matrix
-        tracks = [load_prediction_dir(d)["m000"] for d in run_dirs]
+        tracks = [run["m000"] for run in load_prediction_dirs(*run_dirs)]
         for i in range(len(tracks)):
             for j in range(i + 1, len(tracks)):
                 assert not np.array_equal(tracks[i], tracks[j]), (i, j)
